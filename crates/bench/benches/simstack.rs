@@ -1,0 +1,132 @@
+//! Micro-benchmarks of the simulated write path under the LSM store: host
+//! wall-clock cost of streaming pages through a full page cache with the
+//! flusher running, and of one L0→L1 compaction at the ledger's key count.
+//! Both were super-linear once (a writeback that walked every clean page,
+//! a compaction that re-sorted sorted runs); the ceilings, mirrored in
+//! `BENCH_baseline.json`, trip if either cost comes back.
+
+use criterion::{criterion_group, BatchSize, Criterion};
+use kernel_sim::{Sim, SimConfig};
+use kvstore::{Db, DbConfig};
+use std::hint::black_box;
+
+/// Pages per benchmarked write: the chunk `SsTable::build` streams.
+const WRITE_PAGES: u64 = 32;
+/// Keys in L1 before the compaction: the ledger's `lsm-update` database.
+const L1_KEYS: u64 = 1 << 20;
+
+fn bench_write_stream(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simstack");
+    // 16,384-page cache, full; every 32-page write evicts 32 clean pages
+    // and every other one finds dirty > threshold and flushes a batch of 64.
+    group.bench_function("write_stream_full_cache", |b| {
+        let mut sim = Sim::new(SimConfig::default());
+        let file = sim.create_file(1 << 40);
+        let mut page = 0u64;
+        for _ in 0..2 * SimConfig::default().cache_pages as u64 / WRITE_PAGES {
+            sim.write(file, page, WRITE_PAGES).unwrap();
+            page += WRITE_PAGES;
+        }
+        b.iter(|| {
+            page += WRITE_PAGES;
+            black_box(sim.write(file, page, WRITE_PAGES).unwrap())
+        });
+    });
+    group.finish();
+}
+
+/// A store shaped like `lsm-update` just before its compaction: 2^20 keys
+/// in L1 and four flushed memtables of scattered overwrites in L0.
+fn store_before_compaction() -> (Sim, Db) {
+    let mut sim = Sim::new(SimConfig::default());
+    let cfg = DbConfig {
+        l0_compaction_trigger: usize::MAX, // compact only when asked
+        ..DbConfig::default()
+    };
+    let mut db = Db::create(&mut sim, cfg);
+    db.bulk_load(&mut sim, (0..L1_KEYS).collect()).unwrap();
+    let mut x = 0x4B4D4Cu64;
+    while db.stats().flushes < 4 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        db.put(&mut sim, (x >> 33) % L1_KEYS).unwrap();
+    }
+    (sim, db)
+}
+
+fn bench_compaction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simstack");
+    group.bench_function("compact_l0x4_into_1m", |b| {
+        b.iter_batched(
+            store_before_compaction,
+            |(mut sim, mut db)| {
+                db.compact(&mut sim).unwrap();
+                (sim, db)
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = Criterion::default().sample_size(
+        std::env::var("KML_BENCH_SAMPLES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(30),
+    );
+    targets = bench_write_stream, bench_compaction
+}
+
+/// Ceilings at 2× the medians measured when the scans were removed (29 ns a
+/// page, 45 ms a compaction on the 2-core container; the parent commit
+/// measured 565 ns and 225 ms), mirrored in `BENCH_baseline.json`.
+const WRITE_STREAM_CEILING_NS_PER_PAGE: f64 = 59.0;
+const COMPACTION_CEILING_MS: f64 = 90.0;
+
+fn main() {
+    let mut filter: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        if !arg.starts_with('-') {
+            filter = Some(arg);
+        }
+    }
+    benches(filter.as_deref());
+
+    // (id, divisor from ns per iteration to the gated unit, unit, ceiling)
+    let gates = [
+        (
+            "simstack/write_stream_full_cache",
+            WRITE_PAGES as f64,
+            "ns/page",
+            WRITE_STREAM_CEILING_NS_PER_PAGE,
+        ),
+        (
+            "simstack/compact_l0x4_into_1m",
+            1e6,
+            "ms",
+            COMPACTION_CEILING_MS,
+        ),
+    ];
+    let mut failed = false;
+    for s in &criterion::summaries() {
+        let Some(&(_, per, unit, ceiling)) = gates.iter().find(|(id, ..)| s.id == *id) else {
+            continue;
+        };
+        let median = s.median_ns / per;
+        let pass = median <= ceiling;
+        println!(
+            "{}: {} median {median:.1} {unit}, ceiling {ceiling:.0} {unit}",
+            if pass { "PASS" } else { "FAIL" },
+            s.id,
+        );
+        failed |= !pass;
+    }
+    if failed && std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
+        eprintln!("write path slower than ceiling (KML_BENCH_ENFORCE=0 skips on noisy runners)");
+        std::process::exit(1);
+    }
+}

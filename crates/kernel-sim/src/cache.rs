@@ -6,22 +6,88 @@
 //! dirty pages require writeback before reclaim, and pages brought in by
 //! readahead that get evicted untouched are counted as **wasted prefetch**
 //! — the quantity bad readahead tuning inflates.
+//!
+//! Two intrusive lists run through one slab of entries: the LRU list over
+//! every resident page and the **dirty list** over the dirty ones. The
+//! invariant that keeps writeback exact is that the dirty list is the LRU
+//! list restricted to dirty pages, in the same order — so flushing from the
+//! dirty tail visits exactly the pages a walk up the LRU list from its tail
+//! would, without stepping over the clean ones in between.
+//!
+//! Resident pages are found through an open-addressing index of slab slots
+//! (linear probing, backward-shift deletion). It keeps no tombstones, so
+//! what a lookup costs depends on the pages resident now and not on the
+//! evictions that came before.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// Key of a cached page: (inode number, page index within the file).
 pub type PageKey = (u64, u64);
 
-const NIL: usize = usize::MAX;
+/// Slab links are `u32` so an [`Entry`] stays within 40 bytes: a fleet holds
+/// thousands of caches.
+const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+/// List every resident page is on, MRU at the head.
+const LRU: usize = 0;
+/// List the dirty pages are also on, in the same relative order.
+const DIRTY: usize = 1;
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Neighbour towards the head (more recently used).
+    prev: u32,
+    /// Neighbour towards the tail (less recently used).
+    next: u32,
+}
+
+const UNLINKED: Link = Link {
+    prev: NIL,
+    next: NIL,
+};
+
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     key: PageKey,
-    prev: usize,
-    next: usize,
+    /// Indexed by [`LRU`] and [`DIRTY`]; the latter is meaningful only
+    /// while `dirty`.
+    links: [Link; 2],
     dirty: bool,
     /// Brought in by readahead and not yet referenced by a real access.
     speculative: bool,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Ends = Ends {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One slot of the resident-page index.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Low half of the key's hash; its low bits are the slot the key probes
+    /// from, so deletion can re-home a slot without reading its entry.
+    tag: u32,
+    /// Slab slot of the page, `NIL` while the index slot is vacant.
+    idx: u32,
+}
+
+const VACANT: Slot = Slot { tag: 0, idx: NIL };
+
+/// FxHash instead of SipHash: the key is hashed once per simulated I/O, keys
+/// are internal (no HashDoS surface), and Fx is seedless, keeping runs
+/// bit-reproducible. The low bits of an Fx hash are a bijection of the low
+/// bits of the page number, so a sequential run of pages never collides
+/// with itself.
+fn tag_of(key: PageKey) -> u32 {
+    BuildHasherDefault::<FxHasher>::default().hash_one(key) as u32
 }
 
 /// Cumulative page-cache statistics.
@@ -39,6 +105,29 @@ pub struct CacheStats {
     pub wasted_prefetch: u64,
     /// Dirty pages flushed.
     pub writebacks: u64,
+}
+
+/// An evicted page and whether it was dirty — the caller is responsible for
+/// writing dirty victims back to the device.
+pub type Victim = (PageKey, bool);
+
+/// What an insert did to the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inserted {
+    /// The page was already resident and moved to MRU.
+    Promoted,
+    /// The page is new; a full cache evicted its LRU page to make room.
+    Added(Option<Victim>),
+}
+
+impl Inserted {
+    /// The page evicted to make room, if any.
+    pub fn victim(self) -> Option<Victim> {
+        match self {
+            Inserted::Promoted => None,
+            Inserted::Added(victim) => victim,
+        }
+    }
 }
 
 /// A fixed-capacity LRU page cache.
@@ -59,16 +148,14 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct PageCache {
     capacity: usize,
-    /// Resident-page index. FxHash instead of the default SipHash: the key
-    /// is hashed once per simulated I/O, keys are internal (no HashDoS
-    /// surface), and Fx is seedless, keeping runs bit-reproducible.
-    map: FxHashMap<PageKey, usize>,
+    /// Resident-page index: a power-of-two table at most half full.
+    index: Vec<Slot>,
+    /// Pages currently resident.
+    len: usize,
     entries: Vec<Entry>,
-    free: Vec<usize>,
-    /// Most recently used entry.
-    head: usize,
-    /// Least recently used entry.
-    tail: usize,
+    free: Vec<u32>,
+    /// Head and tail of the [`LRU`] and [`DIRTY`] lists.
+    ends: [Ends; 2],
     dirty_count: usize,
     stats: CacheStats,
 }
@@ -78,19 +165,32 @@ impl PageCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or does not fit the `u32` slab links.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "page cache capacity must be positive");
+        Self::check_capacity(capacity);
         PageCache {
             capacity,
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: vec![VACANT; Self::index_slots(capacity)],
+            len: 0,
             entries: Vec::with_capacity(capacity),
             free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            ends: [EMPTY; 2],
             dirty_count: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    fn check_capacity(capacity: usize) {
+        assert!(capacity > 0, "page cache capacity must be positive");
+        assert!(
+            capacity < NIL as usize,
+            "page cache capacity must fit u32 slab links"
+        );
+    }
+
+    /// Index slots that keep `capacity` resident pages at most half the table.
+    fn index_slots(capacity: usize) -> usize {
+        (2 * capacity).next_power_of_two()
     }
 
     /// Capacity in pages.
@@ -100,12 +200,12 @@ impl PageCache {
 
     /// Pages currently resident.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Dirty pages currently resident.
@@ -115,18 +215,17 @@ impl PageCache {
 
     /// Whether the page is resident (does not update LRU or stats).
     pub fn contains(&self, key: PageKey) -> bool {
-        self.map.contains_key(&key)
+        self.lookup(key, tag_of(key)).is_some()
     }
 
     /// Looks up a page as a real access: on hit, promotes it to MRU, clears
     /// its speculative flag, counts a hit, and returns true; on miss, counts
     /// a miss and returns false.
     pub fn touch(&mut self, key: PageKey) -> bool {
-        match self.map.get(&key).copied() {
+        match self.lookup(key, tag_of(key)) {
             Some(idx) => {
-                self.unlink(idx);
-                self.link_front(idx);
-                self.entries[idx].speculative = false;
+                self.promote(idx);
+                self.entries[idx as usize].speculative = false;
                 self.stats.hits += 1;
                 true
             }
@@ -138,58 +237,63 @@ impl PageCache {
     }
 
     /// Inserts a page (idempotent: re-inserting promotes and merges flags).
-    /// `speculative` marks readahead-fetched pages. Returns the pages that
-    /// were evicted (with their dirty flags) to make room — the caller is
-    /// responsible for writing dirty victims back to the device.
-    pub fn insert(&mut self, key: PageKey, speculative: bool) -> Vec<(PageKey, bool)> {
-        if let Some(&idx) = self.map.get(&key) {
-            self.unlink(idx);
-            self.link_front(idx);
+    /// `speculative` marks readahead-fetched pages.
+    pub fn insert(&mut self, key: PageKey, speculative: bool) -> Inserted {
+        self.admit(key, speculative, false)
+    }
+
+    /// Inserts a page that is being written: a demand [`PageCache::insert`]
+    /// plus [`PageCache::mark_dirty`] in one lookup.
+    pub fn insert_dirty(&mut self, key: PageKey) -> Inserted {
+        self.admit(key, false, true)
+    }
+
+    fn admit(&mut self, key: PageKey, speculative: bool, dirty: bool) -> Inserted {
+        let tag = tag_of(key);
+        if let Some(idx) = self.lookup(key, tag) {
+            self.promote(idx);
             // A demand insert over a speculative page de-speculates it.
             if !speculative {
-                self.entries[idx].speculative = false;
+                self.entries[idx as usize].speculative = false;
             }
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        while self.map.len() >= self.capacity {
-            if let Some(victim) = self.evict_lru() {
-                evicted.push(victim);
-            } else {
-                break;
+            if dirty {
+                self.set_dirty(idx);
             }
+            return Inserted::Promoted;
         }
+        // `len <= capacity` always holds, so one eviction makes room; the
+        // new page takes over its victim's slot.
+        let (idx, victim) = if self.len >= self.capacity {
+            let (idx, victim) = self.detach_lru();
+            (idx, Some(victim))
+        } else {
+            let idx = self.free.pop().unwrap_or(self.entries.len() as u32);
+            (idx, None)
+        };
         let entry = Entry {
             key,
-            prev: NIL,
-            next: NIL,
+            links: [UNLINKED; 2],
             dirty: false,
             speculative,
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.entries[i] = entry;
-                i
-            }
-            None => {
-                self.entries.push(entry);
-                self.entries.len() - 1
-            }
-        };
-        self.map.insert(key, idx);
-        self.link_front(idx);
+        match self.entries.get_mut(idx as usize) {
+            Some(slot) => *slot = entry,
+            None => self.entries.push(entry),
+        }
+        self.index_insert(tag, idx);
+        self.link_after::<LRU>(NIL, idx);
+        if dirty {
+            self.set_dirty(idx);
+        }
         self.stats.insertions += 1;
-        evicted
+        Inserted::Added(victim)
     }
 
     /// Marks a resident page dirty; returns false if the page is absent.
     pub fn mark_dirty(&mut self, key: PageKey) -> bool {
-        match self.map.get(&key).copied() {
+        match self.lookup(key, tag_of(key)) {
             Some(idx) => {
-                if !self.entries[idx].dirty {
-                    self.entries[idx].dirty = true;
-                    self.dirty_count += 1;
-                }
+                self.set_dirty(idx);
                 true
             }
             None => false,
@@ -197,21 +301,21 @@ impl PageCache {
     }
 
     /// Flushes up to `max` dirty pages in LRU order, clearing their dirty
-    /// bits; returns their keys (the caller charges device write time and
-    /// fires `writeback_dirty_page` tracepoints).
-    pub fn writeback(&mut self, max: usize) -> Vec<PageKey> {
-        let mut flushed = Vec::new();
-        let mut idx = self.tail;
-        while idx != NIL && flushed.len() < max {
-            if self.entries[idx].dirty {
-                self.entries[idx].dirty = false;
-                self.dirty_count -= 1;
-                self.stats.writebacks += 1;
-                flushed.push(self.entries[idx].key);
+    /// bits and appending their keys to `flushed` (the caller charges device
+    /// write time and fires `writeback_dirty_page` tracepoints). Costs
+    /// O(pages flushed), however many clean pages sit between them.
+    pub fn writeback(&mut self, max: usize, flushed: &mut Vec<PageKey>) {
+        for _ in 0..max {
+            let idx = self.ends[DIRTY].tail;
+            if idx == NIL {
+                break;
             }
-            idx = self.entries[idx].prev;
+            self.unlink::<DIRTY>(idx);
+            self.entries[idx as usize].dirty = false;
+            self.dirty_count -= 1;
+            self.stats.writebacks += 1;
+            flushed.push(self.entries[idx as usize].key);
         }
-        flushed
     }
 
     /// Changes the capacity (the fault layer's cache-pressure squeeze).
@@ -220,16 +324,26 @@ impl PageCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<(PageKey, bool)> {
-        assert!(capacity > 0, "page cache capacity must be positive");
+    /// Panics if `capacity == 0` or does not fit the `u32` slab links.
+    pub fn set_capacity(&mut self, capacity: usize) -> Vec<Victim> {
+        Self::check_capacity(capacity);
         self.capacity = capacity;
-        let mut evicted = Vec::new();
-        while self.map.len() > self.capacity {
-            match self.evict_lru() {
-                Some(victim) => evicted.push(victim),
-                None => break,
+        if Self::index_slots(capacity) > self.index.len() {
+            // Grown past half the table: re-index the resident pages.
+            self.index = vec![VACANT; Self::index_slots(capacity)];
+            self.len = 0;
+            let mut idx = self.ends[LRU].head;
+            while idx != NIL {
+                let Entry { key, links, .. } = self.entries[idx as usize];
+                self.index_insert(tag_of(key), idx);
+                idx = links[LRU].next;
             }
+        }
+        let mut evicted = Vec::new();
+        while self.len > self.capacity {
+            let (idx, victim) = self.detach_lru();
+            self.free.push(idx);
+            evicted.push(victim);
         }
         evicted
     }
@@ -237,15 +351,17 @@ impl PageCache {
     /// Removes one specific page (the `DontNeed` path); returns whether the
     /// page was dirty (the caller must write it back). No-op when absent.
     pub fn forget(&mut self, key: PageKey) -> bool {
-        let Some(&idx) = self.map.get(&key) else {
+        let tag = tag_of(key);
+        let Some(idx) = self.lookup(key, tag) else {
             return false;
         };
-        let dirty = self.entries[idx].dirty;
+        self.index_remove(tag, idx);
+        let dirty = self.entries[idx as usize].dirty;
         if dirty {
+            self.unlink::<DIRTY>(idx);
             self.dirty_count -= 1;
         }
-        self.unlink(idx);
-        self.map.remove(&key);
+        self.unlink::<LRU>(idx);
         self.free.push(idx);
         dirty
     }
@@ -254,11 +370,11 @@ impl PageCache {
     /// Dirty pages are silently discarded — callers flush first if the data
     /// matters (mirrors `echo 3 > drop_caches` after `sync`).
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.index.fill(VACANT);
+        self.len = 0;
         self.entries.clear();
         self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.ends = [EMPTY; 2];
         self.dirty_count = 0;
     }
 
@@ -282,57 +398,158 @@ impl PageCache {
         }
     }
 
-    fn evict_lru(&mut self) -> Option<(PageKey, bool)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let idx = self.tail;
-        let key = self.entries[idx].key;
-        let dirty = self.entries[idx].dirty;
+    /// Evicts the LRU page: off both lists and out of the index. Returns its
+    /// slot, which the caller reuses or frees, and the victim.
+    fn detach_lru(&mut self) -> (u32, Victim) {
+        let idx = self.ends[LRU].tail;
+        let Entry {
+            key,
+            dirty,
+            speculative,
+            ..
+        } = self.entries[idx as usize];
         if dirty {
+            self.unlink::<DIRTY>(idx);
             self.dirty_count -= 1;
         }
-        if self.entries[idx].speculative {
+        if speculative {
             self.stats.wasted_prefetch += 1;
         }
-        self.unlink(idx);
-        self.map.remove(&key);
-        self.free.push(idx);
+        self.unlink::<LRU>(idx);
+        self.index_remove(tag_of(key), idx);
         self.stats.evictions += 1;
-        Some((key, dirty))
+        (idx, (key, dirty))
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.entries[idx].prev, self.entries[idx].next);
-        if prev != NIL {
-            self.entries[prev].next = next;
-        } else if self.head == idx {
-            self.head = next;
+    /// Slab slot of a resident page.
+    fn lookup(&self, key: PageKey, tag: u32) -> Option<u32> {
+        let mask = self.index.len() - 1;
+        let mut at = tag as usize & mask;
+        loop {
+            let slot = self.index[at];
+            if slot.idx == NIL {
+                return None;
+            }
+            if slot.tag == tag && self.entries[slot.idx as usize].key == key {
+                return Some(slot.idx);
+            }
+            at = (at + 1) & mask;
         }
-        if next != NIL {
-            self.entries[next].prev = prev;
-        } else if self.tail == idx {
-            self.tail = prev;
-        }
-        self.entries[idx].prev = NIL;
-        self.entries[idx].next = NIL;
     }
 
-    fn link_front(&mut self, idx: usize) {
-        self.entries[idx].prev = NIL;
-        self.entries[idx].next = self.head;
-        if self.head != NIL {
-            self.entries[self.head].prev = idx;
+    /// Indexes a page that [`PageCache::lookup`] did not find.
+    fn index_insert(&mut self, tag: u32, idx: u32) {
+        let mask = self.index.len() - 1;
+        let mut at = tag as usize & mask;
+        while self.index[at].idx != NIL {
+            at = (at + 1) & mask;
         }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
+        self.index[at] = Slot { tag, idx };
+        self.len += 1;
+    }
+
+    /// Takes a resident page out of the index, then closes the gap: every
+    /// slot behind it that probed past the gap moves up, so no probe
+    /// sequence is ever cut short by a vacancy.
+    fn index_remove(&mut self, tag: u32, idx: u32) {
+        let mask = self.index.len() - 1;
+        let mut gap = tag as usize & mask;
+        while self.index[gap].idx != idx {
+            gap = (gap + 1) & mask;
         }
+        let mut at = gap;
+        loop {
+            at = (at + 1) & mask;
+            let slot = self.index[at];
+            if slot.idx == NIL {
+                break;
+            }
+            let from_home = at.wrapping_sub(slot.tag as usize) & mask;
+            if from_home >= (at.wrapping_sub(gap) & mask) {
+                self.index[gap] = slot;
+                gap = at;
+            }
+        }
+        self.index[gap] = VACANT;
+        self.len -= 1;
+    }
+
+    /// Moves a resident page to MRU — in the dirty list too, which keeps the
+    /// two lists in the same order.
+    fn promote(&mut self, idx: u32) {
+        self.unlink::<LRU>(idx);
+        self.link_after::<LRU>(NIL, idx);
+        if self.entries[idx as usize].dirty {
+            self.unlink::<DIRTY>(idx);
+            self.link_after::<DIRTY>(NIL, idx);
+        }
+    }
+
+    /// Dirties a resident page, threading it into the dirty list behind its
+    /// nearest more recently used dirty neighbour. Writes dirty the MRU page,
+    /// which has none; only re-dirtying after a failed flush walks.
+    fn set_dirty(&mut self, idx: u32) {
+        if self.entries[idx as usize].dirty {
+            return;
+        }
+        let mut newer = self.entries[idx as usize].links[LRU].prev;
+        while newer != NIL && !self.entries[newer as usize].dirty {
+            newer = self.entries[newer as usize].links[LRU].prev;
+        }
+        self.entries[idx as usize].dirty = true;
+        self.dirty_count += 1;
+        self.link_after::<DIRTY>(newer, idx);
+    }
+
+    /// Takes a linked entry off list `L`.
+    fn unlink<const L: usize>(&mut self, idx: u32) {
+        let Link { prev, next } = self.entries[idx as usize].links[L];
+        match prev {
+            NIL => self.ends[L].head = next,
+            _ => self.entries[prev as usize].links[L].next = next,
+        }
+        match next {
+            NIL => self.ends[L].tail = prev,
+            _ => self.entries[next as usize].links[L].prev = prev,
+        }
+    }
+
+    /// Links an unlinked entry into list `L` right behind `anchor`, or at the
+    /// head when `anchor` is `NIL`.
+    fn link_after<const L: usize>(&mut self, anchor: u32, idx: u32) {
+        let next = match anchor {
+            NIL => std::mem::replace(&mut self.ends[L].head, idx),
+            _ => std::mem::replace(&mut self.entries[anchor as usize].links[L].next, idx),
+        };
+        match next {
+            NIL => self.ends[L].tail = idx,
+            _ => self.entries[next as usize].links[L].prev = idx,
+        }
+        self.entries[idx as usize].links[L] = Link { prev: anchor, next };
+    }
+}
+
+#[cfg(test)]
+impl PageCache {
+    /// Keys along list `L`, tail (least recently used) first, checking that
+    /// the links agree in both directions.
+    fn order<const L: usize>(&self) -> Vec<PageKey> {
+        let mut keys = Vec::new();
+        let (mut idx, mut towards_tail) = (self.ends[L].tail, NIL);
+        while idx != NIL {
+            let entry = &self.entries[idx as usize];
+            assert_eq!(entry.links[L].next, towards_tail, "list {L} back-link");
+            keys.push(entry.key);
+            (towards_tail, idx) = (idx, entry.links[L].prev);
+        }
+        assert_eq!(self.ends[L].head, towards_tail, "list {L} head");
+        keys
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Inserted::Added;
     use super::*;
     use proptest::prelude::*;
 
@@ -344,9 +561,9 @@ mod tests {
         c.insert((1, 2), false);
         c.touch((1, 0)); // 0 becomes MRU; LRU order now 1, 2, 0
         let ev = c.insert((1, 3), false);
-        assert_eq!(ev, vec![((1, 1), false)]);
+        assert_eq!(ev, Added(Some(((1, 1), false))));
         let ev = c.insert((1, 4), false);
-        assert_eq!(ev, vec![((1, 2), false)]);
+        assert_eq!(ev, Added(Some(((1, 2), false))));
         assert!(c.contains((1, 0)));
     }
 
@@ -355,10 +572,10 @@ mod tests {
         let mut c = PageCache::new(2);
         c.insert((1, 0), false);
         c.insert((1, 1), false);
-        c.insert((1, 0), false); // promote, no eviction
+        assert_eq!(c.insert((1, 0), false), Inserted::Promoted); // no eviction
         assert_eq!(c.len(), 2);
         let ev = c.insert((1, 2), false);
-        assert_eq!(ev, vec![((1, 1), false)]); // 1 was LRU after promotion
+        assert_eq!(ev, Added(Some(((1, 1), false)))); // 1 was LRU after promotion
     }
 
     #[test]
@@ -368,8 +585,22 @@ mod tests {
         c.mark_dirty((1, 0));
         c.insert((1, 1), false);
         let ev = c.insert((1, 2), false);
-        assert_eq!(ev, vec![((1, 0), true)]);
+        assert_eq!(ev, Added(Some(((1, 0), true))));
         assert_eq!(c.dirty_count(), 0);
+    }
+
+    #[test]
+    fn insert_dirty_is_insert_plus_mark_dirty() {
+        let mut c = PageCache::new(2);
+        assert_eq!(c.insert_dirty((1, 0)), Added(None));
+        c.insert((1, 1), true);
+        assert_eq!(c.dirty_count(), 1);
+        // Over a resident page: promotes, de-speculates, dirties.
+        assert_eq!(c.insert_dirty((1, 1)), Inserted::Promoted);
+        assert_eq!(c.dirty_count(), 2);
+        assert_eq!(c.insert((1, 2), false), Added(Some(((1, 0), true))));
+        assert_eq!(c.insert((1, 3), false), Added(Some(((1, 1), true))));
+        assert_eq!(c.stats().wasted_prefetch, 0);
     }
 
     #[test]
@@ -380,10 +611,28 @@ mod tests {
             c.mark_dirty((1, i));
         }
         assert_eq!(c.dirty_count(), 4);
-        let flushed = c.writeback(2);
+        let mut flushed = Vec::new();
+        c.writeback(2, &mut flushed);
         assert_eq!(flushed, vec![(1, 0), (1, 1)]); // LRU end first
         assert_eq!(c.dirty_count(), 2);
         assert_eq!(c.stats().writebacks, 2);
+    }
+
+    #[test]
+    fn writeback_skips_clean_pages_and_follows_promotion() {
+        let mut c = PageCache::new(8);
+        for i in 0..8 {
+            c.insert((1, i), false);
+        }
+        // Dirtied out of LRU order, then the least recent dirty page is touched.
+        c.mark_dirty((1, 5));
+        c.mark_dirty((1, 1));
+        c.mark_dirty((1, 3));
+        c.touch((1, 1));
+        let mut flushed = Vec::new();
+        c.writeback(usize::MAX, &mut flushed);
+        assert_eq!(flushed, vec![(1, 3), (1, 5), (1, 1)]);
+        assert_eq!(c.dirty_count(), 0);
     }
 
     #[test]
@@ -468,6 +717,108 @@ mod tests {
         assert_eq!(c.len(), 4);
     }
 
+    #[test]
+    fn entry_stays_within_40_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 40);
+    }
+
+    /// The cache this one replaced, kept as the reference: a `Vec` in LRU
+    /// order (index 0 = least recently used) whose writeback scans up from
+    /// the tail over clean and dirty pages alike.
+    struct NaiveCache {
+        capacity: usize,
+        /// (key, dirty, speculative)
+        pages: Vec<(PageKey, bool, bool)>,
+        stats: CacheStats,
+    }
+
+    impl NaiveCache {
+        fn position(&self, key: PageKey) -> Option<usize> {
+            self.pages.iter().position(|p| p.0 == key)
+        }
+
+        fn evict_lru(&mut self) -> Victim {
+            let (key, dirty, speculative) = self.pages.remove(0);
+            self.stats.wasted_prefetch += u64::from(speculative);
+            self.stats.evictions += 1;
+            (key, dirty)
+        }
+
+        fn touch(&mut self, key: PageKey) -> bool {
+            match self.position(key) {
+                Some(i) => {
+                    let page = self.pages.remove(i);
+                    self.pages.push((page.0, page.1, false));
+                    self.stats.hits += 1;
+                    true
+                }
+                None => {
+                    self.stats.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, key: PageKey, speculative: bool) -> Inserted {
+            if let Some(i) = self.position(key) {
+                let page = self.pages.remove(i);
+                self.pages.push((page.0, page.1, page.2 && speculative));
+                return Inserted::Promoted;
+            }
+            let mut evicted = Vec::new();
+            while self.pages.len() >= self.capacity {
+                evicted.push(self.evict_lru());
+            }
+            assert!(evicted.len() <= 1, "len <= capacity was broken");
+            self.pages.push((key, false, speculative));
+            self.stats.insertions += 1;
+            Inserted::Added(evicted.pop())
+        }
+
+        fn mark_dirty(&mut self, key: PageKey) -> bool {
+            match self.position(key) {
+                Some(i) => {
+                    self.pages[i].1 = true;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn writeback(&mut self, max: usize) -> Vec<PageKey> {
+            let mut flushed = Vec::new();
+            for page in &mut self.pages {
+                if flushed.len() >= max {
+                    break;
+                }
+                if page.1 {
+                    page.1 = false;
+                    self.stats.writebacks += 1;
+                    flushed.push(page.0);
+                }
+            }
+            flushed
+        }
+
+        fn set_capacity(&mut self, capacity: usize) -> Vec<Victim> {
+            self.capacity = capacity;
+            let mut evicted = Vec::new();
+            while self.pages.len() > self.capacity {
+                evicted.push(self.evict_lru());
+            }
+            evicted
+        }
+
+        fn forget(&mut self, key: PageKey) -> bool {
+            self.position(key).is_some_and(|i| self.pages.remove(i).1)
+        }
+
+        fn dirty_order(&self) -> Vec<PageKey> {
+            let dirty = self.pages.iter().filter(|p| p.1);
+            dirty.map(|p| p.0).collect()
+        }
+    }
+
     proptest! {
         /// The cache never exceeds capacity and stays internally consistent
         /// under arbitrary operation sequences.
@@ -489,6 +840,71 @@ mod tests {
                 .filter(|k| c.contains(*k)).collect();
             for k in resident {
                 prop_assert!(c.touch(k));
+            }
+        }
+
+        /// Model-based: every operation returns what the tail-scanning
+        /// reference returns and leaves the same pages, in the same LRU and
+        /// dirty order, with the same counters. Pages range past the
+        /// capacity, so absent and non-MRU pages are dirtied too, and a
+        /// flushed batch is re-dirtied as `Sim` does after a failed flush.
+        #[test]
+        fn prop_matches_tail_scanning_reference(
+            ops in proptest::collection::vec((0u8..16, 0u64..24, 0usize..12), 1..400),
+        ) {
+            let mut c = PageCache::new(8);
+            let mut naive = NaiveCache {
+                capacity: 8,
+                pages: Vec::new(),
+                stats: CacheStats::default(),
+            };
+            for (op, page, n) in ops {
+                let key = (1 + page % 2, page);
+                match op {
+                    0..=2 => prop_assert_eq!(c.insert(key, false), naive.insert(key, false)),
+                    3 | 4 => prop_assert_eq!(c.insert(key, true), naive.insert(key, true)),
+                    5 | 6 => prop_assert_eq!(c.touch(key), naive.touch(key)),
+                    7 | 8 => prop_assert_eq!(c.mark_dirty(key), naive.mark_dirty(key)),
+                    9 => {
+                        let written = naive.insert(key, false);
+                        naive.mark_dirty(key);
+                        prop_assert_eq!(c.insert_dirty(key), written);
+                    }
+                    10 | 11 => {
+                        let mut flushed = Vec::new();
+                        c.writeback(n, &mut flushed);
+                        prop_assert_eq!(&flushed, &naive.writeback(n));
+                        if op == 11 {
+                            for &k in flushed.iter().rev() {
+                                prop_assert_eq!(c.mark_dirty(k), naive.mark_dirty(k));
+                            }
+                        }
+                    }
+                    12 => prop_assert_eq!(c.forget(key), naive.forget(key)),
+                    13 | 14 => {
+                        let capacity = if op == 13 { 1 + n } else { 8 };
+                        prop_assert_eq!(c.set_capacity(capacity), naive.set_capacity(capacity));
+                    }
+                    _ => {
+                        // Rare: most sequences should build up state.
+                        if n == 0 {
+                            c.clear();
+                            naive.pages.clear();
+                        }
+                    }
+                }
+                prop_assert_eq!(c.stats(), naive.stats);
+                prop_assert_eq!(c.len(), naive.pages.len());
+                prop_assert_eq!(c.dirty_count(), naive.dirty_order().len());
+                let lru: Vec<PageKey> = naive.pages.iter().map(|p| p.0).collect();
+                prop_assert_eq!(c.order::<LRU>(), lru);
+                prop_assert_eq!(c.order::<DIRTY>(), naive.dirty_order());
+                // The index finds exactly the resident pages, whatever
+                // gaps evictions closed on the way here.
+                for page in 0..24 {
+                    let key = (1 + page % 2, page);
+                    prop_assert_eq!(c.contains(key), naive.position(key).is_some());
+                }
             }
         }
     }

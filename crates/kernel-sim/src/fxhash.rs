@@ -1,6 +1,6 @@
-//! Inline FxHash-style hasher for hot simulator maps.
+//! Inline FxHash-style hasher for the page cache's index.
 //!
-//! `std::collections::HashMap` defaults to SipHash-1-3, which buys HashDoS
+//! `std`'s default hasher is SipHash-1-3, which buys HashDoS
 //! resistance the simulator does not need (keys are internal inode/page
 //! numbers, not attacker-controlled input) at the cost of ~1-2 ns per byte.
 //! The page cache hashes a key per simulated I/O, so the hasher sits on the
@@ -13,10 +13,7 @@
 //! iteration-order-independent results stay byte-identical across runs and
 //! worker counts (required by the parallel experiment sweeps).
 
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// `HashMap` alias using [`FxHasher`]; drop-in for the default hasher.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+use std::hash::Hasher;
 
 /// Multiplicative constant from rustc-hash: `2^64 / φ`, forced odd.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -113,18 +110,6 @@ mod tests {
             "low bits degenerate: {}",
             low_bits.len()
         );
-    }
-
-    #[test]
-    fn fxhashmap_behaves_like_hashmap() {
-        let mut m: FxHashMap<(u64, u64), usize> = FxHashMap::default();
-        for i in 0..100u64 {
-            m.insert((1, i), i as usize);
-        }
-        assert_eq!(m.len(), 100);
-        assert_eq!(m.get(&(1, 50)), Some(&50));
-        assert_eq!(m.remove(&(1, 50)), Some(50));
-        assert!(!m.contains_key(&(1, 50)));
     }
 
     #[test]

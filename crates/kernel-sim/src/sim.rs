@@ -11,7 +11,7 @@
 //! Time is a simulated nanosecond clock advanced by each operation, so
 //! throughput = ops / simulated seconds is deterministic.
 
-use crate::cache::{CacheStats, PageCache};
+use crate::cache::{CacheStats, Inserted, PageCache, PageKey, Victim};
 use crate::device::{BlockDevice, DeviceProfile, DeviceStats};
 use crate::fault::{FaultPlan, FaultStats, IoResult};
 use crate::ra_kb_to_pages;
@@ -158,6 +158,12 @@ pub struct Sim {
     /// Logical operations left before a cache-pressure squeeze lifts
     /// (0 = not squeezed).
     squeeze_remaining: u64,
+    /// Dirty pages the current operation is flushing, in flush order. This
+    /// and `sorted` are kept between operations so that steady-state reads
+    /// and writes allocate nothing.
+    flushed: Vec<PageKey>,
+    /// `flushed` in device order, for merging into requests.
+    sorted: Vec<PageKey>,
 }
 
 impl Sim {
@@ -175,6 +181,8 @@ impl Sim {
             logical_writes: 0,
             telemetry: SimTelemetry::noop(),
             squeeze_remaining: 0,
+            flushed: Vec::new(),
+            sorted: Vec::new(),
         }
     }
 
@@ -345,17 +353,15 @@ impl Sim {
             Advice::DontNeed { page, npages } => {
                 let inode = self.files[f.0].inode;
                 let end = (page + npages).min(self.files[f.0].pages);
-                // Flush dirty pages in range first, then forget them.
-                let mut dirty_in_range = Vec::new();
+                // Forget the range, then flush the pages that were dirty.
+                self.flushed.clear();
                 for p in page..end {
-                    if self.cache.contains((inode, p)) && self.cache.forget((inode, p)) {
-                        dirty_in_range.push((inode, p));
+                    if self.cache.forget((inode, p)) {
+                        self.flushed.push((inode, p));
                     }
                 }
-                self.charge_runs(&dirty_in_range, cost)?;
-                for &(ino, p) in &dirty_in_range {
-                    self.emit(TraceKind::WritebackDirtyPage, ino, p);
-                }
+                self.charge_flushed(cost)?;
+                self.emit_flushed();
             }
         }
         Ok(())
@@ -394,15 +400,15 @@ impl Sim {
                 self.telemetry.cache_misses.inc();
             }
             let action = self.files[f.0].ra.on_access(p, npages, cached, file_pages);
-            match action {
-                RaAction::None => {}
+            let fetched = match action {
+                RaAction::None => false,
                 RaAction::Sync { start, len } | RaAction::Async { start, len } => {
-                    self.fetch(f, start, len, p, cost)?;
+                    self.fetch(f, start, len, p, cost)?
                 }
-            }
+            };
             // Safety net: if readahead declined (EOF edge) the page still
             // needs a single-page demand fetch.
-            if !cached && !self.cache.contains((inode, p)) {
+            if !cached && !fetched {
                 self.fetch(f, p, 1, p, cost)?;
             }
             *cost += self.cfg.cache_hit_ns;
@@ -453,33 +459,21 @@ impl Sim {
         let file_pages = self.files[f.0].pages;
         let end = (page + npages).min(file_pages);
         for p in page..end {
-            let was_cached = self.cache.contains((inode, p));
-            // insert() promotes existing pages and evicts for new ones.
-            let evicted = self.cache.insert((inode, p), false);
-            if !was_cached {
+            // Promotes an existing page, evicts for a new one. The logical
+            // write itself always lands in the cache; only the eviction
+            // flush can fail, after the new page is accounted for.
+            let inserted = self.cache.insert_dirty((inode, p));
+            if inserted != Inserted::Promoted {
                 self.emit(TraceKind::AddToPageCache, inode, p);
             }
-            // The logical write itself always lands in the cache; only the
-            // eviction flush can fail, after the new page is accounted for.
-            self.cache.mark_dirty((inode, p));
-            self.flush_victims(&evicted, cost)?;
+            self.flush_victim(inserted.victim(), cost)?;
             *cost += self.cfg.cache_hit_ns;
         }
         // Threshold writeback, like the flusher threads kicking in.
         let threshold = (self.cfg.dirty_threshold * self.cfg.cache_pages as f64) as usize;
         if self.cache.dirty_count() > threshold {
-            let flushed = self.cache.writeback(self.cfg.writeback_batch);
-            if let Err(e) = self.charge_runs(&flushed, cost) {
-                // Failed flush: conservatively re-dirty the whole batch so
-                // nothing resident is silently dropped; it will be retried.
-                for &k in &flushed {
-                    self.cache.mark_dirty(k);
-                }
-                return Err(e);
-            }
-            for &(ino, p) in &flushed {
-                self.emit(TraceKind::WritebackDirtyPage, ino, p);
-            }
+            self.writeback(self.cfg.writeback_batch, cost)?;
+            self.emit_flushed();
         }
         Ok(())
     }
@@ -492,19 +486,9 @@ impl Sim {
     /// data still pending.
     pub fn sync(&mut self) -> IoResult<()> {
         let mut cost = 0;
-        let flushed = self.cache.writeback(usize::MAX);
-        let res = self.charge_runs(&flushed, &mut cost);
-        match res {
-            Ok(()) => {
-                for &(ino, p) in &flushed {
-                    self.emit(TraceKind::WritebackDirtyPage, ino, p);
-                }
-            }
-            Err(_) => {
-                for &k in &flushed {
-                    self.cache.mark_dirty(k);
-                }
-            }
+        let res = self.writeback(usize::MAX, &mut cost);
+        if res.is_ok() {
+            self.emit_flushed();
         }
         self.telemetry
             .dirty_pages
@@ -520,25 +504,15 @@ impl Sim {
     /// (the dirty pages are re-marked and kept) and the error is returned.
     pub fn drop_caches(&mut self) -> IoResult<()> {
         let mut cost = 0;
-        let flushed = self.cache.writeback(usize::MAX);
-        let res = self.charge_runs(&flushed, &mut cost);
+        let res = self.writeback(usize::MAX, &mut cost);
         self.clock_ns += cost;
-        match res {
-            Ok(()) => {
-                self.cache.clear();
-                self.telemetry.dirty_pages.set(0);
-                Ok(())
-            }
-            Err(e) => {
-                for &k in &flushed {
-                    self.cache.mark_dirty(k);
-                }
-                self.telemetry
-                    .dirty_pages
-                    .set(self.cache.dirty_count() as u64);
-                Err(e)
-            }
+        if res.is_ok() {
+            self.cache.clear();
         }
+        self.telemetry
+            .dirty_pages
+            .set(self.cache.dirty_count() as u64);
+        res
     }
 
     /// Aggregated statistics so far.
@@ -576,7 +550,12 @@ impl Sim {
         let cap = ((self.cfg.cache_pages as f64 * sq.frac) as usize).max(1);
         let evicted = self.cache.set_capacity(cap);
         self.squeeze_remaining = sq.ops;
-        self.flush_victims(&evicted, cost)
+        self.flushed.clear();
+        let dirty = evicted.iter().filter(|(_, dirty)| *dirty);
+        self.flushed.extend(dirty.map(|(key, _)| *key));
+        self.charge_flushed(cost)?;
+        self.emit_flushed();
+        Ok(())
     }
 
     /// Fetches the uncached pages of `[start, start+len)` from the device,
@@ -584,6 +563,9 @@ impl Sim {
     /// actually asked for (inserted non-speculative). On an injected fault
     /// the pages of already-completed runs stay cached and `cost` holds the
     /// time consumed so far (including the failed attempt).
+    ///
+    /// Returns whether this call brought `demand` in and it is still
+    /// resident (a window larger than the cache can push it out again).
     fn fetch(
         &mut self,
         f: FileId,
@@ -591,7 +573,7 @@ impl Sim {
         len: u64,
         demand: u64,
         cost: &mut u64,
-    ) -> IoResult<()> {
+    ) -> IoResult<bool> {
         let inode = self.files[f.0].inode;
         let file_pages = self.files[f.0].pages;
         let end = (start + len).min(file_pages);
@@ -599,6 +581,7 @@ impl Sim {
         // device request (bigger readahead ⇒ fewer, larger requests).
         let mut run_start: Option<u64> = None;
         let mut run_len = 0;
+        let mut demand_resident = false;
         for p in start..=end {
             let uncached = p < end && !self.cache.contains((inode, p));
             if uncached {
@@ -621,45 +604,65 @@ impl Sim {
                     .record(run_len * crate::PAGE_SIZE);
                 *cost += service_ns;
                 for q in rs..rs + run_len {
-                    let evicted = self.cache.insert((inode, q), q != demand);
-                    self.flush_victims(&evicted, cost)?;
+                    let victim = self.cache.insert((inode, q), q != demand).victim();
+                    if q == demand {
+                        demand_resident = true;
+                    } else if victim.is_some_and(|(key, _)| key == (inode, demand)) {
+                        demand_resident = false;
+                    }
+                    self.flush_victim(victim, cost)?;
                     self.emit(TraceKind::AddToPageCache, inode, q);
                 }
                 run_len = 0;
             }
         }
-        Ok(())
+        Ok(demand_resident)
     }
 
-    /// Writes dirty eviction victims back to the device. On an injected
-    /// write error the victims are already evicted — the loss is *reported*
+    /// Writes a dirty eviction victim back to the device. On an injected
+    /// write error the victim is already evicted — the loss is *reported*
     /// through the error, never silent.
-    fn flush_victims(&mut self, victims: &[((u64, u64), bool)], cost: &mut u64) -> IoResult<()> {
-        let dirty: Vec<(u64, u64)> = victims
-            .iter()
-            .filter(|(_, dirty)| *dirty)
-            .map(|(k, _)| *k)
-            .collect();
-        self.charge_runs(&dirty, cost)?;
-        for &(ino, p) in &dirty {
-            self.emit(TraceKind::WritebackDirtyPage, ino, p);
+    fn flush_victim(&mut self, victim: Option<Victim>, cost: &mut u64) -> IoResult<()> {
+        if let Some(((inode, page), true)) = victim {
+            self.charge_write(inode, page, 1, cost)?;
+            self.emit(TraceKind::WritebackDirtyPage, inode, page);
         }
         Ok(())
     }
 
-    /// Charges device write time for a set of pages, merging contiguous
-    /// same-inode pages into single requests. Stops at the first failed
-    /// request; `cost` accumulates time consumed by completed requests and
-    /// the failed attempt.
-    fn charge_runs(&mut self, pages: &[(u64, u64)], cost: &mut u64) -> IoResult<()> {
-        if pages.is_empty() {
+    /// Flushes up to `max` dirty pages, least recently used first, into
+    /// `self.flushed`. On an injected write error the whole batch is
+    /// conservatively re-dirtied, so nothing resident is silently dropped;
+    /// it will be retried.
+    fn writeback(&mut self, max: usize, cost: &mut u64) -> IoResult<()> {
+        self.flushed.clear();
+        self.cache.writeback(max, &mut self.flushed);
+        let res = self.charge_flushed(cost);
+        if res.is_err() {
+            // Most recent first: each page then finds its place in the
+            // dirty order right behind the one re-dirtied before it.
+            for &key in self.flushed.iter().rev() {
+                self.cache.mark_dirty(key);
+            }
+        }
+        res
+    }
+
+    /// Charges device write time for the pages in `self.flushed`, merging
+    /// contiguous same-inode pages into single requests. Stops at the first
+    /// failed request; `cost` accumulates time consumed by completed
+    /// requests and the failed attempt.
+    fn charge_flushed(&mut self, cost: &mut u64) -> IoResult<()> {
+        if self.flushed.is_empty() {
             return Ok(());
         }
-        let mut sorted = pages.to_vec();
-        sorted.sort_unstable();
-        let (mut run_inode, mut run_start) = sorted[0];
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.flushed);
+        self.sorted.sort_unstable();
+        let (mut run_inode, mut run_start) = self.sorted[0];
         let mut run_len = 1;
-        for &(ino, p) in &sorted[1..] {
+        for i in 1..self.sorted.len() {
+            let (ino, p) = self.sorted[i];
             if ino == run_inode && p == run_start + run_len {
                 run_len += 1;
             } else {
@@ -670,6 +673,14 @@ impl Sim {
             }
         }
         self.charge_write(run_inode, run_start, run_len, cost)
+    }
+
+    /// Fires `writeback_dirty_page` for every page in `self.flushed`.
+    fn emit_flushed(&mut self) {
+        for i in 0..self.flushed.len() {
+            let (inode, page) = self.flushed[i];
+            self.emit(TraceKind::WritebackDirtyPage, inode, page);
+        }
     }
 
     /// One merged device write request, recorded in telemetry.

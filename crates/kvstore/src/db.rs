@@ -183,20 +183,12 @@ impl Db {
         if self.l0.is_empty() {
             return Ok(());
         }
-        let mut merged: BTreeSet<u64> = BTreeSet::new();
-        for t in &self.l0 {
+        let mut runs = Vec::with_capacity(self.l0.len() + 1);
+        for t in self.l0.iter().chain(&self.l1) {
             t.read_all(sim)?;
-            merged.extend(t.keys().iter().copied());
+            runs.push(t.keys());
         }
-        if let Some(l1) = &self.l1 {
-            l1.read_all(sim)?;
-            merged.extend(l1.keys().iter().copied());
-        }
-        let new_l1 = SsTable::build(
-            sim,
-            merged.into_iter().collect(),
-            self.cfg.entries_per_block,
-        )?;
+        let new_l1 = SsTable::build(sim, merge_runs(runs), self.cfg.entries_per_block)?;
         self.l0.clear();
         self.l1 = Some(new_l1);
         self.stats.compactions += 1;
@@ -377,10 +369,39 @@ impl Db {
     }
 }
 
+/// Union of strictly ascending runs as one strictly ascending run: a
+/// streaming k-way merge that keeps one copy of a key several runs hold.
+fn merge_runs(mut runs: Vec<&[u64]>) -> Vec<u64> {
+    let mut merged = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    runs.retain(|r| !r.is_empty());
+    while let Some(lead) = (0..runs.len()).min_by_key(|&i| runs[i][0]) {
+        // The run with the smallest head streams out, in one copy, every key
+        // up to the smallest head among the others: after four flushes L1
+        // holds ~30 keys for each one in L0.
+        let run = runs[lead];
+        let others = (0..runs.len()).filter(|&i| i != lead);
+        let Some(bound) = others.map(|i| runs[i][0]).min() else {
+            merged.extend_from_slice(run);
+            break;
+        };
+        let taken = run.partition_point(|&k| k <= bound);
+        merged.extend_from_slice(&run[..taken]);
+        runs[lead] = &run[taken..];
+        if run[taken - 1] == bound {
+            for other in runs.iter_mut().filter(|r| r.first() == Some(&bound)) {
+                *other = &other[1..];
+            }
+        }
+        runs.retain(|r| !r.is_empty());
+    }
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kernel_sim::{DeviceProfile, SimConfig};
+    use proptest::prelude::*;
 
     fn sim() -> Sim {
         Sim::new(SimConfig {
@@ -683,5 +704,56 @@ mod tests {
         db.flush(&mut s).unwrap_err();
         // The deliberate bug: the failed flush dropped the memtable.
         assert_eq!(db.approximate_len(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn merge_runs_is_the_set_union(
+            runs in proptest::collection::vec(
+                proptest::collection::btree_set(
+                    prop_oneof![6 => 0u64..200, 1 => u64::MAX - 3..=u64::MAX],
+                    0..120,
+                ),
+                1..6,
+            ),
+        ) {
+            let runs: Vec<Vec<u64>> = runs.into_iter().map(|r| r.into_iter().collect()).collect();
+            let union: BTreeSet<u64> = runs.iter().flatten().copied().collect();
+            let merged = merge_runs(runs.iter().map(Vec::as_slice).collect());
+            prop_assert_eq!(merged, union.into_iter().collect::<Vec<u64>>());
+        }
+
+        /// After compaction the store answers like the set of keys put.
+        #[test]
+        fn compacted_store_matches_reference_set(
+            puts in proptest::collection::vec(0u64..600, 1..500),
+            probes in proptest::collection::vec((0u64..640, 1usize..50), 1..12),
+        ) {
+            let mut s = sim();
+            let mut db = Db::create(
+                &mut s,
+                DbConfig {
+                    memtable_keys: 48,
+                    l0_compaction_trigger: 3,
+                    ..DbConfig::default()
+                },
+            );
+            for &k in &puts {
+                db.put(&mut s, k).unwrap();
+            }
+            db.flush(&mut s).unwrap();
+            db.compact(&mut s).unwrap();
+            let reference: BTreeSet<u64> = puts.iter().copied().collect();
+            prop_assert_eq!(db.approximate_len(), reference.len());
+            prop_assert_eq!(db.min_key(), reference.first().copied());
+            prop_assert_eq!(db.max_key(), reference.last().copied());
+            for (from, limit) in probes {
+                prop_assert_eq!(db.get(&mut s, from).unwrap(), reference.contains(&from));
+                let ahead = reference.range(from..).take(limit).count();
+                prop_assert_eq!(db.scan(&mut s, from, limit).unwrap(), ahead);
+                let behind = reference.range(..=from).rev().take(limit).count();
+                prop_assert_eq!(db.scan_reverse(&mut s, from, limit).unwrap(), behind);
+            }
+        }
     }
 }

@@ -184,8 +184,8 @@ impl SsTable {
         self.bloom.memory_bytes()
     }
 
-    /// Charges the I/O of scanning keys `[from_idx, to_idx)` in order
-    /// (forward if `from_idx < to_idx` block-wise, used by iterators).
+    /// Charges one read of the block holding the key at `key_idx` (scans
+    /// call it once per block they enter).
     pub fn read_block_of(&self, sim: &mut Sim, key_idx: usize) -> IoResult<()> {
         let block = (key_idx / self.entries_per_block) as u64;
         sim.read(self.file, block * BLOCK_PAGES, BLOCK_PAGES)?;

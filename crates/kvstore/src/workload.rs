@@ -178,8 +178,12 @@ pub fn run_workload(
         .telemetry()
         .histogram(&format!("kvstore.{}.op_latency_ns", cfg.workload.name()));
     let mut last_op_start = start_ns;
-    let zipf = Zipf::new(cfg.num_keys, cfg.zipf_exponent)
-        .expect("num_keys >= 1 and exponent > 0 hold by construction");
+    // Only `mixgraph` draws Zipfian ranks, and the table behind them costs
+    // one `powf` and 8 bytes per key.
+    let zipf = (cfg.workload == Workload::MixGraph).then(|| {
+        Zipf::new(cfg.num_keys, cfg.zipf_exponent)
+            .expect("num_keys >= 1 and exponent > 0 hold by construction")
+    });
     // Spread Zipf ranks over the keyspace so popularity is not co-located
     // with key order (Facebook traces show scattered hot keys).
     let spread = |rank: u64, n: u64| (rank.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % n;
@@ -263,6 +267,7 @@ pub fn run_workload(
                 ops += 1;
             }
             Workload::MixGraph => {
+                let zipf = zipf.as_ref().expect("built for mixgraph above");
                 let rank = zipf.sample(&mut rng) as u64;
                 let k = spread(rank.saturating_sub(1), cfg.num_keys);
                 let dice = rng.gen_range(0..100);
