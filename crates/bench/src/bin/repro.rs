@@ -1302,16 +1302,14 @@ fn cmd_iosched() -> DynResult {
                         max_batch: 256,
                     },
                 );
-                run_sched_workload(&mut sched, workload, REQUESTS, 11, |_, _, _| {})
+                run_sched_workload(&mut sched, workload, REQUESTS, 11, |_, _| {})
             };
             let eager = run_static(0);
             let patient = run_static(PATIENT_NS);
             let mut sched = IoScheduler::new(DeviceProfile::sata_ssd(), SchedulerConfig::default());
             let mut tuner = SchedTuner::train([0, PATIENT_NS], 5)?;
-            let tuned = run_sched_workload(&mut sched, workload, REQUESTS, 11, |s, req, now| {
-                tuner
-                    .on_request(s, req, now)
-                    .expect("tuner inference succeeds");
+            let tuned = run_sched_workload(&mut sched, workload, REQUESTS, 11, |s, req| {
+                tuner.on_request(s, req).expect("tuner inference succeeds");
             });
             Ok(vec![
                 workload.name().into(),

@@ -39,5 +39,5 @@ pub mod tuner;
 pub mod workload;
 
 pub use scheduler::{CompletedIo, IoRequest, IoScheduler, SchedStats, SchedulerConfig};
-pub use tuner::{SchedFeatures, SchedTuner};
+pub use tuner::{SchedDecision, SchedFeatures, SchedTuner};
 pub use workload::{run_sched_workload, SchedWorkload, SchedWorkloadReport};

@@ -1,9 +1,11 @@
 //! The KML application for the scheduler: observe the request stream,
 //! classify the traffic pattern, actuate the batching window.
 //!
-//! Exactly the Figure 1 loop, at a different layer of the stack. Features
-//! are computed per window from the arrival stream (the scheduler-side
-//! equivalents of the readahead features):
+//! Exactly the Figure 1 loop, at a different layer of the stack — the same
+//! [`kml_lifecycle::ClosedLoop`] every tuner runs, over the scheduler's
+//! [`Subsystem`], [`SchedLoop`]. Features are computed per window from the
+//! arrival stream (the scheduler-side equivalents of the readahead
+//! features):
 //!
 //! 1. request count,
 //! 2. mean inter-arrival gap (ns),
@@ -18,8 +20,10 @@ use kml_core::loss::CrossEntropyLoss;
 use kml_core::model::{Model, ModelBuilder};
 use kml_core::optimizer::Sgd;
 use kml_core::{KmlRng, Result};
-use kml_lifecycle::{ArtifactError, ArtifactKind, LifecycleTarget, ShadowStats};
+use kml_lifecycle::{ArtifactKind, ClosedLoop, LoopModel, Subsystem};
+use kml_telemetry::Registry;
 use rand::SeedableRng;
+use std::ops::{Deref, DerefMut};
 
 /// Number of scheduler features.
 pub const NUM_SCHED_FEATURES: usize = 4;
@@ -96,32 +100,150 @@ impl SchedFeatures {
     }
 }
 
-/// The trained scheduler tuner: classifier + class → batch-wait policy.
+/// One entry of the tuner's decision log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedDecision {
+    /// Arrival time of the request that closed the window, ns.
+    pub time_ns: u64,
+    /// Predicted traffic class.
+    pub class: usize,
+    /// Batch wait applied, ns.
+    pub batch_wait_ns: u64,
+    /// Generation of the model that took the decision (1 until the first
+    /// lifecycle swap).
+    pub generation: u64,
+}
+
+/// The scheduler half of the loop: request-stream featurizer, class →
+/// batch-wait policy, and the batching-window actuator. There is no
+/// tracepoint ring to drain and no global clock hook: requests are folded
+/// as [`SchedTuner::on_request`] hands them over, windows are
+/// count-based, and the loop's clock is the last request's arrival time.
 #[derive(Debug)]
-pub struct SchedTuner {
-    /// `None` when inference is served remotely by the fleet's shared
-    /// batched model server (see [`Self::remote`]).
-    model: Option<Model<f32>>,
+pub struct SchedLoop {
     /// Batch wait per class: 0 = latency-sensitive, 1 = mergeable.
     policy_ns: [u64; 2],
     features: SchedFeatures,
     window_requests: u64,
-    decisions: Vec<(u64, usize, u64, u64)>,
-    /// Generation of the active model (1 until the first lifecycle swap).
-    model_generation: u64,
-    /// Staged shadow candidate: infers on every window, never actuates.
-    shadow: Option<Model<f32>>,
-    shadow_stats: ShadowStats,
-    /// The shadow's prediction for the window most recently returned by
-    /// [`SchedTuner::poll_request`], folded into the agreement stats by
-    /// the matching [`SchedTuner::apply_class`].
-    pending_shadow_class: Option<usize>,
+    last_arrival_ns: u64,
+}
+
+impl SchedLoop {
+    fn fold(&mut self, req: &IoRequest, queue_depth: usize) {
+        self.features.push(req, queue_depth);
+        self.window_requests += 1;
+        self.last_arrival_ns = req.arrival_ns;
+    }
+}
+
+impl Subsystem for SchedLoop {
+    type World = IoScheduler;
+    type Features = [f64; NUM_SCHED_FEATURES];
+    type Knob = u64;
+    type Decision = SchedDecision;
+
+    const KIND: ArtifactKind = ArtifactKind::Iosched;
+    const METRIC_PREFIX: &'static str = "iosched.loop";
+
+    fn classes(&self) -> usize {
+        self.policy_ns.len()
+    }
+
+    /// The scheduler keeps no registry a loop could bind to.
+    fn registry(&mut self, _sched: &IoScheduler) -> Registry {
+        Registry::noop()
+    }
+
+    fn collect(&mut self, _sched: &mut IoScheduler) {}
+
+    fn records_dropped(&self) -> u64 {
+        0
+    }
+
+    fn window_closed(&mut self, _sched: &IoScheduler) -> bool {
+        let closed = self.window_requests >= SchedTuner::WINDOW_REQUESTS;
+        if closed {
+            self.window_requests = 0;
+        }
+        closed
+    }
+
+    fn roll(&mut self, _sched: &IoScheduler) -> [f64; NUM_SCHED_FEATURES] {
+        self.features.roll_window()
+    }
+
+    fn knob_for(&self, class: usize) -> u64 {
+        self.policy_ns[class.min(self.policy_ns.len() - 1)]
+    }
+
+    fn current_knob(&self, sched: &IoScheduler) -> u64 {
+        sched.config().batch_wait_ns
+    }
+
+    /// Every window's prediction re-tunes the batching window at once.
+    fn confirmed(&self, _target: u64, _current: u64, _repeated: bool) -> bool {
+        true
+    }
+
+    fn actuate(&mut self, sched: &mut IoScheduler, wait_ns: u64) {
+        sched.set_batch_wait_ns(wait_ns);
+    }
+
+    fn decision(
+        &self,
+        _sched: &IoScheduler,
+        class: usize,
+        batch_wait_ns: u64,
+        generation: u64,
+    ) -> SchedDecision {
+        SchedDecision {
+            time_ns: self.last_arrival_ns,
+            class,
+            batch_wait_ns,
+            generation,
+        }
+    }
+}
+
+/// The scheduler tuner: a [`ClosedLoop`] over [`SchedLoop`]. Beyond the
+/// per-request entry points below, the loop API (`predict_active`,
+/// `apply_class`, `decisions`, the model slot and the `LifecycleTarget`
+/// swap point) is the core's, reached through `Deref`.
+#[derive(Debug)]
+pub struct SchedTuner(ClosedLoop<SchedLoop>);
+
+impl Deref for SchedTuner {
+    type Target = ClosedLoop<SchedLoop>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for SchedTuner {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl SchedTuner {
     /// Requests per inference window (count-based, since the scheduler has
     /// no global clock hook).
     pub const WINDOW_REQUESTS: u64 = 128;
+
+    /// Wraps a classifier with the class → batch-wait policy. With
+    /// [`LoopModel::Remote`], inference is served by the fleet's shared
+    /// model server, which drives [`Self::poll_request`] and `apply_class`
+    /// directly; calling [`Self::on_request`] on such a tuner is a
+    /// deployment error.
+    pub fn new(model: LoopModel, policy_ns: [u64; 2]) -> SchedTuner {
+        let subsystem = SchedLoop {
+            policy_ns,
+            features: SchedFeatures::new(),
+            window_requests: 0,
+            last_arrival_ns: 0,
+        };
+        SchedTuner(ClosedLoop::new(subsystem, model))
+    }
 
     /// Trains the classifier from synthetic labeled windows of the two
     /// traffic patterns and returns the deployed f32 network (round-tripped
@@ -156,40 +278,8 @@ impl SchedTuner {
     ///
     /// Propagates dataset/training errors.
     pub fn train(policy_ns: [u64; 2], seed: u64) -> Result<SchedTuner> {
-        Ok(Self::with_model(Self::train_model(seed)?, policy_ns))
-    }
-
-    /// Wraps an already-trained classifier with the policy.
-    pub fn with_model(model: Model<f32>, policy_ns: [u64; 2]) -> SchedTuner {
-        SchedTuner {
-            model: Some(model),
-            policy_ns,
-            features: SchedFeatures::new(),
-            window_requests: 0,
-            decisions: Vec::new(),
-            model_generation: 1,
-            shadow: None,
-            shadow_stats: ShadowStats::default(),
-            pending_shadow_class: None,
-        }
-    }
-
-    /// A tuner with no local model: inference is served by the fleet's
-    /// shared model server, which drives [`Self::poll_request`] /
-    /// [`Self::apply_class`] directly. Calling [`Self::on_request`] on a
-    /// remote tuner is a deployment error.
-    pub fn remote(policy_ns: [u64; 2]) -> SchedTuner {
-        SchedTuner {
-            model: None,
-            policy_ns,
-            features: SchedFeatures::new(),
-            window_requests: 0,
-            decisions: Vec::new(),
-            model_generation: 1,
-            shadow: None,
-            shadow_stats: ShadowStats::default(),
-            pending_shadow_class: None,
-        }
+        let model = LoopModel::NeuralNet(Box::new(Self::train_model(seed)?));
+        Ok(Self::new(model, policy_ns))
     }
 
     /// Generates labeled feature windows by running both traffic patterns
@@ -213,7 +303,7 @@ impl SchedTuner {
                     IoScheduler::new(DeviceProfile::sata_ssd(), SchedulerConfig::default());
                 let mut fx = SchedFeatures::new();
                 let mut in_window = 0u64;
-                run_sched_workload(&mut sched, workload, 2_048, run_seed, |s, req, _| {
+                run_sched_workload(&mut sched, workload, 2_048, run_seed, |s, req| {
                     fx.push(req, s.queued());
                     in_window += 1;
                     if in_window >= Self::WINDOW_REQUESTS {
@@ -227,27 +317,16 @@ impl SchedTuner {
         Dataset::from_rows(&rows, &labels)
     }
 
-    /// The per-request hook: folds features and, once per window, infers
-    /// and re-tunes the batching window.
+    /// The per-request hook: folds the request and, once per window,
+    /// infers and re-tunes the batching window.
     ///
     /// # Errors
     ///
     /// Propagates model prediction failures, and rejects local inference
-    /// on a [`Self::remote`] tuner.
-    pub fn on_request(
-        &mut self,
-        sched: &mut IoScheduler,
-        req: &IoRequest,
-        now_ns: u64,
-    ) -> Result<()> {
-        if let Some(features) = self.poll_request(sched, req) {
-            let model = self.model.as_mut().ok_or_else(|| {
-                kml_core::KmlError::InvalidConfig("remote-served tuner has no local model".into())
-            })?;
-            let class = model.predict(&features)?;
-            self.apply_class(sched, now_ns, class);
-        }
-        Ok(())
+    /// on a [`LoopModel::Remote`] tuner.
+    pub fn on_request(&mut self, sched: &mut IoScheduler, req: &IoRequest) -> Result<()> {
+        self.0.subsystem_mut().fold(req, sched.queued());
+        self.0.on_op(sched)
     }
 
     /// Folds one request and, when the count-based window fills, rolls and
@@ -255,125 +334,16 @@ impl SchedTuner {
     ///
     /// The inference-free half of [`Self::on_request`]: the fleet's shared
     /// model server batches the returned vectors across tenants and routes
-    /// each prediction back through [`Self::apply_class`]. Nothing observes
-    /// the scheduler between the two calls, so the split loop is
-    /// bit-identical to the fused one.
+    /// each prediction back through `apply_class`. Nothing observes the
+    /// scheduler between the two calls, so the split loop is bit-identical
+    /// to the fused one.
     pub fn poll_request(
         &mut self,
-        sched: &IoScheduler,
+        sched: &mut IoScheduler,
         req: &IoRequest,
     ) -> Option<[f64; NUM_SCHED_FEATURES]> {
-        self.features.push(req, sched.queued());
-        self.window_requests += 1;
-        if self.window_requests < Self::WINDOW_REQUESTS {
-            return None;
-        }
-        self.window_requests = 0;
-        let features = self.features.roll_window();
-        if let Some(shadow) = &mut self.shadow {
-            // Shadow inference on the exact window the active model will
-            // see; the prediction is only recorded, never actuated.
-            match shadow.predict(&features) {
-                Ok(class) => self.pending_shadow_class = Some(class),
-                Err(_) => {
-                    self.shadow_stats.errors += 1;
-                    self.pending_shadow_class = None;
-                }
-            }
-        }
-        Some(features)
-    }
-
-    /// Applies a predicted class for the window most recently returned by
-    /// [`Self::poll_request`]: re-tunes the batching window and logs the
-    /// decision.
-    pub fn apply_class(&mut self, sched: &mut IoScheduler, now_ns: u64, class: usize) {
-        if self.shadow.is_some() {
-            if let Some(shadow_class) = self.pending_shadow_class.take() {
-                self.shadow_stats.record(shadow_class == class);
-            }
-        }
-        let wait = self.policy_ns[class.min(1)];
-        sched.set_batch_wait_ns(wait);
-        self.decisions
-            .push((now_ns, class, wait, self.model_generation));
-    }
-
-    /// The decision log `(time_ns, class, batch_wait_ns, generation)`.
-    pub fn decisions(&self) -> &[(u64, usize, u64, u64)] {
-        &self.decisions
-    }
-
-    /// Replaces the active model under an explicit generation tag.
-    pub fn swap_model(&mut self, model: Model<f32>, generation: u64) {
-        self.model = Some(model);
-        self.model_generation = generation;
-    }
-
-    /// Stages a shadow candidate (replacing any previous one and resetting
-    /// its stats). The active model and the batching window are untouched.
-    pub fn stage_shadow_model(&mut self, model: Model<f32>) {
-        self.shadow = Some(model);
-        self.shadow_stats = ShadowStats::default();
-        self.pending_shadow_class = None;
-    }
-
-    /// Whether a shadow candidate is staged.
-    pub fn shadow_staged(&self) -> bool {
-        self.shadow.is_some()
-    }
-
-    /// The active model's generation tag.
-    pub fn model_generation(&self) -> u64 {
-        self.model_generation
-    }
-
-    /// Decodes an iosched `.kmlm` artifact into a deployable model,
-    /// cross-checking its class count against this tuner's policy.
-    fn decode_artifact(&self, bytes: &[u8]) -> std::result::Result<Model<f32>, ArtifactError> {
-        let loaded = kml_lifecycle::load_model_for::<f32>(bytes, ArtifactKind::Iosched)?;
-        if loaded.model.output_dim() != self.policy_ns.len() {
-            return Err(ArtifactError::ClassMismatch {
-                artifact: loaded.model.output_dim(),
-                policy: self.policy_ns.len(),
-            });
-        }
-        Ok(loaded.model)
-    }
-}
-
-impl LifecycleTarget for SchedTuner {
-    /// Atomic by construction: the artifact is fully decoded and verified
-    /// before any tuner state changes; a failed load leaves the model, the
-    /// generation, and the batching window exactly as they were.
-    fn install_artifact(
-        &mut self,
-        bytes: &[u8],
-        generation: u64,
-    ) -> std::result::Result<(), ArtifactError> {
-        let model = self.decode_artifact(bytes)?;
-        self.swap_model(model, generation);
-        Ok(())
-    }
-
-    fn stage_shadow_artifact(&mut self, bytes: &[u8]) -> std::result::Result<(), ArtifactError> {
-        let model = self.decode_artifact(bytes)?;
-        self.stage_shadow_model(model);
-        Ok(())
-    }
-
-    fn clear_shadow(&mut self) {
-        self.shadow = None;
-        self.shadow_stats = ShadowStats::default();
-        self.pending_shadow_class = None;
-    }
-
-    fn generation(&self) -> u64 {
-        self.model_generation
-    }
-
-    fn shadow_stats(&self) -> ShadowStats {
-        self.shadow_stats
+        self.0.subsystem_mut().fold(req, sched.queued());
+        self.0.poll_window(sched)
     }
 }
 
@@ -383,6 +353,7 @@ mod tests {
     use crate::scheduler::SchedulerConfig;
     use crate::workload::{run_sched_workload, SchedWorkload, SchedWorkloadReport};
     use kernel_sim::DeviceProfile;
+    use kml_lifecycle::{ArtifactError, LifecycleTarget};
 
     #[test]
     fn features_separate_the_two_patterns() {
@@ -390,7 +361,7 @@ mod tests {
             let mut sched = IoScheduler::new(DeviceProfile::sata_ssd(), SchedulerConfig::default());
             let mut fx = SchedFeatures::new();
             let mut windows: Vec<[f64; 4]> = Vec::new();
-            run_sched_workload(&mut sched, workload, 1_024, 3, |s, req, _| {
+            run_sched_workload(&mut sched, workload, 1_024, 3, |s, req| {
                 fx.push(req, s.queued());
                 if fx.count() >= 128 {
                     windows.push(fx.roll_window());
@@ -415,8 +386,8 @@ mod tests {
     fn tuned_run(workload: SchedWorkload) -> SchedWorkloadReport {
         let mut sched = IoScheduler::new(DeviceProfile::sata_ssd(), SchedulerConfig::default());
         let mut tuner = SchedTuner::train([0, 150_000], 5).expect("training succeeds");
-        run_sched_workload(&mut sched, workload, 4_096, 11, |s, req, now| {
-            tuner.on_request(s, req, now).expect("tuner survives");
+        run_sched_workload(&mut sched, workload, 4_096, 11, |s, req| {
+            tuner.on_request(s, req).expect("tuner survives");
         })
     }
 
@@ -428,7 +399,82 @@ mod tests {
                 max_batch: 256,
             },
         );
-        run_sched_workload(&mut sched, workload, 4_096, 11, |_, _, _| {})
+        run_sched_workload(&mut sched, workload, 4_096, 11, |_, _| {})
+    }
+
+    /// An untrained f32 net with `kind`'s input width, packaged as `kind`.
+    fn artifact(kind: ArtifactKind, seed: u64, classes: usize) -> Vec<u8> {
+        let mut m = ModelBuilder::new(kind.feature_names().len())
+            .linear(10)
+            .sigmoid()
+            .linear(classes)
+            .seed(seed)
+            .build::<f32>()
+            .unwrap();
+        kml_lifecycle::save_model(kind, &mut m).unwrap()
+    }
+
+    #[test]
+    fn lifecycle_swap_shadow_and_atomic_failure() {
+        let mut trained = SchedTuner::train_model(5).expect("training succeeds");
+        let active = kml_lifecycle::save_model(ArtifactKind::Iosched, &mut trained).unwrap();
+        // Installs the trained classifier as generation 2 and, optionally,
+        // stages an untrained shadow; returns the tuner, the scheduler and
+        // the run's decision log.
+        let run = |shadow: bool| {
+            let mut sched = IoScheduler::new(DeviceProfile::sata_ssd(), SchedulerConfig::default());
+            let mut tuner = SchedTuner::new(LoopModel::Remote, [0, 150_000]);
+            assert_eq!(tuner.model_generation(), 1);
+            tuner.install_artifact(&active, 2).unwrap();
+            assert_eq!(tuner.model_generation(), 2);
+            if shadow {
+                tuner
+                    .stage_shadow_artifact(&artifact(ArtifactKind::Iosched, 8, 2))
+                    .unwrap();
+            }
+            run_sched_workload(&mut sched, SchedWorkload::Phased, 2_048, 11, |s, req| {
+                tuner.on_request(s, req).expect("tuner survives");
+            });
+            let decisions = tuner.decisions().to_vec();
+            (tuner, sched, decisions)
+        };
+        let (_, plain_sched, plain) = run(false);
+        let (mut tuner, sched, shadowed) = run(true);
+
+        // The staged shadow saw every window and never moved the knob.
+        assert_eq!(shadowed.len() as u64, 2_048 / SchedTuner::WINDOW_REQUESTS);
+        assert!(shadowed.iter().all(|d| d.generation == 2));
+        assert_eq!(shadowed, plain);
+        assert_eq!(sched.config(), plain_sched.config());
+        let stats = LifecycleTarget::shadow_stats(&tuner);
+        assert_eq!(stats.windows, shadowed.len() as u64);
+        assert_eq!(stats.errors, 0);
+        assert!(
+            stats.agreements < stats.windows,
+            "the shadow never disagreed"
+        );
+
+        // Another loop's artifact and a 3-class artifact are refused
+        // atomically: generation, knob and staged shadow all untouched.
+        let wait_before = sched.config().batch_wait_ns;
+        let err = tuner
+            .install_artifact(&artifact(ArtifactKind::Readahead, 9, 2), 3)
+            .unwrap_err();
+        assert!(matches!(err, ArtifactError::KindMismatch { .. }), "{err}");
+        let err = tuner
+            .install_artifact(&artifact(ArtifactKind::Iosched, 9, 3), 3)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ArtifactError::ClassMismatch {
+                artifact: 3,
+                policy: 2
+            }
+        ));
+        assert_eq!(tuner.model_generation(), 2);
+        assert_eq!(sched.config().batch_wait_ns, wait_before);
+        assert!(tuner.shadow_staged());
+        assert_eq!(LifecycleTarget::shadow_stats(&tuner), stats);
     }
 
     /// The inline featurization this module used before the shared

@@ -66,7 +66,7 @@ pub fn run_sched_workload(
     workload: SchedWorkload,
     total_requests: u64,
     seed: u64,
-    mut on_request: impl FnMut(&mut IoScheduler, &IoRequest, u64),
+    mut on_request: impl FnMut(&mut IoScheduler, &IoRequest),
 ) -> SchedWorkloadReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut now: u64 = 0;
@@ -103,7 +103,7 @@ pub fn run_sched_workload(
                     arrival_ns: now + k as u64 * 1_500,
                 };
                 sched.submit(req);
-                on_request(sched, &req, req.arrival_ns);
+                on_request(sched, &req);
                 submitted += 1;
                 // Open-loop arrivals: the scheduler sees each request as it
                 // lands, so an eager (zero-wait) config dispatches singles
@@ -127,7 +127,7 @@ pub fn run_sched_workload(
                 arrival_ns: now,
             };
             sched.submit(req);
-            on_request(sched, &req, now);
+            on_request(sched, &req);
             submitted += 1;
             // Wait until this request completes (wait window + service).
             let mut guard = 0;
@@ -176,7 +176,7 @@ mod tests {
                 max_batch: 256,
             },
         );
-        run_sched_workload(&mut sched, workload, 2_048, 7, |_, _, _| {})
+        run_sched_workload(&mut sched, workload, 2_048, 7, |_, _| {})
     }
 
     #[test]

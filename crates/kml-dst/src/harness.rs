@@ -1382,7 +1382,7 @@ impl NetHarness {
         // I10: the RPC tracepoint ring reconciles exactly while drained.
         let emitted = self.mount.rpc_events_emitted();
         let consumed = self.tuner.events_consumed();
-        let dropped = self.tuner.events_dropped();
+        let dropped = self.tuner.records_dropped();
         if emitted != consumed + dropped {
             return Err(self.fail(
                 scenario,
@@ -1545,7 +1545,7 @@ fn run_netfs_inner(scenario: &Scenario) -> Outcome {
         io_errors: h.io_errors,
         injected: h.mount.transport_fault_stats(),
         decisions: h.tuner.decisions().len() as u64,
-        ring_dropped: h.tuner.events_dropped(),
+        ring_dropped: h.tuner.records_dropped(),
         promotions,
         rollbacks,
         drift_events: 0,

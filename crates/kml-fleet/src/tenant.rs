@@ -4,8 +4,8 @@
 //! A tenant is one independent storage stack — its own simulator, its own
 //! tracepoint ring, its own tuner — driving a db_bench-style access
 //! pattern. The *only* thing tenants share is the fleet's model-inference
-//! server: each tuner is built in remote mode ([`TunerModel::Remote`] and
-//! friends), so a tenant harvests feature windows through the tuners'
+//! server: each tuner is built in remote mode ([`LoopModel::Remote`]), so
+//! a tenant harvests feature windows through the tuners'
 //! `poll_*` APIs, ships them to the server as [`InferRequest`]s, and
 //! routes the served class back through `apply_class`.
 //!
@@ -21,12 +21,13 @@ use iosched::scheduler::{IoRequest, IoScheduler, SchedulerConfig};
 use iosched::SchedTuner;
 use kernel_sim::{DeviceProfile, FileId, Sim, SimConfig};
 use kml_collect::RingBuffer;
+use kml_lifecycle::LoopModel;
 use kml_platform::sampler::{Categorical, SplitMix64, Zipfian};
 use kml_telemetry::Log2Hist;
 use netfs::transport::NetProfile;
-use netfs::tuner::{RsizePolicy, RsizeTuner, RsizeTunerModel};
+use netfs::tuner::{RsizePolicy, RsizeTuner};
 use netfs::NfsMount;
-use readahead::tuner::{KmlTuner, RaPolicy, TunerModel};
+use readahead::tuner::{KmlTuner, RaPolicy};
 
 use crate::server::{InferRequest, InferResponse, ModelKind, MAX_FEATURES};
 
@@ -168,8 +169,7 @@ enum TenantState {
     },
     Iosched {
         sched: Box<IoScheduler>,
-        // Boxed for the same reason: the tuner carries its model inline.
-        tuner: Box<SchedTuner>,
+        tuner: SchedTuner,
         now_ns: u64,
     },
     Netfs {
@@ -223,7 +223,7 @@ impl Tenant {
                 let (producer, consumer) = RingBuffer::with_capacity(1 << 12).split();
                 sim.attach_trace(producer);
                 let tuner = KmlTuner::new(
-                    TunerModel::Remote,
+                    LoopModel::Remote,
                     RaPolicy::new(RA_POLICY_KB.to_vec()),
                     consumer,
                     RA_WINDOW_NS,
@@ -237,7 +237,7 @@ impl Tenant {
             }
             ModelKind::Iosched => TenantState::Iosched {
                 sched: Box::new(IoScheduler::new(device, SchedulerConfig::default())),
-                tuner: Box::new(SchedTuner::remote(IO_POLICY_NS)),
+                tuner: SchedTuner::new(LoopModel::Remote, IO_POLICY_NS),
                 now_ns: 0,
             },
             ModelKind::Netfs => {
@@ -258,7 +258,7 @@ impl Tenant {
                 let (producer, consumer) = RingBuffer::with_capacity(1 << 12).split();
                 mount.attach_rpc_trace(producer);
                 let tuner = RsizeTuner::new(
-                    RsizeTunerModel::Remote,
+                    LoopModel::Remote,
                     RsizePolicy::experiment_default(),
                     consumer,
                     RsizeTuner::DEFAULT_WINDOW_NS,
@@ -372,11 +372,7 @@ impl Tenant {
         self.decisions_applied += 1;
         match &mut self.state {
             TenantState::Readahead { sim, tuner, .. } => tuner.apply_class(sim, response.class),
-            TenantState::Iosched {
-                sched,
-                tuner,
-                now_ns,
-            } => tuner.apply_class(sched, *now_ns, response.class),
+            TenantState::Iosched { sched, tuner, .. } => tuner.apply_class(sched, response.class),
             TenantState::Netfs { mount, tuner, .. } => tuner.apply_class(mount, response.class),
         }
     }

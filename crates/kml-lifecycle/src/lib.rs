@@ -19,10 +19,15 @@
 //!   rolled back after N consecutive windows below `ratio × baseline`
 //!   throughput.
 //! - **[`controller`]** — [`LifecycleController`], gluing the above to a
-//!   swap target ([`LifecycleTarget`]: the readahead/iosched/netfs tuners
-//!   and the fleet server's model lanes implement it). Rollback
-//!   reinstalls the previous generation from its retained artifact bytes
-//!   under its original generation tag.
+//!   swap target ([`LifecycleTarget`]: [`ClosedLoop`] and the fleet
+//!   server's model lanes implement it). Rollback reinstalls the previous
+//!   generation from its retained artifact bytes under its original
+//!   generation tag.
+//! - **[`closed_loop`]** — [`ClosedLoop`], the paper's §3.3 execution
+//!   flow written once: window polling, the generation-tagged model slot
+//!   with its shadow lane, hysteresis memory, loop telemetry, the decision
+//!   log and the one tuner-side `LifecycleTarget` impl. The
+//!   readahead/netfs/iosched tuners are [`Subsystem`] impls over it.
 //!
 //! Everything here is deterministic: the watchdog consumes virtual-clock
 //! throughput, artifacts decode bit-identically, and generation tags are
@@ -31,6 +36,7 @@
 //! state machine under seeded fault schedules.
 
 pub mod artifact;
+pub mod closed_loop;
 pub mod controller;
 pub mod shadow;
 pub mod swap;
@@ -39,6 +45,7 @@ pub mod watchdog;
 pub use artifact::{
     load_model, load_model_for, peek_kind, save_model, ArtifactError, ArtifactKind, LoadedArtifact,
 };
+pub use closed_loop::{ClosedLoop, LoopModel, Subsystem, TimeWindow};
 pub use controller::{LifecycleController, LifecycleEvent, LifecycleRecord, LifecycleTarget};
 pub use shadow::ShadowStats;
 pub use swap::{Generational, Pinned};

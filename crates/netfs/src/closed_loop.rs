@@ -282,40 +282,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "diagnostic dump"]
-    fn debug_dump_grid() {
-        let cfg = NetRunConfig::quick();
-        for profile in NetProfile::experiment_profiles(7) {
-            for kb in FIXED_RSIZES_KB {
-                let r = run_fixed(profile, kb, &cfg);
-                println!(
-                    "{:>13} fixed {kb:>5} KiB: {:>7.1} MB/s ops={} retrans={} timeouts={} failed={}",
-                    profile.name, r.mb_per_sec, r.ops, r.stats.retransmits, r.stats.timeouts,
-                    r.failed_ops
-                );
-            }
-            let model = RsizeTunerModel::from_bytes(model_bytes()).unwrap();
-            let (kml, decisions) =
-                run_kml(profile, model, RsizePolicy::experiment_default(), &cfg).unwrap();
-            println!(
-                "{:>13} kml        : {:>7.1} MB/s retrans={} decisions={}",
-                profile.name,
-                kml.mb_per_sec,
-                kml.stats.retransmits,
-                decisions.len()
-            );
-            let mut runs: Vec<(u64, usize, u32)> = Vec::new();
-            for d in &decisions {
-                match runs.last_mut() {
-                    Some(last) if last.2 == d.rsize_kb => {}
-                    _ => runs.push((d.time_ns / 1_000_000, d.class, d.rsize_kb)),
-                }
-            }
-            println!("  decisions (t_ms, class, rsize): {runs:?}");
-        }
-    }
-
-    #[test]
     fn runs_replay_byte_identically() {
         let cfg = NetRunConfig::quick();
         let profile = NetProfile::congested_wan(11);

@@ -10,6 +10,9 @@
 //! means one 1 MiB READ is far more likely to die than thirty-two 32 KiB
 //! READs, and each death burns a full (backed-off) RTO. No fixed rsize wins
 //! both regimes of a phased link; the loop's job is to track the phase.
+//! The loop itself is [`kml_lifecycle::ClosedLoop`], shared with every
+//! other tuner; this module supplies the network [`Subsystem`]:
+//! [`RsizeLoop`].
 //!
 //! Window features (the network-side analogue of the readahead features):
 //!
@@ -29,17 +32,20 @@ use kml_collect::featurize::{Channel, WindowedFeatures};
 use kml_collect::ringbuf::Consumer;
 use kml_collect::RingBuffer;
 use kml_core::dataset::{Dataset, Normalizer};
-use kml_core::dtree::DecisionTree;
 use kml_core::loss::CrossEntropyLoss;
-use kml_core::model::{Model, ModelBuilder};
+use kml_core::model::ModelBuilder;
 use kml_core::optimizer::Sgd;
 use kml_core::{KmlRng, Result};
-use kml_lifecycle::{ArtifactError, ArtifactKind, LifecycleTarget, ShadowStats};
-use kml_telemetry::{Counter, Gauge, Registry, Span, StageSet};
+use kml_lifecycle::{ArtifactKind, ClosedLoop, Subsystem, TimeWindow};
+use kml_telemetry::Registry;
 use rand::SeedableRng;
+use std::ops::{Deref, DerefMut};
 
 use crate::mount::NfsMount;
 use crate::transport::NetProfile;
+
+/// Which trained model drives the tuner.
+pub use kml_lifecycle::LoopModel as RsizeTunerModel;
 
 /// Number of rsize-tuner features.
 pub const NUM_RSIZE_FEATURES: usize = 5;
@@ -160,51 +166,6 @@ impl RsizePolicy {
     }
 }
 
-/// Which trained model drives the tuner.
-#[derive(Debug)]
-pub enum RsizeTunerModel {
-    /// The link classifier network (f32, as deployed).
-    NeuralNet(Box<Model<f32>>),
-    /// A decision tree (the DST harness uses a deterministic stub tree).
-    Tree(DecisionTree),
-    /// Inference is served by a shared fleet model server: the tenant's
-    /// harness calls [`RsizeTuner::poll_window`]/[`RsizeTuner::apply_class`]
-    /// around a batched remote prediction, so local `predict` is a
-    /// deployment error.
-    Remote,
-}
-
-impl RsizeTunerModel {
-    /// Decodes a model-file blob into a deployable f32 network — the
-    /// hand-off format `repro netfs` uses to train once and share across
-    /// parallel runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-file decoding errors.
-    pub fn from_bytes(bytes: &[u8]) -> Result<RsizeTunerModel> {
-        Ok(RsizeTunerModel::NeuralNet(Box::new(
-            kml_core::modelfile::decode::<f32>(bytes)?,
-        )))
-    }
-
-    /// Predicts the link class for a feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the underlying model, and
-    /// rejects local prediction on [`RsizeTunerModel::Remote`].
-    pub fn predict(&mut self, features: &[f64]) -> Result<usize> {
-        match self {
-            RsizeTunerModel::NeuralNet(m) => m.predict(features),
-            RsizeTunerModel::Tree(t) => t.predict(features),
-            RsizeTunerModel::Remote => Err(kml_core::KmlError::InvalidConfig(
-                "remote-served tuner has no local model".into(),
-            )),
-        }
-    }
-}
-
 /// One entry of the tuner's decision log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RsizeDecision {
@@ -219,67 +180,106 @@ pub struct RsizeDecision {
     pub generation: u64,
 }
 
-/// Loop telemetry: per-stage spans plus decision accounting, mirroring the
-/// readahead tuner's `readahead.loop.*` family.
+/// The network half of the loop: RPC-event featurizer, class → rsize
+/// policy, asymmetric confirmation, and the mount's rsize actuator.
 #[derive(Debug)]
-struct LoopTelemetry {
-    stages: StageSet,
-    decision_total: Counter,
-    actuation_total: Counter,
-    ring_dropped: Gauge,
-}
-
-impl LoopTelemetry {
-    fn noop() -> Self {
-        LoopTelemetry {
-            stages: StageSet::noop(),
-            decision_total: Counter::noop(),
-            actuation_total: Counter::noop(),
-            ring_dropped: Gauge::noop(),
-        }
-    }
-
-    fn bind(registry: &Registry) -> Self {
-        let p = LOOP_METRIC_PREFIX;
-        LoopTelemetry {
-            stages: StageSet::register(registry, p),
-            decision_total: registry.counter(&format!("{p}.decision_total")),
-            actuation_total: registry.counter(&format!("{p}.actuation_total")),
-            ring_dropped: registry.gauge(&format!("{p}.ring_dropped_total")),
-        }
-    }
-}
-
-/// The closed-loop rsize tuner.
-#[derive(Debug)]
-pub struct RsizeTuner {
-    model: RsizeTunerModel,
+pub struct RsizeLoop {
     policy: RsizePolicy,
     features: RsizeFeatures,
     consumer: Consumer<RpcEvent>,
-    window_ns: u64,
-    next_window_end: Option<u64>,
-    /// Class predicted in the previous window (hysteresis state).
-    last_class: Option<usize>,
+    clock: TimeWindow,
+}
+
+impl Subsystem for RsizeLoop {
+    type World = NfsMount;
+    type Features = [f64; NUM_RSIZE_FEATURES];
+    type Knob = u32;
+    type Decision = RsizeDecision;
+
+    const KIND: ArtifactKind = ArtifactKind::NetfsRsize;
+    const METRIC_PREFIX: &'static str = LOOP_METRIC_PREFIX;
+
+    fn classes(&self) -> usize {
+        self.policy.classes()
+    }
+
+    fn registry(&mut self, mount: &NfsMount) -> Registry {
+        mount.server().sim().telemetry().clone()
+    }
+
+    fn collect(&mut self, _mount: &mut NfsMount) {
+        while let Some(event) = self.consumer.pop() {
+            self.features.push(&event);
+        }
+    }
+
+    fn records_dropped(&self) -> u64 {
+        self.consumer.dropped()
+    }
+
+    fn window_closed(&mut self, mount: &NfsMount) -> bool {
+        self.clock.closed(mount.now_ns()) && self.features.window_count() > 0
+    }
+
+    fn roll(&mut self, mount: &NfsMount) -> [f64; NUM_RSIZE_FEATURES] {
+        self.features.roll_window(f64::from(mount.rsize_kb()))
+    }
+
+    fn knob_for(&self, class: usize) -> u32 {
+        self.policy.rsize_kb_for(class)
+    }
+
+    fn current_knob(&self, mount: &NfsMount) -> u32 {
+        mount.rsize_kb()
+    }
+
     /// Asymmetric damping: growing the transfer size waits for two
-    /// agreeing windows, shrinking it actuates immediately (default on).
-    /// The costs are asymmetric — a false *calm* sends one huge transfer
-    /// into a live burst and stalls through the whole backoff ladder,
-    /// while a false *congested* merely pays some round-trip overhead for
-    /// one window.
-    hysteresis: bool,
-    decisions: Vec<RsizeDecision>,
-    telemetry: LoopTelemetry,
-    telemetry_bound: bool,
-    /// Generation of the active model (1 until the first lifecycle swap).
-    model_generation: u64,
-    /// Staged shadow candidate: infers on every window, never actuates.
-    shadow: Option<RsizeTunerModel>,
-    shadow_stats: ShadowStats,
-    /// The shadow's prediction for the window most recently returned by
-    /// [`RsizeTuner::poll_window`], folded into the agreement stats by the
-    /// matching [`RsizeTuner::apply_class`].
-    pending_shadow_class: Option<usize>,
+    /// agreeing windows, shrinking it actuates immediately. The costs are
+    /// asymmetric — a false *calm* sends one huge transfer into a live
+    /// burst and stalls through the whole backoff ladder, while a false
+    /// *congested* merely pays some round-trip overhead for one window.
+    fn confirmed(&self, target: u32, current: u32, repeated: bool) -> bool {
+        target <= current || repeated
+    }
+
+    fn actuate(&mut self, mount: &mut NfsMount, rsize_kb: u32) {
+        mount.set_rsize_kb(rsize_kb);
+    }
+
+    fn decision(
+        &self,
+        mount: &NfsMount,
+        class: usize,
+        rsize_kb: u32,
+        generation: u64,
+    ) -> RsizeDecision {
+        RsizeDecision {
+            time_ns: mount.now_ns(),
+            class,
+            rsize_kb,
+            generation,
+        }
+    }
+}
+
+/// The closed-loop rsize tuner: a [`ClosedLoop`] over [`RsizeLoop`]. The
+/// loop API (`on_op`, `poll_window`, `predict_active`, `apply_class`,
+/// `decisions`, `records_dropped`, the model slot and the
+/// `LifecycleTarget` swap point) is the core's, reached through `Deref`.
+#[derive(Debug)]
+pub struct RsizeTuner(ClosedLoop<RsizeLoop>);
+
+impl Deref for RsizeTuner {
+    type Target = ClosedLoop<RsizeLoop>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for RsizeTuner {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl RsizeTuner {
@@ -287,76 +287,21 @@ impl RsizeTuner {
     /// windows per congestion phase of the experiment profiles.
     pub const DEFAULT_WINDOW_NS: u64 = 100_000_000;
 
-    /// Creates a tuner over the read end of the mount's RPC ring.
-    /// `window_ns` is clamped to at least 1 ns — the window-skipping loop
-    /// in [`Self::on_op`] never terminates on a zero-length window.
+    /// Creates a tuner over the read end of the mount's RPC ring, inferring
+    /// every `window_ns` (clamped to at least 1 ns) of simulated time.
     pub fn new(
         model: RsizeTunerModel,
         policy: RsizePolicy,
         consumer: Consumer<RpcEvent>,
         window_ns: u64,
     ) -> Self {
-        RsizeTuner {
-            model,
+        let subsystem = RsizeLoop {
             policy,
             features: RsizeFeatures::new(),
             consumer,
-            window_ns: window_ns.max(1),
-            next_window_end: None,
-            last_class: None,
-            hysteresis: true,
-            decisions: Vec::new(),
-            telemetry: LoopTelemetry::noop(),
-            telemetry_bound: false,
-            model_generation: 1,
-            shadow: None,
-            shadow_stats: ShadowStats::default(),
-            pending_shadow_class: None,
-        }
-    }
-
-    /// Disables/enables the two-window agreement requirement before
-    /// *growing* the transfer size (on by default — see the field note;
-    /// shrinking always actuates immediately).
-    pub fn set_hysteresis(&mut self, enabled: bool) {
-        self.hysteresis = enabled;
-    }
-
-    /// The hook invoked after every mount operation: drains RPC events
-    /// and, at window boundaries, infers and re-tunes the rsize.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction failures (dimension mismatch, or a
-    /// [`RsizeTunerModel::Remote`] tuner driven locally — deployment bugs,
-    /// not runtime conditions).
-    pub fn on_op(&mut self, mount: &mut NfsMount) -> Result<()> {
-        if let Some(features) = self.poll_window(mount) {
-            let class = {
-                let span = Span::start(&self.telemetry.stages.infer_ns);
-                let class = self.model.predict(&features)?;
-                span.finish();
-                class
-            };
-            self.apply_class(mount, class);
-        }
-        Ok(())
-    }
-
-    /// Runs the *active* model on a window's feature vector (inside the
-    /// inference span), without actuating — the continual-learning seam
-    /// between [`Self::poll_window`] and [`Self::apply_class`], mirroring
-    /// `readahead::KmlTuner::predict_active`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction failures, exactly like
-    /// [`Self::on_op`].
-    pub fn predict_active(&mut self, features: &[f64; NUM_RSIZE_FEATURES]) -> Result<usize> {
-        let span = Span::start(&self.telemetry.stages.infer_ns);
-        let class = self.model.predict(features)?;
-        span.finish();
-        Ok(class)
+            clock: TimeWindow::new(window_ns),
+        };
+        RsizeTuner(ClosedLoop::new(subsystem, model))
     }
 
     /// The deterministic label oracle continual retraining trains
@@ -370,181 +315,9 @@ impl RsizeTuner {
         }
     }
 
-    /// Drains RPC events and, when a window has closed with traffic in it,
-    /// rolls and returns the window's feature vector.
-    ///
-    /// The inference-free half of [`Self::on_op`]: the fleet's shared model
-    /// server batches the returned vectors across tenants and routes each
-    /// prediction back through [`Self::apply_class`]. The simulated clock
-    /// does not advance between the two calls, so the split loop is
-    /// bit-identical to the fused one.
-    pub fn poll_window(&mut self, mount: &mut NfsMount) -> Option<[f64; NUM_RSIZE_FEATURES]> {
-        if !self.telemetry_bound {
-            self.telemetry = LoopTelemetry::bind(mount.server().sim().telemetry());
-            self.telemetry_bound = true;
-        }
-        {
-            let span = Span::start(&self.telemetry.stages.collect_ns);
-            while let Some(event) = self.consumer.pop() {
-                self.features.push(&event);
-            }
-            span.finish();
-        }
-        let now = mount.now_ns();
-        let end = *self.next_window_end.get_or_insert(now + self.window_ns);
-        if now < end {
-            return None;
-        }
-        // Skip windows with no traffic entirely.
-        let features = if self.features.window_count() > 0 {
-            let featurize = &self.telemetry.stages.featurize_ns;
-            let (fx, rsize) = (&mut self.features, f64::from(mount.rsize_kb()));
-            Some(featurize.time(|| fx.roll_window(rsize)))
-        } else {
-            None
-        };
-        let mut next = end;
-        while next <= now {
-            next += self.window_ns;
-        }
-        self.next_window_end = Some(next);
-        if let (Some(f), Some(shadow)) = (&features, &mut self.shadow) {
-            // Shadow inference on the exact window the active model will
-            // see; the prediction is only recorded, never actuated.
-            match shadow.predict(f) {
-                Ok(class) => self.pending_shadow_class = Some(class),
-                Err(_) => {
-                    self.shadow_stats.errors += 1;
-                    self.pending_shadow_class = None;
-                }
-            }
-        }
-        features
-    }
-
-    /// Applies a predicted class for the window most recently returned by
-    /// [`Self::poll_window`]: asymmetric hysteresis, actuation, and
-    /// decision logging. Shrinking is always safe to apply now; only
-    /// growth waits for confirmation (see the hysteresis field note).
-    pub fn apply_class(&mut self, mount: &mut NfsMount, class: usize) {
-        let now = mount.now_ns();
-        if self.shadow.is_some() {
-            if let Some(shadow_class) = self.pending_shadow_class.take() {
-                self.shadow_stats.record(shadow_class == class);
-            }
-        }
-        let target = self.policy.rsize_kb_for(class);
-        let confirmed =
-            target <= mount.rsize_kb() || !self.hysteresis || self.last_class == Some(class);
-        self.last_class = Some(class);
-        let rsize_kb = if confirmed {
-            if target != mount.rsize_kb() {
-                let span = Span::start(&self.telemetry.stages.actuate_ns);
-                mount.set_rsize_kb(target);
-                span.finish();
-                self.telemetry.actuation_total.inc();
-            }
-            target
-        } else {
-            mount.rsize_kb()
-        };
-        self.telemetry.decision_total.inc();
-        self.telemetry.ring_dropped.set(self.consumer.dropped());
-        self.decisions.push(RsizeDecision {
-            time_ns: now,
-            class,
-            rsize_kb,
-            generation: self.model_generation,
-        });
-    }
-
-    /// Replaces the active model under an explicit generation tag,
-    /// resetting the hysteresis state.
-    pub fn swap_model(&mut self, model: RsizeTunerModel, generation: u64) {
-        self.model = model;
-        self.model_generation = generation;
-        self.last_class = None;
-    }
-
-    /// Stages a shadow candidate (replacing any previous one and resetting
-    /// its stats). The active model and the mount's rsize are untouched.
-    pub fn stage_shadow_model(&mut self, model: RsizeTunerModel) {
-        self.shadow = Some(model);
-        self.shadow_stats = ShadowStats::default();
-        self.pending_shadow_class = None;
-    }
-
-    /// Whether a shadow candidate is staged.
-    pub fn shadow_staged(&self) -> bool {
-        self.shadow.is_some()
-    }
-
-    /// The active model's generation tag.
-    pub fn model_generation(&self) -> u64 {
-        self.model_generation
-    }
-
-    /// Decodes a netfs-rsize `.kmlm` artifact into a deployable model,
-    /// cross-checking its class count against this tuner's policy.
-    fn decode_artifact(&self, bytes: &[u8]) -> std::result::Result<RsizeTunerModel, ArtifactError> {
-        let loaded = kml_lifecycle::load_model_for::<f32>(bytes, ArtifactKind::NetfsRsize)?;
-        if loaded.model.output_dim() != self.policy.classes() {
-            return Err(ArtifactError::ClassMismatch {
-                artifact: loaded.model.output_dim(),
-                policy: self.policy.classes(),
-            });
-        }
-        Ok(RsizeTunerModel::NeuralNet(Box::new(loaded.model)))
-    }
-
-    /// All decisions taken so far.
-    pub fn decisions(&self) -> &[RsizeDecision] {
-        &self.decisions
-    }
-
-    /// RPC events lost to ring-buffer overwrites.
-    pub fn events_dropped(&self) -> u64 {
-        self.consumer.dropped()
-    }
-
     /// RPC events consumed from the ring so far.
     pub fn events_consumed(&self) -> u64 {
-        self.consumer.consumed()
-    }
-}
-
-impl LifecycleTarget for RsizeTuner {
-    /// Atomic by construction: the artifact is fully decoded and verified
-    /// before any tuner state changes; a failed load leaves the model, the
-    /// generation, and the mount's rsize exactly as they were.
-    fn install_artifact(
-        &mut self,
-        bytes: &[u8],
-        generation: u64,
-    ) -> std::result::Result<(), ArtifactError> {
-        let model = self.decode_artifact(bytes)?;
-        self.swap_model(model, generation);
-        Ok(())
-    }
-
-    fn stage_shadow_artifact(&mut self, bytes: &[u8]) -> std::result::Result<(), ArtifactError> {
-        let model = self.decode_artifact(bytes)?;
-        self.stage_shadow_model(model);
-        Ok(())
-    }
-
-    fn clear_shadow(&mut self) {
-        self.shadow = None;
-        self.shadow_stats = ShadowStats::default();
-        self.pending_shadow_class = None;
-    }
-
-    fn generation(&self) -> u64 {
-        self.model_generation
-    }
-
-    fn shadow_stats(&self) -> ShadowStats {
-        self.shadow_stats
+        self.0.subsystem().consumer.consumed()
     }
 }
 
@@ -642,8 +415,7 @@ fn training_windows(seed: u64) -> Result<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kml_core::dataset::Dataset;
-    use kml_core::dtree::DecisionTreeConfig;
+    use kml_core::dtree::{DecisionTree, DecisionTreeConfig};
 
     #[test]
     fn policy_lookup_and_clamping() {
@@ -763,7 +535,27 @@ mod tests {
             saw_small && saw_large,
             "tuner never actuated both phases: small={saw_small} large={saw_large}"
         );
-        assert_eq!(tuner.events_dropped(), 0, "ring sized for the workload");
+        assert_eq!(tuner.records_dropped(), 0, "ring sized for the workload");
+    }
+
+    #[test]
+    fn zero_length_window_does_not_hang() {
+        let mut mount = NfsMount::new(NetProfile::lossy_wifi(21), SimConfig::default());
+        let file = mount.create_file(1 << 12);
+        let (producer, consumer) = RingBuffer::with_capacity(1 << 10).split();
+        mount.attach_rpc_trace(producer);
+        let mut tuner = RsizeTuner::new(
+            RsizeTunerModel::Tree(stub_tree()),
+            RsizePolicy::experiment_default(),
+            consumer,
+            0,
+        );
+        // Every read jumps the simulated clock by at least a round trip.
+        for page in [0, 128] {
+            let _ = mount.read(file, page, 128);
+            tuner.on_op(&mut mount).unwrap();
+        }
+        assert!(!tuner.decisions().is_empty());
     }
 
     #[test]

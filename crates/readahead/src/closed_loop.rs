@@ -122,7 +122,7 @@ pub fn run_kml_instrumented(
         // Re-deploy a fresh copy of the network for this run (models carry
         // forward state; runs must not share it).
         let bytes = kml_core::modelfile::encode(&trained.network)?;
-        TunerModel::NeuralNet(Box::new(kml_core::modelfile::decode::<f32>(&bytes)?))
+        TunerModel::from_bytes(&bytes)?
     };
     run_tuned_opts(
         workload,
@@ -169,7 +169,7 @@ pub fn run_kml_no_hysteresis(
     cfg: &LoopConfig,
 ) -> Result<(WorkloadReport, Vec<TimelinePoint>)> {
     let bytes = kml_core::modelfile::encode(&trained.network)?;
-    let model = TunerModel::NeuralNet(Box::new(kml_core::modelfile::decode::<f32>(&bytes)?));
+    let model = TunerModel::from_bytes(&bytes)?;
     run_tuned_opts(
         workload,
         device,

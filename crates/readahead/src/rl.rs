@@ -17,6 +17,7 @@
 //! The `repro rl` experiment compares it against the supervised tuner.
 
 use kernel_sim::Sim;
+use kml_lifecycle::TimeWindow;
 
 /// Per-arm statistics of the bandit.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,9 +46,8 @@ pub struct BanditTuner {
     arms_kb: Vec<u32>,
     arms: Vec<Arm>,
     exploration: f64,
-    window_ns: u64,
-    next_window_end: Option<u64>,
-    window_start: u64,
+    clock: TimeWindow,
+    window_start: Option<u64>,
     window_ops: u64,
     current_arm: usize,
     total_pulls: u64,
@@ -71,9 +71,8 @@ impl BanditTuner {
             arms_kb,
             arms: vec![Arm::default(); n],
             exploration,
-            window_ns,
-            next_window_end: None,
-            window_start: 0,
+            clock: TimeWindow::new(window_ns),
+            window_start: None,
             window_ops: 0,
             current_arm: 0,
             total_pulls: 0,
@@ -94,17 +93,14 @@ impl BanditTuner {
     pub fn on_op(&mut self, sim: &mut Sim) {
         self.window_ops += 1;
         let now = sim.now_ns();
-        let end = *self.next_window_end.get_or_insert_with(|| {
-            self.window_start = now;
-            now + self.window_ns
-        });
-        if now < end {
+        let window_start = *self.window_start.get_or_insert(now);
+        if !self.clock.closed(now) {
             return;
         }
 
         // Credit the arm that was active for the elapsed window with the
         // operation completion rate it achieved.
-        let elapsed = (now - self.window_start).max(1) as f64 / 1e9;
+        let elapsed = (now - window_start).max(1) as f64 / 1e9;
         let reward = self.window_ops as f64 / elapsed;
         let arm = &mut self.arms[self.current_arm];
         arm.pulls += 1;
@@ -123,12 +119,7 @@ impl BanditTuner {
         });
 
         self.window_ops = 0;
-        self.window_start = now;
-        let mut next = end;
-        while next <= now {
-            next += self.window_ns;
-        }
-        self.next_window_end = Some(next);
+        self.window_start = Some(now);
     }
 
     fn select_arm(&self) -> usize {

@@ -10,63 +10,23 @@
 //! [`KmlTuner`] is that loop: it drains the tracepoint ring buffer on every
 //! hook invocation, and once per window rolls the features, infers the
 //! workload class (neural network or decision tree), and actuates the
-//! class's best readahead value from the [`RaPolicy`].
+//! class's best readahead value from the [`RaPolicy`]. The flow itself is
+//! [`kml_lifecycle::ClosedLoop`], shared with every other tuner; this
+//! module supplies the readahead [`Subsystem`]: [`RaLoop`].
 
 use crate::datagen::workload_of_class;
 use crate::features::{FeatureExtractor, FeatureVector};
 use kernel_sim::{Sim, TraceRecord};
 use kml_collect::ringbuf::Consumer;
-use kml_core::dtree::DecisionTree;
-use kml_core::model::Model;
-use kml_core::Result;
-use kml_lifecycle::{ArtifactError, ArtifactKind, LifecycleTarget, ShadowStats};
-use kml_telemetry::{Counter, Gauge, Registry, Span, StageSet};
+use kml_lifecycle::{ArtifactKind, ClosedLoop, Subsystem, TimeWindow};
+use kml_telemetry::{Counter, Gauge, Registry};
+use std::ops::{Deref, DerefMut};
+
+/// Which trained model drives the tuner.
+pub use kml_lifecycle::LoopModel as TunerModel;
 
 /// Metric name prefix for the tuner's loop-stage and decision metrics.
 pub const LOOP_METRIC_PREFIX: &str = "readahead.loop";
-
-/// Telemetry for the closed loop itself: wall-clock span per stage
-/// (collect/featurize/infer/actuate — the in-loop counterpart of the
-/// paper's Table 3 overhead numbers) plus decision accounting.
-#[derive(Debug)]
-struct TunerTelemetry {
-    stages: StageSet,
-    decision_total: Counter,
-    actuation_total: Counter,
-    class_total: Vec<Counter>,
-    ra_bytes: Gauge,
-    ring_dropped: Gauge,
-}
-
-impl TunerTelemetry {
-    fn noop() -> Self {
-        TunerTelemetry {
-            stages: StageSet::noop(),
-            decision_total: Counter::noop(),
-            actuation_total: Counter::noop(),
-            class_total: Vec::new(),
-            ra_bytes: Gauge::noop(),
-            ring_dropped: Gauge::noop(),
-        }
-    }
-
-    fn bind(registry: &Registry, classes: usize) -> Self {
-        let p = LOOP_METRIC_PREFIX;
-        TunerTelemetry {
-            stages: StageSet::register(registry, p),
-            decision_total: registry.counter(&format!("{p}.decision_total")),
-            actuation_total: registry.counter(&format!("{p}.actuation_total")),
-            class_total: (0..classes)
-                .map(|c| {
-                    let name = workload_of_class(c.min(3)).name();
-                    registry.counter(&format!("{p}.class.{name}_total"))
-                })
-                .collect(),
-            ra_bytes: registry.gauge(&format!("{p}.ra_bytes")),
-            ring_dropped: registry.gauge(&format!("{p}.ring_dropped_total")),
-        }
-    }
-}
 
 /// Class → readahead-KiB mapping, built from a [`crate::ReadaheadStudy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,38 +57,6 @@ impl RaPolicy {
     }
 }
 
-/// Which trained model drives the tuner.
-#[derive(Debug)]
-pub enum TunerModel {
-    /// The readahead neural network (f32, as deployed in-kernel).
-    NeuralNet(Box<Model<f32>>),
-    /// The comparison decision tree.
-    Tree(DecisionTree),
-    /// Inference is served by a shared fleet model server: the tenant's
-    /// harness calls [`KmlTuner::poll_window`]/[`KmlTuner::apply_class`]
-    /// around a batched remote prediction, so local `predict` is a
-    /// deployment error.
-    Remote,
-}
-
-impl TunerModel {
-    /// Predicts the workload class for a feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the underlying model, and
-    /// rejects local prediction on [`TunerModel::Remote`].
-    pub fn predict(&mut self, features: &[f64]) -> Result<usize> {
-        match self {
-            TunerModel::NeuralNet(m) => m.predict(features),
-            TunerModel::Tree(t) => t.predict(features),
-            TunerModel::Remote => Err(kml_core::KmlError::InvalidConfig(
-                "remote-served tuner has no local model".into(),
-            )),
-        }
-    }
-}
-
 /// One entry of the tuner's decision log (drives Figure 2's Y2 axis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerDecision {
@@ -143,33 +71,121 @@ pub struct TunerDecision {
     pub generation: u64,
 }
 
-/// The closed-loop readahead tuner.
+/// The readahead half of the loop: tracepoint featurizer, class →
+/// readahead policy, two-window confirmation, and the readahead actuator.
 #[derive(Debug)]
-pub struct KmlTuner {
-    model: TunerModel,
+pub struct RaLoop {
     policy: RaPolicy,
     extractor: FeatureExtractor,
     consumer: Consumer<TraceRecord>,
-    window_ns: u64,
-    next_window_end: Option<u64>,
+    clock: TimeWindow,
     current_ra_kb: u32,
-    /// Class predicted in the previous window (hysteresis state).
-    last_class: Option<usize>,
     /// Whether actuation waits for two agreeing windows (default true).
     hysteresis: bool,
-    decisions: Vec<TunerDecision>,
-    telemetry: TunerTelemetry,
-    telemetry_bound: bool,
-    /// Generation of the active model (1 until the first lifecycle swap).
-    model_generation: u64,
-    /// Staged shadow candidate: infers on every window the active model
-    /// sees, never actuates.
-    shadow: Option<TunerModel>,
-    shadow_stats: ShadowStats,
-    /// The shadow's prediction for the window most recently returned by
-    /// [`KmlTuner::poll_window`], folded into the agreement stats by the
-    /// matching [`KmlTuner::apply_class`].
-    pending_shadow_class: Option<usize>,
+    class_total: Vec<Counter>,
+    ra_bytes: Gauge,
+}
+
+impl Subsystem for RaLoop {
+    type World = Sim;
+    type Features = FeatureVector;
+    type Knob = u32;
+    type Decision = TunerDecision;
+
+    const KIND: ArtifactKind = ArtifactKind::Readahead;
+    const METRIC_PREFIX: &'static str = LOOP_METRIC_PREFIX;
+
+    fn classes(&self) -> usize {
+        self.policy.classes()
+    }
+
+    /// Binds to whatever registry the sim carries, adding the per-class
+    /// decision counters and the readahead gauge to the core's metrics.
+    fn registry(&mut self, sim: &Sim) -> Registry {
+        let (registry, p) = (sim.telemetry(), LOOP_METRIC_PREFIX);
+        self.class_total = (0..self.policy.classes())
+            .map(|c| {
+                let name = workload_of_class(c.min(3)).name();
+                registry.counter(&format!("{p}.class.{name}_total"))
+            })
+            .collect();
+        self.ra_bytes = registry.gauge(&format!("{p}.ra_bytes"));
+        registry.clone()
+    }
+
+    fn collect(&mut self, _sim: &mut Sim) {
+        while let Some(record) = self.consumer.pop() {
+            self.extractor.push(&record);
+        }
+    }
+
+    fn records_dropped(&self) -> u64 {
+        self.consumer.dropped()
+    }
+
+    fn window_closed(&mut self, sim: &Sim) -> bool {
+        self.clock.closed(sim.now_ns()) && self.extractor.window_count() > 0
+    }
+
+    fn roll(&mut self, _sim: &Sim) -> FeatureVector {
+        self.extractor.roll_window(f64::from(self.current_ra_kb))
+    }
+
+    fn knob_for(&self, class: usize) -> u32 {
+        self.policy.ra_kb_for(class)
+    }
+
+    fn current_knob(&self, _sim: &Sim) -> u32 {
+        self.current_ra_kb
+    }
+
+    /// Actuate only when two consecutive windows agree, so a single
+    /// misclassified window (the Figure 2 fluctuations) cannot whipsaw the
+    /// readahead setting.
+    fn confirmed(&self, _target: u32, _current: u32, repeated: bool) -> bool {
+        !self.hysteresis || repeated
+    }
+
+    fn actuate(&mut self, sim: &mut Sim, ra_kb: u32) {
+        sim.set_ra_kb(ra_kb);
+        self.current_ra_kb = ra_kb;
+    }
+
+    fn decision(&self, sim: &Sim, class: usize, ra_kb: u32, generation: u64) -> TunerDecision {
+        TunerDecision {
+            time_ns: sim.now_ns(),
+            class,
+            ra_kb,
+            generation,
+        }
+    }
+
+    fn observe(&self, class: usize, ra_kb: u32) {
+        if let Some(c) = self.class_total.get(class) {
+            c.inc();
+        }
+        self.ra_bytes.set(u64::from(ra_kb) * 1024);
+    }
+}
+
+/// The closed-loop readahead tuner: a [`ClosedLoop`] over [`RaLoop`]. The
+/// loop API (`on_op`, `poll_window`, `predict_active`, `apply_class`,
+/// `decisions`, `records_dropped`, the model slot and the
+/// `LifecycleTarget` swap point) is the core's, reached through `Deref`.
+#[derive(Debug)]
+pub struct KmlTuner(ClosedLoop<RaLoop>);
+
+impl Deref for KmlTuner {
+    type Target = ClosedLoop<RaLoop>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for KmlTuner {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl KmlTuner {
@@ -178,7 +194,7 @@ impl KmlTuner {
     /// - `model`/`policy`: the trained classifier and class→readahead map.
     /// - `consumer`: the read end of the ring buffer attached to the sim.
     /// - `window_ns`: inference cadence on the simulated clock (the paper
-    ///   infers once per second).
+    ///   infers once per second), clamped to at least 1 ns.
     /// - `initial_ra_kb`: the readahead in force before the first decision.
     pub fn new(
         model: TunerModel,
@@ -187,70 +203,23 @@ impl KmlTuner {
         window_ns: u64,
         initial_ra_kb: u32,
     ) -> Self {
-        KmlTuner {
-            model,
+        let subsystem = RaLoop {
             policy,
             extractor: FeatureExtractor::new(),
             consumer,
-            window_ns,
-            next_window_end: None,
+            clock: TimeWindow::new(window_ns),
             current_ra_kb: initial_ra_kb,
-            last_class: None,
             hysteresis: true,
-            decisions: Vec::new(),
-            telemetry: TunerTelemetry::noop(),
-            telemetry_bound: false,
-            model_generation: 1,
-            shadow: None,
-            shadow_stats: ShadowStats::default(),
-            pending_shadow_class: None,
-        }
+            class_total: Vec::new(),
+            ra_bytes: Gauge::noop(),
+        };
+        KmlTuner(ClosedLoop::new(subsystem, model))
     }
 
     /// Disables/enables the two-window agreement requirement before
     /// actuating (on by default). Exposed for the hysteresis ablation.
     pub fn set_hysteresis(&mut self, enabled: bool) {
-        self.hysteresis = enabled;
-    }
-
-    /// The hook invoked after every workload operation: drains tracepoints
-    /// and, at window boundaries, infers and actuates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction failures (dimension mismatch, or a
-    /// [`TunerModel::Remote`] tuner driven locally — deployment bugs, not
-    /// runtime conditions).
-    pub fn on_op(&mut self, sim: &mut Sim) -> Result<()> {
-        if let Some(features) = self.poll_window(sim) {
-            let class = {
-                // The span owns a cloned handle, so timing holds no borrow
-                // of self across the model call.
-                let span = Span::start(&self.telemetry.stages.infer_ns);
-                let class = self.model.predict(&features)?;
-                span.finish();
-                class
-            };
-            self.apply_class(sim, class);
-        }
-        Ok(())
-    }
-
-    /// Runs the *active* model on a window's feature vector (inside the
-    /// inference span), without actuating. Continual-learning harnesses
-    /// use this between [`Self::poll_window`] and [`Self::apply_class`]
-    /// so drift detection and reservoir sampling can observe the window
-    /// before the decision lands.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model prediction failures, exactly like
-    /// [`Self::on_op`].
-    pub fn predict_active(&mut self, features: &FeatureVector) -> Result<usize> {
-        let span = Span::start(&self.telemetry.stages.infer_ns);
-        let class = self.model.predict(features)?;
-        span.finish();
-        Ok(class)
+        self.0.subsystem_mut().hysteresis = enabled;
     }
 
     /// The deterministic label oracle continual retraining trains
@@ -265,208 +234,9 @@ impl KmlTuner {
         }
     }
 
-    /// Drains tracepoints and, when a window has closed with traffic in it,
-    /// rolls and returns the window's feature vector.
-    ///
-    /// This is `on_op` with the inference step cut out: the caller owns
-    /// what happens between `poll_window` returning `Some(features)` and
-    /// the matching [`Self::apply_class`] call. The fleet's shared model
-    /// server uses exactly that seam to batch feature vectors from many
-    /// tenants into one forward pass; because the simulated clock does not
-    /// advance between the two calls, the split loop is bit-identical to
-    /// the fused `on_op` loop.
-    pub fn poll_window(&mut self, sim: &mut Sim) -> Option<FeatureVector> {
-        if !self.telemetry_bound {
-            // Bind once to whatever registry the sim carries (a no-op
-            // registry yields no-op handles, so unattached runs cost
-            // nothing beyond this one-time setup).
-            self.telemetry = TunerTelemetry::bind(sim.telemetry(), self.policy.classes());
-            self.telemetry_bound = true;
-        }
-        {
-            let span = Span::start(&self.telemetry.stages.collect_ns);
-            while let Some(record) = self.consumer.pop() {
-                self.extractor.push(&record);
-            }
-            span.finish();
-        }
-        let now = sim.now_ns();
-        let end = *self.next_window_end.get_or_insert(now + self.window_ns);
-        if now < end {
-            return None;
-        }
-        // Window closed: roll features unless the window was idle (idle
-        // windows are skipped entirely — nothing to learn from).
-        let features = if self.extractor.window_count() > 0 {
-            let featurize = &self.telemetry.stages.featurize_ns;
-            let (extractor, ra) = (&mut self.extractor, self.current_ra_kb as f64);
-            Some(featurize.time(|| extractor.roll_window(ra)))
-        } else {
-            None
-        };
-        let mut next = end;
-        while next <= now {
-            next += self.window_ns;
-        }
-        self.next_window_end = Some(next);
-        if let (Some(f), Some(shadow)) = (&features, &mut self.shadow) {
-            // Shadow inference on the exact window the active model will
-            // see; the prediction is only recorded, never actuated.
-            match shadow.predict(f) {
-                Ok(class) => self.pending_shadow_class = Some(class),
-                Err(_) => {
-                    self.shadow_stats.errors += 1;
-                    self.pending_shadow_class = None;
-                }
-            }
-        }
-        features
-    }
-
-    /// Applies a predicted class for the window most recently returned by
-    /// [`Self::poll_window`]: hysteresis, actuation, and decision logging
-    /// (steps 4-5 of the §3.3 flow).
-    ///
-    /// Hysteresis: actuate only when two consecutive windows agree, so a
-    /// single misclassified window (the Figure 2 fluctuations) cannot
-    /// whipsaw the readahead setting.
-    pub fn apply_class(&mut self, sim: &mut Sim, class: usize) {
-        let now = sim.now_ns();
-        if self.shadow.is_some() {
-            if let Some(shadow_class) = self.pending_shadow_class.take() {
-                self.shadow_stats.record(shadow_class == class);
-            }
-        }
-        let confirmed = !self.hysteresis || self.last_class == Some(class);
-        self.last_class = Some(class);
-        let ra_kb = if confirmed {
-            let target = self.policy.ra_kb_for(class);
-            if target != self.current_ra_kb {
-                let span = Span::start(&self.telemetry.stages.actuate_ns);
-                sim.set_ra_kb(target);
-                span.finish();
-                self.current_ra_kb = target;
-                self.telemetry.actuation_total.inc();
-            }
-            target
-        } else {
-            self.current_ra_kb
-        };
-        self.telemetry.decision_total.inc();
-        if let Some(c) = self.telemetry.class_total.get(class) {
-            c.inc();
-        }
-        self.telemetry.ra_bytes.set(u64::from(ra_kb) * 1024);
-        self.telemetry.ring_dropped.set(self.consumer.dropped());
-        self.decisions.push(TunerDecision {
-            time_ns: now,
-            class,
-            ra_kb,
-            generation: self.model_generation,
-        });
-    }
-
-    /// Replaces the active model under an explicit generation tag. The
-    /// hysteresis state resets — the new model's first window should not be
-    /// confirmed by its predecessor's last prediction.
-    pub fn swap_model(&mut self, model: TunerModel, generation: u64) {
-        self.model = model;
-        self.model_generation = generation;
-        self.last_class = None;
-    }
-
-    /// Stages a shadow candidate (replacing any previous one and resetting
-    /// its stats). The active model and the readahead knob are untouched.
-    pub fn stage_shadow_model(&mut self, model: TunerModel) {
-        self.shadow = Some(model);
-        self.shadow_stats = ShadowStats::default();
-        self.pending_shadow_class = None;
-    }
-
-    /// Whether a shadow candidate is staged.
-    pub fn shadow_staged(&self) -> bool {
-        self.shadow.is_some()
-    }
-
-    /// The active model's generation tag.
-    pub fn model_generation(&self) -> u64 {
-        self.model_generation
-    }
-
-    /// Decodes a readahead `.kmlm` artifact into a deployable model,
-    /// cross-checking its class count against this tuner's policy.
-    fn decode_artifact(&self, bytes: &[u8]) -> std::result::Result<TunerModel, ArtifactError> {
-        let loaded = kml_lifecycle::load_model_for::<f32>(bytes, ArtifactKind::Readahead)?;
-        if loaded.model.output_dim() != self.policy.classes() {
-            return Err(ArtifactError::ClassMismatch {
-                artifact: loaded.model.output_dim(),
-                policy: self.policy.classes(),
-            });
-        }
-        Ok(TunerModel::NeuralNet(Box::new(loaded.model)))
-    }
-
     /// The readahead currently in force, KiB.
     pub fn current_ra_kb(&self) -> u32 {
-        self.current_ra_kb
-    }
-
-    /// All decisions taken so far.
-    pub fn decisions(&self) -> &[TunerDecision] {
-        &self.decisions
-    }
-
-    /// Tracepoint records lost to ring-buffer overwrites.
-    pub fn records_dropped(&self) -> u64 {
-        self.consumer.dropped()
-    }
-
-    /// Human-readable summary of the most recent decision.
-    pub fn last_decision_summary(&self) -> Option<String> {
-        self.decisions.last().map(|d| {
-            format!(
-                "t={:.3}s class={} ({}) ra={}KiB",
-                d.time_ns as f64 / 1e9,
-                d.class,
-                workload_of_class(d.class.min(3)).name(),
-                d.ra_kb
-            )
-        })
-    }
-}
-
-impl LifecycleTarget for KmlTuner {
-    /// Atomic by construction: the artifact is fully decoded and verified
-    /// before any tuner state changes; a failed load leaves the model, the
-    /// generation, and the readahead knob exactly as they were.
-    fn install_artifact(
-        &mut self,
-        bytes: &[u8],
-        generation: u64,
-    ) -> std::result::Result<(), ArtifactError> {
-        let model = self.decode_artifact(bytes)?;
-        self.swap_model(model, generation);
-        Ok(())
-    }
-
-    fn stage_shadow_artifact(&mut self, bytes: &[u8]) -> std::result::Result<(), ArtifactError> {
-        let model = self.decode_artifact(bytes)?;
-        self.stage_shadow_model(model);
-        Ok(())
-    }
-
-    fn clear_shadow(&mut self) {
-        self.shadow = None;
-        self.shadow_stats = ShadowStats::default();
-        self.pending_shadow_class = None;
-    }
-
-    fn generation(&self) -> u64 {
-        self.model_generation
-    }
-
-    fn shadow_stats(&self) -> ShadowStats {
-        self.shadow_stats
+        self.0.subsystem().current_ra_kb
     }
 }
 
@@ -476,7 +246,8 @@ mod tests {
     use kernel_sim::{DeviceProfile, SimConfig};
     use kml_collect::RingBuffer;
     use kml_core::dataset::Dataset;
-    use kml_core::dtree::DecisionTreeConfig;
+    use kml_core::dtree::{DecisionTree, DecisionTreeConfig};
+    use kml_lifecycle::{ArtifactError, LifecycleTarget};
 
     #[test]
     fn policy_lookup_and_clamping() {
@@ -615,6 +386,27 @@ mod tests {
         corrupt[mid] ^= 0x01;
         assert!(tuner.install_artifact(&corrupt, 3).is_err());
         assert_eq!(tuner.model_generation(), 2);
+    }
+
+    #[test]
+    fn zero_length_window_does_not_hang() {
+        let mut sim = Sim::new(SimConfig::default());
+        let (producer, consumer) = RingBuffer::with_capacity(1 << 10).split();
+        sim.attach_trace(producer);
+        let f = sim.create_file(1 << 10);
+        let mut tuner = KmlTuner::new(
+            TunerModel::Tree(stub_tree()),
+            RaPolicy::new(vec![16, 1024]),
+            consumer,
+            0,
+            128,
+        );
+        for page in [0, 64] {
+            sim.read(f, page, 4).unwrap();
+            tuner.on_op(&mut sim).unwrap();
+            sim.advance(10_000_000);
+        }
+        assert!(!tuner.decisions().is_empty());
     }
 
     #[test]

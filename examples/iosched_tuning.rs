@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_batch: 256,
             },
         );
-        run_sched_workload(&mut sched, workload, REQUESTS, 11, |_, _, _| {})
+        run_sched_workload(&mut sched, workload, REQUESTS, 11, |_, _| {})
     };
 
     println!("training the scheduler classifier from synthetic traffic...");
@@ -39,10 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let patient = static_run(workload, PATIENT_NS);
         let mut sched = IoScheduler::new(DeviceProfile::sata_ssd(), SchedulerConfig::default());
         let mut tuner = SchedTuner::train([0, PATIENT_NS], 5)?;
-        let tuned = run_sched_workload(&mut sched, workload, REQUESTS, 11, |s, req, now| {
-            tuner
-                .on_request(s, req, now)
-                .expect("tuner inference succeeds");
+        let tuned = run_sched_workload(&mut sched, workload, REQUESTS, 11, |s, req| {
+            tuner.on_request(s, req).expect("tuner inference succeeds");
         });
         println!(
             "{:<18} {:>11.0}/s {:>11.0}/s {:>11.0}/s",
