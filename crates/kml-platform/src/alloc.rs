@@ -23,6 +23,14 @@ thread_local! {
     // the counting hooks run *inside* the allocator.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES_FREED: Cell<u64> = const { Cell::new(0) };
+}
+
+// `try_with`: during thread teardown the TLS slot may already be destroyed,
+// and the allocator must keep working (uncounted) rather than panic.
+fn add(cell: &'static std::thread::LocalKey<Cell<u64>>, n: u64) {
+    let _ = cell.try_with(|c| c.set(c.get() + n));
 }
 
 // Process-wide totals alongside the per-thread cells: steady-state tests for
@@ -66,6 +74,20 @@ impl CountingSystemAlloc {
         THREAD_FREES.try_with(Cell::get).unwrap_or(0)
     }
 
+    /// Bytes the current thread has asked the heap for since it started (a
+    /// reallocation counts its whole new size). With
+    /// [`Self::thread_bytes_freed`], tells a path that allocates a few
+    /// small objects from one that builds a table.
+    pub fn thread_bytes_allocated() -> u64 {
+        THREAD_BYTES_ALLOCATED.try_with(Cell::get).unwrap_or(0)
+    }
+
+    /// Bytes the current thread has handed back to the heap since it
+    /// started (a reallocation counts its whole old size).
+    pub fn thread_bytes_freed() -> u64 {
+        THREAD_BYTES_FREED.try_with(Cell::get).unwrap_or(0)
+    }
+
     /// Heap allocations performed by **every** thread of the process since
     /// start. Use this (instead of [`Self::thread_allocations`]) to measure
     /// paths that dispatch onto the persistent worker pool, whose
@@ -83,30 +105,32 @@ impl CountingSystemAlloc {
     }
 }
 
-// `try_with` everywhere: during thread teardown the TLS slot may already be
-// destroyed, and the allocator must keep working (uncounted) rather than
-// panic.
 unsafe impl GlobalAlloc for CountingSystemAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        add(&THREAD_ALLOCS, 1);
+        add(&THREAD_BYTES_ALLOCATED, layout.size() as u64);
         PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        add(&THREAD_ALLOCS, 1);
+        add(&THREAD_BYTES_ALLOCATED, layout.size() as u64);
         PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        add(&THREAD_ALLOCS, 1);
+        add(&THREAD_BYTES_ALLOCATED, new_size as u64);
+        add(&THREAD_BYTES_FREED, layout.size() as u64);
         PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = THREAD_FREES.try_with(|c| c.set(c.get() + 1));
+        add(&THREAD_FREES, 1);
+        add(&THREAD_BYTES_FREED, layout.size() as u64);
         PROCESS_FREES.fetch_add(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }

@@ -62,6 +62,8 @@ pub struct Db {
     wal_page: u64,
     wal_entries_in_page: usize,
     stats: DbStats,
+    /// One cursor per table, reused by every scan.
+    scan_cursors: Vec<TableCursor>,
     /// DST harness-validation knob: when set, a failed flush *drops* the
     /// memtable instead of keeping it — the deliberate invariant violation
     /// the simulation harness must catch. Never enabled in production paths.
@@ -84,6 +86,7 @@ impl Db {
             wal_page: 0,
             wal_entries_in_page: 0,
             stats: DbStats::default(),
+            scan_cursors: Vec::new(),
             dst_bug_lose_failed_flush: false,
         }
     }
@@ -237,107 +240,77 @@ impl Db {
         reverse: bool,
     ) -> IoResult<usize> {
         // A real LSM iterator merges every sorted source: the memtable (no
-        // I/O), each L0 run, and L1. Sources are walked by cursor over the
-        // tables' resident key slices — nothing is copied (a scan must not
-        // materialize the tail of a million-key table per burst).
-        struct Source<'a> {
-            table: Option<&'a SsTable>, // None = memtable
-            keys: std::borrow::Cow<'a, [u64]>,
-            /// Next position; counts down in reverse mode (i64 so -1 = done).
-            idx: i64,
-            last_block: usize,
-        }
-        impl Source<'_> {
-            fn peek(&self, reverse: bool) -> Option<u64> {
-                if reverse {
-                    (self.idx >= 0).then(|| self.keys[self.idx as usize])
-                } else {
-                    self.keys.get(self.idx as usize).copied()
-                }
-            }
-            fn advance(&mut self, reverse: bool) {
-                self.idx += if reverse { -1 } else { 1 };
-            }
-        }
+        // I/O), each L0 run, and L1. The memtable is walked through its
+        // range iterator and the tables by cursor over their resident key
+        // slices — nothing is copied (a scan must not materialize the tail
+        // of a million-key table per burst) and nothing is allocated: the
+        // cursors are `self`'s, taken out while the tables are borrowed.
+        let mut cursors = std::mem::take(&mut self.scan_cursors);
+        let visited = self.merge_scan(sim, &mut cursors, from, limit, reverse);
+        self.scan_cursors = cursors;
+        visited
+    }
 
-        let mut sources: Vec<Source<'_>> = Vec::new();
-        // Memtable: copy at most `limit` keys (bounded, unlike the tables).
-        let mem: Vec<u64> = if reverse {
-            self.memtable
-                .range(..=from)
-                .rev()
-                .take(limit)
-                .copied()
-                .collect()
+    fn merge_scan(
+        &self,
+        sim: &mut Sim,
+        cursors: &mut Vec<TableCursor>,
+        from: u64,
+        limit: usize,
+        reverse: bool,
+    ) -> IoResult<usize> {
+        let mut mem = if reverse {
+            self.memtable.range(..=from)
         } else {
-            self.memtable.range(from..).take(limit).copied().collect()
+            self.memtable.range(from..)
         };
-        let mem_len = mem.len() as i64;
-        sources.push(Source {
-            table: None,
-            keys: std::borrow::Cow::Owned(mem),
-            idx: if reverse { mem_len - 1 } else { 0 },
-            last_block: usize::MAX,
-        });
-        // The memtable copy above is already in scan order; flip reverse
-        // handling for it by re-reversing into ascending order.
-        if reverse {
-            if let std::borrow::Cow::Owned(v) = &mut sources[0].keys {
-                v.reverse();
-            }
-            sources[0].idx = mem_len - 1;
-        }
-        for table in self.l0.iter().chain(self.l1.as_ref()) {
-            let keys = table.keys();
-            let idx = if reverse {
-                table.lower_bound(from.saturating_add(1)) as i64 - 1
-            } else {
-                table.lower_bound(from) as i64
-            };
-            sources.push(Source {
-                table: Some(table),
-                keys: std::borrow::Cow::Borrowed(keys),
-                idx,
-                last_block: usize::MAX,
-            });
-        }
+        let mut next_mem = || if reverse { mem.next_back() } else { mem.next() }.copied();
+        let mut mem_head = next_mem();
 
-        let entries_per_block = self.cfg.entries_per_block;
+        let tables = || self.l0.iter().chain(&self.l1);
+        cursors.clear();
+        cursors.extend(tables().map(|table| {
+            let (lo, hi) = if reverse {
+                (0, table.lower_bound(from.saturating_add(1)))
+            } else {
+                (table.lower_bound(from), table.len())
+            };
+            TableCursor {
+                lo,
+                hi,
+                last_block: usize::MAX,
+            }
+        }));
+
         let mut visited = 0;
         let mut last_key: Option<u64> = None;
         while visited < limit {
-            // Pick the next key in scan order across all sources.
-            let mut best: Option<(usize, u64)> = None;
-            for (i, src) in sources.iter().enumerate() {
-                if let Some(k) = src.peek(reverse) {
-                    let better = match best {
-                        None => true,
-                        Some((_, bk)) => {
-                            if reverse {
-                                k > bk
-                            } else {
-                                k < bk
-                            }
-                        }
-                    };
-                    if better {
-                        best = Some((i, k));
+            // Pick the next key in scan order across all sources (`None` =
+            // the memtable); on a tie the memtable, then the oldest run, wins.
+            let mut best: Option<(Option<(usize, &SsTable)>, u64)> = mem_head.map(|k| (None, k));
+            for (i, (table, cursor)) in tables().zip(cursors.iter()).enumerate() {
+                if let Some(at) = cursor.peek(reverse) {
+                    let k = table.keys()[at];
+                    if best.is_none_or(|(_, bk)| if reverse { k > bk } else { k < bk }) {
+                        best = Some((Some((i, table)), k));
                     }
                 }
             }
-            let Some((i, key)) = best else { break };
-            let key_idx = sources[i].idx as usize;
-            sources[i].advance(reverse);
+            let Some((source, key)) = best else { break };
+            let read = source.map(|(i, table)| (i, table, cursors[i].take(reverse)));
+            if read.is_none() {
+                mem_head = next_mem();
+            }
             if last_key == Some(key) {
                 continue; // shadowed duplicate from an older run
             }
             last_key = Some(key);
-            if let Some(table) = sources[i].table {
+            if let Some((i, table, key_idx)) = read {
                 // Charge the block read lazily, once per block per table.
-                let block = key_idx / entries_per_block;
-                if block != sources[i].last_block {
+                let block = key_idx / self.cfg.entries_per_block;
+                if block != cursors[i].last_block {
                     table.read_block_of(sim, key_idx)?;
-                    sources[i].last_block = block;
+                    cursors[i].last_block = block;
                 }
             }
             visited += 1;
@@ -366,6 +339,33 @@ impl Db {
     /// Operational counters.
     pub fn stats(&self) -> DbStats {
         self.stats
+    }
+}
+
+/// One table's position in a scan: keys `lo..hi` are still ahead.
+#[derive(Debug, Clone, Copy)]
+struct TableCursor {
+    lo: usize,
+    hi: usize,
+    /// Block charged last (`usize::MAX` before the first).
+    last_block: usize,
+}
+
+impl TableCursor {
+    /// Index of the key a scan in this direction visits next.
+    fn peek(&self, reverse: bool) -> Option<usize> {
+        (self.lo < self.hi).then(|| if reverse { self.hi - 1 } else { self.lo })
+    }
+
+    /// Steps past the key [`Self::peek`] named and returns its index.
+    fn take(&mut self, reverse: bool) -> usize {
+        if reverse {
+            self.hi -= 1;
+            self.hi
+        } else {
+            self.lo += 1;
+            self.lo - 1
+        }
     }
 }
 

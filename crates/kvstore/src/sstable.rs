@@ -3,8 +3,9 @@
 //! An SSTable holds a sorted run of keys partitioned into fixed-size blocks
 //! (default 4 pages = 16 KiB, the RocksDB-ish block size whose multi-page
 //! reads interact with kernel readahead — see `kernel_sim::readahead`).
-//! The block *index* is resident (as RocksDB pins index blocks), so a point
-//! read costs exactly one block read; scans walk blocks in order.
+//! The block *index* — the first key of every block — is resident (as
+//! RocksDB pins index blocks), so a point read searches the index, then one
+//! block, and costs exactly one block read; scans walk blocks in order.
 
 use kernel_sim::{FileId, IoResult, Sim};
 
@@ -81,6 +82,9 @@ pub struct SsTable {
     keys: Vec<u64>,
     /// Entries per block (how many keys share one block read).
     entries_per_block: usize,
+    /// First key of every block: what a lookup searches before it touches
+    /// `keys`, 8 bytes per block against 8 per key.
+    index: Vec<u64>,
     /// Total pages occupied (for compaction read costing).
     pages: u64,
     /// Per-table Bloom filter (resident, like RocksDB's filter blocks).
@@ -115,10 +119,12 @@ impl SsTable {
         }
         sim.sync()?; // flush: table data must be durable before serving reads
         let bloom = BloomFilter::build(&keys);
+        let index = keys.iter().step_by(entries_per_block).copied().collect();
         Ok(SsTable {
             file,
             keys,
             entries_per_block,
+            index,
             pages,
             bloom,
         })
@@ -164,19 +170,13 @@ impl SsTable {
         if !self.bloom.may_contain(key) {
             return Ok(false); // filter says "definitely not here": no I/O
         }
-        let idx = match self.keys.binary_search(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                // Bloom false positive (~1%): the block read is still paid
-                // before absence is known, exactly like RocksDB.
-                let block = (i.min(self.keys.len() - 1) / self.entries_per_block) as u64;
-                sim.read(self.file, block * BLOCK_PAGES, BLOCK_PAGES)?;
-                return Ok(false);
-            }
-        };
-        let block = (idx / self.entries_per_block) as u64;
-        sim.read(self.file, block * BLOCK_PAGES, BLOCK_PAGES)?;
-        Ok(true)
+        // The insertion point is the key's own position when present; when
+        // absent (a Bloom false positive, ~1%) the block it would sit in is
+        // still read before absence is known, exactly like RocksDB. It is
+        // in bounds: `key <= max_key`.
+        let idx = self.lower_bound(key);
+        self.read_block_of(sim, idx)?;
+        Ok(self.keys[idx] == key)
     }
 
     /// Resident filter memory in bytes.
@@ -203,16 +203,30 @@ impl SsTable {
         Ok(())
     }
 
-    /// Index of the first key ≥ `key`.
+    /// Index of the first key ≥ `key`: the last block whose first key is
+    /// ≤ `key` holds it, or everything in that block is smaller and the
+    /// answer is the block's end.
     pub fn lower_bound(&self, key: u64) -> usize {
-        self.keys.partition_point(|&k| k < key)
+        let Some(block) = self
+            .index
+            .partition_point(|&first| first <= key)
+            .checked_sub(1)
+        else {
+            return 0; // below the first key
+        };
+        let start = block * self.entries_per_block;
+        let end = (start + self.entries_per_block).min(self.keys.len());
+        start + self.keys[start..end].partition_point(|&k| k < key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernel_sim::{DeviceProfile, SimConfig};
+    use kernel_sim::{DeviceProfile, SimConfig, TraceRecord};
+    use kml_collect::ringbuf::Consumer;
+    use kml_collect::RingBuffer;
+    use proptest::prelude::*;
 
     fn sim() -> Sim {
         Sim::new(SimConfig {
@@ -324,5 +338,69 @@ mod tests {
     fn empty_keys_panic() {
         let mut s = sim();
         let _ = SsTable::build(&mut s, vec![], 40);
+    }
+
+    /// A cold-cache simulator whose ring sees every page a read brings in,
+    /// and a table over `keys` whose filter passes everything: every absent
+    /// key in range is a Bloom false positive.
+    fn traced_table(
+        keys: &[u64],
+        entries_per_block: usize,
+    ) -> (Sim, Consumer<TraceRecord>, SsTable) {
+        let mut s = Sim::new(SimConfig {
+            device: DeviceProfile::nvme(),
+            cache_pages: 64, // dropped before every probe
+            ..SimConfig::default()
+        });
+        let (producer, consumer) = RingBuffer::with_capacity(1 << 12).split();
+        s.attach_trace(producer);
+        let mut t = SsTable::build(&mut s, keys.to_vec(), entries_per_block).unwrap();
+        t.bloom.bits.fill(u64::MAX);
+        (s, consumer, t)
+    }
+
+    /// `get` as it was before the block index: one search over every key.
+    fn whole_array_get(t: &SsTable, sim: &mut Sim, key: u64) -> bool {
+        if key < t.min_key() || key > t.max_key() || !t.bloom.may_contain(key) {
+            return false;
+        }
+        let (found, idx) = match t.keys.binary_search(&key) {
+            Ok(i) => (true, i),
+            Err(i) => (false, i.min(t.keys.len() - 1)),
+        };
+        let block = (idx / t.entries_per_block) as u64;
+        sim.read(t.file, block * BLOCK_PAGES, BLOCK_PAGES).unwrap();
+        found
+    }
+
+    proptest! {
+        /// Present keys, absent keys inside and between blocks, and both
+        /// ends: the indexed search answers, and reads, what a search over
+        /// the whole key array does.
+        #[test]
+        fn indexed_search_matches_whole_array_search(
+            keys in proptest::collection::btree_set(1u64..400, 1..120),
+            block_size in 0usize..4,
+        ) {
+            let keys: Vec<u64> = keys.into_iter().collect();
+            let entries_per_block = [1, 3, 40, keys.len() + 1][block_size];
+            let (mut sim, mut ring, t) = traced_table(&keys, entries_per_block);
+            let (mut ref_sim, mut ref_ring, ref_t) = traced_table(&keys, entries_per_block);
+            for key in 0..=keys[keys.len() - 1] + 1 {
+                prop_assert_eq!(t.lower_bound(key), keys.partition_point(|&k| k < key));
+                sim.drop_caches().unwrap();
+                ref_sim.drop_caches().unwrap();
+                prop_assert_eq!(
+                    t.get(&mut sim, key).unwrap(),
+                    whole_array_get(&ref_t, &mut ref_sim, key)
+                );
+                // Same pages brought in at the same simulated times, same
+                // counters: the same `(page, npages)` read was issued.
+                let pages: Vec<TraceRecord> = std::iter::from_fn(|| ring.pop()).collect();
+                let ref_pages: Vec<TraceRecord> = std::iter::from_fn(|| ref_ring.pop()).collect();
+                prop_assert_eq!(pages, ref_pages);
+                prop_assert_eq!(sim.stats(), ref_sim.stats());
+            }
+        }
     }
 }

@@ -15,6 +15,7 @@ use kernel_sim::{IoResult, Sim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Zipf};
+use std::sync::Mutex;
 
 /// The six benchmark workloads of the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,6 +155,45 @@ pub fn fill_db(sim: &mut Sim, cfg: &WorkloadConfig, mode: FillMode) -> IoResult<
     Ok(db)
 }
 
+/// Zipf tables the process keeps, most recently used last. A benchmark
+/// repeats one keyspace and finds its table here; a sweep over hundreds of
+/// key counts cycles through the slots and holds no more than these.
+static ZIPF_TABLES: Mutex<Vec<((u64, u64), Zipf)>> = Mutex::new(Vec::new());
+const ZIPF_TABLES_KEPT: usize = 4;
+
+/// The rank table for `mixgraph` over `num_keys` keys: one `powf` and 8
+/// bytes per key to build, so built once per `(num_keys, exponent)` and
+/// shared. The lock is held to look up and to insert, never to build.
+fn zipf_table(num_keys: u64, exponent: f64) -> Zipf {
+    let key = (num_keys, exponent.to_bits());
+    let lock = || ZIPF_TABLES.lock().expect("no panic while held");
+    let kept = |tables: &mut Vec<((u64, u64), Zipf)>| {
+        let at = tables.iter().position(|(k, _)| *k == key)?;
+        let hit = tables.remove(at);
+        let zipf = hit.1.clone();
+        tables.push(hit);
+        Some(zipf)
+    };
+    if let Some(zipf) = kept(&mut lock()) {
+        return zipf;
+    }
+    let built = Zipf::new(num_keys, exponent)
+        .expect("a filled database has 1..2^32 keys; the exponent is >= 0 by construction");
+    let mut tables = lock();
+    // Another thread may have built the same table meanwhile: keep that one.
+    let (zipf, unused) = match kept(&mut tables) {
+        Some(zipf) => (zipf, Some(built)),
+        None => {
+            let evicted = (tables.len() == ZIPF_TABLES_KEPT).then(|| tables.remove(0).1);
+            tables.push((key, built.clone()));
+            (built, evicted)
+        }
+    };
+    drop(tables);
+    drop(unused); // frees megabytes: not under the lock
+    zipf
+}
+
 /// Runs a workload to completion, invoking `on_op` (with the simulator,
 /// for clock inspection and readahead retuning) after every operation.
 /// Returns the throughput report.
@@ -178,12 +218,9 @@ pub fn run_workload(
         .telemetry()
         .histogram(&format!("kvstore.{}.op_latency_ns", cfg.workload.name()));
     let mut last_op_start = start_ns;
-    // Only `mixgraph` draws Zipfian ranks, and the table behind them costs
-    // one `powf` and 8 bytes per key.
-    let zipf = (cfg.workload == Workload::MixGraph).then(|| {
-        Zipf::new(cfg.num_keys, cfg.zipf_exponent)
-            .expect("num_keys >= 1 and exponent > 0 hold by construction")
-    });
+    // Only `mixgraph` draws Zipfian ranks.
+    let zipf =
+        (cfg.workload == Workload::MixGraph).then(|| zipf_table(cfg.num_keys, cfg.zipf_exponent));
     // Spread Zipf ranks over the keyspace so popularity is not co-located
     // with key order (Facebook traces show scattered hot keys).
     let spread = |rank: u64, n: u64| (rank.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % n;
