@@ -5,10 +5,10 @@
 //! - **batched** — the production path: windows grouped per model,
 //!   chunked to ≤256-row batches, one blocked-GEMM forward pass per batch.
 //! - **serial** — the same shared models answering one single-row pass
-//!   per window. This is the bit-identity twin (`kml-core`'s
-//!   batch-parity proptests prove batched == serial bit for bit), so the
-//!   gap is pure GEMM amortization; the elementwise sigmoid work is
-//!   identical in both and caps the ratio.
+//!   per window: the same plan and executor as batched, cut into one-row
+//!   chunks (`kml-core`'s batch-parity proptests prove batched == serial
+//!   bit for bit), so the gap is pure GEMM amortization; the elementwise
+//!   sigmoid work is identical in both and caps the ratio.
 //! - **per-tenant** — the deployment counterfactual the fleet replaces:
 //!   no shared server, every tenant owning its own model replica (the
 //!   paper's one-model-per-machine shape, and exactly what the
@@ -101,15 +101,15 @@ fn bench_serve_tick(c: &mut Criterion) {
         );
         b.iter(|| black_box(server.serve(&requests).expect("serving succeeds").len()));
     });
-    // The pool fan-out tick: the same batched grouping with the ≤256-row
-    // batches split into row-chunks served across 4 persistent pool
-    // workers on per-slot model replicas (`ServeOptions::workers`).
-    // Responses are bit-identical to the on-thread batched tick (gated in
-    // kml-fleet's tests); this measures the wall-clock win. Replicas are
-    // warmed up front so the steady-state tick is allocation-free. The
-    // ≥1.5× speedup gate over the committed single-worker median only
-    // arms on hosts with ≥4 cores — on smaller containers the workers
-    // time-share and the number is meaningless.
+    // The pool fan-out tick: the same plan and the same chunk executor,
+    // with the ≤256-row chunks served across 4 persistent pool workers on
+    // their own slots' model replicas (`ServeOptions::workers`) instead of
+    // inline on slot 0. Responses are bit-identical to the 1-worker tick
+    // (gated in kml-fleet's tests); this measures the wall-clock win.
+    // Replicas are warmed up front so the steady-state tick is
+    // allocation-free. The ≥1.5× speedup gate over the committed
+    // single-worker median only arms on hosts with ≥4 cores — on smaller
+    // containers the workers time-share and the number is meaningless.
     group.bench_function("batched_tick_w4_2048", |b| {
         let mut server = InferenceServer::new(
             FleetModels::untrained(7).expect("deterministic model build"),

@@ -300,9 +300,9 @@ fn cmd_fleet(cfg: &LoopConfig, quick: bool, json: bool) -> DynResult {
         report.wall_secs
     );
     // Phase spans recorded by the fleet engine. These are wall-clock
-    // facts (and overlap by design in the pipelined engine), so they are
-    // stdout-only too. Only `run_fleet` records these histograms, so the
-    // global registry holds exactly this run's rounds.
+    // facts (and overlap by design), so they are stdout-only too. Only
+    // `run_fleet` records these histograms, so the global registry holds
+    // exactly this run's rounds.
     let snap = kml_telemetry::Registry::global().snapshot();
     let pool_workers = snap.gauge("kml.pool_workers").unwrap_or(0);
     println!("phase breakdown ({} pool workers):", pool_workers);

@@ -54,7 +54,8 @@ fn fleet_parity_seeds_never_diverge_batched_from_serial() {
 }
 
 /// The parity-armed fleet must also be placement-blind: the same seed
-/// yields the same summary at any `parallel_map` worker count.
+/// yields the same summary at any worker count (inline at 1, on the
+/// persistent pool above).
 #[test]
 fn fleet_parity_summary_is_invariant_across_worker_counts() {
     const SEED: u64 = 0x5EED_0003;

@@ -1,35 +1,32 @@
-//! Fleet orchestration: shards of tenants in pipelined serving rounds.
+//! Fleet orchestration: shards of tenants in streaming serving rounds.
 //!
 //! A fleet run is a sequence of rounds. Logically each round has three
 //! phases — **run** (every tenant issues operations until its tuner
 //! harvests a feature window), **serve** (harvested windows are answered
 //! by the shared [`InferenceServer`] in coalesced batches), and **apply**
-//! (decisions are routed back into their tenants' tuners). The engine
-//! executes them in one of two ways:
-//!
-//! - **Pipelined** (the default at >1 worker): one dispatch on the
-//!   persistent [`threading::WorkerPool`] per round. Workers first drain
-//!   a shard-simulation cursor; as shards finish, a watermark batcher
-//!   stages their windows in shard-id order and emits `max_batch` chunks,
-//!   which idle workers serve on per-slot model replicas and scatter
-//!   straight back into the owning shards — inference for fast shards
-//!   overlaps simulation of slow ones, and the serial orchestrator
-//!   collect/scatter loops disappear.
-//! - **Barriered** (1 worker, or [`ServeOptions::serial_inference`]): the
-//!   classic three-phase lockstep, retained as the reference twin the
-//!   pipelined engine must match byte for byte.
+//! (decisions are routed back into their tenants' tuners). One engine
+//! executes them at every worker count: a round is one dispatch on the
+//! persistent [`threading::WorkerPool`] (at one worker, or when the pool
+//! is busy, the caller runs it inline as slot 0). Participants first
+//! drain a shard-simulation cursor; as shards finish, a watermark batcher
+//! stages their windows in shard-id order and emits `max_batch` chunks
+//! (single-row chunks under [`ServeOptions::serial_inference`]), which
+//! idle participants serve through the server's slot executor and scatter
+//! straight back into the owning shards — inference for fast shards
+//! overlaps simulation of slow ones.
 //!
 //! Determinism: tenants are derived from `(seed, tenant_id)` alone and
 //! sharded by `tenant_id % shards` — a fixed shard count independent of
 //! the worker count. The watermark batcher stages windows strictly in
 //! shard-id order and cuts chunks purely by row count, so chunk contents
-//! and boundaries are identical to the barriered collect regardless of
-//! which worker serves what when; each chunk's classes depend only on
-//! (weights, rows) (kml-core's `batch_parity` proptests plus the
-//! server's `verify_parity` mode), and a round applies at most one
-//! decision per tenant, so apply order cannot matter. The whole report
-//! is therefore byte-identical at any `--threads` value, which CI
-//! enforces by hashing `repro fleet` artifacts across worker counts.
+//! and boundaries are those of one `serve` call over the shard-major
+//! collect regardless of which worker serves what when; each chunk's
+//! classes depend only on (weights, rows) (kml-core's `batch_parity`
+//! proptests plus the server's `verify_parity` mode), and a round applies
+//! at most one decision per tenant, so apply order cannot matter. The
+//! whole report is therefore byte-identical at any `--threads` value,
+//! which CI enforces by diffing `repro fleet` artifacts against the
+//! committed golden at several worker counts.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -100,8 +97,8 @@ impl Default for FleetConfig {
 }
 
 /// The deterministic outcome of a fleet run — everything here is
-/// byte-identical across worker counts, between the pipelined and
-/// barriered engines, and between batched and serial-inference serving.
+/// byte-identical across worker counts, and (forward-pass accounting
+/// aside) between batched and serial-inference serving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// Tenants simulated.
@@ -159,7 +156,6 @@ struct Shard {
     tenants: Vec<Tenant>,
     hist: Log2Hist,
     pending: Vec<InferRequest>,
-    inbound: Vec<InferResponse>,
 }
 
 impl Shard {
@@ -169,19 +165,6 @@ impl Shard {
                 self.pending.push(request);
             }
         }
-    }
-
-    fn apply_inbound(&mut self) {
-        for i in 0..self.inbound.len() {
-            let response = self.inbound[i];
-            let tenant = self
-                .tenants
-                .iter_mut()
-                .find(|t| t.id == response.tenant_id)
-                .expect("response routed to a shard that owns its tenant");
-            tenant.apply(&response);
-        }
-        self.inbound.clear();
     }
 }
 
@@ -232,12 +215,12 @@ impl RoundPipeline {
 
     /// Advances the harvest watermark: drains `pending` from every
     /// finished shard strictly in shard-id order — so staging order is
-    /// exactly the shard-major, tenant-minor order of the barriered
-    /// collect — then emits every complete `max_batch` chunk, plus, once
-    /// all shards are staged, the final partial chunk per kind. Chunk
-    /// boundaries depend only on staged row counts, never on timing, so
-    /// the emitted batches equal the barriered tick's batches exactly.
-    fn advance(&mut self, shards: &[Mutex<Shard>], done: &[AtomicBool], max_batch: usize) {
+    /// shard-major, tenant-minor — then emits every complete chunk of
+    /// `chunk_rows` rows, plus, once all shards are staged, the final
+    /// partial chunk per kind. Chunk boundaries depend only on staged row
+    /// counts, never on timing, so the emitted batches are exactly those
+    /// of one `serve_into` tick over the whole round's windows.
+    fn advance(&mut self, shards: &[Mutex<Shard>], done: &[AtomicBool], chunk_rows: usize) {
         while self.next_shard < shards.len() && done[self.next_shard].load(Ordering::Acquire) {
             let mut shard = shards[self.next_shard].lock().expect("shard lock");
             for request in shard.pending.drain(..) {
@@ -247,13 +230,13 @@ impl RoundPipeline {
         }
         for kind in ModelKind::ALL {
             let k = kind.index();
-            while self.staged[k].len() - self.emitted[k] >= max_batch {
+            while self.staged[k].len() - self.emitted[k] >= chunk_rows {
                 self.chunks.push(Chunk {
                     kind,
                     start: self.emitted[k] as u32,
-                    len: max_batch as u32,
+                    len: chunk_rows as u32,
                 });
-                self.emitted[k] += max_batch;
+                self.emitted[k] += chunk_rows;
             }
         }
         if self.next_shard == shards.len() && !self.final_flushed {
@@ -274,15 +257,14 @@ impl RoundPipeline {
     }
 }
 
-/// Per-slot working memory for the pipelined round, reused across chunks
-/// and rounds.
+/// Per-slot working memory for a round, reused across chunks and rounds.
 #[derive(Default)]
 struct SlotScratch {
     rows: Vec<InferRequest>,
     responses: Vec<InferResponse>,
 }
 
-/// What a pipelined worker does next after failing to claim a
+/// What a round participant does next after failing to claim a
 /// simulation task.
 enum Step {
     /// Serve the chunk just copied into the slot's scratch rows.
@@ -306,12 +288,10 @@ impl Drop for BailGuard<'_> {
     }
 }
 
-/// Phase-span histograms, nanoseconds. In the pipelined engine the
-/// phases overlap by design: `run` is round start → last shard done
-/// simulating, `serve` is round start → last chunk applied (the round's
-/// full wall), and `apply` is the summed in-worker scatter time. In the
-/// barriered engine each phase is its own wall-clock segment, so
-/// `run + serve + apply ≈ serve`'s pipelined value is the overlap win.
+/// Phase-span histograms, nanoseconds. The phases overlap by design:
+/// `run` is round start → last shard done simulating, `serve` is round
+/// start → last chunk applied (the round's full wall), and `apply` is
+/// the summed in-worker scatter time.
 struct PhaseHists {
     run: Histogram,
     serve: Histogram,
@@ -335,47 +315,60 @@ fn elapsed_ns(since: Instant) -> u64 {
 
 /// Applies one chunk's responses directly to their owning shards,
 /// grouped into per-shard runs so each shard lock is taken once per run.
-/// Safe from any worker: a request only reaches a chunk after its shard
-/// finished simulating, a round carries at most one decision per tenant,
-/// and the shard mutex serializes concurrent chunks touching the same
-/// shard — so apply order cannot affect any state.
-fn apply_responses(shards: &[Mutex<Shard>], shard_count: usize, responses: &[InferResponse]) {
+/// Shard `s` owns ids `s, s + shards, …` in order, so tenant `id` sits at
+/// index `id / shards` of shard `id % shards`. Safe from any worker: a
+/// request only reaches a chunk after its shard finished simulating, a
+/// round carries at most one decision per tenant, and the shard mutex
+/// serializes concurrent chunks touching the same shard — so apply order
+/// cannot affect any state.
+///
+/// # Errors
+///
+/// A response addressed to a tenant its shard does not hold.
+fn apply_responses(shards: &[Mutex<Shard>], responses: &[InferResponse]) -> Result<()> {
+    let shard_of = |r: &InferResponse| (r.tenant_id % shards.len() as u64) as usize;
     let mut i = 0;
     while i < responses.len() {
-        let s = (responses[i].tenant_id as usize) % shard_count;
+        let s = shard_of(&responses[i]);
         let mut j = i + 1;
-        while j < responses.len() && (responses[j].tenant_id as usize) % shard_count == s {
+        while j < responses.len() && shard_of(&responses[j]) == s {
             j += 1;
         }
         let mut shard = shards[s].lock().expect("shard lock");
         for response in &responses[i..j] {
+            let index = (response.tenant_id / shards.len() as u64) as usize;
             let tenant = shard
                 .tenants
-                .iter_mut()
-                .find(|t| t.id == response.tenant_id)
-                .expect("response routed to a shard that owns its tenant");
+                .get_mut(index)
+                .filter(|t| t.id == response.tenant_id)
+                .ok_or_else(|| {
+                    KmlError::InvalidConfig(format!(
+                        "decision for tenant {} routed to shard {s}, which does not hold it",
+                        response.tenant_id
+                    ))
+                })?;
             tenant.apply(response);
         }
         i = j;
     }
+    Ok(())
 }
 
-/// One pipelined round: a single pool dispatch in which every
-/// participant alternates between draining the shard-simulation cursor
-/// and serving watermark-emitted chunks, scattering decisions straight
-/// back into the shards. Returns `(windows_submitted, decisions)`.
-#[allow(clippy::too_many_arguments)]
-fn run_round_pipelined(
+/// One round: a single pool dispatch (inline at one worker) in which
+/// every participant alternates between draining the shard-simulation
+/// cursor and serving watermark-emitted chunks, scattering decisions
+/// straight back into the shards. Returns `(windows_submitted, decisions)`.
+fn run_round(
     server: &mut InferenceServer,
     shards: &[Mutex<Shard>],
     workers: usize,
-    max_batch: usize,
     pipe: &Mutex<RoundPipeline>,
     done: &[AtomicBool],
     scratches: &[Mutex<SlotScratch>],
     phases: &PhaseHists,
 ) -> Result<(u64, u64)> {
     let shard_count = shards.len();
+    let chunk_rows = server.options().chunk_rows();
     pipe.lock().expect("pipeline lock").reset();
     for flag in done {
         flag.store(false, Ordering::Relaxed);
@@ -410,7 +403,7 @@ fn run_round_pipelined(
             }
             let step = {
                 let mut p = pipe.lock().expect("pipeline lock");
-                p.advance(shards, done, max_batch);
+                p.advance(shards, done, chunk_rows);
                 if p.next_chunk < p.chunks.len() {
                     let chunk = p.chunks[p.next_chunk];
                     p.next_chunk += 1;
@@ -434,25 +427,20 @@ fn run_round_pipelined(
                     let mut guard = scratches[slot].lock().expect("scratch lock");
                     let scratch = &mut *guard;
                     scratch.responses.clear();
-                    let served = server_ref.serve_run_on_slot(
-                        slot,
-                        &pins,
-                        kind,
-                        &scratch.rows,
-                        &mut scratch.responses,
-                    );
+                    let served = server_ref
+                        .serve_run_on_slot(slot, &pins, kind, &scratch.rows, &mut scratch.responses)
+                        .and_then(|()| {
+                            let apply_start = Instant::now();
+                            let applied = apply_responses(shards, &scratch.responses);
+                            apply_ns.fetch_add(elapsed_ns(apply_start), Ordering::Relaxed);
+                            applied
+                        });
                     match served {
                         Ok(()) => {
-                            let apply_start = Instant::now();
-                            apply_responses(shards, shard_count, &scratch.responses);
-                            apply_ns.fetch_add(elapsed_ns(apply_start), Ordering::Relaxed);
                             chunks_served.fetch_add(1, Ordering::Release);
                         }
                         Err(e) => {
-                            let mut first = failure.lock().expect("failure lock");
-                            if first.is_none() {
-                                *first = Some(e);
-                            }
+                            failure.lock().expect("failure lock").get_or_insert(e);
                             failed.store(true, Ordering::Release);
                         }
                     }
@@ -481,67 +469,38 @@ fn run_round_pipelined(
     Ok((windows, decisions))
 }
 
-/// One barriered round: the classic three-phase lockstep, kept as the
-/// reference twin of the pipelined engine (and the only engine for
-/// serial-inference runs). Returns `(windows_submitted, decisions)`.
-fn run_round_barriered(
-    server: &mut InferenceServer,
-    shards: &[Mutex<Shard>],
-    workers: usize,
-    requests: &mut Vec<InferRequest>,
-    responses: &mut Vec<InferResponse>,
-    phases: &PhaseHists,
-) -> Result<(u64, u64)> {
-    let shard_count = shards.len();
-    let pool = threading::global_pool();
-    // Phase 1: run tenant traffic, shard-parallel.
-    let t = Instant::now();
-    pool.run(workers, shard_count, |_, s| {
-        shards[s].lock().expect("shard lock").run_round();
-    });
-    phases.run.record(elapsed_ns(t));
-    // Phase 2: collect in shard-major order and serve one tick.
-    requests.clear();
-    for shard in shards {
-        requests.append(&mut shard.lock().expect("shard lock").pending);
+/// Round boundary: publishes the hot-swaps scheduled after `round`. The
+/// swap happens on the orchestration thread between ticks, so it is
+/// deterministic at any worker count; the next round's tick pins the new
+/// generation.
+fn publish_swaps(cfg: &FleetConfig, round: usize, server: &mut InferenceServer) -> Result<()> {
+    for swap in cfg.swaps.iter().flatten() {
+        if swap.after_round == round {
+            let replacement = FleetModels::untrained(swap.seed)?;
+            let model = match swap.kind {
+                ModelKind::Readahead => replacement.readahead,
+                ModelKind::Iosched => replacement.iosched,
+                ModelKind::Netfs => replacement.netfs,
+            };
+            server.swap_model(swap.kind, model)?;
+        }
     }
-    let t = Instant::now();
-    server.serve_into(requests, responses)?;
-    phases.serve.record(elapsed_ns(t));
-    assert_eq!(
-        requests.len(),
-        responses.len(),
-        "serving tick dropped or duplicated windows"
-    );
-    // Phase 3: scatter decisions back and apply, shard-parallel.
-    let t = Instant::now();
-    for response in responses.iter() {
-        let s = (response.tenant_id as usize) % shard_count;
-        shards[s]
-            .lock()
-            .expect("shard lock")
-            .inbound
-            .push(*response);
-    }
-    pool.run(workers, shard_count, |_, s| {
-        shards[s].lock().expect("shard lock").apply_inbound();
-    });
-    phases.apply.record(elapsed_ns(t));
-    Ok((requests.len() as u64, responses.len() as u64))
+    Ok(())
 }
 
 /// Runs a fleet to completion.
 ///
 /// # Errors
 ///
-/// Propagates model inference failures.
+/// Propagates model inference failures, and fails on a decision addressed
+/// to a tenant its shard does not hold.
 ///
 /// # Panics
 ///
 /// Panics if any serving invariant breaks: a window answered zero or
-/// multiple times, a decision routed to the wrong tenant or model kind,
-/// or (with [`ServeOptions::verify_parity`]) a batched class diverging
-/// from its serial counterpart.
+/// multiple times, a decision carrying the wrong model kind, or (with
+/// [`ServeOptions::verify_parity`]) a batched class diverging from its
+/// serial counterpart.
 pub fn run_fleet(cfg: &FleetConfig, models: FleetModels) -> Result<FleetReport> {
     let start = Instant::now();
     let workers = threading::default_workers();
@@ -565,77 +524,38 @@ pub fn run_fleet(cfg: &FleetConfig, models: FleetModels) -> Result<FleetReport> 
             tenants,
             hist: Log2Hist::new(),
             pending: Vec::new(),
-            inbound: Vec::new(),
         })
     });
 
-    // The fleet's worker count governs the server's fan-out too, so a
-    // standalone `serve` call (the barriered twin) splits batches across
-    // the same pool.
+    // The fleet's worker count sizes the server's slot table: every
+    // round participant serves chunks on its own slot.
     let mut options = cfg.options;
     options.workers = workers;
     let mut server = InferenceServer::new(models, options);
-    // The streaming engine does its own (serial, deterministic) stats
-    // bookkeeping but no shadow-lane bookkeeping, so a server with a
-    // staged shadow falls back to the barriered twin.
-    let pipelined =
-        workers > 1 && !options.serial_inference && !server.has_shadow() && pool.threads() > 0;
+    server.warm_replicas()?;
 
     // Round state, allocated once and reused by every round.
     let pipe = Mutex::new(RoundPipeline::new());
     let done: Vec<AtomicBool> = (0..shard_count).map(|_| AtomicBool::new(false)).collect();
-    let scratches: Vec<Mutex<SlotScratch>> = if pipelined {
-        server.warm_replicas()?;
-        (0..=pool.max_slot())
-            .map(|_| Mutex::new(SlotScratch::default()))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut requests: Vec<InferRequest> = Vec::new();
-    let mut responses: Vec<InferResponse> = Vec::new();
+    let scratches: Vec<Mutex<SlotScratch>> = (0..=pool.max_slot())
+        .map(|_| Mutex::new(SlotScratch::default()))
+        .collect();
 
     let mut windows_submitted = 0u64;
     let mut decisions_returned = 0u64;
     for round in 0..cfg.rounds {
-        let (windows, decisions) = if pipelined {
-            run_round_pipelined(
-                &mut server,
-                &shards,
-                workers,
-                options.max_batch.max(1),
-                &pipe,
-                &done,
-                &scratches,
-                &phases,
-            )?
-        } else {
-            run_round_barriered(
-                &mut server,
-                &shards,
-                workers,
-                &mut requests,
-                &mut responses,
-                &phases,
-            )?
-        };
+        let (windows, decisions) = run_round(
+            &mut server,
+            &shards,
+            workers,
+            &pipe,
+            &done,
+            &scratches,
+            &phases,
+        )?;
         windows_submitted += windows;
         decisions_returned += decisions;
-        // Round boundary: publish any scheduled hot-swaps. The swap
-        // happens on the orchestration thread between ticks, so it is
-        // deterministic at any worker count; the next round's tick pins
-        // the new generation.
-        for swap in cfg.swaps.iter().flatten() {
-            if swap.after_round == round {
-                let replacement = FleetModels::untrained(swap.seed)?;
-                let model = match swap.kind {
-                    ModelKind::Readahead => replacement.readahead,
-                    ModelKind::Iosched => replacement.iosched,
-                    ModelKind::Netfs => replacement.netfs,
-                };
-                server.swap_model(swap.kind, model)?;
-            }
-        }
+        publish_swaps(cfg, round, &mut server)?;
     }
 
     // Merge shard telemetry and check the end-of-run invariants.
@@ -707,10 +627,101 @@ mod tests {
         }
     }
 
+    fn models(cfg: &FleetConfig) -> FleetModels {
+        FleetModels::untrained(cfg.seed).unwrap()
+    }
+
+    fn run_with(cfg: &FleetConfig, threads: &str) -> FleetSummary {
+        std::env::set_var(threading::WORKERS_ENV, threads);
+        let r = run_fleet(cfg, models(cfg)).unwrap();
+        std::env::remove_var(threading::WORKERS_ENV);
+        r.summary
+    }
+
+    const TWO_SWAPS: [Option<PlannedSwap>; MAX_PLANNED_SWAPS] = [
+        Some(PlannedSwap {
+            after_round: 0,
+            kind: ModelKind::Readahead,
+            seed: 0x51AB,
+        }),
+        Some(PlannedSwap {
+            after_round: 1,
+            kind: ModelKind::Netfs,
+            seed: 0x51AC,
+        }),
+        None,
+        None,
+    ];
+
+    /// FNV-1a of `small_cfg()`'s summary (its `Debug` rendering), recorded
+    /// at the last commit that had two round engines: the three-phase
+    /// lockstep one at 1 worker and the streaming one at 3 and 8 all
+    /// produced it (EXPERIMENTS.md E17).
+    const SMALL_CFG_GOLDEN: u64 = 0x4c40_3dfd_5cef_f2db;
+
+    fn digest(summary: &FleetSummary) -> u64 {
+        format!("{summary:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// What `run_fleet` must equal: the same rounds composed on one thread
+    /// from the public tenant and server calls — every tenant runs in
+    /// shard-major order, one `serve` tick answers the round, every
+    /// decision goes back to its tenant.
+    fn composed_reference(cfg: &FleetConfig) -> FleetSummary {
+        let sampler = FleetSampler::new();
+        let mut tenants: Vec<Tenant> = (0..cfg.shards as u64)
+            .flat_map(|s| (s..cfg.tenants as u64).step_by(cfg.shards))
+            .map(|id| Tenant::derive(cfg.seed, id, &sampler))
+            .collect();
+        let mut server = InferenceServer::new(models(cfg), cfg.options);
+        let mut hist = Log2Hist::new();
+        let (mut windows, mut decisions) = (0u64, 0u64);
+        for round in 0..cfg.rounds {
+            let requests: Vec<InferRequest> = tenants
+                .iter_mut()
+                .filter_map(|t| t.run_round(&mut hist))
+                .collect();
+            let responses = server.serve(&requests).unwrap();
+            windows += requests.len() as u64;
+            decisions += responses.len() as u64;
+            for response in &responses {
+                let tenant = tenants.iter_mut().find(|t| t.id == response.tenant_id);
+                tenant
+                    .expect("decision for a derived tenant")
+                    .apply(response);
+            }
+            publish_swaps(cfg, round, &mut server).unwrap();
+        }
+        let mut summary = FleetSummary {
+            tenants: cfg.tenants,
+            rounds: cfg.rounds,
+            shards: cfg.shards,
+            kind_counts: [0; 3],
+            workload_counts: [0; 7],
+            windows_submitted: windows,
+            decisions_returned: decisions,
+            decisions_applied: [0; 3],
+            forward_passes: server.stats().forward_passes,
+            batch_sizes: server.stats().batch_sizes.clone().into_iter().collect(),
+            latency: hist.snapshot(),
+        };
+        for tenant in &tenants {
+            assert!(!tenant.outstanding, "reference left a window unanswered");
+            summary.kind_counts[tenant.model_kind().index()] += 1;
+            summary.workload_counts[tenant.workload.index()] += 1;
+            summary.decisions_applied[tenant.model_kind().index()] += tenant.decisions_applied;
+        }
+        summary
+    }
+
     #[test]
     fn a_small_fleet_runs_and_accounts_every_window_exactly_once() {
         let cfg = small_cfg();
-        let report = run_fleet(&cfg, FleetModels::untrained(cfg.seed).unwrap()).unwrap();
+        let report = run_fleet(&cfg, models(&cfg)).unwrap();
         let s = &report.summary;
         assert_eq!(s.tenants, 96);
         assert_eq!(s.windows_submitted, s.decisions_returned);
@@ -723,96 +734,137 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_the_summary() {
-        // 1 worker runs the barriered engine, >1 the pipelined one — so
-        // this is also the pipelined-vs-barriered byte-identity check.
+        // 1 worker runs the round inline as slot 0, more run it on the
+        // pool; all must reproduce the golden recorded from both of the
+        // engines this one replaced.
         let cfg = small_cfg();
-        let run_with = |threads: &str| {
-            std::env::set_var(threading::WORKERS_ENV, threads);
-            let r = run_fleet(&cfg, FleetModels::untrained(cfg.seed).unwrap()).unwrap();
-            std::env::remove_var(threading::WORKERS_ENV);
-            r.summary
-        };
-        let one = run_with("1");
-        let three = run_with("3");
-        let eight = run_with("8");
-        assert_eq!(one, three);
-        assert_eq!(one, eight);
+        let one = run_with(&cfg, "1");
+        assert_eq!(one, run_with(&cfg, "3"));
+        assert_eq!(one, run_with(&cfg, "8"));
+        assert_eq!(digest(&one), SMALL_CFG_GOLDEN, "summary drifted: {one:?}");
     }
 
     #[test]
-    fn pipelined_engine_matches_barriered_with_parity_armed() {
+    fn engine_matches_a_composed_reference_with_parity_armed() {
         // Small max_batch forces many chunks per round (partial final
-        // chunks included), verify_parity re-derives every class against
-        // the pinned original, and the single-worker run is the barriered
-        // reference the pipelined runs must equal.
-        let cfg = FleetConfig {
-            options: ServeOptions {
-                max_batch: 4,
-                verify_parity: true,
-                ..ServeOptions::default()
-            },
-            rounds: 3,
-            ..small_cfg()
+        // chunks included) and verify_parity re-derives every class
+        // against the pinned original; the serial-inference run checks
+        // that the engine honours the option itself, chunk accounting
+        // included.
+        let parity = ServeOptions {
+            max_batch: 4,
+            verify_parity: true,
+            ..ServeOptions::default()
         };
-        let run_with = |threads: &str| {
-            std::env::set_var(threading::WORKERS_ENV, threads);
-            let r = run_fleet(&cfg, FleetModels::untrained(cfg.seed).unwrap()).unwrap();
-            std::env::remove_var(threading::WORKERS_ENV);
-            r.summary
+        let serial = ServeOptions {
+            serial_inference: true,
+            ..parity
         };
-        let barriered = run_with("1");
-        let pipelined = run_with("8");
-        assert_eq!(barriered, pipelined);
+        for (options, swaps) in [(parity, NO_SWAPS), (parity, TWO_SWAPS), (serial, TWO_SWAPS)] {
+            let cfg = FleetConfig {
+                options,
+                swaps,
+                rounds: 3,
+                ..small_cfg()
+            };
+            let reference = composed_reference(&cfg);
+            for threads in ["1", "3", "8"] {
+                assert_eq!(
+                    run_with(&cfg, threads),
+                    reference,
+                    "threads {threads}, serial {}, swaps {}",
+                    options.serial_inference,
+                    swaps != NO_SWAPS
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_fleet_inside_a_pool_task_matches_a_top_level_run() {
+        // The round's own dispatch finds the pool busy and runs inline as
+        // slot 0 of a multi-slot server.
+        let cfg = small_cfg();
+        let top_level = run_with(&cfg, "3");
+        // Sibling tests dispatch on the same global pool; when one of them
+        // holds it, the outer broadcast itself degrades to `f(0)` and the
+        // inner run would find the pool free. Slot 1 running proves the
+        // outer dispatch owned the pool for the whole inner run.
+        for _ in 0..100 {
+            let nested = Mutex::new(None);
+            let owned_pool = AtomicBool::new(false);
+            threading::global_pool().broadcast(1, |slot| {
+                if slot == 0 {
+                    *nested.lock().unwrap() = Some(run_with(&cfg, "3"));
+                } else {
+                    owned_pool.store(true, Ordering::Relaxed);
+                }
+            });
+            if owned_pool.into_inner() {
+                assert_eq!(nested.into_inner().unwrap(), Some(top_level));
+                return;
+            }
+        }
+        panic!("the outer dispatch never owned the pool");
+    }
+
+    #[test]
+    fn a_misaddressed_decision_is_an_error_not_a_panic() {
+        let cfg = small_cfg();
+        let sampler = FleetSampler::new();
+        let shards: Vec<Mutex<Shard>> = (0..2u64)
+            .map(|id| {
+                Mutex::new(Shard {
+                    tenants: vec![Tenant::derive(cfg.seed, id, &sampler)],
+                    hist: Log2Hist::new(),
+                    pending: Vec::new(),
+                })
+            })
+            .collect();
+        // Tenant 5 would be index 2 of shard 1, which holds one tenant.
+        let stray = InferResponse {
+            tenant_id: 5,
+            kind: ModelKind::Readahead,
+            class: 0,
+        };
+        let err = apply_responses(&shards, &[stray]).unwrap_err();
+        assert!(err.to_string().contains("tenant 5"), "{err}");
+        // A shard whose tenants are out of id order is caught by the tag.
+        shards[1].lock().unwrap().tenants[0].id = 3;
+        let swapped = InferResponse {
+            tenant_id: 1,
+            ..stray
+        };
+        assert!(apply_responses(&shards, &[swapped]).is_err());
     }
 
     #[test]
     fn mid_run_swap_is_deterministic_at_any_worker_count() {
         let cfg = FleetConfig {
             rounds: 3,
-            swaps: [
-                Some(PlannedSwap {
-                    after_round: 0,
-                    kind: ModelKind::Readahead,
-                    seed: 0x51AB,
-                }),
-                Some(PlannedSwap {
-                    after_round: 1,
-                    kind: ModelKind::Netfs,
-                    seed: 0x51AC,
-                }),
-                None,
-                None,
-            ],
+            swaps: TWO_SWAPS,
             ..small_cfg()
         };
-        let run_with = |threads: &str| {
-            std::env::set_var(threading::WORKERS_ENV, threads);
-            let r = run_fleet(&cfg, FleetModels::untrained(cfg.seed).unwrap()).unwrap();
-            std::env::remove_var(threading::WORKERS_ENV);
-            r.summary
-        };
-        let one = run_with("1");
-        let three = run_with("3");
-        let eight = run_with("8");
-        assert_eq!(one, three);
-        assert_eq!(one, eight);
+        let one = run_with(&cfg, "1");
+        assert_eq!(one, run_with(&cfg, "3"));
+        assert_eq!(one, run_with(&cfg, "8"));
         // The swap is real: the same fleet without it decides differently
         // (replacement models are seeded to differ from the originals).
-        let unswapped = run_fleet(
-            &FleetConfig {
-                swaps: NO_SWAPS,
-                ..cfg
-            },
-            FleetModels::untrained(cfg.seed).unwrap(),
-        )
-        .unwrap();
-        assert_ne!(one, unswapped.summary, "planned swaps had no effect");
+        let unswapped = FleetConfig {
+            swaps: NO_SWAPS,
+            ..cfg
+        };
+        assert_ne!(
+            one,
+            run_with(&unswapped, "1"),
+            "planned swaps had no effect"
+        );
     }
 
     #[test]
     fn batched_and_serial_serving_produce_identical_fleets() {
         let cfg = small_cfg();
-        let batched = run_fleet(&cfg, FleetModels::untrained(cfg.seed).unwrap()).unwrap();
+        let batched = run_fleet(&cfg, models(&cfg)).unwrap();
         let serial_cfg = FleetConfig {
             options: ServeOptions {
                 serial_inference: true,
@@ -820,7 +872,7 @@ mod tests {
             },
             ..cfg
         };
-        let serial = run_fleet(&serial_cfg, FleetModels::untrained(cfg.seed).unwrap()).unwrap();
+        let serial = run_fleet(&serial_cfg, models(&cfg)).unwrap();
         // Everything but the serving mechanics (forward-pass count and
         // batch-size distribution) must match bit for bit.
         let mut b = batched.summary.clone();

@@ -21,8 +21,9 @@
 //!   for bit, so a batched fleet takes *exactly* the decisions a serial
 //!   one would ([`fleet`] re-verifies this whole-fleet).
 //! - **Sharding is worker-free** — tenants derive from `(seed, id)` and
-//!   shard by `id % shards`; `parallel_map` returns shard results in
-//!   shard order, so reports are byte-identical at any `--threads`.
+//!   shard by `id % shards`; a round stages finished shards' windows in
+//!   shard order whichever pool worker ran them, so reports are
+//!   byte-identical at any `--threads`.
 //! - **Serving is exactly-once** — every submitted window is answered
 //!   once and routed to its submitting tenant, enforced by per-tenant
 //!   accounting and asserted at every tick.

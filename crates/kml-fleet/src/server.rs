@@ -191,10 +191,10 @@ pub struct ServeOptions {
     /// bit-exact f32 path.
     pub q8_serving: bool,
     /// Fan same-kind row-chunks out across the persistent worker pool
-    /// (`0`/`1` serves on the calling thread). Chunk boundaries are the
-    /// exact `max_batch` chunks the serial batched path uses and each
-    /// chunk's classes depend only on its rows and the pinned weights, so
-    /// responses and stats are bit-identical at any setting.
+    /// (`0`/`1` serves on the calling thread). The chunk plan depends only
+    /// on the request stream and each chunk's classes only on its rows
+    /// and the pinned weights, so responses and stats are bit-identical
+    /// at any setting.
     pub workers: usize,
 }
 
@@ -210,9 +210,23 @@ impl Default for ServeOptions {
     }
 }
 
-/// Per-slot serving context for the pool fan-out. A slot is exclusive to
-/// one pool participant per dispatch, so the mutex is uncontended — it
-/// exists to make sharing `&InferenceServer` across workers sound.
+impl ServeOptions {
+    /// Rows per planned forward pass: `max_batch`, or one in
+    /// [`Self::serial_inference`] mode — the serial baseline is the same
+    /// plan cut into single-row chunks.
+    pub(crate) fn chunk_rows(&self) -> usize {
+        if self.serial_inference {
+            1
+        } else {
+            self.max_batch.max(1)
+        }
+    }
+}
+
+/// Per-slot serving context. A slot is exclusive to one pool participant
+/// per dispatch (slot 0 is the calling thread), so the mutex is
+/// uncontended — it exists to make sharing `&InferenceServer` across
+/// workers sound.
 #[derive(Debug)]
 struct SlotCtx {
     /// Per-kind staging batch (indexed by `ModelKind::index`).
@@ -238,10 +252,10 @@ impl SlotCtx {
     }
 }
 
-/// One planned forward pass of a serving tick: a `max_batch`-bounded run
-/// of same-kind requests, with its output range in the tick's class
-/// buffer. The plan depends only on the request stream, never on worker
-/// scheduling.
+/// One planned forward pass of a serving tick: a run of same-kind
+/// requests bounded by [`ServeOptions::chunk_rows`], with its output range
+/// in the tick's class buffer. The plan depends only on the request
+/// stream, never on worker scheduling.
 #[derive(Debug, Clone, Copy)]
 struct ChunkPlan {
     kind: ModelKind,
@@ -251,6 +265,13 @@ struct ChunkPlan {
     len: u32,
     /// Start of this chunk's classes in the tick's class buffer.
     ostart: u32,
+}
+
+impl ChunkPlan {
+    /// This chunk's range within the kind's group-index array.
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.gstart as usize..(self.gstart + self.len) as usize
+    }
 }
 
 /// Raw shared view of the tick's class buffer. Chunks write disjoint
@@ -284,6 +305,49 @@ pub struct ServerStats {
     pub batch_sizes: BTreeMap<usize, u64>,
 }
 
+impl ServerStats {
+    fn note_batch(&mut self, rows: usize) {
+        self.forward_passes += 1;
+        *self.batch_sizes.entry(rows).or_insert(0) += 1;
+    }
+}
+
+/// Turns one served class into its tagged response — the only place a
+/// response is built. With `verify_parity`, the class is first re-derived
+/// by a single-row `predict` on the pinned original.
+fn emit(
+    verify_parity: bool,
+    pin: &Pinned<Model<f32>>,
+    req: &InferRequest,
+    class: usize,
+    responses: &mut Vec<InferResponse>,
+) -> Result<()> {
+    if verify_parity {
+        let serial = pin.with(|model| model.predict(req.features()))?;
+        assert_eq!(
+            serial, class,
+            "batched class diverged from serial for tenant {} ({})",
+            req.tenant_id, req.kind
+        );
+    }
+    responses.push(InferResponse {
+        tenant_id: req.tenant_id,
+        kind: req.kind,
+        class,
+    });
+    Ok(())
+}
+
+/// A per-slot inference replica of `model`. Batches run on replicas, so a
+/// model that is not worker-cloneable cannot be served; the swap and
+/// install entry points call this to refuse one while the generation it
+/// would have replaced still answers.
+fn replica_of(model: &Model<f32>) -> Result<Model<f32>> {
+    model
+        .try_clone_replica()
+        .ok_or_else(|| KmlError::InvalidConfig("fleet model is not worker-cloneable".into()))
+}
+
 /// The shared batched-inference server.
 ///
 /// Each model kind lives in its own generation-tagged swap cell
@@ -294,6 +358,13 @@ pub struct ServerStats {
 /// for *future* ticks without waiting for in-flight work, and an optional
 /// per-kind shadow lane evaluates a candidate on live batches without
 /// ever affecting responses.
+///
+/// Batches run on per-slot replicas of the pinned models, so every fleet
+/// model must be worker-cloneable (a stateless layer chain; the deployed
+/// topologies all are). [`InferenceServer::swap_model`] and a lifecycle
+/// install refuse one that is not and leave the old generation serving;
+/// one handed to [`InferenceServer::new`] fails every batched tick with
+/// `InvalidConfig`.
 #[derive(Debug)]
 pub struct InferenceServer {
     /// Per-kind generational swap cells (indexed by `ModelKind::index`).
@@ -304,19 +375,16 @@ pub struct InferenceServer {
     shadow_stats: [ShadowStats; 3],
     options: ServeOptions,
     stats: ServerStats,
-    // Reused per-kind staging buffers so steady-state serving allocates
-    // nothing (indexed by `ModelKind::index`).
-    batches: [FeatureBatch; 3],
-    classes: Vec<usize>,
+    // Reused buffers so steady-state serving allocates nothing.
     shadow_classes: Vec<usize>,
-    /// Reused per-kind request-index groups (indexed by `ModelKind::index`).
+    /// Per-kind request-index groups (indexed by `ModelKind::index`).
     groups: [Vec<u32>; 3],
-    /// Reused chunk plan for the parallel fan-out.
+    /// The tick's chunk plan.
     chunk_plan: Vec<ChunkPlan>,
-    /// Reused tick-wide class buffer the parallel chunks scatter into.
+    /// Tick-wide class buffer the chunks scatter into.
     class_buf: Vec<usize>,
-    /// Per-slot contexts for the pool fan-out (slot 0 = the caller); a
-    /// single slot when serving stays on the calling thread.
+    /// Per-slot contexts (slot 0 = the caller); a single slot when
+    /// serving stays on the calling thread.
     slots: Vec<Mutex<SlotCtx>>,
 }
 
@@ -348,20 +416,15 @@ impl InferenceServer {
             shadow_stats: [ShadowStats::default(); 3],
             options,
             stats: ServerStats::default(),
-            batches: [
-                FeatureBatch::new(readahead::NUM_FEATURES),
-                FeatureBatch::new(iosched::tuner::NUM_SCHED_FEATURES),
-                FeatureBatch::new(netfs::tuner::NUM_RSIZE_FEATURES),
-            ],
-            classes: Vec::new(),
             shadow_classes: Vec::new(),
             groups: [Vec::new(), Vec::new(), Vec::new()],
             chunk_plan: Vec::new(),
             class_buf: Vec::new(),
             slots: {
                 // One context per pool slot when fanning out; just the
-                // caller's otherwise (keeps single-threaded servers from
-                // waking the global pool at all).
+                // caller's otherwise — `threading::pool_run` stays on slot
+                // 0 under the same condition, so a single-threaded server
+                // never wakes the global pool at all.
                 let n = if options.workers > 1 {
                     threading::global_pool().max_slot() + 1
                 } else {
@@ -393,12 +456,14 @@ impl InferenceServer {
     ///
     /// # Errors
     ///
-    /// With [`ServeOptions::q8_serving`] on, propagates quantization
-    /// failures (the cell is untouched — the old generation keeps serving).
+    /// Fails if `model` is not worker-cloneable or, with
+    /// [`ServeOptions::q8_serving`] on, does not quantize. Either way the
+    /// cell is untouched — the old generation keeps serving.
     pub fn swap_model(&mut self, kind: ModelKind, mut model: Model<f32>) -> Result<u64> {
         if self.options.q8_serving {
             model.enable_q8()?;
         }
+        replica_of(&model)?;
         Ok(self.cells[kind.index()].publish(model))
     }
 
@@ -453,10 +518,14 @@ impl InferenceServer {
 
     /// [`Self::serve`] into a caller-owned buffer (cleared first), so a
     /// steady-state serving loop reuses one response allocation across
-    /// ticks. With [`ServeOptions::workers`] above 1, same-kind row-chunks
-    /// fan out across the persistent worker pool onto per-slot model
-    /// replicas — bit-identical to the on-thread path because the chunk
-    /// plan and each chunk's arithmetic are independent of scheduling.
+    /// ticks. One path at every setting: plan the tick's chunks, run each
+    /// through the slot executor — across the persistent worker pool with
+    /// [`ServeOptions::workers`] above 1, inline as slot 0 otherwise —
+    /// scattering classes into disjoint ranges of the tick's class buffer,
+    /// then do the bookkeeping (stats, shadow lane, parity re-checks,
+    /// response assembly) serially in plan order. The plan and each
+    /// chunk's arithmetic are independent of scheduling, so responses and
+    /// stats are bit-identical at any worker count.
     ///
     /// # Errors
     ///
@@ -483,110 +552,14 @@ impl InferenceServer {
         for (i, r) in requests.iter().enumerate() {
             self.groups[r.kind.index()].push(i as u32);
         }
-        let fan_out = !self.options.serial_inference
-            && self.options.workers > 1
-            && requests.len() > 1
-            && threading::global_pool().threads() > 0;
-        if fan_out {
-            self.serve_parallel_into(requests, responses)?;
-        } else {
-            for kind in ModelKind::ALL {
-                // Pin the kind's generation once per tick: every chunk of
-                // this group — and the tick's parity re-checks — runs on
-                // one coherent model even if a swap is published mid-tick.
-                let pin = self.cells[kind.index()].pin();
-                let group = std::mem::take(&mut self.groups[kind.index()]);
-                for chunk in group.chunks(self.options.max_batch.max(1)) {
-                    self.serve_chunk(kind, &pin, requests, chunk, responses)?;
-                }
-                self.groups[kind.index()] = group;
-            }
-        }
-        self.stats.requests += requests.len() as u64;
-        Ok(())
-    }
-
-    fn serve_chunk(
-        &mut self,
-        kind: ModelKind,
-        pin: &Pinned<Model<f32>>,
-        requests: &[InferRequest],
-        chunk: &[u32],
-        responses: &mut Vec<InferResponse>,
-    ) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        if self.options.serial_inference {
-            // Baseline mode: one single-row forward pass per window.
-            for &gi in chunk {
-                let req = &requests[gi as usize];
-                let class = pin.with(|model| model.predict(req.features()))?;
-                self.stats.forward_passes += 1;
-                *self.stats.batch_sizes.entry(1).or_insert(0) += 1;
-                self.observe_shadow_row(kind, req, class);
-                responses.push(InferResponse {
-                    tenant_id: req.tenant_id,
-                    kind,
-                    class,
-                });
-            }
-            return Ok(());
-        }
-        let batch = &mut self.batches[kind.index()];
-        batch.clear();
-        for &gi in chunk {
-            batch.push_row(requests[gi as usize].features());
-        }
-        let classes = &mut self.classes;
-        pin.with(|model| model.predict_batch_into(batch.as_slice(), batch.rows(), classes))?;
-        self.stats.forward_passes += 1;
-        *self.stats.batch_sizes.entry(chunk.len()).or_insert(0) += 1;
-        self.observe_shadow_batch(kind, chunk.len());
-        for (i, &gi) in chunk.iter().enumerate() {
-            let req = &requests[gi as usize];
-            let class = self.classes[i];
-            if self.options.verify_parity {
-                let serial = pin.with(|model| model.predict(req.features()))?;
-                assert_eq!(
-                    serial, class,
-                    "batched class diverged from serial for tenant {} ({kind})",
-                    req.tenant_id
-                );
-            }
-            if let Some(&shadow_class) = self.shadow_classes.get(i) {
-                self.shadow_stats[kind.index()].record(shadow_class == class);
-            }
-            responses.push(InferResponse {
-                tenant_id: req.tenant_id,
-                kind,
-                class,
-            });
-        }
-        self.shadow_classes.clear();
-        Ok(())
-    }
-
-    /// The parallel serve path: plan `max_batch` chunks over the per-kind
-    /// groups (identical boundaries to the serial batched path), fan the
-    /// chunks across the pool onto per-slot replicas writing disjoint
-    /// ranges of the tick's class buffer, then do the deterministic
-    /// bookkeeping (stats, shadow lane, parity re-checks, response
-    /// assembly) serially in plan order.
-    fn serve_parallel_into(
-        &mut self,
-        requests: &[InferRequest],
-        responses: &mut Vec<InferResponse>,
-    ) -> Result<()> {
-        let max_batch = self.options.max_batch.max(1);
-        let pins = self.pin_kinds();
+        let chunk_rows = self.options.chunk_rows();
         self.chunk_plan.clear();
         let mut ostart = 0u32;
         for kind in ModelKind::ALL {
             let glen = self.groups[kind.index()].len();
             let mut s = 0usize;
             while s < glen {
-                let len = (glen - s).min(max_batch);
+                let len = (glen - s).min(chunk_rows);
                 self.chunk_plan.push(ChunkPlan {
                     kind,
                     gstart: s as u32,
@@ -599,87 +572,52 @@ impl InferenceServer {
         }
         self.class_buf.clear();
         self.class_buf.resize(requests.len(), 0);
+        // Pin every kind once per tick: every chunk — and the tick's
+        // parity re-checks — runs on one coherent model even if a swap is
+        // published mid-tick.
+        let pins = self.pin_kinds();
         {
-            let chunks = &self.chunk_plan;
-            let groups = &self.groups;
-            let slots = &self.slots;
-            let pins_ref = &pins;
+            let (chunks, groups, slots) = (&self.chunk_plan, &self.groups, &self.slots);
+            let serial = self.options.serial_inference;
             let out = SharedClasses(self.class_buf.as_mut_ptr());
             let failure: Mutex<Option<KmlError>> = Mutex::new(None);
-            threading::global_pool().run(self.options.workers, chunks.len(), |slot, ci| {
+            let run_planned = |slot: usize, ci: usize| {
                 let c = chunks[ci];
-                let idx = &groups[c.kind.index()][c.gstart as usize..(c.gstart + c.len) as usize];
-                let served = Self::serve_rows_on_slot(
-                    slots,
-                    slot,
-                    &pins_ref[c.kind.index()],
-                    c.kind,
-                    |batch| {
-                        for &gi in idx {
-                            batch.push_row(requests[gi as usize].features());
-                        }
-                    },
-                );
-                match served {
+                let rows = groups[c.kind.index()][c.rows()]
+                    .iter()
+                    .map(|&gi| &requests[gi as usize]);
+                match Self::run_chunk(slots, serial, slot, &pins[c.kind.index()], c.kind, rows) {
                     // SAFETY: the plan partitions the class buffer; this
                     // chunk's range is disjoint from every other writer's.
                     Ok(ctx) => unsafe { out.write(c.ostart as usize, &ctx.classes) },
                     Err(e) => {
-                        let mut f = failure.lock().expect("failure slot poisoned");
-                        if f.is_none() {
-                            *f = Some(e);
-                        }
+                        failure
+                            .lock()
+                            .expect("failure slot poisoned")
+                            .get_or_insert(e);
                     }
                 }
-            });
+            };
+            threading::pool_run(self.options.workers, chunks.len(), run_planned);
             if let Some(e) = failure.into_inner().expect("failure slot poisoned") {
                 return Err(e);
             }
         }
-        // Deterministic post-pass in plan order — identical bookkeeping to
-        // the serial batched path, reading classes from the scatter buffer.
         for ci in 0..self.chunk_plan.len() {
             let c = self.chunk_plan[ci];
-            let kind = c.kind;
-            self.stats.forward_passes += 1;
-            *self.stats.batch_sizes.entry(c.len as usize).or_insert(0) += 1;
-            if self.shadows[kind.index()].is_some() {
-                // Re-stage the chunk for the (single) shadow model; the
-                // shadow lane is an evaluation tool, not a serving path,
-                // so it stays serial.
-                let batch = &mut self.batches[kind.index()];
-                batch.clear();
-                for j in 0..c.len as usize {
-                    let gi = self.groups[kind.index()][c.gstart as usize + j] as usize;
-                    batch.push_row(requests[gi].features());
-                }
-                self.observe_shadow_batch(kind, c.len as usize);
-            } else {
-                self.shadow_classes.clear();
-            }
-            for j in 0..c.len as usize {
-                let gi = self.groups[kind.index()][c.gstart as usize + j] as usize;
-                let req = &requests[gi];
+            let k = c.kind.index();
+            self.stats.note_batch(c.len as usize);
+            self.observe_shadow(requests, c);
+            for (j, &gi) in self.groups[k][c.rows()].iter().enumerate() {
+                let req = &requests[gi as usize];
                 let class = self.class_buf[c.ostart as usize + j];
-                if self.options.verify_parity {
-                    let serial = pins[kind.index()].with(|model| model.predict(req.features()))?;
-                    assert_eq!(
-                        serial, class,
-                        "batched class diverged from serial for tenant {} ({kind})",
-                        req.tenant_id
-                    );
-                }
+                emit(self.options.verify_parity, &pins[k], req, class, responses)?;
                 if let Some(&shadow_class) = self.shadow_classes.get(j) {
-                    self.shadow_stats[kind.index()].record(shadow_class == class);
+                    self.shadow_stats[k].record(shadow_class == class);
                 }
-                responses.push(InferResponse {
-                    tenant_id: req.tenant_id,
-                    kind,
-                    class,
-                });
             }
-            self.shadow_classes.clear();
         }
+        self.stats.requests += requests.len() as u64;
         Ok(())
     }
 
@@ -695,31 +633,41 @@ impl InferenceServer {
         ]
     }
 
-    /// Stages one chunk via `fill` into `slot`'s per-kind batch and runs
-    /// the slot's replica (cloned from `pin`'s generation on first use or
-    /// after a swap) over it. Returns the locked slot context whose
-    /// `classes` holds one class per staged row. `&self` on purpose: pool
-    /// workers share the server while the orchestrator owns the tick.
-    fn serve_rows_on_slot<'a>(
-        slots: &'a [Mutex<SlotCtx>],
+    /// The chunk executor: answers `rows` on `slot` and returns the locked
+    /// slot context whose `classes` holds one class per row. Batched mode
+    /// stages the rows into the slot's per-kind batch and runs the slot's
+    /// replica (cloned from `pin`'s generation on first use or after a
+    /// swap) over it; `serial` mode is one single-row `predict` per row on
+    /// the pinned model itself. Takes the slot table, not `&mut self`:
+    /// pool workers share the server while the orchestrator owns the tick.
+    fn run_chunk<'s, 'r>(
+        slots: &'s [Mutex<SlotCtx>],
+        serial: bool,
         slot: usize,
         pin: &Pinned<Model<f32>>,
         kind: ModelKind,
-        fill: impl FnOnce(&mut FeatureBatch),
-    ) -> Result<std::sync::MutexGuard<'a, SlotCtx>> {
+        rows: impl Iterator<Item = &'r InferRequest>,
+    ) -> Result<std::sync::MutexGuard<'s, SlotCtx>> {
         let mut guard = slots[slot].lock().expect("slot ctx poisoned");
         let ctx = &mut *guard;
+        if serial {
+            ctx.classes.clear();
+            for req in rows {
+                ctx.classes
+                    .push(pin.with(|model| model.predict(req.features()))?);
+            }
+            return Ok(guard);
+        }
         let cached = &mut ctx.replicas[kind.index()];
         if cached.as_ref().is_none_or(|(g, _)| *g != pin.generation()) {
-            let replica = pin.with(|m| m.try_clone_replica()).ok_or_else(|| {
-                KmlError::InvalidConfig("fleet model is not worker-cloneable".into())
-            })?;
-            *cached = Some((pin.generation(), replica));
+            *cached = Some((pin.generation(), pin.with(|m| replica_of(m))?));
         }
         let (_, model) = cached.as_mut().expect("replica just ensured");
         let batch = &mut ctx.batches[kind.index()];
         batch.clear();
-        fill(batch);
+        for req in rows {
+            batch.push_row(req.features());
+        }
         model.predict_batch_into(batch.as_slice(), batch.rows(), &mut ctx.classes)?;
         Ok(guard)
     }
@@ -738,33 +686,29 @@ impl InferenceServer {
     /// pass fails.
     pub fn warm_replicas(&mut self) -> Result<()> {
         let pins = self.pin_kinds();
-        let max_batch = self.options.max_batch.max(1);
+        let serial = self.options.serial_inference;
         for slot in 0..self.slots.len() {
             for kind in ModelKind::ALL {
                 let pin = &pins[kind.index()];
-                let zero = vec![0.0f64; pin.with(|m| m.input_dim())];
-                drop(Self::serve_rows_on_slot(
-                    &self.slots,
-                    slot,
-                    pin,
+                let zero = InferRequest {
+                    tenant_id: 0,
                     kind,
-                    |batch| {
-                        for _ in 0..max_batch {
-                            batch.push_row(&zero);
-                        }
-                    },
-                )?);
+                    features: [0.0; MAX_FEATURES],
+                    dim: pin.with(|m| m.input_dim()),
+                };
+                let rows = std::iter::repeat_n(&zero, self.options.chunk_rows());
+                drop(Self::run_chunk(&self.slots, serial, slot, pin, kind, rows)?);
             }
         }
         Ok(())
     }
 
-    /// Fleet-pipeline entry: serves one contiguous run of same-kind
-    /// `requests` on `slot`'s replica, appending one tagged response per
-    /// request. Does **no** stats/shadow bookkeeping — the orchestrator
-    /// accounts the tick deterministically via [`Self::note_batches`].
-    /// With [`ServeOptions::verify_parity`] on, every class is re-derived
-    /// serially against the pinned original and divergence panics.
+    /// Fleet-round entry: serves one contiguous run of same-kind
+    /// `requests` on `slot` through the same executor and `emit` as
+    /// [`Self::serve_into`], appending one tagged response per request.
+    /// Does **no** stats/shadow bookkeeping — the orchestrator accounts
+    /// the tick deterministically via [`Self::note_batches`] (and builds
+    /// the server itself, so no shadow can be staged).
     pub(crate) fn serve_run_on_slot(
         &self,
         slot: usize,
@@ -773,82 +717,50 @@ impl InferenceServer {
         run: &[InferRequest],
         responses: &mut Vec<InferResponse>,
     ) -> Result<()> {
-        if run.is_empty() {
-            return Ok(());
-        }
         let pin = &pins[kind.index()];
-        let ctx = Self::serve_rows_on_slot(&self.slots, slot, pin, kind, |batch| {
-            for req in run {
-                batch.push_row(req.features());
-            }
-        })?;
+        let serial = self.options.serial_inference;
+        let ctx = Self::run_chunk(&self.slots, serial, slot, pin, kind, run.iter())?;
         for (req, &class) in run.iter().zip(&ctx.classes) {
-            if self.options.verify_parity {
-                let serial = pin.with(|model| model.predict(req.features()))?;
-                assert_eq!(
-                    serial, class,
-                    "batched class diverged from serial for tenant {} ({kind})",
-                    req.tenant_id
-                );
-            }
-            responses.push(InferResponse {
-                tenant_id: req.tenant_id,
-                kind,
-                class,
-            });
+            emit(self.options.verify_parity, pin, req, class, responses)?;
         }
         Ok(())
     }
 
-    /// Deterministic tick accounting for the fleet pipeline: `sizes` holds
+    /// Deterministic tick accounting for the fleet round: `sizes` holds
     /// the row count of every forward pass the tick executed, in plan
     /// order, and `requests` the windows served. Produces exactly the
-    /// stats the barriered `serve` path would have recorded.
+    /// stats a `serve_into` tick over the same windows records.
     pub(crate) fn note_batches(&mut self, sizes: impl IntoIterator<Item = usize>, requests: u64) {
         for size in sizes {
-            self.stats.forward_passes += 1;
-            *self.stats.batch_sizes.entry(size).or_insert(0) += 1;
+            self.stats.note_batch(size);
         }
         self.stats.requests += requests;
     }
 
-    /// Whether any shadow candidate is staged (the fleet pipeline falls
-    /// back to the barriered path so the shadow lane's serial bookkeeping
-    /// stays exact).
-    pub(crate) fn has_shadow(&self) -> bool {
-        self.shadows.iter().any(Option::is_some)
-    }
-
-    /// Runs `kind`'s shadow (if staged) over the batch already staged in
-    /// the kind's feature buffer, filling `shadow_classes` for the
-    /// per-row agreement fold. A shadow inference failure counts as an
-    /// error per row and never affects responses.
-    fn observe_shadow_batch(&mut self, kind: ModelKind, rows: usize) {
+    /// Runs `c.kind`'s shadow (if staged) over one planned chunk, filling
+    /// `shadow_classes` for the per-row agreement fold (left empty when no
+    /// shadow is staged). The shadow lane is an evaluation tool, not a
+    /// serving path: it re-stages the chunk in the caller's slot and stays
+    /// on the orchestrating thread. A shadow inference failure counts as
+    /// an error per row and never affects responses.
+    fn observe_shadow(&mut self, requests: &[InferRequest], c: ChunkPlan) {
         self.shadow_classes.clear();
-        let Some(shadow) = &mut self.shadows[kind.index()] else {
+        let k = c.kind.index();
+        let Some(shadow) = &mut self.shadows[k] else {
             return;
         };
-        let batch = &self.batches[kind.index()];
+        let ctx = self.slots[0].get_mut().expect("slot ctx poisoned");
+        let batch = &mut ctx.batches[k];
+        batch.clear();
+        for &gi in &self.groups[k][c.rows()] {
+            batch.push_row(requests[gi as usize].features());
+        }
         if shadow
             .predict_batch_into(batch.as_slice(), batch.rows(), &mut self.shadow_classes)
             .is_err()
         {
             self.shadow_classes.clear();
-            self.shadow_stats[kind.index()].errors += rows as u64;
-        }
-    }
-
-    /// Serial-mode counterpart of [`Self::observe_shadow_batch`]: one
-    /// shadow prediction per served row.
-    fn observe_shadow_row(&mut self, kind: ModelKind, req: &InferRequest, active_class: usize) {
-        let Some(shadow) = &mut self.shadows[kind.index()] else {
-            return;
-        };
-        match shadow.predict(req.features()) {
-            Ok(shadow_class) => {
-                self.shadow_stats[kind.index()].record(shadow_class == active_class);
-            }
-            Err(_) => self.shadow_stats[kind.index()].errors += 1,
+            self.shadow_stats[k].errors += u64::from(c.len);
         }
     }
 }
@@ -876,6 +788,7 @@ impl kml_lifecycle::LifecycleTarget for LifecycleLane<'_> {
                 .enable_q8()
                 .map_err(|e| kml_lifecycle::ArtifactError::Model(e.to_string()))?;
         }
+        replica_of(&model).map_err(|e| kml_lifecycle::ArtifactError::Model(e.to_string()))?;
         self.server.cells[self.kind.index()].publish_tagged(model, generation);
         Ok(())
     }
@@ -1098,6 +1011,44 @@ mod tests {
     }
 
     #[test]
+    fn a_model_no_slot_could_replicate_is_refused_and_the_old_generation_serves() {
+        use kml_core::graph::Graph;
+        use kml_core::layers::{Layer, LayerKind};
+        use kml_core::matrix::Matrix;
+
+        /// An identity layer that keeps `Layer::clone_box`'s default `None`.
+        #[derive(Debug)]
+        struct Opaque;
+        impl Layer<f32> for Opaque {
+            fn kind(&self) -> LayerKind {
+                LayerKind::Relu
+            }
+            fn forward(&mut self, input: &Matrix<f32>) -> Result<Matrix<f32>> {
+                Ok(input.clone())
+            }
+            fn backward(&mut self, grad_out: &Matrix<f32>) -> Result<Matrix<f32>> {
+                Ok(grad_out.clone())
+            }
+            fn output_dim(&self, input_dim: usize) -> Option<usize> {
+                Some(input_dim)
+            }
+        }
+        let mut graph = Graph::new();
+        let node = graph.add_source(Box::new(Opaque)).unwrap();
+        graph.set_output(node).unwrap();
+        let opaque = Model::from_graph(graph, 5, 5, None).unwrap();
+
+        let requests = mixed_requests(30);
+        let mut server =
+            InferenceServer::new(FleetModels::untrained(11).unwrap(), ServeOptions::default());
+        let before = server.serve(&requests).unwrap();
+        let err = server.swap_model(ModelKind::Readahead, opaque).unwrap_err();
+        assert!(err.to_string().contains("worker-cloneable"), "{err}");
+        assert_eq!(server.generation(ModelKind::Readahead), 1);
+        assert_eq!(server.serve(&requests).unwrap(), before);
+    }
+
+    #[test]
     fn shadow_lane_never_changes_responses_and_accumulates_stats() {
         let requests = mixed_requests(120);
         let mut plain =
@@ -1155,9 +1106,10 @@ mod tests {
 
     #[test]
     fn parallel_fanout_is_bit_identical_to_on_thread_serving() {
-        // Same models, same requests: the pooled fan-out must reproduce
-        // the on-thread batched responses AND stats exactly, at several
-        // worker counts and chunkings.
+        // Same models, same requests, same executor: chunks fanned across
+        // pool slots must reproduce the responses AND stats of the same
+        // plan run inline on slot 0, at several worker counts and
+        // chunkings.
         let requests = mixed_requests(1031);
         for (max_batch, workers) in [(16, 4), (256, 2), (7, 8), (256, 9)] {
             let mut on_thread = InferenceServer::new(

@@ -520,6 +520,21 @@ where
     global_pool().map(items, workers, work)
 }
 
+/// [`WorkerPool::run`] on the process-global pool — except that a call
+/// which would run inline anyway (`workers <= 1` or fewer than two tasks)
+/// never asks for the pool, so a single-threaded caller does not pay the
+/// pool's one round of thread spawns.
+pub fn pool_run<F>(workers: usize, tasks: usize, task: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
+    if workers <= 1 || tasks <= 1 {
+        (0..tasks).for_each(|i| task(0, i));
+    } else {
+        global_pool().run(workers, tasks, task);
+    }
+}
+
 /// Yields the current thread (`kml_yield` analogue; `cond_resched` in-kernel).
 pub fn kml_yield() {
     std::thread::yield_now();
@@ -649,6 +664,18 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn global_pool_run_covers_every_index_once_and_stays_on_slot_0_at_one_worker() {
+        for workers in [0, 1, 4] {
+            let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+            pool_run(workers, hits.len(), |slot, i| {
+                assert!(workers > 1 || slot == 0, "slot {slot} at workers {workers}");
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
     }
 
     #[test]
