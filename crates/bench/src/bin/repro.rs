@@ -762,7 +762,7 @@ type DynResult2<T> = Result<T, Box<dyn std::error::Error>>;
 /// keeps the normalizer healthy; the constant label makes the model's
 /// class choice independent of the window it sees), f32-deployed through
 /// the model file and packaged as checksummed `.kmlm` bytes. String
-/// errors so the trainer can cross `parallel_map`'s `Send` boundary.
+/// errors so the trainer can cross `pool_map`'s `Send` boundary.
 fn lifecycle_artifact(
     class: usize,
     classes: usize,

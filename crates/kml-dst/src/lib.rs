@@ -84,17 +84,36 @@
 //!   samples even one different training row changes the fingerprint.
 //!
 //! A violation is reported as a [`FailureReport`] carrying the trace
-//! tail and a shell-ready reproducer; [`shrink`] then searches for the
-//! smallest op count and fewest fault kinds that still fail and prints
-//! a minimal `KML_DST_SEED=… KML_DST_OPS=… cargo test -p kml-dst`
-//! line. Replays are byte-identical at any test-thread count because a
-//! scenario shares nothing: each run builds its own sim, ring, tuner,
-//! and store from the seed alone.
+//! tail and a shell-ready reproducer; [`shrink()`] then searches for the
+//! smallest op count and fewest fault kinds that still fail — trying
+//! only the kinds the scenario's stack reads
+//! ([`Scenario::relevant_kinds`]) — and prints a minimal
+//! `KML_DST_SEED=… KML_DST_OPS=… cargo test -p kml-dst` line. Replays
+//! are byte-identical at any test-thread count because a scenario
+//! shares nothing: each run builds its own sim, ring, tuner, and store
+//! from the seed alone.
+//!
+//! ## Layout
+//!
+//! There is one driver. [`driver`] owns the step loop (op → tune →
+//! check → scripted lifecycle arc), the event trace and its hash, the
+//! panic boundary, and the single place a broken invariant becomes a
+//! [`FailureReport`]; it is generic over the crate-private `System`
+//! trait. `lsm` and `net` implement `System` for the two stacks (I1–I5
+//! and I6–I10), `arcs` holds the scripted lifecycle arc (I11–I13, run
+//! by the driver on any stack's tuner) and the continual arc (I14–I16,
+//! owned by the LSM stack), [`scenario`] derives every parameter from
+//! the seed, and [`shrink`](mod@shrink) minimises failures. A panic is
+//! reported at the step it interrupted, with the trace tail, as
+//! `I5.no-panic`.
 
-pub mod harness;
+mod arcs;
+pub mod driver;
+mod lsm;
+mod net;
 pub mod scenario;
 pub mod shrink;
 
-pub use harness::{run, Event, FailureReport, Outcome, RunSummary};
+pub use driver::{run, Event, FailureReport, Outcome, RunSummary};
 pub use scenario::{FaultMask, Scenario};
 pub use shrink::{shrink, Shrunk};

@@ -245,6 +245,43 @@ impl Scenario {
         self
     }
 
+    /// Whether the scripted lifecycle arc runs. On the LSM stack a
+    /// continual scenario's controller owns the tuner's install surface
+    /// (and drives the same `LifecycleController` machinery), so the
+    /// script stands down; the netfs stack has no continual loop.
+    pub(crate) fn scripted_lifecycle(&self) -> bool {
+        self.lifecycle && (self.netfs || !self.continual)
+    }
+
+    /// The fault kinds this scenario's stack consults, in shrink order:
+    /// device kinds on the LSM stack, `net_*` on netfs, `lc_*` only with
+    /// the scripted arc, `ct_shift` only with the continual loop.
+    /// Disabling any other kind changes nothing, so the shrinker does not
+    /// spend a run on it.
+    pub fn relevant_kinds(&self) -> impl Iterator<Item = FaultMask> + '_ {
+        let (device, rest) = FaultMask::KINDS.split_at(6);
+        let (net, rest) = rest.split_at(4);
+        let (lifecycle, continual) = rest.split_at(3);
+        let stack = if self.netfs { net } else { device };
+        let lifecycle = lifecycle.iter().filter(|_| self.scripted_lifecycle());
+        let continual = continual.iter().filter(|_| self.continual && !self.netfs);
+        stack
+            .iter()
+            .chain(lifecycle)
+            .chain(continual)
+            .map(|(kind, _)| *kind)
+    }
+
+    /// `rate` unless the shrinker disabled `kind`: a disabled kind keeps
+    /// its draw (the stream must not shift) but fires at rate zero.
+    fn live(&self, kind: FaultMask, rate: f64) -> f64 {
+        if self.disabled.contains(kind) {
+            0.0
+        } else {
+            rate
+        }
+    }
+
     pub(crate) fn params(&self) -> Params {
         let mut s = SeedStream::new(self.seed, 0xD57);
         let device = if s.next_u64() & 1 == 0 {
@@ -261,36 +298,18 @@ impl Scenario {
         let window_ns = s.range(200_000, 2_000_000);
         let mut faults = FaultConfig {
             seed: splitmix(self.seed ^ 0xFA17),
-            read_error: s.next_f64() * 0.08,
-            write_error: s.next_f64() * 0.08,
-            torn_write: s.next_f64() * 0.10,
-            latency_spike: s.next_f64() * 0.10,
-            stall: s.next_f64() * 0.02,
-            cache_squeeze: s.next_f64() * 0.01,
+            read_error: self.live(FaultMask::READ_ERROR, s.next_f64() * 0.08),
+            write_error: self.live(FaultMask::WRITE_ERROR, s.next_f64() * 0.08),
+            torn_write: self.live(FaultMask::TORN_WRITE, s.next_f64() * 0.10),
+            latency_spike: self.live(FaultMask::LATENCY_SPIKE, s.next_f64() * 0.10),
+            stall: self.live(FaultMask::STALL, s.next_f64() * 0.02),
+            cache_squeeze: self.live(FaultMask::CACHE_SQUEEZE, s.next_f64() * 0.01),
             ..FaultConfig::off()
         };
         faults.spike_mult = s.range(10, 40);
         faults.stall_ns = s.range(1, 5) * 1_000_000;
         faults.squeeze_frac = 0.1 + s.next_f64() * 0.4;
         faults.squeeze_ops = s.range(16, 128);
-        if self.disabled.contains(FaultMask::READ_ERROR) {
-            faults.read_error = 0.0;
-        }
-        if self.disabled.contains(FaultMask::WRITE_ERROR) {
-            faults.write_error = 0.0;
-        }
-        if self.disabled.contains(FaultMask::TORN_WRITE) {
-            faults.torn_write = 0.0;
-        }
-        if self.disabled.contains(FaultMask::LATENCY_SPIKE) {
-            faults.latency_spike = 0.0;
-        }
-        if self.disabled.contains(FaultMask::STALL) {
-            faults.stall = 0.0;
-        }
-        if self.disabled.contains(FaultMask::CACHE_SQUEEZE) {
-            faults.cache_squeeze = 0.0;
-        }
         Params {
             device,
             key_space,
@@ -317,10 +336,10 @@ impl Scenario {
         let ns_per_page = s.range(5_000, 80_000);
         let per_rpc_ns = s.range(10_000, 60_000);
         let base_rto_ns = rtt_ns * s.range(3, 6);
-        let mut net_loss = s.next_f64() * 0.12;
-        let mut net_dup = s.next_f64() * 0.04;
-        let mut net_reorder = s.next_f64() * 0.04;
-        let mut net_jitter = s.next_f64() * 0.30;
+        let net_loss = self.live(FaultMask::NET_LOSS, s.next_f64() * 0.12);
+        let net_dup = self.live(FaultMask::NET_DUP, s.next_f64() * 0.04);
+        let net_reorder = self.live(FaultMask::NET_REORDER, s.next_f64() * 0.04);
+        let net_jitter = self.live(FaultMask::NET_JITTER, s.next_f64() * 0.30);
         let net_jitter_ns = s.range(100_000, 2_000_000);
         // Half the scenarios get a steady link, half a phased one.
         let burst_period_ns = if s.next_u64() & 1 == 0 {
@@ -334,18 +353,6 @@ impl Scenario {
         let ring_capacity = 1usize << s.range(3, 13);
         let window_ns = s.range(20_000_000, 200_000_000);
         let cache_pages = s.range(1024, 8192) as usize;
-        if self.disabled.contains(FaultMask::NET_LOSS) {
-            net_loss = 0.0;
-        }
-        if self.disabled.contains(FaultMask::NET_DUP) {
-            net_dup = 0.0;
-        }
-        if self.disabled.contains(FaultMask::NET_REORDER) {
-            net_reorder = 0.0;
-        }
-        if self.disabled.contains(FaultMask::NET_JITTER) {
-            net_jitter = 0.0;
-        }
         NetParams {
             rtt_ns,
             ns_per_page,
@@ -557,6 +564,33 @@ mod tests {
             plain.lifecycle_params().stage_step,
             s.lifecycle_params().stage_step
         );
+    }
+
+    #[test]
+    fn relevant_kinds_are_the_ones_the_stack_reads() {
+        let env = |s: Scenario| {
+            s.relevant_kinds()
+                .fold(FaultMask::default(), FaultMask::with)
+                .to_env()
+        };
+        let device = "read_error,write_error,torn_write,latency_spike,stall,cache_squeeze";
+        let net = "net_loss,net_dup,net_reorder,net_jitter";
+        let lc = "lc_shadow,lc_regress,lc_corrupt";
+        assert_eq!(env(Scenario::from_seed(1, 10)), device);
+        assert_eq!(env(Scenario::netfs_from_seed(1, 10)), net);
+        assert_eq!(
+            env(Scenario::lifecycle_from_seed(1, 10)),
+            format!("{device},{lc}")
+        );
+        assert_eq!(
+            env(Scenario::netfs_lifecycle_from_seed(1, 10)),
+            format!("{net},{lc}")
+        );
+        let mut continual = Scenario::continual_from_seed(1, 10);
+        assert_eq!(env(continual), format!("{device},ct_shift"));
+        // The continual controller owns the install surface: no script.
+        continual.lifecycle = true;
+        assert_eq!(env(continual), format!("{device},ct_shift"));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //!    mask the loss), so the search result is verified and the largest
 //!    known-failing count kept as the fallback.
 //! 2. **Fault kinds**: greedily disable each kind in
-//!    [`FaultMask::KINDS`] (device faults, network faults, and the
-//!    scripted lifecycle events); keep a kind disabled only if the
+//!    [`Scenario::relevant_kinds`] (the ones the scenario's stack
+//!    actually consults — a kind it never reads would always "still
+//!    fail" and pad the reproducer); keep a kind disabled only if the
 //!    scenario still fails without it. What remains is the set of faults
 //!    actually implicated.
 
-use crate::harness::{run, FailureReport, Outcome};
-use crate::scenario::{FaultMask, Scenario};
+use crate::driver::{run, FailureReport, Outcome};
+use crate::scenario::Scenario;
 
 /// A minimised failure.
 #[derive(Debug)]
@@ -75,7 +76,7 @@ pub fn shrink(report: &FailureReport) -> Shrunk {
     }
 
     // Pass 2: drop fault kinds that are not implicated.
-    for (kind, _) in FaultMask::KINDS {
+    for kind in report.scenario.relevant_kinds() {
         if best.disabled.contains(kind) {
             continue;
         }

@@ -267,9 +267,30 @@ fn deliberate_lsm_bug_is_caught_shrunk_and_replayed() {
             "shrinker disabled every write fault yet the bug still fired: {}",
             minimal.report
         );
+        // An LSM scenario never reads the network, lifecycle or continual
+        // kinds, so the shrinker must neither spend a run on them nor pad
+        // the reproducer with them: one cap probe, at most ⌈log2 400⌉ = 9
+        // bisection runs, one run per device kind (14 kinds used to make
+        // this 23 on seed 0).
+        let foreign = FaultMask(!0x3F);
+        assert_eq!(
+            minimal.scenario.disabled.0 & foreign.0,
+            0,
+            "minimal reproducer names a kind the LSM stack never reads: {}",
+            minimal.reproducer()
+        );
+        assert!(
+            minimal.attempts <= 1 + 9 + 6,
+            "shrinking took {} runs",
+            minimal.attempts
+        );
         // The printed line is the contract: replaying the minimal scenario
         // must hit the same invariant at the same step.
-        println!("minimal reproducer: {}", minimal.reproducer());
+        println!(
+            "minimal reproducer ({} runs): {}",
+            minimal.attempts,
+            minimal.reproducer()
+        );
         match run(&minimal.scenario) {
             Outcome::Fail(replayed) => {
                 assert_eq!(replayed.invariant, minimal.report.invariant);

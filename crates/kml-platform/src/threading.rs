@@ -138,51 +138,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs `work(i, &items[i])` for every item on a pool of `workers` scoped
-/// threads and returns the results **in item order**, regardless of which
-/// worker ran which task or in what order tasks finished. Work is handed
-/// out through an atomic cursor, so the schedule is dynamic but the output
-/// is deterministic: callers that seed per-task RNGs from the task index
-/// get byte-identical results at any worker count (including 1).
-///
-/// With `workers <= 1` or fewer than two items, everything runs inline on
-/// the caller's thread — same code path the sequential experiments used.
-///
-/// # Panics
-///
-/// Propagates the first worker panic after all threads are joined.
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| work(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = work(i, item);
-                *results[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every task index was visited")
-        })
-        .collect()
-}
-
 /// Environment variable that overrides the size of the process-global
 /// [`WorkerPool`] (number of resident pool threads, caller not counted).
 pub const POOL_THREADS_ENV: &str = "KML_POOL_THREADS";
@@ -232,9 +187,9 @@ struct PoolShared {
 /// **slot index** (pool thread `w` gets slot `w + 1`), and the calling
 /// thread participates as slot 0. Slots let callers keep per-worker scratch
 /// without allocation. [`run`](Self::run) and [`map`](Self::map) build the
-/// familiar atomic-cursor/item-order-deterministic scheme on top, matching
-/// [`parallel_map`] (the retained scoped reference implementation) result
-/// for result at any worker count.
+/// familiar atomic-cursor/item-order-deterministic scheme on top: at any
+/// worker count `map` returns exactly what the serial
+/// `items.iter().enumerate().map(..)` returns.
 ///
 /// Panic safety: a panicking task is caught in the worker, re-raised on the
 /// dispatching thread after the epoch completes, and the pool remains
@@ -415,8 +370,7 @@ impl WorkerPool {
 
     /// Runs `task(slot, index)` for every `index in 0..tasks`, handing
     /// indices out through an atomic cursor across `workers` participants
-    /// (caller included). Same deterministic-schedule contract as
-    /// [`parallel_map`]: which slot runs which index is dynamic, but
+    /// (caller included). Which slot runs which index is dynamic, but
     /// callers that key results/scratch by **index** (not slot) get
     /// byte-identical output at any worker count. With `workers <= 1` or
     /// fewer than two tasks everything runs inline as slot 0.
@@ -445,8 +399,12 @@ impl WorkerPool {
         });
     }
 
-    /// Drop-in, result-identical replacement for [`parallel_map`] running
-    /// on the persistent pool instead of freshly scoped threads.
+    /// Runs `work(i, &items[i])` for every item across `workers`
+    /// participants and returns the results **in item order**, regardless
+    /// of which participant ran which task or in what order tasks
+    /// finished: callers that seed per-task RNGs from the task index get
+    /// byte-identical results at any worker count (including 1, which
+    /// runs inline on the caller, as do fewer than two items).
     pub fn map<T, R, F>(&self, items: &[T], workers: usize, work: F) -> Vec<R>
     where
         T: Sync,
@@ -509,8 +467,8 @@ pub fn global_pool() -> &'static WorkerPool {
     POOL.get_or_init(|| WorkerPool::new(global_pool_threads()))
 }
 
-/// [`parallel_map`] semantics on the process-global persistent pool: same
-/// signature, same item-order determinism, no per-call thread spawns.
+/// [`WorkerPool::map`] on the process-global persistent pool: item-order
+/// determinism at any worker count, no per-call thread spawns.
 pub fn pool_map<T, R, F>(items: &[T], workers: usize, work: F) -> Vec<R>
 where
     T: Sync,
@@ -584,26 +542,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_item_order() {
-        let items: Vec<usize> = (0..64).collect();
-        let seq = parallel_map(&items, 1, |i, &x| (i, x * x));
-        let par = parallel_map(&items, 8, |i, &x| (i, x * x));
-        assert_eq!(seq, par);
-        assert_eq!(par[10], (10, 100));
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[7u32], 4, |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_runs_on_many_threads() {
+    fn pool_map_runs_on_many_threads() {
         use std::collections::HashSet;
+        let pool = WorkerPool::new(3);
         let items: Vec<usize> = (0..256).collect();
-        let ids = parallel_map(&items, 4, |_, _| {
+        let ids = pool.map(&items, 4, |_, _| {
             // Slight stall so the pool actually interleaves.
             std::thread::sleep(std::time::Duration::from_micros(50));
             std::thread::current().id()
@@ -618,13 +561,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_matches_parallel_map() {
+    fn pool_map_matches_the_serial_map() {
         let pool = WorkerPool::new(4);
         let items: Vec<usize> = (0..257).collect();
+        let square = |i: usize, x: &usize| (i, x.wrapping_mul(*x));
+        let serial: Vec<_> = items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| square(i, x))
+            .collect();
         for workers in [1, 2, 3, 4, 9] {
-            let scoped = parallel_map(&items, workers, |i, &x| (i, x.wrapping_mul(x)));
-            let pooled = pool.map(&items, workers, |i, &x| (i, x.wrapping_mul(x)));
-            assert_eq!(scoped, pooled, "workers={workers}");
+            let pooled = pool.map(&items, workers, square);
+            assert_eq!(serial, pooled, "workers={workers}");
         }
     }
 
