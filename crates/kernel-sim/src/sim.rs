@@ -129,6 +129,65 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Dirty pages the cache may hold before a write kicks the flusher.
+    fn dirty_limit(&self) -> usize {
+        (self.dirty_threshold * self.cache_pages as f64) as usize
+    }
+
+    /// Most tracepoint records one fault-free [`Sim::read`] or
+    /// [`Sim::write`] can emit, on a file whose every request has been at
+    /// most `op_pages` pages and whose readahead cap has never exceeded
+    /// `max_ra_kb` (the file's initial `default_ra_kb` is counted in). A
+    /// trace ring of this capacity that is drained after every operation
+    /// never overwrites a record; `writes` says whether the file is ever
+    /// written (dirty pages add `writeback_dirty_page` records).
+    ///
+    /// With `R` the cap in pages, `n = op_pages` and `W = max(R, n)`:
+    ///
+    /// - Every page of a request runs the heuristic once — one fetch of at
+    ///   most `W` pages — plus at most one safety-net page, so
+    ///   `n · (W + 1)` inserts always holds.
+    /// - When the cache holds a whole window (`cache_pages ≥ W`) a request
+    ///   is marker hits, then misses, never the reverse: a sync fetch
+    ///   leaves its marker at or beyond the request's end. Markers chain
+    ///   inside one request only through windows too short to leave it, so
+    ///   the async fetches insert at most `R + 4n` pages; every sync fetch
+    ///   lies inside one span of `W + n − 1` pages starting at the first
+    ///   miss, and no fetch needs the safety net. That is `2W + 5n` inserts
+    ///   as long as no page is fetched twice, which is certain once
+    ///   `cache_pages ≥ W + n − 1`. When the cap is the whole cache a
+    ///   request's own prefetch can evict the pages it reads next (the
+    ///   worst case seen is `2R − 1`: a full async window, then the sync
+    ///   fetch that brings the evicted run back); `tests/trace_burst.rs`
+    ///   holds the bound there by search, not by proof.
+    /// - Each insert evicts at most one page. Between requests at most
+    ///   `dirty_threshold · cache_pages` pages are dirty (a write of no
+    ///   more than `writeback_batch` pages flushes back under the
+    ///   threshold), so a read adds at most that many writebacks; a write
+    ///   inserts `n` pages, evicts `n`, and flushes one batch.
+    pub fn max_trace_records_per_op(&self, max_ra_kb: u32, op_pages: u64, writes: bool) -> usize {
+        let n = op_pages.max(1) as usize;
+        let cap = ra_kb_to_pages(max_ra_kb.max(self.default_ra_kb)) as usize;
+        let window = cap.max(n);
+        let mut inserts = n * (window + 1);
+        if self.cache_pages >= window {
+            inserts = inserts.min(2 * window + 5 * n);
+        }
+        if !writes {
+            return inserts;
+        }
+        let dirty = if n <= self.writeback_batch {
+            self.dirty_limit().min(self.cache_pages)
+        } else {
+            self.cache_pages
+        };
+        let read = inserts + inserts.min(dirty);
+        let write = 2 * n + self.writeback_batch.min(dirty + n);
+        read.max(write)
+    }
+}
+
 /// Aggregated statistics of a simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -470,8 +529,7 @@ impl Sim {
             *cost += self.cfg.cache_hit_ns;
         }
         // Threshold writeback, like the flusher threads kicking in.
-        let threshold = (self.cfg.dirty_threshold * self.cfg.cache_pages as f64) as usize;
-        if self.cache.dirty_count() > threshold {
+        if self.cache.dirty_count() > self.cfg.dirty_limit() {
             self.writeback(self.cfg.writeback_batch, cost)?;
             self.emit_flushed();
         }

@@ -498,7 +498,9 @@ fn publish_swaps(cfg: &FleetConfig, round: usize, server: &mut InferenceServer) 
 /// # Panics
 ///
 /// Panics if any serving invariant breaks: a window answered zero or
-/// multiple times, a decision carrying the wrong model kind, or (with
+/// multiple times, a decision carrying the wrong model kind, a tenant's
+/// trace ring overwriting a record its tuner had not read
+/// ([`Tenant::records_dropped`] — no digest would show it), or (with
 /// [`ServeOptions::verify_parity`]) a batched class diverging from its
 /// serial counterpart.
 pub fn run_fleet(cfg: &FleetConfig, models: FleetModels) -> Result<FleetReport> {
@@ -574,6 +576,7 @@ pub fn run_fleet(cfg: &FleetConfig, models: FleetModels) -> Result<FleetReport> 
                 tenant.id
             );
             assert_eq!(tenant.windows_submitted, tenant.decisions_applied);
+            assert_eq!(tenant.records_dropped(), 0, "ring overrun: {}", tenant.id);
             kind_counts[tenant.model_kind().index()] += 1;
             workload_counts[tenant.workload.index()] += 1;
             decisions_applied[tenant.model_kind().index()] += tenant.decisions_applied;

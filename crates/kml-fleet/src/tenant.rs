@@ -26,7 +26,7 @@ use kml_platform::sampler::{Categorical, SplitMix64, Zipfian};
 use kml_telemetry::Log2Hist;
 use netfs::transport::NetProfile;
 use netfs::tuner::{RsizePolicy, RsizeTuner};
-use netfs::NfsMount;
+use netfs::{max_rpc_events_per_op, NfsMount};
 use readahead::tuner::{KmlTuner, RaPolicy};
 
 use crate::server::{InferRequest, InferResponse, ModelKind, MAX_FEATURES};
@@ -142,6 +142,9 @@ const NET_FILE_PAGES: u64 = 1 << 16;
 /// Iosched tenants address this many pages of one inode.
 const IO_FILE_PAGES: u64 = 1 << 18;
 
+/// Pages per netfs tenant read (512 KiB).
+const NET_OP_PAGES: u64 = 128;
+
 /// Readahead tenants: per-class best readahead KiB, indexed by the
 /// training-class order `[readrandom, readseq, readreverse, rrwr]`.
 const RA_POLICY_KB: [u32; 4] = [16, 1024, 256, 64];
@@ -214,13 +217,19 @@ impl Tenant {
         };
         let state = match workload.model_kind() {
             ModelKind::Readahead => {
-                let mut sim = Sim::new(SimConfig {
+                let cfg = SimConfig {
                     device,
                     cache_pages: 256,
                     ..SimConfig::default()
-                });
+                };
+                let mut sim = Sim::new(cfg);
                 let file = sim.create_file(RA_FILE_PAGES);
-                let (producer, consumer) = RingBuffer::with_capacity(1 << 12).split();
+                // The tuner empties the ring after every operation, so the
+                // ring holds one operation's worst burst and no more.
+                let (op_pages, writes) = readahead_request(workload);
+                let max_ra_kb = RA_POLICY_KB.into_iter().max().expect("non-empty policy");
+                let burst = cfg.max_trace_records_per_op(max_ra_kb, op_pages, writes);
+                let (producer, consumer) = RingBuffer::with_capacity(burst).split();
                 sim.attach_trace(producer);
                 let tuner = KmlTuner::new(
                     LoopModel::Remote,
@@ -255,11 +264,16 @@ impl Tenant {
                     },
                 );
                 let file = mount.create_file(NET_FILE_PAGES);
-                let (producer, consumer) = RingBuffer::with_capacity(1 << 12).split();
+                // As above: one read's worst burst, at the smallest rsize
+                // the mount starts at or the policy can set.
+                let policy = RsizePolicy::experiment_default();
+                let min_rsize_kb = policy.min_rsize_kb().min(mount.rsize_kb());
+                let burst = max_rpc_events_per_op(NET_OP_PAGES, min_rsize_kb);
+                let (producer, consumer) = RingBuffer::with_capacity(burst).split();
                 mount.attach_rpc_trace(producer);
                 let tuner = RsizeTuner::new(
                     LoopModel::Remote,
-                    RsizePolicy::experiment_default(),
+                    policy,
                     consumer,
                     RsizeTuner::DEFAULT_WINDOW_NS,
                 );
@@ -327,12 +341,11 @@ impl Tenant {
             TenantState::Netfs { mount, file, tuner } => {
                 let mut harvested = None;
                 for _ in 0..NET_OPS_CAP {
-                    const OP_PAGES: u64 = 128;
-                    let page = self.pos % (NET_FILE_PAGES - OP_PAGES);
-                    self.pos += OP_PAGES;
+                    let page = self.pos % (NET_FILE_PAGES - NET_OP_PAGES);
+                    self.pos += NET_OP_PAGES;
                     // Give-ups under total loss are part of tenant life;
                     // the failed attempt still advanced the clock.
-                    if let Ok(latency) = mount.read(*file, page, OP_PAGES) {
+                    if let Ok(latency) = mount.read(*file, page, NET_OP_PAGES) {
                         hist.record(latency);
                     }
                     if let Some(f) = tuner.poll_window(mount) {
@@ -377,6 +390,18 @@ impl Tenant {
         }
     }
 
+    /// Tracepoint records the tenant's ring overwrote before its tuner read
+    /// them (iosched tenants have no ring). The rings are sized to one
+    /// operation's worst burst and emptied after every operation, so this
+    /// stays 0; `run_fleet` asserts it.
+    pub fn records_dropped(&self) -> u64 {
+        match &self.state {
+            TenantState::Readahead { tuner, .. } => tuner.records_dropped(),
+            TenantState::Iosched { .. } => 0,
+            TenantState::Netfs { tuner, .. } => tuner.records_dropped(),
+        }
+    }
+
     /// The knob currently in force, for inspection: readahead KiB, batch
     /// wait ns, or rsize KiB depending on the tenant kind.
     pub fn current_knob(&self) -> u64 {
@@ -399,30 +424,42 @@ fn request(tenant_id: u64, kind: ModelKind, features: &[f64]) -> InferRequest {
     }
 }
 
+/// The request a readahead workload issues: its size in pages (scans read
+/// 32 KiB blocks, point workloads 16 KiB ones) and whether it ever writes.
+/// The tenant's traffic and its ring's capacity both come from here.
+fn readahead_request(workload: TenantWorkload) -> (u64, bool) {
+    match workload {
+        TenantWorkload::ReadSeq | TenantWorkload::ReadReverse => (8, false),
+        TenantWorkload::ReadRandomWriteRandom => (4, true),
+        _ => (4, false),
+    }
+}
+
 /// One access of a readahead tenant: `(page, npages, write)`.
 fn readahead_access(
     workload: TenantWorkload,
     rng: &mut SplitMix64,
     pos: &mut u64,
 ) -> (u64, u64, bool) {
+    let (npages, writes) = readahead_request(workload);
     match workload {
         TenantWorkload::ReadSeq => {
-            let page = *pos % (RA_FILE_PAGES - 8);
-            *pos += 8;
-            (page, 8, false)
+            let page = *pos % (RA_FILE_PAGES - npages);
+            *pos += npages;
+            (page, npages, false)
         }
         TenantWorkload::ReadReverse => {
-            if *pos < 8 {
+            if *pos < npages {
                 *pos = RA_FILE_PAGES;
             }
-            *pos -= 8;
-            (*pos, 8, false)
+            *pos -= npages;
+            (*pos, npages, false)
         }
-        TenantWorkload::ReadRandom => (rng.next_below(RA_FILE_PAGES - 4), 4, false),
         _ => {
-            // readrandomwriterandom: db_bench's default 90/10 mix.
-            let write = rng.next_below(10) == 0;
-            (rng.next_below(RA_FILE_PAGES - 4), 4, write)
+            // readrandomwriterandom: db_bench's default 90/10 mix (drawn
+            // before the page; readrandom draws only the page).
+            let write = writes && rng.next_below(10) == 0;
+            (rng.next_below(RA_FILE_PAGES - npages), npages, write)
         }
     }
 }
@@ -577,6 +614,53 @@ mod tests {
         });
         assert!(!tenant.outstanding);
         assert_eq!(tenant.decisions_applied, 1);
+    }
+
+    #[test]
+    fn no_class_sequence_overruns_a_ring() {
+        // The rings hold one operation's worst burst, whatever the served
+        // classes do to the knobs: pinned at the class with the widest
+        // readahead and the smallest rsize, flipping between the extremes
+        // (in pairs of rounds, so the two-window confirmation actuates
+        // every flip), and split by tenant-id parity.
+        let schedules: [fn(u64, usize) -> usize; 3] = [
+            |_, _| 1,
+            |_, round| (round / 2) % 2,
+            |id, round| ((id as usize) + round / 2) % 2,
+        ];
+        let sampler = FleetSampler::new();
+        let mut hist = Log2Hist::new();
+        for (seed, class_of) in [7, 0xF1EE7, 0x5EED_F00D].into_iter().zip(schedules) {
+            let mut tenants: Vec<Tenant> = (0..256)
+                .map(|id| Tenant::derive(seed, id, &sampler))
+                .collect();
+            for round in 0..64 {
+                for tenant in &mut tenants {
+                    if let Some(request) = tenant.run_round(&mut hist) {
+                        tenant.apply(&InferResponse {
+                            tenant_id: tenant.id,
+                            kind: request.kind,
+                            class: class_of(tenant.id, round),
+                        });
+                    }
+                }
+            }
+            for tenant in &tenants {
+                assert_eq!(
+                    tenant.records_dropped(),
+                    0,
+                    "seed {seed:#x}: {} tenant {} overran its ring",
+                    tenant.workload,
+                    tenant.id
+                );
+            }
+            let widest = tenants
+                .iter()
+                .filter(|t| t.model_kind() == ModelKind::Readahead)
+                .map(Tenant::current_knob)
+                .max();
+            assert_eq!(widest, Some(1024), "seed {seed:#x} never actuated class 1");
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub mod tuner;
 pub use closed_loop::{
     compare, run_fixed, run_kml, NetOutcome, NetRunConfig, NetRunReport, FIXED_RSIZES_KB,
 };
-pub use mount::{NetStats, NfsMount, DEFAULT_RSIZE_KB, RSIZE_MAX_KB, RSIZE_MIN_KB};
+pub use mount::{
+    max_rpc_events_per_op, NetStats, NfsMount, DEFAULT_RSIZE_KB, MAX_EVENTS_PER_RPC, RSIZE_MAX_KB,
+    RSIZE_MIN_KB,
+};
 pub use server::{NfsServer, RpcOp};
 pub use transport::{Leg, NetProfile, Transport};
 pub use tuner::{

@@ -33,6 +33,25 @@ pub const DEFAULT_RSIZE_KB: u32 = 256;
 /// analogue; far beyond what any surviving link needs).
 const MAX_ATTEMPTS: u32 = 32;
 
+/// Most [`RpcEvent`]s one RPC can emit: its `Call`; a `Retransmit` for every
+/// attempt but the first and a `DuplicateDrop` for every attempt whose
+/// request arrived twice; then, on the attempt that completes, a
+/// duplicated response (1), a retransmission that raced the late response
+/// and whose two delivered copies are each answered twice (1 + 4), and the
+/// `Reply`. A give-up after the last attempt emits fewer.
+pub const MAX_EVENTS_PER_RPC: usize = 2 * MAX_ATTEMPTS as usize + 7;
+
+/// Most [`RpcEvent`]s one [`NfsMount::read`] or [`NfsMount::write`] of
+/// `npages` pages can emit while the transfer size stays at or above
+/// `min_rsize_kb`: one RPC per chunk, [`MAX_EVENTS_PER_RPC`] each. An RPC
+/// trace ring of this capacity that is drained after every operation
+/// never overwrites an event.
+pub fn max_rpc_events_per_op(npages: u64, min_rsize_kb: u32) -> usize {
+    let chunk =
+        u64::from(min_rsize_kb.clamp(RSIZE_MIN_KB, RSIZE_MAX_KB)) * 1024 / kernel_sim::PAGE_SIZE;
+    npages.div_ceil(chunk) as usize * MAX_EVENTS_PER_RPC
+}
+
 /// Every counter the RPC path maintains. All transmissions, losses,
 /// duplications and completions are accounted here; the identities in
 /// [`NetStats::reconcile`] tie them together.

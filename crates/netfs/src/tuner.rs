@@ -164,6 +164,12 @@ impl RsizePolicy {
     pub fn classes(&self) -> usize {
         self.per_class_kb.len()
     }
+
+    /// The smallest rsize the policy actuates, KiB — what bounds the RPCs
+    /// one read splits into ([`crate::mount::max_rpc_events_per_op`]).
+    pub fn min_rsize_kb(&self) -> u32 {
+        *self.per_class_kb.iter().min().expect("non-empty policy")
+    }
 }
 
 /// One entry of the tuner's decision log.

@@ -1,11 +1,15 @@
 //! Property tests for the RPC retransmission state machine: under *any*
 //! seeded fault schedule — arbitrary loss, duplication, reordering and
 //! jitter rates, bursty or steady — every call the client issues completes
-//! exactly once, the double-entry packet accounting reconciles, and lost
-//! packets always cost virtual time.
+//! exactly once, the double-entry packet accounting reconciles, lost
+//! packets always cost virtual time, and no operation emits more RPC
+//! events than [`max_rpc_events_per_op`] allows.
 
 use kernel_sim::{DeviceProfile, FaultConfig, SimConfig};
-use netfs::{NetProfile, NfsMount, RSIZE_MAX_KB, RSIZE_MIN_KB};
+use kml_collect::RingBuffer;
+use netfs::{
+    max_rpc_events_per_op, NetProfile, NfsMount, MAX_EVENTS_PER_RPC, RSIZE_MAX_KB, RSIZE_MIN_KB,
+};
 use proptest::prelude::*;
 
 /// A mount over an arbitrary fault shape. Rates are capped below 1.0 so
@@ -75,12 +79,16 @@ proptest! {
         let f = m.create_file(1 << 13);
         m.set_rsize_kb(rsize_kb);
         m.set_wsize_kb(rsize_kb);
+        // Never drained: events are only counted once a ring is attached.
+        let (producer, _consumer) = RingBuffer::with_capacity(8).split();
+        m.attach_rpc_trace(producer);
         let mut callers_completions: u64 = 0;
         for (page, npages, is_write) in ops {
             let page = page.min((1 << 13) - npages);
             // A failed multi-chunk op stops at the failing chunk, so count
             // completions from the client's own ledger delta instead.
             let before = m.stats().rpcs_completed;
+            let events_before = m.rpc_events_emitted();
             let _ = if is_write {
                 m.write(f, page, npages)
             } else {
@@ -88,6 +96,9 @@ proptest! {
             };
             let after = m.stats().rpcs_completed;
             callers_completions += after - before;
+            let events = m.rpc_events_emitted() - events_before;
+            prop_assert!(events as usize <= max_rpc_events_per_op(npages, rsize_kb),
+                "{events} events from {npages} pages at rsize {rsize_kb}");
         }
         let s = m.stats();
         prop_assert_eq!(s.rpcs_completed, s.rpcs_issued,
@@ -151,4 +162,53 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// The three experiment links as they are, dead (every packet lost: each
+/// read is one RPC that gives up), and hostile (every delivered packet
+/// duplicated, three fragments in ten lost): the tenant-shaped read — 128
+/// pages at the smallest rsize the experiment policy actuates — stays
+/// under its bound on all nine, and the hostile links need more than one
+/// RPC's share of it.
+#[test]
+fn experiment_links_stay_under_the_per_read_event_bound() {
+    const OP_PAGES: u64 = 128;
+    const RSIZE_KB: u32 = 256;
+    let bound = max_rpc_events_per_op(OP_PAGES, RSIZE_KB);
+    assert_eq!(bound, 2 * MAX_EVENTS_PER_RPC, "two 64-page RPCs");
+    let mut hostile_max = 0;
+    for (loss, dup) in [(None, None), (Some(1.0), None), (Some(0.3), Some(1.0))] {
+        for mut profile in NetProfile::experiment_profiles(29) {
+            profile.faults.net_loss = loss.unwrap_or(profile.faults.net_loss);
+            profile.faults.net_dup = dup.unwrap_or(profile.faults.net_dup);
+            if loss.is_some() {
+                profile.burst_period_ns = 0; // faults always live
+            }
+            let name = profile.name;
+            let mut m = NfsMount::new(profile, SimConfig::default());
+            let f = m.create_file(1 << 16);
+            m.set_rsize_kb(RSIZE_KB);
+            let (producer, _consumer) = RingBuffer::with_capacity(8).split();
+            m.attach_rpc_trace(producer);
+            for op in 0..200 {
+                let before = m.rpc_events_emitted();
+                let result = m.read(f, op * OP_PAGES, OP_PAGES);
+                let events = (m.rpc_events_emitted() - before) as usize;
+                assert!(events <= bound, "{name}: {events} events, bound {bound}");
+                if loss == Some(1.0) {
+                    // Call, 31 retransmits, the give-up Reply.
+                    assert!(result.is_err());
+                    assert_eq!(events, 33, "{name}");
+                }
+                if dup.is_some() {
+                    hostile_max = hostile_max.max(events);
+                }
+            }
+            m.stats().reconcile().expect("books balance");
+        }
+    }
+    assert!(
+        hostile_max > MAX_EVENTS_PER_RPC,
+        "hostile links peaked at {hostile_max} events"
+    );
 }
