@@ -32,6 +32,15 @@ pub fn exp(x: f64) -> f64 {
     if x < -745.0 {
         return 0.0;
     }
+    let (sum, k) = exp_reduce(x);
+    scale_by_pow2(sum, k)
+}
+
+/// [`exp`]'s range reduction and Taylor core: `e^x = sum · 2^k` for `x`
+/// inside the clamps. Split from the final scale only so the tests can
+/// apply the retained repeated-halving reference to the same `(sum, k)`.
+#[inline(always)]
+fn exp_reduce(x: f64) -> (f64, i32) {
     const LN2: f64 = std::f64::consts::LN_2;
     // x = k*ln2 + r. The k computation must stay a division: multiplying
     // by a precomputed 1/ln2 can flip k near half-integer quotients.
@@ -78,10 +87,12 @@ pub fn exp(x: f64) -> f64 {
     sum += term;
     term *= r13;
     sum += term;
-    scale_by_pow2(sum, k as i32)
+    (sum, k as i32)
 }
 
-/// Multiplies `x` by `2^k` exactly using exponent-field manipulation.
+/// Multiplies finite `x` by `2^k` using exponent-field manipulation: exact
+/// while the result is normal, and rounded as `-k` successive halvings
+/// would round it once it is not (see [`halve_into_subnormal`]).
 fn scale_by_pow2(x: f64, k: i32) -> f64 {
     if x == 0.0 {
         return 0.0;
@@ -90,12 +101,14 @@ fn scale_by_pow2(x: f64, k: i32) -> f64 {
     let exp_bits = ((bits >> 52) & 0x7ff) as i64;
     let new_exp = exp_bits + k as i64;
     if new_exp <= 0 {
-        // Subnormal territory: fall back to repeated halving (rare, cold path).
-        let mut y = x;
-        for _ in 0..(-k) {
-            y *= 0.5;
-        }
-        return y;
+        // The result is an f64 subnormal: every `exp` argument in
+        // (-745, -708), hence every sigmoid input with |x| in that band.
+        // Not rare — a closed loop fed offsets far outside its normaliser's
+        // training range lands a hidden unit here on almost every window
+        // (0.94 times per inference on `loop-replay`, EXPERIMENTS.md E20) —
+        // so the tail is outlined to keep this function inlinable, not
+        // because it is seldom taken.
+        return halve_into_subnormal(bits, k);
     }
     if new_exp >= 0x7ff {
         return if x > 0.0 {
@@ -105,6 +118,35 @@ fn scale_by_pow2(x: f64, k: i32) -> f64 {
         };
     }
     f64::from_bits((bits & !(0x7ffu64 << 52)) | ((new_exp as u64) << 52))
+}
+
+/// The subnormal tail of [`scale_by_pow2`]: a finite non-zero f64, given
+/// as its `bits`, after `-k` successive `* 0.5`s, for an exponent field
+/// plus `k` at or below zero, computed on the integer significand.
+///
+/// A halving whose result is normal only decrements the exponent field and
+/// is exact, so all of those collapse into setting the field to 1, where
+/// the value is `m · 2^-1074` with `m` the 53-bit significand (a subnormal
+/// input is already on that scale, without the implicit bit). From there
+/// the representable values are the integers `m`, each `* 0.5` is `m / 2`
+/// rounded half to even — `m >> 1`, plus one when the dropped bit and the
+/// kept low bit are both set — and `m` itself is the result's encoding
+/// (`2^52`, the one way to round back up, is the smallest normal). 54 steps
+/// take any `m < 2^53` to zero, which bounds the loop whatever `k` is.
+#[cold]
+#[inline(never)]
+fn halve_into_subnormal(bits: u64, k: i32) -> f64 {
+    const FRAC: u64 = (1 << 52) - 1;
+    let exp_bits = ((bits >> 52) & 0x7ff) as i64;
+    let (mut m, exact) = if exp_bits == 0 {
+        (bits & FRAC, 0)
+    } else {
+        ((bits & FRAC) | (1 << 52), exp_bits - 1)
+    };
+    for _ in 0..(-(k as i64) - exact).min(54) {
+        m = (m >> 1) + (m & (m >> 1) & 1);
+    }
+    f64::from_bits((bits & (1 << 63)) | m)
 }
 
 /// Natural logarithm via exponent extraction and the `atanh` series.
@@ -184,7 +226,14 @@ pub fn sigmoid(x: f64) -> f64 {
 /// four serialized scalar divides (the divider, not the multiply chain, is
 /// what bounds the scalar path). Any lane outside `(-700, 700)` — the
 /// clamps, NaN, the subnormal band — sends the whole quad down the scalar
-/// function, so every special case keeps its exact scalar bits.
+/// function, so every special case keeps its exact scalar bits. That is
+/// the common case, not the exception, for a deployed loop: features far
+/// outside the normaliser's training range saturate most hidden units and
+/// leave one of them in `exp`'s subnormal band on nearly every window
+/// (EXPERIMENTS.md E20), which is why `exp` is constant-time there and why
+/// the x86 arms (`simd::x86`) settle clamped lanes in-register and call
+/// the scalar function for the band and NaN lanes alone. This portable
+/// fall-back keeps the quad demotion: it costs at most three neighbours.
 #[inline]
 pub fn sigmoid4(x: [f64; 4]) -> [f64; 4] {
     let mut easy = true;
@@ -453,6 +502,192 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `scale_by_pow2` as it was before the integer tail: `-k` serial
+    /// `* 0.5`s once the result leaves the normal range. The reference
+    /// every band test below compares against.
+    fn scale_by_pow2_halving(x: f64, k: i32) -> f64 {
+        let exp_bits = ((x.to_bits() >> 52) & 0x7ff) as i64;
+        if x == 0.0 || exp_bits + k as i64 > 0 {
+            return scale_by_pow2(x, k);
+        }
+        let mut y = x;
+        for _ in 0..(-k) {
+            y *= 0.5;
+        }
+        y
+    }
+
+    /// [`exp`] over the halving reference.
+    fn exp_halving(x: f64) -> f64 {
+        if x.is_nan() || !(-745.0..=709.78).contains(&x) {
+            return exp(x);
+        }
+        let (sum, k) = exp_reduce(x);
+        scale_by_pow2_halving(sum, k)
+    }
+
+    /// [`sigmoid`] over the halving reference.
+    fn sigmoid_halving(x: f64) -> f64 {
+        let e = exp_halving(-x.abs());
+        let num = if x >= 0.0 { 1.0 } else { e };
+        num / (1.0 + e)
+    }
+
+    fn same_bits(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    /// Significands that stress round-half-to-even: all zeros, all ones,
+    /// every single bit, runs of ones from either end, exact ties at every
+    /// depth (a one with zeros below it, over odd and over even), the
+    /// alternating patterns whose repeated rounding differs most from one
+    /// rounding of the whole shift, and a seeded random fill.
+    fn significands() -> Vec<u64> {
+        const FRAC: u64 = (1 << 52) - 1;
+        let mut v = vec![0, FRAC, 0x5_5555_5555_5555, 0xa_aaaa_aaaa_aaaa];
+        v.extend([0x3_3333_3333_3333, 0x6_db6d_b6db_6db6, 0xc_cccc_cccc_cccc]);
+        for bit in 0..52 {
+            v.push(1 << bit);
+            v.push((1 << bit) - 1);
+            v.push(FRAC & !((1 << bit) - 1));
+            v.push(FRAC & (0b11 << bit)); // tie over an odd kept bit
+            v.push(FRAC & (0b101 << bit)); // tie over an even kept bit
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            v.push((state >> 12) & FRAC);
+        }
+        v
+    }
+
+    #[test]
+    fn integer_halving_equals_repeated_halving_at_every_landing_exponent() {
+        let fracs = significands();
+        let mut checked = 0u64;
+        // Exponent fields: subnormal input (0), the smallest normals, around
+        // `exp`'s own `sum` (1022 / 1023), and the largest finite.
+        for exp_bits in [0u64, 1, 2, 53, 54, 1022, 1023, 1024, 2046] {
+            // Landing exponent field 0 (the first inexact step) down to -57,
+            // past the 54 steps that take any significand to zero.
+            for landing in -57i64..=0 {
+                let k = (landing - exp_bits as i64) as i32;
+                for &frac in &fracs {
+                    if exp_bits == 0 && frac == 0 {
+                        continue; // zero: scale_by_pow2 returns before the tail
+                    }
+                    for sign in [0u64, 1 << 63] {
+                        let x = f64::from_bits(sign | (exp_bits << 52) | frac);
+                        let got = scale_by_pow2(x, k);
+                        let want = scale_by_pow2_halving(x, k);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "scale_by_pow2({x:e} = {:#018x}, {k}): got {got:e}, want {want:e}",
+                            x.to_bits()
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 300_000, "only {checked} cases ran");
+        // A subnormal scaled by 2^0 takes the tail with nothing to do.
+        let tiny = f64::from_bits(0x000f_ffff_ffff_ffff);
+        assert_eq!(scale_by_pow2(tiny, 0).to_bits(), tiny.to_bits());
+        // Far past zero the step count is capped, not run.
+        assert_eq!(
+            scale_by_pow2(-1.5, i32::MIN + 1).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn exp_bit_identical_to_halving_reference_across_the_subnormal_band() {
+        // 39,001 points over [-746, -707]: both clamps' edges, the whole
+        // band, and the first normal results above it.
+        let mut in_band = 0;
+        for i in 0..=39_000 {
+            let x = -746.0 + i as f64 * 0.001;
+            let (got, want) = (exp(x), exp_halving(x));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "exp({x}): {got:e} vs {want:e}"
+            );
+            in_band += (got != 0.0 && got < f64::MIN_POSITIVE) as u32;
+        }
+        assert!(
+            in_band > 36_000,
+            "grid missed the band: {in_band} subnormals"
+        );
+    }
+
+    /// Arguments of both signs from just below the band (|x| = 707.75,
+    /// still a normal result) to just inside the clamp (744.97).
+    fn band_lanes() -> Vec<f64> {
+        let mut v = Vec::new();
+        for i in 0..75 {
+            let x = 707.75 + i as f64 * 0.503;
+            v.extend([x, -x]);
+        }
+        v
+    }
+
+    #[test]
+    fn sigmoid_and_tanh_match_halving_reference_in_the_band() {
+        for x in band_lanes() {
+            assert!(same_bits(sigmoid(x), sigmoid_halving(x)), "sigmoid({x})");
+            // tanh(x) = 2σ(2x) − 1: its band is |x| in [354, 373].
+            let want = 2.0 * sigmoid_halving(x) - 1.0;
+            assert!(same_bits(tanh(x / 2.0), want), "tanh({})", x / 2.0);
+        }
+    }
+
+    #[test]
+    fn wide_sigmoids_match_halving_reference_with_a_band_lane_in_every_position() {
+        let easy: Vec<f64> = (0..16).map(|i| i as f64 * 1.7 - 12.0).collect();
+        for (n, band) in band_lanes().into_iter().enumerate() {
+            for lane in 0..16 {
+                let mut x16: [f64; 16] = easy.as_slice().try_into().unwrap();
+                x16[lane] = band;
+                // A second hard lane elsewhere now and then: two band values
+                // in one quad, or in two quads of one block.
+                if n % 3 == 0 {
+                    x16[(lane + 5) % 16] = -band;
+                }
+                let want = x16.map(sigmoid_halving);
+                let got16 = sigmoid16(&x16);
+                let quad = lane / 4 * 4;
+                let got4 = sigmoid4(x16[quad..quad + 4].try_into().unwrap());
+                // 23 elements: one 16-block, one quad, three scalars; the
+                // band lane walks through all three as `lane` moves.
+                let mut xs = x16.to_vec();
+                xs.extend_from_slice(&easy[..7]);
+                xs[22 - lane] = band;
+                let mut got_slice = vec![0.0; xs.len()];
+                sigmoid_slice(&xs, &mut got_slice);
+                for i in 0..16 {
+                    assert!(
+                        same_bits(got16[i], want[i]),
+                        "sigmoid16 lane {i} of {x16:?}"
+                    );
+                }
+                for i in 0..4 {
+                    assert!(same_bits(got4[i], want[quad + i]), "sigmoid4 lane {i}");
+                }
+                for (i, &x) in xs.iter().enumerate() {
+                    assert!(
+                        same_bits(got_slice[i], sigmoid_halving(x)),
+                        "sigmoid_slice[{i}] of {xs:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn exp_matches_std_on_grid() {
         let mut x = -30.0;
@@ -654,6 +889,22 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_integer_halving_equals_repeated_halving(
+            frac in 0u64..(1 << 52),
+            exp_bits in 0u64..0x7ff,
+            negative in any::<bool>(),
+            past in 0i64..60,
+        ) {
+            let sign = (negative as u64) << 63;
+            let x = f64::from_bits(sign | (exp_bits << 52) | frac);
+            let k = (-past - exp_bits as i64) as i32;
+            prop_assert_eq!(
+                scale_by_pow2(x, k).to_bits(),
+                scale_by_pow2_halving(x, k).to_bits()
+            );
+        }
+
         #[test]
         fn prop_exp_ln_inverse(x in 1e-6f64..1e6) {
             let y = ln(exp(ln(x)).max(f64::MIN_POSITIVE));

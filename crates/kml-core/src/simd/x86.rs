@@ -21,10 +21,15 @@
 //! which returns bits identical to hardware `vdivpd` for the normal-range
 //! inputs the easy path admits (validated exhaustively against `vdivpd`
 //! over millions of values at both lane widths before landing). The final
-//! `num/(1+e)` stays a real division. Blocks where any lane has
-//! `|x| ≥ 700`, or is NaN, fall back to per-lane `crate::math::sigmoid`
-//! (per-lane bits are identical on either path; the guard only picks the
-//! faster one).
+//! `num/(1+e)` stays a real division. A lane outside that range is
+//! settled on its own while the rest of its block stays lane-parallel:
+//! `|x| > 745` by a blend (scalar `exp` clamps to 0 there, so the quotient
+//! is exactly 0 or 1), and `700 ≤ |x| ≤ 745` or NaN by a call to
+//! `crate::math::sigmoid` (per-lane bits are identical on every path; the
+//! guards only pick the faster one). A deployed loop's hidden layer has
+//! such lanes on most windows — far-out-of-range features saturate most
+//! units — so sending the whole block down the scalar function after one
+//! of them cost more than the lanes it served (EXPERIMENTS.md E20).
 //!
 //! AVX-512 arms deliberately require only `avx512f`: bitwise ops on floats
 //! go through `_mm512_or_si512`/`_mm512_and_si512` with casts because the
@@ -557,155 +562,188 @@ unsafe fn sigmoid8_avx512(x: __m512d) -> __m512d {
     _mm512_div_pd(num, _mm512_add_pd(one, e))
 }
 
-/// All four lanes strictly inside the easy band (NaN lanes fail the compare).
+/// A bit per lane outside the easy band: `|x| ≥ 700`, or NaN (the compare
+/// fails). A ragged tail's padding loads as 0.0 and is never one.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn easy4(x: __m256d) -> bool {
+unsafe fn hard4(x: __m256d) -> u32 {
     let absx = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
-    let lt = _mm256_cmp_pd(absx, _mm256_set1_pd(700.0), _CMP_LT_OQ);
-    _mm256_movemask_pd(lt) == 0xf
+    let easy = _mm256_cmp_pd(absx, _mm256_set1_pd(700.0), _CMP_LT_OQ);
+    !_mm256_movemask_pd(easy) as u32 & 0xf
 }
 
-/// All eight lanes strictly inside the easy band (NaN lanes fail the compare).
+/// 8-lane [`hard4`].
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn easy8(x: __m512d) -> bool {
+unsafe fn hard8(x: __m512d) -> u32 {
     let absmask = _mm512_set1_epi64(i64::MAX);
     let absx = _mm512_castsi512_pd(_mm512_and_si512(_mm512_castpd_si512(x), absmask));
-    _mm512_cmp_pd_mask(absx, _mm512_set1_pd(700.0), _CMP_LT_OQ) == 0xff
+    !_mm512_cmp_pd_mask(absx, _mm512_set1_pd(700.0), _CMP_LT_OQ) as u32 & 0xff
 }
 
+/// A block with at least one lane in `hard` (from [`hard4`]): every lane
+/// that needs no scalar care, and a bit per lane that does. Easy lanes go
+/// through [`sigmoid4_avx2`] — the others ride along as 0.0, so nothing
+/// they hold can trap or take an assist there — and saturated lanes
+/// (`|x| > 745`, where scalar `exp(-|x|)` clamps to 0 and the quotient is
+/// exactly 0 or 1) are a blend. What is left of `hard` — `700 ≤ |x| ≤ 745`
+/// and NaN — is returned; those lanes of the block are unspecified.
+/// `live` has a bit per lane that holds input (a tail's padding is easy,
+/// and must not by itself send the block through the vector core). Kept
+/// out of line: it would otherwise drag the all-easy path of every caller
+/// out with it.
+#[inline(never)]
 #[target_feature(enable = "avx2,fma")]
-pub(super) unsafe fn sigmoid_slice_f64_avx2(input: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(input.len(), out.len());
-    let n = input.len();
-    let (ip, op) = (input.as_ptr(), out.as_mut_ptr());
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(ip.add(i));
-        if easy4(x) {
-            _mm256_storeu_pd(op.add(i), sigmoid4_avx2(x));
-        } else {
-            for l in 0..4 {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l));
-            }
-        }
-        i += 4;
+unsafe fn sigmoid4_mixed_avx2(x: __m256d, hard: u32, live: u32) -> (__m256d, u32) {
+    let absx = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+    let easy = _mm256_cmp_pd(absx, _mm256_set1_pd(700.0), _CMP_LT_OQ);
+    let sat = _mm256_cmp_pd(absx, _mm256_set1_pd(745.0), _CMP_GT_OQ);
+    let mut y = _mm256_setzero_pd();
+    if !hard & live != 0 {
+        y = sigmoid4_avx2(_mm256_and_pd(x, easy));
     }
-    if i < n {
-        let rem = n - i;
-        let mut buf = [0.0f64; 4];
-        buf[..rem].copy_from_slice(&input[i..]);
-        let x = _mm256_loadu_pd(buf.as_ptr());
-        if easy4(x) {
-            _mm256_storeu_pd(buf.as_mut_ptr(), sigmoid4_avx2(x));
-            out[i..].copy_from_slice(&buf[..rem]);
-        } else {
-            for l in 0..rem {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l));
-            }
-        }
-    }
+    let pos = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GT_OQ);
+    let ends = _mm256_and_pd(_mm256_set1_pd(1.0), pos);
+    (
+        _mm256_blendv_pd(y, ends, sat),
+        hard & !(_mm256_movemask_pd(sat) as u32),
+    )
 }
 
+/// 8-lane [`sigmoid4_mixed_avx2`].
+#[inline(never)]
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn sigmoid_slice_f64_avx512(input: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(input.len(), out.len());
-    let n = input.len();
-    let (ip, op) = (input.as_ptr(), out.as_mut_ptr());
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let x = _mm512_loadu_pd(ip.add(i));
-        if easy8(x) {
-            _mm512_storeu_pd(op.add(i), sigmoid8_avx512(x));
-        } else {
-            for l in 0..8 {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l));
-            }
-        }
-        i += 8;
+unsafe fn sigmoid8_mixed_avx512(x: __m512d, hard: u32, live: u32) -> (__m512d, u32) {
+    let absmask = _mm512_set1_epi64(i64::MAX);
+    let absx = _mm512_castsi512_pd(_mm512_and_si512(_mm512_castpd_si512(x), absmask));
+    let sat = _mm512_cmp_pd_mask(absx, _mm512_set1_pd(745.0), _CMP_GT_OQ);
+    let mut y = _mm512_setzero_pd();
+    if !hard & live != 0 {
+        y = sigmoid8_avx512(_mm512_maskz_mov_pd(!hard as __mmask8, x));
     }
-    if i < n {
-        let rem = n - i;
-        let mut buf = [0.0f64; 8];
-        buf[..rem].copy_from_slice(&input[i..]);
-        let x = _mm512_loadu_pd(buf.as_ptr());
-        if easy8(x) {
-            _mm512_storeu_pd(buf.as_mut_ptr(), sigmoid8_avx512(x));
-            out[i..].copy_from_slice(&buf[..rem]);
-        } else {
-            for l in 0..rem {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l));
-            }
-        }
-    }
+    let pos = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_GT_OQ);
+    let ends = _mm512_maskz_mov_pd(pos, _mm512_set1_pd(1.0));
+    (_mm512_mask_mov_pd(y, sat, ends), hard & !(sat as u32))
 }
 
+/// The scalar sigmoid of one lane the vector arms hand back. Out of line
+/// on purpose: inlined into an arm's patch loop it is compiled with the
+/// arm's target features, and that copy measured about twice the cost per
+/// lane of this stand-alone one (≈ 50 against ≈ 25 ns on an AVX-512 host,
+/// EXPERIMENTS.md E20).
+#[inline(never)]
+fn sigmoid_lane(x: f64) -> f64 {
+    crate::math::sigmoid(x)
+}
+
+/// One sigmoid arm over a slice: full blocks of `$lanes` elements through
+/// `$load` / `$store`, then the ragged tail as one masked block of `rem`
+/// lanes through `$mload` / `$mstore` (the masked helpers above; f32 is
+/// widened to and narrowed from f64 either way). An all-easy block is
+/// `$easy`, inline; any other goes through `$mixed`, which settles every
+/// lane it can in vector registers, and each lane it hands back then
+/// takes [`sigmoid_lane`] alone — so what a NaN or a subnormal-band value
+/// costs is its own scalar call, not its neighbours' too.
+macro_rules! sigmoid_arm {
+    ($feature:literal, $slice:ident, $t:ty, $lanes:literal,
+     $load:expr, $store:expr, $mload:expr, $mstore:expr,
+     $hard:ident, $easy:ident, $mixed:ident) => {
+        #[target_feature(enable = $feature)]
+        pub(super) unsafe fn $slice(input: &[$t], out: &mut [$t]) {
+            debug_assert_eq!(input.len(), out.len());
+            let n = input.len();
+            let (ip, op) = (input.as_ptr(), out.as_mut_ptr());
+            // `$x` holds the `$live` lanes at `$i`; `$put` stores them.
+            macro_rules! block {
+                ($i:expr, $live:expr, $x:expr, $put:expr) => {
+                    let x = $x;
+                    let hard = $hard(x);
+                    let (y, mut rest) = if hard == 0 {
+                        ($easy(x), 0)
+                    } else {
+                        $mixed(x, hard, $live)
+                    };
+                    $put(y);
+                    while rest != 0 {
+                        let l = $i + rest.trailing_zeros() as usize;
+                        *op.add(l) = sigmoid_lane(*ip.add(l) as f64) as $t;
+                        rest &= rest - 1;
+                    }
+                };
+            }
+            let mut i = 0usize;
+            while i + $lanes <= n {
+                block!(i, (1u32 << $lanes) - 1, $load(ip.add(i)), |y| $store(
+                    op.add(i),
+                    y
+                ));
+                i += $lanes;
+            }
+            if i < n {
+                let rem = n - i;
+                block!(i, (1u32 << rem) - 1, $mload(ip.add(i), rem), |y| $mstore(
+                    op.add(i),
+                    rem,
+                    y
+                ));
+            }
+        }
+    };
+}
+
+sigmoid_arm!(
+    "avx2,fma",
+    sigmoid_slice_f64_avx2,
+    f64,
+    4,
+    |p| _mm256_loadu_pd(p),
+    |p, y| _mm256_storeu_pd(p, y),
+    |p, rem| mload_f64_avx2(p, rem),
+    |p, rem, y| mstore_f64_avx2(p, rem, y),
+    hard4,
+    sigmoid4_avx2,
+    sigmoid4_mixed_avx2
+);
+sigmoid_arm!(
+    "avx512f",
+    sigmoid_slice_f64_avx512,
+    f64,
+    8,
+    |p| _mm512_loadu_pd(p),
+    |p, y| _mm512_storeu_pd(p, y),
+    |p, rem| mload_f64_avx512(p, rem),
+    |p, rem, y| mstore_f64_avx512(p, rem, y),
+    hard8,
+    sigmoid8_avx512,
+    sigmoid8_mixed_avx512
+);
 // The f32 activation contract is widen → f64 sigmoid → narrow-by-`as`;
 // `vcvtps2pd` is exact and `vcvtpd2ps` rounds to nearest like `as f32`.
-
-#[target_feature(enable = "avx2,fma")]
-pub(super) unsafe fn sigmoid_slice_f32_avx2(input: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(input.len(), out.len());
-    let n = input.len();
-    let (ip, op) = (input.as_ptr(), out.as_mut_ptr());
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(ip.add(i)));
-        if easy4(x) {
-            _mm_storeu_ps(op.add(i), _mm256_cvtpd_ps(sigmoid4_avx2(x)));
-        } else {
-            for l in 0..4 {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l) as f64) as f32;
-            }
-        }
-        i += 4;
-    }
-    if i < n {
-        let rem = n - i;
-        let mut buf = [0.0f32; 4];
-        buf[..rem].copy_from_slice(&input[i..]);
-        let x = _mm256_cvtps_pd(_mm_loadu_ps(buf.as_ptr()));
-        if easy4(x) {
-            _mm_storeu_ps(buf.as_mut_ptr(), _mm256_cvtpd_ps(sigmoid4_avx2(x)));
-            out[i..].copy_from_slice(&buf[..rem]);
-        } else {
-            for l in 0..rem {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l) as f64) as f32;
-            }
-        }
-    }
-}
-
-#[target_feature(enable = "avx512f")]
-pub(super) unsafe fn sigmoid_slice_f32_avx512(input: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(input.len(), out.len());
-    let n = input.len();
-    let (ip, op) = (input.as_ptr(), out.as_mut_ptr());
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let x = _mm512_cvtps_pd(_mm256_loadu_ps(ip.add(i)));
-        if easy8(x) {
-            _mm256_storeu_ps(op.add(i), _mm512_cvtpd_ps(sigmoid8_avx512(x)));
-        } else {
-            for l in 0..8 {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l) as f64) as f32;
-            }
-        }
-        i += 8;
-    }
-    if i < n {
-        let rem = n - i;
-        let mut buf = [0.0f32; 8];
-        buf[..rem].copy_from_slice(&input[i..]);
-        let x = _mm512_cvtps_pd(_mm256_loadu_ps(buf.as_ptr()));
-        if easy8(x) {
-            _mm256_storeu_ps(buf.as_mut_ptr(), _mm512_cvtpd_ps(sigmoid8_avx512(x)));
-            out[i..].copy_from_slice(&buf[..rem]);
-        } else {
-            for l in 0..rem {
-                *op.add(i + l) = crate::math::sigmoid(*ip.add(i + l) as f64) as f32;
-            }
-        }
-    }
-}
+// A tail block is the low half of a masked f32 vector (`rem` never
+// exceeds it).
+sigmoid_arm!(
+    "avx2,fma",
+    sigmoid_slice_f32_avx2,
+    f32,
+    4,
+    |p| _mm256_cvtps_pd(_mm_loadu_ps(p)),
+    |p, y| _mm_storeu_ps(p, _mm256_cvtpd_ps(y)),
+    |p, rem| _mm256_cvtps_pd(_mm256_castps256_ps128(mload_f32_avx2(p, rem))),
+    |p, rem, y| mstore_f32_avx2(p, rem, _mm256_castps128_ps256(_mm256_cvtpd_ps(y))),
+    hard4,
+    sigmoid4_avx2,
+    sigmoid4_mixed_avx2
+);
+sigmoid_arm!(
+    "avx512f",
+    sigmoid_slice_f32_avx512,
+    f32,
+    8,
+    |p| _mm512_cvtps_pd(_mm256_loadu_ps(p)),
+    |p, y| _mm256_storeu_ps(p, _mm512_cvtpd_ps(y)),
+    |p, rem| _mm512_cvtps_pd(_mm512_castps512_ps256(mload_f32_avx512(p, rem))),
+    |p, rem, y| mstore_f32_avx512(p, rem, _mm512_castps256_ps512(_mm512_cvtpd_ps(y))),
+    hard8,
+    sigmoid8_avx512,
+    sigmoid8_mixed_avx512
+);

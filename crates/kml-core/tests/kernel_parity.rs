@@ -475,6 +475,9 @@ mod arm_parity {
                 1 => Just(-0.0),
                 1 => Just(750.0),     // past the f64 sigmoid clamp
                 1 => Just(-750.0),
+                1 => Just(-726.5),    // exp(-|x|) an f64 subnormal: the
+                1 => Just(717.25),    // integer-halving tail of scale_by_pow2
+                1 => Just(-703.0),    // past the vector band, result normal
                 1 => Just(95.0),      // f32 sigmoid saturation band
                 1 => Just(-95.0),
             ],
@@ -509,6 +512,51 @@ mod arm_parity {
         fn simd_sigmoid_arms_match_scalar_f64(data in special_values(), len in 0usize..40) {
             let input: Vec<f64> = vals(len, &data, 0);
             check_sigmoid_arms(&sig_arms_f64(), &input);
+        }
+    }
+
+    /// Every value that changes which path a lane takes — the vector band's
+    /// edge (700), the clamp's (745), the subnormal band between them,
+    /// infinities, NaN — in every lane position of every block shape, among
+    /// ordinary and saturated neighbours: each lane must come out as the
+    /// scalar function makes it, whatever shares its block.
+    #[test]
+    fn sigmoid_arms_hard_lane_in_every_position() {
+        let hard = [
+            -725.4151,
+            731.0,
+            -708.5,
+            744.9,
+            -744.0,
+            700.0,
+            -700.0,
+            699.9999,
+            745.0,
+            -745.0,
+            745.0001,
+            -745.0001,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for len in 1..=19usize {
+            for pos in 0..len {
+                for (n, &h) in hard.iter().enumerate() {
+                    let mut xs: Vec<f64> = (0..len).map(|i| i as f64 * 1.3 - 9.0).collect();
+                    // Saturated and second hard neighbours now and then.
+                    if n % 2 == 0 {
+                        xs[(pos + 3) % len] = -1809.9;
+                        xs[(pos + 5) % len] = 2833.9;
+                    }
+                    if n % 3 == 0 {
+                        xs[(pos + 2) % len] = -hard[(n + 1) % hard.len()];
+                    }
+                    xs[pos] = h;
+                    check_sigmoid_arms(&sig_arms_f64(), &xs);
+                    let xs32: Vec<f32> = xs.iter().map(|&v| v as f32).collect();
+                    check_sigmoid_arms(&sig_arms_f32(), &xs32);
+                }
+            }
         }
     }
 

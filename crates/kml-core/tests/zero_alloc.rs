@@ -18,7 +18,9 @@ use kml_core::matrix::Matrix;
 use kml_core::model::ModelBuilder;
 use kml_core::optimizer::Sgd;
 use kml_core::scalar::Scalar;
+use kml_core::KmlError;
 use kml_platform::alloc::CountingSystemAlloc;
+use proptest::prelude::*;
 
 #[global_allocator]
 static ALLOC: CountingSystemAlloc = CountingSystemAlloc;
@@ -135,6 +137,64 @@ fn steady_state_training_is_allocation_free_f64() {
 #[test]
 fn steady_state_training_is_allocation_free_fix32() {
     assert_steady_state_training_zero_allocs::<Fix32>("Fix32 (Q16.16)");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// ROADMAP item 5, first entry: on features a deployed loop can hand
+    /// the model and training never did — the FEATURES window scaled across
+    /// fifteen decades, through the vector sigmoid's range, exp's subnormal
+    /// band and both clamps, with ±inf, NaN or ±`f64::MAX` planted in any
+    /// one position — inference never panics, answers with a class inside
+    /// the output or a typed `KmlError`, and still touches the allocator
+    /// not once.
+    #[test]
+    fn inference_is_total_and_allocation_free_on_hostile_features(
+        decade in -3i32..=12,
+        jitter in 0.25f64..4.0,
+        pos in 0usize..5,
+        planted in prop_oneof![
+            4 => Just(None),
+            1 => Just(Some(f64::INFINITY)),
+            1 => Just(Some(f64::NEG_INFINITY)),
+            1 => Just(Some(f64::NAN)),
+            1 => Just(Some(f64::MAX)),
+            1 => Just(Some(-f64::MAX)),
+        ],
+    ) {
+        let mut f = FEATURES.map(|v| v * jitter * 10f64.powi(decade));
+        if let Some(v) = planted {
+            f[pos] = v;
+        }
+        let mut model = ModelBuilder::readahead_paper_topology(5, 4)
+            .seed(0x2a)
+            .build::<f32>()
+            .unwrap();
+        model.set_normalizer(fitted_normalizer());
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            model.predict(&FEATURES).unwrap();
+            model.infer_into(&FEATURES, &mut out).unwrap();
+        }
+        let before = (
+            CountingSystemAlloc::thread_allocations(),
+            CountingSystemAlloc::thread_frees(),
+        );
+        let class: Result<usize, KmlError> = model.predict(&f);
+        let raw: Result<(), KmlError> = model.infer_into(&f, &mut out);
+        let after = (
+            CountingSystemAlloc::thread_allocations(),
+            CountingSystemAlloc::thread_frees(),
+        );
+        prop_assert_eq!(before, after, "inference on {:?} touched the allocator", f);
+        if let Ok(class) = class {
+            prop_assert!(class < model.output_dim(), "class {} on {:?}", class, f);
+        }
+        if raw.is_ok() {
+            prop_assert_eq!(out.len(), model.output_dim());
+        }
+    }
 }
 
 #[test]
