@@ -4,8 +4,9 @@
 //! compaction. Both were super-linear once (a writeback that walked every
 //! clean page, a compaction that re-sorted sorted runs). Read path: one
 //! Zipfian rank draw and one point get, each a binary search over an 8 MiB
-//! array once. The ceilings, mirrored in `BENCH_baseline.json`, trip if any
-//! of those costs comes back.
+//! array once; one 256-page `Sim::read`, cold through a full cache and warm,
+//! per page. The ceilings, mirrored in `BENCH_baseline.json`, trip if any of
+//! those costs comes back.
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use kernel_sim::{Sim, SimConfig};
@@ -115,6 +116,62 @@ fn bench_read_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// Pages per benchmarked read, and the cache they stream through: the
+/// server side of the ledger's `netfs-wifi` (`NetRunConfig::paper()`), which
+/// is ~95 % `Sim::read`.
+const READ_PAGES: u64 = 256;
+const READ_CACHE_PAGES: usize = 4096;
+
+fn bench_sim_read(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simstack");
+    let cfg = SimConfig {
+        cache_pages: READ_CACHE_PAGES,
+        ..SimConfig::default()
+    };
+    // Cold, through a full cache: one miss, one 256-page device run — evict,
+    // fill and (no ring attached) skip the tracepoint for each page — then
+    // 255 hits. Every 16th read starts from a new offset, as the mount's do.
+    group.bench_function("sim_read_stream_256p", |b| {
+        let mut sim = Sim::new(cfg);
+        let file = sim.create_file(1 << 20);
+        let span = (1 << 20) - READ_PAGES;
+        let (mut pos, mut x, mut issued) = (0u64, 0x4B4D4Cu64, 0u64);
+        let mut read = move || {
+            issued += 1;
+            if issued.is_multiple_of(16) {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                pos = (x >> 33) % span;
+            }
+            let at = pos;
+            pos = (pos + READ_PAGES) % span;
+            sim.read(file, at, READ_PAGES).unwrap()
+        };
+        for _ in 0..2 * READ_CACHE_PAGES as u64 / READ_PAGES {
+            read();
+        }
+        b.iter(|| black_box(read()));
+    });
+    // Warm: half the cache streamed in once, then read over and over — 256
+    // hits and promotions a read, no device request.
+    group.bench_function("sim_read_warm_256p", |b| {
+        let mut sim = Sim::new(cfg);
+        let file = sim.create_file(1 << 20);
+        let resident = READ_CACHE_PAGES as u64 / 2;
+        for at in (0..resident).step_by(READ_PAGES as usize) {
+            sim.read(file, at, READ_PAGES).unwrap();
+        }
+        let mut at = 0;
+        b.iter(|| {
+            at = (at + READ_PAGES) % resident;
+            black_box(sim.read(file, at, READ_PAGES).unwrap())
+        });
+        assert_eq!(sim.stats().device.pages_read, resident);
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(
@@ -123,7 +180,7 @@ criterion_group! {
             .and_then(|v| v.parse().ok())
             .unwrap_or(30),
     );
-    targets = bench_write_stream, bench_compaction, bench_read_path
+    targets = bench_write_stream, bench_compaction, bench_read_path, bench_sim_read
 }
 
 /// Ceilings at 2× the medians measured when the scans were removed (29 ns a
@@ -139,6 +196,20 @@ const COMPACTION_CEILING_MS: f64 = 90.0;
 const ZIPF_SAMPLE_CEILING_NS: f64 = 71.0;
 const POINT_GET_CEILING_NS: f64 = 863.0;
 
+/// Ceilings of the two `Sim::read` benches, ns per page, at 1.3× the medians
+/// measured when device runs became the unit `Sim` and the page cache
+/// exchange (21.6 and 8.75 ns a page; the parent commit read 34.4 and 9.7,
+/// its fastest samples 32.4 and 9.1). A revert trips the first by 1.2×. The
+/// second cannot tell one from noise — on warm pages the run path and the
+/// finger together are a tenth — and is there for a per-hit cost coming
+/// back, such as a second lookup or an allocation. Unlike the 2× ceilings
+/// above, these sit inside the swing of a shared host — the same binary
+/// reads 1.5–1.8× for minutes at a time while an ALU-only loop beside it
+/// does not move — so they judge the fastest sample, which a neighbour can
+/// only raise.
+const READ_STREAM_CEILING_NS_PER_PAGE: f64 = 28.0;
+const READ_WARM_CEILING_NS_PER_PAGE: f64 = 11.4;
+
 fn main() {
     let mut filter: Option<String> = None;
     for arg in std::env::args().skip(1) {
@@ -148,39 +219,64 @@ fn main() {
     }
     benches(filter.as_deref());
 
-    // (id, divisor from ns per iteration to the gated unit, unit, ceiling)
+    // (id, divisor from ns per iteration to the gated unit, unit, ceiling,
+    // whether the fastest sample is judged instead of the median)
     let gates = [
         (
             "simstack/write_stream_full_cache",
             WRITE_PAGES as f64,
             "ns/page",
             WRITE_STREAM_CEILING_NS_PER_PAGE,
+            false,
         ),
         (
             "simstack/compact_l0x4_into_1m",
             1e6,
             "ms",
             COMPACTION_CEILING_MS,
+            false,
         ),
-        ("simstack/zipf_sample_1m", 1.0, "ns", ZIPF_SAMPLE_CEILING_NS),
+        (
+            "simstack/zipf_sample_1m",
+            1.0,
+            "ns",
+            ZIPF_SAMPLE_CEILING_NS,
+            false,
+        ),
         (
             "simstack/point_get_1m_zipf",
             1.0,
             "ns",
             POINT_GET_CEILING_NS,
+            false,
+        ),
+        (
+            "simstack/sim_read_stream_256p",
+            READ_PAGES as f64,
+            "ns/page",
+            READ_STREAM_CEILING_NS_PER_PAGE,
+            true,
+        ),
+        (
+            "simstack/sim_read_warm_256p",
+            READ_PAGES as f64,
+            "ns/page",
+            READ_WARM_CEILING_NS_PER_PAGE,
+            true,
         ),
     ];
     let mut failed = false;
     for s in &criterion::summaries() {
-        let Some(&(_, per, unit, ceiling)) = gates.iter().find(|(id, ..)| s.id == *id) else {
+        let Some(&(_, per, unit, ceiling, fastest)) = gates.iter().find(|g| s.id == g.0) else {
             continue;
         };
-        let median = s.median_ns / per;
-        let pass = median <= ceiling;
+        let (median, min) = (s.median_ns / per, s.min_ns / per);
+        let pass = if fastest { min } else { median } <= ceiling;
         println!(
-            "{}: {} median {median:.1} {unit}, ceiling {ceiling:.0} {unit}",
+            "{}: {} median {median:.1} {unit}, fastest {min:.1}, ceiling {ceiling} on the {}",
             if pass { "PASS" } else { "FAIL" },
             s.id,
+            if fastest { "fastest sample" } else { "median" },
         );
         failed |= !pass;
     }

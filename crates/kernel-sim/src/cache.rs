@@ -20,6 +20,7 @@
 //! evictions that came before.
 
 use crate::fxhash::FxHasher;
+use std::convert::Infallible;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// Key of a cached page: (inode number, page index within the file).
@@ -56,6 +57,9 @@ struct Entry {
     dirty: bool,
     /// Brought in by readahead and not yet referenced by a real access.
     speculative: bool,
+    /// False once the slot is on the free list, where it keeps its last key:
+    /// [`PageCache::touch`]'s finger compares keys without the index.
+    live: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -154,6 +158,8 @@ pub struct PageCache {
     len: usize,
     entries: Vec<Entry>,
     free: Vec<u32>,
+    /// Slab slot of the last [`PageCache::touch`] hit.
+    finger: u32,
     /// Head and tail of the [`LRU`] and [`DIRTY`] lists.
     ends: [Ends; 2],
     dirty_count: usize,
@@ -174,6 +180,7 @@ impl PageCache {
             len: 0,
             entries: Vec::with_capacity(capacity),
             free: Vec::new(),
+            finger: NIL,
             ends: [EMPTY; 2],
             dirty_count: 0,
             stats: CacheStats::default(),
@@ -222,11 +229,20 @@ impl PageCache {
     /// its speculative flag, counts a hit, and returns true; on miss, counts
     /// a miss and returns false.
     pub fn touch(&mut self, key: PageKey) -> bool {
-        match self.lookup(key, tag_of(key)) {
+        // A stream's pages were filled into consecutively evicted slots, so
+        // the slot after the last hit is tried before hashing. Keys are
+        // unique among live slots: one that holds `key` is the resident page.
+        let next = self.finger.wrapping_add(1);
+        let found = match self.entries.get(next as usize) {
+            Some(entry) if entry.live && entry.key == key => Some(next),
+            _ => self.lookup(key, tag_of(key)),
+        };
+        match found {
             Some(idx) => {
                 self.promote(idx);
                 self.entries[idx as usize].speculative = false;
                 self.stats.hits += 1;
+                self.finger = idx;
                 true
             }
             None => {
@@ -248,9 +264,9 @@ impl PageCache {
         self.admit(key, false, true)
     }
 
+    /// Promotes a resident page; an absent one is a run of one page.
     fn admit(&mut self, key: PageKey, speculative: bool, dirty: bool) -> Inserted {
-        let tag = tag_of(key);
-        if let Some(idx) = self.lookup(key, tag) {
+        if let Some(idx) = self.lookup(key, tag_of(key)) {
             self.promote(idx);
             // A demand insert over a speculative page de-speculates it.
             if !speculative {
@@ -261,32 +277,68 @@ impl PageCache {
             }
             return Inserted::Promoted;
         }
-        // `len <= capacity` always holds, so one eviction makes room; the
-        // new page takes over its victim's slot.
-        let (idx, victim) = if self.len >= self.capacity {
-            let (idx, victim) = self.detach_lru();
-            (idx, Some(victim))
-        } else {
-            let idx = self.free.pop().unwrap_or(self.entries.len() as u32);
-            (idx, None)
-        };
-        let entry = Entry {
-            key,
-            links: [UNLINKED; 2],
-            dirty: false,
-            speculative,
-        };
-        match self.entries.get_mut(idx as usize) {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
-        }
-        self.index_insert(tag, idx);
-        self.link_after::<LRU>(NIL, idx);
-        if dirty {
-            self.set_dirty(idx);
-        }
-        self.stats.insertions += 1;
+        let (demand, mut victim) = ((!speculative).then_some(key.1), None);
+        let Ok(()) = self.admit_run(key.0, key.1..=key.1, demand, dirty, |_, old, flush| {
+            victim = (old != key).then_some((old, flush));
+            Ok::<(), Infallible>(())
+        });
         Inserted::Added(victim)
+    }
+
+    /// Admits `pages` of `inode` — ascending, none of them resident: a device
+    /// run entering the cache. Each page evicts the LRU page if the cache is
+    /// full, takes over its slot, and is handed to `sink(page, victim,
+    /// victim_dirty)` before the next is admitted. `victim` is the evicted
+    /// page's key (the caller writes dirty victims back) or, when there was
+    /// room, the page's own. Every page but `demand` is speculative; `dirty`
+    /// admits written pages. The sink's first error ends the run, with that
+    /// page admitted.
+    ///
+    /// The sink takes scalars and [`PageCache::detach_lru`] returns one: a
+    /// padded aggregate handed across a call per page is stored piecewise
+    /// and reloaded whole, a failed store-to-load forward on every page.
+    pub(crate) fn admit_run<E>(
+        &mut self,
+        inode: u64,
+        pages: impl IntoIterator<Item = u64>,
+        demand: Option<u64>,
+        dirty: bool,
+        mut sink: impl FnMut(u64, PageKey, bool) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for page in pages {
+            let key = (inode, page);
+            let tag = tag_of(key);
+            debug_assert!(self.lookup(key, tag).is_none(), "{key:?} is resident");
+            // `len <= capacity` always holds, so one eviction makes room; the
+            // new page takes over its victim's slot.
+            let (idx, victim, victim_dirty) = if self.len >= self.capacity {
+                let idx = self.detach_lru();
+                let old = &self.entries[idx as usize];
+                (idx, old.key, old.dirty)
+            } else {
+                let idx = self.free.pop().unwrap_or(self.entries.len() as u32);
+                (idx, key, false)
+            };
+            let entry = Entry {
+                key,
+                links: [UNLINKED; 2],
+                dirty: false,
+                speculative: Some(page) != demand,
+                live: true,
+            };
+            match self.entries.get_mut(idx as usize) {
+                Some(slot) => *slot = entry,
+                None => self.entries.push(entry),
+            }
+            self.index_insert(tag, idx);
+            self.link_after::<LRU>(NIL, idx);
+            if dirty {
+                self.set_dirty(idx);
+            }
+            self.stats.insertions += 1;
+            sink(page, victim, victim_dirty)?;
+        }
+        Ok(())
     }
 
     /// Marks a resident page dirty; returns false if the page is absent.
@@ -341,9 +393,8 @@ impl PageCache {
         }
         let mut evicted = Vec::new();
         while self.len > self.capacity {
-            let (idx, victim) = self.detach_lru();
-            self.free.push(idx);
-            evicted.push(victim);
+            let idx = self.detach_lru();
+            evicted.push(self.release(idx));
         }
         evicted
     }
@@ -356,14 +407,12 @@ impl PageCache {
             return false;
         };
         self.index_remove(tag, idx);
-        let dirty = self.entries[idx as usize].dirty;
-        if dirty {
+        if self.entries[idx as usize].dirty {
             self.unlink::<DIRTY>(idx);
             self.dirty_count -= 1;
         }
         self.unlink::<LRU>(idx);
-        self.free.push(idx);
-        dirty
+        self.release(idx).1
     }
 
     /// Drops every page (the benchmark-between-runs `drop_caches`).
@@ -398,9 +447,19 @@ impl PageCache {
         }
     }
 
+    /// Puts an unlinked, unindexed slot on the free list, where no finger
+    /// can match it; returns the page it held.
+    fn release(&mut self, idx: u32) -> Victim {
+        let entry = &mut self.entries[idx as usize];
+        entry.live = false;
+        self.free.push(idx);
+        (entry.key, entry.dirty)
+    }
+
     /// Evicts the LRU page: off both lists and out of the index. Returns its
-    /// slot, which the caller reuses or frees, and the victim.
-    fn detach_lru(&mut self) -> (u32, Victim) {
+    /// slot, still holding the victim's key and dirty flag, which the caller
+    /// reads before it reuses or frees the slot.
+    fn detach_lru(&mut self) -> u32 {
         let idx = self.ends[LRU].tail;
         let Entry {
             key,
@@ -418,7 +477,7 @@ impl PageCache {
         self.unlink::<LRU>(idx);
         self.index_remove(tag_of(key), idx);
         self.stats.evictions += 1;
-        (idx, (key, dirty))
+        idx
     }
 
     /// Slab slot of a resident page.
@@ -531,6 +590,23 @@ impl PageCache {
 
 #[cfg(test)]
 impl PageCache {
+    /// [`PageCache::touch`] as it was before the finger: always through the
+    /// index. The per-page reference in `sim::parity` reads with it.
+    pub(crate) fn touch_hashed(&mut self, key: PageKey) -> bool {
+        match self.lookup(key, tag_of(key)) {
+            Some(idx) => {
+                self.promote(idx);
+                self.entries[idx as usize].speculative = false;
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
+        }
+    }
+
     /// Keys along list `L`, tail (least recently used) first, checking that
     /// the links agree in both directions.
     fn order<const L: usize>(&self) -> Vec<PageKey> {
@@ -684,6 +760,30 @@ mod tests {
         // Slots are recycled.
         c.insert((1, 3), false);
         assert!(c.touch((1, 3)));
+    }
+
+    #[test]
+    fn finger_never_matches_a_freed_slot() {
+        let mut c = PageCache::new(4);
+        for i in 0..4 {
+            c.insert((1, i), false); // page i in slab slot i
+        }
+        assert!(c.touch((1, 1))); // the finger rests on slot 1 …
+        c.forget((1, 2)); // … and slot 2 is freed with its key still in it
+        assert!(!c.touch((1, 2)));
+        assert!(c.touch((1, 1)));
+        assert_eq!(c.set_capacity(1), vec![((1, 0), false), ((1, 3), false)]);
+        assert!(c.touch((1, 1))); // finger on slot 1, slot 2 and 3 free
+        assert!(!c.touch((1, 2)));
+        assert!(!c.touch((1, 3)));
+    }
+
+    #[test]
+    fn a_run_stops_at_its_sinks_error_with_that_page_admitted() {
+        let mut c = PageCache::new(4);
+        let sink = |p, _, _| if p == 11 { Err(p) } else { Ok(()) };
+        assert_eq!(c.admit_run(2, 10..13, None, false, sink), Err(11));
+        assert!(c.contains((2, 10)) && c.contains((2, 11)) && !c.contains((2, 12)));
     }
 
     #[test]
@@ -850,7 +950,7 @@ mod tests {
         /// flushed batch is re-dirtied as `Sim` does after a failed flush.
         #[test]
         fn prop_matches_tail_scanning_reference(
-            ops in proptest::collection::vec((0u8..16, 0u64..24, 0usize..12), 1..400),
+            ops in proptest::collection::vec((0u8..18, 0u64..24, 0usize..12), 1..400),
         ) {
             let mut c = PageCache::new(8);
             let mut naive = NaiveCache {
@@ -881,6 +981,26 @@ mod tests {
                         }
                     }
                     12 => prop_assert_eq!(c.forget(key), naive.forget(key)),
+                    16 | 17 => {
+                        // A device run: the absent stretch from `page`, at
+                        // most `n` pages, against one insert per page.
+                        let len = (page..page + n as u64)
+                            .take_while(|&p| naive.position((key.0, p)).is_none())
+                            .count() as u64;
+                        let demand = (op == 16).then_some(page + n as u64 / 2);
+                        let mut expect = Vec::new();
+                        for p in page..page + len {
+                            let victim = naive.insert((key.0, p), Some(p) != demand).victim();
+                            expect.push((p, victim.unwrap_or(((key.0, p), false))));
+                        }
+                        let mut got = Vec::new();
+                        let run = c.admit_run(key.0, page..page + len, demand, false, |p, old, flush| {
+                            got.push((p, (old, flush)));
+                            Ok::<(), ()>(())
+                        });
+                        prop_assert_eq!(run, Ok(()));
+                        prop_assert_eq!(got, expect);
+                    }
                     13 | 14 => {
                         let capacity = if op == 13 { 1 + n } else { 8 };
                         prop_assert_eq!(c.set_capacity(capacity), naive.set_capacity(capacity));

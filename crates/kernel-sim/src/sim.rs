@@ -633,23 +633,20 @@ impl Sim {
         cost: &mut u64,
     ) -> IoResult<bool> {
         let inode = self.files[f.0].inode;
-        let file_pages = self.files[f.0].pages;
-        let end = (start + len).min(file_pages);
-        // Group uncached pages into contiguous runs: each run is one
-        // device request (bigger readahead ⇒ fewer, larger requests).
-        let mut run_start: Option<u64> = None;
-        let mut run_len = 0;
+        let end = (start + len).min(self.files[f.0].pages);
+        let time_ns = self.clock_ns;
         let mut demand_resident = false;
-        for p in start..=end {
-            let uncached = p < end && !self.cache.contains((inode, p));
-            if uncached {
-                if run_start.is_none() {
-                    run_start = Some(p);
-                    run_len = 0;
-                }
-                run_len += 1;
-            } else if let Some(rs) = run_start.take() {
-                let service_ns = match self.device.read(inode, rs, run_len) {
+        let mut p = start;
+        while p < end {
+            // Uncached pages group into contiguous runs: each run is one
+            // device request (bigger readahead ⇒ fewer, larger requests).
+            let run_start = p;
+            while p < end && !self.cache.contains((inode, p)) {
+                p += 1;
+            }
+            let run_len = p - run_start;
+            if run_len > 0 {
+                let service_ns = match self.device.read(inode, run_start, run_len) {
                     Ok(ns) => ns,
                     Err(e) => {
                         *cost += e.ns;
@@ -661,18 +658,32 @@ impl Sim {
                     .read_request_bytes
                     .record(run_len * crate::PAGE_SIZE);
                 *cost += service_ns;
-                for q in rs..rs + run_len {
-                    let victim = self.cache.insert((inode, q), q != demand).victim();
-                    if q == demand {
-                        demand_resident = true;
-                    } else if victim.is_some_and(|(key, _)| key == (inode, demand)) {
-                        demand_resident = false;
-                    }
-                    self.flush_victim(victim, cost)?;
-                    self.emit(TraceKind::AddToPageCache, inode, q);
-                }
-                run_len = 0;
+                // The run enters the cache in one pass: evict, fill, flush
+                // the dirty victim and fire both tracepoints per page.
+                self.cache.admit_run(
+                    inode,
+                    run_start..p,
+                    Some(demand),
+                    false,
+                    |q, old, flush| {
+                        if q == demand {
+                            demand_resident = true;
+                        } else if old == (inode, demand) {
+                            demand_resident = false;
+                        }
+                        if flush {
+                            charge_write(&mut self.device, &self.telemetry, old, 1, cost)?;
+                            self.trace.emit(TraceKind::WritebackDirtyPage, old, time_ns);
+                        }
+                        self.trace
+                            .emit(TraceKind::AddToPageCache, (inode, q), time_ns);
+                        Ok(())
+                    },
+                )?;
             }
+            // `p` is `end`, or was resident when the scan reached it; the
+            // run's evictions do not send the scan back to it.
+            p += 1;
         }
         Ok(demand_resident)
     }
@@ -681,9 +692,9 @@ impl Sim {
     /// write error the victim is already evicted — the loss is *reported*
     /// through the error, never silent.
     fn flush_victim(&mut self, victim: Option<Victim>, cost: &mut u64) -> IoResult<()> {
-        if let Some(((inode, page), true)) = victim {
-            self.charge_write(inode, page, 1, cost)?;
-            self.emit(TraceKind::WritebackDirtyPage, inode, page);
+        if let Some((key, true)) = victim {
+            charge_write(&mut self.device, &self.telemetry, key, 1, cost)?;
+            self.emit(TraceKind::WritebackDirtyPage, key.0, key.1);
         }
         Ok(())
     }
@@ -717,6 +728,7 @@ impl Sim {
         self.sorted.clear();
         self.sorted.extend_from_slice(&self.flushed);
         self.sorted.sort_unstable();
+        let (device, telemetry) = (&mut self.device, &self.telemetry);
         let (mut run_inode, mut run_start) = self.sorted[0];
         let mut run_len = 1;
         for i in 1..self.sorted.len() {
@@ -724,13 +736,13 @@ impl Sim {
             if ino == run_inode && p == run_start + run_len {
                 run_len += 1;
             } else {
-                self.charge_write(run_inode, run_start, run_len, cost)?;
+                charge_write(device, telemetry, (run_inode, run_start), run_len, cost)?;
                 run_inode = ino;
                 run_start = p;
                 run_len = 1;
             }
         }
-        self.charge_write(run_inode, run_start, run_len, cost)
+        charge_write(device, telemetry, (run_inode, run_start), run_len, cost)
     }
 
     /// Fires `writeback_dirty_page` for every page in `self.flushed`.
@@ -741,40 +753,37 @@ impl Sim {
         }
     }
 
-    /// One merged device write request, recorded in telemetry.
-    fn charge_write(
-        &mut self,
-        inode: u64,
-        start: u64,
-        npages: u64,
-        cost: &mut u64,
-    ) -> IoResult<()> {
-        match self.device.write(inode, start, npages) {
-            Ok(service_ns) => {
-                self.telemetry.write_latency_ns.record(service_ns);
-                self.telemetry
-                    .write_request_bytes
-                    .record(npages * crate::PAGE_SIZE);
-                *cost += service_ns;
-                Ok(())
-            }
-            Err(e) => {
-                *cost += e.ns;
-                Err(e)
-            }
-        }
-    }
-
     fn emit(&mut self, kind: TraceKind, inode: u64, page_offset: u64) {
-        let time_ns = self.clock_ns;
-        self.trace.emit(TraceRecord {
-            kind,
-            inode,
-            page_offset,
-            time_ns,
-        });
+        self.trace.emit(kind, (inode, page_offset), self.clock_ns);
     }
 }
+
+/// One merged device write request, recorded in telemetry.
+fn charge_write(
+    device: &mut BlockDevice,
+    telemetry: &SimTelemetry,
+    (inode, start): PageKey,
+    npages: u64,
+    cost: &mut u64,
+) -> IoResult<()> {
+    match device.write(inode, start, npages) {
+        Ok(service_ns) => {
+            telemetry.write_latency_ns.record(service_ns);
+            telemetry
+                .write_request_bytes
+                .record(npages * crate::PAGE_SIZE);
+            *cost += service_ns;
+            Ok(())
+        }
+        Err(e) => {
+            *cost += e.ns;
+            Err(e)
+        }
+    }
+}
+
+#[cfg(test)]
+mod parity;
 
 #[cfg(test)]
 mod tests {

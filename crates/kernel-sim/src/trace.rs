@@ -9,6 +9,7 @@
 //! lock-free ring buffer so the collection path matches the paper's
 //! (wait-free producer on the I/O path, async consumer).
 
+use crate::cache::PageKey;
 use kml_collect::ringbuf::Producer;
 
 /// Which tracepoint fired.
@@ -56,9 +57,14 @@ impl TraceSink {
     }
 
     /// Emits one record (wait-free; drops silently when disabled).
-    pub fn emit(&mut self, record: TraceRecord) {
+    pub fn emit(&mut self, kind: TraceKind, (inode, page_offset): PageKey, time_ns: u64) {
         if let Some(p) = &self.producer {
-            p.push(record);
+            p.push(TraceRecord {
+                kind,
+                inode,
+                page_offset,
+                time_ns,
+            });
             self.emitted += 1;
         }
     }
@@ -82,12 +88,7 @@ mod tests {
     #[test]
     fn disabled_sink_swallows_records() {
         let mut sink = TraceSink::disabled();
-        sink.emit(TraceRecord {
-            kind: TraceKind::AddToPageCache,
-            inode: 1,
-            page_offset: 2,
-            time_ns: 3,
-        });
+        sink.emit(TraceKind::AddToPageCache, (1, 2), 3);
         assert!(!sink.is_enabled());
         assert_eq!(sink.emitted(), 0);
     }
@@ -97,16 +98,11 @@ mod tests {
         let (p, mut c) = RingBuffer::with_capacity(16).split();
         let mut sink = TraceSink::new(p);
         for i in 0..5 {
-            sink.emit(TraceRecord {
-                kind: if i % 2 == 0 {
-                    TraceKind::AddToPageCache
-                } else {
-                    TraceKind::WritebackDirtyPage
-                },
-                inode: 7,
-                page_offset: i,
-                time_ns: i * 100,
-            });
+            let kind = match i % 2 {
+                0 => TraceKind::AddToPageCache,
+                _ => TraceKind::WritebackDirtyPage,
+            };
+            sink.emit(kind, (7, i), i * 100);
         }
         assert_eq!(sink.emitted(), 5);
         let got: Vec<TraceRecord> = c.drain().collect();

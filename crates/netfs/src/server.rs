@@ -63,7 +63,10 @@ pub struct NfsServer {
     sim: Sim,
     per_rpc_ns: u64,
     drc: Vec<(u64, IoResult<u64>)>,
+    /// Ring cursor: the oldest reply once the DRC is full, 0 until then.
     drc_next: usize,
+    /// Largest xid ever cached; a larger one cannot be in the DRC.
+    drc_max_xid: u64,
 }
 
 impl NfsServer {
@@ -75,6 +78,7 @@ impl NfsServer {
             per_rpc_ns,
             drc: Vec::with_capacity(DRC_CAPACITY),
             drc_next: 0,
+            drc_max_xid: 0,
         }
     }
 
@@ -94,6 +98,48 @@ impl NfsServer {
     /// state; a miss executes against the kernel and caches the reply.
     /// `stats` gets the server-side accounting either way.
     pub fn handle(&mut self, xid: u64, op: RpcOp, stats: &mut NetStats) -> IoResult<u64> {
+        stats.server_seen += 1;
+        if let Some(reply) = self.cached_reply(xid) {
+            stats.drc_hits += 1;
+            self.sim.advance(self.per_rpc_ns / 4);
+            return reply;
+        }
+        self.sim.advance(self.per_rpc_ns);
+        let reply = match op {
+            RpcOp::Read { file, page, npages } => self.sim.read(file, page, npages),
+            RpcOp::Write { file, page, npages } => self.sim.write(file, page, npages),
+        };
+        if self.drc.len() < DRC_CAPACITY {
+            self.drc.push((xid, reply));
+        } else {
+            self.drc[self.drc_next] = (xid, reply);
+            self.drc_next = (self.drc_next + 1) % DRC_CAPACITY;
+        }
+        self.drc_max_xid = self.drc_max_xid.max(xid);
+        reply
+    }
+
+    /// The cached reply to `xid`, if the DRC still holds it. A fresh xid —
+    /// almost every request — is larger than any cached one and costs no
+    /// scan; a retransmit follows its original closely, so the ring is
+    /// searched newest first.
+    fn cached_reply(&self, xid: u64) -> Option<IoResult<u64>> {
+        if xid > self.drc_max_xid {
+            return None;
+        }
+        let (newer, older) = self.drc.split_at(self.drc_next);
+        let mut newest_first = newer.iter().rev().chain(older.iter().rev());
+        newest_first
+            .find(|&&(x, _)| x == xid)
+            .map(|&(_, reply)| reply)
+    }
+}
+
+#[cfg(test)]
+impl NfsServer {
+    /// [`NfsServer::handle`] as it was: every slot scanned for every xid, in
+    /// slot order from the end. The reference of `drc_matches_the_linear_scan`.
+    fn handle_scanning(&mut self, xid: u64, op: RpcOp, stats: &mut NetStats) -> IoResult<u64> {
         stats.server_seen += 1;
         if let Some(&(_, reply)) = self.drc.iter().rev().find(|&&(x, _)| x == xid) {
             stats.drc_hits += 1;
@@ -119,6 +165,43 @@ impl NfsServer {
 mod tests {
     use super::*;
     use kernel_sim::DeviceProfile;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Fresh, retransmitted, long-evicted and out-of-order xids, enough
+        /// of them to wrap the ring twice: the same replies, the same
+        /// accounting and the same clock as the scan of every slot.
+        #[test]
+        fn drc_matches_the_linear_scan(
+            arrivals in proptest::collection::vec((0u8..8, 0u64..600, 1u64..9), 800..1200),
+        ) {
+            let ((mut s, f), (mut linear, _)) = (server(), server());
+            let (mut stats, mut linear_stats) = (NetStats::default(), NetStats::default());
+            let mut next_xid = 0u64;
+            for (kind, back, npages) in arrivals {
+                let xid = match kind {
+                    // Mostly the client's next xid, sometimes skipping ahead …
+                    0..=3 => next_xid,
+                    4 => next_xid + back,
+                    // … a retransmit of a recent one, or something older
+                    // than the 256 replies the cache holds.
+                    5 | 6 => next_xid.saturating_sub(1 + back % 4),
+                    _ => next_xid.saturating_sub(back),
+                };
+                next_xid = next_xid.max(xid + 1);
+                let page = xid * 8 % 4096;
+                let op = match xid % 3 {
+                    0 => RpcOp::Write { file: f, page, npages },
+                    _ => RpcOp::Read { file: f, page, npages },
+                };
+                let reply = s.handle(xid, op, &mut stats);
+                prop_assert_eq!(reply, linear.handle_scanning(xid, op, &mut linear_stats));
+                prop_assert_eq!(stats, linear_stats);
+                prop_assert_eq!(s.sim().now_ns(), linear.sim().now_ns());
+                prop_assert_eq!(&s.drc, &linear.drc);
+            }
+        }
+    }
 
     fn server() -> (NfsServer, FileId) {
         let mut s = NfsServer::new(
