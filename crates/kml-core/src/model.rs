@@ -27,6 +27,13 @@ use kml_platform::threading::pool_map;
 /// for any `train_workers` setting.
 const SHARD_ROWS: usize = 32;
 
+/// Least work in a batch — rows × parameters — that takes the data-parallel
+/// path. Below it the replicas, shard copies and pool dispatch of a sharded
+/// step cost more than the step: at 64 rows of the paper's 272-parameter
+/// network, 97 µs against 22 µs serial. 2^21 is where a two-worker step
+/// first stops losing (EXPERIMENTS.md E22's crossover table).
+const SHARD_MIN_WORK: usize = 1 << 21;
+
 /// Builder for sequential (chain) models.
 ///
 /// # Example
@@ -163,6 +170,7 @@ impl ModelBuilder {
         }
         graph.set_output(prev.expect("specs checked non-empty"))?;
         Ok(Model {
+            param_count: graph.param_bytes() / S::BYTES,
             graph,
             input_dim: self.input_dim,
             output_dim: dim,
@@ -204,6 +212,9 @@ pub struct Model<S: Scalar> {
     loss_grad: Matrix<S>,
     /// Worker threads [`Model::train_batch`] may split row shards across.
     train_workers: usize,
+    /// Parameter elements in `graph`: with a batch's rows, the work
+    /// [`SHARD_MIN_WORK`] gates sharding on.
+    param_count: usize,
     /// The bounded-error int8 serving engine, when enabled
     /// ([`Model::enable_q8`]). `None` keeps every inference call on the
     /// bit-exact `S` path.
@@ -229,6 +240,7 @@ impl<S: Scalar> Model<S> {
             return Err(KmlError::InvalidConfig("empty graph".into()));
         }
         Ok(Model {
+            param_count: graph.param_bytes() / S::BYTES,
             graph,
             input_dim,
             output_dim,
@@ -260,6 +272,7 @@ impl<S: Scalar> Model<S> {
         let graph = self.graph.clone_for_workers()?;
         let mut replica = Model {
             graph,
+            param_count: self.param_count,
             input_dim: self.input_dim,
             output_dim: self.output_dim,
             normalizer: self.normalizer.clone(),
@@ -779,9 +792,10 @@ impl<S: Scalar> Model<S> {
     /// Returns the batch loss.
     ///
     /// With `train_workers > 1` and a batch of at least two shards (64
-    /// rows), the forward/backward passes run data-parallel across worker
-    /// threads; the resulting weights are bit-for-bit identical to the
-    /// serial path at any worker count (see [`Model::set_train_workers`]).
+    /// rows) whose rows × parameters make it worth a pool dispatch, the
+    /// forward/backward passes run data-parallel across worker threads; the
+    /// resulting weights are bit-for-bit identical to the serial path at
+    /// any worker count (see [`Model::set_train_workers`]).
     /// The serial path performs **zero heap allocations** in steady state.
     ///
     /// # Errors
@@ -823,13 +837,15 @@ impl<S: Scalar> Model<S> {
         }
     }
 
-    /// Whether this batch can take the data-parallel path: multiple workers
-    /// configured, at least two shards of rows, a loss that can scale shard
-    /// gradients by the full batch size, and a well-formed target (malformed
-    /// targets fall through to the serial path for its exact error).
+    /// Whether this batch takes the data-parallel path: multiple workers
+    /// configured, at least two shards of rows, enough work to repay the
+    /// dispatch, a loss that can scale shard gradients by the full batch
+    /// size, and a well-formed target (malformed targets fall through to
+    /// the serial path for its exact error).
     fn shardable(&self, input: &Matrix<S>, target: TargetRef<'_>, loss: &impl Loss) -> bool {
         self.train_workers > 1
             && input.rows() >= 2 * SHARD_ROWS
+            && input.rows() * self.param_count >= SHARD_MIN_WORK
             && loss.supports_sharded_grad()
             && match target {
                 TargetRef::Classes(c) => c.len() == input.rows(),
@@ -1189,11 +1205,24 @@ mod tests {
         assert!(acc > 0.9, "fixed-point accuracy {acc}");
     }
 
+    /// Whether `train_batch` on this batch takes the data-parallel path.
+    fn takes_sharded_path<S: Scalar>(
+        model: &Model<S>,
+        input: &Matrix<S>,
+        target: TargetRef<'_>,
+        loss: &impl Loss,
+    ) -> bool {
+        model.shardable(input, target, loss) && model.graph.clone_for_workers().is_some()
+    }
+
     /// Trains one model five full-batch steps at the given worker count and
-    /// returns every parameter (as f64 bits) plus the last batch loss.
+    /// returns every parameter (as f64 bits) plus the last batch loss. The
+    /// network is wide enough that 96 rows clear [`SHARD_MIN_WORK`].
     fn train_weights<S: Scalar>(workers: usize) -> (Vec<u64>, u64) {
         let mut model = ModelBuilder::new(2)
-            .linear(8)
+            .linear(160)
+            .sigmoid()
+            .linear(160)
             .sigmoid()
             .linear(2)
             .seed(11)
@@ -1208,6 +1237,15 @@ mod tests {
         }
         let input = Matrix::<S>::from_f64_vec(96, 2, &feats).unwrap();
         let labels: Vec<usize> = (0..96).map(|i| i % 2).collect();
+        assert_eq!(
+            takes_sharded_path(
+                &model,
+                &input,
+                TargetRef::Classes(&labels),
+                &CrossEntropyLoss
+            ),
+            workers > 1
+        );
         let mut last = 0.0;
         for _ in 0..5 {
             last = model
@@ -1244,12 +1282,33 @@ mod tests {
         check::<crate::fixed::Fix32>();
     }
 
+    /// The continual retrainer's step: a 64-sample reservoir through the
+    /// paper's 272-parameter network is far too little work to dispatch.
+    #[test]
+    fn small_batches_train_serially_at_any_worker_count() {
+        let mut model = ModelBuilder::readahead_paper_topology(5, 2)
+            .build::<f64>()
+            .unwrap();
+        model.set_train_workers(8);
+        let input = Matrix::<f64>::zeros(64, 5);
+        let labels = [0usize; 64];
+        let target = TargetRef::Classes(&labels);
+        assert!(!takes_sharded_path(
+            &model,
+            &input,
+            target,
+            &CrossEntropyLoss
+        ));
+    }
+
     #[test]
     fn sharded_training_matches_serial_for_value_targets() {
         use crate::loss::MseLoss;
         let run = |workers: usize| -> (Vec<u64>, u64) {
             let mut model = ModelBuilder::new(3)
-                .linear(6)
+                .linear(160)
+                .tanh()
+                .linear(160)
                 .tanh()
                 .linear(2)
                 .seed(5)
@@ -1267,6 +1326,8 @@ mod tests {
                 targets.push(1.0 - (i % 3) as f64 * 0.5);
             }
             let input = Matrix::<f64>::from_f64_vec(80, 3, &feats).unwrap();
+            let sharded = takes_sharded_path(&model, &input, TargetRef::Values(&targets), &MseLoss);
+            assert_eq!(sharded, workers > 1);
             let mut last = 0.0;
             for _ in 0..4 {
                 last = model

@@ -384,7 +384,7 @@ fn merge_runs(mut runs: Vec<&[u64]>) -> Vec<u64> {
             merged.extend_from_slice(run);
             break;
         };
-        let taken = run.partition_point(|&k| k <= bound);
+        let taken = leading_at_most(run, bound);
         merged.extend_from_slice(&run[..taken]);
         runs[lead] = &run[taken..];
         if run[taken - 1] == bound {
@@ -395,6 +395,20 @@ fn merge_runs(mut runs: Vec<&[u64]>) -> Vec<u64> {
         runs.retain(|r| !r.is_empty());
     }
     merged
+}
+
+/// How many leading keys of ascending `run` are ≤ `bound`, found by galloping
+/// from the head — doubling steps, then a search inside the last step — so a
+/// take of `t` keys costs O(log t) whatever is left of the run.
+fn leading_at_most(run: &[u64], bound: u64) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step < run.len() && run[lo + step] <= bound {
+        lo += step;
+        step *= 2;
+    }
+    // Everything before `lo` is ≤ bound; `run[lo + step]`, if there, is not.
+    let hi = (lo + step).min(run.len());
+    lo + run[lo..hi].partition_point(|&k| k <= bound)
 }
 
 #[cfg(test)]
@@ -721,6 +735,52 @@ mod tests {
             let union: BTreeSet<u64> = runs.iter().flatten().copied().collect();
             let merged = merge_runs(runs.iter().map(Vec::as_slice).collect());
             prop_assert_eq!(merged, union.into_iter().collect::<Vec<u64>>());
+        }
+
+        /// The galloped take is the whole-run search it replaced, for
+        /// bounds below the head, on and between keys — every doubling
+        /// boundary among them — and past the end.
+        #[test]
+        fn leading_at_most_matches_whole_run_search(
+            run in proptest::collection::btree_set(1u64..2_000, 1..600),
+        ) {
+            let run: Vec<u64> = run.into_iter().collect();
+            for bound in run.iter().flat_map(|&k| [k - 1, k, k + 1]) {
+                prop_assert_eq!(
+                    leading_at_most(&run, bound),
+                    run.partition_point(|&k| k <= bound)
+                );
+            }
+        }
+
+        /// Lopsided runs as compaction sees them (L1 holds ~30 keys per L0
+        /// key), either way round and even, with single-key runs and with
+        /// the short run's keys sitting on the long run's gallop boundaries
+        /// (its keys at distance 2^k − 1 from wherever the last take ended).
+        #[test]
+        fn merge_runs_is_the_set_union_of_lopsided_runs(
+            long_len in 1usize..1_500,
+            ratio in 0usize..3,
+            stride in 1u64..4,
+            offset in 0u64..3,
+            long_first in any::<bool>(),
+        ) {
+            let long: Vec<u64> = (0..long_len as u64).map(|i| 1 + i * stride).collect();
+            // Every `ratio`-th key of the long run (one key in all at the
+            // largest ratio), shifted onto, before or after it.
+            let ratio = [1, 30, 1_500][ratio];
+            let short: Vec<u64> = long.iter().step_by(ratio).map(|&k| k - 1 + offset).collect();
+            let boundaries: Vec<u64> = (0..11)
+                .map(|l| (1usize << l) - 1)
+                .filter(|&i| i < long.len())
+                .map(|i| long[i])
+                .collect();
+            let mut runs = vec![long.as_slice(), short.as_slice(), boundaries.as_slice()];
+            if !long_first {
+                runs.reverse();
+            }
+            let union: BTreeSet<u64> = runs.iter().copied().flatten().copied().collect();
+            prop_assert_eq!(merge_runs(runs), union.into_iter().collect::<Vec<u64>>());
         }
 
         /// After compaction the store answers like the set of keys put.

@@ -12,14 +12,54 @@ use kernel_sim::{FileId, IoResult, Sim};
 /// Pages per data block.
 pub const BLOCK_PAGES: u64 = 4;
 
-/// A blocked Bloom filter over the table's keys (RocksDB enables one per
-/// table by default): ~10 bits/key, k=7 probes, giving ≈1% false positives.
-/// Point lookups for absent keys skip the block read with 99% probability —
-/// the read-amplification saver that makes L0 stacks tolerable.
+/// Exact `x % n` for a divisor fixed at construction, without the hardware
+/// divide: one multiply-high by a precomputed reciprocal, two shifts and a
+/// multiply-subtract (Granlund–Montgomery, round-up form; DESIGN.md §16).
+#[derive(Debug, Clone, Copy)]
+struct Modulus {
+    n: u64,
+    /// `⌊2^64 · (2^l − n) / n⌋ + 1` with `l = ⌈log2 n⌉`.
+    magic: u64,
+    /// `l − 1`.
+    shift: u32,
+}
+
+impl Modulus {
+    /// # Panics
+    ///
+    /// Panics if `n < 2` (the round-up form's first shift is by one bit).
+    fn new(n: u64) -> Modulus {
+        assert!(n >= 2, "modulus must be at least 2");
+        let l = 64 - (n - 1).leading_zeros();
+        // 2^(l-1) < n <= 2^l, so 2^l − n < n and the quotient fits 64 bits.
+        let magic = ((((1u128 << l) - n as u128) << 64) / n as u128) as u64 + 1;
+        Modulus {
+            n,
+            magic,
+            shift: l - 1,
+        }
+    }
+
+    #[inline]
+    fn rem(&self, x: u64) -> u64 {
+        let t = ((self.magic as u128 * x as u128) >> 64) as u64;
+        // t <= x, so neither the difference nor the sum leaves 64 bits.
+        let q = (t + ((x - t) >> 1)) >> self.shift;
+        x - q * self.n
+    }
+}
+
+/// A plain Bloom filter over the table's keys — one bit array, every probe
+/// anywhere in it (RocksDB enables one per table by default): ~10 bits/key,
+/// k=7 probes, giving ≈1% false positives. The bit count is at least 64 and
+/// fixed for the filter's life, which is what lets `modulus` hold its
+/// reciprocal. Point lookups for absent keys skip the block read with 99%
+/// probability — the read-amplification saver that makes L0 stacks tolerable.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
     bits: Vec<u64>,
-    num_bits: u64,
+    /// Reduces a hash to a bit position: `x % num_bits`.
+    modulus: Modulus,
 }
 
 impl BloomFilter {
@@ -29,26 +69,24 @@ impl BloomFilter {
     /// Builds a filter sized for `keys`.
     pub fn build(keys: &[u64]) -> BloomFilter {
         let num_bits = (keys.len() * Self::BITS_PER_KEY).max(64) as u64;
-        let mut filter = BloomFilter {
-            bits: vec![0; num_bits.div_ceil(64) as usize],
-            num_bits,
-        };
+        let modulus = Modulus::new(num_bits);
+        let mut bits = vec![0u64; num_bits.div_ceil(64) as usize];
         for &k in keys {
             let (mut h1, h2) = Self::hashes(k);
             for _ in 0..Self::PROBES {
-                let bit = h1 % filter.num_bits;
-                filter.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+                let bit = modulus.rem(h1);
+                bits[(bit / 64) as usize] |= 1 << (bit % 64);
                 h1 = h1.wrapping_add(h2);
             }
         }
-        filter
+        BloomFilter { bits, modulus }
     }
 
     /// Whether `key` may be present (false ⇒ definitely absent).
     pub fn may_contain(&self, key: u64) -> bool {
         let (mut h1, h2) = Self::hashes(key);
         for _ in 0..Self::PROBES {
-            let bit = h1 % self.num_bits;
+            let bit = self.modulus.rem(h1);
             if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
                 return false;
             }
@@ -216,8 +254,40 @@ impl SsTable {
         };
         let start = block * self.entries_per_block;
         let end = (start + self.entries_per_block).min(self.keys.len());
-        start + self.keys[start..end].partition_point(|&k| k < key)
+        let keys = &self.keys[start..end];
+        // Ask for every line of the block at once: the search below then
+        // waits for one miss, not one per halving that crosses a line.
+        keys.iter().step_by(KEYS_PER_LINE).for_each(prefetch);
+        prefetch(&keys[keys.len() - 1]);
+        start + keys.partition_point(|&k| k < key)
     }
+}
+
+/// Keys per 64-byte cache line.
+const KEYS_PER_LINE: usize = 8;
+
+/// Hints the cache line holding `*p` towards L1. A no-op where the target
+/// has no such instruction.
+#[inline(always)]
+fn prefetch<T>(p: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and changes no architectural state,
+    // `p` is a live reference, and SSE is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(p).cast());
+    }
+    #[cfg(target_arch = "aarch64")]
+    // SAFETY: as above; `prfm` is a hint in the base instruction set.
+    unsafe {
+        std::arch::asm!(
+            "prfm pldl1keep, [{0}]",
+            in(reg) std::ptr::from_ref(p),
+            options(nostack, readonly, preserves_flags)
+        );
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = p;
 }
 
 #[cfg(test)]
@@ -274,6 +344,79 @@ mod tests {
         assert!(rate < 0.03, "false-positive rate {rate}");
         // ~10 bits/key.
         assert!(bloom.memory_bytes() < 10_000 * 2);
+    }
+
+    /// `build`'s bits as they were before the reciprocal: a hardware divide
+    /// per probe.
+    fn build_with_div(keys: &[u64]) -> Vec<u64> {
+        let num_bits = (keys.len() * BloomFilter::BITS_PER_KEY).max(64) as u64;
+        let mut bits = vec![0u64; num_bits.div_ceil(64) as usize];
+        for &k in keys {
+            let (mut h1, h2) = BloomFilter::hashes(k);
+            for _ in 0..BloomFilter::PROBES {
+                let bit = h1 % num_bits;
+                bits[(bit / 64) as usize] |= 1 << (bit % 64);
+                h1 = h1.wrapping_add(h2);
+            }
+        }
+        bits
+    }
+
+    fn assert_rem_matches(n: u64, xs: impl IntoIterator<Item = u64>) {
+        let m = Modulus::new(n);
+        let edges = [0, 1, n - 1, n, n.wrapping_add(1), u64::MAX];
+        for x in edges.into_iter().chain(xs) {
+            assert_eq!(m.rem(x), x % n, "{x} mod {n}");
+        }
+    }
+
+    #[test]
+    fn modulus_matches_remainder_at_its_edges() {
+        for n in 2..5_000 {
+            assert_rem_matches(n, []);
+        }
+        // The `.max(64)` floor, every power of two and its neighbours (the
+        // shift changes there), and the ends of the 32- and 64-bit ranges.
+        let powers = (1..64).map(|l| 1u64 << l);
+        let around = powers.flat_map(|p| [p - 1, p, p + 1]).filter(|&n| n >= 2);
+        let ends = [
+            64,
+            u32::MAX as u64 - 1,
+            u32::MAX as u64,
+            u32::MAX as u64 + 1,
+        ];
+        for n in around.chain(ends).chain([u64::MAX - 1, u64::MAX]) {
+            let spread = (0..64).map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i) | 1 << i);
+            assert_rem_matches(n, spread);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn modulus_rejects_one() {
+        Modulus::new(1);
+    }
+
+    proptest! {
+        #[test]
+        fn modulus_matches_remainder(
+            n in prop_oneof![4 => 2u64..1 << 40, 1 => 2u64..=u64::MAX],
+            xs in proptest::collection::vec(any::<u64>(), 1..64),
+        ) {
+            assert_rem_matches(n, xs);
+        }
+
+        /// Same bits, so the same false positives and the same block reads.
+        #[test]
+        fn build_sets_the_bits_the_dividing_build_set(
+            seed in any::<u64>(),
+            len in prop_oneof![8 => 1usize..300, 1 => 300usize..=50_000],
+        ) {
+            let keys: Vec<u64> = (0..len as u64)
+                .map(|i| BloomFilter::hashes(seed.wrapping_add(i)).0)
+                .collect();
+            prop_assert_eq!(BloomFilter::build(&keys).bits, build_with_div(&keys));
+        }
     }
 
     #[test]

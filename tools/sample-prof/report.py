@@ -5,7 +5,9 @@ Three views of the samples that fell inside the main executable (the rest
 are counted by mapping): by function (innermost inlined frame), by source
 line, and the hottest addresses with objdump context — the view that shows a
 stall as one hot load right after a call. Whole-process samples include
-set-up and per-rep preparation: read every share with that in mind.
+set-up and per-rep preparation: read every share with that in mind. A dump
+taken with SAMPLE_PROF_AFTER_S says which CPU seconds it covers; say beside
+every share quoted whether it is whole-process or after-set-up.
 Needs binutils (addr2line, objdump) and line tables in the binary
 (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only).
 """
@@ -17,11 +19,13 @@ ap.add_argument("--top", type=int, default=15)
 ap.add_argument("--binary", help="default: the first file-backed mapping, the executable")
 args = ap.parse_args()
 
-maps, ips = [], []
+maps, ips, window = [], [], None
 for line in open(args.dump):
     kind, _, rest = line.partition(" ")
     if kind == "ip":
         ips.append(int(rest, 16))
+    elif kind == "window":
+        window = tuple(float(x) for x in rest.split())
     elif kind == "map":
         f = rest.split()
         lo, hi = (int(x, 16) for x in f[0].split("-"))
@@ -37,6 +41,12 @@ for ip in ips:
         inside[ip - base] += 1
 total, n = len(ips), sum(inside.values())
 print(f"{total} samples, {n} in {binary}")
+if window and window[0] > window[1]:
+    print(f"never armed by the preload (SAMPLE_PROF_AFTER_S {window[0]:g} s, exit at {window[1]:.3f} s): "
+          "every sample is from a timer the program armed itself (timed-region-only)")
+elif window:
+    kind = "after-set-up" if window[0] > 0 else "whole-process"
+    print(f"armed from {window[0]:.3f} s to {window[1]:.3f} s of process CPU time ({kind})")
 for path, c in where.most_common(5):
     print(f"  {100 * c / total:5.1f} %  {path}")
 
