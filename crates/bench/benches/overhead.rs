@@ -269,8 +269,9 @@ fn main() {
     }
 
     // Regression gates against the committed BENCH_baseline.json numbers:
-    // the blocked-kernel work must hold >= 2x on the training iteration
-    // (215,570 ns committed baseline → 107,785 ns gate), the serving-tier
+    // the training iteration stays under 2× its committed 31,600 ns (the
+    // step before PR 21's column kernels and blocked softmax read 50,800,
+    // the pre-blocking loops 215,570), the serving-tier
     // int8 decision (batch-amortized, see `bench_inference`) must stay at
     // or under 100 ns with the single-row latency under 250 ns, and the
     // exact f32 path must keep the original inference bar (987.1 ns
@@ -286,7 +287,7 @@ fn main() {
         let median = |id: &str| summaries.iter().find(|s| s.id == id).map(|s| s.median_ns);
         let mut failed = false;
         for (id, gate_ns) in [
-            ("overhead_training_iteration", 107_785.0),
+            ("overhead_training_iteration", 63_200.0),
             ("overhead_inference", 100.0),
             ("overhead_inference_single", 250.0),
             ("overhead_inference_exact", 658.0),

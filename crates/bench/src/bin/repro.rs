@@ -459,9 +459,9 @@ fn cmd_lifecycle(quick: bool, json: bool, corrupt: bool) -> DynResult {
     let t0 = Instant::now();
     eprintln!("[training active / candidate / regressed lifecycle artifacts]");
     // class 1 = 1024 KiB (active and candidate, distinct seeds), class 0
-    // = 16 KiB (the regression). Trained in parallel; sharded SGD is
-    // byte-identical to serial and results are collected in spec order,
-    // so the artifacts don't depend on the worker count.
+    // = 16 KiB (the regression). Trained in parallel, one artifact per
+    // worker; results are collected in spec order, so the artifacts
+    // don't depend on the worker count.
     let specs: [(usize, u64); 3] = [(1, 11), (1, 23), (0, 37)];
     let trained = threading::pool_map(&specs, threading::default_workers(), |_, &(class, seed)| {
         lifecycle_artifact(class, POLICY_KB.len(), seed, epochs)

@@ -2,9 +2,8 @@
 //! `.kmlm` bytes, off the control-loop thread.
 //!
 //! [`train_candidate`] is the pure core — a deterministic function from
-//! `(spec, token, samples)` to artifact bytes. It runs the sharded
-//! [`Model::train_batch`] path, which is bit-identical to the serial
-//! path at any worker count, so the candidate bytes are the same at
+//! `(spec, token, samples)` to artifact bytes: one thread, full-batch
+//! [`Model::train_batch`] steps, so the candidate bytes are the same at
 //! `--threads 1/3/8`.
 //!
 //! [`BackgroundRetrainer`] hosts that function on the existing
@@ -26,7 +25,7 @@ use kml_core::loss::TargetRef;
 use kml_core::modelfile;
 use kml_core::prelude::*;
 use kml_lifecycle::{save_model, ArtifactKind};
-use kml_platform::threading::{self, kml_yield};
+use kml_platform::threading::kml_yield;
 use kml_platform::Persona;
 
 use crate::reservoir::{ReservoirSample, RESERVOIR_DIM};
@@ -50,7 +49,7 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Trains a candidate from reservoir samples and packages it as `.kmlm`
 /// bytes. Deterministic: same `(spec, token, samples)` in, same bytes
-/// out, at any worker count.
+/// out.
 ///
 /// # Errors
 ///
@@ -71,9 +70,11 @@ pub fn train_candidate(
             bad.label, spec.classes
         ));
     }
-    let rows: Vec<Vec<f64>> = samples.iter().map(|s| s.features.to_vec()).collect();
+    // The reservoir staged straight into one row-major matrix.
+    let flat: Vec<f64> = samples.iter().flat_map(|s| s.features).collect();
     let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
-    let features = Matrix::from_rows(&rows).map_err(|e| e.to_string())?;
+    let features =
+        Matrix::from_vec(samples.len(), RESERVOIR_DIM, flat).map_err(|e| e.to_string())?;
     let normalizer = Normalizer::fit(&features).map_err(|e| e.to_string())?;
     let normed = normalizer.apply(&features).map_err(|e| e.to_string())?;
 
@@ -82,7 +83,6 @@ pub fn train_candidate(
         .build::<f64>()
         .map_err(|e| e.to_string())?;
     model.set_normalizer(normalizer);
-    model.set_train_workers(threading::default_workers());
 
     let mut sgd = Sgd::paper_defaults();
     for _ in 0..spec.epochs {
@@ -265,6 +265,29 @@ mod tests {
             kml_lifecycle::load_model_for::<f32>(&a, ArtifactKind::Readahead).expect("load");
         assert_eq!(loaded.model.input_dim(), RESERVOIR_DIM);
         assert_eq!(loaded.model.output_dim(), 2);
+    }
+
+    /// The artifact for a fixed seeded reservoir, pinned as an FNV-1a of
+    /// its bytes. Recorded on the commit before the training step was
+    /// rewritten (column `matmul_transpose`, blocked softmax, one-pass
+    /// activation backward); every kernel backend must reproduce it.
+    #[test]
+    fn train_candidate_artifact_matches_golden() {
+        let r = filled_reservoir(200);
+        let golden_spec = RetrainSpec {
+            epochs: 300,
+            ..spec()
+        };
+        let bytes = train_candidate(&golden_spec, 7, r.samples()).expect("train");
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            fnv,
+            0x5c41_a18e_644f_67f5,
+            "artifact FNV-1a {fnv:#018x} over {} bytes",
+            bytes.len()
+        );
     }
 
     #[test]

@@ -227,6 +227,26 @@ impl<S: Scalar> Graph<S> {
     ///
     /// Same conditions as [`Graph::backward`].
     pub fn backward_in_place(&mut self, grad_output: &Matrix<S>) -> Result<&Matrix<S>> {
+        self.backward_scan(grad_output, true)?;
+        Ok(self.grads.slot(self.nodes.len()))
+    }
+
+    /// [`Graph::backward_in_place`] for a caller that only wants the
+    /// parameter gradients (a training step): every layer's gradients come
+    /// out bit-identical, but the source node is asked for them alone
+    /// ([`Layer::backward_params`]) — ∂L/∂input of the graph, the widest
+    /// product of the pass, is never formed.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Graph::backward`].
+    pub fn backward_params_in_place(&mut self, grad_output: &Matrix<S>) -> Result<()> {
+        self.backward_scan(grad_output, false)
+    }
+
+    /// The reverse scan both backward entry points share; `input_grad`
+    /// says whether the source node also writes ∂L/∂input into slot `n`.
+    fn backward_scan(&mut self, grad_output: &Matrix<S>, input_grad: bool) -> Result<()> {
         let output = self
             .output
             .ok_or_else(|| KmlError::InvalidConfig("graph has no output node declared".into()))?;
@@ -255,10 +275,15 @@ impl<S: Scalar> Graph<S> {
                     self.nodes[i].layer.backward_into(gout, gin)?;
                     self.grad_set[src.0] = true;
                 }
-                // The single source node writes the graph-input gradient.
+                // The single source node writes the graph-input gradient,
+                // when anyone asked for it.
                 None => {
-                    let (gout, gin) = self.grads.read_write_pair(i, n);
-                    self.nodes[i].layer.backward_into(gout, gin)?;
+                    if input_grad {
+                        let (gout, gin) = self.grads.read_write_pair(i, n);
+                        self.nodes[i].layer.backward_into(gout, gin)?;
+                    } else {
+                        self.nodes[i].layer.backward_params(self.grads.slot(i))?;
+                    }
                     self.grad_set[n] = true;
                 }
             }
@@ -269,7 +294,7 @@ impl<S: Scalar> Graph<S> {
                 "backward called before forward".into(),
             ));
         }
-        Ok(self.grads.slot(n))
+        Ok(())
     }
 
     /// High-water mark of the forward/backward scratch arenas in bytes —
@@ -311,9 +336,9 @@ impl<S: Scalar> Graph<S> {
         Ok(())
     }
 
-    /// Deep-copies topology and layer parameters for a data-parallel
-    /// training worker (fresh arenas, no gradient state), or `None` if any
-    /// layer cannot be row-sharded (see [`Layer::clone_box`]).
+    /// Deep-copies topology and layer parameters for a serving replica
+    /// (fresh arenas, no gradient state), or `None` if any layer cannot be
+    /// copied (see [`Layer::clone_box`]).
     pub fn clone_for_workers(&self) -> Option<Graph<S>> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
@@ -329,67 +354,6 @@ impl<S: Scalar> Graph<S> {
             grads: ScratchArena::new(),
             grad_set: Vec::new(),
         })
-    }
-
-    /// Zeroes every layer's parameter-gradient accumulators ahead of
-    /// [`Graph::accumulate_param_grads_from`] calls.
-    pub fn reset_param_grads(&mut self) {
-        for n in &mut self.nodes {
-            n.layer.reset_param_grads();
-        }
-    }
-
-    /// Accumulates parameter gradients from a worker `replica` that ran
-    /// `forward_in_place(replica_input)` + `backward_in_place` on one row
-    /// shard. Shards must be fed in ascending row order; each layer's
-    /// accumulator chains then reproduce the full-batch gradient
-    /// bit-for-bit (see [`Layer::accumulate_param_grads`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::InvalidConfig`] if `replica` has a different
-    /// node count, plus any shape error from the layers.
-    pub fn accumulate_param_grads_from(
-        &mut self,
-        replica: &Graph<S>,
-        replica_input: &Matrix<S>,
-    ) -> Result<()> {
-        if replica.nodes.len() != self.nodes.len() {
-            return Err(KmlError::InvalidConfig(
-                "gradient replica does not match graph topology".into(),
-            ));
-        }
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if !replica.grad_set.get(i).copied().unwrap_or(false) {
-                continue; // node not on a path to the output
-            }
-            let input = match replica.nodes[i].input {
-                None => replica_input,
-                Some(src) => replica.acts.slot(src.0),
-            };
-            node.layer
-                .accumulate_param_grads(input, replica.grads.slot(i))?;
-        }
-        Ok(())
-    }
-
-    /// The output node's activation from the latest
-    /// [`Graph::forward_in_place`] pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::InvalidConfig`] if no output is declared or no
-    /// forward pass has run yet.
-    pub fn output_activation(&self) -> Result<&Matrix<S>> {
-        let output = self
-            .output
-            .ok_or_else(|| KmlError::InvalidConfig("graph has no output node declared".into()))?;
-        if output.0 >= self.acts.len() {
-            return Err(KmlError::InvalidConfig(
-                "output activation requested before any forward pass".into(),
-            ));
-        }
-        Ok(self.acts.slot(output.0))
     }
 
     /// Immutable access to the layers in topological order.
@@ -510,6 +474,57 @@ mod tests {
             .unwrap();
         assert_eq!(gin.shape(), (1, 2));
         assert!(gin.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    /// Every parameter gradient of `g`, as bits, in slot order.
+    fn grad_bits(g: &mut Graph<f64>) -> Vec<Vec<u64>> {
+        g.param_grads()
+            .iter()
+            .map(|pg| pg.grad.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// The training step's backward pass leaves exactly the `grad_w` /
+    /// `grad_b` the full pass does — on the chain, and on a graph whose
+    /// source and hidden activation both fan out.
+    #[test]
+    fn params_only_backward_matches_full_backward_bit_for_bit() {
+        let fan_out = || {
+            // x -> lin(2,3) -> sigmoid -> lin(3,2) -> out, with the source
+            // also feeding a tanh and the sigmoid a relu that go nowhere:
+            // not a chain, and the dead branches must stay out of it.
+            let mut rng = rng();
+            let mut g: Graph<f64> = Graph::new();
+            let h = g.add_source(Box::new(Linear::new(2, 3, &mut rng))).unwrap();
+            g.add_node(Box::new(ActivationLayer::new(Activation::Tanh)), h)
+                .unwrap();
+            let s = g
+                .add_node(Box::new(ActivationLayer::new(Activation::Sigmoid)), h)
+                .unwrap();
+            g.add_node(Box::new(ActivationLayer::new(Activation::Relu)), s)
+                .unwrap();
+            let out = g
+                .add_node(Box::new(Linear::new(3, 2, &mut rng)), s)
+                .unwrap();
+            g.set_output(out).unwrap();
+            assert!(!g.is_chain());
+            g
+        };
+        let x = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.1, 0.2], vec![-0.4, 0.9]]).unwrap();
+        let dy = Matrix::from_rows(&[vec![1.0, -0.5], vec![0.25, 2.0], vec![-1.5, 0.1]]).unwrap();
+        for build in [chain_graph as fn() -> Graph<f64>, fan_out] {
+            let (mut full, mut params) = (build(), build());
+            full.forward(&x).unwrap();
+            params.forward(&x).unwrap();
+            full.backward_in_place(&dy).unwrap();
+            params.backward_params_in_place(&dy).unwrap();
+            let want = grad_bits(&mut full);
+            assert_eq!(want.len(), 4);
+            assert!(want.iter().flatten().any(|&b| b != 0), "gradients are live");
+            assert_eq!(grad_bits(&mut params), want);
+        }
+        // Before any forward pass it is the same error, not a stale result.
+        assert!(chain_graph().backward_params_in_place(&dy).is_err());
     }
 
     #[test]

@@ -132,8 +132,21 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
+    /// Backward propagation for a caller that has no use for `∂L/∂input`
+    /// (the source node of a training step): leaves the same parameter
+    /// gradients [`Layer::backward_into`] would. The default runs the full
+    /// [`Layer::backward`] and drops its result; `Linear` overrides it to
+    /// skip the `dy · Wᵀ` product.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Matrix<S>) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// Bytes of forward-state scratch this layer keeps resident between
-    /// passes (cached activations, derivative staging) — counted into the
+    /// passes (cached activations) — counted into the
     /// measured scratch footprint alongside the graph's arena.
     fn scratch_bytes(&self) -> usize {
         0
@@ -162,31 +175,11 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    /// Deep-copies this layer for a data-parallel training worker, or
-    /// `None` if the layer cannot be row-sharded (the recurrent layers
-    /// carry cross-row sequence state). Any `None` in a graph makes
-    /// `Model::train_batch` keep the serial path.
+    /// Deep-copies this layer for a serving replica
+    /// ([`crate::graph::Graph::clone_for_workers`]), or `None` if the layer
+    /// cannot be copied.
     fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {
         None
-    }
-
-    /// Zeroes the parameter-gradient accumulators so that subsequent
-    /// [`Layer::accumulate_param_grads`] calls start fresh chains.
-    fn reset_param_grads(&mut self) {}
-
-    /// Accumulates parameter gradients from a worker replica's forward
-    /// input and output gradient, **continuing** the accumulator chains
-    /// already in the gradient buffers. Feeding row shards in ascending
-    /// order reproduces the full-batch gradient bit-for-bit (the kernels
-    /// walk rows in ascending order with exact partial store/reload).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] if the shard shapes do not
-    /// match the layer's gradient buffers.
-    fn accumulate_param_grads(&mut self, input: &Matrix<S>, grad_out: &Matrix<S>) -> Result<()> {
-        let _ = (input, grad_out);
-        Ok(())
     }
 
     /// Read-only views of the parameters, in slot order (for serialization).
@@ -320,16 +313,22 @@ impl<S: Scalar> Layer<S> for Linear<S> {
     }
 
     fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()> {
+        // dW, db as below ; dx = dy · Wᵀ
+        self.backward_params(grad_out)?;
+        grad_out.matmul_transpose_into(&self.weights, grad_in)
+    }
+
+    fn backward_params(&mut self, grad_out: &Matrix<S>) -> Result<()> {
         if !self.has_input {
             return Err(KmlError::InvalidConfig(
                 "backward called before forward on linear layer".into(),
             ));
         }
-        // dW = xᵀ · dy ; db = column sums of dy ; dx = dy · Wᵀ
+        // dW = xᵀ · dy ; db = column sums of dy
         self.cached_input
             .transpose_matmul_into(grad_out, &mut self.grad_w)?;
         grad_out.sum_rows_into(&mut self.grad_b);
-        grad_out.matmul_transpose_into(&self.weights, grad_in)
+        Ok(())
     }
 
     fn scratch_bytes(&self) -> usize {
@@ -365,16 +364,6 @@ impl<S: Scalar> Layer<S> for Linear<S> {
 
     fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {
         Some(Box::new(self.clone()))
-    }
-
-    fn reset_param_grads(&mut self) {
-        self.grad_w.fill(S::ZERO);
-        self.grad_b.fill(S::ZERO);
-    }
-
-    fn accumulate_param_grads(&mut self, input: &Matrix<S>, grad_out: &Matrix<S>) -> Result<()> {
-        input.transpose_matmul_acc_into(grad_out, &mut self.grad_w)?;
-        grad_out.sum_rows_acc_into(&mut self.grad_b)
     }
 
     fn params(&self) -> Vec<&Matrix<S>> {
@@ -417,13 +406,12 @@ pub enum Activation {
 /// Element-wise activation layer (sigmoid / ReLU / tanh).
 ///
 /// The backward-pass operand (output for sigmoid/tanh, input for ReLU) is
-/// kept in a persistent buffer reused across passes, plus a staging buffer
-/// for the derivative — no allocation in steady state.
+/// kept in a persistent buffer reused across passes — no allocation in
+/// steady state — and the backward pass is one sweep over it.
 #[derive(Debug, Clone)]
 pub struct ActivationLayer<S: Scalar> {
     activation: Activation,
     cache: Matrix<S>,
-    deriv: Matrix<S>,
     has_cache: bool,
 }
 
@@ -433,7 +421,6 @@ impl<S: Scalar> ActivationLayer<S> {
         ActivationLayer {
             activation,
             cache: Matrix::zeros(0, 0),
-            deriv: Matrix::zeros(0, 0),
             has_cache: false,
         }
     }
@@ -492,28 +479,28 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
                 "backward before forward on {name}"
             )));
         }
+        // dx = dy ⊙ f'(cache), the derivative and the product in one pass:
+        // per element the same operations, in the same order, as staging
+        // f' in a matrix of its own and taking the Hadamard product after.
+        let cache = &self.cache;
         match self.activation {
             // σ' = σ(1-σ), from the cached output.
-            Activation::Sigmoid => self
-                .cache
-                .map_into(&mut self.deriv, |v| v.mul(S::ONE.sub(v))),
+            Activation::Sigmoid => grad_out.zip_with_into(cache, grad_in, "hadamard", |g, v| {
+                g.mul(v.mul(S::ONE.sub(v)))
+            }),
             // tanh' = 1 - tanh², from the cached output.
-            Activation::Tanh => self
-                .cache
-                .map_into(&mut self.deriv, |v| S::ONE.sub(v.mul(v))),
+            Activation::Tanh => grad_out.zip_with_into(cache, grad_in, "hadamard", |g, v| {
+                g.mul(S::ONE.sub(v.mul(v)))
+            }),
             // relu' = 1 for x > 0 else 0, from the cached input.
-            Activation::Relu => {
-                self.cache.map_into(
-                    &mut self.deriv,
-                    |v| if v > S::ZERO { S::ONE } else { S::ZERO },
-                )
-            }
+            Activation::Relu => grad_out.zip_with_into(cache, grad_in, "hadamard", |g, v| {
+                g.mul(if v > S::ZERO { S::ONE } else { S::ZERO })
+            }),
         }
-        grad_out.hadamard_into(&self.deriv, grad_in)
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.cache.storage_bytes() + self.deriv.storage_bytes()
+        self.cache.storage_bytes()
     }
 
     fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {

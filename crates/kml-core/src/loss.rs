@@ -21,9 +21,7 @@ pub enum TargetRef<'a> {
 /// A differentiable training objective.
 ///
 /// `pred` is the raw network output (logits for the classification losses).
-/// Losses are `Sync` so the data-parallel training path can evaluate shard
-/// gradients from worker threads.
-pub trait Loss: std::fmt::Debug + Sync {
+pub trait Loss: std::fmt::Debug {
     /// Stable numeric tag for model files.
     fn tag(&self) -> u8;
 
@@ -44,9 +42,7 @@ pub trait Loss: std::fmt::Debug + Sync {
 
     /// Writes the gradient of the mean loss into `out` (reshaped to match
     /// `pred`), reusing `out`'s buffer when its capacity already suffices.
-    /// The built-in losses override this to fill `out` directly so the
-    /// training hot path stays allocation-free in steady state; the default
-    /// delegates to [`Loss::grad`] for external implementations.
+    /// The default delegates to [`Loss::grad`] for external implementations.
     ///
     /// # Errors
     ///
@@ -61,10 +57,12 @@ pub trait Loss: std::fmt::Debug + Sync {
         Ok(())
     }
 
-    /// Fused mean loss + gradient in one pass. The default computes the two
-    /// separately; `CrossEntropyLoss` overrides it to share the softmax
-    /// pass between the loss and the gradient (halving the `exp` work on
-    /// the training hot path) while producing bit-identical values.
+    /// Fused mean loss + gradient in one pass — the training step's entry
+    /// point, allocation-free in steady state: whatever row staging the
+    /// loss needs lives in the caller's `scratch`. The default computes
+    /// the two separately; `CrossEntropyLoss` overrides it to share one
+    /// softmax pass between the loss and the gradient (halving the `exp`
+    /// work on the training hot path) while producing bit-identical values.
     ///
     /// # Errors
     ///
@@ -74,65 +72,101 @@ pub trait Loss: std::fmt::Debug + Sync {
         pred: &Matrix<S>,
         target: TargetRef<'_>,
         out: &mut Matrix<S>,
+        scratch: &mut LossScratch,
     ) -> Result<f64> {
+        let _ = scratch;
         let l = self.loss(pred, target)?;
         self.grad_into(pred, target, out)?;
         Ok(l)
     }
-
-    /// Gradient of the **batch-mean** loss where the mean is taken over
-    /// `total_rows` rows even though `pred` holds only a row shard of the
-    /// batch. Because all three built-in losses are means of per-row (or
-    /// per-element) terms, a shard's gradient rows computed with the full
-    /// batch's divisor are bit-identical to the corresponding rows of the
-    /// full-batch gradient — which is what makes the data-parallel training
-    /// reduction deterministic.
-    ///
-    /// The default only supports the degenerate `total_rows == pred.rows()`
-    /// case (delegating to [`Loss::grad_into`]); implementations that can
-    /// shard must also override [`Loss::supports_sharded_grad`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Loss::loss`], plus [`KmlError::BadDataset`] if
-    /// the implementation cannot shard and `total_rows != pred.rows()`.
-    fn grad_scaled_into<S: Scalar>(
-        &self,
-        pred: &Matrix<S>,
-        target: TargetRef<'_>,
-        total_rows: usize,
-        out: &mut Matrix<S>,
-    ) -> Result<()> {
-        if total_rows != pred.rows() {
-            return Err(KmlError::BadDataset(
-                "loss does not support sharded gradients".into(),
-            ));
-        }
-        self.grad_into(pred, target, out)
-    }
-
-    /// Whether [`Loss::grad_scaled_into`] accepts row shards
-    /// (`total_rows != pred.rows()`). Gates the data-parallel training path.
-    fn supports_sharded_grad(&self) -> bool {
-        false
-    }
 }
 
-/// Classification rows wider than this fall back to a heap buffer; every
-/// model in the repo (the readahead classifier has 4 outputs) stays on the
-/// stack, keeping the steady-state training path allocation-free.
-const ROW_STACK: usize = 32;
+/// Reused `f64` staging for a loss's row-wise passes, owned by whoever
+/// calls [`Loss::loss_and_grad_into`] step after step (a
+/// [`crate::model::Model`] holds one): sized by the first call, never
+/// reallocated for the same prediction shape after.
+#[derive(Debug, Clone, Default)]
+pub struct LossScratch {
+    /// One block of rows' logits minus their row maximum.
+    shifted: Vec<f64>,
+    /// `exp` of `shifted`.
+    exps: Vec<f64>,
+    /// Per-row sums of `exps`, then their logarithms.
+    sums: Vec<f64>,
+    ln_sums: Vec<f64>,
+}
 
-/// Runs `f` with a zeroed `cols`-wide `f64` scratch row: stack-allocated for
-/// `cols <= ROW_STACK`, heap otherwise.
-fn with_row_buf<R>(cols: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    if cols <= ROW_STACK {
-        let mut buf = [0.0f64; ROW_STACK];
-        f(&mut buf[..cols])
-    } else {
-        let mut buf = vec![0.0f64; cols];
-        f(&mut buf)
+/// Rows one block of the softmax pass covers: enough for the block `exp`
+/// and `ln` to run lane-parallel end to end, small enough that the staging
+/// stays in L1 at any batch size.
+const SOFTMAX_BLOCK_ROWS: usize = 64;
+
+/// The softmax pass behind every [`CrossEntropyLoss`] entry point, a block
+/// of rows at a time: shift each row by its maximum, `exp` the whole block
+/// lane-parallel ([`crate::simd::exp_slice`]), sum each row in column
+/// order, and — when `want_loss` — `ln` the block's sums lane-parallel and
+/// fold `−log softmax[class]` into the total row by row. With `grad`, row
+/// `r` of it becomes `(softmax(pred[r]) − onehot(class[r])) / rows`.
+/// Returns the mean loss (0.0 without `want_loss`).
+///
+/// Per element this is the operation sequence of [`crate::math::softmax_in_place`]
+/// and [`crate::math::log_softmax_at`] — same max fold, same subtraction,
+/// the same `exp` and `ln` bits (the block forms are bit-identical to the
+/// scalar functions per lane), sums in the same order — so blocking changes
+/// no result.
+fn softmax_pass<S: Scalar>(
+    pred: &Matrix<S>,
+    classes: &[usize],
+    scratch: &mut LossScratch,
+    want_loss: bool,
+    mut grad: Option<&mut Matrix<S>>,
+) -> f64 {
+    let (rows, cols) = pred.shape();
+    let n = rows as f64;
+    let block = SOFTMAX_BLOCK_ROWS.min(rows);
+    scratch.shifted.resize(block * cols, 0.0);
+    scratch.exps.resize(block * cols, 0.0);
+    scratch.sums.resize(block, 0.0);
+    scratch.ln_sums.resize(block, 0.0);
+    let mut total = 0.0;
+    let mut r0 = 0;
+    while r0 < rows {
+        let br = block.min(rows - r0);
+        let shifted = &mut scratch.shifted[..br * cols];
+        let exps = &mut scratch.exps[..br * cols];
+        for (r, srow) in shifted.chunks_exact_mut(cols).enumerate() {
+            for (b, v) in srow.iter_mut().zip(pred.row(r0 + r)) {
+                *b = v.to_f64();
+            }
+            let max = srow.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for b in srow.iter_mut() {
+                *b -= max;
+            }
+        }
+        crate::simd::exp_slice(shifted, exps);
+        let sums = &mut scratch.sums[..br];
+        for (sum, erow) in sums.iter_mut().zip(exps.chunks_exact(cols)) {
+            *sum = erow.iter().fold(0.0, |s, &e| s + e);
+        }
+        if want_loss {
+            let ln_sums = &mut scratch.ln_sums[..br];
+            crate::math::ln_slice(sums, ln_sums);
+            for (r, ln_sum) in ln_sums.iter().enumerate() {
+                total -= shifted[r * cols + classes[r0 + r]] - ln_sum;
+            }
+        }
+        if let Some(grad) = grad.as_deref_mut() {
+            for (r, erow) in exps.chunks_exact(cols).enumerate() {
+                let (sum, c) = (sums[r], classes[r0 + r]);
+                for (j, (o, &e)) in grad.row_mut(r0 + r).iter_mut().zip(erow).enumerate() {
+                    let s = if sum > 0.0 { e / sum } else { e };
+                    *o = S::from_f64((s - if j == c { 1.0 } else { 0.0 }) / n);
+                }
+            }
+        }
+        r0 += br;
     }
+    total / n
 }
 
 fn classes_for<'a>(
@@ -206,18 +240,12 @@ impl Loss for CrossEntropyLoss {
         1
     }
 
+    /// Stages its softmax block in a scratch of its own: one-off
+    /// evaluation, not the training step ([`Loss::loss_and_grad_into`]).
     fn loss<S: Scalar>(&self, pred: &Matrix<S>, target: TargetRef<'_>) -> Result<f64> {
         let classes = classes_for(pred.rows(), pred.cols(), target, "cross-entropy")?;
-        Ok(with_row_buf(pred.cols(), |row| {
-            let mut total = 0.0;
-            for (r, &c) in classes.iter().enumerate() {
-                for (b, v) in row.iter_mut().zip(pred.row(r)) {
-                    *b = v.to_f64();
-                }
-                total -= crate::math::log_softmax_at(row, c);
-            }
-            total / pred.rows() as f64
-        }))
+        let mut scratch = LossScratch::default();
+        Ok(softmax_pass(pred, classes, &mut scratch, true, None))
     }
 
     fn grad<S: Scalar>(&self, pred: &Matrix<S>, target: TargetRef<'_>) -> Result<Matrix<S>> {
@@ -226,13 +254,18 @@ impl Loss for CrossEntropyLoss {
         Ok(out)
     }
 
+    /// Like [`CrossEntropyLoss::loss`], in a scratch of its own.
     fn grad_into<S: Scalar>(
         &self,
         pred: &Matrix<S>,
         target: TargetRef<'_>,
         out: &mut Matrix<S>,
     ) -> Result<()> {
-        self.grad_scaled_into(pred, target, pred.rows(), out)
+        let classes = classes_for(pred.rows(), pred.cols(), target, "cross-entropy")?;
+        out.ensure_shape(pred.rows(), pred.cols());
+        let mut scratch = LossScratch::default();
+        softmax_pass(pred, classes, &mut scratch, false, Some(out));
+        Ok(())
     }
 
     fn loss_and_grad_into<S: Scalar>(
@@ -240,67 +273,11 @@ impl Loss for CrossEntropyLoss {
         pred: &Matrix<S>,
         target: TargetRef<'_>,
         out: &mut Matrix<S>,
+        scratch: &mut LossScratch,
     ) -> Result<f64> {
         let classes = classes_for(pred.rows(), pred.cols(), target, "cross-entropy")?;
-        let n = pred.rows() as f64;
         out.ensure_shape(pred.rows(), pred.cols());
-        // One softmax pass serves both the loss and the gradient. The max
-        // fold and the exp-sum order below replicate `log_softmax_at` and
-        // `softmax_in_place` exactly, so the fused values are bit-identical
-        // to the separate loss() + grad_into() calls.
-        Ok(with_row_buf(pred.cols(), |row| {
-            let mut total = 0.0;
-            for (r, &c) in classes.iter().enumerate() {
-                for (b, v) in row.iter_mut().zip(pred.row(r)) {
-                    *b = v.to_f64();
-                }
-                let v_c = row[c];
-                let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let mut sum = 0.0;
-                for x in row.iter_mut() {
-                    *x = crate::math::exp(*x - max);
-                    sum += *x;
-                }
-                total -= (v_c - max) - crate::math::ln(sum);
-                if sum > 0.0 {
-                    for x in row.iter_mut() {
-                        *x /= sum;
-                    }
-                }
-                for (j, (o, &s)) in out.row_mut(r).iter_mut().zip(row.iter()).enumerate() {
-                    *o = S::from_f64((s - if j == c { 1.0 } else { 0.0 }) / n);
-                }
-            }
-            total / pred.rows() as f64
-        }))
-    }
-
-    fn grad_scaled_into<S: Scalar>(
-        &self,
-        pred: &Matrix<S>,
-        target: TargetRef<'_>,
-        total_rows: usize,
-        out: &mut Matrix<S>,
-    ) -> Result<()> {
-        let classes = classes_for(pred.rows(), pred.cols(), target, "cross-entropy")?;
-        let n = total_rows as f64;
-        out.ensure_shape(pred.rows(), pred.cols());
-        with_row_buf(pred.cols(), |row| {
-            for (r, &c) in classes.iter().enumerate() {
-                for (b, v) in row.iter_mut().zip(pred.row(r)) {
-                    *b = v.to_f64();
-                }
-                crate::math::softmax_in_place(row);
-                for (j, (o, &s)) in out.row_mut(r).iter_mut().zip(row.iter()).enumerate() {
-                    *o = S::from_f64((s - if j == c { 1.0 } else { 0.0 }) / n);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    fn supports_sharded_grad(&self) -> bool {
-        true
+        Ok(softmax_pass(pred, classes, scratch, true, Some(out)))
     }
 }
 
@@ -339,18 +316,8 @@ impl Loss for MseLoss {
         target: TargetRef<'_>,
         out: &mut Matrix<S>,
     ) -> Result<()> {
-        self.grad_scaled_into(pred, target, pred.rows(), out)
-    }
-
-    fn grad_scaled_into<S: Scalar>(
-        &self,
-        pred: &Matrix<S>,
-        target: TargetRef<'_>,
-        total_rows: usize,
-        out: &mut Matrix<S>,
-    ) -> Result<()> {
         let vs = values_for(pred.len(), target, "mse")?;
-        let n = (total_rows * pred.cols()) as f64;
+        let n = pred.len() as f64;
         out.ensure_shape(pred.rows(), pred.cols());
         for (o, (&p, &t)) in out
             .as_mut_slice()
@@ -360,10 +327,6 @@ impl Loss for MseLoss {
             *o = S::from_f64(2.0 * (p.to_f64() - t) / n);
         }
         Ok(())
-    }
-
-    fn supports_sharded_grad(&self) -> bool {
-        true
     }
 }
 
@@ -405,18 +368,8 @@ impl Loss for BceLoss {
         target: TargetRef<'_>,
         out: &mut Matrix<S>,
     ) -> Result<()> {
-        self.grad_scaled_into(pred, target, pred.rows(), out)
-    }
-
-    fn grad_scaled_into<S: Scalar>(
-        &self,
-        pred: &Matrix<S>,
-        target: TargetRef<'_>,
-        total_rows: usize,
-        out: &mut Matrix<S>,
-    ) -> Result<()> {
         let vs = values_for(pred.len(), target, "bce")?;
-        let n = (total_rows * pred.cols()) as f64;
+        let n = pred.len() as f64;
         out.ensure_shape(pred.rows(), pred.cols());
         for (o, (&p, &y)) in out
             .as_mut_slice()
@@ -426,10 +379,6 @@ impl Loss for BceLoss {
             *o = S::from_f64((crate::math::sigmoid(p.to_f64()) - y) / n);
         }
         Ok(())
-    }
-
-    fn supports_sharded_grad(&self) -> bool {
-        true
     }
 }
 
@@ -461,6 +410,80 @@ mod tests {
     fn cross_entropy_gradient_matches_finite_difference() {
         let pred = Matrix::from_rows(&[vec![0.2, -1.0, 2.0], vec![1.5, 1.4, -0.3]]).unwrap();
         finite_diff_check(&CrossEntropyLoss, &pred, TargetRef::Classes(&[2, 0]));
+    }
+
+    /// The three cross-entropy entry points against the row-at-a-time
+    /// scalar functions they replaced (`log_softmax_at`, `softmax_in_place`):
+    /// every value bit for bit, on heads from 1 to 40 classes (past the old
+    /// 32-wide stack row), batches across the 64-row block seam, and logits
+    /// that put `exp` lanes in its clamps, its subnormal band and NaN.
+    #[test]
+    fn cross_entropy_blocks_match_the_per_row_functions_bit_for_bit() {
+        fn check<S: Scalar>(rows: usize, cols: usize, scale: f64) {
+            let vals: Vec<f64> = (0..rows * cols)
+                .map(|i| {
+                    let v = ((i * 37 + 11) % 101) as f64 / 101.0 - 0.5;
+                    match i % 53 {
+                        0 => -720.0 * scale, // exp's subnormal band once shifted
+                        1 => -1000.0 * scale,
+                        2 if scale > 2.0 => f64::NAN,
+                        _ => v * scale,
+                    }
+                })
+                .collect();
+            let pred = Matrix::<S>::from_f64_vec(rows, cols, &vals).unwrap();
+            let classes: Vec<usize> = (0..rows).map(|r| (r * 7) % cols).collect();
+            let target = TargetRef::Classes(&classes);
+
+            let n = rows as f64;
+            let mut want_total = 0.0;
+            let mut want_grad = Vec::new();
+            for (r, &c) in classes.iter().enumerate() {
+                let mut row: Vec<f64> = pred.row(r).iter().map(|v| v.to_f64()).collect();
+                want_total -= crate::math::log_softmax_at(&row, c);
+                crate::math::softmax_in_place(&mut row);
+                for (j, s) in row.iter().enumerate() {
+                    want_grad.push(S::from_f64((s - if j == c { 1.0 } else { 0.0 }) / n));
+                }
+            }
+            let want_loss = want_total / n;
+            let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            let same_grad = |got: &Matrix<S>| {
+                got.shape() == (rows, cols)
+                    && got
+                        .as_slice()
+                        .iter()
+                        .zip(&want_grad)
+                        .all(|(g, w)| same(g.to_f64(), w.to_f64()))
+            };
+
+            let ce = CrossEntropyLoss;
+            assert!(same(ce.loss(&pred, target).unwrap(), want_loss), "loss");
+            assert!(same_grad(&ce.grad(&pred, target).unwrap()), "grad");
+            let mut out = Matrix::zeros(1, 1);
+            // A scratch carried over from another shape, as a model's is.
+            let mut scratch = LossScratch::default();
+            let warm = Matrix::<S>::from_f64_vec(3, 2, &[0.0; 6]).unwrap();
+            ce.loss_and_grad_into(
+                &warm,
+                TargetRef::Classes(&[0, 1, 0]),
+                &mut out,
+                &mut scratch,
+            )
+            .unwrap();
+            let fused = ce
+                .loss_and_grad_into(&pred, target, &mut out, &mut scratch)
+                .unwrap();
+            assert!(same(fused, want_loss), "fused loss {rows}x{cols}");
+            assert!(same_grad(&out), "fused grad {rows}x{cols}");
+        }
+        for (rows, cols) in [(1, 1), (1, 2), (5, 4), (16, 4), (64, 2), (65, 3), (130, 40)] {
+            for scale in [1.0, 30.0, 1.0e6] {
+                check::<f64>(rows, cols, scale);
+                check::<f32>(rows, cols, scale);
+            }
+            check::<crate::fixed::Fix32>(rows, cols, 1.0);
+        }
     }
 
     #[test]

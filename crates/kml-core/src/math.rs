@@ -171,30 +171,95 @@ pub fn ln(x: f64) -> f64 {
     if x.is_infinite() {
         return f64::INFINITY;
     }
-    let bits = x.to_bits();
-    let mut exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let mut mant = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
-    if exp == -1023 {
+    if x < f64::MIN_POSITIVE {
         // Subnormal: normalize by scaling up.
         let y = x * scale_by_pow2(1.0, 60);
         return ln(y) - 60.0 * std::f64::consts::LN_2;
     }
-    // Bring mantissa into [sqrt(1/2), sqrt(2)) for fast series convergence.
+    ln_core([x])[0]
+}
+
+/// Lane-generic [`ln`] core — the function itself for one lane, and the
+/// block form [`ln_slice`] runs at four. Caller guarantees every lane is a
+/// positive, normal, finite number, so none of `ln`'s special cases can
+/// fire; the per-lane operation sequence never depends on `N`, so each lane
+/// comes out bit for bit as `ln` makes it. The thirteen `power / (2n+1)`
+/// quotients stay real divisions (`power` reaches the subnormals for
+/// mantissas next to 1, where no multiply-by-reciprocal scheme is exact);
+/// they are independent of one another, so a block keeps the divider busy
+/// instead of waiting on it lane by lane.
+#[inline]
+fn ln_core<const N: usize>(x: [f64; N]) -> [f64; N] {
     const SQRT2: f64 = std::f64::consts::SQRT_2;
-    if mant > SQRT2 {
-        mant *= 0.5;
-        exp += 1;
+    let (mut t, mut t2, mut e) = ([0.0f64; N], [0.0f64; N], [0.0f64; N]);
+    for i in 0..N {
+        let bits = x[i].to_bits();
+        let mut exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
+        let mut mant = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
+        // Bring mantissa into [sqrt(1/2), sqrt(2)) for fast series convergence.
+        if mant > SQRT2 {
+            mant *= 0.5;
+            exp += 1;
+        }
+        t[i] = (mant - 1.0) / (mant + 1.0);
+        t2[i] = t[i] * t[i];
+        e[i] = exp as f64;
     }
-    let t = (mant - 1.0) / (mant + 1.0);
-    let t2 = t * t;
     // 2*atanh(t) = 2t (1 + t²/3 + t⁴/5 + ...)
-    let mut sum = 0.0f64;
-    let mut power = 1.0f64;
+    let mut sum = [0.0f64; N];
+    let mut power = [1.0f64; N];
     for n in 0..13 {
-        sum += power / (2 * n + 1) as f64;
-        power *= t2;
+        let d = (2 * n + 1) as f64;
+        for i in 0..N {
+            sum[i] += power[i] / d;
+            power[i] *= t2[i];
+        }
     }
-    2.0 * t * sum + (exp as f64) * std::f64::consts::LN_2
+    let mut out = [0.0f64; N];
+    for i in 0..N {
+        out[i] = 2.0 * t[i] * sum[i] + e[i] * std::f64::consts::LN_2;
+    }
+    out
+}
+
+/// Element-wise [`ln`] of `xs` into `out`, bit-identical per element: four
+/// lanes at a time through [`ln_core`] while a whole quad is positive,
+/// normal and finite, the scalar function for any other quad and the tail.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn ln_slice(xs: &[f64], out: &mut [f64]) {
+    // The range test is false for NaN, so NaN lanes also go scalar.
+    let easy = |v: &f64| (f64::MIN_POSITIVE..f64::INFINITY).contains(v);
+    quad_map(xs, out, easy, ln_core, ln);
+}
+
+/// `out[i] = scalar(xs[i])`, four lanes at a time through `core` — the
+/// straight-line middle of `scalar`, bit-identical to it on lanes `easy`
+/// admits — while a whole quad is easy; any other quad and the tail take
+/// `scalar` itself, so every special case keeps its exact scalar bits.
+fn quad_map(
+    xs: &[f64],
+    out: &mut [f64],
+    easy: impl Fn(&f64) -> bool,
+    core: impl Fn([f64; 4]) -> [f64; 4],
+    scalar: fn(f64) -> f64,
+) {
+    assert_eq!(xs.len(), out.len(), "block map length mismatch");
+    let mut oc = out.chunks_exact_mut(4);
+    let mut ic = xs.chunks_exact(4);
+    for (o4, i4) in (&mut oc).zip(&mut ic) {
+        let x: [f64; 4] = i4.try_into().expect("exact chunk");
+        o4.copy_from_slice(&if x.iter().all(&easy) {
+            core(x)
+        } else {
+            x.map(scalar)
+        });
+    }
+    for (o, &v) in oc.into_remainder().iter_mut().zip(ic.remainder()) {
+        *o = scalar(v);
+    }
 }
 
 /// Logistic sigmoid `1/(1+e^{-x})`, numerically stable on both tails.
@@ -313,6 +378,20 @@ pub fn sigmoid_slice(xs: &[f64], out: &mut [f64]) {
     for (o, &v) in oc.into_remainder().iter_mut().zip(ic.remainder()) {
         *o = sigmoid(v);
     }
+}
+
+/// Element-wise [`exp`] of `xs` into `out`, bit-identical per element: four
+/// lanes at a time through [`exp_core`] while a whole quad is inside
+/// `(-700, 700)`, the scalar function for any other quad (the clamps, NaN,
+/// the subnormal band) and for the tail. The portable form of the block
+/// `exp` the softmax pass runs; the x86 arms (`simd::x86`) share their
+/// sigmoid's core the same way.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn exp_slice(xs: &[f64], out: &mut [f64]) {
+    quad_map(xs, out, |v| v.abs() < 700.0, exp_core, exp);
 }
 
 /// Lane-generic [`exp`] core. Caller guarantees every lane is in
@@ -686,6 +765,154 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both signs of every binade, three significands each, subnormals
+    /// included (5,000-odd values: magnitude is what picks a lane's path).
+    fn every_binade() -> Vec<f64> {
+        let mut v = vec![0.0, -0.0];
+        for e in -1074..=1023 {
+            let p = scale_by_pow2(1.0, e);
+            for s in [1.0, 1.5, 1.9999999999999998] {
+                v.extend([p * s, -p * s]);
+            }
+        }
+        v
+    }
+
+    /// `slice` against `scalar` element for element: on `sweep` as it is,
+    /// then with each of `hard` in every position of a 1..=11-long slice of
+    /// `easy` values (every lane of a quad, a second quad, the tail), a
+    /// second hard value two lanes on now and then.
+    fn check_block_fn(
+        name: &str,
+        slice: fn(&[f64], &mut [f64]),
+        scalar: fn(f64) -> f64,
+        sweep: &[f64],
+        easy: fn(usize) -> f64,
+        hard: &[f64],
+    ) {
+        let check = |xs: &[f64]| {
+            let mut out = vec![f64::NAN; xs.len()];
+            slice(xs, &mut out);
+            for (&x, &got) in xs.iter().zip(&out) {
+                assert!(
+                    same_bits(got, scalar(x)),
+                    "{name}({x:e}): block {got:e}, scalar {:e}",
+                    scalar(x)
+                );
+            }
+        };
+        check(sweep);
+        for len in 1..=11usize {
+            for pos in 0..len {
+                for (n, &h) in hard.iter().enumerate() {
+                    let mut xs: Vec<f64> = (0..len).map(easy).collect();
+                    if n % 3 == 0 {
+                        xs[(pos + 2) % len] = hard[(n + 1) % hard.len()];
+                    }
+                    xs[pos] = h;
+                    check(&xs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exp_slice_bit_identical_to_scalar_everywhere() {
+        let hard = [
+            700.0,
+            -700.0,
+            699.9999999999999,
+            -699.9999999999999,
+            -708.4,
+            -708.5,
+            -744.99,
+            -745.0,
+            -745.0000000000001,
+            709.78,
+            709.7800000000001,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let easy = |i: usize| i as f64 * 1.3 - 9.0;
+        check_block_fn("exp", exp_slice, exp, &every_binade(), easy, &hard);
+    }
+
+    #[test]
+    fn ln_slice_bit_identical_to_scalar_everywhere() {
+        // What a softmax row can sum to and what it cannot: the smallest
+        // normal and its neighbours, subnormal and zero sums, 1 and its
+        // neighbours (where `power` underflows), sqrt(2)'s (the mantissa
+        // fold), infinities, negatives, NaN.
+        let hard = [
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE * 0.5,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::from_bits((1 << 52) + 1),
+            0.0,
+            -0.0,
+            -1.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            std::f64::consts::SQRT_2,
+            f64::from_bits(std::f64::consts::SQRT_2.to_bits() + 1),
+            f64::from_bits(std::f64::consts::SQRT_2.to_bits() - 1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let easy = |i: usize| 1.0 + i as f64 * 0.37;
+        check_block_fn("ln", ln_slice, ln, &every_binade(), easy, &hard);
+        // `ln` is the one-lane core now, so the comparison above shares a
+        // sequence with what it checks: hold both to the scalar function
+        // as it was written before the core existed.
+        check_block_fn(
+            "ln (pre-core)",
+            ln_slice,
+            ln_before_core,
+            &every_binade(),
+            easy,
+            &hard,
+        );
+    }
+
+    /// `ln` verbatim from before `ln_core` was lifted out of it.
+    fn ln_before_core(x: f64) -> f64 {
+        if x.is_nan() || x < 0.0 {
+            return f64::NAN;
+        }
+        if x == 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        if x.is_infinite() {
+            return f64::INFINITY;
+        }
+        let bits = x.to_bits();
+        let mut exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
+        let mut mant = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
+        if exp == -1023 {
+            let y = x * scale_by_pow2(1.0, 60);
+            return ln_before_core(y) - 60.0 * std::f64::consts::LN_2;
+        }
+        const SQRT2: f64 = std::f64::consts::SQRT_2;
+        if mant > SQRT2 {
+            mant *= 0.5;
+            exp += 1;
+        }
+        let t = (mant - 1.0) / (mant + 1.0);
+        let t2 = t * t;
+        let mut sum = 0.0f64;
+        let mut power = 1.0f64;
+        for n in 0..13 {
+            sum += power / (2 * n + 1) as f64;
+            power *= t2;
+        }
+        2.0 * t * sum + (exp as f64) * std::f64::consts::LN_2
     }
 
     #[test]

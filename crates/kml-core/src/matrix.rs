@@ -32,6 +32,35 @@ pub struct Matrix<S: Scalar = f32> {
     data: Vec<S>,
 }
 
+/// Runs `$body` once per block of columns covering `0..$cols`, widest
+/// first — eights, then at most one 4, 2 and 1 — with `$c0` the block's
+/// first column and `$w` its width as a constant, so a per-column
+/// accumulator array stays in registers and its loop unrolls.
+macro_rules! for_col_blocks {
+    ($cols:expr, |$c0:ident, $w:ident| $body:block) => {{
+        let mut $c0 = 0usize;
+        while $c0 + 8 <= $cols {
+            const $w: usize = 8;
+            $body
+            $c0 += 8;
+        }
+        if $c0 + 4 <= $cols {
+            const $w: usize = 4;
+            $body
+            $c0 += 4;
+        }
+        if $c0 + 2 <= $cols {
+            const $w: usize = 2;
+            $body
+            $c0 += 2;
+        }
+        if $c0 < $cols {
+            const $w: usize = 1;
+            $body
+        }
+    }};
+}
+
 impl<S: Scalar> Matrix<S> {
     /// Creates a `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -543,7 +572,6 @@ impl<S: Scalar> Matrix<S> {
             self.cols,
             self.rows,
             rhs.cols,
-            false,
         ) {
             return Ok(());
         }
@@ -557,60 +585,6 @@ impl<S: Scalar> Matrix<S> {
                 self.cols,
                 self.rows,
                 rhs.cols,
-                false,
-            );
-        }
-        Ok(())
-    }
-
-    /// `out += selfᵀ · rhs` — continues each output element's accumulator
-    /// chain from its current value instead of restarting at zero.
-    ///
-    /// Accumulating row-shard partials in ascending shard order through
-    /// this kernel is bit-identical to a single full-batch
-    /// [`Matrix::transpose_matmul_into`]; the deterministic data-parallel
-    /// reduction in `Model::train_batch` depends on exactly that.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `self.rows == rhs.rows`
-    /// and `out` is already `self.cols × rhs.cols`.
-    pub fn transpose_matmul_acc_into(&self, rhs: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
-        if self.rows != rhs.rows {
-            return Err(KmlError::ShapeMismatch {
-                op: "transpose_matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        if out.shape() != (self.cols, rhs.cols) {
-            return Err(KmlError::ShapeMismatch {
-                op: "transpose_matmul_acc",
-                lhs: self.shape(),
-                rhs: out.shape(),
-            });
-        }
-        if S::simd_transpose_matmul(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.cols,
-            self.rows,
-            rhs.cols,
-            true,
-        ) {
-            return Ok(());
-        }
-        // SAFETY: both guards above establish the kernel bounds.
-        unsafe {
-            kernel_transpose_matmul(
-                &self.data,
-                &rhs.data,
-                &mut out.data,
-                self.cols,
-                self.rows,
-                rhs.cols,
-                true,
             );
         }
         Ok(())
@@ -717,7 +691,8 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Adds a 1×cols row vector to every row of `self`, in place (the fused
-    /// `x·W + b` tail of the linear-layer hot path).
+    /// `x·W + b` tail of the linear-layer hot path). A block of columns at
+    /// a time with its slice of `bias` held in registers, rows ascending.
     ///
     /// # Errors
     ///
@@ -730,11 +705,18 @@ impl<S: Scalar> Matrix<S> {
                 rhs: bias.shape(),
             });
         }
-        for r in 0..self.rows {
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &b) in row.iter_mut().zip(&bias.data) {
-                *o = o.add(b);
-            }
+        let cols = self.cols;
+        // 64 rows at a time, so the passes over a tall batch's column
+        // blocks all hit L1.
+        for rows in self.data.chunks_mut(64 * cols.max(1)) {
+            for_col_blocks!(cols, |c0, W| {
+                let b: [S; W] = bias.data[c0..c0 + W].try_into().expect("W columns");
+                for row in rows.chunks_exact_mut(cols) {
+                    for (o, &bv) in row[c0..c0 + W].iter_mut().zip(&b) {
+                        *o = o.add(bv);
+                    }
+                }
+            });
         }
         Ok(())
     }
@@ -746,40 +728,21 @@ impl<S: Scalar> Matrix<S> {
         out
     }
 
-    /// Column-sum reduction written into `out` (reshaped as needed).
+    /// Column-sum reduction written into `out` (reshaped as needed): a
+    /// block of columns at a time, each column's add chain walking the rows
+    /// in ascending order from zero in a register.
     pub fn sum_rows_into(&self, out: &mut Matrix<S>) {
         out.ensure_shape(1, self.cols);
-        out.fill(S::ZERO);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] = out.data[c].add(self.data[r * self.cols + c]);
+        let cols = self.cols;
+        for_col_blocks!(cols, |c0, W| {
+            let mut acc = [S::ZERO; W];
+            for row in self.data.chunks_exact(cols) {
+                for (a, &v) in acc.iter_mut().zip(&row[c0..c0 + W]) {
+                    *a = a.add(v);
+                }
             }
-        }
-    }
-
-    /// Column-sum reduction **accumulated** into `out` (which must already
-    /// be `1 × self.cols`). Continuing the per-column add chain across
-    /// ascending row shards is bit-identical to one full
-    /// [`Matrix::sum_rows_into`] — the bias-gradient half of the
-    /// deterministic sharded reduction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `out` is `1 × self.cols`.
-    pub fn sum_rows_acc_into(&self, out: &mut Matrix<S>) -> Result<()> {
-        if out.rows != 1 || out.cols != self.cols {
-            return Err(KmlError::ShapeMismatch {
-                op: "sum_rows_acc",
-                lhs: self.shape(),
-                rhs: out.shape(),
-            });
-        }
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] = out.data[c].add(self.data[r * self.cols + c]);
-            }
-        }
-        Ok(())
+            out.data[c0..c0 + W].copy_from_slice(&acc);
+        });
     }
 
     /// Multiplies every element by `k`.
@@ -886,7 +849,7 @@ impl<S: Scalar> Matrix<S> {
         Ok(out)
     }
 
-    fn zip_with_into(
+    pub(crate) fn zip_with_into(
         &self,
         rhs: &Matrix<S>,
         out: &mut Matrix<S>,
@@ -1032,16 +995,13 @@ unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: 
     }
 }
 
-/// `c (+)= aᵀ · b` for row-major `a` (`kd×mm`), `b` (`kd×n`), `c` (`mm×n`).
+/// `c = aᵀ · b` for row-major `a` (`kd×mm`), `b` (`kd×n`), `c` (`mm×n`).
 ///
 /// A is read with a column stride (`a[p·mm + i]`) instead of materializing
-/// the transpose. When `cont` is set, each tile's accumulators start from
-/// the value already stored in `c`, continuing the chain — the sharded
-/// gradient reduction path. Chain shape and order match [`kernel_matmul`].
+/// the transpose. Chain shape and order match [`kernel_matmul`].
 ///
 /// SAFETY: caller must guarantee `a.len() >= kd·mm`, `b.len() >= kd·n` and
 /// `c.len() >= mm·n`.
-#[allow(clippy::too_many_arguments)]
 unsafe fn kernel_transpose_matmul<S: Scalar>(
     a: &[S],
     b: &[S],
@@ -1049,7 +1009,6 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
     mm: usize,
     kd: usize,
     n: usize,
-    cont: bool,
 ) {
     debug_assert!(a.len() >= kd * mm && b.len() >= kd * n && c.len() >= mm * n);
     let mut i = 0;
@@ -1057,14 +1016,6 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
         let mut j = 0;
         while j + NR <= n {
             let mut acc = [[S::ZERO; NR]; MR];
-            if cont {
-                for (mi, lane) in acc.iter_mut().enumerate() {
-                    let cp = (i + mi) * n + j;
-                    for (jj, s) in lane.iter_mut().enumerate() {
-                        *s = *c.get_unchecked(cp + jj);
-                    }
-                }
-            }
             for p in 0..kd {
                 let ap = p * mm + i;
                 let bp = p * n + j;
@@ -1091,11 +1042,6 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
         }
         while j < n {
             let mut acc = [S::ZERO; MR];
-            if cont {
-                for (mi, s) in acc.iter_mut().enumerate() {
-                    *s = *c.get_unchecked((i + mi) * n + j);
-                }
-            }
             for p in 0..kd {
                 let ap = p * mm + i;
                 let bv = *b.get_unchecked(p * n + j);
@@ -1114,12 +1060,6 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
         let mut j = 0;
         while j + NR <= n {
             let mut acc = [S::ZERO; NR];
-            if cont {
-                let cp = i * n + j;
-                for (jj, s) in acc.iter_mut().enumerate() {
-                    *s = *c.get_unchecked(cp + jj);
-                }
-            }
             for p in 0..kd {
                 let av = *a.get_unchecked(p * mm + i);
                 let bp = p * n + j;
@@ -1134,11 +1074,7 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
             j += NR;
         }
         while j < n {
-            let mut s = if cont {
-                *c.get_unchecked(i * n + j)
-            } else {
-                S::ZERO
-            };
+            let mut s = S::ZERO;
             for p in 0..kd {
                 s = s.mul_acc(*a.get_unchecked(p * mm + i), *b.get_unchecked(p * n + j));
             }

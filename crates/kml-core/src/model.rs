@@ -13,26 +13,12 @@
 use crate::dataset::{Dataset, Normalizer};
 use crate::graph::Graph;
 use crate::layers::{Activation, ActivationLayer, Layer, LayerKind, Linear, SoftmaxLayer};
-use crate::loss::{Loss, TargetRef};
+use crate::loss::{Loss, LossScratch, TargetRef};
 use crate::matrix::Matrix;
 use crate::optimizer::Sgd;
 use crate::scalar::Scalar;
 use crate::{KmlError, KmlRng, Result};
 use kml_platform::fpu;
-use kml_platform::threading::pool_map;
-
-/// Row count of one data-parallel training shard. Fixed (independent of the
-/// worker count) so shard boundaries — and therefore the gradient reduction
-/// order — depend only on the batch, making trained weights byte-identical
-/// for any `train_workers` setting.
-const SHARD_ROWS: usize = 32;
-
-/// Least work in a batch — rows × parameters — that takes the data-parallel
-/// path. Below it the replicas, shard copies and pool dispatch of a sharded
-/// step cost more than the step: at 64 rows of the paper's 272-parameter
-/// network, 97 µs against 22 µs serial. 2^21 is where a two-worker step
-/// first stops losing (EXPERIMENTS.md E22's crossover table).
-const SHARD_MIN_WORK: usize = 1 << 21;
 
 /// Builder for sequential (chain) models.
 ///
@@ -170,7 +156,6 @@ impl ModelBuilder {
         }
         graph.set_output(prev.expect("specs checked non-empty"))?;
         Ok(Model {
-            param_count: graph.param_bytes() / S::BYTES,
             graph,
             input_dim: self.input_dim,
             output_dim: dim,
@@ -180,7 +165,7 @@ impl ModelBuilder {
             input_scratch: Matrix::zeros(0, 0),
             batch_scratch: Matrix::zeros(0, 0),
             loss_grad: Matrix::zeros(0, 0),
-            train_workers: 1,
+            loss_scratch: LossScratch::default(),
             q8: None,
             q8_dirty: false,
         })
@@ -210,11 +195,8 @@ pub struct Model<S: Scalar> {
     batch_scratch: Matrix<S>,
     /// Reused ∂L/∂pred buffer for training.
     loss_grad: Matrix<S>,
-    /// Worker threads [`Model::train_batch`] may split row shards across.
-    train_workers: usize,
-    /// Parameter elements in `graph`: with a batch's rows, the work
-    /// [`SHARD_MIN_WORK`] gates sharding on.
-    param_count: usize,
+    /// Reused staging for the loss's row-wise passes (the softmax block).
+    loss_scratch: LossScratch,
     /// The bounded-error int8 serving engine, when enabled
     /// ([`Model::enable_q8`]). `None` keeps every inference call on the
     /// bit-exact `S` path.
@@ -240,7 +222,6 @@ impl<S: Scalar> Model<S> {
             return Err(KmlError::InvalidConfig("empty graph".into()));
         }
         Ok(Model {
-            param_count: graph.param_bytes() / S::BYTES,
             graph,
             input_dim,
             output_dim,
@@ -250,7 +231,7 @@ impl<S: Scalar> Model<S> {
             input_scratch: Matrix::zeros(0, 0),
             batch_scratch: Matrix::zeros(0, 0),
             loss_grad: Matrix::zeros(0, 0),
-            train_workers: 1,
+            loss_scratch: LossScratch::default(),
             q8: None,
             q8_dirty: false,
         })
@@ -272,7 +253,6 @@ impl<S: Scalar> Model<S> {
         let graph = self.graph.clone_for_workers()?;
         let mut replica = Model {
             graph,
-            param_count: self.param_count,
             input_dim: self.input_dim,
             output_dim: self.output_dim,
             normalizer: self.normalizer.clone(),
@@ -281,7 +261,7 @@ impl<S: Scalar> Model<S> {
             input_scratch: Matrix::zeros(0, 0),
             batch_scratch: Matrix::zeros(0, 0),
             loss_grad: Matrix::zeros(0, 0),
-            train_workers: 1,
+            loss_scratch: LossScratch::default(),
             q8: None,
             q8_dirty: false,
         };
@@ -421,20 +401,6 @@ impl<S: Scalar> Model<S> {
     /// Attaches a fitted normalizer applied before every forward pass.
     pub fn set_normalizer(&mut self, n: Normalizer) {
         self.normalizer = Some(n);
-    }
-
-    /// Sets how many worker threads [`Model::train_batch`] may split row
-    /// shards across (clamped to at least 1). Training results are
-    /// **byte-identical for every worker count**: shards are a fixed 32 rows
-    /// and their gradients reduce serially in ascending row order, so the
-    /// worker count only changes scheduling, never arithmetic.
-    pub fn set_train_workers(&mut self, workers: usize) {
-        self.train_workers = workers.max(1);
-    }
-
-    /// The configured data-parallel training worker count.
-    pub fn train_workers(&self) -> usize {
-        self.train_workers
     }
 
     /// The attached normalizer, if any.
@@ -791,12 +757,12 @@ impl<S: Scalar> Model<S> {
     /// One SGD step on a mini-batch of (already normalized) rows.
     /// Returns the batch loss.
     ///
-    /// With `train_workers > 1` and a batch of at least two shards (64
-    /// rows) whose rows × parameters make it worth a pool dispatch, the
-    /// forward/backward passes run data-parallel across worker threads; the
-    /// resulting weights are bit-for-bit identical to the serial path at
-    /// any worker count (see [`Model::set_train_workers`]).
-    /// The serial path performs **zero heap allocations** in steady state.
+    /// The step does only what its result needs: the backward pass stops
+    /// at the source node's parameter gradients
+    /// ([`Graph::backward_params_in_place`]) — ∂L/∂input of the whole graph
+    /// is nobody's operand here — and the loss stages its softmax in
+    /// `loss_scratch`. **Zero heap allocations** in steady state, at any
+    /// output width.
     ///
     /// # Errors
     ///
@@ -810,125 +776,13 @@ impl<S: Scalar> Model<S> {
     ) -> Result<f64> {
         // Weight updates invalidate any pre-quantized Q8 serving engine.
         self.q8_dirty = true;
-        if self.shardable(input, target, loss) {
-            if let Some(proto) = self.graph.clone_for_workers() {
-                return self.train_batch_sharded(input, target, loss, sgd, &proto);
-            }
-        }
         let graph = &mut self.graph;
         let loss_grad = &mut self.loss_grad;
+        let loss_scratch = &mut self.loss_scratch;
         let mut run = || -> Result<f64> {
             let pred = graph.forward_in_place(input)?;
-            let l = loss.loss_and_grad_into(pred, target, loss_grad)?;
-            graph.backward_in_place(loss_grad)?;
-            let mut slot = 0usize;
-            graph.visit_param_grads(&mut |mut pg| {
-                let res = sgd.apply(slot, &mut pg);
-                slot += 1;
-                res
-            })?;
-            Ok(l)
-        };
-        if S::USES_FPU {
-            let _guard = fpu::FpuGuard::enter();
-            run()
-        } else {
-            run()
-        }
-    }
-
-    /// Whether this batch takes the data-parallel path: multiple workers
-    /// configured, at least two shards of rows, enough work to repay the
-    /// dispatch, a loss that can scale shard gradients by the full batch
-    /// size, and a well-formed target (malformed targets fall through to
-    /// the serial path for its exact error).
-    fn shardable(&self, input: &Matrix<S>, target: TargetRef<'_>, loss: &impl Loss) -> bool {
-        self.train_workers > 1
-            && input.rows() >= 2 * SHARD_ROWS
-            && input.rows() * self.param_count >= SHARD_MIN_WORK
-            && loss.supports_sharded_grad()
-            && match target {
-                TargetRef::Classes(c) => c.len() == input.rows(),
-                TargetRef::Values(v) => v.len() == input.rows() * self.output_dim,
-            }
-    }
-
-    /// Data-parallel [`Model::train_batch`]: fixed 32-row shards run
-    /// forward/backward on private graph replicas across worker threads,
-    /// then gradients reduce serially in ascending row order. Because each
-    /// layer accumulator *continues* the exact multiply-accumulate chains
-    /// the full-batch kernels run (ascending the batch dimension), the
-    /// update — and therefore every trained weight — is bit-identical to
-    /// the serial path regardless of worker count.
-    fn train_batch_sharded(
-        &mut self,
-        input: &Matrix<S>,
-        target: TargetRef<'_>,
-        loss: &impl Loss,
-        sgd: &mut Sgd,
-        proto: &Graph<S>,
-    ) -> Result<f64> {
-        let rows = input.rows();
-        let cols = input.cols();
-        let out_cols = self.output_dim;
-
-        let mut shards: Vec<(Matrix<S>, TargetRef<'_>)> =
-            Vec::with_capacity(rows.div_ceil(SHARD_ROWS));
-        let mut r0 = 0;
-        while r0 < rows {
-            let r1 = (r0 + SHARD_ROWS).min(rows);
-            let mut m = Matrix::zeros(r1 - r0, cols);
-            m.as_mut_slice()
-                .copy_from_slice(&input.as_slice()[r0 * cols..r1 * cols]);
-            let t = match target {
-                TargetRef::Classes(c) => TargetRef::Classes(&c[r0..r1]),
-                TargetRef::Values(v) => TargetRef::Values(&v[r0 * out_cols..r1 * out_cols]),
-            };
-            shards.push((m, t));
-            r0 = r1;
-        }
-
-        // Worker phase: every shard backpropagates against its own replica;
-        // shard gradients stay in the replica until the serial reduction.
-        let results = pool_map(
-            &shards,
-            self.train_workers,
-            |_, (shard_in, shard_t): &(Matrix<S>, TargetRef<'_>)| -> Result<Graph<S>> {
-                let _guard = S::USES_FPU.then(fpu::FpuGuard::enter);
-                let mut replica = proto
-                    .clone_for_workers()
-                    .expect("prototype graph is worker-cloneable");
-                let mut grad = Matrix::zeros(0, 0);
-                {
-                    let pred = replica.forward_in_place(shard_in)?;
-                    loss.grad_scaled_into(pred, *shard_t, rows, &mut grad)?;
-                }
-                replica.backward_in_place(&grad)?;
-                Ok(replica)
-            },
-        );
-        let mut replicas = Vec::with_capacity(results.len());
-        for r in results {
-            replicas.push(r?);
-        }
-
-        let graph = &mut self.graph;
-        let mut run = || -> Result<f64> {
-            // Reassemble the full prediction so the reported batch loss is
-            // the same sequential fold the serial path computes.
-            let mut pred = Matrix::zeros(rows, out_cols);
-            let mut r0 = 0;
-            for replica in &replicas {
-                let out = replica.output_activation()?;
-                let r1 = r0 + out.rows();
-                pred.as_mut_slice()[r0 * out_cols..r1 * out_cols].copy_from_slice(out.as_slice());
-                r0 = r1;
-            }
-            let l = loss.loss(&pred, target)?;
-            graph.reset_param_grads();
-            for (replica, (shard_in, _)) in replicas.iter().zip(&shards) {
-                graph.accumulate_param_grads_from(replica, shard_in)?;
-            }
+            let l = loss.loss_and_grad_into(pred, target, loss_grad, loss_scratch)?;
+            graph.backward_params_in_place(loss_grad)?;
             let mut slot = 0usize;
             graph.visit_param_grads(&mut |mut pg| {
                 let res = sgd.apply(slot, &mut pg);
@@ -1203,147 +1057,6 @@ mod tests {
         }
         let acc = model.accuracy(&data).unwrap();
         assert!(acc > 0.9, "fixed-point accuracy {acc}");
-    }
-
-    /// Whether `train_batch` on this batch takes the data-parallel path.
-    fn takes_sharded_path<S: Scalar>(
-        model: &Model<S>,
-        input: &Matrix<S>,
-        target: TargetRef<'_>,
-        loss: &impl Loss,
-    ) -> bool {
-        model.shardable(input, target, loss) && model.graph.clone_for_workers().is_some()
-    }
-
-    /// Trains one model five full-batch steps at the given worker count and
-    /// returns every parameter (as f64 bits) plus the last batch loss. The
-    /// network is wide enough that 96 rows clear [`SHARD_MIN_WORK`].
-    fn train_weights<S: Scalar>(workers: usize) -> (Vec<u64>, u64) {
-        let mut model = ModelBuilder::new(2)
-            .linear(160)
-            .sigmoid()
-            .linear(160)
-            .sigmoid()
-            .linear(2)
-            .seed(11)
-            .build::<S>()
-            .unwrap();
-        model.set_train_workers(workers);
-        let mut sgd = Sgd::new(0.1, 0.9);
-        let mut feats = Vec::new();
-        for i in 0..96 {
-            feats.push((i as f64) * 0.01 - 0.5);
-            feats.push(((i * 7) % 13) as f64 * 0.05);
-        }
-        let input = Matrix::<S>::from_f64_vec(96, 2, &feats).unwrap();
-        let labels: Vec<usize> = (0..96).map(|i| i % 2).collect();
-        assert_eq!(
-            takes_sharded_path(
-                &model,
-                &input,
-                TargetRef::Classes(&labels),
-                &CrossEntropyLoss
-            ),
-            workers > 1
-        );
-        let mut last = 0.0;
-        for _ in 0..5 {
-            last = model
-                .train_batch(
-                    &input,
-                    TargetRef::Classes(&labels),
-                    &CrossEntropyLoss,
-                    &mut sgd,
-                )
-                .unwrap();
-        }
-        let bits = model
-            .graph_mut()
-            .param_grads()
-            .iter()
-            .flat_map(|pg| pg.param.as_slice().iter().map(|v| v.to_f64().to_bits()))
-            .collect();
-        (bits, last.to_bits())
-    }
-
-    #[test]
-    fn sharded_training_is_bit_identical_across_worker_counts() {
-        fn check<S: Scalar>() {
-            let (w1, l1) = train_weights::<S>(1); // serial reference path
-            let (w3, l3) = train_weights::<S>(3);
-            let (w8, l8) = train_weights::<S>(8);
-            assert_eq!(w1, w3, "weights diverged at 3 workers");
-            assert_eq!(w1, w8, "weights diverged at 8 workers");
-            assert_eq!(l1, l3, "loss diverged at 3 workers");
-            assert_eq!(l1, l8, "loss diverged at 8 workers");
-        }
-        check::<f64>();
-        check::<f32>();
-        check::<crate::fixed::Fix32>();
-    }
-
-    /// The continual retrainer's step: a 64-sample reservoir through the
-    /// paper's 272-parameter network is far too little work to dispatch.
-    #[test]
-    fn small_batches_train_serially_at_any_worker_count() {
-        let mut model = ModelBuilder::readahead_paper_topology(5, 2)
-            .build::<f64>()
-            .unwrap();
-        model.set_train_workers(8);
-        let input = Matrix::<f64>::zeros(64, 5);
-        let labels = [0usize; 64];
-        let target = TargetRef::Classes(&labels);
-        assert!(!takes_sharded_path(
-            &model,
-            &input,
-            target,
-            &CrossEntropyLoss
-        ));
-    }
-
-    #[test]
-    fn sharded_training_matches_serial_for_value_targets() {
-        use crate::loss::MseLoss;
-        let run = |workers: usize| -> (Vec<u64>, u64) {
-            let mut model = ModelBuilder::new(3)
-                .linear(160)
-                .tanh()
-                .linear(160)
-                .tanh()
-                .linear(2)
-                .seed(5)
-                .build::<f64>()
-                .unwrap();
-            model.set_train_workers(workers);
-            let mut sgd = Sgd::new(0.05, 0.8);
-            let mut feats = Vec::new();
-            let mut targets = Vec::new();
-            for i in 0..80 {
-                for j in 0..3 {
-                    feats.push(((i * 3 + j) % 17) as f64 * 0.1 - 0.8);
-                }
-                targets.push((i % 5) as f64 * 0.25);
-                targets.push(1.0 - (i % 3) as f64 * 0.5);
-            }
-            let input = Matrix::<f64>::from_f64_vec(80, 3, &feats).unwrap();
-            let sharded = takes_sharded_path(&model, &input, TargetRef::Values(&targets), &MseLoss);
-            assert_eq!(sharded, workers > 1);
-            let mut last = 0.0;
-            for _ in 0..4 {
-                last = model
-                    .train_batch(&input, TargetRef::Values(&targets), &MseLoss, &mut sgd)
-                    .unwrap();
-            }
-            let bits = model
-                .graph_mut()
-                .param_grads()
-                .iter()
-                .flat_map(|pg| pg.param.as_slice().iter().map(|v| v.to_bits()))
-                .collect();
-            (bits, last.to_bits())
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(4), "MSE sharded training diverged from serial");
     }
 
     #[test]

@@ -88,17 +88,34 @@ impl Sgd {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors if the gradient's shape stopped matching its
-    /// parameter (which indicates a corrupted training loop).
+    /// Returns [`KmlError::InvalidConfig`] for a slot visited before its
+    /// predecessors (the velocity table grows one slot at a time), and
+    /// [`KmlError::ShapeMismatch`] if the gradient's shape stopped matching
+    /// its parameter (a corrupted training loop) or its slot's velocity —
+    /// an optimizer carried over to a model of another shape without
+    /// [`Sgd::reset`]. Nothing is updated in any of these cases.
     pub fn apply<S: Scalar>(&mut self, slot: usize, pg: &mut ParamGrad<'_, S>) -> Result<()> {
-        // Grow velocity storage on first sight of each slot.
-        if slot == self.velocities.len() {
-            self.velocities.push(vec![0.0; pg.grad.len()]);
+        if slot > self.velocities.len() {
+            return Err(KmlError::InvalidConfig(format!(
+                "optimizer slot {slot} visited with only {} slots seen",
+                self.velocities.len()
+            )));
         }
         if pg.param.shape() != pg.grad.shape() {
             return Err(KmlError::ShapeMismatch {
                 op: "axpy",
                 lhs: pg.param.shape(),
+                rhs: pg.grad.shape(),
+            });
+        }
+        // Grow velocity storage on first sight of each slot.
+        if slot == self.velocities.len() {
+            self.velocities.push(vec![0.0; pg.grad.len()]);
+        }
+        if self.velocities[slot].len() != pg.grad.len() {
+            return Err(KmlError::ShapeMismatch {
+                op: "sgd velocity",
+                lhs: (1, self.velocities[slot].len()),
                 rhs: pg.grad.shape(),
             });
         }
@@ -166,6 +183,68 @@ mod tests {
         }])
         .unwrap();
         assert!((w.get(0, 0) + 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slot_visited_out_of_order_is_a_typed_error() {
+        let mut w = Matrix::from_rows(&[vec![1.0_f64, 2.0]]).unwrap();
+        let g = Matrix::from_rows(&[vec![0.5, 0.5]]).unwrap();
+        let mut sgd = Sgd::new(0.1, 0.5);
+        let mut pg = ParamGrad {
+            param: &mut w,
+            grad: &g,
+        };
+        assert!(matches!(
+            sgd.apply(1, &mut pg),
+            Err(KmlError::InvalidConfig(_))
+        ));
+        assert_eq!(pg.param.as_slice(), &[1.0, 2.0], "nothing was updated");
+        // In order, the same slots go through.
+        sgd.apply(0, &mut pg).unwrap();
+        sgd.apply(1, &mut pg).unwrap();
+    }
+
+    #[test]
+    fn reuse_on_another_shape_without_reset_is_a_typed_error() {
+        let mut small = Matrix::from_rows(&[vec![1.0_f64, 2.0]]).unwrap();
+        let g_small = Matrix::from_rows(&[vec![0.5, 0.5]]).unwrap();
+        let mut wide = Matrix::from_rows(&[vec![1.0_f64, 2.0, 3.0]]).unwrap();
+        let g_wide = Matrix::from_rows(&[vec![0.5, 0.5, 0.5]]).unwrap();
+        let mut sgd = Sgd::new(0.1, 0.5);
+        sgd.step(&mut [ParamGrad {
+            param: &mut small,
+            grad: &g_small,
+        }])
+        .unwrap();
+        // Both directions: a velocity shorter and longer than the gradient.
+        let err = sgd
+            .step(&mut [ParamGrad {
+                param: &mut wide,
+                grad: &g_wide,
+            }])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            KmlError::ShapeMismatch {
+                op: "sgd velocity",
+                lhs: (1, 2),
+                rhs: (1, 3)
+            }
+        ));
+        assert_eq!(wide.as_slice(), &[1.0, 2.0, 3.0], "no partial update");
+        sgd.reset();
+        sgd.step(&mut [ParamGrad {
+            param: &mut wide,
+            grad: &g_wide,
+        }])
+        .unwrap();
+        assert!(sgd
+            .step(&mut [ParamGrad {
+                param: &mut small,
+                grad: &g_small,
+            }])
+            .is_err());
+        assert_eq!(small.as_slice(), &[0.95, 1.95]);
     }
 
     #[test]

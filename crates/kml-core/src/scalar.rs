@@ -135,7 +135,7 @@ pub trait Scalar:
         false
     }
 
-    /// `c[mm×n] {=, +=} a[kd×mm]ᵀ·b[kd×n]` via the dispatched SIMD backend.
+    /// `c[mm×n] = a[kd×mm]ᵀ·b[kd×n]` via the dispatched SIMD backend.
     #[doc(hidden)]
     fn simd_transpose_matmul(
         _a: &[Self],
@@ -144,7 +144,6 @@ pub trait Scalar:
         _mm: usize,
         _kd: usize,
         _n: usize,
-        _cont: bool,
     ) -> bool {
         false
     }
@@ -240,9 +239,8 @@ impl Scalar for f32 {
         mm: usize,
         kd: usize,
         n: usize,
-        cont: bool,
     ) -> bool {
-        crate::simd::transpose_matmul_f32(a, b, c, mm, kd, n, cont)
+        crate::simd::transpose_matmul_f32(a, b, c, mm, kd, n)
     }
 }
 
@@ -310,9 +308,8 @@ impl Scalar for f64 {
         mm: usize,
         kd: usize,
         n: usize,
-        cont: bool,
     ) -> bool {
-        crate::simd::transpose_matmul_f64(a, b, c, mm, kd, n, cont)
+        crate::simd::transpose_matmul_f64(a, b, c, mm, kd, n)
     }
 }
 

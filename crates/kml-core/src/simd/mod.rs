@@ -73,10 +73,6 @@ impl KernelBackend {
             KernelBackend::Neon => 3,
         }
     }
-
-    fn is_simd(self) -> bool {
-        self != KernelBackend::Scalar
-    }
 }
 
 static BACKEND: OnceLock<KernelBackend> = OnceLock::new();
@@ -196,13 +192,12 @@ pub(crate) fn transpose_matmul_f32(
     mm: usize,
     kd: usize,
     n: usize,
-    cont: bool,
 ) -> bool {
     dispatch!(
         x86::transpose_matmul_f32_avx512,
         x86::transpose_matmul_f32_avx2,
         neon::transpose_matmul_f32,
-        (a, b, c, mm, kd, n, cont)
+        (a, b, c, mm, kd, n)
     )
 }
 
@@ -213,13 +208,12 @@ pub(crate) fn transpose_matmul_f64(
     mm: usize,
     kd: usize,
     n: usize,
-    cont: bool,
 ) -> bool {
     dispatch!(
         x86::transpose_matmul_f64_avx512,
         x86::transpose_matmul_f64_avx2,
         neon::transpose_matmul_f64,
-        (a, b, c, mm, kd, n, cont)
+        (a, b, c, mm, kd, n)
     )
 }
 
@@ -231,24 +225,12 @@ pub(crate) fn matmul_transpose_f32(
     n: usize,
     kd: usize,
 ) -> bool {
-    if !kernel_backend().is_simd() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: every SIMD backend on x86_64 implies AVX2 (AVX-512 machines
-    // report AVX2 too); the dot kernels only use AVX/AVX2 encodings.
-    unsafe {
-        x86::matmul_transpose_f32(a, b, c, m, n, kd);
-        return true;
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: backend Neon was runtime-detected.
-    unsafe {
-        neon::matmul_transpose_f32(a, b, c, m, n, kd);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    false
+    dispatch!(
+        x86::matmul_transpose_f32_avx512,
+        x86::matmul_transpose_f32_avx2,
+        neon::matmul_transpose_f32,
+        (a, b, c, m, n, kd)
+    )
 }
 
 pub(crate) fn matmul_transpose_f64(
@@ -259,23 +241,12 @@ pub(crate) fn matmul_transpose_f64(
     n: usize,
     kd: usize,
 ) -> bool {
-    if !kernel_backend().is_simd() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: see `matmul_transpose_f32`.
-    unsafe {
-        x86::matmul_transpose_f64(a, b, c, m, n, kd);
-        return true;
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: backend Neon was runtime-detected.
-    unsafe {
-        neon::matmul_transpose_f64(a, b, c, m, n, kd);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    false
+    dispatch!(
+        x86::matmul_transpose_f64_avx512,
+        x86::matmul_transpose_f64_avx2,
+        neon::matmul_transpose_f64,
+        (a, b, c, m, n, kd)
+    )
 }
 
 pub(crate) fn sigmoid_map_f32(input: &[f32], out: &mut [f32]) -> bool {
@@ -294,6 +265,26 @@ pub(crate) fn sigmoid_map_f64(input: &[f64], out: &mut [f64]) -> bool {
         neon::sigmoid_slice_f64,
         (input, out)
     )
+}
+
+/// Element-wise [`crate::math::exp`] of `xs` into `out`, bit-identical per
+/// element on every backend: the x86 arms run the `exp` core their sigmoid
+/// arms are built around, everything else [`crate::math::exp_slice`].
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub(crate) fn exp_slice(xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "exp_slice length mismatch");
+    match kernel_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the backend was selected by runtime feature detection.
+        KernelBackend::Avx512 => unsafe { x86::exp_slice_avx512(xs, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        KernelBackend::Avx2 => unsafe { x86::exp_slice_avx2(xs, out) },
+        _ => crate::math::exp_slice(xs, out),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -357,16 +348,20 @@ pub mod testing {
         arm_fn!(avx512_matmul_f64, has_avx512(), x86::matmul_f64_avx512,
             (a: &[f64], b: &[f64], c: &mut [f64], m: usize, kd: usize, n: usize));
         arm_fn!(avx2_transpose_matmul_f32, has_avx2(), x86::transpose_matmul_f32_avx2,
-            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize, cont: bool));
+            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize));
         arm_fn!(avx2_transpose_matmul_f64, has_avx2(), x86::transpose_matmul_f64_avx2,
-            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize, cont: bool));
+            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize));
         arm_fn!(avx512_transpose_matmul_f32, has_avx512(), x86::transpose_matmul_f32_avx512,
-            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize, cont: bool));
+            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize));
         arm_fn!(avx512_transpose_matmul_f64, has_avx512(), x86::transpose_matmul_f64_avx512,
-            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize, cont: bool));
-        arm_fn!(simd_matmul_transpose_f32, has_avx2(), x86::matmul_transpose_f32,
+            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize));
+        arm_fn!(avx2_matmul_transpose_f32, has_avx2(), x86::matmul_transpose_f32_avx2,
             (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
-        arm_fn!(simd_matmul_transpose_f64, has_avx2(), x86::matmul_transpose_f64,
+        arm_fn!(avx2_matmul_transpose_f64, has_avx2(), x86::matmul_transpose_f64_avx2,
+            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, kd: usize));
+        arm_fn!(avx512_matmul_transpose_f32, has_avx512(), x86::matmul_transpose_f32_avx512,
+            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
+        arm_fn!(avx512_matmul_transpose_f64, has_avx512(), x86::matmul_transpose_f64_avx512,
             (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, kd: usize));
         arm_fn!(avx2_sigmoid_f32, has_avx2(), x86::sigmoid_slice_f32_avx2,
             (input: &[f32], out: &mut [f32]));
@@ -375,6 +370,10 @@ pub mod testing {
         arm_fn!(avx512_sigmoid_f32, has_avx512(), x86::sigmoid_slice_f32_avx512,
             (input: &[f32], out: &mut [f32]));
         arm_fn!(avx512_sigmoid_f64, has_avx512(), x86::sigmoid_slice_f64_avx512,
+            (input: &[f64], out: &mut [f64]));
+        arm_fn!(avx2_exp_f64, has_avx2(), x86::exp_slice_avx2,
+            (input: &[f64], out: &mut [f64]));
+        arm_fn!(avx512_exp_f64, has_avx512(), x86::exp_slice_avx512,
             (input: &[f64], out: &mut [f64]));
     }
     #[cfg(target_arch = "x86_64")]
@@ -392,12 +391,12 @@ pub mod testing {
         arm_fn!(neon_matmul_f64, has_neon(), neon::matmul_f64,
             (a: &[f64], b: &[f64], c: &mut [f64], m: usize, kd: usize, n: usize));
         arm_fn!(neon_transpose_matmul_f32, has_neon(), neon::transpose_matmul_f32,
-            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize, cont: bool));
+            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize));
         arm_fn!(neon_transpose_matmul_f64, has_neon(), neon::transpose_matmul_f64,
-            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize, cont: bool));
-        arm_fn!(simd_matmul_transpose_f32, has_neon(), neon::matmul_transpose_f32,
+            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize));
+        arm_fn!(neon_matmul_transpose_f32, has_neon(), neon::matmul_transpose_f32,
             (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
-        arm_fn!(simd_matmul_transpose_f64, has_neon(), neon::matmul_transpose_f64,
+        arm_fn!(neon_matmul_transpose_f64, has_neon(), neon::matmul_transpose_f64,
             (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, kd: usize));
         arm_fn!(neon_sigmoid_f32, has_neon(), neon::sigmoid_slice_f32,
             (input: &[f32], out: &mut [f32]));

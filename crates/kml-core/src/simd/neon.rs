@@ -73,7 +73,6 @@ macro_rules! neon_gemm {
             mm: usize,
             kd: usize,
             n: usize,
-            cont: bool,
         ) {
             debug_assert!(a.len() >= kd * mm && b.len() >= kd * n && c.len() >= mm * n);
             const L: usize = $L;
@@ -81,11 +80,7 @@ macro_rules! neon_gemm {
             for i in 0..mm {
                 let mut j = 0usize;
                 while j + L <= n {
-                    let mut acc = if cont {
-                        $ld(cp.add(i * n + j))
-                    } else {
-                        $dup(0.0)
-                    };
+                    let mut acc = $dup(0.0);
                     for p in 0..kd {
                         let av = $dup(*ap.add(p * mm + i));
                         acc = $add(acc, $mul(av, $ld(bp.add(p * n + j))));
@@ -94,7 +89,7 @@ macro_rules! neon_gemm {
                     j += L;
                 }
                 while j < n {
-                    let mut s = if cont { *cp.add(i * n + j) } else { 0.0 };
+                    let mut s = 0.0;
                     for p in 0..kd {
                         s += *ap.add(p * mm + i) * *bp.add(p * n + j);
                     }

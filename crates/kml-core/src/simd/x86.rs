@@ -4,12 +4,14 @@
 //! walks the shared dimension `k` in ascending order with separate
 //! `vmulp*`/`vaddp*` instructions, so each output element sees exactly the
 //! scalar kernel's `add(mul(..))` chain — bit-identical at any lane width.
-//! `matmul_transpose` instead mirrors `Matrix::dot`'s four stride-4
-//! accumulator chains with one 4-lane vector (f64: ymm, f32: xmm) and the
-//! scalar reduction order.
+//! `matmul_transpose` does too: a lane is an output column and carries all
+//! of `Matrix::dot`'s state for it — the four stride-4 accumulator chains
+//! and the sequential tail — reduced in the scalar order (see the arm).
 //!
 //! The sigmoid arms evaluate `crate::math::sigmoid`'s exact operation
-//! sequence lane-parallel. The seven constant-divisor divisions
+//! sequence lane-parallel, around an `exp` core the block `exp` arms (the
+//! softmax pass of the cross-entropy loss) share. The seven
+//! constant-divisor divisions
 //! (`x/LN2`, `r/3 … r/13`) use Markstein's two-step emulation — with a
 //! correctly-rounded reciprocal `y = RN(1/c)`:
 //!
@@ -108,8 +110,7 @@ unsafe fn mstore_f64_avx512(p: *mut f64, rem: usize, v: __m512d) {
 // GEMM arms, stamped per ISA × element type.
 //
 // `matmul`:           C[m×n] = A[m×kd]·B[kd×n]    (chains start at zero)
-// `transpose_matmul`: C[mm×n] = Aᵀ·B with A kd×mm (cont: chains continue
-//                     from the existing C, the `_acc` variant's contract)
+// `transpose_matmul`: C[mm×n] = Aᵀ·B with A kd×mm
 //
 // Row blocks of 4 amortize each B-row vector load across four broadcast
 // multiplies; the j loop runs 2-wide tiles, then 1-wide, then one masked
@@ -209,7 +210,6 @@ macro_rules! gemm_arm {
         }
 
         #[inline]
-        #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = $feat)]
         unsafe fn $trows<const R: usize>(
             a: *const $ty,
@@ -219,19 +219,12 @@ macro_rules! gemm_arm {
             mm: usize,
             kd: usize,
             n: usize,
-            cont: bool,
         ) {
             const L: usize = $L;
             let mut j = 0usize;
             while j + 2 * L <= n {
                 let z = $setzero();
                 let mut acc = [[z; 2]; R];
-                if cont {
-                    for r in 0..R {
-                        acc[r][0] = $loadu(c.add((i + r) * n + j));
-                        acc[r][1] = $loadu(c.add((i + r) * n + j + L));
-                    }
-                }
                 for p in 0..kd {
                     let b0 = $loadu(b.add(p * n + j));
                     let b1 = $loadu(b.add(p * n + j + L));
@@ -249,11 +242,6 @@ macro_rules! gemm_arm {
             }
             while j + L <= n {
                 let mut acc = [$setzero(); R];
-                if cont {
-                    for r in 0..R {
-                        acc[r] = $loadu(c.add((i + r) * n + j));
-                    }
-                }
                 for p in 0..kd {
                     let b0 = $loadu(b.add(p * n + j));
                     for r in 0..R {
@@ -269,11 +257,6 @@ macro_rules! gemm_arm {
             if j < n {
                 let rem = n - j;
                 let mut acc = [$setzero(); R];
-                if cont {
-                    for r in 0..R {
-                        acc[r] = $mload(c.add((i + r) * n + j), rem);
-                    }
-                }
                 for p in 0..kd {
                     let b0 = $mload(b.add(p * n + j), rem);
                     for r in 0..R {
@@ -295,17 +278,16 @@ macro_rules! gemm_arm {
             mm: usize,
             kd: usize,
             n: usize,
-            cont: bool,
         ) {
             debug_assert!(a.len() >= kd * mm && b.len() >= kd * n && c.len() >= mm * n);
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
             let mut i = 0usize;
             while i + 4 <= mm {
-                $trows::<4>(ap, bp, cp, i, mm, kd, n, cont);
+                $trows::<4>(ap, bp, cp, i, mm, kd, n);
                 i += 4;
             }
             while i < mm {
-                $trows::<1>(ap, bp, cp, i, mm, kd, n, cont);
+                $trows::<1>(ap, bp, cp, i, mm, kd, n);
                 i += 1;
             }
         }
@@ -349,63 +331,111 @@ gemm_arm! {
 }
 
 // ---------------------------------------------------------------------------
-// matmul_transpose: rows of A dotted with rows of B.
+// matmul_transpose: C[m×n] = A[m×kd]·B[n×kd]ᵀ, rows of A dotted with rows
+// of B.
 //
-// `Matrix::dot` is four stride-4 accumulator chains (lane l takes indices
-// ≡ l mod 4) reduced as ((l0+l1)+(l2+l3))+tail with a sequential scalar
-// tail — exactly one 4-lane vector's worth, so a ymm (f64) / xmm (f32)
-// accumulator with a scalar lane reduction reproduces it bit-for-bit.
-// Wider vectors would change the chain assignment, so both the AVX2 and
-// AVX-512 backends share these AVX-encoded kernels.
+// `Matrix::dot` is four stride-4 accumulator chains (chain l takes indices
+// ≡ l mod 4 below `kd & !3`) and a sequential tail over the rest, reduced
+// as ((l0+l1)+(l2+l3))+tail. Here a lane is an output *column*: L rows of
+// B are packed, transposed, into a stack tile (`tile[p][l] = B[j+l][p]`),
+// and for each row of A five vector accumulators — the four chains and the
+// tail — take `set1(A[i][p]) · tile[p]` in ascending `p` with a separate
+// multiply and add. Lane l of each accumulator is then exactly the scalar
+// chain of output (i, j+l), and the vector reduction in the scalar order
+// gives its bits. One kernel for every shape: a ragged last tile packs
+// zeros in its dead lanes and stores through a mask; `kd` beyond the
+// tile's MT_KB rows is walked in MT_KB blocks (a multiple of 4, so a seam
+// never splits a stride-4 group) with the accumulators carried across
+// them in registers, the tile repacked per block. Rows of A go two at a
+// time so a tile row is loaded once per two multiply-adds.
 // ---------------------------------------------------------------------------
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn dot4_f64(a: *const f64, b: *const f64, kd: usize) -> f64 {
-    let kd4 = kd & !3;
-    let mut acc = _mm256_setzero_pd();
-    let mut p = 0usize;
-    while p < kd4 {
-        acc = _mm256_add_pd(
-            acc,
-            _mm256_mul_pd(_mm256_loadu_pd(a.add(p)), _mm256_loadu_pd(b.add(p))),
-        );
-        p += 4;
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0f64;
-    for idx in kd4..kd {
-        tail += *a.add(idx) * *b.add(idx);
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn dot4_f32(a: *const f32, b: *const f32, kd: usize) -> f32 {
-    let kd4 = kd & !3;
-    let mut acc = _mm_setzero_ps();
-    let mut p = 0usize;
-    while p < kd4 {
-        acc = _mm_add_ps(
-            acc,
-            _mm_mul_ps(_mm_loadu_ps(a.add(p)), _mm_loadu_ps(b.add(p))),
-        );
-        p += 4;
-    }
-    let mut lanes = [0.0f32; 4];
-    _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0f32;
-    for idx in kd4..kd {
-        tail += *a.add(idx) * *b.add(idx);
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
-}
+/// Shared-dimension rows of the packed B tile.
+const MT_KB: usize = 256;
 
 macro_rules! matmul_transpose_arm {
-    ($name:ident, $ty:ty, $dot:ident) => {
-        #[target_feature(enable = "avx2")]
+    (
+        feat: $feat:literal, ty: $ty:ty, lanes: $L:expr,
+        loadu: $loadu:ident, storeu: $storeu:ident, set1: $set1:ident,
+        setzero: $setzero:ident, add: $add:ident, mul: $mul:ident,
+        mstore: $mstore:ident, name: $name:ident, rows: $rows:ident,
+    ) => {
+        /// Rows `i..i + R` of A against the tile's columns `j..j + live`.
+        /// `packed` is the first `kd` index of the block the tile holds for
+        /// this `j` (`usize::MAX` for none): a single-block `kd` packs once
+        /// per tile, not once per call.
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $feat)]
+        unsafe fn $rows<const R: usize>(
+            a: *const $ty,
+            b: *const $ty,
+            c: *mut $ty,
+            tile: *mut $ty,
+            packed: &mut usize,
+            i: usize,
+            j: usize,
+            n: usize,
+            kd: usize,
+        ) {
+            const L: usize = $L;
+            let live = (n - j).min(L);
+            let kd4 = kd & !3;
+            let z = $setzero();
+            let mut acc = [[z; 4]; R];
+            let mut tail = [z; R];
+            let mut p0 = 0usize;
+            while p0 < kd {
+                let kb = (kd - p0).min(MT_KB);
+                if *packed != p0 {
+                    for l in 0..L {
+                        for p in 0..kb {
+                            *tile.add(p * L + l) = if l < live {
+                                *b.add((j + l) * kd + p0 + p)
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                    *packed = p0;
+                }
+                // This block's share of the four chains, then (last block
+                // only) of the tail.
+                let chained = kd4.saturating_sub(p0).min(kb);
+                let mut p = 0usize;
+                while p < chained {
+                    for l in 0..4 {
+                        let bv = $loadu(tile.add((p + l) * L));
+                        for r in 0..R {
+                            let av = $set1(*a.add((i + r) * kd + p0 + p + l));
+                            acc[r][l] = $add(acc[r][l], $mul(av, bv));
+                        }
+                    }
+                    p += 4;
+                }
+                while p < kb {
+                    let bv = $loadu(tile.add(p * L));
+                    for r in 0..R {
+                        let av = $set1(*a.add((i + r) * kd + p0 + p));
+                        tail[r] = $add(tail[r], $mul(av, bv));
+                    }
+                    p += 1;
+                }
+                p0 += kb;
+            }
+            for r in 0..R {
+                let lo = $add(acc[r][0], acc[r][1]);
+                let hi = $add(acc[r][2], acc[r][3]);
+                let dot = $add($add(lo, hi), tail[r]);
+                if live == L {
+                    $storeu(c.add((i + r) * n + j), dot);
+                } else {
+                    $mstore(c.add((i + r) * n + j), live, dot);
+                }
+            }
+        }
+
+        #[target_feature(enable = $feat)]
         pub(super) unsafe fn $name(
             a: &[$ty],
             b: &[$ty],
@@ -416,21 +446,58 @@ macro_rules! matmul_transpose_arm {
         ) {
             debug_assert!(a.len() >= m * kd && b.len() >= n * kd && c.len() >= m * n);
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-            for i in 0..m {
-                let arow = ap.add(i * kd);
-                for j in 0..n {
-                    *cp.add(i * n + j) = $dot(arow, bp.add(j * kd), kd);
+            // Only rows `0..min(kd, MT_KB)` are ever read, each after the
+            // pack that wrote all of its lanes.
+            let mut tile = std::mem::MaybeUninit::<[[$ty; $L]; MT_KB]>::uninit();
+            let tp = tile.as_mut_ptr() as *mut $ty;
+            let mut j = 0usize;
+            while j < n {
+                let mut packed = usize::MAX;
+                let mut i = 0usize;
+                while i + 2 <= m {
+                    $rows::<2>(ap, bp, cp, tp, &mut packed, i, j, n, kd);
+                    i += 2;
                 }
+                if i < m {
+                    $rows::<1>(ap, bp, cp, tp, &mut packed, i, j, n, kd);
+                }
+                j += $L;
             }
         }
     };
 }
 
-matmul_transpose_arm!(matmul_transpose_f32, f32, dot4_f32);
-matmul_transpose_arm!(matmul_transpose_f64, f64, dot4_f64);
+matmul_transpose_arm! {
+    feat: "avx2", ty: f32, lanes: 8,
+    loadu: _mm256_loadu_ps, storeu: _mm256_storeu_ps, set1: _mm256_set1_ps,
+    setzero: _mm256_setzero_ps, add: _mm256_add_ps, mul: _mm256_mul_ps,
+    mstore: mstore_f32_avx2, name: matmul_transpose_f32_avx2, rows: mt_rows_f32_avx2,
+}
+
+matmul_transpose_arm! {
+    feat: "avx2", ty: f64, lanes: 4,
+    loadu: _mm256_loadu_pd, storeu: _mm256_storeu_pd, set1: _mm256_set1_pd,
+    setzero: _mm256_setzero_pd, add: _mm256_add_pd, mul: _mm256_mul_pd,
+    mstore: mstore_f64_avx2, name: matmul_transpose_f64_avx2, rows: mt_rows_f64_avx2,
+}
+
+matmul_transpose_arm! {
+    feat: "avx512f", ty: f32, lanes: 16,
+    loadu: _mm512_loadu_ps, storeu: _mm512_storeu_ps, set1: _mm512_set1_ps,
+    setzero: _mm512_setzero_ps, add: _mm512_add_ps, mul: _mm512_mul_ps,
+    mstore: mstore_f32_avx512, name: matmul_transpose_f32_avx512, rows: mt_rows_f32_avx512,
+}
+
+matmul_transpose_arm! {
+    feat: "avx512f", ty: f64, lanes: 8,
+    loadu: _mm512_loadu_pd, storeu: _mm512_storeu_pd, set1: _mm512_set1_pd,
+    setzero: _mm512_setzero_pd, add: _mm512_add_pd, mul: _mm512_mul_pd,
+    mstore: mstore_f64_avx512, name: matmul_transpose_f64_avx512, rows: mt_rows_f64_avx512,
+}
 
 // ---------------------------------------------------------------------------
-// Sigmoid arms. See module docs for the Markstein division emulation.
+// Sigmoid and `exp` arms. See module docs for the Markstein division
+// emulation.
 // ---------------------------------------------------------------------------
 
 #[inline]
@@ -451,19 +518,19 @@ unsafe fn div_const8(a: __m512d, c: f64, y: f64) -> __m512d {
     _mm512_fmadd_pd(rr, yv, q0)
 }
 
-/// 4-lane `crate::math::sigmoid`, easy path only (all lanes `|x| < 700`).
+/// 4-lane `crate::math::exp`, easy path only (all lanes `|x| < 700`): the
+/// reduction, the Taylor chain and the exponent splice, operation for
+/// operation. The core of both the sigmoid and the block `exp` arms.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn sigmoid4_avx2(x: __m256d) -> __m256d {
-    let neg = _mm256_or_pd(x, _mm256_set1_pd(-0.0)); // -|x|
-    let q = div_const4(neg, LN2, 1.0 / LN2);
-    // neg is -|x|: only -0.0 compares >= 0, matching scalar's x >= 0 branch.
-    let ge0 = _mm256_cmp_pd(neg, _mm256_setzero_pd(), _CMP_GE_OQ);
+unsafe fn exp4_avx2(x: __m256d) -> __m256d {
+    let q = div_const4(x, LN2, 1.0 / LN2);
+    let ge0 = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
     let half = _mm256_blendv_pd(_mm256_set1_pd(-0.5), _mm256_set1_pd(0.5), ge0);
     let k32 = _mm256_cvttpd_epi32(_mm256_add_pd(q, half)); // trunc == `as i64`
     let kf = _mm256_cvtepi32_pd(k32);
-    // r = neg - kf·LN2 as separate mul+add (never fused).
-    let r = _mm256_add_pd(neg, _mm256_mul_pd(kf, _mm256_set1_pd(-LN2)));
+    // r = x - kf·LN2 as separate mul+add (never fused).
+    let r = _mm256_add_pd(x, _mm256_mul_pd(kf, _mm256_set1_pd(-LN2)));
     macro_rules! dv {
         ($a:expr, $c:expr) => {
             div_const4($a, $c, 1.0 / $c)
@@ -475,9 +542,8 @@ unsafe fn sigmoid4_avx2(x: __m256d) -> __m256d {
     let r9 = dv!(r, 9.0);
     let r11 = dv!(r, 11.0);
     let r13 = dv!(r, 13.0);
-    let one = _mm256_set1_pd(1.0);
     let mut term = r;
-    let mut sum = _mm256_add_pd(one, term);
+    let mut sum = _mm256_add_pd(_mm256_set1_pd(1.0), term);
     macro_rules! step {
         ($f:expr) => {
             term = _mm256_mul_pd(term, $f);
@@ -502,24 +568,32 @@ unsafe fn sigmoid4_avx2(x: __m256d) -> __m256d {
     // in range on the easy path — same argument as scalar scale_by_pow2).
     let k64 = _mm256_cvtepi32_epi64(k32);
     let bits = _mm256_castpd_si256(sum);
-    let e = _mm256_castsi256_pd(_mm256_add_epi64(bits, _mm256_slli_epi64(k64, 52)));
+    _mm256_castsi256_pd(_mm256_add_epi64(bits, _mm256_slli_epi64(k64, 52)))
+}
+
+/// 4-lane `crate::math::sigmoid`, easy path only (all lanes `|x| < 700`).
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn sigmoid4_avx2(x: __m256d) -> __m256d {
+    // -|x|: inside the core only -0.0 compares >= 0, matching scalar's
+    // x >= 0 branch.
+    let e = exp4_avx2(_mm256_or_pd(x, _mm256_set1_pd(-0.0)));
+    let one = _mm256_set1_pd(1.0);
     let xge0 = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
     let num = _mm256_blendv_pd(e, one, xge0);
     _mm256_div_pd(num, _mm256_add_pd(one, e))
 }
 
-/// 8-lane `crate::math::sigmoid`, easy path only (all lanes `|x| < 700`).
+/// 8-lane [`exp4_avx2`].
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn sigmoid8_avx512(x: __m512d) -> __m512d {
-    let sign = _mm512_set1_epi64(i64::MIN);
-    let neg = _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(x), sign)); // -|x|
-    let q = div_const8(neg, LN2, 1.0 / LN2);
-    let ge0 = _mm512_cmp_pd_mask(neg, _mm512_setzero_pd(), _CMP_GE_OQ);
+unsafe fn exp8_avx512(x: __m512d) -> __m512d {
+    let q = div_const8(x, LN2, 1.0 / LN2);
+    let ge0 = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_GE_OQ);
     let half = _mm512_mask_blend_pd(ge0, _mm512_set1_pd(-0.5), _mm512_set1_pd(0.5));
     let k32 = _mm512_cvttpd_epi32(_mm512_add_pd(q, half));
     let kf = _mm512_cvtepi32_pd(k32);
-    let r = _mm512_add_pd(neg, _mm512_mul_pd(kf, _mm512_set1_pd(-LN2)));
+    let r = _mm512_add_pd(x, _mm512_mul_pd(kf, _mm512_set1_pd(-LN2)));
     macro_rules! dv {
         ($a:expr, $c:expr) => {
             div_const8($a, $c, 1.0 / $c)
@@ -531,9 +605,8 @@ unsafe fn sigmoid8_avx512(x: __m512d) -> __m512d {
     let r9 = dv!(r, 9.0);
     let r11 = dv!(r, 11.0);
     let r13 = dv!(r, 13.0);
-    let one = _mm512_set1_pd(1.0);
     let mut term = r;
-    let mut sum = _mm512_add_pd(one, term);
+    let mut sum = _mm512_add_pd(_mm512_set1_pd(1.0), term);
     macro_rules! step {
         ($f:expr) => {
             term = _mm512_mul_pd(term, $f);
@@ -556,7 +629,17 @@ unsafe fn sigmoid8_avx512(x: __m512d) -> __m512d {
     step!(r13);
     let k64 = _mm512_cvtepi32_epi64(k32);
     let bits = _mm512_castpd_si512(sum);
-    let e = _mm512_castsi512_pd(_mm512_add_epi64(bits, _mm512_slli_epi64(k64, 52)));
+    _mm512_castsi512_pd(_mm512_add_epi64(bits, _mm512_slli_epi64(k64, 52)))
+}
+
+/// 8-lane `crate::math::sigmoid`, easy path only (all lanes `|x| < 700`).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn sigmoid8_avx512(x: __m512d) -> __m512d {
+    let sign = _mm512_set1_epi64(i64::MIN);
+    let neg = _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(x), sign)); // -|x|
+    let e = exp8_avx512(neg);
+    let one = _mm512_set1_pd(1.0);
     let xge0 = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_GE_OQ);
     let num = _mm512_mask_blend_pd(xge0, e, one);
     _mm512_div_pd(num, _mm512_add_pd(one, e))
@@ -626,6 +709,33 @@ unsafe fn sigmoid8_mixed_avx512(x: __m512d, hard: u32, live: u32) -> (__m512d, u
     (_mm512_mask_mov_pd(y, sat, ends), hard & !(sat as u32))
 }
 
+/// A block of the `exp` arm with at least one lane in `hard`: the others
+/// through [`exp4_avx2`] with the hard ones riding along as 0.0, and all of
+/// `hard` handed back for the scalar function (`live` as in
+/// [`sigmoid4_mixed_avx2`], and out of line for the same reason).
+#[inline(never)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp4_mixed_avx2(x: __m256d, hard: u32, live: u32) -> (__m256d, u32) {
+    let absx = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+    let easy = _mm256_cmp_pd(absx, _mm256_set1_pd(700.0), _CMP_LT_OQ);
+    let mut y = _mm256_setzero_pd();
+    if !hard & live != 0 {
+        y = exp4_avx2(_mm256_and_pd(x, easy));
+    }
+    (y, hard)
+}
+
+/// 8-lane [`exp4_mixed_avx2`].
+#[inline(never)]
+#[target_feature(enable = "avx512f")]
+unsafe fn exp8_mixed_avx512(x: __m512d, hard: u32, live: u32) -> (__m512d, u32) {
+    let mut y = _mm512_setzero_pd();
+    if !hard & live != 0 {
+        y = exp8_avx512(_mm512_maskz_mov_pd(!hard as __mmask8, x));
+    }
+    (y, hard)
+}
+
 /// The scalar sigmoid of one lane the vector arms hand back. Out of line
 /// on purpose: inlined into an arm's patch loop it is compiled with the
 /// arm's target features, and that copy measured about twice the cost per
@@ -636,18 +746,24 @@ fn sigmoid_lane(x: f64) -> f64 {
     crate::math::sigmoid(x)
 }
 
-/// One sigmoid arm over a slice: full blocks of `$lanes` elements through
-/// `$load` / `$store`, then the ragged tail as one masked block of `rem`
-/// lanes through `$mload` / `$mstore` (the masked helpers above; f32 is
-/// widened to and narrowed from f64 either way). An all-easy block is
+/// [`sigmoid_lane`] for the `exp` arms.
+#[inline(never)]
+fn exp_lane(x: f64) -> f64 {
+    crate::math::exp(x)
+}
+
+/// One element-wise arm over a slice: full blocks of `$lanes` elements
+/// through `$load` / `$store`, then the ragged tail as one masked block of
+/// `rem` lanes through `$mload` / `$mstore` (the masked helpers above; f32
+/// is widened to and narrowed from f64 either way). An all-easy block is
 /// `$easy`, inline; any other goes through `$mixed`, which settles every
 /// lane it can in vector registers, and each lane it hands back then
-/// takes [`sigmoid_lane`] alone — so what a NaN or a subnormal-band value
-/// costs is its own scalar call, not its neighbours' too.
-macro_rules! sigmoid_arm {
+/// takes the scalar `$lane` alone — so what a NaN or a subnormal-band
+/// value costs is its own scalar call, not its neighbours' too.
+macro_rules! lane_map_arm {
     ($feature:literal, $slice:ident, $t:ty, $lanes:literal,
      $load:expr, $store:expr, $mload:expr, $mstore:expr,
-     $hard:ident, $easy:ident, $mixed:ident) => {
+     $hard:ident, $easy:ident, $mixed:ident, $lane:ident) => {
         #[target_feature(enable = $feature)]
         pub(super) unsafe fn $slice(input: &[$t], out: &mut [$t]) {
             debug_assert_eq!(input.len(), out.len());
@@ -666,7 +782,7 @@ macro_rules! sigmoid_arm {
                     $put(y);
                     while rest != 0 {
                         let l = $i + rest.trailing_zeros() as usize;
-                        *op.add(l) = sigmoid_lane(*ip.add(l) as f64) as $t;
+                        *op.add(l) = $lane(*ip.add(l) as f64) as $t;
                         rest &= rest - 1;
                     }
                 };
@@ -691,7 +807,7 @@ macro_rules! sigmoid_arm {
     };
 }
 
-sigmoid_arm!(
+lane_map_arm!(
     "avx2,fma",
     sigmoid_slice_f64_avx2,
     f64,
@@ -702,9 +818,10 @@ sigmoid_arm!(
     |p, rem, y| mstore_f64_avx2(p, rem, y),
     hard4,
     sigmoid4_avx2,
-    sigmoid4_mixed_avx2
+    sigmoid4_mixed_avx2,
+    sigmoid_lane
 );
-sigmoid_arm!(
+lane_map_arm!(
     "avx512f",
     sigmoid_slice_f64_avx512,
     f64,
@@ -715,13 +832,14 @@ sigmoid_arm!(
     |p, rem, y| mstore_f64_avx512(p, rem, y),
     hard8,
     sigmoid8_avx512,
-    sigmoid8_mixed_avx512
+    sigmoid8_mixed_avx512,
+    sigmoid_lane
 );
 // The f32 activation contract is widen → f64 sigmoid → narrow-by-`as`;
 // `vcvtps2pd` is exact and `vcvtpd2ps` rounds to nearest like `as f32`.
 // A tail block is the low half of a masked f32 vector (`rem` never
 // exceeds it).
-sigmoid_arm!(
+lane_map_arm!(
     "avx2,fma",
     sigmoid_slice_f32_avx2,
     f32,
@@ -732,9 +850,10 @@ sigmoid_arm!(
     |p, rem, y| mstore_f32_avx2(p, rem, _mm256_castps128_ps256(_mm256_cvtpd_ps(y))),
     hard4,
     sigmoid4_avx2,
-    sigmoid4_mixed_avx2
+    sigmoid4_mixed_avx2,
+    sigmoid_lane
 );
-sigmoid_arm!(
+lane_map_arm!(
     "avx512f",
     sigmoid_slice_f32_avx512,
     f32,
@@ -745,5 +864,35 @@ sigmoid_arm!(
     |p, rem, y| mstore_f32_avx512(p, rem, _mm512_castps256_ps512(_mm512_cvtpd_ps(y))),
     hard8,
     sigmoid8_avx512,
-    sigmoid8_mixed_avx512
+    sigmoid8_mixed_avx512,
+    sigmoid_lane
+);
+// The block `exp` of the softmax pass: f64 only (the losses stage in f64).
+lane_map_arm!(
+    "avx2,fma",
+    exp_slice_avx2,
+    f64,
+    4,
+    |p| _mm256_loadu_pd(p),
+    |p, y| _mm256_storeu_pd(p, y),
+    |p, rem| mload_f64_avx2(p, rem),
+    |p, rem, y| mstore_f64_avx2(p, rem, y),
+    hard4,
+    exp4_avx2,
+    exp4_mixed_avx2,
+    exp_lane
+);
+lane_map_arm!(
+    "avx512f",
+    exp_slice_avx512,
+    f64,
+    8,
+    |p| _mm512_loadu_pd(p),
+    |p, y| _mm512_storeu_pd(p, y),
+    |p, rem| mload_f64_avx512(p, rem),
+    |p, rem, y| mstore_f64_avx512(p, rem, y),
+    hard8,
+    exp8_avx512,
+    exp8_mixed_avx512,
+    exp_lane
 );

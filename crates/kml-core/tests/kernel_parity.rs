@@ -5,7 +5,7 @@
 //! scalar types (f32, f64, Q16.16 fixed point).
 //!
 //! Bit-exactness is the contract the deterministic simulation tests and the
-//! data-parallel trainer stand on: every output element must be one
+//! pinned training artifacts stand on: every output element must be one
 //! multiply-accumulate chain walking the shared dimension in ascending
 //! order, no matter how the loops are tiled.
 
@@ -68,57 +68,6 @@ fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     assert_bits_equal("transpose_matmul", &want, &got);
 }
 
-/// The accumulating kernels used by the sharded-gradient reduction: feeding
-/// row blocks in ascending order must continue the full-batch chains exactly.
-fn check_acc_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
-    let a: Matrix<S> = to_matrix(m, k, data);
-    let c: Matrix<S> = to_matrix(m, n, &data[19..]);
-
-    let mut want = dirty_out();
-    a.transpose_matmul_into(&c, &mut want).unwrap();
-
-    // Split the shared (row) dimension at every possible point.
-    for split in 0..=m {
-        let top_a: Matrix<S> = to_matrix(split, k, data);
-        let bot_a = {
-            let vals: Vec<f64> = a.as_slice()[split * k..]
-                .iter()
-                .map(|v| v.to_f64())
-                .collect();
-            Matrix::<S>::from_f64_vec(m - split, k, &vals).unwrap()
-        };
-        let top_c = {
-            let vals: Vec<f64> = c.as_slice()[..split * n]
-                .iter()
-                .map(|v| v.to_f64())
-                .collect();
-            Matrix::<S>::from_f64_vec(split, n, &vals).unwrap()
-        };
-        let bot_c = {
-            let vals: Vec<f64> = c.as_slice()[split * n..]
-                .iter()
-                .map(|v| v.to_f64())
-                .collect();
-            Matrix::<S>::from_f64_vec(m - split, n, &vals).unwrap()
-        };
-
-        let mut got = dirty_out();
-        got.ensure_shape(k, n);
-        got.fill(S::ZERO);
-        top_a.transpose_matmul_acc_into(&top_c, &mut got).unwrap();
-        bot_a.transpose_matmul_acc_into(&bot_c, &mut got).unwrap();
-        assert_bits_equal("transpose_matmul_acc split", &want, &got);
-
-        // sum_rows over ascending row blocks == one-shot sum_rows.
-        let mut rows_want = dirty_out();
-        c.sum_rows_into(&mut rows_want);
-        let mut rows_got = Matrix::zeros(1, n);
-        top_c.sum_rows_acc_into(&mut rows_got).unwrap();
-        bot_c.sum_rows_acc_into(&mut rows_got).unwrap();
-        assert_bits_equal("sum_rows_acc split", &rows_want, &rows_got);
-    }
-}
-
 /// Blocked and naive kernels must reject the same mismatched shapes with the
 /// same error value.
 fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
@@ -178,16 +127,6 @@ proptest! {
     }
 
     #[test]
-    fn acc_kernels_continue_chains_f32((m, k, n) in DIMS, data in values()) {
-        check_acc_kernels::<f32>(m, k, n, &data);
-    }
-
-    #[test]
-    fn acc_kernels_continue_chains_f64((m, k, n) in DIMS, data in values()) {
-        check_acc_kernels::<f64>(m, k, n, &data);
-    }
-
-    #[test]
     fn blocked_kernels_match_naive_errors_f32((m, k, n) in DIMS, data in values()) {
         check_error_parity::<f32>(m, k, n, &data);
     }
@@ -220,7 +159,7 @@ mod arm_parity {
     use proptest::prop_oneof;
 
     type GemmFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
-    type TmmFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize, bool) -> bool;
+    type TmmFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
     type MtFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
     type SigFn<T> = fn(&[T], &mut [T]) -> bool;
 
@@ -254,17 +193,24 @@ mod arm_parity {
               "avx512" => arms::avx512_transpose_matmul_f64],
         neon: ["neon" => arms::neon_transpose_matmul_f64]);
     arm_table!(mt_arms_f32, MtFn<f32>,
-        x86: ["dot4" => arms::simd_matmul_transpose_f32],
-        neon: ["dot4" => arms::simd_matmul_transpose_f32]);
+        x86: ["avx2" => arms::avx2_matmul_transpose_f32,
+              "avx512" => arms::avx512_matmul_transpose_f32],
+        neon: ["neon" => arms::neon_matmul_transpose_f32]);
     arm_table!(mt_arms_f64, MtFn<f64>,
-        x86: ["dot4" => arms::simd_matmul_transpose_f64],
-        neon: ["dot4" => arms::simd_matmul_transpose_f64]);
+        x86: ["avx2" => arms::avx2_matmul_transpose_f64,
+              "avx512" => arms::avx512_matmul_transpose_f64],
+        neon: ["neon" => arms::neon_matmul_transpose_f64]);
     arm_table!(sig_arms_f32, SigFn<f32>,
         x86: ["avx2" => arms::avx2_sigmoid_f32, "avx512" => arms::avx512_sigmoid_f32],
         neon: ["neon" => arms::neon_sigmoid_f32]);
     arm_table!(sig_arms_f64, SigFn<f64>,
         x86: ["avx2" => arms::avx2_sigmoid_f64, "avx512" => arms::avx512_sigmoid_f64],
         neon: ["neon" => arms::neon_sigmoid_f64]);
+    // The block `exp` of the softmax pass has x86 arms only; elsewhere it
+    // is `math::exp_slice`, compared with `math::exp` in that module.
+    arm_table!(exp_arms, SigFn<f64>,
+        x86: ["avx2" => arms::avx2_exp_f64, "avx512" => arms::avx512_exp_f64],
+        neon: []);
 
     /// Bit-pattern access so the asserts distinguish NaN payloads and signed
     /// zeros the way the determinism contract demands.
@@ -318,52 +264,16 @@ mod arm_parity {
         c
     }
 
-    /// `transpose_matmul` contract (`a` is kd×mm): same ascending-k chains,
-    /// continuing from `init` when given (`cont = true`, the `_acc` path).
-    fn ref_transpose_matmul<S: Scalar>(
-        a: &[S],
-        b: &[S],
-        init: Option<&[S]>,
-        mm: usize,
-        kd: usize,
-        n: usize,
-    ) -> Vec<S> {
-        let mut c = init.map_or_else(|| vec![S::ZERO; mm * n], <[S]>::to_vec);
+    /// `transpose_matmul` contract (`a` is kd×mm): same ascending-k chains.
+    fn ref_transpose_matmul<S: Scalar>(a: &[S], b: &[S], mm: usize, kd: usize, n: usize) -> Vec<S> {
+        let mut c = vec![S::ZERO; mm * n];
         for i in 0..mm {
             for j in 0..n {
-                let mut acc = c[i * n + j];
+                let mut acc = S::ZERO;
                 for p in 0..kd {
                     acc = acc.mul_acc(a[p * mm + i], b[p * n + j]);
                 }
                 c[i * n + j] = acc;
-            }
-        }
-        c
-    }
-
-    /// `matmul_transpose` contract: every output is [`Matrix::dot`]'s four
-    /// stride-4 accumulator chains reduced `((l0+l1)+(l2+l3))+tail`.
-    fn ref_matmul_transpose<S: Scalar>(a: &[S], b: &[S], m: usize, n: usize, kd: usize) -> Vec<S> {
-        fn dot4<S: Scalar>(arow: &[S], brow: &[S]) -> S {
-            let mut acc = [S::ZERO; 4];
-            let mut ac = arow.chunks_exact(4);
-            let mut bc = brow.chunks_exact(4);
-            for (a4, b4) in (&mut ac).zip(&mut bc) {
-                acc[0] = acc[0].mul_acc(a4[0], b4[0]);
-                acc[1] = acc[1].mul_acc(a4[1], b4[1]);
-                acc[2] = acc[2].mul_acc(a4[2], b4[2]);
-                acc[3] = acc[3].mul_acc(a4[3], b4[3]);
-            }
-            let mut tail = S::ZERO;
-            for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-                tail = tail.mul_acc(x, y);
-            }
-            acc[0].add(acc[1]).add(acc[2].add(acc[3])).add(tail)
-        }
-        let mut c = vec![S::ZERO; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                c[i * n + j] = dot4(&a[i * kd..(i + 1) * kd], &b[j * kd..(j + 1) * kd]);
             }
         }
         c
@@ -397,47 +307,13 @@ mod arm_parity {
     ) {
         let a: Vec<S> = vals(kd * mm, data, 0);
         let b: Vec<S> = vals(kd * n, data, 7);
-        let init: Vec<S> = vals(mm * n, data, 19);
-        let fresh = ref_transpose_matmul(&a, &b, None, mm, kd, n);
-        let seeded = ref_transpose_matmul(&a, &b, Some(&init), mm, kd, n);
+        let want = ref_transpose_matmul(&a, &b, mm, kd, n);
         for &(name, f) in table {
             let mut c = dirty::<S>(mm * n);
-            if !f(&a, &b, &mut c, mm, kd, n, false) {
+            if !f(&a, &b, &mut c, mm, kd, n) {
                 continue;
             }
-            assert_arm_bits("transpose_matmul", name, &fresh, &c);
-
-            // cont = true continues the chains from the existing C.
-            let mut c = init.clone();
-            assert!(f(&a, &b, &mut c, mm, kd, n, true));
-            assert_arm_bits("transpose_matmul cont", name, &seeded, &c);
-
-            // Ascending blocks along the shared dim, second with cont,
-            // must equal the one-shot product (the `_acc` reduction).
-            let s = kd / 2;
-            let mut c = dirty::<S>(mm * n);
-            assert!(f(&a[..s * mm], &b[..s * n], &mut c, mm, s, n, false));
-            assert!(f(&a[s * mm..], &b[s * n..], &mut c, mm, kd - s, n, true));
-            assert_arm_bits("transpose_matmul split", name, &fresh, &c);
-        }
-    }
-
-    fn check_mt_arms<S: Bits>(
-        table: &[(&str, MtFn<S>)],
-        m: usize,
-        n: usize,
-        kd: usize,
-        data: &[f64],
-    ) {
-        let a: Vec<S> = vals(m * kd, data, 0);
-        let b: Vec<S> = vals(n * kd, data, 13);
-        let want = ref_matmul_transpose(&a, &b, m, n, kd);
-        for &(name, f) in table {
-            let mut c = dirty::<S>(m * n);
-            if !f(&a, &b, &mut c, m, n, kd) {
-                continue;
-            }
-            assert_arm_bits("matmul_transpose", name, &want, &c);
+            assert_arm_bits("transpose_matmul", name, &want, &c);
         }
     }
 
@@ -450,6 +326,98 @@ mod arm_parity {
             }
             assert_arm_bits("sigmoid", name, &want, &out);
         }
+    }
+
+    fn check_exp_arms(input: &[f64]) {
+        let want: Vec<f64> = input.iter().map(|&x| kml_core::math::exp(x)).collect();
+        for (name, f) in exp_arms() {
+            let mut out = dirty::<f64>(input.len());
+            if !f(input, &mut out) {
+                continue;
+            }
+            assert_arm_bits("exp", name, &want, &out);
+        }
+    }
+
+    /// Equal bit for bit, or NaN on both sides: which operand's payload an
+    /// `add` of two NaNs keeps is the compiler's choice (it may commute
+    /// either side's operands), and a product like `inf · 0` mints a NaN
+    /// of the other sign than `f64::NAN`'s.
+    fn assert_arm_bits_nan_class<S: Bits>(op: &str, arm: &str, want: &[S], got: &[S]) {
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
+            let both_nan = w.to_f64().is_nan() && g.to_f64().is_nan();
+            assert!(
+                w.bits() == g.bits() || both_nan,
+                "{op}: {arm} arm diverged at element {i}: want {w:?}, got {g:?}"
+            );
+        }
+    }
+
+    /// The column `matmul_transpose` arms against the retained per-element
+    /// [`naive::matmul_transpose_into`] (`Matrix::dot` itself).
+    fn check_mt_arms_against_naive<S: Bits>(
+        table: &[(&str, MtFn<S>)],
+        (m, n, kd): (usize, usize, usize),
+        data: &[f64],
+    ) {
+        let a: Vec<S> = vals(m * kd, data, 0);
+        let b: Vec<S> = vals(n * kd, data, 13);
+        let mut want = Matrix::zeros(0, 0);
+        naive::matmul_transpose_into(
+            &Matrix::from_vec(m, kd, a.clone()).unwrap(),
+            &Matrix::from_vec(n, kd, b.clone()).unwrap(),
+            &mut want,
+        )
+        .unwrap();
+        for &(name, f) in table {
+            let mut c = dirty::<S>(m * n);
+            if !f(&a, &b, &mut c, m, n, kd) {
+                continue;
+            }
+            assert_arm_bits_nan_class("matmul_transpose", name, want.as_slice(), &c);
+        }
+    }
+
+    /// `m` past several row pairs and an odd last row, `n` past two tiles
+    /// of the widest arm with every ragged lane count, `kd` through every
+    /// `kd % 4` — and now and then across the 256-row tile-block seam
+    /// (255..=260) and two of them (513).
+    fn mt_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+        let kd = prop_oneof![
+            8 => 0usize..=40,
+            2 => prop_oneof![255usize..=260, Just(513usize)],
+        ];
+        (1usize..=70, 1usize..=40, kd)
+    }
+
+    /// Operands swept by magnitude, not just by value: ordinary numbers,
+    /// both zeros and subnormals of either width always; NaN, ±inf and
+    /// values whose products overflow in one case of four (more often and
+    /// a long dot product is NaN every time, which tests little).
+    fn mt_values() -> impl Strategy<Value = Vec<f64>> {
+        let finite = prop_oneof![
+            24 => -8.0f64..8.0,
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => Just(1.0e-41),   // subnormal once narrowed to f32
+            1 => Just(-3.0e-310), // f64 subnormal
+            1 => Just(f64::MIN_POSITIVE),
+            1 => Just(-1.0e-160), // squares to a subnormal
+        ];
+        let hostile = prop_oneof![
+            40 => -8.0f64..8.0,
+            1 => Just(f64::NAN),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(0.0),
+            1 => Just(-0.0),
+            1 => Just(1.0e200),   // overflows when squared; inf as f32
+            1 => Just(-4.0e-320),
+        ];
+        prop_oneof![
+            3 => proptest::collection::vec(finite, 127..128),
+            1 => proptest::collection::vec(hostile, 127..128),
+        ]
     }
 
     // Dims reach 19: past two 8-lane f32 vectors, so every arm sees full
@@ -492,14 +460,28 @@ mod arm_parity {
         fn simd_arms_match_scalar_chains_f32((m, k, n) in ARM_DIMS, data in special_values()) {
             check_matmul_arms(&matmul_arms_f32(), m, k, n, &data);
             check_tmm_arms(&tmm_arms_f32(), m, k, n, &data);
-            check_mt_arms(&mt_arms_f32(), m, n, k, &data);
         }
 
         #[test]
         fn simd_arms_match_scalar_chains_f64((m, k, n) in ARM_DIMS, data in special_values()) {
             check_matmul_arms(&matmul_arms_f64(), m, k, n, &data);
             check_tmm_arms(&tmm_arms_f64(), m, k, n, &data);
-            check_mt_arms(&mt_arms_f64(), m, n, k, &data);
+        }
+
+        #[test]
+        fn matmul_transpose_arms_match_naive_f32(shape in mt_shapes(), data in mt_values()) {
+            check_mt_arms_against_naive(&mt_arms_f32(), shape, &data);
+        }
+
+        #[test]
+        fn matmul_transpose_arms_match_naive_f64(shape in mt_shapes(), data in mt_values()) {
+            check_mt_arms_against_naive(&mt_arms_f64(), shape, &data);
+        }
+
+        #[test]
+        fn simd_exp_arms_match_scalar(data in special_values(), len in 0usize..40) {
+            let input: Vec<f64> = vals(len, &data, 0);
+            check_exp_arms(&input);
         }
 
         #[test]
@@ -555,6 +537,53 @@ mod arm_parity {
                     check_sigmoid_arms(&sig_arms_f64(), &xs);
                     let xs32: Vec<f32> = xs.iter().map(|&v| v as f32).collect();
                     check_sigmoid_arms(&sig_arms_f32(), &xs32);
+                }
+            }
+        }
+    }
+
+    /// The block `exp` against `math::exp` over every binade of both signs
+    /// (three significands each, subnormals included), then the edges —
+    /// the vector band's (±700), the underflow clamp (−745), the overflow
+    /// clamp (709.78), infinities, NaN — in every lane position of every
+    /// block shape.
+    #[test]
+    fn exp_arms_every_binade_and_a_hard_lane_in_every_position() {
+        let mut sweep = vec![0.0, -0.0];
+        for e in -1074..=1023 {
+            let p = 2f64.powi(e);
+            for s in [1.0, 1.5, 1.9999999999999998] {
+                sweep.extend([p * s, -p * s]);
+            }
+        }
+        check_exp_arms(&sweep);
+        let hard = [
+            700.0,
+            -700.0,
+            699.9999999999999,
+            -699.9999999999999,
+            700.0000000000001,
+            -708.4,  // smallest normal results
+            -708.5,  // first subnormal ones
+            -744.99, // last non-zero
+            -745.0,
+            -745.0000000000001,
+            709.78,
+            709.7800000000001,
+            709.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for len in 1..=19usize {
+            for pos in 0..len {
+                for (n, &h) in hard.iter().enumerate() {
+                    let mut xs: Vec<f64> = (0..len).map(|i| i as f64 * 1.3 - 9.0).collect();
+                    if n % 3 == 0 {
+                        xs[(pos + 2) % len] = -hard[(n + 1) % hard.len()];
+                    }
+                    xs[pos] = h;
+                    check_exp_arms(&xs);
                 }
             }
         }

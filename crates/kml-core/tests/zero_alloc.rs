@@ -89,14 +89,24 @@ fn steady_state_inference_is_allocation_free_fix32() {
 /// scratch buffer (graph arenas, loss-grad matrix, SGD velocities) has been
 /// sized by a warm-up step.
 fn assert_steady_state_training_zero_allocs<S: Scalar>(label: &str) {
-    let mut model = ModelBuilder::readahead_paper_topology(5, 4)
+    assert_training_zero_allocs::<S>(label, 4, 16);
+}
+
+/// `classes` outputs, `rows` samples a step. The loss stages its softmax
+/// block in a scratch the model owns, so neither a head wider than the 32
+/// outputs the old stack row held nor a batch past one 64-row block may
+/// reach the allocator.
+fn assert_training_zero_allocs<S: Scalar>(label: &str, classes: usize, rows: usize) {
+    let mut model = ModelBuilder::readahead_paper_topology(5, classes)
         .seed(0x2a)
         .build::<S>()
         .unwrap();
     let mut sgd = Sgd::paper_defaults();
-    let vals: Vec<f64> = (0..16 * 5).map(|i| ((i * 11) % 23) as f64 * 0.1).collect();
-    let input = Matrix::<S>::from_f64_vec(16, 5, &vals).unwrap();
-    let labels: Vec<usize> = (0..16).map(|i| i % 4).collect();
+    let vals: Vec<f64> = (0..rows * 5)
+        .map(|i| ((i * 11) % 23) as f64 * 0.1)
+        .collect();
+    let input = Matrix::<S>::from_f64_vec(rows, 5, &vals).unwrap();
+    let labels: Vec<usize> = (0..rows).map(|i| i % classes).collect();
     let target = TargetRef::Classes(&labels);
 
     for _ in 0..3 {
@@ -137,6 +147,13 @@ fn steady_state_training_is_allocation_free_f64() {
 #[test]
 fn steady_state_training_is_allocation_free_fix32() {
     assert_steady_state_training_zero_allocs::<Fix32>("Fix32 (Q16.16)");
+}
+
+#[test]
+fn steady_state_training_is_allocation_free_with_a_40_class_head() {
+    assert_training_zero_allocs::<f64>("f64, 40 classes", 40, 16);
+    assert_training_zero_allocs::<f32>("f32, 40 classes, 100 rows", 40, 100);
+    assert_training_zero_allocs::<Fix32>("Fix32, 40 classes", 40, 16);
 }
 
 proptest! {

@@ -347,8 +347,6 @@ pub fn train_rsize_model(seed: u64) -> Result<Vec<u8>> {
         .linear(2)
         .seed(seed)
         .build::<f64>()?;
-    // Byte-identical at any worker count; engages only on 64+-row batches.
-    model.set_train_workers(kml_platform::threading::default_workers());
     model.set_normalizer(Normalizer::fit(data.features())?);
     let mut sgd = Sgd::new(0.05, 0.9);
     let mut rng = KmlRng::seed_from_u64(seed ^ 0x2E);

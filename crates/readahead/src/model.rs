@@ -115,9 +115,6 @@ pub fn build_network<S: kml_core::scalar::Scalar>(seed: u64) -> Result<Model<S>>
 /// Propagates dataset and training errors.
 pub fn train_network(data: &Dataset, epochs: usize, seed: u64) -> Result<Model<f64>> {
     let mut model = build_network::<f64>(seed)?;
-    // Safe at any worker count: sharded training is byte-identical to
-    // serial, so this only ever changes wall-clock, never the weights.
-    model.set_train_workers(kml_platform::threading::default_workers());
     model.set_normalizer(Normalizer::fit(data.features())?);
     let mut sgd = Sgd::paper_defaults();
     let mut rng = KmlRng::seed_from_u64(seed ^ 0xA5A5);
