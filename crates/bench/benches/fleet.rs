@@ -166,12 +166,7 @@ fn bench_serve_tick(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(
-        std::env::var("KML_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    config = Criterion::default().sample_size(bench::gate::samples(30));
     targets = bench_serve_tick
 }
 
@@ -208,84 +203,59 @@ const BATCHED_TICK_W4_CEILING_NS: f64 = 176_853.0;
 const W4_GATE_MIN_CORES: usize = 4;
 
 fn main() {
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if !arg.starts_with('-') {
-            filter = Some(arg);
-        }
-    }
-    benches(filter.as_deref());
-
-    let gates = [
+    let ceilings = [
         ("fleet_serve/batched_tick_2048", BATCHED_TICK_CEILING_NS),
         (
             "fleet_serve/batched_tick_q8_2048",
             BATCHED_TICK_Q8_CEILING_NS,
         ),
     ];
-    let summaries = criterion::summaries();
-    let mut failed = false;
-    for s in &summaries {
-        let ceiling = gates.iter().find(|(id, _)| s.id == *id).map(|&(_, c)| c);
-        let pass = ceiling.is_none_or(|c| s.median_ns <= c);
-        println!(
-            "{}: {} median {:.0} ns{}",
-            if pass { "PASS" } else { "FAIL" },
-            s.id,
-            s.median_ns,
-            ceiling
-                .map(|c| format!(", ceiling {c:.0} ns"))
-                .unwrap_or_default()
-        );
-        failed |= !pass;
-    }
-    let median = |id: &str| {
-        summaries
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.median_ns)
-            .unwrap_or(f64::NAN)
-    };
-    let batched = median("fleet_serve/batched_tick_2048");
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let w4 = median("fleet_serve/batched_tick_w4_2048");
-    if w4.is_finite() {
-        if cores >= W4_GATE_MIN_CORES {
-            let pass = w4 <= BATCHED_TICK_W4_CEILING_NS;
-            println!(
-                "{}: fleet_serve/batched_tick_w4_2048 median {w4:.0} ns, ceiling {BATCHED_TICK_W4_CEILING_NS:.0} ns (>=1.5x under the committed 1-worker median)",
-                if pass { "PASS" } else { "FAIL" },
-            );
-            failed |= !pass;
-        } else {
-            println!(
-                "SKIP: fleet_serve/batched_tick_w4_2048 gate — host has {cores} < {W4_GATE_MIN_CORES} cores (measured {w4:.0} ns; the {BATCHED_TICK_W4_CEILING_NS:.0} ns ceiling arms on >={W4_GATE_MIN_CORES}-core runners)",
-            );
-        }
-    }
-    for (baseline_id, floor) in [
-        (
-            "fleet_serve/per_tenant_tick_2048",
-            MIN_SPEEDUP_VS_PER_TENANT,
-        ),
-        ("fleet_serve/serial_tick_2048", MIN_SPEEDUP_VS_SERIAL),
-    ] {
-        let baseline = median(baseline_id);
-        if !batched.is_finite() || !baseline.is_finite() {
-            continue;
-        }
-        let speedup = baseline / batched;
-        let pass = speedup >= floor;
-        println!(
-            "{}: batched vs {baseline_id} speedup {speedup:.2}x (floor {floor:.1}x)",
-            if pass { "PASS" } else { "FAIL" },
-        );
-        failed |= !pass;
-    }
-    if failed && std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
-        eprintln!("fleet serving regressed (KML_BENCH_ENFORCE=0 skips on noisy runners)");
-        std::process::exit(1);
-    }
+    bench::gate::run(
+        benches,
+        &ceilings,
+        |summaries| {
+            let mut failed = false;
+            let median = |id: &str| bench::gate::median(summaries, id).unwrap_or(f64::NAN);
+            let batched = median("fleet_serve/batched_tick_2048");
+            let cores = std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1);
+            let w4 = median("fleet_serve/batched_tick_w4_2048");
+            if w4.is_finite() {
+                if cores >= W4_GATE_MIN_CORES {
+                    let pass = w4 <= BATCHED_TICK_W4_CEILING_NS;
+                    println!(
+                        "{}: fleet_serve/batched_tick_w4_2048 median {w4:.0} ns, ceiling {BATCHED_TICK_W4_CEILING_NS:.0} ns (>=1.5x under the committed 1-worker median)",
+                        if pass { "PASS" } else { "FAIL" },
+                    );
+                    failed |= !pass;
+                } else {
+                    println!(
+                        "SKIP: fleet_serve/batched_tick_w4_2048 gate — host has {cores} < {W4_GATE_MIN_CORES} cores (measured {w4:.0} ns; the {BATCHED_TICK_W4_CEILING_NS:.0} ns ceiling arms on >={W4_GATE_MIN_CORES}-core runners)",
+                    );
+                }
+            }
+            for (baseline_id, floor) in [
+                (
+                    "fleet_serve/per_tenant_tick_2048",
+                    MIN_SPEEDUP_VS_PER_TENANT,
+                ),
+                ("fleet_serve/serial_tick_2048", MIN_SPEEDUP_VS_SERIAL),
+            ] {
+                let baseline = median(baseline_id);
+                if !batched.is_finite() || !baseline.is_finite() {
+                    continue;
+                }
+                let speedup = baseline / batched;
+                let pass = speedup >= floor;
+                println!(
+                    "{}: batched vs {baseline_id} speedup {speedup:.2}x (floor {floor:.1}x)",
+                    if pass { "PASS" } else { "FAIL" },
+                );
+                failed |= !pass;
+            }
+            failed
+        },
+        "fleet serving regressed",
+    );
 }

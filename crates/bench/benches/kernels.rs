@@ -132,12 +132,7 @@ fn bench_gemm(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(
-        std::env::var("KML_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    config = Criterion::default().sample_size(bench::gate::samples(30));
     targets = bench_page_cache, bench_readahead_machine, bench_sim_read_paths, bench_gemm
 }
 
@@ -149,40 +144,31 @@ criterion_group! {
 const GEMM_F32_FLOOR_GFLOPS: f64 = 24.0;
 
 fn main() {
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if !arg.starts_with('-') {
-            filter = Some(arg);
-        }
-    }
-    benches(filter.as_deref());
-
     // Report the GEMM entries in GFLOP/s (2·m·n·k floating-point ops per
     // product) and enforce the committed floor on the f32 kernel.
-    let flops = 2.0 * (GEMM_DIM as f64).powi(3);
-    let summaries = criterion::summaries();
-    let mut failed = false;
-    // Group benches report as `gemm/gemm_*`.
-    for s in summaries.iter().filter(|s| s.id.contains("gemm_")) {
-        let gflops = flops / s.median_ns;
-        let gated = s.id.ends_with("gemm_f32_128");
-        let pass = !gated || gflops >= GEMM_F32_FLOOR_GFLOPS;
-        println!(
-            "{}: {} {:.2} GFLOP/s (median {:.0} ns{})",
-            if pass { "PASS" } else { "FAIL" },
-            s.id,
-            gflops,
-            s.median_ns,
-            if gated {
-                format!(", floor {GEMM_F32_FLOOR_GFLOPS:.1} GFLOP/s")
-            } else {
-                String::new()
-            }
-        );
-        failed |= !pass;
-    }
-    if failed && std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
-        eprintln!("GEMM throughput under floor (KML_BENCH_ENFORCE=0 skips on noisy runners)");
-        std::process::exit(1);
-    }
+    let gemm_floor = |summaries: &[criterion::Summary]| {
+        let flops = 2.0 * (GEMM_DIM as f64).powi(3);
+        let mut failed = false;
+        // Group benches report as `gemm/gemm_*`.
+        for s in summaries.iter().filter(|s| s.id.contains("gemm_")) {
+            let gflops = flops / s.median_ns;
+            let gated = s.id.ends_with("gemm_f32_128");
+            let pass = !gated || gflops >= GEMM_F32_FLOOR_GFLOPS;
+            println!(
+                "{}: {} {:.2} GFLOP/s (median {:.0} ns{})",
+                if pass { "PASS" } else { "FAIL" },
+                s.id,
+                gflops,
+                s.median_ns,
+                if gated {
+                    format!(", floor {GEMM_F32_FLOOR_GFLOPS:.1} GFLOP/s")
+                } else {
+                    String::new()
+                }
+            );
+            failed |= !pass;
+        }
+        failed
+    };
+    bench::gate::run(benches, &[], gemm_floor, "GEMM throughput under floor");
 }

@@ -101,12 +101,7 @@ fn bench_lifecycle(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(
-        std::env::var("KML_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    config = Criterion::default().sample_size(bench::gate::samples(30));
     targets = bench_lifecycle
 }
 
@@ -117,36 +112,14 @@ criterion_group! {
 const SWAP_PAUSE_CEILING_NS: f64 = 353_333.0;
 
 fn main() {
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if !arg.starts_with('-') {
-            filter = Some(arg);
-        }
-    }
-    benches(filter.as_deref());
-
-    let gates = [
+    let ceilings = [
         ("lifecycle/swap_publish_fleet", SWAP_PAUSE_CEILING_NS),
         ("lifecycle/install_loop", SWAP_PAUSE_CEILING_NS),
     ];
-    let summaries = criterion::summaries();
-    let mut failed = false;
-    for s in &summaries {
-        let ceiling = gates.iter().find(|(id, _)| s.id == *id).map(|&(_, c)| c);
-        let pass = ceiling.is_none_or(|c| s.median_ns <= c);
-        println!(
-            "{}: {} median {:.0} ns{}",
-            if pass { "PASS" } else { "FAIL" },
-            s.id,
-            s.median_ns,
-            ceiling
-                .map(|c| format!(", ceiling {c:.0} ns"))
-                .unwrap_or_default()
-        );
-        failed |= !pass;
-    }
-    if failed && std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
-        eprintln!("lifecycle swap pause regressed (KML_BENCH_ENFORCE=0 skips on noisy runners)");
-        std::process::exit(1);
-    }
+    bench::gate::run(
+        benches,
+        &ceilings,
+        |_| false,
+        "lifecycle swap pause regressed",
+    );
 }

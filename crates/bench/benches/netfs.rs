@@ -114,12 +114,7 @@ fn bench_rsize_tuner(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(
-        std::env::var("KML_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    config = Criterion::default().sample_size(bench::gate::samples(30));
     targets = bench_rpc_roundtrip, bench_rsize_tuner
 }
 
@@ -131,39 +126,17 @@ const ROUNDTRIP_DATACENTER_CEILING_NS: f64 = 120_000.0;
 const TUNER_INFER_CEILING_NS: f64 = 360_000.0;
 
 fn main() {
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if !arg.starts_with('-') {
-            filter = Some(arg);
-        }
-    }
-    benches(filter.as_deref());
-
-    let gates = [
+    let ceilings = [
         (
             "rpc_roundtrip/read_1m_datacenter",
             ROUNDTRIP_DATACENTER_CEILING_NS,
         ),
         ("rsize_tuner/on_op_infer", TUNER_INFER_CEILING_NS),
     ];
-    let summaries = criterion::summaries();
-    let mut failed = false;
-    for s in &summaries {
-        let ceiling = gates.iter().find(|(id, _)| s.id == *id).map(|&(_, c)| c);
-        let pass = ceiling.is_none_or(|c| s.median_ns <= c);
-        println!(
-            "{}: {} median {:.0} ns{}",
-            if pass { "PASS" } else { "FAIL" },
-            s.id,
-            s.median_ns,
-            ceiling
-                .map(|c| format!(", ceiling {c:.0} ns"))
-                .unwrap_or_default()
-        );
-        failed |= !pass;
-    }
-    if failed && std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
-        eprintln!("netfs path slower than ceiling (KML_BENCH_ENFORCE=0 skips on noisy runners)");
-        std::process::exit(1);
-    }
+    bench::gate::run(
+        benches,
+        &ceilings,
+        |_| false,
+        "netfs path slower than ceiling",
+    );
 }

@@ -234,12 +234,7 @@ criterion_group! {
     name = benches;
     // KML_BENCH_SAMPLES trims the per-benchmark sample count for CI smoke
     // runs (default 30 matches the committed BENCH_baseline.json medians).
-    config = Criterion::default().sample_size(
-        std::env::var("KML_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    config = Criterion::default().sample_size(bench::gate::samples(30));
     targets = bench_collection, bench_inference, bench_training_iteration, bench_model_file
 }
 
@@ -249,16 +244,12 @@ criterion_group! {
 /// uses, so a run is diffable against the committed pre-optimization
 /// baseline.
 fn main() {
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if !arg.starts_with('-') {
-            filter = Some(arg);
-        }
-    }
-    benches(filter.as_deref());
+    bench::gate::run(benches, &[], snapshot_and_gates, "overhead gate exceeded");
+}
+
+fn snapshot_and_gates(all: &[criterion::Summary]) -> bool {
     if let Ok(path) = std::env::var("KML_BENCH_SNAPSHOT") {
         let mut json = String::from("{\n");
-        let all = criterion::summaries();
         for (i, s) in all.iter().enumerate() {
             let sep = if i + 1 == all.len() { "" } else { "," };
             json.push_str(&format!("  \"{}\": {:.1}{}\n", s.id, s.median_ns, sep));
@@ -282,45 +273,42 @@ fn main() {
     // (3,500 ns with exp's halving loop, so a revert trips it 3.8×). On by
     // default so the bench-smoke CI job catches regressions;
     // KML_BENCH_ENFORCE=0 opts out for exploratory runs on noisy machines.
-    if std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
-        let summaries = criterion::summaries();
-        let median = |id: &str| summaries.iter().find(|s| s.id == id).map(|s| s.median_ns);
-        let mut failed = false;
-        for (id, gate_ns) in [
-            ("overhead_training_iteration", 63_200.0),
-            ("overhead_inference", 100.0),
-            ("overhead_inference_single", 250.0),
-            ("overhead_inference_exact", 658.0),
-            ("overhead_inference_loop_features", 920.0),
-        ] {
-            let Some(m) = median(id) else {
-                continue; // filtered out on this invocation
-            };
-            let verdict = if m <= gate_ns { "PASS" } else { "FAIL" };
-            println!("{verdict}: {id} median {m:.1} ns (gate {gate_ns:.0} ns)");
-            failed |= m > gate_ns;
-        }
-        // Slowest decade of the magnitude sweep against the fastest: the
-        // halving loop read ~12x, a whole vector block following one hard
-        // lane down the scalar sigmoid ~3.4x; what is left (the band lane's
-        // own scalar call) reads under 2x.
-        let sweep: Vec<f64> = SWEEP_EXPONENTS
-            .filter_map(|k| median(&format!("overhead_inference_sweep/1e{k}")))
-            .collect();
-        if sweep.len() == SWEEP_EXPONENTS.count() {
-            let worst = sweep.iter().copied().fold(f64::MIN, f64::max);
-            let best = sweep.iter().copied().fold(f64::MAX, f64::min);
-            let verdict = if worst <= 4.0 * best { "PASS" } else { "FAIL" };
-            println!(
-                "{verdict}: overhead_inference_sweep worst {worst:.1} ns / friendliest {best:.1} ns \
-                 = {:.2}x (gate 4.00x)",
-                worst / best
-            );
-            failed |= worst > 4.0 * best;
-        }
-        if failed {
-            eprintln!("overhead gate exceeded (KML_BENCH_ENFORCE=0 skips on noisy runners)");
-            std::process::exit(1);
-        }
+    if !bench::gate::enforced() {
+        return false;
     }
+    let median = |id: &str| bench::gate::median(all, id);
+    let mut failed = false;
+    for (id, gate_ns) in [
+        ("overhead_training_iteration", 63_200.0),
+        ("overhead_inference", 100.0),
+        ("overhead_inference_single", 250.0),
+        ("overhead_inference_exact", 658.0),
+        ("overhead_inference_loop_features", 920.0),
+    ] {
+        let Some(m) = median(id) else {
+            continue; // filtered out on this invocation
+        };
+        let verdict = if m <= gate_ns { "PASS" } else { "FAIL" };
+        println!("{verdict}: {id} median {m:.1} ns (gate {gate_ns:.0} ns)");
+        failed |= m > gate_ns;
+    }
+    // Slowest decade of the magnitude sweep against the fastest: the
+    // halving loop read ~12x, a whole vector block following one hard
+    // lane down the scalar sigmoid ~3.4x; what is left (the band lane's
+    // own scalar call) reads under 2x.
+    let sweep: Vec<f64> = SWEEP_EXPONENTS
+        .filter_map(|k| median(&format!("overhead_inference_sweep/1e{k}")))
+        .collect();
+    if sweep.len() == SWEEP_EXPONENTS.count() {
+        let worst = sweep.iter().copied().fold(f64::MIN, f64::max);
+        let best = sweep.iter().copied().fold(f64::MAX, f64::min);
+        let verdict = if worst <= 4.0 * best { "PASS" } else { "FAIL" };
+        println!(
+            "{verdict}: overhead_inference_sweep worst {worst:.1} ns / friendliest {best:.1} ns \
+             = {:.2}x (gate 4.00x)",
+            worst / best
+        );
+        failed |= worst > 4.0 * best;
+    }
+    failed
 }

@@ -174,12 +174,7 @@ fn bench_sim_read(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(
-        std::env::var("KML_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    config = Criterion::default().sample_size(bench::gate::samples(30));
     targets = bench_write_stream, bench_compaction, bench_read_path, bench_sim_read
 }
 
@@ -211,14 +206,6 @@ const READ_STREAM_CEILING_NS_PER_PAGE: f64 = 28.0;
 const READ_WARM_CEILING_NS_PER_PAGE: f64 = 11.4;
 
 fn main() {
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if !arg.starts_with('-') {
-            filter = Some(arg);
-        }
-    }
-    benches(filter.as_deref());
-
     // (id, divisor from ns per iteration to the gated unit, unit, ceiling,
     // whether the fastest sample is judged instead of the median)
     let gates = [
@@ -265,25 +252,28 @@ fn main() {
             true,
         ),
     ];
-    let mut failed = false;
-    for s in &criterion::summaries() {
-        let Some(&(_, per, unit, ceiling, fastest)) = gates.iter().find(|g| s.id == g.0) else {
-            continue;
-        };
-        let (median, min) = (s.median_ns / per, s.min_ns / per);
-        let pass = if fastest { min } else { median } <= ceiling;
-        println!(
-            "{}: {} median {median:.1} {unit}, fastest {min:.1}, ceiling {ceiling} on the {}",
-            if pass { "PASS" } else { "FAIL" },
-            s.id,
-            if fastest { "fastest sample" } else { "median" },
-        );
-        failed |= !pass;
-    }
-    if failed && std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0") {
-        eprintln!(
-            "simulated stack slower than ceiling (KML_BENCH_ENFORCE=0 skips on noisy runners)"
-        );
-        std::process::exit(1);
-    }
+    let scaled_ceilings = |summaries: &[criterion::Summary]| {
+        let mut failed = false;
+        for s in summaries {
+            let Some(&(_, per, unit, ceiling, fastest)) = gates.iter().find(|g| s.id == g.0) else {
+                continue;
+            };
+            let (median, min) = (s.median_ns / per, s.min_ns / per);
+            let pass = if fastest { min } else { median } <= ceiling;
+            println!(
+                "{}: {} median {median:.1} {unit}, fastest {min:.1}, ceiling {ceiling} on the {}",
+                if pass { "PASS" } else { "FAIL" },
+                s.id,
+                if fastest { "fastest sample" } else { "median" },
+            );
+            failed |= !pass;
+        }
+        failed
+    };
+    bench::gate::run(
+        benches,
+        &[],
+        scaled_ceilings,
+        "simulated stack slower than ceiling",
+    );
 }

@@ -8,6 +8,74 @@
 
 use std::fmt::Write as _;
 
+/// What every gated bench file's `main` does around its own numbers:
+/// the argument filter, `KML_BENCH_SAMPLES`, the ceiling table and
+/// `KML_BENCH_ENFORCE`.
+pub mod gate {
+    use criterion::Summary;
+
+    /// Samples per benchmark: `KML_BENCH_SAMPLES` (trimmed for CI smoke
+    /// runs), else `default` — the count the committed
+    /// `BENCH_baseline.json` medians were taken at.
+    pub fn samples(default: usize) -> usize {
+        std::env::var("KML_BENCH_SAMPLES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// Whether a failed gate fails the run (`KML_BENCH_ENFORCE=0` opts out
+    /// for exploratory runs on noisy machines).
+    pub fn enforced() -> bool {
+        std::env::var("KML_BENCH_ENFORCE").as_deref() != Ok("0")
+    }
+
+    /// The median of benchmark `id`, if this invocation ran it.
+    pub fn median(summaries: &[Summary], id: &str) -> Option<f64> {
+        summaries.iter().find(|s| s.id == id).map(|s| s.median_ns)
+    }
+
+    /// The `main` of a gated bench file. Runs `benches` under the
+    /// command line's substring filter (a bare non-flag argument); prints
+    /// one PASS / FAIL line per measurement against its median-ns ceiling
+    /// in `ceilings`, when there are any; runs `extra`, which prints the
+    /// file's own checks and returns whether one failed; and exits 1
+    /// naming `what` if anything failed and gates are [`enforced`].
+    pub fn run(
+        benches: fn(Option<&str>),
+        ceilings: &[(&str, f64)],
+        extra: impl FnOnce(&[Summary]) -> bool,
+        what: &str,
+    ) {
+        let filter = std::env::args().skip(1).rfind(|a| !a.starts_with('-'));
+        benches(filter.as_deref());
+
+        let summaries = criterion::summaries();
+        let mut failed = false;
+        if !ceilings.is_empty() {
+            for s in &summaries {
+                let ceiling = ceilings.iter().find(|(id, _)| s.id == *id).map(|&(_, c)| c);
+                let pass = ceiling.is_none_or(|c| s.median_ns <= c);
+                println!(
+                    "{}: {} median {:.0} ns{}",
+                    if pass { "PASS" } else { "FAIL" },
+                    s.id,
+                    s.median_ns,
+                    ceiling
+                        .map(|c| format!(", ceiling {c:.0} ns"))
+                        .unwrap_or_default()
+                );
+                failed |= !pass;
+            }
+        }
+        failed |= extra(&summaries);
+        if failed && enforced() {
+            eprintln!("{what} (KML_BENCH_ENFORCE=0 skips on noisy runners)");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Renders a text table with a header row and aligned columns.
 ///
 /// # Example

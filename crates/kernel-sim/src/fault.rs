@@ -28,6 +28,7 @@
 //!
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
+use kml_platform::sampler::{splitmix64, GOLDEN_GAMMA};
 use std::fmt;
 
 /// Direction of a failed device request.
@@ -330,14 +331,9 @@ impl FaultPlan {
 
     /// One uniform draw in `[0, 1)` from the counter-based stream.
     fn roll(&mut self) -> f64 {
-        let mut z = self
-            .cfg
-            .seed
-            .wrapping_add(self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let counter = self.draws.wrapping_mul(GOLDEN_GAMMA);
+        let z = splitmix64(self.cfg.seed.wrapping_add(counter));
         self.draws += 1;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         // 53 high bits → uniform double in [0, 1).
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -637,5 +633,26 @@ mod tests {
         assert!(s.contains("write error"));
         assert!(s.contains("inode 9"));
         assert!(s.contains("3/8"));
+    }
+
+    /// The first eight rolls at seed 7, recorded on the parent commit
+    /// (1fb2a81), before the mix moved to `kml_platform::sampler`.
+    #[test]
+    fn rolls_match_the_parent_commit() {
+        let mut plan = FaultPlan::new(FaultConfig::light(7));
+        let rolls: Vec<u64> = (0..8).map(|_| plan.roll().to_bits()).collect();
+        assert_eq!(
+            rolls,
+            [
+                0x3fb2_ae30_237b_17d8,
+                0x3fd8_f2f8_7916_4c82,
+                0x3f91_30f3_5fd0_f180,
+                0x3fec_d308_1017_5625,
+                0x3fe2_a75d_6e0c_e7c5,
+                0x3fdc_f4ce_d99a_8788,
+                0x3fcf_ed5f_4365_df54,
+                0x3fdd_f2f1_284c_f0b4,
+            ]
+        );
     }
 }

@@ -4,12 +4,16 @@
 //! components and then train ML models on collected trace data in user
 //! space." This module provides the persistent half of that workflow: a
 //! compact binary trace format (one fixed-width record per tracepoint,
-//! little-endian, FNV-checksummed) written through the KML file API, plus a
-//! replayer that feeds records back at their recorded timestamps — so a
-//! trace captured from one kernel-sim run can train models offline, be
-//! shared, or be re-run against different feature pipelines.
+//! little-endian, sealed with the version-1 checksum) written through the
+//! KML file API, plus a replayer that feeds records back at their recorded
+//! timestamps — so a trace captured from one kernel-sim run can train
+//! models offline, be shared, or be re-run against different feature
+//! pipelines. The checksum is `kml_platform::bytes::checksum_v1`: FNV-1a's
+//! shape with the multiplier `0x1000_0000_01B3`, not the FNV prime — the
+//! typo version 1 shipped with, kept so recorded traces still verify.
 
 use crate::trace::{TraceKind, TraceRecord};
+use kml_platform::bytes::{checksum_v1, put_u32, put_u64, seal_v1, split_seal, Reader, Truncated};
 use kml_platform::fileops::KmlFile;
 
 /// Magic prefix of a KML trace file.
@@ -63,23 +67,28 @@ impl From<kml_platform::PlatformError> for TraceFileError {
     }
 }
 
+impl From<Truncated> for TraceFileError {
+    fn from(e: Truncated) -> Self {
+        TraceFileError::Malformed(e.to_string())
+    }
+}
+
 /// Serializes records to the KML trace format.
 pub fn encode(records: &[TraceRecord]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + records.len() * RECORD_BYTES + 8);
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    put_u32(&mut buf, VERSION);
+    put_u32(&mut buf, records.len() as u32);
     for r in records {
         buf.push(match r.kind {
             TraceKind::AddToPageCache => 1,
             TraceKind::WritebackDirtyPage => 2,
         });
-        buf.extend_from_slice(&r.inode.to_le_bytes());
-        buf.extend_from_slice(&r.page_offset.to_le_bytes());
-        buf.extend_from_slice(&r.time_ns.to_le_bytes());
+        put_u64(&mut buf, r.inode);
+        put_u64(&mut buf, r.page_offset);
+        put_u64(&mut buf, r.time_ns);
     }
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    seal_v1(&mut buf);
     buf
 }
 
@@ -90,40 +99,33 @@ pub fn encode(records: &[TraceRecord]) -> Vec<u8> {
 /// Returns [`TraceFileError::Malformed`] for structural problems and
 /// [`TraceFileError::Corrupt`] on checksum mismatch.
 pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceFileError> {
-    if bytes.len() < 16 + 8 {
-        return Err(TraceFileError::Malformed(format!(
-            "{} bytes is too short for a trace file",
-            bytes.len()
-        )));
-    }
-    if &bytes[..8] != MAGIC {
+    let (body, stored) = split_seal(bytes)?;
+    let mut r = Reader::new(body);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(TraceFileError::Malformed("bad magic".into()));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let version = r.u32()?;
     if version != VERSION {
         return Err(TraceFileError::Malformed(format!(
             "unsupported version {version}"
         )));
     }
-    let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    let expected_len = 16 + count * RECORD_BYTES + 8;
-    if bytes.len() != expected_len {
+    let count = r.u32()? as usize;
+    r.counted(count, RECORD_BYTES)?;
+    if r.remaining() != count * RECORD_BYTES {
         return Err(TraceFileError::Malformed(format!(
-            "{} bytes but {count} records imply {expected_len}",
+            "{} bytes do not hold exactly {count} records",
             bytes.len()
         )));
     }
-    let body_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let computed = fnv1a(&bytes[..body_end]);
+    let computed = checksum_v1(body);
     if stored != computed {
         return Err(TraceFileError::Corrupt { stored, computed });
     }
 
     let mut records = Vec::with_capacity(count);
-    let mut pos = 16;
     for _ in 0..count {
-        let kind = match bytes[pos] {
+        let kind = match r.u8()? {
             1 => TraceKind::AddToPageCache,
             2 => TraceKind::WritebackDirtyPage,
             other => {
@@ -132,16 +134,12 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceFileError> {
                 )))
             }
         };
-        let inode = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().expect("8 bytes"));
-        let page_offset = u64::from_le_bytes(bytes[pos + 9..pos + 17].try_into().expect("8 bytes"));
-        let time_ns = u64::from_le_bytes(bytes[pos + 17..pos + 25].try_into().expect("8 bytes"));
         records.push(TraceRecord {
             kind,
-            inode,
-            page_offset,
-            time_ns,
+            inode: r.u64()?,
+            page_offset: r.u64()?,
+            time_ns: r.u64()?,
         });
-        pos += RECORD_BYTES;
     }
     Ok(records)
 }
@@ -203,15 +201,6 @@ pub fn replay(records: &[TraceRecord], window_ns: u64, mut on_event: impl FnMut(
         }
         on_event(ReplayEvent::Record(r));
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -307,5 +296,17 @@ mod tests {
         records[2].time_ns = 0;
         records[1].time_ns = 5000;
         replay(&records, 1000, |_| {});
+    }
+
+    /// Byte identity, recorded on the parent commit (1fb2a81), before the
+    /// codec moved onto `kml_platform::bytes`.
+    #[test]
+    fn encoded_bytes_match_the_parent_commit() {
+        let bytes = encode(&sample(64));
+        assert_eq!(bytes.len(), 1624);
+        assert_eq!(
+            kml_platform::bytes::Fnv1a::of(&bytes),
+            0xe422_25c8_1750_a27e
+        );
     }
 }

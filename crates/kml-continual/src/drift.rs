@@ -25,6 +25,11 @@
 //! Everything is pure integer/f64 arithmetic over the values observed:
 //! no clocks, no randomness. Same window stream in, same triggers out.
 
+use kml_platform::bytes::{put_f64, put_u32, put_u64, Reader, Truncated};
+
+/// Bytes one channel occupies in [`DriftDetector::to_bytes`]: four `f64`s.
+const CHANNEL_BYTES: usize = 32;
+
 /// Tuning knobs for [`DriftDetector`]. All counts are in windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
@@ -240,34 +245,30 @@ impl DriftDetector {
     /// exactly: every f64 travels as `to_bits`, so the round trip is
     /// bit-precise, not just approximately equal.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.channels.len() * 32);
-        let push_u32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
-        let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        let push_f64 =
-            |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
-        push_u32(&mut out, self.cfg.reference_windows);
-        push_u32(&mut out, self.cfg.block_windows);
-        push_f64(&mut out, self.cfg.threshold);
-        push_u32(&mut out, self.cfg.trigger_blocks);
-        push_f64(&mut out, self.cfg.abs_floor);
-        push_u32(&mut out, self.channels.len() as u32);
-        push_u32(
+        let mut out = Vec::with_capacity(64 + self.channels.len() * CHANNEL_BYTES);
+        put_u32(&mut out, self.cfg.reference_windows);
+        put_u32(&mut out, self.cfg.block_windows);
+        put_f64(&mut out, self.cfg.threshold);
+        put_u32(&mut out, self.cfg.trigger_blocks);
+        put_f64(&mut out, self.cfg.abs_floor);
+        put_u32(&mut out, self.channels.len() as u32);
+        put_u32(
             &mut out,
             match self.phase {
                 Phase::Reference => 0,
                 Phase::Monitor => 1,
             },
         );
-        push_u32(&mut out, self.filled);
-        push_u32(&mut out, self.hot);
-        push_u64(&mut out, self.windows_seen);
-        push_u64(&mut out, self.triggers);
-        push_f64(&mut out, self.last_score);
+        put_u32(&mut out, self.filled);
+        put_u32(&mut out, self.hot);
+        put_u64(&mut out, self.windows_seen);
+        put_u64(&mut out, self.triggers);
+        put_f64(&mut out, self.last_score);
         for ch in &self.channels {
-            push_f64(&mut out, ch.mean);
-            push_f64(&mut out, ch.m2);
-            push_f64(&mut out, ch.ref_std);
-            push_f64(&mut out, ch.block_sum);
+            put_f64(&mut out, ch.mean);
+            put_f64(&mut out, ch.m2);
+            put_f64(&mut out, ch.ref_std);
+            put_f64(&mut out, ch.block_sum);
         }
         out
     }
@@ -275,23 +276,12 @@ impl DriftDetector {
     /// Inverse of [`to_bytes`](Self::to_bytes). Returns `None` on any
     /// length mismatch or out-of-range field.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        struct Cur<'a>(&'a [u8]);
-        impl Cur<'_> {
-            fn u32(&mut self) -> Option<u32> {
-                let (head, rest) = self.0.split_first_chunk::<4>()?;
-                self.0 = rest;
-                Some(u32::from_le_bytes(*head))
-            }
-            fn u64(&mut self) -> Option<u64> {
-                let (head, rest) = self.0.split_first_chunk::<8>()?;
-                self.0 = rest;
-                Some(u64::from_le_bytes(*head))
-            }
-            fn f64(&mut self) -> Option<f64> {
-                Some(f64::from_bits(self.u64()?))
-            }
-        }
-        let mut cur = Cur(bytes);
+        Self::decode(bytes).ok().flatten()
+    }
+
+    /// `Err` where the bytes run out, `Ok(None)` on an out-of-range field.
+    fn decode(bytes: &[u8]) -> Result<Option<Self>, Truncated> {
+        let mut cur = Reader::new(bytes);
         let cfg = DriftConfig {
             reference_windows: cur.u32()?,
             block_windows: cur.u32()?,
@@ -301,19 +291,19 @@ impl DriftDetector {
         };
         let n = cur.u32()? as usize;
         if n == 0 || n > 4096 {
-            return None;
+            return Ok(None);
         }
         let phase = match cur.u32()? {
             0 => Phase::Reference,
             1 => Phase::Monitor,
-            _ => return None,
+            _ => return Ok(None),
         };
         let filled = cur.u32()?;
         let hot = cur.u32()?;
         let windows_seen = cur.u64()?;
         let triggers = cur.u64()?;
         let last_score = cur.f64()?;
-        let mut channels = Vec::with_capacity(n);
+        let mut channels = Vec::with_capacity(cur.counted(n, CHANNEL_BYTES)?);
         for _ in 0..n {
             channels.push(Channel {
                 mean: cur.f64()?,
@@ -322,10 +312,10 @@ impl DriftDetector {
                 block_sum: cur.f64()?,
             });
         }
-        if !cur.0.is_empty() {
-            return None;
+        if cur.remaining() != 0 {
+            return Ok(None);
         }
-        Some(DriftDetector {
+        Ok(Some(DriftDetector {
             cfg,
             channels,
             phase,
@@ -334,7 +324,7 @@ impl DriftDetector {
             windows_seen,
             triggers,
             last_score,
-        })
+        }))
     }
 }
 
@@ -448,5 +438,28 @@ mod tests {
             fired |= d.observe(&[5.0 + 3.5]);
         }
         assert!(fired, "shift beyond threshold*abs_floor triggers");
+    }
+
+    /// Byte identity of the state mid-Monitor (one window into a block),
+    /// recorded on the parent commit (1fb2a81), before the codec moved
+    /// onto `kml_platform::bytes`.
+    #[test]
+    fn state_bytes_match_the_parent_commit() {
+        let mut d = DriftDetector::new(3, cfg());
+        for i in 0..11u32 {
+            let w = [
+                10.0 + f64::from(i % 3) * 0.5,
+                5.0 - f64::from(i % 2) * 0.25,
+                0.125,
+            ];
+            assert!(!d.observe(&w));
+        }
+        assert!(d.monitoring());
+        let bytes = d.to_bytes();
+        assert_eq!(bytes.len(), 164);
+        assert_eq!(
+            kml_platform::bytes::Fnv1a::of(&bytes),
+            0x1ea8_2c48_781a_406c
+        );
     }
 }

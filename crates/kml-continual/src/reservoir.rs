@@ -13,14 +13,12 @@
 //! shards, and uniform over the ids seen (each id's priority is an
 //! independent uniform draw, so the k smallest are a uniform k-subset).
 
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+use kml_platform::bytes::Fnv1a;
+use kml_platform::sampler::{splitmix64, GOLDEN_GAMMA};
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(GOLDEN);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One splitmix64 step from state `x`: advance the counter, mix.
+fn splitmix(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// Feature width every reservoir sample carries — the shared window width
@@ -166,22 +164,16 @@ impl Reservoir {
     /// priorities, feature bits, labels, in sorted order). Two reservoirs
     /// with the same hash hold byte-identical training data.
     pub fn contents_hash(&self) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut fold = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut hash = Fnv1a::new();
         for s in &self.samples {
-            fold(s.id);
-            fold(s.priority);
+            hash.fold_u64(s.id);
+            hash.fold_u64(s.priority);
             for f in &s.features {
-                fold(f.to_bits());
+                hash.fold_u64(f.to_bits());
             }
-            fold(s.label as u64);
+            hash.fold_u64(s.label as u64);
         }
-        hash
+        hash.finish()
     }
 }
 
@@ -265,5 +257,25 @@ mod tests {
         let ids_a: Vec<u64> = a.samples().iter().map(|s| s.id).collect();
         let ids_b: Vec<u64> = b.samples().iter().map(|s| s.id).collect();
         assert_ne!(ids_a, ids_b, "seed must steer the kept subset");
+    }
+
+    /// The priorities of ids 0..8 at seed 7, recorded on the parent commit
+    /// (1fb2a81), before the mix moved to `kml_platform::sampler`.
+    #[test]
+    fn priorities_match_the_parent_commit() {
+        let r = Reservoir::new(8, 7);
+        assert_eq!(
+            [0, 1, 2, 3, 4, 5, 6, 7].map(|id| r.priority_of(id)),
+            [
+                0x64bf_61b5_12ff_abe7,
+                0x7716_da39_cba2_75b2,
+                0x1b97_30bf_3fc5_de36,
+                0xe880_a903_bcff_6547,
+                0x435e_b231_96e4_7bda,
+                0x8ea5_269b_74de_e2bc,
+                0x2b40_f785_f684_cbe3,
+                0x3a3b_fc2b_f948_c770,
+            ]
+        );
     }
 }

@@ -279,9 +279,7 @@ mod tests {
             ..spec()
         };
         let bytes = train_candidate(&golden_spec, 7, r.samples()).expect("train");
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let fnv = kml_platform::bytes::Fnv1a::of(&bytes);
         assert_eq!(
             fnv,
             0x5c41_a18e_644f_67f5,

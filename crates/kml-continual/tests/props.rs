@@ -12,17 +12,8 @@
 //!    perturbing subsequent behavior.
 
 use kml_continual::{DriftConfig, DriftDetector, Reservoir, RESERVOIR_DIM};
+use kml_platform::sampler::splitmix64 as mix;
 use proptest::prelude::*;
-
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(GOLDEN);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn feat(id: u64) -> [f64; RESERVOIR_DIM] {
     let x = id as f64;

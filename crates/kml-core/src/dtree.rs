@@ -9,6 +9,14 @@
 
 use crate::dataset::Dataset;
 use crate::{KmlError, Result};
+use kml_platform::bytes::{checksum_v1, put_f64, put_u32, seal_v1, split_seal, Reader};
+
+/// Magic prefix of a serialized tree.
+const MAGIC: &[u8; 8] = b"KMLDTREE";
+/// Bytes per encoded node: tag(1) + 20 of payload, leaves padded to it.
+const NODE_BYTES: usize = 21;
+/// Padding after a leaf's class so every node has the same width.
+const LEAF_PAD: usize = 16;
 
 /// Hyper-parameters for [`DecisionTree::fit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,23 +173,26 @@ impl DecisionTree {
         self.nodes.len() * std::mem::size_of::<Node>()
     }
 
-    /// Serializes the tree to the KML binary format (magic `KMLDTREE`).
+    /// Serializes the tree to the KML binary format: magic `KMLDTREE`,
+    /// version, feature and class counts, node count, fixed-width nodes,
+    /// then the version-1 checksum of everything before it
+    /// (`kml_platform::bytes::checksum_v1` — not FNV-1a, see there).
     ///
     /// Trees deploy through files just like networks (§3.3): train in user
     /// space, load in the kernel module.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(b"KMLDTREE");
-        buf.extend_from_slice(&1u32.to_le_bytes()); // version
-        buf.extend_from_slice(&(self.feature_dim as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.num_classes as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
+        buf.extend_from_slice(MAGIC);
+        put_u32(&mut buf, 1); // version
+        put_u32(&mut buf, self.feature_dim as u32);
+        put_u32(&mut buf, self.num_classes as u32);
+        put_u32(&mut buf, self.nodes.len() as u32);
         for node in &self.nodes {
             match node {
                 Node::Leaf { class } => {
                     buf.push(0);
-                    buf.extend_from_slice(&(*class as u32).to_le_bytes());
-                    buf.extend_from_slice(&[0u8; 16]); // pad to fixed width
+                    put_u32(&mut buf, *class as u32);
+                    buf.extend_from_slice(&[0u8; LEAF_PAD]);
                 }
                 Node::Split {
                     feature,
@@ -190,15 +201,14 @@ impl DecisionTree {
                     right,
                 } => {
                     buf.push(1);
-                    buf.extend_from_slice(&(*feature as u32).to_le_bytes());
-                    buf.extend_from_slice(&threshold.to_le_bytes());
-                    buf.extend_from_slice(&(*left as u32).to_le_bytes());
-                    buf.extend_from_slice(&(*right as u32).to_le_bytes());
+                    put_u32(&mut buf, *feature as u32);
+                    put_f64(&mut buf, *threshold);
+                    put_u32(&mut buf, *left as u32);
+                    put_u32(&mut buf, *right as u32);
                 }
             }
         }
-        let checksum = fnv1a(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
+        seal_v1(&mut buf);
         buf
     }
 
@@ -209,24 +219,22 @@ impl DecisionTree {
     /// Returns [`KmlError::BadModelFile`] for truncated/corrupt data or
     /// structurally invalid trees (dangling child indices, bad classes).
     pub fn decode(bytes: &[u8]) -> Result<DecisionTree> {
-        const HEADER: usize = 8 + 4 + 4 + 4 + 4;
-        const NODE_BYTES: usize = 21;
-        if bytes.len() < HEADER + 8 {
-            return Err(KmlError::BadModelFile("tree file too short".into()));
-        }
-        if &bytes[..8] != b"KMLDTREE" {
+        let (body, stored) = split_seal(bytes)?;
+        let mut r = Reader::new(body);
+        if r.take(MAGIC.len())? != MAGIC {
             return Err(KmlError::BadModelFile("bad tree magic".into()));
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        let version = r.u32()?;
         if version != 1 {
             return Err(KmlError::BadModelFile(format!(
                 "unsupported tree version {version}"
             )));
         }
-        let feature_dim = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        let num_classes = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
-        let count = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != HEADER + count * NODE_BYTES + 8 {
+        let feature_dim = r.u32()? as usize;
+        let num_classes = r.u32()? as usize;
+        let count = r.u32()? as usize;
+        r.counted(count, NODE_BYTES)?;
+        if r.remaining() != count * NODE_BYTES {
             return Err(KmlError::BadModelFile(format!(
                 "tree file length {} does not match {count} nodes",
                 bytes.len()
@@ -235,23 +243,18 @@ impl DecisionTree {
         if count == 0 {
             return Err(KmlError::BadModelFile("tree with no nodes".into()));
         }
-        let body_end = bytes.len() - 8;
-        let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-        let computed = fnv1a(&bytes[..body_end]);
+        let computed = checksum_v1(body);
         if stored != computed {
             return Err(KmlError::BadModelFile(format!(
                 "tree checksum mismatch: stored {stored:#x}, computed {computed:#x}"
             )));
         }
         let mut nodes = Vec::with_capacity(count);
-        let mut pos = HEADER;
         for _ in 0..count {
-            let tag = bytes[pos];
-            let node = match tag {
+            let node = match r.u8()? {
                 0 => {
-                    let class =
-                        u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4 bytes"))
-                            as usize;
+                    let class = r.u32()? as usize;
+                    r.take(LEAF_PAD)?;
                     if class >= num_classes {
                         return Err(KmlError::BadModelFile(format!(
                             "leaf class {class} out of range for {num_classes} classes"
@@ -260,17 +263,10 @@ impl DecisionTree {
                     Node::Leaf { class }
                 }
                 1 => {
-                    let feature =
-                        u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4 bytes"))
-                            as usize;
-                    let threshold =
-                        f64::from_le_bytes(bytes[pos + 5..pos + 13].try_into().expect("8 bytes"));
-                    let left =
-                        u32::from_le_bytes(bytes[pos + 13..pos + 17].try_into().expect("4 bytes"))
-                            as usize;
-                    let right =
-                        u32::from_le_bytes(bytes[pos + 17..pos + 21].try_into().expect("4 bytes"))
-                            as usize;
+                    let feature = r.u32()? as usize;
+                    let threshold = r.f64()?;
+                    let left = r.u32()? as usize;
+                    let right = r.u32()? as usize;
                     if feature >= feature_dim || left >= count || right >= count {
                         return Err(KmlError::BadModelFile(
                             "split node references out of range".into(),
@@ -295,7 +291,6 @@ impl DecisionTree {
                 }
             };
             nodes.push(node);
-            pos += NODE_BYTES;
         }
         let tree = DecisionTree {
             nodes,
@@ -471,19 +466,11 @@ impl DecisionTree {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::KmlRng;
+    use kml_platform::bytes::Fnv1a;
     use rand::{Rng, SeedableRng};
 
     fn quadrant_data(n: usize, seed: u64) -> Dataset {
@@ -633,7 +620,7 @@ mod tests {
             let header = 8 + 4 + 4 + 4 + 4;
             bytes[header + 13..header + 17].copy_from_slice(&0u32.to_le_bytes());
             let body_end = bytes.len() - 8;
-            let sum = super::fnv1a(&bytes[..body_end]);
+            let sum = checksum_v1(&bytes[..body_end]);
             let end = bytes.len();
             bytes[end - 8..].copy_from_slice(&sum.to_le_bytes());
             let err = DecisionTree::decode(&bytes).unwrap_err();
@@ -650,5 +637,24 @@ mod tests {
         let loaded = DecisionTree::load(&path).unwrap();
         assert_eq!(loaded.node_count(), tree.node_count());
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// Byte identity, recorded on the parent commit (1fb2a81), before the
+    /// codec moved onto `kml_platform::bytes`.
+    #[test]
+    fn encoded_bytes_match_the_parent_commit() {
+        let rows: Vec<Vec<f64>> = (0..64u32)
+            .map(|i| vec![f64::from(i % 8) - 3.5, f64::from(i / 8) - 3.5])
+            .collect();
+        let labels: Vec<usize> = rows
+            .iter()
+            .map(|r| usize::from(r[0] > 0.0) + 2 * usize::from(r[1] > 0.0))
+            .collect();
+        let data = Dataset::from_rows(&rows, &labels).unwrap();
+        let bytes = DecisionTree::fit(&data, DecisionTreeConfig::default())
+            .unwrap()
+            .encode();
+        assert_eq!(bytes.len(), 179);
+        assert_eq!(Fnv1a::of(&bytes), 0x6171_d84f_dee1_b44d);
     }
 }

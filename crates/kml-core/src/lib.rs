@@ -159,6 +159,12 @@ impl From<kml_platform::PlatformError> for KmlError {
     }
 }
 
+impl From<kml_platform::bytes::Truncated> for KmlError {
+    fn from(e: kml_platform::bytes::Truncated) -> Self {
+        KmlError::BadModelFile(e.to_string())
+    }
+}
+
 /// Result alias for kml-core operations.
 pub type Result<T> = std::result::Result<T, KmlError>;
 

@@ -6,7 +6,10 @@
 //! container holding the layer chain, all parameters (stored as `f64` so a
 //! model trained in one precision can deploy in another — e.g. train in
 //! `f64` user space, deploy as `f32` or fixed point in the kernel), the
-//! fitted Z-score normalizer, and an FNV-1a checksum.
+//! fitted Z-score normalizer, and the version-1 checksum
+//! (`kml_platform::bytes::checksum_v1`: FNV-1a's shape with the multiplier
+//! `0x1000_0000_01B3`, *not* the FNV prime — a typo version 1 shipped with,
+//! kept so every existing file still verifies).
 //!
 //! ```text
 //! offset  field
@@ -18,7 +21,7 @@
 //! ..      layer count u32
 //! ..      per layer: kind tag u8; linear layers add rows u32, cols u32,
 //!         weights (rows*cols f64), bias (cols f64)
-//! ..      checksum u64 (FNV-1a over everything before it)
+//! ..      checksum u64 (`checksum_v1` over everything before it)
 //! ```
 
 use crate::dataset::Normalizer;
@@ -28,6 +31,7 @@ use crate::matrix::Matrix;
 use crate::model::Model;
 use crate::scalar::Scalar;
 use crate::{KmlError, Result};
+use kml_platform::bytes::{checksum_v1, put_f64, put_u32, seal_v1, Reader};
 use kml_platform::fileops::KmlFile;
 
 const MAGIC: &[u8; 8] = b"KMLMODEL";
@@ -86,8 +90,7 @@ pub fn encode<S: Scalar>(model: &Model<S>) -> Result<Vec<u8>> {
         }
     }
 
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    seal_v1(&mut buf);
     Ok(buf)
 }
 
@@ -99,7 +102,7 @@ pub fn encode<S: Scalar>(model: &Model<S>) -> Result<Vec<u8>> {
 /// Returns [`KmlError::BadModelFile`] for truncated data, a bad magic or
 /// version, an unknown layer tag, or a checksum mismatch.
 pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.take(8)? != MAGIC {
         return Err(KmlError::BadModelFile("bad magic".into()));
     }
@@ -116,20 +119,15 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
 
     let normalizer = if r.u8()? == 1 {
         let dim = r.u32()? as usize;
-        let mut means = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            means.push(r.f64()?);
-        }
-        let mut stds = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            stds.push(r.f64()?);
-        }
+        let means = r.f64s(dim)?;
+        let stds = r.f64s(dim)?;
         Some(Normalizer::from_stats(means, stds)?)
     } else {
         None
     };
 
     let layer_count = r.u32()? as usize;
+    r.counted(layer_count, 1)?; // every layer has at least its tag byte
     if layer_count == 0 || layer_count > 10_000 {
         return Err(KmlError::BadModelFile(format!(
             "implausible layer count {layer_count}"
@@ -148,14 +146,8 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
                         "implausible linear layer {rows}x{cols}"
                     )));
                 }
-                let mut w = Vec::with_capacity(rows * cols);
-                for _ in 0..rows * cols {
-                    w.push(r.f64()?);
-                }
-                let mut b = Vec::with_capacity(cols);
-                for _ in 0..cols {
-                    b.push(r.f64()?);
-                }
+                let w = r.f64s(rows * cols)?;
+                let b = r.f64s(cols)?;
                 Box::new(Linear::from_params(
                     Matrix::<S>::from_f64_vec(rows, cols, &w)?,
                     Matrix::<S>::from_f64_vec(1, cols, &b)?,
@@ -173,22 +165,18 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
     }
     graph.set_output(prev.expect("layer_count >= 1"))?;
 
-    let body_end = r.pos;
-    let stored = u64::from_le_bytes(
-        r.take(8)?
-            .try_into()
-            .expect("take(8) returns exactly 8 bytes"),
-    );
-    let computed = fnv1a(&bytes[..body_end]);
+    let body_end = r.offset();
+    let stored = r.u64()?;
+    let computed = checksum_v1(&bytes[..body_end]);
     if stored != computed {
         return Err(KmlError::BadModelFile(format!(
             "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
         )));
     }
-    if r.pos != bytes.len() {
+    if r.remaining() != 0 {
         return Err(KmlError::BadModelFile(format!(
             "{} trailing bytes after checksum",
-            bytes.len() - r.pos
+            r.remaining()
         )));
     }
     Model::from_graph(graph, input_dim, output_dim, normalizer)
@@ -218,65 +206,13 @@ pub fn load<S: Scalar>(path: impl AsRef<std::path::Path>) -> Result<Model<S>> {
     decode(&bytes)
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(KmlError::BadModelFile(format!(
-                "truncated: wanted {n} bytes at offset {}, file has {}",
-                self.pos,
-                self.bytes.len()
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::fixed::Fix32;
     use crate::model::ModelBuilder;
+    use kml_platform::bytes::Fnv1a;
 
     fn sample_model() -> Model<f64> {
         let mut m = ModelBuilder::readahead_paper_topology(5, 4)
@@ -410,5 +346,18 @@ mod tests {
         let bytes = encode(&model).unwrap();
         let loaded = decode::<f64>(&bytes).unwrap();
         assert!(loaded.normalizer().is_none());
+    }
+
+    /// Byte identity, recorded on the parent commit (1fb2a81), before the codecs moved onto `kml_platform::bytes`.
+    #[test]
+    fn encoded_bytes_match_the_parent_commit() {
+        let mut m = ModelBuilder::readahead_paper_topology(5, 4)
+            .seed(7)
+            .build::<f64>()
+            .unwrap();
+        m.set_normalizer(sample_model().normalizer().unwrap().clone());
+        let bytes = encode(&m).unwrap();
+        assert_eq!(bytes.len(), 2502);
+        assert_eq!(Fnv1a::of(&bytes), 0x2fe3_a16f_cc3d_09f9);
     }
 }

@@ -12,6 +12,7 @@ use crate::arcs::LifecycleScript;
 use crate::scenario::Scenario;
 use kernel_sim::FaultStats;
 use kml_lifecycle::{ArtifactKind, LifecycleTarget};
+use kml_platform::bytes::Fnv1a;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -223,7 +224,7 @@ pub(crate) fn violated<T>(
 pub(crate) struct Trace {
     step: u64,
     tail: VecDeque<Event>,
-    hash: u64,
+    hash: Fnv1a,
     io_errors: u64,
 }
 
@@ -232,7 +233,7 @@ impl Trace {
         Trace {
             step: 0,
             tail: VecDeque::with_capacity(TRACE_TAIL),
-            hash: 0xCBF2_9CE4_8422_2325, // FNV-1a offset basis
+            hash: Fnv1a::new(),
             io_errors: 0,
         }
     }
@@ -260,10 +261,7 @@ impl Trace {
 
     /// Folds `v` into the trace hash (FNV-1a over its little-endian bytes).
     pub(crate) fn fold(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.hash ^= u64::from(byte);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.hash.fold_u64(v);
     }
 }
 
@@ -361,7 +359,7 @@ fn steps<S: System>(scenario: &Scenario, trace: &mut Trace) -> Result<RunSummary
     let stack = sys.finish(trace)?;
     let (promotions, rollbacks) = lifecycle.map_or((0, 0), |s| (s.promotions, s.rollbacks));
     Ok(RunSummary {
-        trace_hash: trace.hash,
+        trace_hash: trace.hash.finish(),
         steps: scenario.ops,
         io_errors: trace.io_errors,
         promotions: stack.promotions + promotions,
@@ -558,7 +556,7 @@ mod tests {
         match drive::<Toy>(&toy_scenario(Phase::Finish, 99, false, 12)) {
             Outcome::Pass(s) => {
                 assert_eq!((s.steps, s.io_errors, s.promotions), (12, 0, 0));
-                assert_ne!(s.trace_hash, Trace::new().hash);
+                assert_ne!(s.trace_hash, Trace::new().hash.finish());
             }
             Outcome::Fail(r) => panic!("{r}"),
         }

@@ -9,15 +9,11 @@
 //! stop reproducing.
 
 use kernel_sim::{DeviceProfile, FaultConfig};
+use kml_platform::sampler::{splitmix64, GOLDEN_GAMMA as GOLDEN};
 
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(GOLDEN);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One splitmix64 step from state `x`: advance the counter, mix.
+fn splitmix(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(GOLDEN))
 }
 
 /// A deterministic draw stream: `n`-th value depends only on (seed,
@@ -602,5 +598,27 @@ mod tests {
         assert_eq!(FaultMask::from_env(&mask.to_env()), mask);
         assert_eq!(FaultMask::from_env(""), FaultMask::default());
         assert_eq!(FaultMask::from_env("bogus,stall"), FaultMask::STALL);
+    }
+
+    /// The first eight draws of stream (seed 7, domain 1), recorded on the
+    /// parent commit (1fb2a81), before the mix moved to
+    /// `kml_platform::sampler`.
+    #[test]
+    fn seed_stream_draws_match_the_parent_commit() {
+        let mut s = SeedStream::new(7, 1);
+        let draws: Vec<u64> = (0..8).map(|_| s.next_u64()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x19e9_1f84_37a8_0a62,
+                0xb257_79d9_562d_07c3,
+                0x8436_7f06_b934_219f,
+                0xd7bb_2ecc_40e6_d8ed,
+                0x439c_097c_1f5d_f9bf,
+                0x8e8b_488e_7af4_15a3,
+                0x11c4_c987_42a5_11b7,
+                0xfa9c_4593_a994_e352,
+            ]
+        );
     }
 }

@@ -663,11 +663,7 @@ mod tests {
     const SMALL_CFG_GOLDEN: u64 = 0x4c40_3dfd_5cef_f2db;
 
     fn digest(summary: &FleetSummary) -> u64 {
-        format!("{summary:?}")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        kml_platform::bytes::Fnv1a::of(format!("{summary:?}").as_bytes())
     }
 
     /// What `run_fleet` must equal: the same rounds composed on one thread

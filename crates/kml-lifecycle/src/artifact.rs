@@ -14,14 +14,19 @@
 //! 8       format version u32 = 1
 //! 12      model kind tag u8 (0 readahead, 1 iosched, 2 netfs-rsize)
 //! 13      saved dtype (u8 length + bytes)
-//! ..      feature-schema hash u64 (FNV-1a, see [`ArtifactKind::schema_hash`])
+//! ..      feature-schema hash u64 (see [`ArtifactKind::schema_hash`])
 //! ..      flags u8 (bit 0: Q8 calibration tables present)
 //! ..      model payload u32 length + KMLMODEL v1 blob (weights as f64,
 //!         normalization stats, its own inner checksum)
 //! ..      if flags&1: table count u32; per table: u32 length + f32 per-row
 //!         symmetric scales (one table per linear layer, chain order)
-//! ..      checksum u64 (FNV-1a over everything before it)
+//! ..      checksum u64 (`checksum_v1` over everything before it)
 //! ```
+//!
+//! Both hashes are `kml_platform::bytes`' version-1 checksum: FNV-1a's
+//! shape and offset basis with the multiplier `0x1000_0000_01B3`, which is
+//! *not* the FNV prime (`0x100_0000_01B3`) — a typo format version 1
+//! shipped with, kept so every artifact already written still verifies.
 //!
 //! **Load is all-or-nothing.** The outer checksum is verified against the
 //! full byte range *before* any field is parsed, so a single flipped byte
@@ -34,6 +39,9 @@
 use kml_core::model::Model;
 use kml_core::scalar::Scalar;
 use kml_core::{modelfile, KmlError};
+use kml_platform::bytes::{
+    checksum_v1, put_f32, put_u32, put_u64, seal_v1, split_seal, ChecksumV1, Reader, Truncated,
+};
 
 /// Artifact magic ("KML model artifact"), distinct from the inner
 /// KMLMODEL payload magic.
@@ -108,10 +116,11 @@ impl ArtifactKind {
         }
     }
 
-    /// FNV-1a over the kind name and its feature names: the artifact's
-    /// contract with the loop that will feed it.
+    /// The version-1 checksum (see the module docs; not FNV-1a) over the
+    /// kind name and its feature names: the artifact's contract with the
+    /// loop that will feed it.
     pub fn schema_hash(self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = ChecksumV1::new();
         h.update(self.name().as_bytes());
         for name in self.feature_names() {
             h.update(&[0xff]); // separator: "ab","c" != "a","bc"
@@ -146,7 +155,7 @@ pub enum ArtifactError {
         /// Bytes remaining.
         have: usize,
     },
-    /// The trailing FNV-1a does not match the body.
+    /// The trailing checksum does not match the body.
     ChecksumMismatch {
         /// Checksum stored in the artifact.
         stored: u64,
@@ -243,6 +252,16 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+impl From<Truncated> for ArtifactError {
+    fn from(e: Truncated) -> Self {
+        ArtifactError::Truncated {
+            offset: e.offset,
+            wanted: e.wanted,
+            have: e.have,
+        }
+    }
+}
+
 impl From<KmlError> for ArtifactError {
     fn from(e: KmlError) -> Self {
         ArtifactError::Model(e.to_string())
@@ -285,27 +304,48 @@ pub fn save_model<S: Scalar>(
 
     let mut buf = Vec::with_capacity(payload.len() + 64);
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    put_u32(&mut buf, FORMAT_VERSION);
     buf.push(kind.tag());
     let dtype = S::DTYPE.as_bytes();
     buf.push(dtype.len() as u8);
     buf.extend_from_slice(dtype);
-    buf.extend_from_slice(&kind.schema_hash().to_le_bytes());
+    put_u64(&mut buf, kind.schema_hash());
     buf.push(u8::from(calibration.is_some()));
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_u32(&mut buf, payload.len() as u32);
     buf.extend_from_slice(&payload);
     if let Some(tables) = &calibration {
-        buf.extend_from_slice(&(tables.len() as u32).to_le_bytes());
+        put_u32(&mut buf, tables.len() as u32);
         for table in tables {
-            buf.extend_from_slice(&(table.len() as u32).to_le_bytes());
+            put_u32(&mut buf, table.len() as u32);
             for &s in table {
-                buf.extend_from_slice(&s.to_bits().to_le_bytes());
+                put_f32(&mut buf, s);
             }
         }
     }
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    seal_v1(&mut buf);
     Ok(buf)
+}
+
+/// The integrity gate both readers start with: checksum over the whole
+/// body, then magic, version and kind. Returns the kind and a reader
+/// positioned after the kind tag.
+fn verified_header(bytes: &[u8]) -> Result<(ArtifactKind, Reader<'_>), ArtifactError> {
+    let (body, stored) = split_seal(bytes)?;
+    let computed = checksum_v1(body);
+    if stored != computed {
+        return Err(ArtifactError::ChecksumMismatch { stored, computed });
+    }
+    let mut r = Reader::new(body);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(ArtifactError::BadMagic);
+    }
+    let version = r.u32()?;
+    if version != FORMAT_VERSION {
+        return Err(ArtifactError::UnsupportedVersion(version));
+    }
+    let kind_tag = r.u8()?;
+    let kind = ArtifactKind::from_tag(kind_tag).ok_or(ArtifactError::UnknownKind(kind_tag))?;
+    Ok((kind, r))
 }
 
 /// Unpacks and fully verifies `.kmlm` bytes: outer checksum first (before
@@ -325,33 +365,7 @@ pub fn save_model<S: Scalar>(
 /// or mutated on failure.
 pub fn load_model<S: Scalar>(bytes: &[u8]) -> Result<LoadedArtifact<S>, ArtifactError> {
     // Whole-artifact integrity gate before any structural parse.
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(ArtifactError::Truncated {
-            offset: 0,
-            wanted: MAGIC.len() + 8,
-            have: bytes.len(),
-        });
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(ArtifactError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(ArtifactError::UnsupportedVersion(version));
-    }
-    let kind_tag = r.u8()?;
-    let kind = ArtifactKind::from_tag(kind_tag).ok_or(ArtifactError::UnknownKind(kind_tag))?;
+    let (kind, mut r) = verified_header(bytes)?;
     let dtype_len = r.u8()? as usize;
     let dtype = String::from_utf8(r.take(dtype_len)?.to_vec())
         .map_err(|_| ArtifactError::Header("dtype is not UTF-8".into()))?;
@@ -377,19 +391,12 @@ pub fn load_model<S: Scalar>(bytes: &[u8]) -> Result<LoadedArtifact<S>, Artifact
                 "implausible q8 table count {count}"
             )));
         }
-        let mut tables = Vec::with_capacity(count);
+        let mut tables = Vec::with_capacity(r.counted(count, 4)?);
         for _ in 0..count {
             let len = r.u32()? as usize;
-            if len > r.remaining() / 4 {
-                return Err(ArtifactError::Truncated {
-                    offset: r.pos,
-                    wanted: len * 4,
-                    have: r.remaining(),
-                });
-            }
-            let mut table = Vec::with_capacity(len);
+            let mut table = Vec::with_capacity(r.counted(len, 4)?);
             for _ in 0..len {
-                table.push(f32::from_bits(r.u32()?));
+                table.push(r.f32()?);
             }
             tables.push(table);
         }
@@ -426,20 +433,13 @@ pub fn load_model<S: Scalar>(bytes: &[u8]) -> Result<LoadedArtifact<S>, Artifact
                 }
             }
         }
-        return Ok(LoadedArtifact {
-            kind,
-            dtype,
-            schema_hash,
-            model,
-            q8: true,
-        });
     }
     Ok(LoadedArtifact {
         kind,
         dtype,
         schema_hash,
         model,
-        q8: false,
+        q8: has_q8,
     })
 }
 
@@ -472,97 +472,7 @@ pub fn load_model_for<S: Scalar>(
 ///
 /// As [`load_model`]'s header path.
 pub fn peek_kind(bytes: &[u8]) -> Result<ArtifactKind, ArtifactError> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(ArtifactError::Truncated {
-            offset: 0,
-            wanted: MAGIC.len() + 8,
-            have: bytes.len(),
-        });
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(ArtifactError::ChecksumMismatch { stored, computed });
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(ArtifactError::UnsupportedVersion(version));
-    }
-    let kind_tag = r.u8()?;
-    ArtifactKind::from_tag(kind_tag).ok_or(ArtifactError::UnknownKind(kind_tag))
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(ArtifactError::Truncated {
-                offset: self.pos,
-                wanted: n,
-                have: self.remaining(),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ArtifactError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
+    verified_header(bytes).map(|(kind, _)| kind)
 }
 
 #[cfg(test)]
@@ -665,5 +575,29 @@ mod tests {
                 found: 3
             })
         ));
+    }
+
+    /// Byte identity, recorded on the parent commit (1fb2a81), before the
+    /// codec moved onto `kml_platform::bytes`: the artifact with and
+    /// without Q8 tables, and each kind's schema hash.
+    #[test]
+    fn saved_bytes_and_schema_hashes_match_the_parent_commit() {
+        use kml_platform::bytes::Fnv1a;
+        let mut m = readahead_model();
+        let plain = save_model(ArtifactKind::Readahead, &mut m).unwrap();
+        assert_eq!(plain.len(), 2280);
+        assert_eq!(Fnv1a::of(&plain), 0xd1bc_3c7b_d0b8_a98d);
+        m.enable_q8().unwrap();
+        let q8 = save_model(ArtifactKind::Readahead, &mut m).unwrap();
+        assert_eq!(q8.len(), 2404);
+        assert_eq!(Fnv1a::of(&q8), 0xf4a5_3374_fa8b_7144);
+        assert_eq!(
+            ArtifactKind::ALL.map(ArtifactKind::schema_hash),
+            [
+                0x2f46_e2d5_49de_3304,
+                0x1473_58f5_14fa_14c3,
+                0xe819_be47_9a59_3fc0
+            ]
+        );
     }
 }

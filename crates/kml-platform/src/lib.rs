@@ -35,10 +35,12 @@
 
 pub mod alloc;
 pub mod atomics;
+pub mod bytes;
 pub mod fileops;
 pub mod fpu;
 pub mod logging;
 pub mod sampler;
+pub mod seqring;
 pub mod threading;
 
 /// Which environment the KML code believes it is running in.

@@ -1,10 +1,10 @@
 //! Seedable, dependency-free samplers shared across experiments.
 //!
-//! Every experiment that draws from a skewed distribution used to carry
-//! its own ad-hoc generator (the kvstore mixgraph workload, the netfs
-//! fault schedules, the DST scenario derivation all splitmix in place).
-//! This module is the extracted canonical form: a [`SplitMix64`] stream
-//! plus exact inverse-CDF [`Zipfian`] and [`Categorical`] samplers, all
+//! [`splitmix64`] is the workspace's one mixing function: the fault
+//! schedules, the netfs workload's jump draw, the reservoir's priorities
+//! and the DST scenario stream each advance a counter of their own and
+//! call it. Built on it are a [`SplitMix64`] stream plus exact
+//! inverse-CDF [`Zipfian`] and [`Categorical`] samplers, all
 //! deterministic from a single `u64` seed — the fleet subsystem derives
 //! thousands of tenant personalities from these and nothing else.
 //!
@@ -12,6 +12,19 @@
 //! produced sequence is identical on every platform (the CDF tables are
 //! pure `f64` arithmetic in a fixed accumulation order, and sampling is a
 //! `partition_point` over them).
+
+/// The Weyl increment splitmix64 advances its counter by (2^64 / φ, odd).
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 output function: a bijective mix of `z` (two
+/// xor-shift-multiply rounds and a final xor-shift). The generator is this
+/// applied to a counter stepped by [`GOLDEN_GAMMA`]; callers that keep
+/// their own counter call it directly.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// The splitmix64 generator: the minimal seedable stream every
 /// deterministic derivation in this workspace builds on.
@@ -31,11 +44,8 @@ impl SplitMix64 {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        splitmix64(self.state)
     }
 
     /// Uniform draw in `[0, 1)` from the high 53 bits.
@@ -269,5 +279,27 @@ mod tests {
     #[should_panic(expected = "all be zero")]
     fn zero_weight_categorical_panics() {
         let _ = Categorical::new(&[0.0, 0.0]);
+    }
+
+    /// The first eight draws at seed 7, recorded on the parent commit
+    /// (1fb2a81), before `next_u64` was split into counter and
+    /// [`splitmix64`].
+    #[test]
+    fn splitmix_draws_match_the_parent_commit() {
+        let mut s = SplitMix64::new(7);
+        let draws: Vec<u64> = (0..8).map(|_| s.next_u64()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x63cb_e1e4_5932_0dd7,
+                0x044c_3cd7_f43c_661c,
+                0xe698_4080_bab1_2a02,
+                0x953a_eb70_673e_29cb,
+                0x73d3_3b66_6a1e_21da,
+                0x3fda_be86_cbbe_aa11,
+                0x77cb_c4a1_33c2_d0f6,
+                0x53fc_d651_3d02_befe,
+            ]
+        );
     }
 }

@@ -47,13 +47,11 @@
 
 pub mod export;
 pub mod hist;
-pub mod ring;
 pub mod snapshot;
 pub mod span;
 
 pub use export::PeriodicExporter;
 pub use hist::{HistSnapshot, Histogram, Log2Hist};
-pub use ring::{EventRing, TelemetryEvent};
 pub use snapshot::{json_str, Snapshot};
 pub use span::{Span, Stage, StageSet};
 

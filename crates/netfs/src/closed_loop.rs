@@ -10,6 +10,7 @@
 use kernel_sim::SimConfig;
 use kml_collect::RingBuffer;
 use kml_core::Result;
+use kml_platform::sampler::{splitmix64, GOLDEN_GAMMA};
 
 use crate::mount::{NetStats, NfsMount};
 use crate::transport::NetProfile;
@@ -123,11 +124,8 @@ fn drive(
         ops += 1;
         if cfg.jump_every > 0 && ops.is_multiple_of(cfg.jump_every) {
             // splitmix64 step: the workload's only randomness.
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            pos = (z ^ (z >> 31)) % span;
+            x = x.wrapping_add(GOLDEN_GAMMA);
+            pos = splitmix64(x) % span;
         }
         match mount.read(file, pos, cfg.request_pages) {
             Ok(_) => pages_read += cfg.request_pages,
@@ -288,5 +286,27 @@ mod tests {
         let a = run_fixed(profile, 128, &cfg);
         let b = run_fixed(profile, 128, &cfg);
         assert_eq!(a, b);
+    }
+
+    /// A run that jumps on every request, so each of its 37 offsets is a
+    /// jump draw and the server cache makes the elapsed time depend on
+    /// them: the report's FNV-1a, recorded on the parent commit (1fb2a81),
+    /// before the mix moved to `kml_platform::sampler`.
+    #[test]
+    fn jump_draws_match_the_parent_commit() {
+        let cfg = NetRunConfig {
+            duration_ns: 200_000_000,
+            file_pages: 2048,
+            cache_pages: 256,
+            request_pages: 8,
+            jump_every: 1,
+            seed: 7,
+        };
+        let report = run_fixed(NetProfile::lossy_wifi(7), 32, &cfg);
+        assert_eq!((report.ops, report.elapsed_ns), (37, 202_395_985));
+        assert_eq!(
+            kml_platform::bytes::Fnv1a::of(format!("{report:?}").as_bytes()),
+            0xd63e_9842_0e69_13c9
+        );
     }
 }
