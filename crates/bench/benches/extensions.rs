@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kml_core::matrix::Matrix;
 use kml_core::model::ModelBuilder;
 use kml_core::prelude::*;
-use kml_core::quant::QuantizedModel;
 use kml_core::recurrent::{Lstm, Rnn};
 use std::hint::black_box;
 
@@ -71,7 +70,10 @@ fn bench_quantized(c: &mut Criterion) {
     let mut model = ModelBuilder::readahead_paper_topology(5, 4)
         .build::<f32>()
         .expect("builds");
-    let qmodel = QuantizedModel::from_model(&model).expect("quantizes");
+    let mut qmodel = ModelBuilder::readahead_paper_topology(5, 4)
+        .build::<f32>()
+        .expect("builds");
+    qmodel.enable_q8().expect("quantizes");
     let features = [100.0, 3000.0, 1800.0, 50.0, 128.0];
     group.bench_function("f32", |b| {
         b.iter(|| model.predict(black_box(&features)).expect("predict"))

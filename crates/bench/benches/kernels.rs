@@ -11,11 +11,10 @@ use kernel_sim::cache::PageCache;
 use kernel_sim::readahead::RaState;
 use kernel_sim::{DeviceProfile, Sim, SimConfig};
 use kml_core::matrix::Matrix;
-use kml_core::scratch::ScratchArena;
 use std::hint::black_box;
 
-/// Square GEMM size for the GFLOP/s entries: big enough that the panel
-/// packing and KC-blocking paths all engage, small enough for smoke runs.
+/// Square GEMM size for the GFLOP/s entries: 32 full register tiles a side,
+/// operands past L1, small enough for smoke runs.
 const GEMM_DIM: usize = 128;
 
 fn bench_page_cache(c: &mut Criterion) {
@@ -110,20 +109,16 @@ fn bench_gemm(c: &mut Criterion) {
     group.bench_function("gemm_f32_128", |b| {
         let (x, y) = (square::<f32>(37), square::<f32>(53));
         let mut out = Matrix::zeros(GEMM_DIM, GEMM_DIM);
-        let mut pack = ScratchArena::new();
         b.iter(|| {
-            x.matmul_into_packed(black_box(&y), &mut out, &mut pack)
-                .unwrap();
+            x.matmul_into(black_box(&y), &mut out).unwrap();
             black_box(out.get(0, 0))
         });
     });
     group.bench_function("gemm_f64_128", |b| {
         let (x, y) = (square::<f64>(37), square::<f64>(53));
         let mut out = Matrix::zeros(GEMM_DIM, GEMM_DIM);
-        let mut pack = ScratchArena::new();
         b.iter(|| {
-            x.matmul_into_packed(black_box(&y), &mut out, &mut pack)
-                .unwrap();
+            x.matmul_into(black_box(&y), &mut out).unwrap();
             black_box(out.get(0, 0))
         });
     });

@@ -836,6 +836,7 @@ fn cmd_continual(quick: bool, json: bool) -> DynResult {
     use kml_lifecycle::{ArtifactKind, LifecycleEvent, WatchdogConfig};
     use kml_platform::Persona;
     use readahead::tuner::{KmlTuner, RaPolicy, TunerModel};
+    use readahead::WindowMoments;
 
     const POLICY_KB: [u32; 2] = [16, 1024];
     const INITIAL_RA_KB: u32 = 128;
@@ -919,9 +920,7 @@ fn cmd_continual(quick: bool, json: bool) -> DynResult {
         lcg: u64,
         window_start_ns: u64,
         pages_since: u64,
-        total_records: f64,
-        sum_offset: f64,
-        sum_offset2: f64,
+        moments: WindowMoments,
         rows: Vec<Vec<String>>,
         windows: u64,
         promoted_at: Option<u64>,
@@ -962,9 +961,7 @@ fn cmd_continual(quick: bool, json: bool) -> DynResult {
                 lcg: 0xE14,
                 window_start_ns,
                 pages_since: 0,
-                total_records: 0.0,
-                sum_offset: 0.0,
-                sum_offset2: 0.0,
+                moments: WindowMoments::default(),
                 rows: Vec::new(),
                 windows: 0,
                 promoted_at: None,
@@ -982,20 +979,7 @@ fn cmd_continual(quick: bool, json: bool) -> DynResult {
         /// distribution the moment it won. Log2 compression matches the
         /// generation-1 cluster and keeps the phase step a few clean bits.
         fn phi(&mut self, raw: &[f64; 5]) -> [f64; 5] {
-            let n = raw[0];
-            let w_std = if n > 0.0 {
-                let total = self.total_records + n;
-                let sum = raw[1] * total;
-                let sum2 = (raw[2] * raw[2] + raw[1] * raw[1]) * total;
-                let wm = (sum - self.sum_offset) / n;
-                let we2 = (sum2 - self.sum_offset2) / n;
-                self.total_records = total;
-                self.sum_offset = sum;
-                self.sum_offset2 = sum2;
-                (we2 - wm * wm).max(0.0).sqrt()
-            } else {
-                0.0
-            };
+            let (_, w_std) = self.moments.window(raw);
             [0.0, 0.0, (1.0 + w_std).log2(), (1.0 + raw[3]).log2(), 0.0]
         }
 
@@ -1722,7 +1706,7 @@ fn cmd_overheads(cfg: &LoopConfig, json: bool) -> DynResult {
     let _ = CrossEntropyLoss.tag(); // keep the import honest
     std::hint::black_box(sink);
 
-    // Blocked-GEMM throughput: the 128³ packed f32 kernel in GFLOP/s, the
+    // Blocked-GEMM throughput: the 128³ f32 `matmul_into` in GFLOP/s, the
     // same shape the `kernels` bench gates against its committed floor.
     let gemm_dim = 128usize;
     let square = |seed: u64| -> Result<Matrix<f32>, Box<dyn std::error::Error>> {
@@ -1733,12 +1717,11 @@ fn cmd_overheads(cfg: &LoopConfig, json: bool) -> DynResult {
     };
     let (ga, gb) = (square(37)?, square(53)?);
     let mut gout = Matrix::zeros(gemm_dim, gemm_dim);
-    let mut gpack = kml_core::scratch::ScratchArena::new();
-    ga.matmul_into_packed(&gb, &mut gout, &mut gpack)?; // warm the arena
+    ga.matmul_into(&gb, &mut gout)?; // size the output once
     let reps = 50;
     let t0 = Instant::now();
     for _ in 0..reps {
-        ga.matmul_into_packed(&gb, &mut gout, &mut gpack)?;
+        ga.matmul_into(&gb, &mut gout)?;
     }
     let gemm_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
     let matmul_gflops = 2.0 * (gemm_dim as f64).powi(3) / gemm_ns;

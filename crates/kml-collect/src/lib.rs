@@ -15,8 +15,8 @@
 //! - [`ringbuf::RingBuffer`] — bounded lock-free SPSC queue with overwrite
 //!   semantics and drop accounting.
 //! - [`stats`] — the paper's data-normalization toolkit: cumulative moving
-//!   average, cumulative moving standard deviation (Welford), windowed
-//!   moving average, and running Z-score.
+//!   average, cumulative moving standard deviation (Welford), and the mean
+//!   absolute difference of consecutive samples.
 //! - [`featurize`] — the shared window engine: channelized streaming
 //!   accumulators + the per-window roll discipline every tuner (readahead,
 //!   iosched, netfs rsize) builds its feature vectors on.
@@ -24,20 +24,15 @@
 //!   the RPC lifecycle events of the network storage path.
 //! - [`trainer::AsyncTrainer`] — the training-thread harness: give it a
 //!   buffer and a train callback; it owns the KML training kthread.
-//! - [`pool`] — the §6 extension: sharded collection feeding a pool of
-//!   parallel training threads (lifting the single-thread limitation the
-//!   paper notes in §3.2).
 
 pub mod event;
 pub mod featurize;
-pub mod pool;
 pub mod ringbuf;
 pub mod stats;
 pub mod trainer;
 
 pub use event::{RpcEvent, RpcEventKind};
 pub use featurize::{Channel, FeatureBatch, WindowedFeatures};
-pub use pool::{ShardedCollector, TrainerPool};
 pub use ringbuf::RingBuffer;
-pub use stats::{CumulativeStats, MovingAverage, ZScore};
+pub use stats::CumulativeStats;
 pub use trainer::{AsyncTrainer, TRAINER_BACKLOG_METRIC, TRAINER_DROPPED_METRIC};

@@ -2,9 +2,11 @@
 //!
 //! "KML offers several data normalization and statistical functions: moving
 //! average, standard deviation, and Z-score calculation." The readahead
-//! features (§4) are built from exactly these primitives: cumulative moving
-//! average and cumulative moving standard deviation of page offsets, mean
-//! absolute difference of consecutive offsets, and per-feature Z-scores.
+//! features (§4) are built from the two kept here: cumulative moving
+//! average and cumulative moving standard deviation of page offsets, and
+//! the mean absolute difference of consecutive offsets. (Per-feature
+//! Z-scores are `kml_core::dataset::Normalizer`, fitted once and shipped
+//! with the model.)
 //!
 //! All accumulators are O(1) per sample (Welford's algorithm for the
 //! variance) since they run on the asynchronous training thread once per
@@ -72,98 +74,6 @@ impl CumulativeStats {
     /// Resets to empty (used at each feature-window boundary).
     pub fn reset(&mut self) {
         *self = CumulativeStats::default();
-    }
-}
-
-/// Fixed-window moving average over the last `window` samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MovingAverage {
-    window: usize,
-    buf: Vec<f64>,
-    next: usize,
-    filled: usize,
-    sum: f64,
-}
-
-impl MovingAverage {
-    /// Creates a moving average over the last `window` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "moving-average window must be positive");
-        MovingAverage {
-            window,
-            buf: vec![0.0; window],
-            next: 0,
-            filled: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Folds in one sample, evicting the oldest if the window is full.
-    pub fn push(&mut self, v: f64) {
-        if self.filled == self.window {
-            self.sum -= self.buf[self.next];
-        } else {
-            self.filled += 1;
-        }
-        self.buf[self.next] = v;
-        self.sum += v;
-        self.next = (self.next + 1) % self.window;
-    }
-
-    /// Mean of the samples currently in the window (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.filled == 0 {
-            0.0
-        } else {
-            self.sum / self.filled as f64
-        }
-    }
-
-    /// How many samples the window currently holds.
-    pub fn len(&self) -> usize {
-        self.filled
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.filled == 0
-    }
-}
-
-/// Running Z-score: normalizes each new sample against the statistics of all
-/// samples seen so far.
-///
-/// Until the accumulated standard deviation is positive, the z-score is 0
-/// (a neutral value, keeping early model inputs bounded).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ZScore {
-    stats: CumulativeStats,
-}
-
-impl ZScore {
-    /// Creates an empty normalizer.
-    pub fn new() -> Self {
-        ZScore::default()
-    }
-
-    /// Folds in `v` and returns its z-score against the *updated* statistics.
-    pub fn push(&mut self, v: f64) -> f64 {
-        self.stats.push(v);
-        let std = self.stats.std();
-        if std > 1e-12 {
-            (v - self.stats.mean()) / std
-        } else {
-            0.0
-        }
-    }
-
-    /// The underlying running statistics.
-    pub fn stats(&self) -> &CumulativeStats {
-        &self.stats
     }
 }
 
@@ -254,47 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn moving_average_window_semantics() {
-        let mut m = MovingAverage::new(3);
-        assert_eq!(m.mean(), 0.0);
-        m.push(3.0);
-        assert_eq!(m.mean(), 3.0);
-        m.push(6.0);
-        m.push(9.0);
-        assert_eq!(m.mean(), 6.0);
-        m.push(12.0); // evicts 3.0
-        assert_eq!(m.mean(), 9.0);
-        assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn zero_window_panics() {
-        let _ = MovingAverage::new(0);
-    }
-
-    #[test]
-    fn zscore_constant_stream_is_zero() {
-        let mut z = ZScore::new();
-        for _ in 0..10 {
-            assert_eq!(z.push(5.0), 0.0);
-        }
-    }
-
-    #[test]
-    fn zscore_flags_outliers_positive() {
-        let mut z = ZScore::new();
-        for _ in 0..100 {
-            z.push(10.0);
-        }
-        for i in 0..100 {
-            z.push(10.0 + (i % 3) as f64 - 1.0);
-        }
-        let score = z.push(50.0);
-        assert!(score > 3.0, "outlier z-score was {score}");
-    }
-
-    #[test]
     fn absdiff_distinguishes_sequential_from_random() {
         let mut seq = AbsDiffMean::new();
         for i in 0..100 {
@@ -336,28 +205,6 @@ mod tests {
             let hi = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(s.mean() >= lo - 1e-9 && s.mean() <= hi + 1e-9);
             prop_assert!(s.variance() >= 0.0);
-        }
-
-        #[test]
-        fn prop_moving_average_equals_naive(
-            data in proptest::collection::vec(-1e3f64..1e3, 1..50),
-            window in 1usize..10
-        ) {
-            let mut m = MovingAverage::new(window);
-            for &v in &data {
-                m.push(v);
-            }
-            let tail: Vec<f64> = data.iter().rev().take(window).copied().collect();
-            let naive = tail.iter().sum::<f64>() / tail.len() as f64;
-            prop_assert!((m.mean() - naive).abs() < 1e-9);
-        }
-
-        #[test]
-        fn prop_zscore_is_finite(data in proptest::collection::vec(-1e9f64..1e9, 1..200)) {
-            let mut z = ZScore::new();
-            for &v in &data {
-                prop_assert!(z.push(v).is_finite());
-            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! the collection path.
 
 use crate::ringbuf::Consumer;
-use kml_platform::threading::{kml_yield, KmlThread};
+use kml_platform::threading::{kml_idle_wait, KmlThread};
 use kml_platform::Persona;
 use kml_telemetry::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +25,6 @@ pub const TRAINER_DROPPED_METRIC: &str = "kml.trainer_dropped";
 /// Counters published by the training thread.
 #[derive(Debug, Default)]
 struct TrainerStats {
-    batches: AtomicU64,
     samples: AtomicU64,
     dropped: AtomicU64,
 }
@@ -113,6 +112,7 @@ impl AsyncTrainer {
         let thread = KmlThread::spawn(persona, "kml-train", move |ctl| {
             let mut batch = Vec::with_capacity(Self::BATCH);
             let mut reported_dropped = 0u64;
+            let mut idle_polls = 0u32;
             loop {
                 batch.clear();
                 while batch.len() < Self::BATCH {
@@ -129,14 +129,14 @@ impl AsyncTrainer {
                     if ctl.should_stop() {
                         break;
                     }
-                    kml_yield();
+                    kml_idle_wait(&mut idle_polls);
                     continue;
                 }
+                idle_polls = 0;
                 train(&batch);
                 thread_stats
                     .samples
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                thread_stats.batches.fetch_add(1, Ordering::Relaxed);
                 thread_stats.dropped.store(dropped, Ordering::Relaxed);
             }
             backlog_gauge.set(0);
@@ -150,11 +150,6 @@ impl AsyncTrainer {
     /// Total records delivered to the training callback.
     pub fn samples_processed(&self) -> u64 {
         self.stats.samples.load(Ordering::Relaxed)
-    }
-
-    /// Number of callback invocations so far.
-    pub fn batches_processed(&self) -> u64 {
-        self.stats.batches.load(Ordering::Relaxed)
     }
 
     /// Records lost to ring-buffer overwrites, as last observed.

@@ -25,7 +25,7 @@ use kml_core::loss::TargetRef;
 use kml_core::modelfile;
 use kml_core::prelude::*;
 use kml_lifecycle::{save_model, ArtifactKind};
-use kml_platform::threading::kml_yield;
+use kml_platform::threading::kml_idle_wait;
 use kml_platform::Persona;
 
 use crate::reservoir::{ReservoirSample, RESERVOIR_DIM};
@@ -190,10 +190,12 @@ impl BackgroundRetrainer {
         samples: &[ReservoirSample],
     ) -> Result<Vec<u8>, String> {
         let backpressure_at = (self.capacity - 2) as u64;
+        let mut idle_polls = 0u32;
         for s in samples {
             while self.sent - self.accepted.load(Ordering::Acquire) >= backpressure_at {
-                kml_yield();
+                kml_idle_wait(&mut idle_polls);
             }
+            idle_polls = 0;
             self.producer.push(RetrainMsg::Sample(*s));
             self.sent += 1;
         }
@@ -211,7 +213,7 @@ impl BackgroundRetrainer {
                 debug_assert_eq!(done, token);
                 return outcome;
             }
-            kml_yield();
+            kml_idle_wait(&mut idle_polls);
         }
     }
 

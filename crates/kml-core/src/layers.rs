@@ -817,8 +817,9 @@ mod tests {
         let mut layer = Linear::<f64>::new(2, 2, &mut rng());
         let bad = vec![Matrix::zeros(3, 3), Matrix::zeros(1, 3)];
         assert!(layer.load_params(&bad).is_err());
-        let good = vec![Matrix::identity(2), Matrix::zeros(1, 2)];
+        let eye = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
+        let good = vec![eye.clone(), Matrix::zeros(1, 2)];
         layer.load_params(&good).unwrap();
-        assert_eq!(layer.weights(), &Matrix::identity(2));
+        assert_eq!(layer.weights(), &eye);
     }
 }

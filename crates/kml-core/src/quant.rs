@@ -2,276 +2,24 @@
 //!
 //! "One way to represent matrices compactly is using quantization.
 //! Quantization can reduce both computational and memory overheads, but
-//! often reduces accuracy." This module implements two int8 schemes:
+//! often reduces accuracy." — the "accuracy vs. CPU/memory" trade-off §3.1
+//! says KML lets users make.
 //!
-//! 1. The standard per-tensor affine scheme ([`QuantizedMatrix`] /
-//!    [`QuantizedModel`]): each trained `f32` weight matrix is mapped to
-//!    `i8` with a per-tensor scale and zero point, matmuls accumulate in
-//!    `i32`, and activations stay in `f32` (the mixed scheme of Lai et
-//!    al., which the paper cites). A quarter of the f32 parameter memory —
-//!    the "accuracy vs. CPU/memory" trade-off §3.1 says KML lets users
-//!    make.
-//!
-//! 2. The serving-tier **Q8 engine** ([`Q8Engine`]): per-output-row
-//!    *symmetric* scales (no zero point, so accumulation is a pure
-//!    `i32` dot product with no correction term), weights stored
-//!    transposed so each output neuron reads a contiguous `i8` row, and a
-//!    piecewise-linear sigmoid. This is the bounded-error fast path
-//!    `Model::enable_q8` routes inference through for fleet serving; its
-//!    error budget is documented on [`Q8Engine`] and enforced by the
-//!    decision-agreement gate in the fleet tests (DESIGN §10 explains why
-//!    the serving tier accepts bounded error while the kernel closed
-//!    loops stay bit-exact).
+//! One scheme, the serving-tier **Q8 engine** ([`Q8Engine`]):
+//! per-output-row *symmetric* scales (no zero point, so accumulation is a
+//! pure `i32` dot product with no correction term), weights stored
+//! transposed so each output neuron reads a contiguous `i8` row, and a
+//! piecewise-linear sigmoid. This is the bounded-error fast path
+//! `Model::enable_q8` routes inference through for fleet serving; its
+//! error budget is documented on [`Q8Engine`] and enforced by the
+//! decision-agreement gate in the fleet tests (DESIGN §10 explains why
+//! the serving tier accepts bounded error while the kernel closed
+//! loops stay bit-exact).
 
 use crate::layers::LayerKind;
 use crate::matrix::Matrix;
-use crate::model::Model;
 use crate::scalar::Scalar;
 use crate::{KmlError, Result};
-
-/// An int8-quantized matrix with affine dequantization parameters:
-/// `real ≈ scale × (q − zero_point)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<i8>,
-    scale: f32,
-    zero_point: i32,
-}
-
-impl QuantizedMatrix {
-    /// Quantizes an `f32` matrix with per-tensor affine parameters chosen
-    /// from its min/max range.
-    pub fn quantize(m: &Matrix<f32>) -> QuantizedMatrix {
-        let (mut lo, mut hi) = (0.0f32, 0.0f32); // always include 0
-        for &v in m.as_slice() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let range = (hi - lo).max(1e-8);
-        let scale = range / 255.0;
-        let zero_point = (-128.0 - lo / scale).round() as i32;
-        let data = m
-            .as_slice()
-            .iter()
-            .map(|&v| ((v / scale).round() as i32 + zero_point).clamp(-128, 127) as i8)
-            .collect();
-        QuantizedMatrix {
-            rows: m.rows(),
-            cols: m.cols(),
-            data,
-            scale,
-            zero_point,
-        }
-    }
-
-    /// Reconstructs the approximate `f32` matrix.
-    pub fn dequantize(&self) -> Matrix<f32> {
-        let data: Vec<f32> = self
-            .data
-            .iter()
-            .map(|&q| self.scale * (q as i32 - self.zero_point) as f32)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data).expect("shape preserved")
-    }
-
-    /// `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Bytes of element storage (1 per entry).
-    pub fn storage_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `x · Wᵠ` for a 1×rows `f32` input row: the input is quantized on the
-    /// fly, products accumulate in `i32`, the result dequantizes to `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] if `x.len() != rows`.
-    pub fn matmul_row(&self, x: &[f32]) -> Result<Vec<f32>> {
-        if x.len() != self.rows {
-            return Err(KmlError::ShapeMismatch {
-                op: "quantized matmul",
-                lhs: (1, x.len()),
-                rhs: (self.rows, self.cols),
-            });
-        }
-        // Quantize the activation row (per-call affine, symmetric range).
-        let amax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-8);
-        let x_scale = amax / 127.0;
-        let xq: Vec<i32> = x
-            .iter()
-            .map(|&v| (v / x_scale).round().clamp(-127.0, 127.0) as i32)
-            .collect();
-
-        let mut out = vec![0.0f32; self.cols];
-        for (c, o) in out.iter_mut().enumerate() {
-            let mut acc: i64 = 0;
-            let mut qsum: i64 = 0;
-            for (r, &xv) in xq.iter().enumerate() {
-                let w = self.data[r * self.cols + c] as i64;
-                acc += xv as i64 * w;
-                qsum += xv as i64;
-            }
-            // real = x_scale·xq · scale·(w − zp) summed
-            //      = x_scale·scale · (Σ xq·w − zp·Σ xq)
-            let corrected = acc - self.zero_point as i64 * qsum;
-            *o = x_scale * self.scale * corrected as f32;
-        }
-        Ok(out)
-    }
-}
-
-/// A quantized, inference-only deployment of a trained chain model: int8
-/// linear layers, `f32` activations, the normalizer carried over.
-#[derive(Debug, Clone)]
-pub struct QuantizedModel {
-    layers: Vec<QLayer>,
-    input_dim: usize,
-    output_dim: usize,
-    normalizer: Option<crate::dataset::Normalizer>,
-}
-
-#[derive(Debug, Clone)]
-enum QLayer {
-    Linear {
-        weights: QuantizedMatrix,
-        bias: Vec<f32>,
-    },
-    Activation(LayerKind),
-}
-
-impl QuantizedModel {
-    /// Quantizes a trained `f32` chain model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::InvalidConfig`] if the model is not a chain of
-    /// linear and element-wise layers.
-    pub fn from_model(model: &Model<f32>) -> Result<QuantizedModel> {
-        if !model.graph().is_chain() {
-            return Err(KmlError::InvalidConfig(
-                "only chain models can be quantized".into(),
-            ));
-        }
-        let mut layers = Vec::new();
-        for layer in model.graph().layers() {
-            match layer.kind() {
-                LayerKind::Linear => {
-                    let params = layer.params();
-                    layers.push(QLayer::Linear {
-                        weights: QuantizedMatrix::quantize(params[0]),
-                        bias: params[1].as_slice().to_vec(),
-                    });
-                }
-                kind @ (LayerKind::Sigmoid
-                | LayerKind::Relu
-                | LayerKind::Tanh
-                | LayerKind::Softmax) => layers.push(QLayer::Activation(kind)),
-            }
-        }
-        Ok(QuantizedModel {
-            layers,
-            input_dim: model.input_dim(),
-            output_dim: model.output_dim(),
-            normalizer: model.normalizer().cloned(),
-        })
-    }
-
-    /// Input feature count.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.output_dim
-    }
-
-    /// Bytes of parameter storage (int8 weights + f32 biases).
-    pub fn param_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                QLayer::Linear { weights, bias } => weights.storage_bytes() + bias.len() * 4,
-                QLayer::Activation(_) => 0,
-            })
-            .sum()
-    }
-
-    /// Runs inference on one feature vector; returns the raw output row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] on dimension mismatch.
-    pub fn infer(&self, features: &[f64]) -> Result<Vec<f64>> {
-        if features.len() != self.input_dim {
-            return Err(KmlError::ShapeMismatch {
-                op: "quantized infer",
-                lhs: (1, features.len()),
-                rhs: (1, self.input_dim),
-            });
-        }
-        let mut row: Vec<f64> = features.to_vec();
-        if let Some(n) = &self.normalizer {
-            n.apply_row(&mut row)?;
-        }
-        let mut x: Vec<f32> = row.iter().map(|&v| v as f32).collect();
-        for layer in &self.layers {
-            x = match layer {
-                QLayer::Linear { weights, bias } => {
-                    let mut y = weights.matmul_row(&x)?;
-                    for (v, b) in y.iter_mut().zip(bias) {
-                        *v += b;
-                    }
-                    y
-                }
-                QLayer::Activation(kind) => match kind {
-                    LayerKind::Sigmoid => x
-                        .iter()
-                        .map(|&v| crate::math::sigmoid(v as f64) as f32)
-                        .collect(),
-                    LayerKind::Relu => x.iter().map(|&v| v.max(0.0)).collect(),
-                    LayerKind::Tanh => x
-                        .iter()
-                        .map(|&v| crate::math::tanh(v as f64) as f32)
-                        .collect(),
-                    LayerKind::Softmax => {
-                        let mut v: Vec<f64> = x.iter().map(|&a| a as f64).collect();
-                        crate::math::softmax_in_place(&mut v);
-                        v.into_iter().map(|a| a as f32).collect()
-                    }
-                    LayerKind::Linear => unreachable!("linear handled above"),
-                },
-            };
-        }
-        Ok(x.into_iter().map(|v| v as f64).collect())
-    }
-
-    /// Predicted class (argmax of [`QuantizedModel::infer`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantizedModel::infer`].
-    pub fn predict(&self, features: &[f64]) -> Result<usize> {
-        let out = self.infer(features)?;
-        let mut best = 0;
-        for (i, v) in out.iter().enumerate() {
-            if *v > out[best] {
-                best = i;
-            }
-        }
-        Ok(best)
-    }
-}
-
-// ===========================================================================
-// Q8: the serving-tier per-row symmetric engine.
-// ===========================================================================
 
 /// Knot count for the piecewise-linear sigmoid: 257 knots over `[-8, 8]`
 /// at spacing `h = 1/16`.
@@ -732,23 +480,6 @@ impl Q8Engine {
         let (s0, s1) = self.stage.split_at(stride);
         Ok((&s0[..self.output_dim], &s1[..self.output_dim]))
     }
-
-    /// Argmax of [`Q8Engine::infer_row`] (first index wins ties, matching
-    /// the f32 model's argmax rule).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Q8Engine::infer_row`].
-    pub fn predict_row(&mut self, row: &[f64]) -> Result<usize> {
-        let out = self.infer_row(row)?;
-        let mut best = 0;
-        for (i, v) in out.iter().enumerate() {
-            if *v > out[best] {
-                best = i;
-            }
-        }
-        Ok(best)
-    }
 }
 
 #[cfg(test)]
@@ -756,42 +487,11 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, Normalizer};
     use crate::loss::CrossEntropyLoss;
-    use crate::model::ModelBuilder;
+    use crate::model::{Model, ModelBuilder};
     use crate::optimizer::Sgd;
     use crate::KmlRng;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn quantize_dequantize_error_is_bounded() {
-        let mut rng = KmlRng::seed_from_u64(5);
-        let m = Matrix::<f32>::xavier_uniform(10, 10, &mut rng);
-        let q = QuantizedMatrix::quantize(&m);
-        let d = q.dequantize();
-        let range: f32 = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs())) * 2.0;
-        let step = range / 255.0;
-        for (a, b) in m.as_slice().iter().zip(d.as_slice()) {
-            assert!(
-                (a - b).abs() <= step,
-                "error {} > step {step}",
-                (a - b).abs()
-            );
-        }
-        assert_eq!(q.storage_bytes(), 100); // 1 byte per entry
-    }
-
-    #[test]
-    fn quantized_matmul_tracks_float_matmul() {
-        let mut rng = KmlRng::seed_from_u64(7);
-        let w = Matrix::<f32>::xavier_uniform(8, 6, &mut rng);
-        let q = QuantizedMatrix::quantize(&w);
-        let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let got = q.matmul_row(&x).unwrap();
-        let want = Matrix::row_vector(&x).matmul(&w).unwrap();
-        for (g, &wv) in got.iter().zip(want.as_slice()) {
-            assert!((g - wv).abs() < 0.1, "quantized {g} vs float {wv}");
-        }
-    }
 
     fn trained_classifier() -> (Model<f32>, Dataset) {
         let mut rng = KmlRng::seed_from_u64(9);
@@ -825,71 +525,7 @@ mod tests {
         (crate::modelfile::decode::<f32>(&bytes).unwrap(), data)
     }
 
-    #[test]
-    fn quantized_model_keeps_classification_accuracy() {
-        let (mut model, data) = trained_classifier();
-        let qmodel = QuantizedModel::from_model(&model).unwrap();
-        let mut agree = 0;
-        for i in 0..data.len() {
-            let (f, _) = data.sample(i);
-            if qmodel.predict(f).unwrap() == model.predict(f).unwrap() {
-                agree += 1;
-            }
-        }
-        let ratio = agree as f64 / data.len() as f64;
-        assert!(ratio > 0.97, "int8 agreement {ratio:.3}");
-    }
-
-    #[test]
-    fn quantized_model_memory_shrinks_markedly() {
-        let (model, _) = trained_classifier();
-        let qmodel = QuantizedModel::from_model(&model).unwrap();
-        // Weights shrink 4×; the f32 biases stay, so the overall ratio
-        // depends on layer shapes — demand at least a halving here and
-        // verify the asymptotic quarter on a weight-dominated model.
-        assert!(qmodel.param_bytes() * 2 < model.param_bytes());
-
-        let big = ModelBuilder::new(64)
-            .linear(64)
-            .sigmoid()
-            .linear(4)
-            .build::<f32>()
-            .unwrap();
-        let qbig = QuantizedModel::from_model(&big).unwrap();
-        assert!(
-            (qbig.param_bytes() as f64) < big.param_bytes() as f64 * 0.3,
-            "{} !< 30% of {}",
-            qbig.param_bytes(),
-            big.param_bytes()
-        );
-    }
-
-    #[test]
-    fn dimension_mismatch_rejected() {
-        let (model, _) = trained_classifier();
-        let qmodel = QuantizedModel::from_model(&model).unwrap();
-        assert!(qmodel.infer(&[1.0]).is_err());
-        let q = QuantizedMatrix::quantize(&Matrix::<f32>::zeros(3, 2));
-        assert!(q.matmul_row(&[1.0, 2.0]).is_err());
-    }
-
     proptest! {
-        #[test]
-        fn prop_round_trip_error_within_one_step(
-            vals in proptest::collection::vec(-10.0f32..10.0, 4..64)
-        ) {
-            let cols = vals.len();
-            let m = Matrix::from_vec(1, cols, vals).unwrap();
-            let q = QuantizedMatrix::quantize(&m);
-            let d = q.dequantize();
-            let lo = m.as_slice().iter().fold(0.0f32, |a, &v| a.min(v));
-            let hi = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v));
-            let step = ((hi - lo).max(1e-8)) / 255.0;
-            for (a, b) in m.as_slice().iter().zip(d.as_slice()) {
-                prop_assert!((a - b).abs() <= step * 1.01);
-            }
-        }
-
         /// Q8 round trip: every weight reconstructs within half a
         /// quantization step of its own output row (f32 weights).
         #[test]

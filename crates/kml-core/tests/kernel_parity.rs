@@ -1,6 +1,6 @@
 //! Property tests: the blocked/register-tiled GEMM kernels are bit-for-bit
 //! indistinguishable from the retained naive triple-loop references in
-//! [`kml_core::matrix::naive`] — same values, same shapes, same errors —
+//! `naive/mod.rs` beside this file — same values, same shapes, same errors —
 //! across random shapes (including non-multiple-of-tile edges) and all three
 //! scalar types (f32, f64, Q16.16 fixed point).
 //!
@@ -10,10 +10,11 @@
 //! order, no matter how the loops are tiled.
 
 use kml_core::fixed::Fix32;
-use kml_core::matrix::{naive, Matrix};
+use kml_core::matrix::Matrix;
 use kml_core::scalar::Scalar;
-use kml_core::scratch::ScratchArena;
 use proptest::prelude::*;
+
+mod naive;
 
 /// Out-buffer pre-dirtied with a wrong shape and garbage values so every
 /// property also exercises `ensure_shape` reuse.
@@ -38,8 +39,8 @@ fn assert_bits_equal<S: Scalar>(op: &str, reference: &Matrix<S>, blocked: &Matri
     );
 }
 
-/// Blocked vs naive on `a (m×k) · b (k×n)`, plus the transpose forms and the
-/// packed large-product path, all on the same operands.
+/// Blocked vs naive on `a (m×k) · b (k×n)`, plus the transpose forms, all on
+/// the same operands.
 fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     let a: Matrix<S> = to_matrix(m, k, data);
     let b: Matrix<S> = to_matrix(k, n, &data[7..]);
@@ -50,10 +51,6 @@ fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     naive::matmul_into(&a, &b, &mut want).unwrap();
     a.matmul_into(&b, &mut got).unwrap();
     assert_bits_equal("matmul", &want, &got);
-
-    let mut pack = ScratchArena::new();
-    a.matmul_into_packed(&b, &mut got, &mut pack).unwrap();
-    assert_bits_equal("matmul_packed", &want, &got);
 
     // matmul_transpose computes self · rhsᵀ, so rhs is (n × k).
     let bt: Matrix<S> = to_matrix(n, k, &data[13..]);
@@ -76,15 +73,10 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     let bad_mt: Matrix<S> = to_matrix(n, k + 1, &data[7..]); // matmul_transpose: cols ≠ k
     let bad_tm: Matrix<S> = to_matrix(m + 1, n, &data[7..]); // transpose_matmul: rows ≠ m
     let mut out = dirty_out();
-    let mut pack = ScratchArena::new();
 
     let e_naive = naive::matmul_into(&a, &bad_inner, &mut out).expect_err("matmul");
     let e_blocked = a.matmul_into(&bad_inner, &mut out).expect_err("matmul");
-    let e_packed = a
-        .matmul_into_packed(&bad_inner, &mut out, &mut pack)
-        .expect_err("matmul_packed");
     assert_eq!(e_naive, e_blocked, "matmul error diverged");
-    assert_eq!(e_naive, e_packed, "packed matmul error diverged");
 
     let e_naive = naive::matmul_transpose_into(&a, &bad_mt, &mut out).expect_err("mt");
     let e_blocked = a.matmul_transpose_into(&bad_mt, &mut out).expect_err("mt");
@@ -354,7 +346,7 @@ mod arm_parity {
     }
 
     /// The column `matmul_transpose` arms against the retained per-element
-    /// [`naive::matmul_transpose_into`] (`Matrix::dot` itself).
+    /// [`naive::matmul_transpose_into`] (`Matrix::dot`'s schedule).
     fn check_mt_arms_against_naive<S: Bits>(
         table: &[(&str, MtFn<S>)],
         (m, n, kd): (usize, usize, usize),
@@ -604,12 +596,12 @@ mod arm_parity {
     }
 }
 
-/// One deterministic large case whose shared dimension crosses the KC=256
-/// cache-block boundary, so the packed path's store/reload of partial sums
-/// is exercised (proptest dims stay small for speed).
+/// One deterministic case with a long shared dimension (proptest dims stay
+/// small for speed): 300 steps of every accumulator chain, edge tiles on
+/// both sides.
 #[test]
-fn packed_matmul_crosses_kc_boundary_bit_exact() {
-    let k = 300; // > KC = 256
+fn matmul_long_shared_dimension_bit_exact() {
+    let k = 300;
     let (m, n) = (9, 11); // non-multiples of the 4×4 tile
     let a_vals: Vec<f64> = (0..m * k)
         .map(|i| ((i * 37) % 64) as f64 * 0.11 - 3.3)
@@ -626,9 +618,4 @@ fn packed_matmul_crosses_kc_boundary_bit_exact() {
     let mut got = Matrix::zeros(0, 0);
     a.matmul_into(&b, &mut got).unwrap();
     assert_eq!(want.as_slice(), got.as_slice(), "blocked kernel diverged");
-
-    let mut pack = ScratchArena::new();
-    let mut packed = Matrix::zeros(0, 0);
-    a.matmul_into_packed(&b, &mut packed, &mut pack).unwrap();
-    assert_eq!(want.as_slice(), packed.as_slice(), "packed kernel diverged");
 }

@@ -20,6 +20,7 @@ use kml_lifecycle::{
     save_model, ArtifactKind, LifecycleController, LifecycleEvent, LifecycleTarget, WatchdogConfig,
 };
 use readahead::tuner::KmlTuner;
+use readahead::WindowMoments;
 
 /// Watchdog tuning for the lifecycle script: small window counts so a
 /// 400-op scenario has room for a full stage → promote → regress →
@@ -337,12 +338,9 @@ pub(crate) struct ContinualScript {
     decision_cursor: usize,
     /// Warmup windows left to drop before the controller observes.
     warmup_left: u32,
-    /// Running totals for un-cumulating the extractor's offset channels
-    /// (which accumulate over the whole run): records seen, Σoffset, and
-    /// Σoffset² up to the previous window.
-    total_records: f64,
-    sum_offset: f64,
-    sum_offset2: f64,
+    /// Un-cumulates the extractor's offset channels (which accumulate
+    /// over the whole run).
+    moments: WindowMoments,
 }
 
 impl ContinualScript {
@@ -378,9 +376,7 @@ impl ContinualScript {
             installed_gens: vec![1],
             decision_cursor: 0,
             warmup_left: CT_WARMUP_WINDOWS,
-            total_records: 0.0,
-            sum_offset: 0.0,
-            sum_offset2: 0.0,
+            moments: WindowMoments::default(),
         })
     }
 
@@ -389,30 +385,13 @@ impl ContinualScript {
         self.shift_enabled && step >= self.shift_step
     }
 
-    /// The drift/reservoir feature vector for one window. The extractor's
-    /// mean/std offset channels are *cumulative* over the whole run, so a
-    /// step change in the workload only shows up as an asymptotic ramp
-    /// there; this un-cumulates them via running Σoffset / Σoffset²
-    /// totals, recovering the genuinely per-window mean and std the
-    /// detector needs to see the pivot as a step. Everything then goes
-    /// through the log compression of [`continual_features`].
+    /// The drift/reservoir feature vector for one window: the extractor's
+    /// cumulative mean/std offset channels un-cumulated ([`WindowMoments`]),
+    /// then everything through the log compression of
+    /// [`continual_features`].
     fn window_phi(&mut self, raw: &[f64; 5]) -> [f64; 5] {
-        let n = raw[0];
-        let (w_mean, w_std) = if n > 0.0 {
-            let total = self.total_records + n;
-            let sum = raw[1] * total;
-            let sum2 = (raw[2] * raw[2] + raw[1] * raw[1]) * total;
-            let wm = (sum - self.sum_offset) / n;
-            let we2 = (sum2 - self.sum_offset2) / n;
-            let ws = (we2 - wm * wm).max(0.0).sqrt();
-            self.total_records = total;
-            self.sum_offset = sum;
-            self.sum_offset2 = sum2;
-            (wm.max(0.0), ws)
-        } else {
-            (0.0, 0.0)
-        };
-        continual_features(&[n, w_mean, w_std, raw[3], raw[4]])
+        let (w_mean, w_std) = self.moments.window(raw);
+        continual_features(&[raw[0], w_mean.max(0.0), w_std, raw[3], raw[4]])
     }
 
     /// The per-op hook of a continual scenario, in place of the tuner's

@@ -92,8 +92,6 @@ pub struct LifecycleController {
     previous: Option<(u64, Vec<u8>)>,
     shadow: Option<Vec<u8>>,
     window: u64,
-    shadow_tp_sum: f64,
-    shadow_tp_windows: u64,
     events: Vec<LifecycleRecord>,
 }
 
@@ -117,8 +115,6 @@ impl LifecycleController {
             previous: None,
             shadow: None,
             window: 0,
-            shadow_tp_sum: 0.0,
-            shadow_tp_windows: 0,
             events: Vec::new(),
         })
     }
@@ -136,8 +132,6 @@ impl LifecycleController {
     ) -> Result<(), ArtifactError> {
         target.stage_shadow_artifact(&candidate)?;
         self.shadow = Some(candidate);
-        self.shadow_tp_sum = 0.0;
-        self.shadow_tp_windows = 0;
         Ok(())
     }
 
@@ -176,10 +170,6 @@ impl LifecycleController {
         throughput: f64,
     ) -> Result<Option<LifecycleEvent>, ArtifactError> {
         self.window += 1;
-        if self.shadow.is_some() {
-            self.shadow_tp_sum += throughput;
-            self.shadow_tp_windows += 1;
-        }
         match self.watchdog.observe(throughput, self.shadow.is_some()) {
             WatchdogAction::None => Ok(None),
             WatchdogAction::PromoteShadow => {
@@ -233,11 +223,6 @@ impl LifecycleController {
         self.active.0
     }
 
-    /// The active generation's artifact bytes.
-    pub fn active_artifact(&self) -> &[u8] {
-        &self.active.1
-    }
-
     /// Whether a rollback target exists.
     pub fn has_previous(&self) -> bool {
         self.previous.is_some()
@@ -255,24 +240,10 @@ impl LifecycleController {
     pub fn discard_shadow<T: LifecycleTarget>(&mut self, target: &mut T) -> bool {
         if self.shadow.take().is_some() {
             target.clear_shadow();
-            self.shadow_tp_sum = 0.0;
-            self.shadow_tp_windows = 0;
             true
         } else {
             false
         }
-    }
-
-    /// Mean loop throughput over the windows the current candidate has
-    /// been staged for, relative to the watchdog baseline: `Some(+0.02)`
-    /// means the loop ran 2% above baseline while shadowed. `None` until
-    /// both sides exist.
-    pub fn shadow_throughput_delta(&self) -> Option<f64> {
-        let baseline = self.watchdog.baseline()?;
-        if self.shadow_tp_windows == 0 || baseline == 0.0 {
-            return None;
-        }
-        Some(self.shadow_tp_sum / self.shadow_tp_windows as f64 / baseline - 1.0)
     }
 
     /// Every promote/rollback executed, in order.

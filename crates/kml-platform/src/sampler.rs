@@ -95,11 +95,6 @@ impl Zipfian {
         Zipfian { cdf }
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Probability mass of `rank` (0 outside the support).
     pub fn pmf(&self, rank: usize) -> f64 {
         match rank {
@@ -109,7 +104,7 @@ impl Zipfian {
         }
     }
 
-    /// Draws a rank in `0..ranks()`; rank 0 is the most popular.
+    /// Draws a rank below the rank count; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
         let u = rng.next_f64();
         self.cdf

@@ -503,6 +503,26 @@ pub fn kml_sleep(d: std::time::Duration) {
     std::thread::sleep(d);
 }
 
+/// Empty polls a waiting loop answers with [`kml_yield`] before it sleeps.
+const IDLE_YIELDS: u32 = 16;
+/// What a waiting loop sleeps between polls once its yields are spent:
+/// long enough that an idle thread costs a few percent of a core, short
+/// enough that nothing waiting on it notices.
+const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(100);
+
+/// One wait of a polling loop that found nothing to do. `idle_polls` counts
+/// the loop's consecutive empty polls — the caller zeroes it on progress —
+/// so a busy loop stays on the yield path and an idle one sleeps, as the
+/// paper's training kthread does, instead of spinning a core.
+pub fn kml_idle_wait(idle_polls: &mut u32) {
+    if *idle_polls < IDLE_YIELDS {
+        *idle_polls += 1;
+        kml_yield();
+    } else {
+        kml_sleep(IDLE_SLEEP);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

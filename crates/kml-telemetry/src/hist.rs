@@ -7,20 +7,16 @@
 //! paper's overhead discussion needs (collection ≪ inference ≪ training
 //! spans four orders of magnitude).
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Arc;
 
 const BUCKETS: usize = 65;
 
-#[cfg(feature = "enabled")]
 struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 impl Default for HistogramCore {
     fn default() -> Self {
         HistogramCore {
@@ -33,11 +29,9 @@ impl Default for HistogramCore {
 /// Lock-free log2 histogram handle. Cloning shares the buckets.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     inner: Option<Arc<HistogramCore>>,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for HistogramCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistogramCore").finish_non_exhaustive()
@@ -72,12 +66,11 @@ fn bucket_lo(b: usize) -> u64 {
 }
 
 impl Histogram {
-    /// Handle that records nothing (what disabled builds always get).
+    /// Handle that records nothing.
     pub fn noop() -> Self {
         Histogram::default()
     }
 
-    #[cfg(feature = "enabled")]
     pub(crate) fn new_live() -> Self {
         Histogram {
             inner: Some(Arc::new(HistogramCore::default())),
@@ -87,31 +80,20 @@ impl Histogram {
     /// Whether this handle has live storage behind it.
     #[inline]
     pub(crate) fn live(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Records one observation. Two relaxed `fetch_add`s.
     #[inline(always)]
     pub fn record(&self, value: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             core.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
             core.sum.fetch_add(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
     }
 
     /// Point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistSnapshot {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             let buckets: Vec<u64> = core
                 .buckets
@@ -133,7 +115,6 @@ impl Histogram {
     }
 
     pub(crate) fn reset(&self) {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             for b in &core.buckets {
                 b.store(0, Ordering::Relaxed);
@@ -197,9 +178,8 @@ fn max_from(buckets: &[u64]) -> u64 {
 }
 
 /// Plain single-owner log2 histogram — same bucketing as [`Histogram`],
-/// but unconditionally available (no `enabled` feature, no atomics) and
-/// **mergeable**: shard-local histograms fold into an aggregate with
-/// [`Log2Hist::merge`], and the merge is *exact* — merging per-shard
+/// but with no atomics and no no-op mode, and **mergeable**:
+/// shard-local histograms fold into an aggregate with [`Log2Hist::merge`], and the merge is *exact* — merging per-shard
 /// histograms yields bit-for-bit the histogram of the concatenated
 /// samples, so fleet-wide p50/p99 are independent of how tenants were
 /// sharded. This is what makes `repro fleet` byte-identical at any
@@ -277,7 +257,6 @@ impl Log2Hist {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn buckets_are_log2() {
         assert_eq!(bucket_of(0), 0);
@@ -290,7 +269,6 @@ mod tests {
         assert_eq!(bucket_of(u64::MAX), 64);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn percentiles_order_and_bound() {
         let h = Histogram::new_live();
@@ -324,7 +302,6 @@ mod tests {
         assert_eq!(s.p99, 0);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn mean_is_exact() {
         let h = Histogram::new_live();
@@ -387,7 +364,6 @@ mod tests {
         assert_eq!(Log2Hist::new().snapshot(), HistSnapshot::default());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn zero_values_counted_in_zero_bucket() {
         let h = Histogram::new_live();

@@ -20,10 +20,10 @@
 //!   mutex-protected map; snapshotting walks that map. Both happen per
 //!   window or per run, never per event — mirroring the paper's rule that
 //!   the I/O path itself stays lock-free (§3.2).
-//! - **Zero-cost when disabled.** Building this crate without the `enabled`
-//!   feature turns every handle into a zero-sized type and every record call
-//!   into nothing. In enabled builds, [`Registry::noop`] additionally gives
-//!   runtime no-op handles so benches can compare live vs disabled cost.
+//! - **One off switch, at run time.** [`Registry::noop`] hands out handles
+//!   that record nothing (a `None` check per call, 0.6 ns an increment in
+//!   `BENCH_baseline.json`), so benches can compare live vs disabled cost
+//!   in one binary. There is no compile-time switch.
 //! - **Units are part of the name.** Durations are recorded in nanoseconds
 //!   and metric names end in `_ns`; sizes are recorded in bytes and names
 //!   end in `_bytes`. [`snapshot::Snapshot::render_table`] derives its unit
@@ -41,34 +41,26 @@
 //! lat.record(17_500);
 //! let snap = reg.snapshot();
 //! println!("{}", snap.render_table());
-//! # #[cfg(feature = "enabled")]
 //! assert_eq!(snap.counter("cache.hit_total"), Some(1));
 //! ```
 
-pub mod export;
 pub mod hist;
 pub mod snapshot;
 pub mod span;
 
-pub use export::PeriodicExporter;
 pub use hist::{HistSnapshot, Histogram, Log2Hist};
 pub use snapshot::{json_str, Snapshot};
 pub use span::{Span, Stage, StageSet};
 
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of counter shards. Power of two; 8 cache lines per counter buys
 /// uncontended increments for as many concurrent producers as the loop has.
-#[cfg(feature = "enabled")]
 const SHARDS: usize = 8;
 
 /// One cache-line-padded atomic cell, so shards never false-share.
-#[cfg(feature = "enabled")]
 #[repr(align(64))]
 #[derive(Default)]
 struct PaddedCell {
@@ -76,7 +68,6 @@ struct PaddedCell {
 }
 
 /// Stable small id for the current thread, used to pick a shard.
-#[cfg(feature = "enabled")]
 #[inline]
 fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -86,7 +77,6 @@ fn shard_index() -> usize {
     SHARD.with(|s| *s) & (SHARDS - 1)
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Default)]
 struct CounterCore {
     shards: [PaddedCell; SHARDS],
@@ -97,11 +87,9 @@ struct CounterCore {
 /// `inc`/`add` are one relaxed `fetch_add` on a thread-private shard.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     inner: Option<Arc<CounterCore>>,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for CounterCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CounterCore").finish_non_exhaustive()
@@ -109,7 +97,7 @@ impl std::fmt::Debug for CounterCore {
 }
 
 impl Counter {
-    /// A handle that records nothing (also what disabled builds hand out).
+    /// A handle that records nothing.
     pub fn noop() -> Self {
         Counter::default()
     }
@@ -121,34 +109,23 @@ impl Counter {
 
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             core.shards[shard_index()]
                 .value
                 .fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
-    /// Whether this handle records anywhere (false for no-op handles and
-    /// always false in disabled builds). Call sites with unavoidable
+    /// Whether this handle records anywhere (false for no-op handles).
+    /// Call sites with unavoidable
     /// side-costs (an extra load, a format) can skip them when dead.
     #[inline]
     pub fn is_live(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Current total across all shards.
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             return core
                 .shards
@@ -163,7 +140,6 @@ impl Counter {
 /// Last-write-wins instantaneous value (queue depth, occupancy, ...).
 #[derive(Clone, Debug, Default)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     inner: Option<Arc<AtomicU64>>,
 }
 
@@ -175,48 +151,31 @@ impl Gauge {
     /// Whether this handle records anywhere (see [`Counter::is_live`]).
     #[inline]
     pub fn is_live(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     #[inline(always)]
     pub fn set(&self, v: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(cell) = &self.inner {
             cell.store(v, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(cell) = &self.inner {
             cell.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     #[inline(always)]
     pub fn sub(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(cell) = &self.inner {
             cell.fetch_sub(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
         if let Some(cell) = &self.inner {
             return cell.load(Ordering::Relaxed);
         }
@@ -224,7 +183,6 @@ impl Gauge {
     }
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Default)]
 struct RegistryCore {
     counters: Mutex<BTreeMap<String, Counter>>,
@@ -239,11 +197,9 @@ struct RegistryCore {
 /// [`Registry::global`] serves call sites with no natural owner.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    #[cfg(feature = "enabled")]
     inner: Option<Arc<RegistryCore>>,
 }
 
-#[cfg(feature = "enabled")]
 impl std::fmt::Debug for RegistryCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryCore").finish_non_exhaustive()
@@ -251,55 +207,32 @@ impl std::fmt::Debug for RegistryCore {
 }
 
 impl Registry {
-    /// A live registry (or a no-op one in disabled builds).
+    /// A live registry.
     pub fn new() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Registry {
-                inner: Some(Arc::new(RegistryCore::default())),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Registry {}
+        Registry {
+            inner: Some(Arc::new(RegistryCore::default())),
         }
     }
 
-    /// A registry whose handles record nothing, for runtime on/off
-    /// comparisons (disabled builds always behave like this).
+    /// A registry whose handles record nothing: the off switch, and what
+    /// benches compare a live registry against.
     pub fn noop() -> Self {
         Registry::default()
     }
 
     /// Whether handles from this registry record anything.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Process-wide registry for call sites with no natural owner.
     pub fn global() -> &'static Registry {
-        #[cfg(feature = "enabled")]
-        {
-            static GLOBAL: OnceLock<Registry> = OnceLock::new();
-            GLOBAL.get_or_init(Registry::new)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            static GLOBAL: Registry = Registry {};
-            &GLOBAL
-        }
+        static GLOBAL: OnceLock<Registry> = OnceLock::new();
+        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Get-or-create the counter `name`. Cold path (locks the name map).
     pub fn counter(&self, name: &str) -> Counter {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             let mut map = core.counters.lock().unwrap_or_else(|e| e.into_inner());
             return map
@@ -309,13 +242,11 @@ impl Registry {
                 })
                 .clone();
         }
-        let _ = name;
         Counter::noop()
     }
 
     /// Get-or-create the gauge `name`. Cold path.
     pub fn gauge(&self, name: &str) -> Gauge {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             let mut map = core.gauges.lock().unwrap_or_else(|e| e.into_inner());
             return map
@@ -325,7 +256,6 @@ impl Registry {
                 })
                 .clone();
         }
-        let _ = name;
         Gauge::noop()
     }
 
@@ -334,7 +264,6 @@ impl Registry {
     /// By convention the name ends in `_ns` for durations (record
     /// nanoseconds) or `_bytes` for sizes (record bytes).
     pub fn histogram(&self, name: &str) -> Histogram {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             let mut map = core.histograms.lock().unwrap_or_else(|e| e.into_inner());
             return map
@@ -342,13 +271,11 @@ impl Registry {
                 .or_insert_with(Histogram::new_live)
                 .clone();
         }
-        let _ = name;
         Histogram::noop()
     }
 
     /// Consistent-enough point-in-time copy of every metric. Cold path.
     pub fn snapshot(&self) -> Snapshot {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             let counters = core
                 .counters
@@ -382,7 +309,6 @@ impl Registry {
 
     /// Zeroes every registered metric (between repro runs). Cold path.
     pub fn reset(&self) {
-        #[cfg(feature = "enabled")]
         if let Some(core) = &self.inner {
             for c in core
                 .counters
@@ -432,13 +358,9 @@ mod tests {
         g.set(7);
         g.add(3);
         g.sub(2);
-        if reg.is_enabled() {
-            assert_eq!(c.get(), 5);
-            assert_eq!(g.get(), 8);
-        } else {
-            assert_eq!(c.get(), 0);
-            assert_eq!(g.get(), 0);
-        }
+        assert!(reg.is_enabled());
+        assert_eq!(c.get(), 5);
+        assert_eq!(g.get(), 8);
     }
 
     #[test]
@@ -446,9 +368,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("x").inc();
         reg.counter("x").inc();
-        if reg.is_enabled() {
-            assert_eq!(reg.counter("x").get(), 2);
-        }
+        assert_eq!(reg.counter("x").get(), 2);
     }
 
     #[test]
@@ -457,6 +377,7 @@ mod tests {
         let c = reg.counter("silent");
         c.add(100);
         assert_eq!(c.get(), 0);
+        assert!(!reg.is_enabled() && !c.is_live());
         assert!(reg.snapshot().counters.is_empty());
     }
 
@@ -468,19 +389,14 @@ mod tests {
         reg.histogram("h_ns").record(9);
         reg.reset();
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("c").unwrap_or(0), 0);
-        assert_eq!(snap.gauge("g").unwrap_or(0), 0);
-        if let Some(h) = snap.histogram("h_ns") {
-            assert_eq!(h.count, 0);
-        }
+        assert_eq!(snap.counter("c"), Some(0));
+        assert_eq!(snap.gauge("g"), Some(0));
+        assert_eq!(snap.histogram("h_ns").map(|h| h.count), Some(0));
     }
 
     #[test]
     fn concurrent_counting_is_exact() {
         let reg = Registry::new();
-        if !reg.is_enabled() {
-            return;
-        }
         let c = reg.counter("racing_total");
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -496,13 +412,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(), 40_000);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_handles_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Gauge>(), 0);
-        assert_eq!(std::mem::size_of::<Registry>(), 0);
     }
 }

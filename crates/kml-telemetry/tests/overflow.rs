@@ -50,7 +50,7 @@ fn ring_overflow_drop_accounting_reconciles_exactly() {
                 std::hint::spin_loop();
             }
         }
-        if consumed_here.is_multiple_of(1024) && registry.is_enabled() {
+        if consumed_here.is_multiple_of(1024) {
             let snap = registry.snapshot();
             let exported = snap.counter("ring.consumed_total").unwrap_or(0);
             assert!(
@@ -84,15 +84,13 @@ fn ring_overflow_drop_accounting_reconciles_exactly() {
     );
 
     // The exported view agrees with the ring's own books.
-    if registry.is_enabled() {
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("ring.consumed_total"),
-            Some(consumer.consumed())
-        );
-        assert_eq!(snap.gauge("ring.dropped_total"), Some(consumer.dropped()));
-        assert_eq!(snap.gauge("ring.occupancy"), Some(0));
-    }
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("ring.consumed_total"),
+        Some(consumer.consumed())
+    );
+    assert_eq!(snap.gauge("ring.dropped_total"), Some(consumer.dropped()));
+    assert_eq!(snap.gauge("ring.occupancy"), Some(0));
 }
 
 #[test]
@@ -128,16 +126,14 @@ fn snapshot_export_is_exact_under_concurrent_writers() {
         }
     });
 
-    if registry.is_enabled() {
-        let snap = registry.snapshot();
-        let total = WRITERS as u64 * OPS_PER_WRITER;
-        assert_eq!(snap.counter("writers.ops_total"), Some(total));
-        let hist = snap
-            .histogram("writers.latency_ns")
-            .expect("histogram exported");
-        assert_eq!(
-            hist.count, total,
-            "histogram lost records under concurrency"
-        );
-    }
+    let snap = registry.snapshot();
+    let total = WRITERS as u64 * OPS_PER_WRITER;
+    assert_eq!(snap.counter("writers.ops_total"), Some(total));
+    let hist = snap
+        .histogram("writers.latency_ns")
+        .expect("histogram exported");
+    assert_eq!(
+        hist.count, total,
+        "histogram lost records under concurrency"
+    );
 }

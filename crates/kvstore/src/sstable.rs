@@ -217,11 +217,6 @@ impl SsTable {
         Ok(self.keys[idx] == key)
     }
 
-    /// Resident filter memory in bytes.
-    pub fn bloom_bytes(&self) -> usize {
-        self.bloom.memory_bytes()
-    }
-
     /// Charges one read of the block holding the key at `key_idx` (scans
     /// call it once per block they enter).
     pub fn read_block_of(&self, sim: &mut Sim, key_idx: usize) -> IoResult<()> {

@@ -18,7 +18,7 @@
 //! delay, separately counted. DESIGN.md §8 spells out the fidelity
 //! argument.
 
-use kernel_sim::{FaultConfig, FaultPlan, FaultStats, NetFault, PAGE_SIZE};
+use kernel_sim::{FaultConfig, FaultPlan, FaultStats, NetFault};
 
 /// Shape of one simulated network link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,11 +142,6 @@ impl NetProfile {
     /// Serialization time for a payload of `pages`, ns.
     pub fn wire_ns(&self, pages: u64) -> u64 {
         pages * self.ns_per_page
-    }
-
-    /// Bytes-per-second implied by `ns_per_page` (for reports).
-    pub fn bandwidth_bytes_per_sec(&self) -> f64 {
-        PAGE_SIZE as f64 * 1e9 / self.ns_per_page.max(1) as f64
     }
 }
 

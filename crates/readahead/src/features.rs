@@ -118,6 +118,39 @@ impl FeatureExtractor {
     }
 }
 
+/// Un-cumulates the extractor's offset channels: features (ii)–(iii)
+/// integrate over the whole run, so a step change in the workload shows
+/// there only as an asymptotic ramp. Running Σoffset / Σoffset² totals
+/// recover the mean and std of each window alone — what a drift detector
+/// needs to see a pivot as a step (DESIGN.md §13).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WindowMoments {
+    total_records: f64,
+    sum_offset: f64,
+    sum_offset2: f64,
+}
+
+impl WindowMoments {
+    /// The per-window `(mean, std)` of page offsets behind `raw`, the
+    /// vector [`FeatureExtractor::roll_window`] just returned; `(0, 0)` for
+    /// a window with no records. Feed it every window, in order.
+    pub fn window(&mut self, raw: &FeatureVector) -> (f64, f64) {
+        let n = raw[0];
+        if n <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let total = self.total_records + n;
+        let sum = raw[1] * total;
+        let sum2 = (raw[2] * raw[2] + raw[1] * raw[1]) * total;
+        let wm = (sum - self.sum_offset) / n;
+        let we2 = (sum2 - self.sum_offset2) / n;
+        self.total_records = total;
+        self.sum_offset = sum;
+        self.sum_offset2 = sum2;
+        (wm, (we2 - wm * wm).max(0.0).sqrt())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

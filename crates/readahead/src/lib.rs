@@ -51,6 +51,6 @@ pub mod seq;
 pub mod study;
 pub mod tuner;
 
-pub use features::{FeatureExtractor, FeatureVector, NUM_FEATURES};
+pub use features::{FeatureExtractor, FeatureVector, WindowMoments, NUM_FEATURES};
 pub use study::{ReadaheadStudy, RA_SWEEP_KB};
 pub use tuner::{KmlTuner, RaPolicy, TunerModel};

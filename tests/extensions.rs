@@ -1,61 +1,8 @@
 //! Integration tests for the §6 future-work extensions working together:
-//! parallel training threads on live tracepoints, the RL tuner inside the
-//! closed loop, sequence models on captured traces, quantized deployment
-//! of the trained readahead network, and the HDD device profile.
+//! the RL tuner inside the closed loop, quantized deployment of the
+//! trained readahead network, and the HDD device profile.
 
-use kernel_sim::{DeviceProfile, Sim, SimConfig, TraceRecord};
-use kml_collect::{ShardedCollector, TrainerPool};
-use kml_platform::Persona;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-#[test]
-fn trainer_pool_consumes_sharded_simulator_tracepoints() {
-    // §6: "spawning several parallel training threads" — here three, fed by
-    // inode-sharded collection from a live simulator.
-    let (collector, consumers) = ShardedCollector::<TraceRecord>::new(3, 1 << 14);
-    let totals: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
-    let pool = TrainerPool::spawn(Persona::Kernel, consumers, |shard| {
-        let totals = totals.clone();
-        move |batch: &[TraceRecord]| {
-            totals[shard].fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
-    })
-    .expect("pool spawns");
-
-    let mut sim = Sim::new(SimConfig {
-        device: DeviceProfile::nvme(),
-        cache_pages: 1024,
-        ..SimConfig::default()
-    });
-    let (producer, mut drainer) = kml_collect::RingBuffer::with_capacity(1 << 14).split();
-    sim.attach_trace(producer);
-    let files: Vec<_> = (0..8).map(|_| sim.create_file(1 << 14)).collect();
-    let mut x = 11u64;
-    for _ in 0..2_000 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let f = files[(x % 8) as usize];
-        sim.read(f, (x >> 16) % ((1 << 14) - 4), 2).unwrap();
-        // Re-shard from the sim's single trace stream by inode.
-        for record in drainer.drain() {
-            collector.push(record.inode, record);
-        }
-    }
-    for record in drainer.drain() {
-        collector.push(record.inode, record);
-    }
-    let expected = collector.pushed();
-    while pool.samples_processed() + pool.samples_dropped() < expected {
-        std::thread::yield_now();
-    }
-    pool.stop().expect("pool stops");
-    let per_shard: Vec<u64> = totals.iter().map(|t| t.load(Ordering::Relaxed)).collect();
-    assert_eq!(per_shard.iter().sum::<u64>(), expected);
-    assert!(
-        per_shard.iter().filter(|&&c| c > 0).count() >= 2,
-        "tracepoints did not spread across training threads: {per_shard:?}"
-    );
-}
+use kernel_sim::DeviceProfile;
 
 #[test]
 fn quantized_deployment_of_the_trained_readahead_network() {
@@ -66,7 +13,8 @@ fn quantized_deployment_of_the_trained_readahead_network() {
     let trained = readahead::model::train_network(&data, 300, 7).expect("training succeeds");
     let bytes = kml_core::modelfile::encode(&trained).expect("encode");
     let mut f32_model = kml_core::modelfile::decode::<f32>(&bytes).expect("decode");
-    let qmodel = kml_core::quant::QuantizedModel::from_model(&f32_model).expect("quantizes");
+    let mut qmodel = kml_core::modelfile::decode::<f32>(&bytes).expect("decode");
+    qmodel.enable_q8().expect("quantizes");
 
     let mut agree = 0;
     for i in 0..data.len() {
@@ -78,7 +26,13 @@ fn quantized_deployment_of_the_trained_readahead_network() {
     let ratio = agree as f64 / data.len() as f64;
     assert!(ratio > 0.95, "int8 deployment agreement {ratio:.3}");
     // And it is markedly smaller than the f32 deployment.
-    assert!(qmodel.param_bytes() * 2 < f32_model.param_bytes());
+    let engine = kml_core::quant::Q8Engine::from_graph(
+        f32_model.graph(),
+        f32_model.input_dim(),
+        f32_model.output_dim(),
+    )
+    .expect("quantizes");
+    assert!(engine.param_bytes() * 2 < f32_model.param_bytes());
 }
 
 #[test]
