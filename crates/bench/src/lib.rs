@@ -1,8 +1,9 @@
 //! Shared plumbing for the `repro` harness and the criterion benches:
 //! experiment-scale presets, text-table rendering, and CSV output.
 //!
-//! Every table and figure of the paper maps to one `repro` subcommand (see
-//! `src/bin/repro.rs` and EXPERIMENTS.md); the criterion benches in
+//! Every table and figure of the paper maps to one `repro` subcommand, one
+//! module under `src/bin/repro/` (see its `main.rs` and EXPERIMENTS.md);
+//! the criterion benches in
 //! `benches/` cover the §4 overhead micro-numbers and the DESIGN.md
 //! ablations.
 

@@ -91,11 +91,6 @@ impl Watchdog {
         &self.cfg
     }
 
-    /// The established throughput baseline, if warmup has completed.
-    pub fn baseline(&self) -> Option<f64> {
-        self.baseline
-    }
-
     /// Resets streaks and restarts baseline warmup (the active model
     /// changed, so its predecessor's steady state no longer applies).
     pub fn on_generation_change(&mut self) {
@@ -202,14 +197,14 @@ mod tests {
         let mut w = Watchdog::new(cfg());
         w.observe(100.0, false);
         w.observe(100.0, false);
-        assert_eq!(w.baseline(), Some(100.0));
+        assert_eq!(w.baseline, Some(100.0));
         w.on_generation_change();
-        assert_eq!(w.baseline(), None);
+        assert_eq!(w.baseline, None);
         // The new model's lower steady state becomes the new baseline
         // instead of tripping the detector.
         w.observe(50.0, false);
         w.observe(50.0, false);
-        assert_eq!(w.baseline(), Some(50.0));
+        assert_eq!(w.baseline, Some(50.0));
         assert_eq!(w.observe(49.0, false), WatchdogAction::None);
     }
 }

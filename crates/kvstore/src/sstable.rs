@@ -95,11 +95,6 @@ impl BloomFilter {
         true
     }
 
-    /// Filter memory in bytes (resident, like RocksDB's cached filters).
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
-
     /// Double hashing: two independent 64-bit mixes of the key.
     fn hashes(key: u64) -> (u64, u64) {
         let mut h = key.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -338,7 +333,7 @@ mod tests {
         let rate = false_positives as f64 / 10_000.0;
         assert!(rate < 0.03, "false-positive rate {rate}");
         // ~10 bits/key.
-        assert!(bloom.memory_bytes() < 10_000 * 2);
+        assert!(bloom.bits.len() * 8 < 10_000 * 2);
     }
 
     /// `build`'s bits as they were before the reciprocal: a hardware divide

@@ -7,12 +7,12 @@
 //! throughput and readahead series of the KML run is Figure 2.
 
 use crate::model::{LoopConfig, TrainedReadahead};
-use crate::tuner::{KmlTuner, RaPolicy, TunerModel, LOOP_METRIC_PREFIX};
+use crate::tuner::{KmlTuner, TunerModel, LOOP_METRIC_PREFIX};
 use kernel_sim::{DeviceProfile, Sim, SimConfig};
 use kml_collect::RingBuffer;
 use kml_core::Result;
 use kml_telemetry::{Registry, Snapshot};
-use kvstore::{fill_db, run_workload, FillMode, Workload, WorkloadConfig, WorkloadReport};
+use kvstore::{fill_db, run_workload, Db, FillMode, Workload, WorkloadConfig, WorkloadReport};
 
 /// Linux's shipped readahead default, KiB — the vanilla baseline.
 pub const VANILLA_RA_KB: u32 = 128;
@@ -72,23 +72,69 @@ fn make_sim(device: DeviceProfile, cfg: &LoopConfig) -> Sim {
     })
 }
 
-fn workload_config(workload: Workload, cfg: &LoopConfig) -> WorkloadConfig {
-    WorkloadConfig {
+/// Fills the store for `workload`, then starts it cold: caches dropped,
+/// readahead at the vanilla default (KML starts there too, then adapts),
+/// stats reset.
+fn cold_start(sim: &mut Sim, workload: Workload, cfg: &LoopConfig) -> (Db, WorkloadConfig) {
+    let wcfg = WorkloadConfig {
         num_keys: cfg.study.num_keys,
         ops: cfg.eval_ops,
         seed: cfg.seed ^ 0xEE,
         ..WorkloadConfig::new(workload)
+    };
+    let db = fill_db(sim, &wcfg, FillMode::Bulk).expect("fault-free fill");
+    sim.drop_caches().expect("fault-free drop_caches");
+    sim.set_ra_kb(VANILLA_RA_KB);
+    sim.reset_stats();
+    (db, wcfg)
+}
+
+/// Cuts a run into `window_ns` windows of simulated time, one
+/// [`TimelinePoint`] each.
+struct Timeline {
+    window_ns: u64,
+    start_ns: u64,
+    window_start: u64,
+    window_ops: u64,
+    points: Vec<TimelinePoint>,
+}
+
+impl Timeline {
+    fn new(start_ns: u64, window_ns: u64) -> Self {
+        Timeline {
+            window_ns,
+            start_ns,
+            window_start: start_ns,
+            window_ops: 0,
+            points: Vec::new(),
+        }
+    }
+
+    /// Counts one op that ended at `now`. If that closes the window,
+    /// returns its point for the caller to stamp the readahead in force
+    /// (and the window's inference latency) on.
+    fn tick(&mut self, now: u64) -> Option<&mut TimelinePoint> {
+        self.window_ops += 1;
+        if now - self.window_start < self.window_ns {
+            return None;
+        }
+        let secs = (now - self.window_start) as f64 / 1e9;
+        self.points.push(TimelinePoint {
+            t_ms: (now - self.start_ns) / 1_000_000,
+            ops_per_sec: self.window_ops as f64 / secs,
+            ra_kb: 0,
+            infer_ns_mean: 0.0,
+        });
+        self.window_ops = 0;
+        self.window_start = now;
+        self.points.last_mut()
     }
 }
 
 /// Runs the vanilla baseline: fixed 128 KiB readahead, cold caches.
 pub fn run_vanilla(workload: Workload, device: DeviceProfile, cfg: &LoopConfig) -> WorkloadReport {
     let mut sim = make_sim(device, cfg);
-    let wcfg = workload_config(workload, cfg);
-    let mut db = fill_db(&mut sim, &wcfg, FillMode::Bulk).expect("fault-free fill");
-    sim.drop_caches().expect("fault-free drop_caches");
-    sim.set_ra_kb(VANILLA_RA_KB);
-    sim.reset_stats();
+    let (mut db, wcfg) = cold_start(&mut sim, workload, cfg);
     run_workload(&mut sim, &mut db, &wcfg, |_| {})
 }
 
@@ -118,20 +164,13 @@ pub fn run_kml_instrumented(
     trained: &TrainedReadahead,
     cfg: &LoopConfig,
 ) -> Result<InstrumentedRun> {
-    let model = {
-        // Re-deploy a fresh copy of the network for this run (models carry
-        // forward state; runs must not share it).
-        let bytes = kml_core::modelfile::encode(&trained.network)?;
-        TunerModel::from_bytes(&bytes)?
-    };
-    run_tuned_opts(
-        workload,
-        device,
-        model,
-        trained.policy_for(&device).clone(),
-        cfg,
-        true,
-    )
+    run_tuned_opts(workload, device, deployed(trained)?, trained, cfg, true)
+}
+
+/// A fresh deployment of the trained network (models carry forward state;
+/// runs must not share it).
+fn deployed(trained: &TrainedReadahead) -> Result<TunerModel> {
+    TunerModel::from_bytes(&kml_core::modelfile::encode(&trained.network)?)
 }
 
 /// Runs the decision-tree-tuned configuration (the paper's §4 comparison).
@@ -145,15 +184,8 @@ pub fn run_kml_tree(
     trained: &TrainedReadahead,
     cfg: &LoopConfig,
 ) -> Result<(WorkloadReport, Vec<TimelinePoint>)> {
-    run_tuned_opts(
-        workload,
-        device,
-        TunerModel::Tree(trained.tree.clone()),
-        trained.policy_for(&device).clone(),
-        cfg,
-        true,
-    )
-    .map(|r| (r.report, r.timeline))
+    let model = TunerModel::Tree(trained.tree.clone());
+    run_tuned_opts(workload, device, model, trained, cfg, true).map(|r| (r.report, r.timeline))
 }
 
 /// Like [`run_kml`] but with the two-window actuation hysteresis disabled
@@ -168,24 +200,15 @@ pub fn run_kml_no_hysteresis(
     trained: &TrainedReadahead,
     cfg: &LoopConfig,
 ) -> Result<(WorkloadReport, Vec<TimelinePoint>)> {
-    let bytes = kml_core::modelfile::encode(&trained.network)?;
-    let model = TunerModel::from_bytes(&bytes)?;
-    run_tuned_opts(
-        workload,
-        device,
-        model,
-        trained.policy_for(&device).clone(),
-        cfg,
-        false,
-    )
-    .map(|r| (r.report, r.timeline))
+    let model = deployed(trained)?;
+    run_tuned_opts(workload, device, model, trained, cfg, false).map(|r| (r.report, r.timeline))
 }
 
 fn run_tuned_opts(
     workload: Workload,
     device: DeviceProfile,
     model: TunerModel,
-    policy: RaPolicy,
+    trained: &TrainedReadahead,
     cfg: &LoopConfig,
     hysteresis: bool,
 ) -> Result<InstrumentedRun> {
@@ -195,14 +218,13 @@ fn run_tuned_opts(
     let (producer, mut consumer) = RingBuffer::with_capacity(cfg.datagen.ring_capacity).split();
     sim.attach_trace(producer);
     consumer.attach_telemetry(&telemetry, "kml_collect.ring");
-    let wcfg = workload_config(workload, cfg);
-    let mut db = fill_db(&mut sim, &wcfg, FillMode::Bulk).expect("fault-free fill");
-    sim.drop_caches().expect("fault-free drop_caches");
-    sim.set_ra_kb(VANILLA_RA_KB); // KML starts from the default, then adapts
-    sim.reset_stats();
-    telemetry.reset(); // fill-phase metrics are not the workload's
-                       // Discard fill-phase tracepoints: the tuner must only ever see the
-                       // workload (stale records would poison the cumulative features).
+    let (mut db, wcfg) = cold_start(&mut sim, workload, cfg);
+    // Fill-phase metrics are not the workload's. Then discard the
+    // fill-phase tracepoints: the tuner must only ever see the workload
+    // (stale records would poison the cumulative features). Drained after
+    // the reset, they count in the ring's `consumed_total`, which
+    // `bench/tests/overheads_fields.rs` pins: keep the order.
+    telemetry.reset();
     while consumer.pop().is_some() {}
     // Which kernel backend this loop's math dispatched to (0 = scalar,
     // 1 = avx2, 2 = avx512, 3 = neon — `KernelBackend::gauge_value`), and
@@ -217,7 +239,7 @@ fn run_tuned_opts(
 
     let mut tuner = KmlTuner::new(
         model,
-        policy,
+        trained.policy_for(&device).clone(),
         consumer,
         cfg.datagen.window_ns,
         VANILLA_RA_KB,
@@ -226,38 +248,26 @@ fn run_tuned_opts(
     // Per-window inference latency = delta of the loop's infer histogram
     // (same handle the tuner binds lazily via `sim.telemetry()`).
     let infer_hist = telemetry.histogram(&format!("{LOOP_METRIC_PREFIX}.infer_ns"));
-    let start_ns = sim.now_ns();
-    let mut timeline = Vec::new();
-    let mut window_ops = 0u64;
-    let mut window_start = start_ns;
+    let mut timeline = Timeline::new(sim.now_ns(), cfg.datagen.window_ns);
     let (mut infer_count0, mut infer_sum0) = (0u64, 0u64);
     let mut tuner_err = None;
     let report = run_workload(&mut sim, &mut db, &wcfg, |sim| {
-        window_ops += 1;
         if let Err(e) = tuner.on_op(sim) {
             tuner_err.get_or_insert(e);
         }
-        let now = sim.now_ns();
-        if now - window_start >= cfg.datagen.window_ns {
-            let secs = (now - window_start) as f64 / 1e9;
+        if let Some(point) = timeline.tick(sim.now_ns()) {
             let infer = infer_hist.snapshot();
             let (dc, ds) = (infer.count - infer_count0, infer.sum - infer_sum0);
             (infer_count0, infer_sum0) = (infer.count, infer.sum);
-            timeline.push(TimelinePoint {
-                t_ms: (now - start_ns) / 1_000_000,
-                ops_per_sec: window_ops as f64 / secs,
-                ra_kb: tuner.current_ra_kb(),
-                infer_ns_mean: if dc == 0 { 0.0 } else { ds as f64 / dc as f64 },
-            });
-            window_ops = 0;
-            window_start = now;
+            point.ra_kb = tuner.current_ra_kb();
+            point.infer_ns_mean = if dc == 0 { 0.0 } else { ds as f64 / dc as f64 };
         }
     });
     match tuner_err {
         Some(e) => Err(e),
         None => Ok(InstrumentedRun {
             report,
-            timeline,
+            timeline: timeline.points,
             ring_dropped: tuner.records_dropped(),
             telemetry: telemetry.snapshot(),
         }),
@@ -272,34 +282,17 @@ pub fn run_bandit(
     cfg: &LoopConfig,
 ) -> (WorkloadReport, Vec<TimelinePoint>) {
     let mut sim = make_sim(device, cfg);
-    let wcfg = workload_config(workload, cfg);
-    let mut db = fill_db(&mut sim, &wcfg, FillMode::Bulk).expect("fault-free fill");
-    sim.drop_caches().expect("fault-free drop_caches");
-    sim.set_ra_kb(VANILLA_RA_KB);
-    sim.reset_stats();
-
+    let (mut db, wcfg) = cold_start(&mut sim, workload, cfg);
     let mut bandit = crate::rl::BanditTuner::with_default_arms(cfg.datagen.window_ns);
-    let start_ns = sim.now_ns();
-    let mut timeline = Vec::new();
-    let mut window_ops = 0u64;
-    let mut window_start = start_ns;
+    let mut timeline = Timeline::new(sim.now_ns(), cfg.datagen.window_ns);
     let report = run_workload(&mut sim, &mut db, &wcfg, |sim| {
-        window_ops += 1;
         bandit.on_op(sim);
-        let now = sim.now_ns();
-        if now - window_start >= cfg.datagen.window_ns {
-            let secs = (now - window_start) as f64 / 1e9;
-            timeline.push(TimelinePoint {
-                t_ms: (now - start_ns) / 1_000_000,
-                ops_per_sec: window_ops as f64 / secs,
-                ra_kb: bandit.current_ra_kb(),
-                infer_ns_mean: 0.0, // the bandit consults no model
-            });
-            window_ops = 0;
-            window_start = now;
+        // The bandit consults no model: `infer_ns_mean` stays 0.
+        if let Some(point) = timeline.tick(sim.now_ns()) {
+            point.ra_kb = bandit.current_ra_kb();
         }
     });
-    (report, timeline)
+    (report, timeline.points)
 }
 
 /// Produces one Table 2 cell: vanilla vs KML for (workload, device).
