@@ -257,9 +257,10 @@ impl SsTable {
 const KEYS_PER_LINE: usize = 8;
 
 /// Hints the cache line holding `*p` towards L1. A no-op where the target
-/// has no such instruction.
+/// has no such instruction. The crate's one prefetch: the block search above
+/// and `mixgraph`'s draw-ahead both call it.
 #[inline(always)]
-fn prefetch<T>(p: &T) {
+pub(crate) fn prefetch<T>(p: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch never faults and changes no architectural state,
     // `p` is a live reference, and SSE is part of the x86_64 baseline.

@@ -11,10 +11,11 @@
 //! inference and retuning against the advancing simulated clock.
 
 use crate::db::{Db, DbConfig};
+use crate::sstable::prefetch;
 use kernel_sim::{IoResult, Sim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Zipf};
+use rand_distr::Zipf;
 use std::sync::Mutex;
 
 /// The six benchmark workloads of the paper's Table 2.
@@ -224,6 +225,8 @@ pub fn run_workload(
     // Spread Zipf ranks over the keyspace so popularity is not co-located
     // with key order (Facebook traces show scattered hot keys).
     let spread = |rank: u64, n: u64| (rank.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % n;
+    // `mixgraph`'s next operation, drawn one ahead: its Zipf draw and dice.
+    let mut ahead = None;
 
     let mut cursor = 0u64;
     while ops < cfg.ops {
@@ -305,9 +308,19 @@ pub fn run_workload(
             }
             Workload::MixGraph => {
                 let zipf = zipf.as_ref().expect("built for mixgraph above");
-                let rank = zipf.sample(&mut rng) as u64;
-                let k = spread(rank.saturating_sub(1), cfg.num_keys);
-                let dice = rng.gen_range(0..100);
+                // Draw operation i + 1 and prefetch the CDF entry its rank
+                // search reads first, then resolve operation i's rank: the
+                // miss overlaps this operation. The RNG yields the same words
+                // in the same order, and draws stop at `cfg.ops`.
+                let (draw, dice) = ahead
+                    .take()
+                    .unwrap_or_else(|| (zipf.draw(&mut rng), rng.gen_range(0..100)));
+                if ops + 1 < cfg.ops {
+                    let next = zipf.draw(&mut rng);
+                    prefetch(next.guess_entry());
+                    ahead = Some((next, rng.gen_range(0..100)));
+                }
+                let k = spread(zipf.rank(draw) - 1, cfg.num_keys);
                 let failed = if dice < 85 {
                     db.get(sim, k).is_err()
                 } else if dice < 99 {
@@ -405,6 +418,32 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    /// `mixgraph` draws each operation one ahead of executing it. Recorded
+    /// before it did: the report of 2,000 operations, fault-free and under a
+    /// light fault plan, and the draw-ahead's edges — one operation (nothing
+    /// to draw ahead) and two (one draw ahead, none after).
+    #[test]
+    fn mixgraph_reports_match_the_parent_commit() {
+        use kernel_sim::{FaultConfig, FaultPlan};
+        let report = |ops, faults: Option<FaultConfig>| {
+            let mut s = sim(DeviceProfile::sata_ssd());
+            let cfg = WorkloadConfig {
+                ops,
+                ..quick_cfg(Workload::MixGraph)
+            };
+            let mut db = fill_db(&mut s, &cfg, FillMode::Bulk).unwrap();
+            s.drop_caches().unwrap();
+            s.set_fault_plan(faults.map(FaultPlan::new));
+            let r = run_workload(&mut s, &mut db, &cfg, |_| {});
+            (r.ops, r.sim_ns, r.io_errors)
+        };
+        assert_eq!(report(2_000, None), (2_000, 76_445_600, 0));
+        let light = Some(FaultConfig::light(3));
+        assert_eq!(report(2_000, light), (2_000, 196_635_000, 11));
+        assert_eq!(report(1, None), (1, 131_600, 0));
+        assert_eq!(report(2, None), (2, 263_200, 0));
     }
 
     #[test]
