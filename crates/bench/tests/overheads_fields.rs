@@ -38,7 +38,9 @@ fn deterministic_fields_match_the_parent_commit() {
             .unwrap_or_else(|| panic!("no line for {name}"))
     };
     for (metric, want) in [
-        ("model_init_memory", 3520.0),
+        // Counts `size_of::<Model>()`: a field added to or removed from
+        // `Model` or its `Graph` moves it (EXPERIMENTS.md E27).
+        ("model_init_memory", 3480.0),
         ("inference_scratch_memory", 216.0),
         ("measured_scratch_high_water", 436.0),
         ("kml_collect.ring.consumed_total", 24700.0),

@@ -558,6 +558,18 @@ mod tests {
         }
     }
 
+    /// The deployed classifier's encoded bytes, FNV-1a, recorded on the
+    /// parent commit (672c8a3) before `Graph` became a chain.
+    #[test]
+    fn trained_model_matches_the_parent_commit() {
+        let model = SchedTuner::train_model(5).expect("training succeeds");
+        let bytes = kml_core::modelfile::encode(&model).unwrap();
+        assert_eq!(
+            kml_platform::bytes::Fnv1a::of(&bytes),
+            0x17fd_65bd_67bd_c9cf
+        );
+    }
+
     #[test]
     fn tuned_scheduler_tracks_the_best_static_config_per_pattern() {
         for workload in [

@@ -1,13 +1,12 @@
-//! The computation DAG (paper §2 "Inference and training").
+//! The computation graph (paper §2 "Inference and training").
 //!
 //! KML performs inference by "creating a computation directed acyclic graph
 //! (DAG) of the individual layers", traversing it forward for inference, and
 //! backward in reverse topological order for reverse-mode automatic
-//! differentiation. The paper's prototype trains chain graphs only; this
-//! implementation additionally supports **fan-out** (one layer's output
-//! consumed by several downstream layers, gradients summed on the way back),
-//! which is the first step toward the arbitrary-DAG support the paper lists
-//! as future work. Multi-*input* layers (joins) remain unsupported.
+//! differentiation. Every network the paper and this repository train or
+//! deploy is a chain of single-input layers, so a chain is the one shape
+//! [`Graph`] holds: layer `i` feeds layer `i + 1`, the last layer pushed is
+//! the output, and back-propagation is one reverse scan.
 
 use crate::layers::{Layer, ParamGrad};
 use crate::matrix::Matrix;
@@ -15,29 +14,7 @@ use crate::scalar::Scalar;
 use crate::scratch::ScratchArena;
 use crate::{KmlError, Result};
 
-/// Identifier of a node within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(usize);
-
-struct Node<S: Scalar> {
-    layer: Box<dyn Layer<S>>,
-    input: Option<NodeId>,
-}
-
-impl<S: Scalar> std::fmt::Debug for Node<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Node")
-            .field("kind", &self.layer.kind())
-            .field("input", &self.input)
-            .finish()
-    }
-}
-
-/// A computation DAG of single-input layers with fan-out support.
-///
-/// Nodes are appended in topological order by construction: a node's input
-/// must already exist, so forward traversal is a simple scan and backward a
-/// reverse scan with gradient accumulation at fan-out points.
+/// A chain of single-input layers with reverse-mode autodiff.
 ///
 /// # Example
 ///
@@ -50,33 +27,27 @@ impl<S: Scalar> std::fmt::Debug for Node<S> {
 /// # fn main() -> kml_core::Result<()> {
 /// let mut rng = KmlRng::seed_from_u64(1);
 /// let mut g: Graph<f64> = Graph::new();
-/// let a = g.add_source(Box::new(Linear::new(3, 4, &mut rng)))?;
-/// let b = g.add_node(Box::new(ActivationLayer::new(Activation::Sigmoid)), a)?;
-/// g.set_output(b)?;
+/// g.push(Box::new(Linear::new(3, 4, &mut rng)));
+/// g.push(Box::new(ActivationLayer::new(Activation::Sigmoid)));
 /// let y = g.forward(&Matrix::row_vector(&[1.0, 2.0, 3.0]))?;
 /// assert_eq!(y.shape(), (1, 4));
 /// # Ok(())
 /// # }
 /// ```
 pub struct Graph<S: Scalar> {
-    nodes: Vec<Node<S>>,
-    output: Option<NodeId>,
-    /// Per-node activation buffers (slot `i` holds node `i`'s output),
+    layers: Vec<Box<dyn Layer<S>>>,
+    /// Per-layer activation buffers (slot `i` holds layer `i`'s output),
     /// sized on the first forward pass and reused allocation-free after.
     acts: ScratchArena<S>,
-    /// Per-node gradient buffers: slots `0..n` mirror the nodes, slot `n`
-    /// holds the graph-input gradient, slot `n+1` stages fan-out sums.
+    /// Per-layer gradient buffers: slot `i` holds ∂L/∂(layer `i`'s
+    /// output), slot `n` the graph-input gradient.
     grads: ScratchArena<S>,
-    /// Which gradient slots were produced during the current backward scan.
-    grad_set: Vec<bool>,
 }
 
 impl<S: Scalar> std::fmt::Debug for Graph<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Graph")
-            .field("nodes", &self.nodes)
-            .field("output", &self.output)
-            .finish()
+        let kinds: Vec<_> = self.layers.iter().map(|l| l.kind()).collect();
+        f.debug_struct("Graph").field("layers", &kinds).finish()
     }
 }
 
@@ -84,95 +55,43 @@ impl<S: Scalar> Graph<S> {
     /// Creates an empty graph.
     pub fn new() -> Self {
         Graph {
-            nodes: Vec::new(),
-            output: None,
+            layers: Vec::new(),
             acts: ScratchArena::new(),
             grads: ScratchArena::new(),
-            grad_set: Vec::new(),
         }
     }
 
-    /// Adds a node fed directly by the graph input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::InvalidConfig`] if a source already exists —
-    /// the graph has a single external input, like KML's chain prototype.
-    pub fn add_source(&mut self, layer: Box<dyn Layer<S>>) -> Result<NodeId> {
-        if self.nodes.iter().any(|n| n.input.is_none()) {
-            return Err(KmlError::InvalidConfig(
-                "graph already has a source node".into(),
-            ));
-        }
-        self.nodes.push(Node { layer, input: None });
-        Ok(NodeId(self.nodes.len() - 1))
+    /// Appends `layer`, fed by the previous layer's output (or by the graph
+    /// input, if it is the first). The last layer pushed is the output.
+    pub fn push(&mut self, layer: Box<dyn Layer<S>>) {
+        self.layers.push(layer);
     }
 
-    /// Adds a node consuming the output of `input`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::InvalidConfig`] if `input` does not exist.
-    pub fn add_node(&mut self, layer: Box<dyn Layer<S>>, input: NodeId) -> Result<NodeId> {
-        if input.0 >= self.nodes.len() {
-            return Err(KmlError::InvalidConfig(format!(
-                "input node {} does not exist",
-                input.0
-            )));
-        }
-        self.nodes.push(Node {
-            layer,
-            input: Some(input),
-        });
-        Ok(NodeId(self.nodes.len() - 1))
-    }
-
-    /// Declares which node's output the graph returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::InvalidConfig`] if `node` does not exist.
-    pub fn set_output(&mut self, node: NodeId) -> Result<()> {
-        if node.0 >= self.nodes.len() {
-            return Err(KmlError::InvalidConfig(format!(
-                "output node {} does not exist",
-                node.0
-            )));
-        }
-        self.output = Some(node);
-        Ok(())
-    }
-
-    /// Number of nodes.
+    /// Number of layers.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.layers.len()
     }
 
-    /// Whether the graph has no nodes.
+    /// Whether the graph has no layers.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.layers.is_empty()
     }
 
-    /// Whether the graph is a pure chain (every node consumed exactly once) —
-    /// the only shape the paper's prototype trains.
-    pub fn is_chain(&self) -> bool {
-        let mut consumers = vec![0usize; self.nodes.len()];
-        for n in &self.nodes {
-            if let Some(i) = n.input {
-                consumers[i.0] += 1;
-            }
+    /// The layer count, or the error every pass returns on an empty graph.
+    fn nonempty_len(&self) -> Result<usize> {
+        match self.layers.len() {
+            0 => Err(KmlError::InvalidConfig("graph has no layers".into())),
+            n => Ok(n),
         }
-        // Exactly one sink (the output) and no fan-out.
-        consumers.iter().filter(|&&c| c == 0).count() == 1 && consumers.iter().all(|&c| c <= 1)
     }
 
-    /// Forward propagation: feeds `input` to the source node and returns the
-    /// output node's activation (cloned out of the internal scratch arena).
+    /// Forward propagation: feeds `input` to the first layer and returns the
+    /// last layer's activation (cloned out of the internal scratch arena).
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if the graph is empty or no output
-    /// was declared, plus any shape error from the layers.
+    /// Returns [`KmlError::InvalidConfig`] if the graph is empty, plus any
+    /// shape error from the layers.
     pub fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>> {
         Ok(self.forward_in_place(input)?.clone())
     }
@@ -180,32 +99,21 @@ impl<S: Scalar> Graph<S> {
     /// Forward propagation through arena-backed activation buffers. After a
     /// warm-up pass with a given batch shape, subsequent calls perform
     /// **zero heap allocations**; the returned reference points into the
-    /// arena slot of the output node.
+    /// arena slot of the last layer.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Graph::forward`].
     pub fn forward_in_place(&mut self, input: &Matrix<S>) -> Result<&Matrix<S>> {
-        let output = self
-            .output
-            .ok_or_else(|| KmlError::InvalidConfig("graph has no output node declared".into()))?;
-        self.acts.ensure_slots(self.nodes.len());
-        // Nodes are appended in topological order, so a plain scan visits
-        // every producer before its consumers (src slot index < node index).
-        for i in 0..self.nodes.len() {
-            match self.nodes[i].input {
-                None => {
-                    let out = self.acts.slot_mut(i);
-                    self.nodes[i].layer.forward_into(input, out)?;
-                }
-                Some(src) => {
-                    let (fed, out) = self.acts.read_write_pair(src.0, i);
-                    self.nodes[i].layer.forward_into(fed, out)?;
-                }
-            }
+        let n = self.nonempty_len()?;
+        self.acts.ensure_slots(n);
+        self.layers[0].forward_into(input, self.acts.slot_mut(0))?;
+        for i in 1..n {
+            let (fed, out) = self.acts.read_write_pair(i - 1, i);
+            self.layers[i].forward_into(fed, out)?;
         }
         self.acts.refresh_high_water();
-        Ok(self.acts.slot(output.0))
+        Ok(self.acts.slot(n - 1))
     }
 
     /// Backward propagation from `grad_output` (∂L/∂output of the graph);
@@ -214,7 +122,8 @@ impl<S: Scalar> Graph<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if called before [`Graph::forward`].
+    /// Returns [`KmlError::InvalidConfig`] if the graph is empty or a layer
+    /// has not run forward yet.
     pub fn backward(&mut self, grad_output: &Matrix<S>) -> Result<Matrix<S>> {
         Ok(self.backward_in_place(grad_output)?.clone())
     }
@@ -228,12 +137,12 @@ impl<S: Scalar> Graph<S> {
     /// Same conditions as [`Graph::backward`].
     pub fn backward_in_place(&mut self, grad_output: &Matrix<S>) -> Result<&Matrix<S>> {
         self.backward_scan(grad_output, true)?;
-        Ok(self.grads.slot(self.nodes.len()))
+        Ok(self.grads.slot(self.layers.len()))
     }
 
     /// [`Graph::backward_in_place`] for a caller that only wants the
     /// parameter gradients (a training step): every layer's gradients come
-    /// out bit-identical, but the source node is asked for them alone
+    /// out bit-identical, but the first layer is asked for them alone
     /// ([`Layer::backward_params`]) — ∂L/∂input of the graph, the widest
     /// product of the pass, is never formed.
     ///
@@ -245,55 +154,22 @@ impl<S: Scalar> Graph<S> {
     }
 
     /// The reverse scan both backward entry points share; `input_grad`
-    /// says whether the source node also writes ∂L/∂input into slot `n`.
+    /// says whether the first layer also writes ∂L/∂input into slot `n`.
     fn backward_scan(&mut self, grad_output: &Matrix<S>, input_grad: bool) -> Result<()> {
-        let output = self
-            .output
-            .ok_or_else(|| KmlError::InvalidConfig("graph has no output node declared".into()))?;
-        let n = self.nodes.len();
-        self.grads.ensure_slots(n + 2);
-        self.grad_set.clear();
-        self.grad_set.resize(n + 1, false);
-        self.grads.slot_mut(output.0).copy_from(grad_output);
-        self.grad_set[output.0] = true;
-
-        for i in (0..n).rev() {
-            if !self.grad_set[i] {
-                continue; // node not on a path to the output
-            }
-            match self.nodes[i].input {
-                // Fan-out point: a consumer already wrote this producer's
-                // slot, so stage into the spare slot and accumulate.
-                Some(src) if self.grad_set[src.0] => {
-                    let (gout, staged) = self.grads.read_write_pair(i, n + 1);
-                    self.nodes[i].layer.backward_into(gout, staged)?;
-                    let (acc, staged) = self.grads.write_read_pair(src.0, n + 1);
-                    acc.axpy_in_place(staged, S::ONE)?;
-                }
-                Some(src) => {
-                    let (gin, gout) = self.grads.write_read_pair(src.0, i);
-                    self.nodes[i].layer.backward_into(gout, gin)?;
-                    self.grad_set[src.0] = true;
-                }
-                // The single source node writes the graph-input gradient,
-                // when anyone asked for it.
-                None => {
-                    if input_grad {
-                        let (gout, gin) = self.grads.read_write_pair(i, n);
-                        self.nodes[i].layer.backward_into(gout, gin)?;
-                    } else {
-                        self.nodes[i].layer.backward_params(self.grads.slot(i))?;
-                    }
-                    self.grad_set[n] = true;
-                }
-            }
+        let n = self.nonempty_len()?;
+        self.grads.ensure_slots(n + 1);
+        self.grads.slot_mut(n - 1).copy_from(grad_output);
+        for i in (1..n).rev() {
+            let (gin, gout) = self.grads.write_read_pair(i - 1, i);
+            self.layers[i].backward_into(gout, gin)?;
+        }
+        if input_grad {
+            let (gout, gin) = self.grads.read_write_pair(0, n);
+            self.layers[0].backward_into(gout, gin)?;
+        } else {
+            self.layers[0].backward_params(self.grads.slot(0))?;
         }
         self.grads.refresh_high_water();
-        if !self.grad_set[n] {
-            return Err(KmlError::InvalidConfig(
-                "backward called before forward".into(),
-            ));
-        }
         Ok(())
     }
 
@@ -308,14 +184,14 @@ impl<S: Scalar> Graph<S> {
     /// Bytes of forward-state scratch held inside the layers themselves
     /// (cached activations and derivative staging buffers).
     pub fn layer_scratch_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.layer.scratch_bytes()).sum()
+        self.layers.iter().map(|l| l.scratch_bytes()).sum()
     }
 
-    /// All parameter/gradient slots across the graph, in node order.
+    /// All parameter/gradient slots across the graph, in layer order.
     pub fn param_grads(&mut self) -> Vec<ParamGrad<'_, S>> {
-        self.nodes
+        self.layers
             .iter_mut()
-            .flat_map(|n| n.layer.param_grads())
+            .flat_map(|l| l.param_grads())
             .collect()
     }
 
@@ -330,45 +206,40 @@ impl<S: Scalar> Graph<S> {
         &mut self,
         f: &mut dyn FnMut(ParamGrad<'_, S>) -> Result<()>,
     ) -> Result<()> {
-        for n in &mut self.nodes {
-            n.layer.visit_param_grads(f)?;
+        for l in &mut self.layers {
+            l.visit_param_grads(f)?;
         }
         Ok(())
     }
 
-    /// Deep-copies topology and layer parameters for a serving replica
+    /// Deep-copies the layers and their parameters for a serving replica
     /// (fresh arenas, no gradient state), or `None` if any layer cannot be
     /// copied (see [`Layer::clone_box`]).
     pub fn clone_for_workers(&self) -> Option<Graph<S>> {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            nodes.push(Node {
-                layer: n.layer.clone_box()?,
-                input: n.input,
-            });
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for l in &self.layers {
+            layers.push(l.clone_box()?);
         }
         Some(Graph {
-            nodes,
-            output: self.output,
+            layers,
             acts: ScratchArena::new(),
             grads: ScratchArena::new(),
-            grad_set: Vec::new(),
         })
     }
 
-    /// Immutable access to the layers in topological order.
+    /// Immutable access to the layers, input first.
     pub fn layers(&self) -> impl Iterator<Item = &dyn Layer<S>> {
-        self.nodes.iter().map(|n| n.layer.as_ref())
+        self.layers.iter().map(|l| l.as_ref())
     }
 
-    /// Mutable access to the layers in topological order.
+    /// Mutable access to the layers, input first.
     pub fn layers_mut(&mut self) -> impl Iterator<Item = &mut Box<dyn Layer<S>>> {
-        self.nodes.iter_mut().map(|n| &mut n.layer)
+        self.layers.iter_mut()
     }
 
     /// Total bytes of parameter storage across all layers.
     pub fn param_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.layer.param_bytes()).sum()
+        self.layers.iter().map(|l| l.param_bytes()).sum()
     }
 }
 
@@ -392,14 +263,9 @@ mod tests {
     fn chain_graph() -> Graph<f64> {
         let mut rng = rng();
         let mut g = Graph::new();
-        let a = g.add_source(Box::new(Linear::new(2, 3, &mut rng))).unwrap();
-        let b = g
-            .add_node(Box::new(ActivationLayer::new(Activation::Sigmoid)), a)
-            .unwrap();
-        let c = g
-            .add_node(Box::new(Linear::new(3, 2, &mut rng)), b)
-            .unwrap();
-        g.set_output(c).unwrap();
+        g.push(Box::new(Linear::new(2, 3, &mut rng)));
+        g.push(Box::new(ActivationLayer::new(Activation::Sigmoid)));
+        g.push(Box::new(Linear::new(3, 2, &mut rng)));
         g
     }
 
@@ -410,7 +276,6 @@ mod tests {
             .forward(&Matrix::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.5]]).unwrap())
             .unwrap();
         assert_eq!(y.shape(), (2, 2));
-        assert!(g.is_chain());
     }
 
     #[test]
@@ -421,59 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn two_sources_rejected() {
-        let mut rng = rng();
+    fn passes_over_an_empty_graph_are_errors() {
         let mut g: Graph<f64> = Graph::new();
-        g.add_source(Box::new(Linear::new(2, 2, &mut rng))).unwrap();
-        assert!(g.add_source(Box::new(Linear::new(2, 2, &mut rng))).is_err());
-    }
-
-    #[test]
-    fn dangling_references_rejected() {
-        let mut rng = rng();
-        let mut g: Graph<f64> = Graph::new();
-        let a = g.add_source(Box::new(Linear::new(2, 2, &mut rng))).unwrap();
-        assert!(g
-            .add_node(Box::new(Linear::new(2, 2, &mut rng)), NodeId(99))
-            .is_err());
-        assert!(g.set_output(NodeId(99)).is_err());
-        g.set_output(a).unwrap();
-    }
-
-    #[test]
-    fn forward_without_output_declared_is_error() {
-        let mut rng = rng();
-        let mut g: Graph<f64> = Graph::new();
-        g.add_source(Box::new(Linear::new(2, 2, &mut rng))).unwrap();
         assert!(g.forward(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn fan_out_graph_is_not_chain_and_sums_gradients() {
-        // x -> lin -> {sig, relu consumed nowhere}: make both consumed by
-        // building y = sig(h) where h also feeds relu -> output? A single
-        // output graph: h -> sigmoid -> out, h -> relu (dead end). The relu
-        // branch is dead (not on output path) and must not contribute.
-        let mut rng = rng();
-        let mut g: Graph<f64> = Graph::new();
-        let h = g.add_source(Box::new(Linear::new(2, 2, &mut rng))).unwrap();
-        let s = g
-            .add_node(Box::new(ActivationLayer::new(Activation::Sigmoid)), h)
-            .unwrap();
-        let _dead = g
-            .add_node(Box::new(ActivationLayer::new(Activation::Relu)), h)
-            .unwrap();
-        g.set_output(s).unwrap();
-        assert!(!g.is_chain());
-
-        let x = Matrix::from_rows(&[vec![0.3, -0.7]]).unwrap();
-        let y = g.forward(&x).unwrap();
-        assert_eq!(y.shape(), (1, 2));
-        let gin = g
-            .backward(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
-            .unwrap();
-        assert_eq!(gin.shape(), (1, 2));
-        assert!(gin.as_slice().iter().all(|v| v.is_finite()));
+        assert!(g.backward(&Matrix::zeros(1, 2)).is_err());
+        assert!(g.backward_params_in_place(&Matrix::zeros(1, 2)).is_err());
     }
 
     /// Every parameter gradient of `g`, as bits, in slot order.
@@ -485,44 +302,20 @@ mod tests {
     }
 
     /// The training step's backward pass leaves exactly the `grad_w` /
-    /// `grad_b` the full pass does — on the chain, and on a graph whose
-    /// source and hidden activation both fan out.
+    /// `grad_b` the full pass does.
     #[test]
     fn params_only_backward_matches_full_backward_bit_for_bit() {
-        let fan_out = || {
-            // x -> lin(2,3) -> sigmoid -> lin(3,2) -> out, with the source
-            // also feeding a tanh and the sigmoid a relu that go nowhere:
-            // not a chain, and the dead branches must stay out of it.
-            let mut rng = rng();
-            let mut g: Graph<f64> = Graph::new();
-            let h = g.add_source(Box::new(Linear::new(2, 3, &mut rng))).unwrap();
-            g.add_node(Box::new(ActivationLayer::new(Activation::Tanh)), h)
-                .unwrap();
-            let s = g
-                .add_node(Box::new(ActivationLayer::new(Activation::Sigmoid)), h)
-                .unwrap();
-            g.add_node(Box::new(ActivationLayer::new(Activation::Relu)), s)
-                .unwrap();
-            let out = g
-                .add_node(Box::new(Linear::new(3, 2, &mut rng)), s)
-                .unwrap();
-            g.set_output(out).unwrap();
-            assert!(!g.is_chain());
-            g
-        };
         let x = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.1, 0.2], vec![-0.4, 0.9]]).unwrap();
         let dy = Matrix::from_rows(&[vec![1.0, -0.5], vec![0.25, 2.0], vec![-1.5, 0.1]]).unwrap();
-        for build in [chain_graph as fn() -> Graph<f64>, fan_out] {
-            let (mut full, mut params) = (build(), build());
-            full.forward(&x).unwrap();
-            params.forward(&x).unwrap();
-            full.backward_in_place(&dy).unwrap();
-            params.backward_params_in_place(&dy).unwrap();
-            let want = grad_bits(&mut full);
-            assert_eq!(want.len(), 4);
-            assert!(want.iter().flatten().any(|&b| b != 0), "gradients are live");
-            assert_eq!(grad_bits(&mut params), want);
-        }
+        let (mut full, mut params) = (chain_graph(), chain_graph());
+        full.forward(&x).unwrap();
+        params.forward(&x).unwrap();
+        full.backward_in_place(&dy).unwrap();
+        params.backward_params_in_place(&dy).unwrap();
+        let want = grad_bits(&mut full);
+        assert_eq!(want.len(), 4);
+        assert!(want.iter().flatten().any(|&b| b != 0), "gradients are live");
+        assert_eq!(grad_bits(&mut params), want);
         // Before any forward pass it is the same error, not a stale result.
         assert!(chain_graph().backward_params_in_place(&dy).is_err());
     }

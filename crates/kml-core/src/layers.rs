@@ -133,7 +133,7 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     }
 
     /// Backward propagation for a caller that has no use for `∂L/∂input`
-    /// (the source node of a training step): leaves the same parameter
+    /// (the first layer of a training step): leaves the same parameter
     /// gradients [`Layer::backward_into`] would. The default runs the full
     /// [`Layer::backward`] and drops its result; `Linear` overrides it to
     /// skip the `dy · Wᵀ` product.
@@ -771,8 +771,8 @@ mod tests {
             let sum: f64 = y.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-10);
         }
-        assert_eq!(y.argmax_row(0), 0);
-        assert_eq!(y.argmax_row(1), 2);
+        // The largest logit of each row takes most of the mass.
+        assert!(y.get(0, 0) > 0.5 && y.get(1, 2) > 0.5, "{y:?}");
     }
 
     #[test]

@@ -19,20 +19,18 @@
 //!   softmax) each implementing forward and backward propagation.
 //! - [`loss`] — cross-entropy, mean-squared-error, and binary cross-entropy
 //!   loss functions with gradients.
-//! - [`graph`] — the computation DAG traversed for inference and reverse-mode
-//!   automatic differentiation (back-propagation).
+//! - [`graph`] — the chain of layers traversed forward for inference and
+//!   backward for reverse-mode automatic differentiation (back-propagation).
 //! - [`scratch`] — the [`scratch::ScratchArena`] of reusable buffers behind
 //!   the allocation-free steady-state inference/training hot path.
 //! - [`optimizer`] — stochastic gradient descent with momentum.
 //! - [`model`] — the high-level sequential model: build, train, infer,
 //!   save/load in the KML binary model-file format ([`modelfile`]).
 //! - [`dtree`] — CART decision trees (the paper's second model family).
-//! - [`recurrent`] — Elman RNNs and LSTMs with full BPTT (the paper's §6
-//!   future work, implemented).
 //! - [`quant`] — post-training int8 quantization for inference (the §3.1
 //!   compact-representation option), including the bounded-error Q8
 //!   serving engine used by the fleet tier.
-//! - [`simd`] — runtime-dispatched AVX2/AVX-512/NEON kernel backends,
+//! - [`simd`] — runtime-dispatched AVX2/AVX-512 kernel backends,
 //!   bit-identical to the scalar blocked kernels (`KML_FORCE_SCALAR=1`
 //!   pins the scalar reference).
 //! - [`dataset`] / [`validate`] — in-memory datasets, Z-score normalization,
@@ -81,7 +79,6 @@ pub mod model;
 pub mod modelfile;
 pub mod optimizer;
 pub mod quant;
-pub mod recurrent;
 pub mod scalar;
 pub mod scratch;
 pub mod simd;

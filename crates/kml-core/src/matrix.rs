@@ -249,13 +249,6 @@ impl<S: Scalar> Matrix<S> {
         self.cols = src.cols;
     }
 
-    /// Sets every element to `v`.
-    pub fn fill(&mut self, v: S) {
-        for x in &mut self.data {
-            *x = v;
-        }
-    }
-
     /// Matrix product `self · rhs`.
     ///
     /// # Errors
@@ -312,17 +305,6 @@ impl<S: Scalar> Matrix<S> {
             );
         }
         Ok(())
-    }
-
-    /// `self · rhsᵀ` without materializing the transpose (back-prop kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `self.cols == rhs.cols`.
-    pub fn matmul_transpose(&self, rhs: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_transpose_into(rhs, &mut out)?;
-        Ok(out)
     }
 
     /// `self · rhsᵀ` written into `out` (reshaped as needed).
@@ -404,17 +386,6 @@ impl<S: Scalar> Matrix<S> {
         acc[0].add(acc[1]).add(acc[2].add(acc[3])).add(tail)
     }
 
-    /// `selfᵀ · rhs` without materializing the transpose (gradient kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `self.rows == rhs.rows`.
-    pub fn transpose_matmul(&self, rhs: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut out: Matrix<S> = Matrix::zeros(self.cols, rhs.cols);
-        self.transpose_matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
     /// `selfᵀ · rhs` written into `out` (reshaped as needed).
     ///
     /// Register-tiled like [`Matrix::matmul_into`] (A is read with a column
@@ -458,15 +429,6 @@ impl<S: Scalar> Matrix<S> {
         Ok(())
     }
 
-    /// Element-wise sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless shapes match.
-    pub fn add(&self, rhs: &Matrix<S>) -> Result<Matrix<S>> {
-        self.zip_with(rhs, "add", S::add)
-    }
-
     /// Element-wise difference.
     ///
     /// # Errors
@@ -483,50 +445,6 @@ impl<S: Scalar> Matrix<S> {
     /// Returns [`KmlError::ShapeMismatch`] unless shapes match.
     pub fn hadamard(&self, rhs: &Matrix<S>) -> Result<Matrix<S>> {
         self.zip_with(rhs, "hadamard", S::mul)
-    }
-
-    /// Element-wise (Hadamard) product written into `out` (reshaped as needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless shapes match.
-    pub fn hadamard_into(&self, rhs: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
-        self.zip_with_into(rhs, out, "hadamard", S::mul)
-    }
-
-    /// Adds a 1×cols row vector to every row (bias broadcast).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `bias` is `1 × self.cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        self.add_row_broadcast_into(bias, &mut out)?;
-        Ok(out)
-    }
-
-    /// Bias broadcast written into `out` (reshaped as needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `bias` is `1 × self.cols`.
-    pub fn add_row_broadcast_into(&self, bias: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
-        if bias.rows != 1 || bias.cols != self.cols {
-            return Err(KmlError::ShapeMismatch {
-                op: "add_row_broadcast",
-                lhs: self.shape(),
-                rhs: bias.shape(),
-            });
-        }
-        out.ensure_shape(self.rows, self.cols);
-        for r in 0..self.rows {
-            let srow = &self.data[r * self.cols..(r + 1) * self.cols];
-            let orow = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            for ((o, &s), &b) in orow.iter_mut().zip(srow).zip(&bias.data) {
-                *o = s.add(b);
-            }
-        }
-        Ok(())
     }
 
     /// Adds a 1×cols row vector to every row of `self`, in place (the fused
@@ -560,13 +478,6 @@ impl<S: Scalar> Matrix<S> {
         Ok(())
     }
 
-    /// Sums each column into a 1×cols row vector (bias-gradient reduction).
-    pub fn sum_rows(&self) -> Matrix<S> {
-        let mut out: Matrix<S> = Matrix::zeros(1, self.cols);
-        self.sum_rows_into(&mut out);
-        out
-    }
-
     /// Column-sum reduction written into `out` (reshaped as needed): a
     /// block of columns at a time, each column's add chain walking the rows
     /// in ascending order from zero in a register.
@@ -596,48 +507,6 @@ impl<S: Scalar> Matrix<S> {
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(S) -> S) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// In-place `self += rhs * k` (the SGD update kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless shapes match.
-    pub fn axpy_in_place(&mut self, rhs: &Matrix<S>, k: S) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(KmlError::ShapeMismatch {
-                op: "axpy",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a = a.mul_acc(b, k);
-        }
-        Ok(())
-    }
-
-    /// Index of the maximum element in row `r` (ties → first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or the matrix has zero columns.
-    pub fn argmax_row(&self, r: usize) -> usize {
-        let row = self.row(r);
-        let mut best = 0;
-        for (i, v) in row.iter().enumerate() {
-            if *v > row[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Converts every element to `f64` (for loss computation / reporting).
@@ -696,7 +565,6 @@ impl<S: Scalar> Matrix<S> {
         Ok(())
     }
 
-    /// Applies `f` element-wise, writing into `out` (reshaped as needed).
     /// Element-wise sigmoid into `out` through the scalar type's slice hook
     /// ([`Scalar::sigmoid_map`]): floats take the four-lane SLP `exp` path,
     /// `Fix32` its piecewise-linear table. Bit-identical to
@@ -706,6 +574,7 @@ impl<S: Scalar> Matrix<S> {
         S::sigmoid_map(&self.data, &mut out.data);
     }
 
+    /// Applies `f` element-wise, writing into `out` (reshaped as needed).
     pub fn map_into(&self, out: &mut Matrix<S>, f: impl Fn(S) -> S) {
         out.ensure_shape(self.rows, self.cols);
         // Four elements per step: for latency-bound maps (sigmoid/tanh run
@@ -970,19 +839,26 @@ mod tests {
         m(&rows)
     }
 
+    /// What `kernel` writes into a fresh output matrix.
+    fn fresh(kernel: impl FnOnce(&mut Matrix<f64>) -> Result<()>) -> Matrix<f64> {
+        let mut out = Matrix::zeros(0, 0);
+        kernel(&mut out).unwrap();
+        out
+    }
+
     #[test]
     fn transpose_kernels_match_explicit_transpose() {
         let mut rng = KmlRng::seed_from_u64(1);
         let a = Matrix::<f64>::xavier_uniform(4, 6, &mut rng);
         let b = Matrix::<f64>::xavier_uniform(5, 6, &mut rng);
-        let via_kernel = a.matmul_transpose(&b).unwrap();
+        let via_kernel = fresh(|o| a.matmul_transpose_into(&b, o));
         let via_explicit = a.matmul(&transposed(&b)).unwrap();
         for (x, y) in via_kernel.as_slice().iter().zip(via_explicit.as_slice()) {
             assert!((x - y).abs() < 1e-12);
         }
 
         let c = Matrix::<f64>::xavier_uniform(4, 3, &mut rng);
-        let via_kernel = a.transpose_matmul(&c).unwrap();
+        let via_kernel = fresh(|o| a.transpose_matmul_into(&c, o));
         let via_explicit = transposed(&a).matmul(&c).unwrap();
         for (x, y) in via_kernel.as_slice().iter().zip(via_explicit.as_slice()) {
             assert!((x - y).abs() < 1e-12);
@@ -993,7 +869,6 @@ mod tests {
     fn elementwise_operations() {
         let a = m(&[vec![1.0, 2.0]]);
         let b = m(&[vec![10.0, 20.0]]);
-        assert_eq!(a.add(&b).unwrap(), m(&[vec![11.0, 22.0]]));
         assert_eq!(b.sub(&a).unwrap(), m(&[vec![9.0, 18.0]]));
         assert_eq!(a.hadamard(&b).unwrap(), m(&[vec![10.0, 40.0]]));
         assert_eq!(a.scale(3.0), m(&[vec![3.0, 6.0]]));
@@ -1001,27 +876,15 @@ mod tests {
 
     #[test]
     fn broadcast_and_reduce() {
-        let x = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let bias = m(&[vec![10.0, 20.0]]);
-        assert_eq!(
-            x.add_row_broadcast(&bias).unwrap(),
-            m(&[vec![11.0, 22.0], vec![13.0, 24.0]])
-        );
-        assert_eq!(x.sum_rows(), m(&[vec![4.0, 6.0]]));
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut w = m(&[vec![1.0, 1.0]]);
-        let g = m(&[vec![2.0, 4.0]]);
-        w.axpy_in_place(&g, -0.5).unwrap();
-        assert_eq!(w, m(&[vec![0.0, -1.0]]));
-    }
-
-    #[test]
-    fn argmax_takes_first_on_tie() {
-        let x = m(&[vec![0.3, 0.5, 0.5, 0.1]]);
-        assert_eq!(x.argmax_row(0), 1);
+        let mut x = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let sums = fresh(|o| {
+            x.sum_rows_into(o);
+            Ok(())
+        });
+        assert_eq!(sums, m(&[vec![4.0, 6.0]]));
+        x.add_row_broadcast_in_place(&m(&[vec![10.0, 20.0]]))
+            .unwrap();
+        assert_eq!(x, m(&[vec![11.0, 22.0], vec![13.0, 24.0]]));
     }
 
     #[test]
@@ -1071,20 +934,27 @@ mod tests {
         let c = Matrix::<f64>::xavier_uniform(3, 4, &mut rng);
         let d = Matrix::<f64>::xavier_uniform(4, 5, &mut rng);
         let mut out = Matrix::<f64>::zeros(1, 1);
-        // Same scratch matrix services differently-shaped kernels in sequence.
+        // Same scratch matrix services differently-shaped kernels in
+        // sequence, and each leaves what it leaves in a fresh one.
         a.matmul_into(&b, &mut out).unwrap();
         assert_eq!(out, a.matmul(&b).unwrap());
         a.matmul_transpose_into(&d, &mut out).unwrap();
-        assert_eq!(out, a.matmul_transpose(&d).unwrap());
+        assert_eq!(out, fresh(|o| a.matmul_transpose_into(&d, o)));
         a.transpose_matmul_into(&c, &mut out).unwrap();
-        assert_eq!(out, a.transpose_matmul(&c).unwrap());
-        a.hadamard_into(&a, &mut out).unwrap();
-        assert_eq!(out, a.hadamard(&a).unwrap());
+        assert_eq!(out, fresh(|o| a.transpose_matmul_into(&c, o)));
+        a.sigmoid_into(&mut out);
+        assert_eq!(
+            out,
+            fresh(|o| {
+                a.sigmoid_into(o);
+                Ok(())
+            })
+        );
     }
 
     #[test]
     fn into_kernels_report_the_same_shape_errors() {
-        let a = Matrix::<f64>::zeros(2, 3);
+        let mut a = Matrix::<f64>::zeros(2, 3);
         let b = Matrix::<f64>::zeros(2, 3);
         let mut out = Matrix::<f64>::zeros(1, 1);
         assert!(matches!(
@@ -1092,7 +962,7 @@ mod tests {
             Err(KmlError::ShapeMismatch { op: "matmul", .. })
         ));
         assert!(matches!(
-            a.add_row_broadcast_into(&b, &mut out),
+            a.add_row_broadcast_in_place(&b),
             Err(KmlError::ShapeMismatch {
                 op: "add_row_broadcast",
                 ..

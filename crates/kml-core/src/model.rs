@@ -12,7 +12,7 @@
 
 use crate::dataset::{Dataset, Normalizer};
 use crate::graph::Graph;
-use crate::layers::{Activation, ActivationLayer, Layer, LayerKind, Linear, SoftmaxLayer};
+use crate::layers::{Activation, ActivationLayer, LayerKind, Linear, SoftmaxLayer};
 use crate::loss::{Loss, LossScratch, TargetRef};
 use crate::matrix::Matrix;
 use crate::optimizer::Sgd;
@@ -138,9 +138,8 @@ impl ModelBuilder {
         let mut rng = KmlRng::seed_from_u64(self.seed);
         let mut graph: Graph<S> = Graph::new();
         let mut dim = self.input_dim;
-        let mut prev = None;
         for spec in &self.specs {
-            let layer: Box<dyn Layer<S>> = match spec {
+            graph.push(match spec {
                 LayerSpec::Linear(out) => {
                     let l = Linear::new(dim, *out, &mut rng);
                     dim = *out;
@@ -148,13 +147,8 @@ impl ModelBuilder {
                 }
                 LayerSpec::Activation(a) => Box::new(ActivationLayer::new(*a)),
                 LayerSpec::Softmax => Box::new(SoftmaxLayer::new()),
-            };
-            prev = Some(match prev {
-                None => graph.add_source(layer)?,
-                Some(p) => graph.add_node(layer, p)?,
             });
         }
-        graph.set_output(prev.expect("specs checked non-empty"))?;
         Ok(Model {
             graph,
             input_dim: self.input_dim,
@@ -303,8 +297,8 @@ impl<S: Scalar> Model<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if the graph is not a chain of
-    /// Q8-supported layers (linear / sigmoid / relu).
+    /// Returns [`KmlError::InvalidConfig`] if a layer is not one the Q8
+    /// engine supports (linear / sigmoid / relu).
     pub fn enable_q8(&mut self) -> Result<()> {
         self.q8 = Some(crate::quant::Q8Engine::from_graph(
             &self.graph,
@@ -758,7 +752,7 @@ impl<S: Scalar> Model<S> {
     /// Returns the batch loss.
     ///
     /// The step does only what its result needs: the backward pass stops
-    /// at the source node's parameter gradients
+    /// at the first layer's parameter gradients
     /// ([`Graph::backward_params_in_place`]) — ∂L/∂input of the whole graph
     /// is nobody's operand here — and the loss stages its softmax in
     /// `loss_scratch`. **Zero heap allocations** in steady state, at any
@@ -843,7 +837,7 @@ impl<S: Scalar> Model<S> {
         Ok(correct as f64 / data.len().max(1) as f64)
     }
 
-    /// Layer kinds in topological order (for introspection and tests).
+    /// Layer kinds, input first (for introspection and tests).
     pub fn layer_kinds(&self) -> Vec<LayerKind> {
         self.graph.layers().map(|l| l.kind()).collect()
     }

@@ -41,14 +41,9 @@ const VERSION: u32 = 1;
 ///
 /// # Errors
 ///
-/// Returns [`KmlError::InvalidConfig`] if the model's graph is not a chain
-/// (only chains are serializable, matching the paper's prototype).
+/// None for any model this crate can build: the `Result` keeps the
+/// codec's two halves alike.
 pub fn encode<S: Scalar>(model: &Model<S>) -> Result<Vec<u8>> {
-    if !model.graph().is_chain() {
-        return Err(KmlError::InvalidConfig(
-            "only chain models can be serialized".into(),
-        ));
-    }
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     put_u32(&mut buf, VERSION);
@@ -100,7 +95,10 @@ pub fn encode<S: Scalar>(model: &Model<S>) -> Result<Vec<u8>> {
 /// # Errors
 ///
 /// Returns [`KmlError::BadModelFile`] for truncated data, a bad magic or
-/// version, an unknown layer tag, or a checksum mismatch.
+/// version, an unknown layer tag, a checksum mismatch, or layers whose
+/// widths contradict the header: the normalizer and the first linear
+/// layer must take `input_dim` values, each later linear layer the width
+/// the one before it leaves, and the last must leave `output_dim`.
 pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
     let mut r = Reader::new(bytes);
     if r.take(8)? != MAGIC {
@@ -121,6 +119,11 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
         let dim = r.u32()? as usize;
         let means = r.f64s(dim)?;
         let stds = r.f64s(dim)?;
+        if dim != input_dim {
+            return Err(KmlError::BadModelFile(format!(
+                "normalizer has {dim} features, input_dim is {input_dim}"
+            )));
+        }
         Some(Normalizer::from_stats(means, stds)?)
     } else {
         None
@@ -134,10 +137,12 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
         )));
     }
     let mut graph: Graph<S> = Graph::new();
-    let mut prev = None;
+    // The width flowing out of the layers decoded so far: a linear layer
+    // must take exactly it, and the last one must leave `output_dim`.
+    let mut width = input_dim;
     for _ in 0..layer_count {
         let kind = LayerKind::from_tag(r.u8()?)?;
-        let layer: Box<dyn Layer<S>> = match kind {
+        graph.push(match kind {
             LayerKind::Linear => {
                 let rows = r.u32()? as usize;
                 let cols = r.u32()? as usize;
@@ -148,6 +153,12 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
                 }
                 let w = r.f64s(rows * cols)?;
                 let b = r.f64s(cols)?;
+                if rows != width {
+                    return Err(KmlError::BadModelFile(format!(
+                        "linear layer {rows}x{cols} is fed {width} values"
+                    )));
+                }
+                width = cols;
                 Box::new(Linear::from_params(
                     Matrix::<S>::from_f64_vec(rows, cols, &w)?,
                     Matrix::<S>::from_f64_vec(1, cols, &b)?,
@@ -157,13 +168,13 @@ pub fn decode<S: Scalar>(bytes: &[u8]) -> Result<Model<S>> {
             LayerKind::Relu => Box::new(ActivationLayer::new(Activation::Relu)),
             LayerKind::Tanh => Box::new(ActivationLayer::new(Activation::Tanh)),
             LayerKind::Softmax => Box::new(SoftmaxLayer::new()),
-        };
-        prev = Some(match prev {
-            None => graph.add_source(layer)?,
-            Some(p) => graph.add_node(layer, p)?,
         });
     }
-    graph.set_output(prev.expect("layer_count >= 1"))?;
+    if width != output_dim {
+        return Err(KmlError::BadModelFile(format!(
+            "layers output {width} values, output_dim is {output_dim}"
+        )));
+    }
 
     let body_end = r.offset();
     let stored = r.u64()?;

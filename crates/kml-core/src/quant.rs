@@ -270,22 +270,17 @@ fn pad8(n: usize) -> usize {
 }
 
 impl Q8Engine {
-    /// Builds the engine from a chain graph (any scalar type).
+    /// Builds the engine from a graph (any scalar type).
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if the graph is not a chain or
-    /// contains a layer kind the Q8 engine does not support.
+    /// Returns [`KmlError::InvalidConfig`] if the graph contains a layer
+    /// kind the Q8 engine does not support.
     pub fn from_graph<S: Scalar>(
         graph: &crate::graph::Graph<S>,
         input_dim: usize,
         output_dim: usize,
     ) -> Result<Q8Engine> {
-        if !graph.is_chain() {
-            return Err(KmlError::InvalidConfig(
-                "q8: only chain models can be quantized".into(),
-            ));
-        }
         let mut layers = Vec::new();
         let mut width = input_dim.max(output_dim);
         for layer in graph.layers() {

@@ -21,7 +21,10 @@
 //!   sigmoid kernel, which returns bits identical to a hardware `vdivpd`
 //!   (see [`x86`] module docs), never to contract a mul+add pair.
 //! - **avx512** (x86_64, AVX-512F) — 16×f32 / 8×f64 lanes, same contract.
-//! - **neon** (aarch64) — 4×f32 / 2×f64 lanes, same contract.
+//!
+//! Every other target (aarch64 included) runs the scalar kernels: an arm
+//! ships only with a build that runs `tests/kernel_parity.rs` on it, and the
+//! reference is bit-identical to every arm by construction.
 //!
 //! Selection happens once per process (relaxed `OnceLock`), so the hot path
 //! pays one predictable load+branch. `Fix32` never dispatches: its widening
@@ -31,8 +34,6 @@
 //! this bit-exact family: it is a bounded-error path gated by decision
 //! agreement, documented separately (DESIGN §10).
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 pub(crate) mod q8;
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -48,8 +49,6 @@ pub enum KernelBackend {
     Avx2,
     /// x86_64 AVX-512F.
     Avx512,
-    /// aarch64 NEON.
-    Neon,
 }
 
 impl KernelBackend {
@@ -59,18 +58,16 @@ impl KernelBackend {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2 => "avx2",
             KernelBackend::Avx512 => "avx512",
-            KernelBackend::Neon => "neon",
         }
     }
 
-    /// Stable small integer for telemetry gauges
-    /// (0 = scalar, 1 = avx2, 2 = avx512, 3 = neon).
+    /// Stable small integer for telemetry gauges and the ledger's
+    /// `kml-core.kernel_backend` (0 = scalar, 1 = avx2, 2 = avx512).
     pub fn gauge_value(self) -> u64 {
         match self {
             KernelBackend::Scalar => 0,
             KernelBackend::Avx2 => 1,
             KernelBackend::Avx512 => 2,
-            KernelBackend::Neon => 3,
         }
     }
 }
@@ -91,8 +88,8 @@ pub fn backend_name() -> &'static str {
 
 /// Whether the bounded-error int8 serving engine ([`crate::quant`]) runs
 /// its vector fast path on the dispatched backend. `false` on scalar
-/// dispatch (including `KML_FORCE_SCALAR=1`) and on NEON hosts — those
-/// serve Q8 through the scalar reference engine instead.
+/// dispatch (`KML_FORCE_SCALAR=1`, and every non-x86 host) — those serve
+/// Q8 through the scalar reference engine instead.
 pub fn q8_vector_active() -> bool {
     q8::active()
 }
@@ -113,12 +110,6 @@ fn detect() -> KernelBackend {
             return KernelBackend::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return KernelBackend::Neon;
-        }
-    }
     KernelBackend::Scalar
 }
 
@@ -128,7 +119,7 @@ fn detect() -> KernelBackend {
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch {
-    ($f32_512:path, $f32_256:path, $f32_neon:path, $args:tt) => {{
+    ($f32_512:path, $f32_256:path, $args:tt) => {{
         match kernel_backend() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the backend was selected by runtime feature detection.
@@ -140,12 +131,6 @@ macro_rules! dispatch {
             // SAFETY: as above.
             KernelBackend::Avx2 => unsafe {
                 $f32_256 $args;
-                true
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            KernelBackend::Neon => unsafe {
-                $f32_neon $args;
                 true
             },
             _ => false,
@@ -164,7 +149,6 @@ pub(crate) fn matmul_f32(
     dispatch!(
         x86::matmul_f32_avx512,
         x86::matmul_f32_avx2,
-        neon::matmul_f32,
         (a, b, c, m, kd, n)
     )
 }
@@ -180,7 +164,6 @@ pub(crate) fn matmul_f64(
     dispatch!(
         x86::matmul_f64_avx512,
         x86::matmul_f64_avx2,
-        neon::matmul_f64,
         (a, b, c, m, kd, n)
     )
 }
@@ -196,7 +179,6 @@ pub(crate) fn transpose_matmul_f32(
     dispatch!(
         x86::transpose_matmul_f32_avx512,
         x86::transpose_matmul_f32_avx2,
-        neon::transpose_matmul_f32,
         (a, b, c, mm, kd, n)
     )
 }
@@ -212,7 +194,6 @@ pub(crate) fn transpose_matmul_f64(
     dispatch!(
         x86::transpose_matmul_f64_avx512,
         x86::transpose_matmul_f64_avx2,
-        neon::transpose_matmul_f64,
         (a, b, c, mm, kd, n)
     )
 }
@@ -228,7 +209,6 @@ pub(crate) fn matmul_transpose_f32(
     dispatch!(
         x86::matmul_transpose_f32_avx512,
         x86::matmul_transpose_f32_avx2,
-        neon::matmul_transpose_f32,
         (a, b, c, m, n, kd)
     )
 }
@@ -244,7 +224,6 @@ pub(crate) fn matmul_transpose_f64(
     dispatch!(
         x86::matmul_transpose_f64_avx512,
         x86::matmul_transpose_f64_avx2,
-        neon::matmul_transpose_f64,
         (a, b, c, m, n, kd)
     )
 }
@@ -253,7 +232,6 @@ pub(crate) fn sigmoid_map_f32(input: &[f32], out: &mut [f32]) -> bool {
     dispatch!(
         x86::sigmoid_slice_f32_avx512,
         x86::sigmoid_slice_f32_avx2,
-        neon::sigmoid_slice_f32,
         (input, out)
     )
 }
@@ -262,7 +240,6 @@ pub(crate) fn sigmoid_map_f64(input: &[f64], out: &mut [f64]) -> bool {
     dispatch!(
         x86::sigmoid_slice_f64_avx512,
         x86::sigmoid_slice_f64_avx2,
-        neon::sigmoid_slice_f64,
         (input, out)
     )
 }
@@ -306,32 +283,27 @@ pub mod testing {
                 arms.push("avx512");
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                arms.push("neon");
-            }
-        }
         arms
-    }
-
-    macro_rules! arm_fn {
-        ($name:ident, $feat:expr, $inner:path,
-         ($($arg:ident: $ty:ty),*)) => {
-            pub fn $name($($arg: $ty),*) -> bool {
-                if !$feat {
-                    return false;
-                }
-                // SAFETY: guarded by the runtime feature check above.
-                unsafe { $inner($($arg),*) };
-                true
-            }
-        };
     }
 
     #[cfg(target_arch = "x86_64")]
     mod x86_arms {
         use super::super::x86;
+
+        macro_rules! arm_fn {
+            ($name:ident, $feat:expr, $inner:path,
+             ($($arg:ident: $ty:ty),*)) => {
+                pub fn $name($($arg: $ty),*) -> bool {
+                    if !$feat {
+                        return false;
+                    }
+                    // SAFETY: guarded by the runtime feature check above.
+                    unsafe { $inner($($arg),*) };
+                    true
+                }
+            };
+        }
+
         fn has_avx2() -> bool {
             std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
         }
@@ -378,33 +350,6 @@ pub mod testing {
     }
     #[cfg(target_arch = "x86_64")]
     pub use x86_arms::*;
-
-    #[cfg(target_arch = "aarch64")]
-    mod neon_arms {
-        use super::super::neon;
-        fn has_neon() -> bool {
-            std::arch::is_aarch64_feature_detected!("neon")
-        }
-
-        arm_fn!(neon_matmul_f32, has_neon(), neon::matmul_f32,
-            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize));
-        arm_fn!(neon_matmul_f64, has_neon(), neon::matmul_f64,
-            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, kd: usize, n: usize));
-        arm_fn!(neon_transpose_matmul_f32, has_neon(), neon::transpose_matmul_f32,
-            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize));
-        arm_fn!(neon_transpose_matmul_f64, has_neon(), neon::transpose_matmul_f64,
-            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize));
-        arm_fn!(neon_matmul_transpose_f32, has_neon(), neon::matmul_transpose_f32,
-            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
-        arm_fn!(neon_matmul_transpose_f64, has_neon(), neon::matmul_transpose_f64,
-            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, kd: usize));
-        arm_fn!(neon_sigmoid_f32, has_neon(), neon::sigmoid_slice_f32,
-            (input: &[f32], out: &mut [f32]));
-        arm_fn!(neon_sigmoid_f64, has_neon(), neon::sigmoid_slice_f64,
-            (input: &[f64], out: &mut [f64]));
-    }
-    #[cfg(target_arch = "aarch64")]
-    pub use neon_arms::*;
 }
 
 #[cfg(test)]
@@ -415,23 +360,19 @@ mod tests {
     fn backend_is_stable_and_named() {
         let b = kernel_backend();
         assert_eq!(b, kernel_backend(), "dispatch must be one-time");
-        assert!(["scalar", "avx2", "avx512", "neon"].contains(&b.name()));
+        assert!(["scalar", "avx2", "avx512"].contains(&b.name()));
         assert_eq!(backend_name(), b.name());
     }
 
     #[test]
     fn gauge_values_are_distinct() {
+        // The ledger reads these ids: they are pinned, not just distinct.
         let all = [
             KernelBackend::Scalar,
             KernelBackend::Avx2,
             KernelBackend::Avx512,
-            KernelBackend::Neon,
         ];
-        for (i, a) in all.iter().enumerate() {
-            for b in &all[i + 1..] {
-                assert_ne!(a.gauge_value(), b.gauge_value());
-                assert_ne!(a.name(), b.name());
-            }
-        }
+        assert_eq!(all.map(KernelBackend::gauge_value), [0, 1, 2]);
+        assert_eq!(all.map(KernelBackend::name), ["scalar", "avx2", "avx512"]);
     }
 }

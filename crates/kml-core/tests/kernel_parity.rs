@@ -19,9 +19,7 @@ mod naive;
 /// Out-buffer pre-dirtied with a wrong shape and garbage values so every
 /// property also exercises `ensure_shape` reuse.
 fn dirty_out<S: Scalar>() -> Matrix<S> {
-    let mut m = Matrix::zeros(2, 3);
-    m.fill(S::from_f64(-77.25));
-    m
+    Matrix::from_vec(2, 3, vec![S::from_f64(-77.25); 6]).unwrap()
 }
 
 fn to_matrix<S: Scalar>(rows: usize, cols: usize, data: &[f64]) -> Matrix<S> {
@@ -144,7 +142,7 @@ proptest! {
 // sigmoid clamp/saturation bands in with ordinary magnitudes. Arms return
 // `false` when the host CPU lacks the feature; those are skipped.
 // ---------------------------------------------------------------------------
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 mod arm_parity {
     use super::*;
     use kml_core::simd::testing as arms;
@@ -155,54 +153,38 @@ mod arm_parity {
     type MtFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
     type SigFn<T> = fn(&[T], &mut [T]) -> bool;
 
-    /// One labelled fn-pointer table per kernel family, listing every arm the
-    /// compilation target *could* have (runtime detection prunes the rest).
+    /// One labelled fn-pointer table per kernel family, listing every arm
+    /// x86-64 *could* have (runtime detection prunes the rest).
     macro_rules! arm_table {
-        ($name:ident, $fnty:ty,
-         x86: [$($xl:literal => $xf:path),*],
-         neon: [$($nl:literal => $nf:path),*]) => {
+        ($name:ident, $fnty:ty, x86: [$($xl:literal => $xf:path),*]) => {
             fn $name() -> Vec<(&'static str, $fnty)> {
-                #[cfg(target_arch = "x86_64")]
-                return vec![$(($xl, $xf as $fnty)),*];
-                #[cfg(target_arch = "aarch64")]
-                return vec![$(($nl, $nf as $fnty)),*];
+                vec![$(($xl, $xf as $fnty)),*]
             }
         };
     }
 
     arm_table!(matmul_arms_f32, GemmFn<f32>,
-        x86: ["avx2" => arms::avx2_matmul_f32, "avx512" => arms::avx512_matmul_f32],
-        neon: ["neon" => arms::neon_matmul_f32]);
+        x86: ["avx2" => arms::avx2_matmul_f32, "avx512" => arms::avx512_matmul_f32]);
     arm_table!(matmul_arms_f64, GemmFn<f64>,
-        x86: ["avx2" => arms::avx2_matmul_f64, "avx512" => arms::avx512_matmul_f64],
-        neon: ["neon" => arms::neon_matmul_f64]);
+        x86: ["avx2" => arms::avx2_matmul_f64, "avx512" => arms::avx512_matmul_f64]);
     arm_table!(tmm_arms_f32, TmmFn<f32>,
         x86: ["avx2" => arms::avx2_transpose_matmul_f32,
-              "avx512" => arms::avx512_transpose_matmul_f32],
-        neon: ["neon" => arms::neon_transpose_matmul_f32]);
+              "avx512" => arms::avx512_transpose_matmul_f32]);
     arm_table!(tmm_arms_f64, TmmFn<f64>,
         x86: ["avx2" => arms::avx2_transpose_matmul_f64,
-              "avx512" => arms::avx512_transpose_matmul_f64],
-        neon: ["neon" => arms::neon_transpose_matmul_f64]);
+              "avx512" => arms::avx512_transpose_matmul_f64]);
     arm_table!(mt_arms_f32, MtFn<f32>,
         x86: ["avx2" => arms::avx2_matmul_transpose_f32,
-              "avx512" => arms::avx512_matmul_transpose_f32],
-        neon: ["neon" => arms::neon_matmul_transpose_f32]);
+              "avx512" => arms::avx512_matmul_transpose_f32]);
     arm_table!(mt_arms_f64, MtFn<f64>,
         x86: ["avx2" => arms::avx2_matmul_transpose_f64,
-              "avx512" => arms::avx512_matmul_transpose_f64],
-        neon: ["neon" => arms::neon_matmul_transpose_f64]);
+              "avx512" => arms::avx512_matmul_transpose_f64]);
     arm_table!(sig_arms_f32, SigFn<f32>,
-        x86: ["avx2" => arms::avx2_sigmoid_f32, "avx512" => arms::avx512_sigmoid_f32],
-        neon: ["neon" => arms::neon_sigmoid_f32]);
+        x86: ["avx2" => arms::avx2_sigmoid_f32, "avx512" => arms::avx512_sigmoid_f32]);
     arm_table!(sig_arms_f64, SigFn<f64>,
-        x86: ["avx2" => arms::avx2_sigmoid_f64, "avx512" => arms::avx512_sigmoid_f64],
-        neon: ["neon" => arms::neon_sigmoid_f64]);
-    // The block `exp` of the softmax pass has x86 arms only; elsewhere it
-    // is `math::exp_slice`, compared with `math::exp` in that module.
+        x86: ["avx2" => arms::avx2_sigmoid_f64, "avx512" => arms::avx512_sigmoid_f64]);
     arm_table!(exp_arms, SigFn<f64>,
-        x86: ["avx2" => arms::avx2_exp_f64, "avx512" => arms::avx512_exp_f64],
-        neon: []);
+        x86: ["avx2" => arms::avx2_exp_f64, "avx512" => arms::avx512_exp_f64]);
 
     /// Bit-pattern access so the asserts distinguish NaN payloads and signed
     /// zeros the way the determinism contract demands.
@@ -581,7 +563,7 @@ mod arm_parity {
         }
     }
 
-    /// The dispatch-facing sanity check: on an x86-64 or AArch64 host where
+    /// The dispatch-facing sanity check: on an x86-64 host where
     /// the runtime picked a SIMD backend, at least one per-ISA arm must be
     /// reachable by the suite above (otherwise it silently tests nothing).
     #[test]

@@ -35,7 +35,7 @@ pub fn matmul_into<S: Scalar>(lhs: &Matrix<S>, rhs: &Matrix<S>, out: &mut Matrix
         });
     }
     out.ensure_shape(lhs.rows(), rhs.cols());
-    out.fill(S::ZERO);
+    out.as_mut_slice().fill(S::ZERO);
     for i in 0..lhs.rows() {
         for k in 0..lhs.cols() {
             let a = lhs.as_slice()[i * lhs.cols() + k];
@@ -88,7 +88,7 @@ pub fn transpose_matmul_into<S: Scalar>(
         });
     }
     out.ensure_shape(lhs.cols(), rhs.cols());
-    out.fill(S::ZERO);
+    out.as_mut_slice().fill(S::ZERO);
     for k in 0..lhs.rows() {
         let arow = &lhs.as_slice()[k * lhs.cols()..(k + 1) * lhs.cols()];
         let brow = &rhs.as_slice()[k * rhs.cols()..(k + 1) * rhs.cols()];

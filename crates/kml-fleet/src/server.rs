@@ -1034,8 +1034,7 @@ mod tests {
             }
         }
         let mut graph = Graph::new();
-        let node = graph.add_source(Box::new(Opaque)).unwrap();
-        graph.set_output(node).unwrap();
+        graph.push(Box::new(Opaque));
         let opaque = Model::from_graph(graph, 5, 5, None).unwrap();
 
         let requests = mixed_requests(30);

@@ -293,8 +293,7 @@ pub struct LoadedArtifact<S: Scalar> {
 ///
 /// # Errors
 ///
-/// Propagates model-encoding failures (non-chain graphs) as
-/// [`ArtifactError::Model`].
+/// Propagates a failed lazy re-quantization as [`ArtifactError::Model`].
 pub fn save_model<S: Scalar>(
     kind: ArtifactKind,
     model: &mut Model<S>,

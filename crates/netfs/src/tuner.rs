@@ -562,6 +562,17 @@ mod tests {
         assert!(!tuner.decisions().is_empty());
     }
 
+    /// The trained model file's FNV-1a, recorded on the parent commit
+    /// (672c8a3) before `Graph` became a chain.
+    #[test]
+    fn trained_model_matches_the_parent_commit() {
+        let bytes = train_rsize_model(3).expect("training succeeds");
+        assert_eq!(
+            kml_platform::bytes::Fnv1a::of(&bytes),
+            0xc1c6_47c8_c694_117f
+        );
+    }
+
     #[test]
     fn trained_model_round_trips_through_bytes() {
         let bytes = train_rsize_model(3).expect("training succeeds");

@@ -227,7 +227,7 @@ fn run_tuned_opts(
     telemetry.reset();
     while consumer.pop().is_some() {}
     // Which kernel backend this loop's math dispatched to (0 = scalar,
-    // 1 = avx2, 2 = avx512, 3 = neon — `KernelBackend::gauge_value`), and
+    // 1 = avx2, 2 = avx512 — `KernelBackend::gauge_value`), and
     // whether the int8 serving fast path is vectorized; exported with
     // every snapshot so perf numbers are attributable to a code path.
     telemetry

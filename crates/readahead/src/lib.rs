@@ -20,8 +20,6 @@
 //!   Table 2 rows (E3) and the Figure 2 timeline (E4).
 //! - [`rl`] — the paper's future-work reinforcement-learning direction: a
 //!   UCB1 bandit that tunes readahead from throughput feedback alone.
-//! - [`seq`] — sequence-native workload classification with the RNN/LSTM
-//!   models of `kml_core::recurrent` (the other §6 future-work item).
 //!
 //! ## Quick taste
 //!
@@ -47,7 +45,6 @@ pub mod datagen;
 pub mod features;
 pub mod model;
 pub mod rl;
-pub mod seq;
 pub mod study;
 pub mod tuner;
 

@@ -271,4 +271,18 @@ mod tests {
         let ratio = agree as f64 / data.len() as f64;
         assert!(ratio > 0.95, "f32 deployment agreement only {ratio:.3}");
     }
+
+    /// The mini-batch `train_epoch` path, pinned: the encoded model's
+    /// FNV-1a, recorded on the parent commit (672c8a3) before `Graph`
+    /// became a chain.
+    #[test]
+    fn trained_network_matches_the_parent_commit() {
+        let data = crate::datagen::training_dataset(&DatagenConfig::quick()).unwrap();
+        let model = train_network(&data, 40, 7).unwrap();
+        let bytes = kml_core::modelfile::encode(&model).unwrap();
+        assert_eq!(
+            kml_platform::bytes::Fnv1a::of(&bytes),
+            0xe41f_7575_948c_2400
+        );
+    }
 }

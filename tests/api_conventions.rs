@@ -19,8 +19,6 @@ fn core_types_are_send_sync() {
     assert_send_sync::<kml_core::model::Model<f32>>();
     assert_send_sync::<kml_core::dtree::DecisionTree>();
     assert_send_sync::<kml_core::dataset::Dataset>();
-    assert_send_sync::<kml_core::recurrent::Rnn<f64>>();
-    assert_send_sync::<kml_core::recurrent::Lstm<f64>>();
     assert_send_sync::<kml_core::quant::Q8Engine>();
     assert_send_sync::<kernel_sim::Sim>();
     assert_send_sync::<kvstore::Db>();

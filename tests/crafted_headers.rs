@@ -96,6 +96,67 @@ fn modelfile_refuses_crafted_counts_without_reserving_for_them() {
     }
 }
 
+/// A sealed KMLMODEL file: `linears` as `(rows, cols)` with a sigmoid
+/// between each pair, and an optional normalizer of `norm_dim` features.
+/// Every count is honest, so only the widths can contradict the header.
+fn model_file(
+    input_dim: u32,
+    output_dim: u32,
+    norm_dim: Option<u32>,
+    linears: &[(u32, u32)],
+) -> Vec<u8> {
+    let mut buf = b"KMLMODEL".to_vec();
+    put_u32(&mut buf, 1); // version
+    buf.push(3);
+    buf.extend_from_slice(b"f64");
+    put_u32(&mut buf, input_dim);
+    put_u32(&mut buf, output_dim);
+    match norm_dim {
+        Some(dim) => {
+            buf.push(1);
+            put_u32(&mut buf, dim);
+            (0..dim).for_each(|_| put_f64(&mut buf, 0.0)); // means
+            (0..dim).for_each(|_| put_f64(&mut buf, 1.0)); // stds
+        }
+        None => buf.push(0),
+    }
+    put_u32(&mut buf, (2 * linears.len() - 1) as u32);
+    for (i, &(rows, cols)) in linears.iter().enumerate() {
+        if i > 0 {
+            buf.push(LayerKind::Sigmoid.tag());
+        }
+        buf.push(LayerKind::Linear.tag());
+        put_u32(&mut buf, rows);
+        put_u32(&mut buf, cols);
+        (0..rows * cols + cols).for_each(|_| put_f64(&mut buf, 0.25));
+    }
+    seal_v1(&mut buf);
+    buf
+}
+
+#[test]
+fn modelfile_refuses_layers_that_contradict_the_header() {
+    let paper = [(5, 15), (15, 10), (10, 2)];
+    assert!(modelfile::decode::<f64>(&model_file(5, 2, Some(5), &paper)).is_ok());
+    let accepted: Vec<&str> = [
+        ("input_dim 3", model_file(3, 2, None, &paper)),
+        ("inner widths", model_file(5, 2, None, &[(5, 15), (10, 2)])),
+        ("output_dim 1", model_file(5, 1, None, &paper)),
+        ("output_dim 7", model_file(5, 7, None, &paper)),
+        ("normalizer dim 4", model_file(5, 2, Some(4), &paper)),
+    ]
+    .into_iter()
+    .filter(|(_, bytes)| {
+        !matches!(
+            modelfile::decode::<f32>(bytes),
+            Err(KmlError::BadModelFile(_))
+        )
+    })
+    .map(|(what, _)| what)
+    .collect();
+    assert!(accepted.is_empty(), "decoded anyway: {accepted:?}");
+}
+
 #[test]
 fn load_model_refuses_a_crafted_payload_without_reserving_for_it() {
     for (what, payload) in crafted_models() {
