@@ -28,25 +28,56 @@ const LOOP_FEATURES: [f64; 5] = [303.0, 52_215.0, 30_656.0, 5_462.0, 128.0];
 /// Decimal exponents of the magnitude sweep (`LOOP_FEATURES × 10^k`).
 const SWEEP_EXPONENTS: std::ops::RangeInclusive<i32> = -3..=9;
 
+/// A window solved for on the deployed network: five of its fifteen first
+/// hidden units at pre-activation −95.65, the middle of (−103.9, −87.4)
+/// where σ is an f32 subnormal, and a sixth lands in that band too. Loop
+/// windows put one to three units there (`LOOP_FEATURES` × 0.18 … 0.22).
+const BAND_WINDOW: [f64; 5] = [21_999.0, 2_575.0, 14_105.0, 541.0, 300.0];
+
+/// Rows of the batched gate: `BAND_WINDOW` scaled by 1.00 … 1.02.
+const BATCH_ROWS: usize = 256;
+
+/// Fewest f32-subnormal first hidden units the gate's rows may hold.
+const BATCH_MIN_SUBNORMALS: usize = 4;
+
+/// The mid-range twin of the batched gate divides every feature by this.
+const MID_RANGE_DIVISOR: f64 = 200.0;
+
+/// Ceiling on the batched gate's subnormal / mid-range median ratio.
+const BATCH_RATIO_CEILING: f64 = 1.5;
+
+/// The input and output of every sigmoid layer over one forward pass of
+/// the row-stacked `batch` (`input_dim`-wide rows), layer by layer.
+fn sigmoid_layers(model: &mut Model<f32>, batch: &[f64]) -> Vec<(Vec<f32>, Vec<f32>)> {
+    let dim = model.input_dim();
+    let mut rows = batch.to_vec();
+    if let Some(n) = model.normalizer() {
+        for row in rows.chunks_mut(dim) {
+            n.apply_row(row).expect("feature width matches");
+        }
+    }
+    let rows: Vec<f32> = rows.iter().map(|&v| v as f32).collect();
+    let mut act = Matrix::from_vec(batch.len() / dim, dim, rows).expect("whole rows");
+    let mut layers = Vec::new();
+    for layer in model.graph_mut().layers_mut() {
+        let out = layer.forward(&act).expect("chain forward");
+        if layer.kind() == LayerKind::Sigmoid {
+            layers.push((act.as_slice().to_vec(), out.as_slice().to_vec()));
+        }
+        act = out;
+    }
+    layers
+}
+
 /// Inputs to sigmoid layers, over one forward pass of `features`, whose
 /// `exp(-|x|)` is an f64 subnormal: `|x|` in (708.4, 745), the band where
 /// `kml_core::math::exp` leaves the bit-splice for the integer halving.
 fn band_units(model: &mut Model<f32>, features: &[f64]) -> usize {
-    let mut row = features.to_vec();
-    if let Some(n) = model.normalizer() {
-        n.apply_row(&mut row).expect("feature width matches");
-    }
-    let row: Vec<f32> = row.iter().map(|&v| v as f32).collect();
-    let mut act = Matrix::from_vec(1, row.len(), row).expect("one row");
-    let mut hits = 0;
-    for layer in model.graph_mut().layers_mut() {
-        if layer.kind() == LayerKind::Sigmoid {
-            let in_band = |v: &&f32| v.abs() > 708.4 && v.abs() < 745.0;
-            hits += act.as_slice().iter().filter(in_band).count();
-        }
-        act = layer.forward(&act).expect("chain forward");
-    }
-    hits
+    let in_band = |v: &&f32| v.abs() > 708.4 && v.abs() < 745.0;
+    sigmoid_layers(model, features)
+        .iter()
+        .map(|(input, _)| input.iter().filter(in_band).count())
+        .sum()
 }
 
 fn bench_collection(c: &mut Criterion) {
@@ -184,6 +215,48 @@ fn bench_inference(c: &mut Criterion) {
         });
     }
     sweep.finish();
+
+    // Batched, on windows that leave f32 subnormals in the hidden layer:
+    // every row's first hidden layer holds at least four σ outputs below
+    // f32's smallest normal, which the next layer multiplies by its
+    // weights. The same batch ÷ 200 leaves no activation below 2^-100
+    // (asserted too), so none of its products takes the exact route. `main`
+    // gates the first against the second: a `vmulps` with a subnormal
+    // operand takes a microcode assist, and the f32 matmul arms take those
+    // products exactly instead (EXPERIMENTS.md E28).
+    let band: Vec<f64> = (0..BATCH_ROWS)
+        .flat_map(|r| BAND_WINDOW.map(|f| f * (1.0 + 0.02 * r as f64 / BATCH_ROWS as f64)))
+        .collect();
+    let mid: Vec<f64> = band.iter().map(|f| f / MID_RANGE_DIVISOR).collect();
+    let subnormal = |v: &&f32| **v != 0.0 && v.abs() < f32::MIN_POSITIVE;
+    let (_, first) = &sigmoid_layers(&mut deployed, &band)[0];
+    assert!(
+        first
+            .chunks(first.len() / BATCH_ROWS)
+            .all(|row| row.iter().filter(subnormal).count() >= BATCH_MIN_SUBNORMALS),
+        "a row of the batched gate has fewer than {BATCH_MIN_SUBNORMALS} f32-subnormal \
+         first hidden units: the bench has gone friendly, solve for a window that does"
+    );
+    let tiny = |v: &f32| *v != 0.0 && v.abs() < 2f32.powi(-100);
+    assert!(
+        sigmoid_layers(&mut deployed, &mid)
+            .iter()
+            .all(|(_, out)| !out.iter().any(tiny)),
+        "the mid-range batch holds an activation below 2^-100"
+    );
+    let mut classes = Vec::with_capacity(BATCH_ROWS);
+    for (id, batch) in [
+        ("overhead_inference_batch_subnormal", &band),
+        ("overhead_inference_batch_midrange", &mid),
+    ] {
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                deployed
+                    .predict_batch_into(black_box(batch), BATCH_ROWS, &mut classes)
+                    .expect("inference succeeds")
+            })
+        });
+    }
 }
 
 fn bench_training_iteration(c: &mut Criterion) {
@@ -309,6 +382,25 @@ fn snapshot_and_gates(all: &[criterion::Summary]) -> bool {
             worst / best
         );
         failed |= worst > 4.0 * best;
+    }
+    // The batch with f32-subnormal hidden units against its mid-range twin
+    // (BENCH_baseline.json has both medians, the ratio and the parent
+    // commit's, where each of those products took an assist).
+    if let (Some(sub), Some(mid)) = (
+        median("overhead_inference_batch_subnormal"),
+        median("overhead_inference_batch_midrange"),
+    ) {
+        let ratio = sub / mid;
+        let verdict = if ratio <= BATCH_RATIO_CEILING {
+            "PASS"
+        } else {
+            "FAIL"
+        };
+        println!(
+            "{verdict}: overhead_inference_batch_subnormal {sub:.1} ns / midrange {mid:.1} ns \
+             = {ratio:.2}x (gate {BATCH_RATIO_CEILING:.2}x)"
+        );
+        failed |= ratio > BATCH_RATIO_CEILING;
     }
     failed
 }

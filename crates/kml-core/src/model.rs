@@ -570,6 +570,20 @@ impl<S: Scalar> Model<S> {
         Ok(best)
     }
 
+    /// The batch contract of [`Model::infer_batch_into`] and
+    /// [`Model::predict_batch_into`], checked before anything else — a
+    /// zero-row batch included: `features` holds `rows × input_dim` values.
+    fn batch_shape(&self, op: &'static str, features: &[f64], rows: usize) -> Result<()> {
+        if features.len() == rows * self.input_dim {
+            return Ok(());
+        }
+        Err(KmlError::ShapeMismatch {
+            op,
+            lhs: (rows, features.len().checked_div(rows).unwrap_or(0)),
+            rhs: (rows, self.input_dim),
+        })
+    }
+
     /// Batched inference core: normalize each of the `rows` row-stacked
     /// feature vectors into the reused batch matrix and run **one**
     /// forward pass over all of them (a `rows × input_dim` matmul per
@@ -583,15 +597,9 @@ impl<S: Scalar> Model<S> {
     /// activations are pure per-element maps), so row `i` of the batch
     /// output depends only on row `i` of the input, computed in the same
     /// operation order as a 1-row pass. `tests/batch_parity.rs` holds the
-    /// property proof across scalar types and batch shapes.
+    /// property proof across scalar types and batch shapes. The caller has
+    /// checked the shape ([`Model::batch_shape`]).
     fn infer_batch_in_place(&mut self, features: &[f64], rows: usize) -> Result<&Matrix<S>> {
-        if features.len() != rows * self.input_dim {
-            return Err(KmlError::ShapeMismatch {
-                op: "infer_batch",
-                lhs: (rows, features.len().checked_div(rows).unwrap_or(0)),
-                rhs: (rows, self.input_dim),
-            });
-        }
         let dim = self.input_dim;
         self.batch_scratch.ensure_shape(rows, dim);
         if let Some(n) = &self.normalizer {
@@ -639,18 +647,12 @@ impl<S: Scalar> Model<S> {
         rows: usize,
         out: &mut Vec<f64>,
     ) -> Result<()> {
+        self.batch_shape("infer_batch", features, rows)?;
         if rows == 0 {
             out.clear();
             return Ok(());
         }
         if self.q8.is_some() {
-            if features.len() != rows * self.input_dim {
-                return Err(KmlError::ShapeMismatch {
-                    op: "infer_batch",
-                    lhs: (rows, features.len().checked_div(rows).unwrap_or(0)),
-                    rhs: (rows, self.input_dim),
-                });
-            }
             let dim = self.input_dim;
             out.clear();
             out.reserve(rows * self.output_dim);
@@ -690,18 +692,12 @@ impl<S: Scalar> Model<S> {
         rows: usize,
         classes: &mut Vec<usize>,
     ) -> Result<()> {
+        self.batch_shape("predict_batch", features, rows)?;
         if rows == 0 {
             classes.clear();
             return Ok(());
         }
         if self.q8.is_some() {
-            if features.len() != rows * self.input_dim {
-                return Err(KmlError::ShapeMismatch {
-                    op: "predict_batch",
-                    lhs: (rows, features.len().checked_div(rows).unwrap_or(0)),
-                    rhs: (rows, self.input_dim),
-                });
-            }
             let dim = self.input_dim;
             classes.clear();
             classes.reserve(rows);

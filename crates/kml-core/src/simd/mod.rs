@@ -11,7 +11,11 @@
 //! lane width, because each output element still sees the exact same
 //! sequence of IEEE operations. That is the invariant every kernel in this
 //! module maintains, and `tests/kernel_parity.rs` enforces it against the
-//! scalar reference for every arm the host CPU can run.
+//! scalar reference for every arm the host CPU can run. An operation may be
+//! computed any way that returns its IEEE bits: the f32 `matmul` arms take
+//! the products of activations below 2^-100 as exact f64 products rounded
+//! once to f32 — the f32 product itself, without the microcode assist a
+//! subnormal `vmulps` costs (see [`x86`] module docs).
 //!
 //! Backends:
 //! - **scalar** — the existing blocked kernels; always available, and the
@@ -347,6 +351,12 @@ pub mod testing {
             (input: &[f64], out: &mut [f64]));
         arm_fn!(avx512_exp_f64, has_avx512(), x86::exp_slice_avx512,
             (input: &[f64], out: &mut [f64]));
+
+        /// Whether the f32 `matmul` arms take the products of activation
+        /// `a` by the exact widened route rather than one `vmulps`.
+        pub fn exact_product_route(a: f32) -> bool {
+            x86::tiny_f32(a)
+        }
     }
     #[cfg(target_arch = "x86_64")]
     pub use x86_arms::*;

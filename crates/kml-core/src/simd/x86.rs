@@ -8,6 +8,21 @@
 //! of `Matrix::dot`'s state for it — the four stride-4 accumulator chains
 //! and the sequential tail — reduced in the scalar order (see the arm).
 //!
+//! The f32 `matmul` arms take one kind of product differently. A hidden
+//! activation σ(x) for x in (−103, −87) is an f32 subnormal, and a quarter
+//! to a half of the rows the fleet server batches hold one (EXPERIMENTS.md
+//! E28); a `vmulps` with a subnormal operand or result costs a ~57 ns
+//! microcode assist. So a row block holding a nonzero activation below 2^-100 takes
+//! each such activation's products in f64: both operands widen exactly
+//! (`vcvtps2pd`), the product of two 24-bit significands fits in f64's 53
+//! and is exact and normal there, and one `vcvtpd2ps` rounds it to nearest
+//! even into f32, gradual underflow included. One rounding of the exact
+//! product is the definition of the IEEE f32 product, so the bits are
+//! `vmulps`'s; the chain's `vaddps` is unchanged, and neither conversion
+//! nor `vaddps` takes an assist on subnormals. A product the predicate
+//! misses (a weight below 2^-26 against a normal activation) still runs
+//! `vmulps`: correct, only slow.
+//!
 //! The sigmoid arms evaluate `crate::math::sigmoid`'s exact operation
 //! sequence lane-parallel, around an `exp` core the block `exp` arms (the
 //! softmax pass of the cross-entropy loss) share. The seven
@@ -33,6 +48,15 @@
 //! units — so sending the whole block down the scalar function after one
 //! of them cost more than the lanes it served (EXPERIMENTS.md E20).
 //!
+//! One block's `exp` is a ~135-cycle dependency chain (the reduction, six
+//! quotients, twelve Taylor steps, the splice, then σ's division), so a
+//! slice runs four blocks at a time through a core generic in the block
+//! count: each step is taken across all four blocks before the next, and
+//! program order follows dependency depth — four chains in flight where
+//! one left the multiplier idle. A group with a hard lane, and whatever is
+//! left after the last whole group, take the one-block path above; a slice
+//! shorter than a group (a single-row layer) reaches it after one compare.
+//!
 //! AVX-512 arms deliberately require only `avx512f`: bitwise ops on floats
 //! go through `_mm512_or_si512`/`_mm512_and_si512` with casts because the
 //! `_pd` forms are AVX-512DQ.
@@ -40,6 +64,7 @@
 #![allow(clippy::missing_safety_doc)]
 
 use std::arch::x86_64::*;
+use std::array::from_fn;
 
 const LN2: f64 = std::f64::consts::LN_2;
 
@@ -115,8 +140,69 @@ unsafe fn mstore_f64_avx512(p: *mut f64, rem: usize, v: __m512d) {
 // Row blocks of 4 amortize each B-row vector load across four broadcast
 // multiplies; the j loop runs 2-wide tiles, then 1-wide, then one masked
 // edge tile. All of it lives inside a single `#[target_feature]` function
-// so nothing crosses a non-inlinable feature boundary.
+// so nothing crosses a non-inlinable feature boundary. Both products run
+// the one row kernel; they differ only in how A is laid out.
+//
+// The f32 `matmul` arms (`exact:`) send a row block that holds a tiny
+// activation (`tiny_f32`) through the same tiles with `X` set: there each
+// tiny activation's products are the exact widened ones (`mul_exact_f32_*`)
+// and every other product is still one `vmulps`.
 // ---------------------------------------------------------------------------
+
+/// `2^-100` as f32 bits: at or above it, an activation times any weight of
+/// magnitude `2^-26` or more is a normal f32.
+const TINY_F32_BITS: u32 = 0x0d80_0000;
+
+/// Whether `v` is nonzero and below `2^-100` in magnitude: a subnormal, or
+/// a normal whose products with ordinary weights are subnormal. A `vmulps`
+/// with a subnormal operand or result takes a microcode assist (~57 ns,
+/// EXPERIMENTS.md E28); a zero takes none.
+#[inline]
+pub(super) fn tiny_f32(v: f32) -> bool {
+    (v.to_bits() & 0x7fff_ffff).wrapping_sub(1) < TINY_F32_BITS - 1
+}
+
+/// `set1(a) · b`, bit for bit as `vmulps` makes it and without its assist:
+/// both operands widen exactly to f64, where the 24 × 24-bit product is
+/// exact and normal, and `vcvtpd2ps` rounds it once, to nearest even, into
+/// f32 — gradual underflow included. That single rounding of the exact
+/// product is what IEEE 754 defines the f32 product to be. The conversions
+/// take no assist on subnormals.
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_exact_f32_avx2(a: f32, b: __m256) -> __m256 {
+    let av = _mm256_set1_pd(a as f64);
+    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(b));
+    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1));
+    let lo = _mm256_cvtpd_ps(_mm256_mul_pd(av, lo));
+    let hi = _mm256_cvtpd_ps(_mm256_mul_pd(av, hi));
+    _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1)
+}
+
+/// 16-lane [`mul_exact_f32_avx2`].
+///
+/// # Safety
+///
+/// The CPU supports AVX-512F.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn mul_exact_f32_avx512(a: f32, b: __m512) -> __m512 {
+    let av = _mm512_set1_pd(a as f64);
+    let bd = _mm512_castps_pd(b);
+    let lo = _mm512_cvtps_pd(_mm512_castps512_ps256(b));
+    let hi = _mm512_cvtps_pd(_mm256_castpd_ps(_mm512_extractf64x4_pd(bd, 1)));
+    let lo = _mm512_cvtpd_ps(_mm512_mul_pd(av, lo));
+    let hi = _mm256_castps_pd(_mm512_cvtpd_ps(_mm512_mul_pd(av, hi)));
+    _mm512_castpd_ps(_mm512_insertf64x4(
+        _mm512_castps_pd(_mm512_castps256_ps512(lo)),
+        hi,
+        1,
+    ))
+}
 
 macro_rules! gemm_arm {
     (
@@ -124,13 +210,24 @@ macro_rules! gemm_arm {
         loadu: $loadu:ident, storeu: $storeu:ident, set1: $set1:ident,
         setzero: $setzero:ident, add: $add:ident, mul: $mul:ident,
         mload: $mload:ident, mstore: $mstore:ident,
-        matmul: $matmul:ident, rows: $rows:ident,
-        tmm: $tmm:ident, trows: $trows:ident,
+        matmul: $matmul:ident, tmm: $tmm:ident, rows: $rows:ident,
+        $(exact: $xmul:ident if $tiny:ident,)?
     ) => {
+        /// Rows `i..i + R` of C, every column tile, with element (r, p) of
+        /// the left operand at `a[(i + r) * lda + p]`, or at
+        /// `a[p * lda + i + r]` when `T` (A stored transposed). `X` routes
+        /// the block exactly: it holds a tiny activation.
+        ///
+        /// # Safety
+        ///
+        /// The CPU has the arm's features; `a` holds every element named
+        /// above for `r < R` and `p < kd`, `b` is `kd × n` and `c` has rows
+        /// `i..i + R` of width `n`.
         #[inline]
         #[target_feature(enable = $feat)]
-        unsafe fn $rows<const R: usize>(
+        unsafe fn $rows<const R: usize, const X: bool, const T: bool>(
             a: *const $ty,
+            lda: usize,
             b: *const $ty,
             c: *mut $ty,
             i: usize,
@@ -138,52 +235,62 @@ macro_rules! gemm_arm {
             n: usize,
         ) {
             const L: usize = $L;
+            let at = |r: usize, p: usize| {
+                *a.add(if T { p * lda + i + r } else { (i + r) * lda + p })
+            };
+            // One product of a chain: exact for a tiny activation of a
+            // routed block, `vmulp*` otherwise.
+            let prod = |av: $ty, bv| {
+                $(if X && $tiny(av) {
+                    return $xmul(av, bv);
+                })?
+                $mul($set1(av), bv)
+            };
+            // `$t` vectors of C's rows from column `j`: `$ld(p, t)` loads
+            // them from B's row `p`, `$st(r, t, v)` stores row `r`'s.
+            macro_rules! tile {
+                ($t:literal, $ld:expr, $st:expr) => {{
+                    let mut acc = [[$setzero(); $t]; R];
+                    for p in 0..kd {
+                        let bv: [_; $t] = from_fn(|t| $ld(p, t));
+                        for r in 0..R {
+                            let av = at(r, p);
+                            for t in 0..$t {
+                                acc[r][t] = $add(acc[r][t], prod(av, bv[t]));
+                            }
+                        }
+                    }
+                    for r in 0..R {
+                        for t in 0..$t {
+                            $st(r, t, acc[r][t]);
+                        }
+                    }
+                }};
+            }
             let mut j = 0usize;
             while j + 2 * L <= n {
-                let z = $setzero();
-                let mut acc = [[z; 2]; R];
-                for p in 0..kd {
-                    let b0 = $loadu(b.add(p * n + j));
-                    let b1 = $loadu(b.add(p * n + j + L));
-                    for r in 0..R {
-                        let av = $set1(*a.add((i + r) * kd + p));
-                        acc[r][0] = $add(acc[r][0], $mul(av, b0));
-                        acc[r][1] = $add(acc[r][1], $mul(av, b1));
-                    }
-                }
-                for r in 0..R {
-                    $storeu(c.add((i + r) * n + j), acc[r][0]);
-                    $storeu(c.add((i + r) * n + j + L), acc[r][1]);
-                }
+                tile!(
+                    2,
+                    |p, t| $loadu(b.add(p * n + j + t * L)),
+                    |r, t, v| $storeu(c.add((i + r) * n + j + t * L), v)
+                );
                 j += 2 * L;
             }
             while j + L <= n {
-                let mut acc = [$setzero(); R];
-                for p in 0..kd {
-                    let b0 = $loadu(b.add(p * n + j));
-                    for r in 0..R {
-                        let av = $set1(*a.add((i + r) * kd + p));
-                        acc[r] = $add(acc[r], $mul(av, b0));
-                    }
-                }
-                for r in 0..R {
-                    $storeu(c.add((i + r) * n + j), acc[r]);
-                }
+                tile!(
+                    1,
+                    |p, _| $loadu(b.add(p * n + j)),
+                    |r, _, v| $storeu(c.add((i + r) * n + j), v)
+                );
                 j += L;
             }
             if j < n {
                 let rem = n - j;
-                let mut acc = [$setzero(); R];
-                for p in 0..kd {
-                    let b0 = $mload(b.add(p * n + j), rem);
-                    for r in 0..R {
-                        let av = $set1(*a.add((i + r) * kd + p));
-                        acc[r] = $add(acc[r], $mul(av, b0));
-                    }
-                }
-                for r in 0..R {
-                    $mstore(c.add((i + r) * n + j), rem, acc[r]);
-                }
+                tile!(
+                    1,
+                    |p, _| $mload(b.add(p * n + j), rem),
+                    |r, _, v| $mstore(c.add((i + r) * n + j), rem, v)
+                );
             }
         }
 
@@ -199,74 +306,28 @@ macro_rules! gemm_arm {
             debug_assert!(a.len() >= m * kd && b.len() >= kd * n && c.len() >= m * n);
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
             let mut i = 0usize;
+            // Rows `i..i + R` are routed exactly if one of them holds a tiny
+            // activation; a layer with none anywhere skips the scan per
+            // block.
+            #[allow(unused_variables)]
+            let tiny = |rows: &[$ty]| rows.iter().fold(false, |t, &v| t $(| $tiny(v))?);
+            let routed = tiny(&a[..m * kd]);
+            macro_rules! rows {
+                ($r:literal) => {
+                    if routed && tiny(&a[i * kd..(i + $r) * kd]) {
+                        $rows::<$r, true, false>(ap, kd, bp, cp, i, kd, n)
+                    } else {
+                        $rows::<$r, false, false>(ap, kd, bp, cp, i, kd, n)
+                    }
+                };
+            }
             while i + 4 <= m {
-                $rows::<4>(ap, bp, cp, i, kd, n);
+                rows!(4);
                 i += 4;
             }
             while i < m {
-                $rows::<1>(ap, bp, cp, i, kd, n);
+                rows!(1);
                 i += 1;
-            }
-        }
-
-        #[inline]
-        #[target_feature(enable = $feat)]
-        unsafe fn $trows<const R: usize>(
-            a: *const $ty,
-            b: *const $ty,
-            c: *mut $ty,
-            i: usize,
-            mm: usize,
-            kd: usize,
-            n: usize,
-        ) {
-            const L: usize = $L;
-            let mut j = 0usize;
-            while j + 2 * L <= n {
-                let z = $setzero();
-                let mut acc = [[z; 2]; R];
-                for p in 0..kd {
-                    let b0 = $loadu(b.add(p * n + j));
-                    let b1 = $loadu(b.add(p * n + j + L));
-                    for r in 0..R {
-                        let av = $set1(*a.add(p * mm + i + r));
-                        acc[r][0] = $add(acc[r][0], $mul(av, b0));
-                        acc[r][1] = $add(acc[r][1], $mul(av, b1));
-                    }
-                }
-                for r in 0..R {
-                    $storeu(c.add((i + r) * n + j), acc[r][0]);
-                    $storeu(c.add((i + r) * n + j + L), acc[r][1]);
-                }
-                j += 2 * L;
-            }
-            while j + L <= n {
-                let mut acc = [$setzero(); R];
-                for p in 0..kd {
-                    let b0 = $loadu(b.add(p * n + j));
-                    for r in 0..R {
-                        let av = $set1(*a.add(p * mm + i + r));
-                        acc[r] = $add(acc[r], $mul(av, b0));
-                    }
-                }
-                for r in 0..R {
-                    $storeu(c.add((i + r) * n + j), acc[r]);
-                }
-                j += L;
-            }
-            if j < n {
-                let rem = n - j;
-                let mut acc = [$setzero(); R];
-                for p in 0..kd {
-                    let b0 = $mload(b.add(p * n + j), rem);
-                    for r in 0..R {
-                        let av = $set1(*a.add(p * mm + i + r));
-                        acc[r] = $add(acc[r], $mul(av, b0));
-                    }
-                }
-                for r in 0..R {
-                    $mstore(c.add((i + r) * n + j), rem, acc[r]);
-                }
             }
         }
 
@@ -283,11 +344,11 @@ macro_rules! gemm_arm {
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
             let mut i = 0usize;
             while i + 4 <= mm {
-                $trows::<4>(ap, bp, cp, i, mm, kd, n);
+                $rows::<4, false, true>(ap, mm, bp, cp, i, kd, n);
                 i += 4;
             }
             while i < mm {
-                $trows::<1>(ap, bp, cp, i, mm, kd, n);
+                $rows::<1, false, true>(ap, mm, bp, cp, i, kd, n);
                 i += 1;
             }
         }
@@ -299,8 +360,8 @@ gemm_arm! {
     loadu: _mm256_loadu_ps, storeu: _mm256_storeu_ps, set1: _mm256_set1_ps,
     setzero: _mm256_setzero_ps, add: _mm256_add_ps, mul: _mm256_mul_ps,
     mload: mload_f32_avx2, mstore: mstore_f32_avx2,
-    matmul: matmul_f32_avx2, rows: matmul_rows_f32_avx2,
-    tmm: transpose_matmul_f32_avx2, trows: tmm_rows_f32_avx2,
+    matmul: matmul_f32_avx2, tmm: transpose_matmul_f32_avx2, rows: gemm_rows_f32_avx2,
+    exact: mul_exact_f32_avx2 if tiny_f32,
 }
 
 gemm_arm! {
@@ -308,8 +369,7 @@ gemm_arm! {
     loadu: _mm256_loadu_pd, storeu: _mm256_storeu_pd, set1: _mm256_set1_pd,
     setzero: _mm256_setzero_pd, add: _mm256_add_pd, mul: _mm256_mul_pd,
     mload: mload_f64_avx2, mstore: mstore_f64_avx2,
-    matmul: matmul_f64_avx2, rows: matmul_rows_f64_avx2,
-    tmm: transpose_matmul_f64_avx2, trows: tmm_rows_f64_avx2,
+    matmul: matmul_f64_avx2, tmm: transpose_matmul_f64_avx2, rows: gemm_rows_f64_avx2,
 }
 
 gemm_arm! {
@@ -317,8 +377,8 @@ gemm_arm! {
     loadu: _mm512_loadu_ps, storeu: _mm512_storeu_ps, set1: _mm512_set1_ps,
     setzero: _mm512_setzero_ps, add: _mm512_add_ps, mul: _mm512_mul_ps,
     mload: mload_f32_avx512, mstore: mstore_f32_avx512,
-    matmul: matmul_f32_avx512, rows: matmul_rows_f32_avx512,
-    tmm: transpose_matmul_f32_avx512, trows: tmm_rows_f32_avx512,
+    matmul: matmul_f32_avx512, tmm: transpose_matmul_f32_avx512, rows: gemm_rows_f32_avx512,
+    exact: mul_exact_f32_avx512 if tiny_f32,
 }
 
 gemm_arm! {
@@ -326,8 +386,7 @@ gemm_arm! {
     loadu: _mm512_loadu_pd, storeu: _mm512_storeu_pd, set1: _mm512_set1_pd,
     setzero: _mm512_setzero_pd, add: _mm512_add_pd, mul: _mm512_mul_pd,
     mload: mload_f64_avx512, mstore: mstore_f64_avx512,
-    matmul: matmul_f64_avx512, rows: matmul_rows_f64_avx512,
-    tmm: transpose_matmul_f64_avx512, trows: tmm_rows_f64_avx512,
+    matmul: matmul_f64_avx512, tmm: transpose_matmul_f64_avx512, rows: gemm_rows_f64_avx512,
 }
 
 // ---------------------------------------------------------------------------
@@ -518,131 +577,161 @@ unsafe fn div_const8(a: __m512d, c: f64, y: f64) -> __m512d {
     _mm512_fmadd_pd(rr, yv, q0)
 }
 
-/// 4-lane `crate::math::exp`, easy path only (all lanes `|x| < 700`): the
-/// reduction, the Taylor chain and the exponent splice, operation for
-/// operation. The core of both the sigmoid and the block `exp` arms.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn exp4_avx2(x: __m256d) -> __m256d {
-    let q = div_const4(x, LN2, 1.0 / LN2);
-    let ge0 = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
-    let half = _mm256_blendv_pd(_mm256_set1_pd(-0.5), _mm256_set1_pd(0.5), ge0);
-    let k32 = _mm256_cvttpd_epi32(_mm256_add_pd(q, half)); // trunc == `as i64`
-    let kf = _mm256_cvtepi32_pd(k32);
+/// `crate::math::exp` of `N` 4-lane blocks, easy path only (every lane
+/// `|x| < 700`): the reduction, the Taylor chain and the exponent splice,
+/// operation for operation. Each step is taken across all `N` blocks
+/// before the next, so `N` independent dependency chains are in flight
+/// (one block's chain is ~135 cycles of latency for a few dozen
+/// instructions). The core of both the sigmoid and the block `exp` arms,
+/// at `N` = 1 for a lone block and 4 for a group.
+///
+/// The cores carry no `#[target_feature]` because `#[inline(always)]`
+/// cannot sit beside one: they are called only from arms that enable the
+/// feature and always compiled inside them, intrinsics included. Left to
+/// the inliner, the four-block form went out of line, so its blocks made a
+/// round trip through memory per group (EXPERIMENTS.md E28).
+///
+/// # Safety
+///
+/// The CPU supports AVX2 and FMA, and the caller is compiled with them.
+#[inline(always)]
+unsafe fn exp_avx2<const N: usize>(x: [__m256d; N]) -> [__m256d; N] {
+    let k32: [__m128i; N] = from_fn(|b| {
+        let q = div_const4(x[b], LN2, 1.0 / LN2);
+        let ge0 = _mm256_cmp_pd(x[b], _mm256_setzero_pd(), _CMP_GE_OQ);
+        let half = _mm256_blendv_pd(_mm256_set1_pd(-0.5), _mm256_set1_pd(0.5), ge0);
+        _mm256_cvttpd_epi32(_mm256_add_pd(q, half)) // trunc == `as i64`
+    });
     // r = x - kf·LN2 as separate mul+add (never fused).
-    let r = _mm256_add_pd(x, _mm256_mul_pd(kf, _mm256_set1_pd(-LN2)));
-    macro_rules! dv {
-        ($a:expr, $c:expr) => {
-            div_const4($a, $c, 1.0 / $c)
-        };
-    }
-    let r3 = dv!(r, 3.0);
-    let r5 = dv!(r, 5.0);
-    let r7 = dv!(r, 7.0);
-    let r9 = dv!(r, 9.0);
-    let r11 = dv!(r, 11.0);
-    let r13 = dv!(r, 13.0);
+    let r: [__m256d; N] = from_fn(|b| {
+        let kf = _mm256_cvtepi32_pd(k32[b]);
+        _mm256_add_pd(x[b], _mm256_mul_pd(kf, _mm256_set1_pd(-LN2)))
+    });
+    let dv = |c: f64| -> [__m256d; N] { from_fn(|b| div_const4(r[b], c, 1.0 / c)) };
+    let (r3, r5, r7, r9, r11, r13) = (dv(3.0), dv(5.0), dv(7.0), dv(9.0), dv(11.0), dv(13.0));
+    let scaled = |v: [__m256d; N], s: f64| -> [__m256d; N] {
+        from_fn(|b| _mm256_mul_pd(v[b], _mm256_set1_pd(s)))
+    };
     let mut term = r;
-    let mut sum = _mm256_add_pd(_mm256_set1_pd(1.0), term);
+    let mut sum: [__m256d; N] = from_fn(|b| _mm256_add_pd(_mm256_set1_pd(1.0), r[b]));
     macro_rules! step {
         ($f:expr) => {
-            term = _mm256_mul_pd(term, $f);
-            sum = _mm256_add_pd(sum, term);
+            let f = $f;
+            for b in 0..N {
+                term[b] = _mm256_mul_pd(term[b], f[b]);
+                sum[b] = _mm256_add_pd(sum[b], term[b]);
+            }
         };
     }
-    let half_c = _mm256_set1_pd(0.5);
-    let quarter = _mm256_set1_pd(0.25);
-    step!(_mm256_mul_pd(r, half_c));
+    step!(scaled(r, 0.5));
     step!(r3);
-    step!(_mm256_mul_pd(r, quarter));
+    step!(scaled(r, 0.25));
     step!(r5);
-    step!(_mm256_mul_pd(r3, half_c));
+    step!(scaled(r3, 0.5));
     step!(r7);
-    step!(_mm256_mul_pd(r, _mm256_set1_pd(0.125)));
+    step!(scaled(r, 0.125));
     step!(r9);
-    step!(_mm256_mul_pd(r5, half_c));
+    step!(scaled(r5, 0.5));
     step!(r11);
-    step!(_mm256_mul_pd(r3, quarter));
+    step!(scaled(r3, 0.25));
     step!(r13);
     // e = sum·2^k by exponent-field add (sum is a positive normal and k is
     // in range on the easy path — same argument as scalar scale_by_pow2).
-    let k64 = _mm256_cvtepi32_epi64(k32);
-    let bits = _mm256_castpd_si256(sum);
-    _mm256_castsi256_pd(_mm256_add_epi64(bits, _mm256_slli_epi64(k64, 52)))
+    from_fn(|b| {
+        let k64 = _mm256_cvtepi32_epi64(k32[b]);
+        let bits = _mm256_castpd_si256(sum[b]);
+        _mm256_castsi256_pd(_mm256_add_epi64(bits, _mm256_slli_epi64(k64, 52)))
+    })
 }
 
-/// 4-lane `crate::math::sigmoid`, easy path only (all lanes `|x| < 700`).
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sigmoid4_avx2(x: __m256d) -> __m256d {
+/// `crate::math::sigmoid` of `N` 4-lane blocks through [`exp_avx2`], easy
+/// path only (every lane `|x| < 700`). Inlined as `exp_avx2` is.
+///
+/// # Safety
+///
+/// As for [`exp_avx2`].
+#[inline(always)]
+unsafe fn sigmoid_avx2<const N: usize>(x: [__m256d; N]) -> [__m256d; N] {
     // -|x|: inside the core only -0.0 compares >= 0, matching scalar's
     // x >= 0 branch.
-    let e = exp4_avx2(_mm256_or_pd(x, _mm256_set1_pd(-0.0)));
+    let e = exp_avx2::<N>(from_fn(|b| _mm256_or_pd(x[b], _mm256_set1_pd(-0.0))));
     let one = _mm256_set1_pd(1.0);
-    let xge0 = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
-    let num = _mm256_blendv_pd(e, one, xge0);
-    _mm256_div_pd(num, _mm256_add_pd(one, e))
+    from_fn(|b| {
+        let xge0 = _mm256_cmp_pd(x[b], _mm256_setzero_pd(), _CMP_GE_OQ);
+        let num = _mm256_blendv_pd(e[b], one, xge0);
+        _mm256_div_pd(num, _mm256_add_pd(one, e[b]))
+    })
 }
 
-/// 8-lane [`exp4_avx2`].
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn exp8_avx512(x: __m512d) -> __m512d {
-    let q = div_const8(x, LN2, 1.0 / LN2);
-    let ge0 = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_GE_OQ);
-    let half = _mm512_mask_blend_pd(ge0, _mm512_set1_pd(-0.5), _mm512_set1_pd(0.5));
-    let k32 = _mm512_cvttpd_epi32(_mm512_add_pd(q, half));
-    let kf = _mm512_cvtepi32_pd(k32);
-    let r = _mm512_add_pd(x, _mm512_mul_pd(kf, _mm512_set1_pd(-LN2)));
-    macro_rules! dv {
-        ($a:expr, $c:expr) => {
-            div_const8($a, $c, 1.0 / $c)
-        };
-    }
-    let r3 = dv!(r, 3.0);
-    let r5 = dv!(r, 5.0);
-    let r7 = dv!(r, 7.0);
-    let r9 = dv!(r, 9.0);
-    let r11 = dv!(r, 11.0);
-    let r13 = dv!(r, 13.0);
+/// 8-lane [`exp_avx2`].
+///
+/// # Safety
+///
+/// The CPU supports AVX-512F, and the caller is compiled with it.
+#[inline(always)]
+unsafe fn exp_avx512<const N: usize>(x: [__m512d; N]) -> [__m512d; N] {
+    let k32: [__m256i; N] = from_fn(|b| {
+        let q = div_const8(x[b], LN2, 1.0 / LN2);
+        let ge0 = _mm512_cmp_pd_mask(x[b], _mm512_setzero_pd(), _CMP_GE_OQ);
+        let half = _mm512_mask_blend_pd(ge0, _mm512_set1_pd(-0.5), _mm512_set1_pd(0.5));
+        _mm512_cvttpd_epi32(_mm512_add_pd(q, half))
+    });
+    let r: [__m512d; N] = from_fn(|b| {
+        let kf = _mm512_cvtepi32_pd(k32[b]);
+        _mm512_add_pd(x[b], _mm512_mul_pd(kf, _mm512_set1_pd(-LN2)))
+    });
+    let dv = |c: f64| -> [__m512d; N] { from_fn(|b| div_const8(r[b], c, 1.0 / c)) };
+    let (r3, r5, r7, r9, r11, r13) = (dv(3.0), dv(5.0), dv(7.0), dv(9.0), dv(11.0), dv(13.0));
+    let scaled = |v: [__m512d; N], s: f64| -> [__m512d; N] {
+        from_fn(|b| _mm512_mul_pd(v[b], _mm512_set1_pd(s)))
+    };
     let mut term = r;
-    let mut sum = _mm512_add_pd(_mm512_set1_pd(1.0), term);
+    let mut sum: [__m512d; N] = from_fn(|b| _mm512_add_pd(_mm512_set1_pd(1.0), r[b]));
     macro_rules! step {
         ($f:expr) => {
-            term = _mm512_mul_pd(term, $f);
-            sum = _mm512_add_pd(sum, term);
+            let f = $f;
+            for b in 0..N {
+                term[b] = _mm512_mul_pd(term[b], f[b]);
+                sum[b] = _mm512_add_pd(sum[b], term[b]);
+            }
         };
     }
-    let half_c = _mm512_set1_pd(0.5);
-    let quarter = _mm512_set1_pd(0.25);
-    step!(_mm512_mul_pd(r, half_c));
+    step!(scaled(r, 0.5));
     step!(r3);
-    step!(_mm512_mul_pd(r, quarter));
+    step!(scaled(r, 0.25));
     step!(r5);
-    step!(_mm512_mul_pd(r3, half_c));
+    step!(scaled(r3, 0.5));
     step!(r7);
-    step!(_mm512_mul_pd(r, _mm512_set1_pd(0.125)));
+    step!(scaled(r, 0.125));
     step!(r9);
-    step!(_mm512_mul_pd(r5, half_c));
+    step!(scaled(r5, 0.5));
     step!(r11);
-    step!(_mm512_mul_pd(r3, quarter));
+    step!(scaled(r3, 0.25));
     step!(r13);
-    let k64 = _mm512_cvtepi32_epi64(k32);
-    let bits = _mm512_castpd_si512(sum);
-    _mm512_castsi512_pd(_mm512_add_epi64(bits, _mm512_slli_epi64(k64, 52)))
+    from_fn(|b| {
+        let k64 = _mm512_cvtepi32_epi64(k32[b]);
+        let bits = _mm512_castpd_si512(sum[b]);
+        _mm512_castsi512_pd(_mm512_add_epi64(bits, _mm512_slli_epi64(k64, 52)))
+    })
 }
 
-/// 8-lane `crate::math::sigmoid`, easy path only (all lanes `|x| < 700`).
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn sigmoid8_avx512(x: __m512d) -> __m512d {
+/// 8-lane [`sigmoid_avx2`].
+///
+/// # Safety
+///
+/// As for [`exp_avx512`].
+#[inline(always)]
+unsafe fn sigmoid_avx512<const N: usize>(x: [__m512d; N]) -> [__m512d; N] {
     let sign = _mm512_set1_epi64(i64::MIN);
-    let neg = _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(x), sign)); // -|x|
-    let e = exp8_avx512(neg);
+    let e = exp_avx512::<N>(from_fn(|b| {
+        _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(x[b]), sign)) // -|x|
+    }));
     let one = _mm512_set1_pd(1.0);
-    let xge0 = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_GE_OQ);
-    let num = _mm512_mask_blend_pd(xge0, e, one);
-    _mm512_div_pd(num, _mm512_add_pd(one, e))
+    from_fn(|b| {
+        let xge0 = _mm512_cmp_pd_mask(x[b], _mm512_setzero_pd(), _CMP_GE_OQ);
+        let num = _mm512_mask_blend_pd(xge0, e[b], one);
+        _mm512_div_pd(num, _mm512_add_pd(one, e[b]))
+    })
 }
 
 /// A bit per lane outside the easy band: `|x| ≥ 700`, or NaN (the compare
@@ -666,7 +755,7 @@ unsafe fn hard8(x: __m512d) -> u32 {
 
 /// A block with at least one lane in `hard` (from [`hard4`]): every lane
 /// that needs no scalar care, and a bit per lane that does. Easy lanes go
-/// through [`sigmoid4_avx2`] — the others ride along as 0.0, so nothing
+/// through [`sigmoid_avx2`] — the others ride along as 0.0, so nothing
 /// they hold can trap or take an assist there — and saturated lanes
 /// (`|x| > 745`, where scalar `exp(-|x|)` clamps to 0 and the quotient is
 /// exactly 0 or 1) are a blend. What is left of `hard` — `700 ≤ |x| ≤ 745`
@@ -683,7 +772,7 @@ unsafe fn sigmoid4_mixed_avx2(x: __m256d, hard: u32, live: u32) -> (__m256d, u32
     let sat = _mm256_cmp_pd(absx, _mm256_set1_pd(745.0), _CMP_GT_OQ);
     let mut y = _mm256_setzero_pd();
     if !hard & live != 0 {
-        y = sigmoid4_avx2(_mm256_and_pd(x, easy));
+        [y] = sigmoid_avx2([_mm256_and_pd(x, easy)]);
     }
     let pos = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GT_OQ);
     let ends = _mm256_and_pd(_mm256_set1_pd(1.0), pos);
@@ -702,7 +791,7 @@ unsafe fn sigmoid8_mixed_avx512(x: __m512d, hard: u32, live: u32) -> (__m512d, u
     let sat = _mm512_cmp_pd_mask(absx, _mm512_set1_pd(745.0), _CMP_GT_OQ);
     let mut y = _mm512_setzero_pd();
     if !hard & live != 0 {
-        y = sigmoid8_avx512(_mm512_maskz_mov_pd(!hard as __mmask8, x));
+        [y] = sigmoid_avx512([_mm512_maskz_mov_pd(!hard as __mmask8, x)]);
     }
     let pos = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_GT_OQ);
     let ends = _mm512_maskz_mov_pd(pos, _mm512_set1_pd(1.0));
@@ -710,7 +799,7 @@ unsafe fn sigmoid8_mixed_avx512(x: __m512d, hard: u32, live: u32) -> (__m512d, u
 }
 
 /// A block of the `exp` arm with at least one lane in `hard`: the others
-/// through [`exp4_avx2`] with the hard ones riding along as 0.0, and all of
+/// through [`exp_avx2`] with the hard ones riding along as 0.0, and all of
 /// `hard` handed back for the scalar function (`live` as in
 /// [`sigmoid4_mixed_avx2`], and out of line for the same reason).
 #[inline(never)]
@@ -720,7 +809,7 @@ unsafe fn exp4_mixed_avx2(x: __m256d, hard: u32, live: u32) -> (__m256d, u32) {
     let easy = _mm256_cmp_pd(absx, _mm256_set1_pd(700.0), _CMP_LT_OQ);
     let mut y = _mm256_setzero_pd();
     if !hard & live != 0 {
-        y = exp4_avx2(_mm256_and_pd(x, easy));
+        [y] = exp_avx2([_mm256_and_pd(x, easy)]);
     }
     (y, hard)
 }
@@ -731,7 +820,7 @@ unsafe fn exp4_mixed_avx2(x: __m256d, hard: u32, live: u32) -> (__m256d, u32) {
 unsafe fn exp8_mixed_avx512(x: __m512d, hard: u32, live: u32) -> (__m512d, u32) {
     let mut y = _mm512_setzero_pd();
     if !hard & live != 0 {
-        y = exp8_avx512(_mm512_maskz_mov_pd(!hard as __mmask8, x));
+        [y] = exp_avx512([_mm512_maskz_mov_pd(!hard as __mmask8, x)]);
     }
     (y, hard)
 }
@@ -752,14 +841,19 @@ fn exp_lane(x: f64) -> f64 {
     crate::math::exp(x)
 }
 
-/// One element-wise arm over a slice: full blocks of `$lanes` elements
-/// through `$load` / `$store`, then the ragged tail as one masked block of
-/// `rem` lanes through `$mload` / `$mstore` (the masked helpers above; f32
-/// is widened to and narrowed from f64 either way). An all-easy block is
-/// `$easy`, inline; any other goes through `$mixed`, which settles every
-/// lane it can in vector registers, and each lane it hands back then
-/// takes the scalar `$lane` alone — so what a NaN or a subnormal-band
-/// value costs is its own scalar call, not its neighbours' too.
+/// One element-wise arm over a slice: groups of four full blocks of
+/// `$lanes` elements, then single full blocks, through `$load` / `$store`,
+/// then the ragged tail as one masked block of `rem` lanes through
+/// `$mload` / `$mstore` (the masked helpers above; f32 is widened to and
+/// narrowed from f64 either way). An all-easy group is one call of the
+/// block-generic core `$easy` at four blocks, its four chains interleaved
+/// step by step; a group with a hard lane takes the single-block path
+/// block by block. There an all-easy block is `$easy` at one block,
+/// inline; any other goes through `$mixed`, which settles every lane it
+/// can in vector registers, and each lane it hands back then takes the
+/// scalar `$lane` alone — so what a NaN or a subnormal-band value costs is
+/// its own scalar call, not its neighbours' too. A slice shorter than a
+/// group (a single-row layer) pays one compare for the group loop.
 macro_rules! lane_map_arm {
     ($feature:literal, $slice:ident, $t:ty, $lanes:literal,
      $load:expr, $store:expr, $mload:expr, $mstore:expr,
@@ -775,7 +869,7 @@ macro_rules! lane_map_arm {
                     let x = $x;
                     let hard = $hard(x);
                     let (y, mut rest) = if hard == 0 {
-                        ($easy(x), 0)
+                        ($easy([x])[0], 0)
                     } else {
                         $mixed(x, hard, $live)
                     };
@@ -788,6 +882,20 @@ macro_rules! lane_map_arm {
                 };
             }
             let mut i = 0usize;
+            while i + 4 * $lanes <= n {
+                let x: [_; 4] = from_fn(|b| $load(ip.add(i + b * $lanes)));
+                if x.iter().fold(0, |h, &x| h | $hard(x)) == 0 {
+                    for (b, y) in $easy(x).into_iter().enumerate() {
+                        $store(op.add(i + b * $lanes), y);
+                    }
+                } else {
+                    for (b, x) in x.into_iter().enumerate() {
+                        let at = i + b * $lanes;
+                        block!(at, (1u32 << $lanes) - 1, x, |y| $store(op.add(at), y));
+                    }
+                }
+                i += 4 * $lanes;
+            }
             while i + $lanes <= n {
                 block!(i, (1u32 << $lanes) - 1, $load(ip.add(i)), |y| $store(
                     op.add(i),
@@ -817,7 +925,7 @@ lane_map_arm!(
     |p, rem| mload_f64_avx2(p, rem),
     |p, rem, y| mstore_f64_avx2(p, rem, y),
     hard4,
-    sigmoid4_avx2,
+    sigmoid_avx2,
     sigmoid4_mixed_avx2,
     sigmoid_lane
 );
@@ -831,7 +939,7 @@ lane_map_arm!(
     |p, rem| mload_f64_avx512(p, rem),
     |p, rem, y| mstore_f64_avx512(p, rem, y),
     hard8,
-    sigmoid8_avx512,
+    sigmoid_avx512,
     sigmoid8_mixed_avx512,
     sigmoid_lane
 );
@@ -849,7 +957,7 @@ lane_map_arm!(
     |p, rem| _mm256_cvtps_pd(_mm256_castps256_ps128(mload_f32_avx2(p, rem))),
     |p, rem, y| mstore_f32_avx2(p, rem, _mm256_castps128_ps256(_mm256_cvtpd_ps(y))),
     hard4,
-    sigmoid4_avx2,
+    sigmoid_avx2,
     sigmoid4_mixed_avx2,
     sigmoid_lane
 );
@@ -863,7 +971,7 @@ lane_map_arm!(
     |p, rem| _mm512_cvtps_pd(_mm512_castps512_ps256(mload_f32_avx512(p, rem))),
     |p, rem, y| mstore_f32_avx512(p, rem, _mm512_castps256_ps512(_mm512_cvtpd_ps(y))),
     hard8,
-    sigmoid8_avx512,
+    sigmoid_avx512,
     sigmoid8_mixed_avx512,
     sigmoid_lane
 );
@@ -878,7 +986,7 @@ lane_map_arm!(
     |p, rem| mload_f64_avx2(p, rem),
     |p, rem, y| mstore_f64_avx2(p, rem, y),
     hard4,
-    exp4_avx2,
+    exp_avx2,
     exp4_mixed_avx2,
     exp_lane
 );
@@ -892,7 +1000,7 @@ lane_map_arm!(
     |p, rem| mload_f64_avx512(p, rem),
     |p, rem, y| mstore_f64_avx512(p, rem, y),
     hard8,
-    exp8_avx512,
+    exp_avx512,
     exp8_mixed_avx512,
     exp_lane
 );

@@ -189,3 +189,25 @@ fn wrong_batch_shape_is_rejected() {
     let err = model.infer_batch_into(&[0.0; 5], 2, &mut out).unwrap_err();
     assert!(matches!(err, kml_core::KmlError::ShapeMismatch { .. }));
 }
+
+/// Seven values are not zero rows of five features: the shape is checked
+/// before the empty batch returns, on the exact path and the q8 engine, and
+/// neither output buffer is touched.
+#[test]
+fn zero_rows_with_features_is_a_shape_mismatch() {
+    let build = || {
+        ModelBuilder::readahead_paper_topology(5, 4)
+            .build::<f32>()
+            .unwrap()
+    };
+    let shape =
+        |r: kml_core::Result<()>| matches!(r, Err(kml_core::KmlError::ShapeMismatch { .. }));
+    let mut q8 = build();
+    q8.enable_q8().unwrap();
+    for mut model in [build(), q8] {
+        let (mut out, mut classes) = (vec![1.0], vec![9usize]);
+        assert!(shape(model.infer_batch_into(&[1.0; 7], 0, &mut out)));
+        assert!(shape(model.predict_batch_into(&[1.0; 7], 0, &mut classes)));
+        assert_eq!((out, classes), (vec![1.0], vec![9]));
+    }
+}

@@ -404,8 +404,9 @@ mod arm_parity {
 
     /// Mostly ordinary magnitudes, salted with the values that break naive
     /// vectorizations: NaN (propagation), subnormals (FTZ/DAZ mismatches),
-    /// signed zeros, and the sigmoid clamp (|x| ≥ 700 takes the scalar
-    /// fallback lane) and f32 saturation bands.
+    /// f32 normals below 2^-100 (the f32 `matmul` arms' exact-product
+    /// route), signed zeros, and the sigmoid clamp (|x| ≥ 700 takes the
+    /// scalar fallback lane) and f32 saturation bands.
     fn special_values() -> impl Strategy<Value = Vec<f64>> {
         proptest::collection::vec(
             prop_oneof![
@@ -413,6 +414,10 @@ mod arm_parity {
                 1 => Just(f64::NAN),
                 1 => Just(1.0e-41),   // subnormal once narrowed to f32
                 1 => Just(-1.0e-310), // f64 subnormal (underflows to -0.0 as f32)
+                1 => Just(3.0e-37),   // below 2^-100 as f32: products
+                1 => Just(-1.17e-38), // with ordinary weights are f32
+                1 => Just(9.0e-32),   // subnormals
+
                 1 => Just(0.0),
                 1 => Just(-0.0),
                 1 => Just(750.0),     // past the f64 sigmoid clamp
@@ -453,19 +458,19 @@ mod arm_parity {
         }
 
         #[test]
-        fn simd_exp_arms_match_scalar(data in special_values(), len in 0usize..40) {
+        fn simd_exp_arms_match_scalar(data in special_values(), len in 0usize..120) {
             let input: Vec<f64> = vals(len, &data, 0);
             check_exp_arms(&input);
         }
 
         #[test]
-        fn simd_sigmoid_arms_match_scalar_f32(data in special_values(), len in 0usize..40) {
+        fn simd_sigmoid_arms_match_scalar_f32(data in special_values(), len in 0usize..120) {
             let input: Vec<f32> = vals(len, &data, 0);
             check_sigmoid_arms(&sig_arms_f32(), &input);
         }
 
         #[test]
-        fn simd_sigmoid_arms_match_scalar_f64(data in special_values(), len in 0usize..40) {
+        fn simd_sigmoid_arms_match_scalar_f64(data in special_values(), len in 0usize..120) {
             let input: Vec<f64> = vals(len, &data, 0);
             check_sigmoid_arms(&sig_arms_f64(), &input);
         }
@@ -558,6 +563,121 @@ mod arm_parity {
                     }
                     xs[pos] = h;
                     check_exp_arms(&xs);
+                }
+            }
+        }
+    }
+
+    /// The f32 `matmul` arms' exact-product route through every tile and
+    /// block shape: `m` past whole 4-row blocks with ragged rows after
+    /// them, `n` through the 2-wide, 1-wide and masked tiles of both arms,
+    /// `kd` from five terms to a chain of 300. Each routed block — every
+    /// 4-row block and every ragged row — holds one activation below
+    /// 2^-100, in a `p` of its own, among ordinary ones. Row `p` of B is
+    /// scaled to bring that activation's products up among the chain's
+    /// other terms (column `p` of A is zero elsewhere, so no other chain
+    /// sees the scale): a narrowing that truncates, or a product fused
+    /// into its add, moves the sums.
+    #[test]
+    fn matmul_arms_take_tiny_activations_exactly() {
+        let tiny = [
+            3.0e-37f32, -1.17e-38, 9.0e-32, 1.0e-41, -2.5e-44, -6.1e-33, 4.4e-40,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        // ±2 with a full 24-bit significand.
+        let mut ordinary = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 40) as f32 / (1u32 << 24) as f32 - 0.5) * 4.0
+        };
+        for (m, kd) in [(11usize, 5usize), (13, 37), (6, 300)] {
+            for n in [2usize, 8, 10, 17] {
+                let mut a: Vec<f32> = (0..m * kd).map(|_| ordinary()).collect();
+                let mut b: Vec<f32> = (0..kd * n).map(|_| ordinary()).collect();
+                let whole = m / 4 * 4;
+                let blocks: Vec<(usize, usize)> = (0..whole)
+                    .step_by(4)
+                    .map(|i| (i, 4))
+                    .chain((whole..m).map(|i| (i, 1)))
+                    .collect();
+                for (t, &(i, rows)) in blocks.iter().enumerate() {
+                    let p = t * kd / blocks.len();
+                    let v = tiny[t % tiny.len()];
+                    for r in 0..m {
+                        a[r * kd + p] = 0.0;
+                    }
+                    a[(i + t % rows) * kd + p] = v;
+                    let scale = 2f32.powi((-v.abs().log2()).floor().min(125.0) as i32);
+                    for w in &mut b[p * n..(p + 1) * n] {
+                        *w *= scale;
+                    }
+                }
+                let want = ref_matmul(&a, &b, m, kd, n);
+                for (name, f) in matmul_arms_f32() {
+                    let mut c = dirty::<f32>(m * n);
+                    if f(&a, &b, &mut c, m, kd, n) {
+                        assert_arm_bits(&format!("matmul {m}x{kd}x{n}"), name, &want, &c);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The route's predicate is "nonzero and below 2^-100", nothing else: a
+    /// zero costs `vmulps` no assist, and a block of saturated units (σ
+    /// exactly 0) must not leave the ordinary tile for it.
+    #[test]
+    fn exact_route_takes_nonzero_activations_below_2_pow_minus_100() {
+        let edge = 2f32.powi(-100);
+        let tiny = [
+            f32::from_bits(1),
+            1.0e-41,
+            1.17e-38,
+            3.0e-37,
+            9.0e-32,
+            f32::from_bits(edge.to_bits() - 1),
+        ];
+        for v in tiny {
+            assert!(arms::exact_product_route(v), "{v:e}");
+            assert!(arms::exact_product_route(-v), "{:e}", -v);
+        }
+        for v in [
+            0.0f32,
+            edge,
+            1.0e-30,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ] {
+            assert!(!arms::exact_product_route(v), "{v:e}");
+            assert!(!arms::exact_product_route(-v), "{:e}", -v);
+        }
+    }
+
+    /// Four-block groups: lengths through three or more groups of the
+    /// widest arm (4 × 8 lanes; AVX2's are 4 × 4) and every kind of tail,
+    /// all easy, then with one hard lane in every 4-lane block in turn — so
+    /// in every block position of every group of both arms — at a
+    /// different lane each time. Neighbouring blocks hold different values,
+    /// so a block stored in another's place shows.
+    #[test]
+    fn sigmoid_and_exp_arms_over_four_block_groups() {
+        let check = |xs: &[f64]| {
+            check_sigmoid_arms(&sig_arms_f64(), xs);
+            let xs32: Vec<f32> = xs.iter().map(|&v| v as f32).collect();
+            check_sigmoid_arms(&sig_arms_f32(), &xs32);
+            check_exp_arms(xs);
+        };
+        for len in [96usize, 100, 107, 128] {
+            let easy: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin() * 30.0).collect();
+            check(&easy);
+            for blk in 0..len / 4 {
+                for (h, hard) in [f64::NAN, -725.4151, 750.0, 700.0].into_iter().enumerate() {
+                    let mut xs = easy.clone();
+                    xs[blk * 4 + (blk + h) % 4] = hard;
+                    check(&xs);
                 }
             }
         }
