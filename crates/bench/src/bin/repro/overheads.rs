@@ -31,12 +31,12 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
         r.page_offset = i;
         producer.push(r);
         if i % 512 == 0 {
-            while let Some(rec) = consumer.pop() {
+            for rec in consumer.drain() {
                 fx.push(&rec);
             }
         }
     }
-    while let Some(rec) = consumer.pop() {
+    for rec in consumer.drain() {
         fx.push(&rec);
     }
     let collect_ns = t0.elapsed().as_nanos() as f64 / N as f64;

@@ -57,7 +57,7 @@ mod tests {
                 time_ns: 10_000 * xid,
             });
         }
-        let drained: Vec<RpcEvent> = std::iter::from_fn(|| consumer.pop()).collect();
+        let drained: Vec<RpcEvent> = consumer.drain().collect();
         assert_eq!(drained.len(), 4);
         assert_eq!(drained[3].xid, 3);
         assert_eq!(drained[3].kind, RpcEventKind::Reply);

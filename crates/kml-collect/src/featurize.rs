@@ -119,6 +119,7 @@ impl WindowedFeatures {
 
     /// Counts one record into the current window (call once per record,
     /// after the per-channel pushes).
+    #[inline]
     pub fn record(&mut self) {
         self.window_count += 1;
         self.total += 1;
@@ -136,6 +137,7 @@ impl WindowedFeatures {
 
     /// Folds an `f64` sample into channel `ch`
     /// ([`Channel::Cumulative`] or [`Channel::WindowAbsDiff`]).
+    #[inline]
     pub fn push_f64(&mut self, ch: usize, v: f64) {
         match &mut self.channels[ch] {
             Channel::Cumulative(s) => s.push(v),

@@ -40,6 +40,7 @@ impl CumulativeStats {
     }
 
     /// Folds in one sample.
+    #[inline]
     pub fn push(&mut self, v: f64) {
         self.count += 1;
         let delta = v - self.mean;
@@ -95,6 +96,7 @@ impl AbsDiffMean {
     }
 
     /// Folds in one sample.
+    #[inline]
     pub fn push(&mut self, v: f64) {
         if let Some(last) = self.last {
             self.sum_abs += (v - last).abs();

@@ -303,15 +303,14 @@ impl<S: Subsystem> ClosedLoop<S> {
             self.telemetry = LoopTelemetry::bind(&registry, S::METRIC_PREFIX);
             self.telemetry_bound = true;
         }
-        {
-            let span = Span::start(&self.telemetry.stages.collect_ns);
-            self.subsystem.collect(world);
-            span.finish();
-        }
-        if !self.subsystem.window_closed(world) {
+        let subsystem = &mut self.subsystem;
+        self.telemetry
+            .stages
+            .collect_ns
+            .time(|| subsystem.collect(world));
+        if !subsystem.window_closed(world) {
             return None;
         }
-        let subsystem = &mut self.subsystem;
         let features = self
             .telemetry
             .stages

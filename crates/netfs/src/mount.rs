@@ -693,7 +693,7 @@ mod tests {
         let (producer, mut consumer) = RingBuffer::with_capacity(1 << 12).split();
         m.attach_rpc_trace(producer);
         m.read(f, 0, 256).unwrap();
-        let drained: Vec<RpcEvent> = std::iter::from_fn(|| consumer.pop()).collect();
+        let drained: Vec<RpcEvent> = consumer.drain().collect();
         assert_eq!(drained.len() as u64, m.rpc_events_emitted());
         let calls = drained
             .iter()

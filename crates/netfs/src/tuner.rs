@@ -214,7 +214,7 @@ impl Subsystem for RsizeLoop {
     }
 
     fn collect(&mut self, _mount: &mut NfsMount) {
-        while let Some(event) = self.consumer.pop() {
+        for event in self.consumer.drain() {
             self.features.push(&event);
         }
     }
@@ -388,7 +388,7 @@ fn training_windows(seed: u64) -> Result<Dataset> {
                 // Give-ups under total loss are acceptable training noise.
                 let _ = mount.read(file, page % ((1 << 20) - 256), 256);
                 page += 256;
-                while let Some(event) = consumer.pop() {
+                for event in consumer.drain() {
                     fx.push(&event);
                 }
                 let now = mount.now_ns();
@@ -468,7 +468,7 @@ mod tests {
             while mount.now_ns() < 10_000_000_000 && windows.len() < 40 {
                 let _ = mount.read(file, page % ((1 << 18) - 64), 64);
                 page += 64;
-                while let Some(e) = consumer.pop() {
+                for e in consumer.drain() {
                     fx.push(&e);
                 }
                 let now = mount.now_ns();

@@ -225,7 +225,7 @@ fn run_tuned_opts(
     // the reset, they count in the ring's `consumed_total`, which
     // `bench/tests/overheads_fields.rs` pins: keep the order.
     telemetry.reset();
-    while consumer.pop().is_some() {}
+    consumer.drain().for_each(drop);
     // Which kernel backend this loop's math dispatched to (0 = scalar,
     // 1 = avx2, 2 = avx512 — `KernelBackend::gauge_value`), and
     // whether the int8 serving fast path is vectorized; exported with

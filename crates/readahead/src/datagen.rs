@@ -118,13 +118,13 @@ pub fn collect_windows(
     sim.drop_caches().expect("fault-free drop_caches"); // the paper clears caches before every run
     sim.set_ra_kb(ra_kb);
     // Discard fill-phase tracepoints: training must only see the workload.
-    while consumer.pop().is_some() {}
+    consumer.drain().for_each(drop);
 
     let mut extractor = FeatureExtractor::new();
     let mut windows = Vec::new();
     let mut window_end = sim.now_ns() + cfg.window_ns;
     run_workload(&mut sim, &mut db, &wcfg, |sim| {
-        while let Some(record) = consumer.pop() {
+        for record in consumer.drain() {
             extractor.push(&record);
         }
         while sim.now_ns() >= window_end {
@@ -135,7 +135,7 @@ pub fn collect_windows(
         }
     });
     // Close the final partial window if it saw traffic.
-    while let Some(record) = consumer.pop() {
+    for record in consumer.drain() {
         extractor.push(&record);
     }
     if extractor.window_count() > 0 {
@@ -177,7 +177,7 @@ pub fn capture_trace(
     let mut db = fill_db(&mut sim, &wcfg, FillMode::Bulk).expect("fault-free fill");
     sim.drop_caches().expect("fault-free drop_caches");
     sim.set_ra_kb(ra_kb);
-    while consumer.pop().is_some() {} // discard fill-phase records
+    consumer.drain().for_each(drop); // discard fill-phase records
     let mut trace = Vec::new();
     run_workload(&mut sim, &mut db, &wcfg, |_| {
         trace.extend(consumer.drain());

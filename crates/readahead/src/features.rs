@@ -79,6 +79,7 @@ impl FeatureExtractor {
     }
 
     /// Folds one tracepoint record into the current window.
+    #[inline]
     pub fn push(&mut self, record: &TraceRecord) {
         let offset = record.page_offset as f64;
         self.windows.push_f64(CH_OFFSET, offset);

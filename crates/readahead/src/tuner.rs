@@ -114,7 +114,7 @@ impl Subsystem for RaLoop {
     }
 
     fn collect(&mut self, _sim: &mut Sim) {
-        while let Some(record) = self.consumer.pop() {
+        for record in self.consumer.drain() {
             self.extractor.push(&record);
         }
     }
