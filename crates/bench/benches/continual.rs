@@ -10,7 +10,7 @@
 //! - **retrain_and_package** — `train_candidate` over a full 64-sample
 //!   reservoir at the E14 quick-scale step budget: normalizer fit,
 //!   seeded rebuild, full-batch SGD, and `.kmlm` packaging — the whole
-//!   unit of work the background retrainer performs off the hot path.
+//!   unit of work the window that triggers a retrain pays for.
 //!
 //! Gates (mirrored in `BENCH_baseline.json`): the observation path must
 //! stay under 1 µs — two orders below the loop's own per-window
@@ -74,7 +74,7 @@ fn bench_continual(c: &mut Criterion) {
         });
     });
 
-    // One full background-retrainer work unit at E14 quick scale.
+    // One full retrain work unit at E14 quick scale.
     group.bench_function("retrain_and_package", |b| {
         let samples = full_reservoir();
         let spec = RetrainSpec {

@@ -3,8 +3,8 @@
 
 use crate::{Ctx, DynResult, Out};
 use kernel_sim::DeviceProfile;
-use kml_core::dataset::Normalizer;
 use kml_core::prelude::*;
+use kml_core::train::TrainSpec;
 use kvstore::Workload;
 use readahead::closed_loop;
 
@@ -43,21 +43,18 @@ pub fn run(ctx: &Ctx, _: &mut Out) -> DynResult {
         ("relu", Activation::Relu),
         ("tanh", Activation::Tanh),
     ] {
-        let mut model = ModelBuilder::new(5)
-            .linear(15)
-            .activation(activation)
-            .linear(10)
-            .activation(activation)
-            .linear(4)
-            .seed(13)
-            .build::<f64>()?;
-        model.set_normalizer(Normalizer::fit(data.features())?);
-        let mut sgd = Sgd::paper_defaults();
-        let mut rng = KmlRng::seed_from_u64(17);
-        let mut final_loss = f64::NAN;
-        for _ in 0..cfg.epochs {
-            final_loss = model.train_epoch(&data, &CrossEntropyLoss, &mut sgd, &mut rng)?;
-        }
+        let spec = TrainSpec {
+            topology: ModelBuilder::new(5)
+                .linear(15)
+                .activation(activation)
+                .linear(10)
+                .activation(activation)
+                .linear(4)
+                .seed(13),
+            shuffle: Some(17),
+            ..readahead::model::spec(4, cfg.epochs, 13)
+        };
+        let (mut model, final_loss) = spec.train(&data)?;
         let acc = model.accuracy(&data)?;
         rows.push(vec![
             name.into(),

@@ -1,7 +1,7 @@
 //! E14 — closed-loop online learning (DESIGN.md §13): a live loop served
 //! by a constant class-0 model pivots from random to sequential reads;
 //! the drift detector fires on the sustained feature shift, the
-//! background retrainer trains a candidate from the reservoir, the
+//! retrainer trains a candidate from the reservoir, the
 //! candidate shadow-stages and earns promotion after clean windows, and
 //! every post-promotion decision is stamped with the new generation while
 //! the readahead recovers to the sequential class. A control arc without
@@ -11,11 +11,10 @@ use crate::rig::{self, FILE_PAGES, PAGES_PER_OP, POLICY_KB};
 use crate::{training, Ctx, DynResult, Out};
 use kernel_sim::{FileId, Sim, PAGE_SIZE};
 use kml_continual::{
-    train_candidate, BackgroundRetrainer, ContinualConfig, ContinualController, DriftConfig,
-    ReservoirSample, RetrainMode, RetrainSpec,
+    train_candidate, ContinualConfig, ContinualController, DriftConfig, ReservoirSample,
+    RetrainSpec,
 };
 use kml_lifecycle::{ArtifactKind, LifecycleEvent, WatchdogConfig};
-use kml_platform::Persona;
 use readahead::tuner::{KmlTuner, TunerModel};
 use readahead::WindowMoments;
 
@@ -83,9 +82,8 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
         spec,
     };
 
-    // The drift arc: random phase, then the pivot — on the background
-    // retrainer, the deployed shape (bytes are identical to inline).
-    let mut arc = Arc14::new(&gen1, &continual_cfg, true)?;
+    // The drift arc: random phase, then the pivot.
+    let mut arc = Arc14::new(&gen1, &continual_cfg)?;
     arc.drive("random", true, RANDOM_WINDOWS)?;
     arc.drive("shifted", false, RANDOM_WINDOWS + SHIFTED_WINDOWS)?;
     let controller = &arc.controller;
@@ -114,11 +112,11 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
         "promotion",
     )?;
     let final_ra = arc.tuner.current_ra_kb();
-    let rows = arc.finish()?;
+    let rows = arc.rows;
 
     // The control arc: same loop, same windows, no pivot — the reservoir
     // fills, the detector monitors, and nothing ever fires.
-    let mut control = Arc14::new(&gen1, &continual_cfg, false)?;
+    let mut control = Arc14::new(&gen1, &continual_cfg)?;
     control.drive("control", true, RANDOM_WINDOWS + SHIFTED_WINDOWS)?;
     let c = &control.controller;
     let control_counts = (
@@ -134,7 +132,6 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
         )
         .into());
     }
-    control.finish()?;
 
     let table = rig::table(&rows)
         + &format!(
@@ -179,14 +176,9 @@ struct Arc14 {
 }
 
 impl Arc14 {
-    fn new(gen1: &[u8], cfg: &ContinualConfig, background: bool) -> DynResult<Self> {
+    fn new(gen1: &[u8], cfg: &ContinualConfig) -> DynResult<Self> {
         let (sim, file, mut tuner) = rig::new(TunerModel::Remote);
-        let mode = if background {
-            RetrainMode::Background(BackgroundRetrainer::spawn(Persona::Kernel, cfg.spec)?)
-        } else {
-            RetrainMode::Inline
-        };
-        let controller = ContinualController::new(*cfg, &mut tuner, gen1.to_vec(), mode)?;
+        let controller = ContinualController::new(*cfg, &mut tuner, gen1.to_vec())?;
         Ok(Arc14 {
             window_start_ns: sim.now_ns(),
             sim,
@@ -273,11 +265,5 @@ impl Arc14 {
                 .push(rig::row(window, phase, &self.tuner, mbps, note));
         }
         Ok(())
-    }
-
-    /// Stops the retrainer and hands back the arc table's rows.
-    fn finish(self) -> DynResult<Vec<Vec<String>>> {
-        self.controller.shutdown()?;
-        Ok(self.rows)
     }
 }

@@ -2,6 +2,7 @@
 //! one batched-inference model server (DESIGN.md §9).
 
 use crate::{training, Ctx, DynResult, Out};
+use kml_core::train::deploy;
 use kml_fleet::fleet::{kind_name, workload_name};
 use kml_fleet::{run_fleet, FleetConfig, FleetModels};
 use readahead::model::LoopConfig;
@@ -168,19 +169,10 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
 /// same deterministic recipes the per-subsystem experiments use.
 fn trained_models(cfg: &LoopConfig) -> DynResult<FleetModels> {
     let data = readahead::datagen::training_dataset(&cfg.datagen)?;
-    let ra64 = readahead::model::train_network(&data, cfg.epochs, 7)?;
-    let readahead_f32 = {
-        let bytes = kml_core::modelfile::encode(&ra64)?;
-        kml_core::modelfile::decode::<f32>(&bytes)?
-    };
-    let iosched_f32 = iosched::SchedTuner::train_model(7)?;
-    let netfs_f32 = {
-        let bytes = netfs::train_rsize_model(7)?;
-        kml_core::modelfile::decode::<f32>(&bytes)?
-    };
     Ok(FleetModels {
-        readahead: readahead_f32,
-        iosched: iosched_f32,
-        netfs: netfs_f32,
+        readahead: deploy(&readahead::model::train_network(&data, cfg.epochs, 7)?)?,
+        iosched: iosched::SchedTuner::train_model(7)?,
+        // `train_rsize_model` hands back the f64 trainee's model file.
+        netfs: deploy(&kml_core::modelfile::decode(&netfs::train_rsize_model(7)?)?)?,
     })
 }

@@ -184,8 +184,8 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
 /// the model file and packaged as checksummed `.kmlm` bytes. String
 /// errors so the trainer can cross `pool_map`'s `Send` boundary.
 fn artifact(class: usize, classes: usize, seed: u64, epochs: usize) -> Result<Vec<u8>, String> {
-    use kml_core::dataset::Normalizer;
-    use kml_core::prelude::*;
+    use kml_core::dataset::Dataset;
+    use kml_core::train::deploy;
 
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     let mut next = move || {
@@ -211,20 +211,10 @@ fn artifact(class: usize, classes: usize, seed: u64, epochs: usize) -> Result<Ve
     let labels = vec![class; rows.len()];
     let data = Dataset::from_rows(&rows, &labels).map_err(|e| e.to_string())?;
 
-    let mut model = ModelBuilder::readahead_paper_topology(readahead::NUM_FEATURES, classes)
-        .seed(seed)
-        .build::<f64>()
+    let mut m32 = readahead::model::spec(classes, epochs, seed)
+        .train(&data)
+        .and_then(|(model, _)| deploy(&model))
         .map_err(|e| e.to_string())?;
-    model.set_normalizer(Normalizer::fit(data.features()).map_err(|e| e.to_string())?);
-    let mut sgd = Sgd::paper_defaults();
-    let mut rng = KmlRng::seed_from_u64(seed ^ 0xA5A5);
-    for _ in 0..epochs {
-        model
-            .train_epoch(&data, &CrossEntropyLoss, &mut sgd, &mut rng)
-            .map_err(|e| e.to_string())?;
-    }
-    let bytes = kml_core::modelfile::encode(&model).map_err(|e| e.to_string())?;
-    let mut m32 = kml_core::modelfile::decode::<f32>(&bytes).map_err(|e| e.to_string())?;
     kml_lifecycle::save_model(kml_lifecycle::ArtifactKind::Readahead, &mut m32)
         .map_err(|e| e.to_string())
 }

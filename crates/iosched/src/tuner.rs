@@ -15,14 +15,12 @@
 
 use crate::scheduler::{IoRequest, IoScheduler};
 use kml_collect::featurize::{Channel, WindowedFeatures};
-use kml_core::dataset::{Dataset, Normalizer};
-use kml_core::loss::CrossEntropyLoss;
+use kml_core::dataset::Dataset;
 use kml_core::model::{Model, ModelBuilder};
-use kml_core::optimizer::Sgd;
-use kml_core::{KmlRng, Result};
+use kml_core::train::{deploy, TrainSpec};
+use kml_core::Result;
 use kml_lifecycle::{ArtifactKind, ClosedLoop, LoopModel, Subsystem};
 use kml_telemetry::Registry;
-use rand::SeedableRng;
 use std::ops::{Deref, DerefMut};
 
 /// Number of scheduler features.
@@ -253,21 +251,24 @@ impl SchedTuner {
     ///
     /// Propagates dataset/training errors.
     pub fn train_model(seed: u64) -> Result<Model<f32>> {
-        let data = Self::training_windows(seed)?;
-        let mut model = ModelBuilder::new(NUM_SCHED_FEATURES)
-            .linear(10)
-            .sigmoid()
-            .linear(2)
-            .seed(seed)
-            .build::<f64>()?;
-        model.set_normalizer(Normalizer::fit(data.features())?);
-        let mut sgd = Sgd::new(0.05, 0.9);
-        let mut rng = KmlRng::seed_from_u64(seed ^ 0x10);
-        for _ in 0..200 {
-            model.train_epoch(&data, &CrossEntropyLoss, &mut sgd, &mut rng)?;
+        deploy(&Self::spec(seed).train(&Self::training_windows(seed)?)?.0)
+    }
+
+    /// The classifier's recipe: 4 → 10 → σ → 2 seeded with `seed`, SGD at
+    /// lr 0.05 / momentum 0.9 for 200 epochs of shuffled mini-batches
+    /// drawn from `seed ^ 0x10`.
+    pub fn spec(seed: u64) -> TrainSpec {
+        TrainSpec {
+            topology: ModelBuilder::new(NUM_SCHED_FEATURES)
+                .linear(10)
+                .sigmoid()
+                .linear(2)
+                .seed(seed),
+            learning_rate: 0.05,
+            momentum: 0.9,
+            epochs: 200,
+            shuffle: Some(seed ^ 0x10),
         }
-        let bytes = kml_core::modelfile::encode(&model)?;
-        kml_core::modelfile::decode::<f32>(&bytes)
     }
 
     /// Trains the classifier and wraps it with the policy.

@@ -9,9 +9,9 @@
 //!    knob — to the [`DriftDetector`]. Feeding the knob back in would
 //!    make every promotion look like drift and re-trigger forever;
 //! 3. on a sustained-shift trigger, retrains a candidate from the
-//!    reservoir (inline or on the [`BackgroundRetrainer`] thread) and
-//!    stages it as the lifecycle shadow — **never** installs it. Only
-//!    the watchdog promotes, after its K clean windows;
+//!    reservoir on the calling thread and stages it as the lifecycle
+//!    shadow — **never** installs it. Only the watchdog promotes, after
+//!    its K clean windows;
 //! 4. forwards the window's throughput to the [`LifecycleController`],
 //!    which promotes the candidate once earned or rolls back on
 //!    regression — and on rollback any still-staged candidate is
@@ -28,7 +28,7 @@ use kml_lifecycle::{
 
 use crate::drift::{DriftConfig, DriftDetector};
 use crate::reservoir::{Reservoir, RESERVOIR_DIM};
-use crate::retrain::{train_candidate, BackgroundRetrainer, RetrainSpec};
+use crate::retrain::{train_candidate, RetrainSpec};
 
 /// How many leading feature channels the drift detector watches. The
 /// trailing channel of every loop's window vector is the actuated knob
@@ -52,16 +52,6 @@ pub struct ContinualConfig {
     pub watchdog: WatchdogConfig,
     /// What to train when drift fires.
     pub spec: RetrainSpec,
-}
-
-/// Where candidate training runs.
-pub enum RetrainMode {
-    /// On the caller's thread — simplest, used by tests and the DST
-    /// harness where wall-clock does not matter.
-    Inline,
-    /// On a dedicated [`BackgroundRetrainer`] thread (the deployed
-    /// shape). Output bytes are identical to [`RetrainMode::Inline`].
-    Background(BackgroundRetrainer),
 }
 
 /// Continual-loop failures.
@@ -135,7 +125,6 @@ pub struct ContinualController {
     drift: DriftDetector,
     reservoir: Reservoir,
     lifecycle: LifecycleController,
-    mode: RetrainMode,
     window: u64,
     retrains: u64,
     promotions: u64,
@@ -156,14 +145,12 @@ impl ContinualController {
         cfg: ContinualConfig,
         target: &mut T,
         initial: Vec<u8>,
-        mode: RetrainMode,
     ) -> Result<Self, ContinualError> {
         let lifecycle = LifecycleController::new(cfg.watchdog, target, initial)?;
         Ok(ContinualController {
             drift: DriftDetector::new(DRIFT_CHANNELS, cfg.drift),
             reservoir: Reservoir::new(cfg.reservoir_capacity, cfg.seed),
             lifecycle,
-            mode,
             cfg,
             window: 0,
             retrains: 0,
@@ -216,11 +203,8 @@ impl ContinualController {
         {
             let token = self.retrains + 1;
             let samples = self.reservoir.samples();
-            let bytes = match &mut self.mode {
-                RetrainMode::Inline => train_candidate(&self.cfg.spec, token, samples),
-                RetrainMode::Background(bg) => bg.retrain_blocking(token, samples),
-            }
-            .map_err(ContinualError::Train)?;
+            let bytes =
+                train_candidate(&self.cfg.spec, token, samples).map_err(ContinualError::Train)?;
             self.lifecycle.stage_shadow(target, bytes)?;
             self.retrains = token;
             retrained = true;
@@ -322,19 +306,6 @@ impl ContinualController {
     /// The inner lifecycle controller (generation history, watchdog).
     pub fn lifecycle(&self) -> &LifecycleController {
         &self.lifecycle
-    }
-
-    /// Shuts the loop down, stopping the background retrainer if one is
-    /// attached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates retrainer thread-join failures.
-    pub fn shutdown(self) -> kml_platform::Result<()> {
-        match self.mode {
-            RetrainMode::Inline => Ok(()),
-            RetrainMode::Background(bg) => bg.stop(),
-        }
     }
 }
 
@@ -441,8 +412,7 @@ mod tests {
     fn full_arc_drift_retrain_stage_promote() {
         let mut target = MemTarget::new();
         let mut ctl =
-            ContinualController::new(cfg(), &mut target, initial_artifact(), RetrainMode::Inline)
-                .expect("new");
+            ContinualController::new(cfg(), &mut target, initial_artifact()).expect("new");
         assert_eq!(ctl.generation(), 1);
 
         // Stationary phase: builds baseline, fills reservoir, no drift.
@@ -495,8 +465,7 @@ mod tests {
     fn no_drift_means_no_retrain_ever() {
         let mut target = MemTarget::new();
         let mut ctl =
-            ContinualController::new(cfg(), &mut target, initial_artifact(), RetrainMode::Inline)
-                .expect("new");
+            ContinualController::new(cfg(), &mut target, initial_artifact()).expect("new");
         for i in 0..200u64 {
             let wiggle = if i % 2 == 0 { 0.25 } else { -0.25 };
             ctl.observe_window(&mut target, &window(10.0 + wiggle, 128.0), 0, 1000.0)
@@ -513,8 +482,7 @@ mod tests {
     fn knob_channel_is_invisible_to_drift() {
         let mut target = MemTarget::new();
         let mut ctl =
-            ContinualController::new(cfg(), &mut target, initial_artifact(), RetrainMode::Inline)
-                .expect("new");
+            ContinualController::new(cfg(), &mut target, initial_artifact()).expect("new");
         // The knob channel (index 4) swings wildly; workload channels
         // are stationary. No drift may fire.
         for i in 0..100u64 {
@@ -529,8 +497,7 @@ mod tests {
     fn regression_rolls_back_and_discards_staged_candidate() {
         let mut target = MemTarget::new();
         let mut ctl =
-            ContinualController::new(cfg(), &mut target, initial_artifact(), RetrainMode::Inline)
-                .expect("new");
+            ContinualController::new(cfg(), &mut target, initial_artifact()).expect("new");
         // Phase 1: healthy baseline on gen 1.
         for i in 0..16u64 {
             ctl.observe_window(
@@ -610,8 +577,7 @@ mod tests {
             c.seed = mode_seed;
             c.spec.seed = mode_seed;
             let mut ctl =
-                ContinualController::new(c, &mut target, initial_artifact(), RetrainMode::Inline)
-                    .expect("new");
+                ContinualController::new(c, &mut target, initial_artifact()).expect("new");
             for i in 0..50u64 {
                 ctl.observe_window(
                     &mut target,

@@ -13,9 +13,9 @@
 //!   the window stream. The kept training set is a pure function of
 //!   `(seed, ids seen)`: byte-identical at any `--threads`, mergeable
 //!   across shards, order-independent.
-//! * [`retrain`] — a deterministic reservoir→`.kmlm` candidate trainer,
-//!   hosted either inline or on the existing `AsyncTrainer` machinery
-//!   ([`retrain::BackgroundRetrainer`]), bit-identical either way.
+//! * [`retrain`] — a deterministic reservoir→`.kmlm` candidate trainer
+//!   through `kml_core::train::TrainSpec`, run on the thread whose window
+//!   triggered it.
 //! * [`controller::ContinualController`] — the state machine: window →
 //!   reservoir + drift → (on trigger) retrain + stage as lifecycle
 //!   shadow → watchdog promotes after K clean windows or the candidate
@@ -35,8 +35,8 @@ pub mod retrain;
 
 pub use controller::{
     ContinualConfig, ContinualController, ContinualError, ContinualEvent, ContinualRecord,
-    RetrainMode, WindowOutcome, DRIFT_CHANNELS,
+    WindowOutcome, DRIFT_CHANNELS,
 };
 pub use drift::{DriftConfig, DriftDetector};
 pub use reservoir::{Reservoir, ReservoirSample, RESERVOIR_DIM};
-pub use retrain::{train_candidate, BackgroundRetrainer, RetrainSpec};
+pub use retrain::{train_candidate, RetrainSpec};

@@ -1,32 +1,13 @@
-//! The background retrainer: reservoir samples → trained candidate →
-//! `.kmlm` bytes, off the control-loop thread.
+//! The retrainer: reservoir samples → trained candidate → `.kmlm` bytes.
 //!
-//! [`train_candidate`] is the pure core — a deterministic function from
+//! [`train_candidate`] is a deterministic function from
 //! `(spec, token, samples)` to artifact bytes: one thread, full-batch
-//! [`Model::train_batch`] steps, so the candidate bytes are the same at
-//! `--threads 1/3/8`.
-//!
-//! [`BackgroundRetrainer`] hosts that function on the existing
-//! [`AsyncTrainer`] machinery: samples stream through a
-//! [`RingBuffer`] into the "kml-train" thread, a `Go` marker closes the
-//! batch, and the artifact comes back through a shared result slot. The
-//! producer side applies explicit backpressure (the ring overwrites on
-//! overflow, which would silently corrupt the training set), so the
-//! bytes produced are still a pure function of the samples sent —
-//! threading moves wall-clock time around, never the output.
+//! steps through [`TrainSpec`], so the candidate bytes are the same at
+//! `--threads 1/3/8`. It runs on the thread that calls it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use kml_collect::ringbuf::RingBuffer;
-use kml_collect::trainer::AsyncTrainer;
-use kml_core::dataset::Normalizer;
-use kml_core::loss::TargetRef;
-use kml_core::modelfile;
 use kml_core::prelude::*;
+use kml_core::train::{deploy, TrainSpec};
 use kml_lifecycle::{save_model, ArtifactKind};
-use kml_platform::threading::kml_idle_wait;
-use kml_platform::Persona;
 
 use crate::reservoir::{ReservoirSample, RESERVOIR_DIM};
 
@@ -73,163 +54,25 @@ pub fn train_candidate(
     // The reservoir staged straight into one row-major matrix.
     let flat: Vec<f64> = samples.iter().flat_map(|s| s.features).collect();
     let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
-    let features =
-        Matrix::from_vec(samples.len(), RESERVOIR_DIM, flat).map_err(|e| e.to_string())?;
-    let normalizer = Normalizer::fit(&features).map_err(|e| e.to_string())?;
-    let normed = normalizer.apply(&features).map_err(|e| e.to_string())?;
-
-    let mut model = ModelBuilder::readahead_paper_topology(RESERVOIR_DIM, spec.classes)
-        .seed(spec.seed ^ token.wrapping_mul(GOLDEN))
-        .build::<f64>()
+    let data = Matrix::from_vec(samples.len(), RESERVOIR_DIM, flat)
+        .and_then(|features| Dataset::from_matrix(features, labels))
         .map_err(|e| e.to_string())?;
-    model.set_normalizer(normalizer);
-
-    let mut sgd = Sgd::paper_defaults();
-    for _ in 0..spec.epochs {
-        model
-            .train_batch(
-                &normed,
-                TargetRef::Classes(&labels),
-                &CrossEntropyLoss,
-                &mut sgd,
-            )
-            .map_err(|e| e.to_string())?;
-    }
-
-    // Serve in f32 like every deployed artifact: encode the f64 trainee,
-    // re-decode at serving precision, then wrap in the .kmlm envelope.
-    let f64_bytes = modelfile::encode(&model).map_err(|e| e.to_string())?;
-    let mut m32 = modelfile::decode::<f32>(&f64_bytes).map_err(|e| e.to_string())?;
+    let recipe = TrainSpec {
+        topology: ModelBuilder::readahead_paper_topology(RESERVOIR_DIM, spec.classes)
+            .seed(spec.seed ^ token.wrapping_mul(GOLDEN)),
+        // The paper's SGD (§4), one full-batch step per epoch.
+        learning_rate: 0.01,
+        momentum: 0.99,
+        epochs: spec.epochs as usize,
+        shuffle: None,
+    };
+    // Serve in f32 like every deployed artifact, wrapped in the .kmlm
+    // envelope.
+    let mut m32 = recipe
+        .train(&data)
+        .and_then(|(model, _)| deploy(&model))
+        .map_err(|e| e.to_string())?;
     save_model(spec.kind, &mut m32).map_err(|e| e.to_string())
-}
-
-/// Messages streamed to the training thread.
-#[derive(Debug, Clone, Copy)]
-enum RetrainMsg {
-    /// One reservoir sample of the batch being staged.
-    Sample(ReservoirSample),
-    /// Close the staged batch and train. `count` cross-checks that every
-    /// staged sample arrived.
-    Go { token: u64, count: u32 },
-}
-
-type ResultSlot = Arc<Mutex<Option<(u64, Result<Vec<u8>, String>)>>>;
-
-/// Hosts [`train_candidate`] on an [`AsyncTrainer`] thread.
-pub struct BackgroundRetrainer {
-    trainer: AsyncTrainer,
-    producer: kml_collect::ringbuf::Producer<RetrainMsg>,
-    /// Samples acknowledged by the training thread — producer-side
-    /// backpressure so the ring never overwrites unread messages.
-    accepted: Arc<AtomicU64>,
-    sent: u64,
-    capacity: usize,
-    result: ResultSlot,
-}
-
-impl BackgroundRetrainer {
-    /// Spawns the retrain thread under `persona` with the "kml-train"
-    /// thread name (kernel persona makes it a kthread like the paper's
-    /// in-kernel trainer).
-    ///
-    /// # Errors
-    ///
-    /// Propagates thread-spawn failures.
-    pub fn spawn(persona: Persona, spec: RetrainSpec) -> kml_platform::Result<Self> {
-        let ring = RingBuffer::<RetrainMsg>::with_capacity(1024);
-        let capacity = 1024;
-        let (producer, consumer) = ring.split();
-        let accepted = Arc::new(AtomicU64::new(0));
-        let result: ResultSlot = Arc::new(Mutex::new(None));
-        let thread_accepted = accepted.clone();
-        let thread_result = result.clone();
-        let mut staged: Vec<ReservoirSample> = Vec::new();
-        let trainer = AsyncTrainer::spawn(persona, consumer, move |batch: &[RetrainMsg]| {
-            for msg in batch {
-                match *msg {
-                    RetrainMsg::Sample(s) => {
-                        staged.push(s);
-                        thread_accepted.fetch_add(1, Ordering::Release);
-                    }
-                    RetrainMsg::Go { token, count } => {
-                        let outcome = if staged.len() == count as usize {
-                            train_candidate(&spec, token, &staged)
-                        } else {
-                            Err(format!(
-                                "staged {} samples but batch declared {count}",
-                                staged.len()
-                            ))
-                        };
-                        staged.clear();
-                        *thread_result.lock().expect("result slot poisoned") =
-                            Some((token, outcome));
-                    }
-                }
-            }
-        })?;
-        Ok(BackgroundRetrainer {
-            trainer,
-            producer,
-            accepted,
-            sent: 0,
-            capacity,
-            result,
-        })
-    }
-
-    /// Streams `samples` to the training thread, closes the batch, and
-    /// waits for the candidate bytes. Wall-clock blocks; the returned
-    /// bytes are a pure function of `(spec, token, samples)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`train_candidate`] failures.
-    pub fn retrain_blocking(
-        &mut self,
-        token: u64,
-        samples: &[ReservoirSample],
-    ) -> Result<Vec<u8>, String> {
-        let backpressure_at = (self.capacity - 2) as u64;
-        let mut idle_polls = 0u32;
-        for s in samples {
-            while self.sent - self.accepted.load(Ordering::Acquire) >= backpressure_at {
-                kml_idle_wait(&mut idle_polls);
-            }
-            idle_polls = 0;
-            self.producer.push(RetrainMsg::Sample(*s));
-            self.sent += 1;
-        }
-        self.producer.push(RetrainMsg::Go {
-            token,
-            count: samples.len() as u32,
-        });
-        loop {
-            if let Some((done, outcome)) = self
-                .result
-                .lock()
-                .expect("result slot poisoned")
-                .take_if(|(done, _)| *done == token)
-            {
-                debug_assert_eq!(done, token);
-                return outcome;
-            }
-            kml_idle_wait(&mut idle_polls);
-        }
-    }
-
-    /// Total samples delivered to the training thread.
-    pub fn samples_processed(&self) -> u64 {
-        self.trainer.samples_processed()
-    }
-
-    /// Stops the training thread, draining anything still queued.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thread-join failures.
-    pub fn stop(self) -> kml_platform::Result<()> {
-        self.trainer.stop()
-    }
 }
 
 #[cfg(test)]
@@ -306,17 +149,15 @@ mod tests {
         assert!(train_candidate(&spec(), 1, r.samples()).is_err());
     }
 
+    /// One non-finite feature among the samples would fit a NaN mean into
+    /// the normalizer and install a model whose every output is NaN.
     #[test]
-    fn background_matches_inline() {
-        let r = filled_reservoir(200);
-        let inline = train_candidate(&spec(), 3, r.samples()).expect("inline");
-        let mut bg = BackgroundRetrainer::spawn(Persona::Kernel, spec()).expect("spawn");
-        let first = bg.retrain_blocking(3, r.samples()).expect("background");
-        assert_eq!(first, inline, "background path must not change the bytes");
-        // A second cycle on the same retrainer reuses the thread cleanly.
-        let second = bg.retrain_blocking(4, r.samples()).expect("second cycle");
-        assert_ne!(second, first);
-        assert_eq!(bg.samples_processed(), 2 * (r.len() as u64 + 1));
-        bg.stop().expect("stop");
+    fn a_non_finite_sample_is_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut r = filled_reservoir(63);
+            r.offer(63, [bad, 1.0, 1.0, 1.0, 128.0], 0);
+            assert_eq!(r.len(), 64);
+            assert!(train_candidate(&spec(), 1, r.samples()).is_err());
+        }
     }
 }

@@ -7,7 +7,7 @@ use kernel_sim::{DeviceProfile, Sim, SimConfig};
 use kml_collect::RingBuffer;
 use kml_continual::{
     train_candidate, ContinualConfig, ContinualController, DriftConfig, ReservoirSample,
-    RetrainMode, RetrainSpec, RESERVOIR_DIM,
+    RetrainSpec, RESERVOIR_DIM,
 };
 use kml_fleet::{FleetModels, InferRequest, InferenceServer, ModelKind, ServeOptions};
 use kml_lifecycle::{ArtifactKind, WatchdogConfig};
@@ -99,13 +99,9 @@ fn readahead_loop_runs_the_full_arc_on_a_live_sim() {
         128,
     );
     let initial = artifact_from(ArtifactKind::Readahead, &[(RA_RANDOM, 0)]);
-    let mut ctl = ContinualController::new(
-        continual_cfg(ArtifactKind::Readahead),
-        &mut tuner,
-        initial,
-        RetrainMode::Inline,
-    )
-    .expect("controller");
+    let mut ctl =
+        ContinualController::new(continual_cfg(ArtifactKind::Readahead), &mut tuner, initial)
+            .expect("controller");
     assert_eq!(tuner.model_generation(), 1);
 
     let drive = |sim: &mut Sim,
@@ -181,7 +177,6 @@ fn readahead_loop_runs_the_full_arc_on_a_live_sim() {
     );
     // Retrains only ever happen on drift windows.
     assert!(ctl.retrains() <= ctl.drift_events());
-    ctl.shutdown().expect("shutdown");
 }
 
 /// Calm link windows: negligible retransmit fraction (feature 2).
@@ -199,13 +194,9 @@ fn netfs_loop_retrains_and_promotes_on_congestion_shift() {
         RsizeTuner::DEFAULT_WINDOW_NS,
     );
     let initial = artifact_from(ArtifactKind::NetfsRsize, &[(NET_CALM, 0)]);
-    let mut ctl = ContinualController::new(
-        continual_cfg(ArtifactKind::NetfsRsize),
-        &mut tuner,
-        initial,
-        RetrainMode::Inline,
-    )
-    .expect("controller");
+    let mut ctl =
+        ContinualController::new(continual_cfg(ArtifactKind::NetfsRsize), &mut tuner, initial)
+            .expect("controller");
 
     // Calm phase: baseline forms, nothing fires.
     for i in 0..20u64 {
@@ -247,7 +238,6 @@ fn netfs_loop_retrains_and_promotes_on_congestion_shift() {
     // would now shrink the transfer size.
     let class = tuner.predict_active(&NET_CONGESTED).expect("predict");
     assert_eq!(class, 1, "promoted model must recognize congestion");
-    ctl.shutdown().expect("shutdown");
 }
 
 #[test]
@@ -261,7 +251,6 @@ fn fleet_lane_promotes_without_touching_other_kinds() {
         continual_cfg(ArtifactKind::Readahead),
         &mut server.lifecycle_lane(ModelKind::Readahead),
         initial,
-        RetrainMode::Inline,
     )
     .expect("controller");
     assert_eq!(server.generation(ModelKind::Readahead), 1);
@@ -323,5 +312,4 @@ fn fleet_lane_promotes_without_touching_other_kinds() {
     assert_eq!(server.generation(ModelKind::Iosched), iosched_gen);
     assert_eq!(server.generation(ModelKind::Netfs), netfs_gen);
     assert_eq!(server.shadow_stats(ModelKind::Readahead).windows, 0);
-    ctl.shutdown().expect("shutdown");
 }

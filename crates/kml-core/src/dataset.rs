@@ -212,11 +212,17 @@ impl Normalizer {
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::BadDataset`] for an empty matrix.
+    /// Returns [`KmlError::BadDataset`] for an empty matrix or a non-finite
+    /// feature.
     pub fn fit(features: &Matrix<f64>) -> Result<Self> {
         if features.is_empty() {
             return Err(KmlError::BadDataset(
                 "cannot fit normalizer on empty data".into(),
+            ));
+        }
+        if features.as_slice().iter().any(|v| !v.is_finite()) {
+            return Err(KmlError::BadDataset(
+                "cannot fit normalizer on a non-finite feature".into(),
             ));
         }
         let n = features.rows() as f64;
@@ -255,7 +261,8 @@ impl Normalizer {
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::BadModelFile`] on length mismatch or non-positive std.
+    /// Returns [`KmlError::BadModelFile`] on length mismatch, a non-positive
+    /// or non-finite std, or a non-finite mean.
     pub fn from_stats(means: Vec<f64>, stds: Vec<f64>) -> Result<Self> {
         if means.len() != stds.len() {
             return Err(KmlError::BadModelFile(format!(
@@ -267,6 +274,11 @@ impl Normalizer {
         if stds.iter().any(|&s| s <= 0.0 || !s.is_finite()) {
             return Err(KmlError::BadModelFile(
                 "normalizer std must be positive and finite".into(),
+            ));
+        }
+        if means.iter().any(|m| !m.is_finite()) {
+            return Err(KmlError::BadModelFile(
+                "normalizer mean must be finite".into(),
             ));
         }
         Ok(Normalizer { means, stds })
@@ -459,6 +471,21 @@ mod tests {
         assert!(Normalizer::from_stats(vec![0.0], vec![]).is_err());
         assert!(Normalizer::from_stats(vec![0.0], vec![0.0]).is_err());
         assert!(Normalizer::from_stats(vec![0.0], vec![f64::NAN]).is_err());
+    }
+
+    /// A NaN mean would turn every input into NaN at inference time.
+    #[test]
+    fn from_stats_refuses_a_non_finite_mean() {
+        assert!(Normalizer::from_stats(vec![f64::NAN], vec![1.0]).is_err());
+        assert!(Normalizer::from_stats(vec![f64::INFINITY], vec![1.0]).is_err());
+    }
+
+    #[test]
+    fn fit_refuses_a_non_finite_feature() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, bad, 4.0]).unwrap();
+            assert!(matches!(Normalizer::fit(&m), Err(KmlError::BadDataset(_))));
+        }
     }
 
     #[test]

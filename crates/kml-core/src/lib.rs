@@ -35,6 +35,9 @@
 //!   pins the scalar reference).
 //! - [`dataset`] / [`validate`] — in-memory datasets, Z-score normalization,
 //!   k-fold cross-validation.
+//! - [`train`] — the one training path every deployed model takes
+//!   ([`train::TrainSpec`]) and the f32 model-file round trip
+//!   ([`train::deploy`]).
 //!
 //! ## Quickstart
 //!
@@ -82,6 +85,7 @@ pub mod quant;
 pub mod scalar;
 pub mod scratch;
 pub mod simd;
+pub mod train;
 pub mod validate;
 
 /// Convenient re-exports of the most commonly used items.

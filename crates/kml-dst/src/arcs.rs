@@ -13,7 +13,7 @@ use crate::scenario::{ContinualParams, FaultMask, LifecycleParams, Scenario};
 use kernel_sim::Sim;
 use kml_continual::{
     train_candidate, ContinualConfig, ContinualController, DriftConfig, ReservoirSample,
-    RetrainMode, RetrainSpec,
+    RetrainSpec,
 };
 use kml_core::model::ModelBuilder;
 use kml_lifecycle::{
@@ -361,8 +361,7 @@ impl ContinualScript {
         };
         let controller = continual_initial_artifact(&p)
             .and_then(|initial| {
-                ContinualController::new(cfg, tuner, initial, RetrainMode::Inline)
-                    .map_err(|e| e.to_string())
+                ContinualController::new(cfg, tuner, initial).map_err(|e| e.to_string())
             })
             .map_err(|e| {
                 let detail = format!("the initial continual artifact failed: {e}");

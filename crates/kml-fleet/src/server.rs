@@ -21,6 +21,7 @@ use std::sync::Mutex;
 
 use kml_collect::FeatureBatch;
 use kml_core::model::Model;
+use kml_core::train::TrainSpec;
 use kml_core::{KmlError, Result};
 use kml_lifecycle::{Generational, Pinned, ShadowStats};
 use kml_platform::threading;
@@ -133,31 +134,12 @@ impl FleetModels {
     ///
     /// Propagates model construction failures.
     pub fn untrained(seed: u64) -> Result<FleetModels> {
-        use kml_core::model::ModelBuilder;
+        // The deployed topologies, each re-seeded with its own salt.
+        let build = |spec: TrainSpec, salt: u64| spec.topology.seed(seed ^ salt).build::<f32>();
         Ok(FleetModels {
-            // 5 → 15 → σ → 10 → σ → 4, the paper topology readahead deploys.
-            readahead: ModelBuilder::new(readahead::NUM_FEATURES)
-                .linear(15)
-                .sigmoid()
-                .linear(10)
-                .sigmoid()
-                .linear(4)
-                .seed(seed ^ 0xF1EE7)
-                .build::<f32>()?,
-            // 4 → 10 → σ → 2, matching `SchedTuner::train_model`.
-            iosched: ModelBuilder::new(iosched::tuner::NUM_SCHED_FEATURES)
-                .linear(10)
-                .sigmoid()
-                .linear(2)
-                .seed(seed ^ 0x5C4ED)
-                .build::<f32>()?,
-            // 5 → 10 → σ → 2, matching `train_rsize_model`.
-            netfs: ModelBuilder::new(netfs::tuner::NUM_RSIZE_FEATURES)
-                .linear(10)
-                .sigmoid()
-                .linear(2)
-                .seed(seed ^ 0x4E7F5)
-                .build::<f32>()?,
+            readahead: build(readahead::model::spec(4, 0, 0), 0xF1EE7)?,
+            iosched: build(iosched::SchedTuner::spec(0), 0x5C4ED)?,
+            netfs: build(netfs::rsize_spec(0), 0x4E7F5)?,
         })
     }
 
@@ -818,6 +800,18 @@ impl kml_lifecycle::LifecycleTarget for LifecycleLane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over the three encoded `FleetModels::untrained(7)` models,
+    /// recorded before their topologies came from the trainers' specs.
+    #[test]
+    fn untrained_models_match_the_parent_commit() {
+        let models = FleetModels::untrained(7).unwrap();
+        let mut h = kml_platform::bytes::Fnv1a::new();
+        for m in [&models.readahead, &models.iosched, &models.netfs] {
+            h.update(&kml_core::modelfile::encode(m).unwrap());
+        }
+        assert_eq!(h.finish(), 0xba1d_d154_e928_9a5f);
+    }
 
     fn req(tenant_id: u64, kind: ModelKind, seed: u64) -> InferRequest {
         let dim = match kind {

@@ -45,6 +45,6 @@ pub use mount::{
 pub use server::{NfsServer, RpcOp};
 pub use transport::{Leg, NetProfile, Transport};
 pub use tuner::{
-    train_rsize_model, RsizeDecision, RsizeFeatures, RsizePolicy, RsizeTuner, RsizeTunerModel,
-    NUM_RSIZE_FEATURES,
+    rsize_spec, train_rsize_model, RsizeDecision, RsizeFeatures, RsizePolicy, RsizeTuner,
+    RsizeTunerModel, NUM_RSIZE_FEATURES,
 };

@@ -31,14 +31,12 @@ use kml_collect::event::{RpcEvent, RpcEventKind};
 use kml_collect::featurize::{Channel, WindowedFeatures};
 use kml_collect::ringbuf::Consumer;
 use kml_collect::RingBuffer;
-use kml_core::dataset::{Dataset, Normalizer};
-use kml_core::loss::CrossEntropyLoss;
+use kml_core::dataset::Dataset;
 use kml_core::model::ModelBuilder;
-use kml_core::optimizer::Sgd;
-use kml_core::{KmlRng, Result};
+use kml_core::train::TrainSpec;
+use kml_core::Result;
 use kml_lifecycle::{ArtifactKind, ClosedLoop, Subsystem, TimeWindow};
 use kml_telemetry::Registry;
-use rand::SeedableRng;
 use std::ops::{Deref, DerefMut};
 
 use crate::mount::NfsMount;
@@ -340,20 +338,24 @@ impl RsizeTuner {
 ///
 /// Propagates dataset construction and training errors.
 pub fn train_rsize_model(seed: u64) -> Result<Vec<u8>> {
-    let data = training_windows(seed)?;
-    let mut model = ModelBuilder::new(NUM_RSIZE_FEATURES)
-        .linear(10)
-        .sigmoid()
-        .linear(2)
-        .seed(seed)
-        .build::<f64>()?;
-    model.set_normalizer(Normalizer::fit(data.features())?);
-    let mut sgd = Sgd::new(0.05, 0.9);
-    let mut rng = KmlRng::seed_from_u64(seed ^ 0x2E);
-    for _ in 0..200 {
-        model.train_epoch(&data, &CrossEntropyLoss, &mut sgd, &mut rng)?;
+    kml_core::modelfile::encode(&rsize_spec(seed).train(&training_windows(seed)?)?.0)
+}
+
+/// The link classifier's recipe: 5 → 10 → σ → 2 seeded with `seed`, SGD
+/// at lr 0.05 / momentum 0.9 for 200 epochs of shuffled mini-batches
+/// drawn from `seed ^ 0x2E`.
+pub fn rsize_spec(seed: u64) -> TrainSpec {
+    TrainSpec {
+        topology: ModelBuilder::new(NUM_RSIZE_FEATURES)
+            .linear(10)
+            .sigmoid()
+            .linear(2)
+            .seed(seed),
+        learning_rate: 0.05,
+        momentum: 0.9,
+        epochs: 200,
+        shuffle: Some(seed ^ 0x2E),
     }
-    kml_core::modelfile::encode(&model)
 }
 
 /// Generates labeled feature windows from the phased profiles.

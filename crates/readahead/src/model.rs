@@ -19,11 +19,12 @@ use crate::datagen::{self, DatagenConfig};
 use crate::study::{ReadaheadStudy, StudyConfig};
 use crate::tuner::RaPolicy;
 use kernel_sim::DeviceProfile;
-use kml_core::dataset::{Dataset, Normalizer};
+use kml_core::dataset::Dataset;
 use kml_core::dtree::{DecisionTree, DecisionTreeConfig};
 use kml_core::loss::CrossEntropyLoss;
 use kml_core::model::{Model, ModelBuilder};
 use kml_core::optimizer::Sgd;
+use kml_core::train::{deploy, TrainSpec};
 use kml_core::validate::{k_fold_cross_validate, CrossValidation};
 use kml_core::{KmlRng, Result};
 use rand::SeedableRng;
@@ -100,28 +101,27 @@ impl TrainedReadahead {
     }
 }
 
-/// Builds the untrained paper topology: 5 → 15 → σ → 10 → σ → 4.
-pub fn build_network<S: kml_core::scalar::Scalar>(seed: u64) -> Result<Model<S>> {
-    ModelBuilder::readahead_paper_topology(crate::NUM_FEATURES, 4)
-        .seed(seed)
-        .build()
+/// The §4 recipe: the paper topology (5 → 15 → σ → 10 → σ → `classes`)
+/// seeded with `seed`, SGD at the paper's lr 0.01 / momentum 0.99, and
+/// shuffled mini-batches drawn from `seed ^ 0xA5A5`.
+pub fn spec(classes: usize, epochs: usize, seed: u64) -> TrainSpec {
+    TrainSpec {
+        topology: ModelBuilder::readahead_paper_topology(crate::NUM_FEATURES, classes).seed(seed),
+        learning_rate: 0.01,
+        momentum: 0.99,
+        epochs,
+        shuffle: Some(seed ^ 0xA5A5),
+    }
 }
 
-/// Trains a network on `data` (fitting the normalizer on it) with the
-/// paper's loss/optimizer; returns the trained model.
+/// Trains the 4-class network on `data` (fitting the normalizer on it)
+/// with the paper's loss/optimizer; returns the trained model.
 ///
 /// # Errors
 ///
 /// Propagates dataset and training errors.
 pub fn train_network(data: &Dataset, epochs: usize, seed: u64) -> Result<Model<f64>> {
-    let mut model = build_network::<f64>(seed)?;
-    model.set_normalizer(Normalizer::fit(data.features())?);
-    let mut sgd = Sgd::paper_defaults();
-    let mut rng = KmlRng::seed_from_u64(seed ^ 0xA5A5);
-    for _ in 0..epochs {
-        model.train_epoch(data, &CrossEntropyLoss, &mut sgd, &mut rng)?;
-    }
-    Ok(model)
+    Ok(spec(4, epochs, seed).train(data)?.0)
 }
 
 /// Returns a copy of the dataset with feature (v) — the current readahead
@@ -173,16 +173,18 @@ pub fn train_paper_model(cfg: &LoopConfig) -> Result<TrainedReadahead> {
         cfg.k_folds.min(data.len() / 2).max(2),
         epochs,
         &CrossEntropyLoss,
-        |fold| build_network::<f64>(cfg.seed + fold as u64),
+        |fold| {
+            spec(4, epochs, cfg.seed + fold as u64)
+                .topology
+                .build::<f64>()
+        },
         Sgd::paper_defaults,
         &mut rng,
     )?;
 
     // 4. Train the final network on everything, then deploy through the
     //    model file into f32 — the user-space-train / kernel-infer flow.
-    let trained = train_network(&data, epochs, cfg.seed)?;
-    let bytes = kml_core::modelfile::encode(&trained)?;
-    let network = kml_core::modelfile::decode::<f32>(&bytes)?;
+    let network = deploy(&train_network(&data, epochs, cfg.seed)?)?;
 
     // 5. Fit the comparison decision tree. Feature (v), the current
     //    readahead value, is masked to zero for the tree: its axis-aligned
@@ -213,7 +215,7 @@ mod tests {
 
     #[test]
     fn network_topology_matches_paper() {
-        let m = build_network::<f32>(1).unwrap();
+        let m = spec(4, 1, 1).topology.build::<f32>().unwrap();
         assert_eq!(
             m.layer_kinds(),
             vec![
@@ -259,8 +261,7 @@ mod tests {
         let cfg = DatagenConfig::quick();
         let data = crate::datagen::training_dataset(&cfg).unwrap();
         let mut f64_model = train_network(&data, 40, 7).unwrap();
-        let bytes = kml_core::modelfile::encode(&f64_model).unwrap();
-        let mut f32_model = kml_core::modelfile::decode::<f32>(&bytes).unwrap();
+        let mut f32_model = deploy(&f64_model).unwrap();
         let mut agree = 0;
         for i in 0..data.len() {
             let (f, _) = data.sample(i);

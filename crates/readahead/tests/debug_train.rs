@@ -17,7 +17,10 @@ fn feedforward_pipeline_learns_the_training_set() {
         assert!(n > 0, "class {c} has no training windows");
     }
 
-    let mut model = readahead::model::build_network::<f64>(1).unwrap();
+    let mut model = readahead::model::spec(4, 150, 1)
+        .topology
+        .build::<f64>()
+        .unwrap();
     model.set_normalizer(Normalizer::fit(data.features()).unwrap());
     let mut sgd = Sgd::paper_defaults();
     let mut rng = KmlRng::seed_from_u64(2);
