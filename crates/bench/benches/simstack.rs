@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the simulated stack under the LSM store, at the
 //! ledger's key count. Write path: host wall-clock cost of streaming pages
-//! through a full page cache with the flusher running, and of one L0→L1
-//! compaction. Both were super-linear once (a writeback that walked every
-//! clean page, a compaction that re-sorted sorted runs). Read path: one
+//! through a full page cache with the flusher running, and of an L0→L1
+//! compaction — one that only overwrites, one that adds keys. Both were
+//! super-linear once (a writeback that walked every clean page, a
+//! compaction that re-sorted sorted runs). Read path: one
 //! Zipfian rank draw and one point get, each a binary search over an 8 MiB
 //! array once; one 256-page `Sim::read`, cold through a full cache and warm,
 //! per page. The ceilings, mirrored in `BENCH_baseline.json`, trip if any of
@@ -41,38 +42,52 @@ fn bench_write_stream(c: &mut Criterion) {
     group.finish();
 }
 
+/// Maps a key below 2^20 to the key a level stores.
+type KeyMap = fn(u64) -> u64;
+
 /// A store shaped like `lsm-update` just before its compaction: 2^20 keys
-/// in L1 and four flushed memtables of scattered overwrites in L0.
-fn store_before_compaction() -> (Sim, Db) {
+/// in L1 and four flushed memtables of scattered puts in L0.
+fn store_before_compaction(l1_key: KeyMap, l0_key: KeyMap) -> (Sim, Db) {
     let mut sim = Sim::new(SimConfig::default());
     let cfg = DbConfig {
         l0_compaction_trigger: usize::MAX, // compact only when asked
         ..DbConfig::default()
     };
     let mut db = Db::create(&mut sim, cfg);
-    db.bulk_load(&mut sim, (0..L1_KEYS).collect()).unwrap();
+    db.bulk_load(&mut sim, (0..L1_KEYS).map(l1_key).collect())
+        .unwrap();
     let mut x = 0x4B4D4Cu64;
     while db.stats().flushes < 4 {
         x = x
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        db.put(&mut sim, (x >> 33) % L1_KEYS).unwrap();
+        db.put(&mut sim, l0_key((x >> 33) % L1_KEYS)).unwrap();
     }
     (sim, db)
 }
 
 fn bench_compaction(c: &mut Criterion) {
     let mut group = c.benchmark_group("simstack");
-    group.bench_function("compact_l0x4_into_1m", |b| {
-        b.iter_batched(
-            store_before_compaction,
-            |(mut sim, mut db)| {
-                db.compact(&mut sim).unwrap();
-                (sim, db)
-            },
-            BatchSize::PerIteration,
-        );
-    });
+    // (id, L1's key for k, L0's key for k). `lsm-update` overwrites: its
+    // compaction writes L1 again as it is. With L1 on the even keys below
+    // 2^21 and L0 on odd ones, every L0 key is new: merge, then a full
+    // build of 2^20 keys and up to 32,768 more.
+    let shapes: [(&str, KeyMap, KeyMap); 2] = [
+        ("compact_l0x4_into_1m", |k| k, |k| k),
+        ("compact_l0x4_new_keys_into_1m", |k| 2 * k, |k| 2 * k + 1),
+    ];
+    for (id, l1_key, l0_key) in shapes {
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || store_before_compaction(l1_key, l0_key),
+                |(mut sim, mut db)| {
+                    db.compact(&mut sim).unwrap();
+                    (sim, db)
+                },
+                BatchSize::PerIteration,
+            );
+        });
+    }
     group.finish();
 }
 
@@ -183,6 +198,11 @@ criterion_group! {
 /// measured 565 ns and 225 ms), mirrored in `BENCH_baseline.json`.
 const WRITE_STREAM_CEILING_NS_PER_PAGE: f64 = 59.0;
 const COMPACTION_CEILING_MS: f64 = 90.0;
+/// An overwrite-only compaction writes L1 again as it is and derives
+/// nothing: 2× the median measured when it stopped merging (15.3 ms; the
+/// parent commit measured 46.2 ms). `COMPACTION_CEILING_MS` above gates the
+/// merge and the full build on `compact_l0x4_new_keys_into_1m` (48.0 ms).
+const OVERWRITE_COMPACTION_CEILING_MS: f64 = 30.6;
 /// Ceilings at 2× the medians measured when the whole-array searches were
 /// removed (35 ns a draw, 432 ns a get; the parent commit measured 116 ns
 /// and 679 ns). A get is mostly `Sim::read`, so its ceiling catches a cost
@@ -218,6 +238,13 @@ fn main() {
         ),
         (
             "simstack/compact_l0x4_into_1m",
+            1e6,
+            "ms",
+            OVERWRITE_COMPACTION_CEILING_MS,
+            false,
+        ),
+        (
+            "simstack/compact_l0x4_new_keys_into_1m",
             1e6,
             "ms",
             COMPACTION_CEILING_MS,

@@ -179,21 +179,30 @@ impl Db {
     /// Merges all of L0 with L1 into a new L1, charging sequential reads of
     /// every input and a sequential write of the output.
     ///
-    /// All-or-nothing under faults: the merged table is built *before* L0
+    /// When L0 only overwrites keys L1 holds, the merged run is L1's own
+    /// key set, and L1 is written again as it is (`SsTable::rewrite`)
+    /// instead of being merged and derived anew: the same I/O, the same
+    /// table (DESIGN.md §14).
+    ///
+    /// All-or-nothing under faults: the new table is written *before* L0
     /// and L1 are replaced, so a failed compaction leaves the store exactly
     /// as it was.
     pub fn compact(&mut self, sim: &mut Sim) -> IoResult<()> {
         if self.l0.is_empty() {
             return Ok(());
         }
-        let mut runs = Vec::with_capacity(self.l0.len() + 1);
         for t in self.l0.iter().chain(&self.l1) {
             t.read_all(sim)?;
-            runs.push(t.keys());
         }
-        let new_l1 = SsTable::build(sim, merge_runs(runs), self.cfg.entries_per_block)?;
+        match &mut self.l1 {
+            Some(l1) if self.l0.iter().all(|t| all_in(t.keys(), l1.keys())) => l1.rewrite(sim)?,
+            _ => {
+                let merged =
+                    merge_runs(self.l0.iter().chain(&self.l1).map(SsTable::keys).collect());
+                self.l1 = Some(SsTable::build(sim, merged, self.cfg.entries_per_block)?);
+            }
+        }
         self.l0.clear();
-        self.l1 = Some(new_l1);
         self.stats.compactions += 1;
         Ok(())
     }
@@ -395,6 +404,17 @@ fn merge_runs(mut runs: Vec<&[u64]>) -> Vec<u64> {
         runs.retain(|r| !r.is_empty());
     }
     merged
+}
+
+/// Whether every key of ascending `run` is in ascending `set`: each key
+/// gallops on from where the last one's take ended.
+fn all_in(run: &[u64], mut set: &[u64]) -> bool {
+    run.iter().all(|&key| {
+        let taken = leading_at_most(set, key);
+        let found = taken > 0 && set[taken - 1] == key;
+        set = &set[taken..];
+        found
+    })
 }
 
 /// How many leading keys of ascending `run` are ≤ `bound`, found by galloping
@@ -669,6 +689,118 @@ mod tests {
         assert!(db.get(&mut s, 2050).unwrap());
     }
 
+    /// A store with `l1` bulk-loaded and one L0 table per entry of `l0`,
+    /// compacted only when asked.
+    fn store_with_l0(l1: &[u64], l0: &[Vec<u64>], entries_per_block: usize) -> (Sim, Db) {
+        let mut s = sim();
+        let mut db = Db::create(
+            &mut s,
+            DbConfig {
+                entries_per_block,
+                memtable_keys: 1 << 20,
+                l0_compaction_trigger: usize::MAX,
+                ..DbConfig::default()
+            },
+        );
+        db.bulk_load(&mut s, l1.to_vec()).unwrap();
+        for table in l0 {
+            for &k in table {
+                db.put(&mut s, k).unwrap();
+            }
+            db.flush(&mut s).unwrap();
+        }
+        (s, db)
+    }
+
+    /// The answers of `get` over `0..end`.
+    fn answers(db: &mut Db, s: &mut Sim, end: u64) -> Vec<bool> {
+        (0..end).map(|k| db.get(s, k).unwrap()).collect()
+    }
+
+    #[test]
+    fn failed_rewrite_leaves_store_unchanged() {
+        use kernel_sim::{FaultConfig, FaultPlan};
+        let l1: Vec<u64> = (0..2_000).map(|k| k * 2).collect();
+        // Overwrites only (L1 is written again as it is), then odd keys too
+        // (merged and built anew): a failed write on either branch.
+        for l0_stride in [6, 3] {
+            let l0: Vec<Vec<u64>> = (0..3)
+                .map(|t| (0..200).map(|k| (t + k * 3) * l0_stride).collect())
+                .collect();
+            let (mut s, mut db) = store_with_l0(&l1, &l0, 40);
+            let (mut ref_s, mut ref_db) = store_with_l0(&l1, &l0, 40);
+            ref_db.compact(&mut ref_s).unwrap();
+            let (len_before, gets_before) = (db.approximate_len(), answers(&mut db, &mut s, 4_100));
+            let writes_before = s.stats().logical_writes;
+            let keys_at = db.l1.as_ref().unwrap().keys().as_ptr();
+            s.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+                seed: 8,
+                write_error: 1.0,
+                ..FaultConfig::off()
+            })));
+            db.compact(&mut s).unwrap_err();
+            s.set_fault_plan(None);
+            assert!(
+                s.stats().logical_writes > writes_before,
+                "the write failed, not a read"
+            );
+            assert_eq!(db.approximate_len(), len_before);
+            assert_eq!(db.stats().compactions, 0);
+            assert_eq!(db.l0.len(), 3);
+            assert_eq!(answers(&mut db, &mut s, 4_100), gets_before);
+            // A retry lands where a fault-free compaction does.
+            db.compact(&mut s).unwrap();
+            let (new_l1, ref_l1) = (db.l1.as_ref().unwrap(), ref_db.l1.as_ref().unwrap());
+            assert_eq!(new_l1.resident(), ref_l1.resident());
+            assert_eq!(new_l1.keys().as_ptr() == keys_at, l0_stride == 6);
+            assert_eq!(db.approximate_len(), ref_db.approximate_len());
+            assert_eq!(db.stats().compactions, 1);
+            assert!(db.l0.is_empty());
+            let ref_gets = answers(&mut ref_db, &mut ref_s, 4_100);
+            assert_eq!(answers(&mut db, &mut s, 4_100), ref_gets);
+        }
+    }
+
+    /// FNV-1a of the filter words of a table over `0..2^20`, recorded on the
+    /// commit before compaction could keep L1's filter.
+    const FILTER_2_20_FNV: u64 = 0x5dc7_9934_aab2_31ee;
+
+    fn words_fnv(words: &[u64]) -> u64 {
+        let mut h = kml_platform::bytes::Fnv1a::new();
+        words.iter().for_each(|&w| h.fold_u64(w));
+        h.finish()
+    }
+
+    /// The ledger's `lsm-update` compaction (the `simstack` bench's store):
+    /// 2^20 keys in L1, four flushes of scattered overwrites in L0. L1 comes
+    /// out of it with the same filter, in the same key buffer.
+    #[test]
+    fn overwrite_compaction_keeps_the_filter_of_the_parent_commit() {
+        const KEYS: u64 = 1 << 20;
+        let mut x = 0x4B4D4Cu64;
+        let l0: Vec<Vec<u64>> = (0..4)
+            .map(|_| {
+                let mut table = BTreeSet::new();
+                while table.len() < DbConfig::default().memtable_keys {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    table.insert((x >> 33) % KEYS);
+                }
+                table.into_iter().collect()
+            })
+            .collect();
+        let (mut s, mut db) = store_with_l0(&(0..KEYS).collect::<Vec<u64>>(), &l0, 40);
+        let l1 = db.l1.as_ref().unwrap();
+        assert_eq!(words_fnv(l1.resident().2), FILTER_2_20_FNV);
+        let keys_at = l1.keys().as_ptr();
+        db.compact(&mut s).unwrap();
+        let l1 = db.l1.as_ref().unwrap();
+        assert_eq!(words_fnv(l1.resident().2), FILTER_2_20_FNV);
+        assert_eq!(l1.keys().as_ptr(), keys_at, "L1's keys were copied");
+        assert_eq!((db.stats().compactions, db.l0.len()), (1, 0));
+    }
+
     #[test]
     fn failed_wal_append_rejects_the_put() {
         use kernel_sim::{DeviceProfile, FaultConfig, FaultPlan, SimConfig};
@@ -753,6 +885,26 @@ mod tests {
             }
         }
 
+        /// The galloped membership walk is the subset test, for runs drawn
+        /// from the set with up to two keys from anywhere added.
+        #[test]
+        fn all_in_is_the_subset_test(
+            set in proptest::collection::btree_set(1u64..300, 0..200),
+            own in proptest::collection::vec(any::<usize>(), 0..40),
+            added in proptest::collection::vec(0u64..310, 0..3),
+        ) {
+            let run: BTreeSet<u64> = own
+                .into_iter()
+                .filter_map(|i| set.iter().nth(i % set.len().max(1)).copied())
+                .chain(added)
+                .collect();
+            let sorted: Vec<u64> = set.iter().copied().collect();
+            prop_assert_eq!(
+                all_in(&run.iter().copied().collect::<Vec<u64>>(), &sorted),
+                run.is_subset(&set)
+            );
+        }
+
         /// Lopsided runs as compaction sees them (L1 holds ~30 keys per L0
         /// key), either way round and even, with single-key runs and with
         /// the short run's keys sitting on the long run's gallop boundaries
@@ -781,6 +933,54 @@ mod tests {
             }
             let union: BTreeSet<u64> = runs.iter().copied().flatten().copied().collect();
             prop_assert_eq!(merge_runs(runs), union.into_iter().collect::<Vec<u64>>());
+        }
+
+        /// A bulk-loaded L1 and one to four L0 tables, each overwriting
+        /// keys L1 holds and adding up to two drawn anywhere (so one absent
+        /// key may sit in any table, at any position): the same table as a
+        /// build of the merged run, at the same simulated cost, whether L1
+        /// is written again as it is or merged and built anew.
+        #[test]
+        fn compaction_builds_what_a_build_of_the_merged_run_builds(
+            l1 in proptest::collection::btree_set(0u64..400, 1..200),
+            l0 in proptest::collection::vec(
+                (
+                    proptest::collection::vec(any::<usize>(), 1..60),
+                    proptest::collection::vec(0u64..500, 0..3),
+                ),
+                1..5,
+            ),
+            block_size in 0usize..3,
+        ) {
+            let l1: Vec<u64> = l1.into_iter().collect();
+            let overwrite_only = l0.iter().all(|(_, added)| added.is_empty());
+            let l0: Vec<Vec<u64>> = l0
+                .into_iter()
+                .map(|(own, added)| {
+                    let own = own.into_iter().map(|i| l1[i % l1.len()]);
+                    let table: BTreeSet<u64> = own.chain(added).collect();
+                    table.into_iter().collect()
+                })
+                .collect();
+            let entries_per_block = [1, 3, 40][block_size];
+            let (mut s, mut db) = store_with_l0(&l1, &l0, entries_per_block);
+            let (mut ref_s, ref_db) = store_with_l0(&l1, &l0, entries_per_block);
+            let keys_at = db.l1.as_ref().unwrap().keys().as_ptr();
+            db.compact(&mut s).unwrap();
+            let mut runs = Vec::new();
+            for t in ref_db.l0.iter().chain(&ref_db.l1) {
+                t.read_all(&mut ref_s).unwrap();
+                runs.push(t.keys());
+            }
+            let merged = merge_runs(runs);
+            let grows = merged.len() > l1.len();
+            let reference = SsTable::build(&mut ref_s, merged, entries_per_block).unwrap();
+            let new_l1 = db.l1.as_ref().unwrap();
+            prop_assert_eq!(new_l1.resident(), reference.resident());
+            prop_assert_eq!((s.stats(), s.now_ns()), (ref_s.stats(), ref_s.now_ns()));
+            // Only a compaction that adds keys builds a new key buffer.
+            prop_assert_eq!(new_l1.keys().as_ptr() != keys_at, grows);
+            prop_assert!(!(overwrite_only && grows));
         }
 
         /// After compaction the store answers like the set of keys put.

@@ -142,15 +142,9 @@ impl SsTable {
         );
         let blocks = keys.len().div_ceil(entries_per_block) as u64;
         let pages = blocks * BLOCK_PAGES;
-        let file = sim.create_file(pages);
-        // Sequential flush of the whole table.
-        let mut page = 0;
-        while page < pages {
-            let chunk = (pages - page).min(32);
-            sim.write(file, page, chunk)?;
-            page += chunk;
-        }
-        sim.sync()?; // flush: table data must be durable before serving reads
+        let file = write_file(sim, pages)?;
+        // The resident state: a function of the key set and the block size
+        // alone, which is what lets `rewrite` keep it (DESIGN.md §14).
         let bloom = BloomFilter::build(&keys);
         let index = keys.iter().step_by(entries_per_block).copied().collect();
         Ok(SsTable {
@@ -161,6 +155,15 @@ impl SsTable {
             pages,
             bloom,
         })
+    }
+
+    /// Writes the table again, page for page, to a new file and serves
+    /// from that one: the table `build` would make from the same keys, at
+    /// the same simulated cost, without deriving its keys, index and filter
+    /// again. On an injected device error the table is left as it was.
+    pub(crate) fn rewrite(&mut self, sim: &mut Sim) -> IoResult<()> {
+        self.file = write_file(sim, self.pages)?;
+        Ok(())
     }
 
     /// Number of keys.
@@ -253,6 +256,20 @@ impl SsTable {
     }
 }
 
+/// Creates a file of `pages` and writes it sequentially, 32 pages a
+/// request, then syncs: table data must be durable before serving reads.
+fn write_file(sim: &mut Sim, pages: u64) -> IoResult<FileId> {
+    let file = sim.create_file(pages);
+    let mut page = 0;
+    while page < pages {
+        let chunk = (pages - page).min(32);
+        sim.write(file, page, chunk)?;
+        page += chunk;
+    }
+    sim.sync()?;
+    Ok(file)
+}
+
 /// Keys per 64-byte cache line.
 const KEYS_PER_LINE: usize = 8;
 
@@ -299,6 +316,31 @@ mod tests {
 
     fn table(sim: &mut Sim, keys: Vec<u64>) -> SsTable {
         SsTable::build(sim, keys, 40).unwrap()
+    }
+
+    impl SsTable {
+        /// Everything the table holds but its file: the keys, the index and
+        /// the filter's words `build` derives, and the pages it wrote.
+        pub(crate) fn resident(&self) -> (&[u64], &[u64], &[u64], u64) {
+            (&self.keys, &self.index, &self.bloom.bits, self.pages)
+        }
+    }
+
+    #[test]
+    fn rewrite_writes_the_pages_build_wrote_and_keeps_the_table() {
+        let keys: Vec<u64> = (0..1000).map(|k| k * 2).collect();
+        let (mut s, mut ref_s) = (sim(), sim());
+        let mut t = table(&mut s, keys.clone());
+        let ref_t = table(&mut ref_s, keys.clone());
+        let keys_at = t.keys().as_ptr();
+        t.rewrite(&mut s).unwrap();
+        let rebuilt = table(&mut ref_s, keys);
+        // The same I/O as a second build, in a new file; not one key copied.
+        assert_eq!((s.stats(), s.now_ns()), (ref_s.stats(), ref_s.now_ns()));
+        assert_ne!(t.file, ref_t.file);
+        assert_eq!(t.file, rebuilt.file);
+        assert_eq!(t.resident(), rebuilt.resident());
+        assert_eq!(t.keys().as_ptr(), keys_at);
     }
 
     #[test]
