@@ -60,7 +60,8 @@ fn sigmoid_layers(model: &mut Model<f32>, batch: &[f64]) -> Vec<(Vec<f32>, Vec<f
     let mut act = Matrix::from_vec(batch.len() / dim, dim, rows).expect("whole rows");
     let mut layers = Vec::new();
     for layer in model.graph_mut().layers_mut() {
-        let out = layer.forward(&act).expect("chain forward");
+        let mut out = Matrix::zeros(0, 0);
+        layer.forward_into(&act, &mut out).expect("chain forward");
         if layer.kind() == LayerKind::Sigmoid {
             layers.push((act.as_slice().to_vec(), out.as_slice().to_vec()));
         }

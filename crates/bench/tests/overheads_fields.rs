@@ -39,8 +39,9 @@ fn deterministic_fields_match_the_parent_commit() {
     };
     for (metric, want) in [
         // Counts `size_of::<Model>()`: a field added to or removed from
-        // `Model` or its `Graph` moves it (EXPERIMENTS.md E27).
-        ("model_init_memory", 3480.0),
+        // `Model` or its `Graph` moves it (EXPERIMENTS.md E27; E32: the
+        // 40-byte single-row staging matrix went, 3,480 -> 3,440).
+        ("model_init_memory", 3440.0),
         ("inference_scratch_memory", 216.0),
         ("measured_scratch_high_water", 436.0),
         ("kml_collect.ring.consumed_total", 24700.0),

@@ -29,7 +29,7 @@ use crate::{KmlError, Result};
 /// let mut g: Graph<f64> = Graph::new();
 /// g.push(Box::new(Linear::new(3, 4, &mut rng)));
 /// g.push(Box::new(ActivationLayer::new(Activation::Sigmoid)));
-/// let y = g.forward(&Matrix::row_vector(&[1.0, 2.0, 3.0]))?;
+/// let y = g.forward_in_place(&Matrix::row_vector(&[1.0, 2.0, 3.0]))?;
 /// assert_eq!(y.shape(), (1, 4));
 /// # Ok(())
 /// # }
@@ -85,25 +85,16 @@ impl<S: Scalar> Graph<S> {
         }
     }
 
-    /// Forward propagation: feeds `input` to the first layer and returns the
-    /// last layer's activation (cloned out of the internal scratch arena).
+    /// Forward propagation: feeds `input` to the first layer through
+    /// arena-backed activation buffers and returns the last layer's
+    /// activation. After a warm-up pass with a given batch shape,
+    /// subsequent calls perform **zero heap allocations**; the returned
+    /// reference points into the arena slot of the last layer.
     ///
     /// # Errors
     ///
     /// Returns [`KmlError::InvalidConfig`] if the graph is empty, plus any
     /// shape error from the layers.
-    pub fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>> {
-        Ok(self.forward_in_place(input)?.clone())
-    }
-
-    /// Forward propagation through arena-backed activation buffers. After a
-    /// warm-up pass with a given batch shape, subsequent calls perform
-    /// **zero heap allocations**; the returned reference points into the
-    /// arena slot of the last layer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::forward`].
     pub fn forward_in_place(&mut self, input: &Matrix<S>) -> Result<&Matrix<S>> {
         let n = self.nonempty_len()?;
         self.acts.ensure_slots(n);
@@ -116,25 +107,16 @@ impl<S: Scalar> Graph<S> {
         Ok(self.acts.slot(n - 1))
     }
 
-    /// Backward propagation from `grad_output` (∂L/∂output of the graph);
-    /// parameter gradients are left inside the layers for the optimizer.
-    /// Returns ∂L/∂input of the graph.
+    /// Backward propagation from `grad_output` (∂L/∂output of the graph)
+    /// through arena-backed gradient buffers — allocation-free in steady
+    /// state, like [`Graph::forward_in_place`]. Parameter gradients are
+    /// left inside the layers for the optimizer; the returned reference
+    /// points into the arena slot holding ∂L/∂input.
     ///
     /// # Errors
     ///
     /// Returns [`KmlError::InvalidConfig`] if the graph is empty or a layer
     /// has not run forward yet.
-    pub fn backward(&mut self, grad_output: &Matrix<S>) -> Result<Matrix<S>> {
-        Ok(self.backward_in_place(grad_output)?.clone())
-    }
-
-    /// Backward propagation through arena-backed gradient buffers —
-    /// allocation-free in steady state, like [`Graph::forward_in_place`].
-    /// The returned reference points into the arena slot holding ∂L/∂input.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::backward`].
     pub fn backward_in_place(&mut self, grad_output: &Matrix<S>) -> Result<&Matrix<S>> {
         self.backward_scan(grad_output, true)?;
         Ok(self.grads.slot(self.layers.len()))
@@ -148,7 +130,7 @@ impl<S: Scalar> Graph<S> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Graph::backward`].
+    /// Same conditions as [`Graph::backward_in_place`].
     pub fn backward_params_in_place(&mut self, grad_output: &Matrix<S>) -> Result<()> {
         self.backward_scan(grad_output, false)
     }
@@ -187,17 +169,9 @@ impl<S: Scalar> Graph<S> {
         self.layers.iter().map(|l| l.scratch_bytes()).sum()
     }
 
-    /// All parameter/gradient slots across the graph, in layer order.
-    pub fn param_grads(&mut self) -> Vec<ParamGrad<'_, S>> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.param_grads())
-            .collect()
-    }
-
-    /// Visits every parameter/gradient slot in [`Graph::param_grads`] order
-    /// without building a `Vec` — the allocation-free optimizer path the
-    /// training loop drives.
+    /// Visits every parameter/gradient slot, layer by layer, without
+    /// building a `Vec` — the allocation-free optimizer path the training
+    /// loop drives.
     ///
     /// # Errors
     ///
@@ -213,18 +187,13 @@ impl<S: Scalar> Graph<S> {
     }
 
     /// Deep-copies the layers and their parameters for a serving replica
-    /// (fresh arenas, no gradient state), or `None` if any layer cannot be
-    /// copied (see [`Layer::clone_box`]).
-    pub fn clone_for_workers(&self) -> Option<Graph<S>> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            layers.push(l.clone_box()?);
-        }
-        Some(Graph {
-            layers,
+    /// (fresh arenas; see [`Layer::clone_box`]).
+    pub fn clone_for_workers(&self) -> Graph<S> {
+        Graph {
+            layers: self.layers.iter().map(|l| l.clone_box()).collect(),
             acts: ScratchArena::new(),
             grads: ScratchArena::new(),
-        })
+        }
     }
 
     /// Immutable access to the layers, input first.
@@ -273,7 +242,7 @@ mod tests {
     fn chain_forward_produces_expected_shape() {
         let mut g = chain_graph();
         let y = g
-            .forward(&Matrix::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.5]]).unwrap())
+            .forward_in_place(&Matrix::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.5]]).unwrap())
             .unwrap();
         assert_eq!(y.shape(), (2, 2));
     }
@@ -282,23 +251,26 @@ mod tests {
     fn backward_needs_forward_first() {
         let mut g = chain_graph();
         // Without a forward pass the layers have no cached activations.
-        assert!(g.backward(&Matrix::zeros(1, 2)).is_err());
+        assert!(g.backward_in_place(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
     fn passes_over_an_empty_graph_are_errors() {
         let mut g: Graph<f64> = Graph::new();
-        assert!(g.forward(&Matrix::zeros(1, 2)).is_err());
-        assert!(g.backward(&Matrix::zeros(1, 2)).is_err());
+        assert!(g.forward_in_place(&Matrix::zeros(1, 2)).is_err());
+        assert!(g.backward_in_place(&Matrix::zeros(1, 2)).is_err());
         assert!(g.backward_params_in_place(&Matrix::zeros(1, 2)).is_err());
     }
 
     /// Every parameter gradient of `g`, as bits, in slot order.
     fn grad_bits(g: &mut Graph<f64>) -> Vec<Vec<u64>> {
-        g.param_grads()
-            .iter()
-            .map(|pg| pg.grad.as_slice().iter().map(|v| v.to_bits()).collect())
-            .collect()
+        let mut bits = Vec::new();
+        g.visit_param_grads(&mut |pg| {
+            bits.push(pg.grad.as_slice().iter().map(|v| v.to_bits()).collect());
+            Ok(())
+        })
+        .unwrap();
+        bits
     }
 
     /// The training step's backward pass leaves exactly the `grad_w` /
@@ -308,8 +280,8 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.1, 0.2], vec![-0.4, 0.9]]).unwrap();
         let dy = Matrix::from_rows(&[vec![1.0, -0.5], vec![0.25, 2.0], vec![-1.5, 0.1]]).unwrap();
         let (mut full, mut params) = (chain_graph(), chain_graph());
-        full.forward(&x).unwrap();
-        params.forward(&x).unwrap();
+        full.forward_in_place(&x).unwrap();
+        params.forward_in_place(&x).unwrap();
         full.backward_in_place(&dy).unwrap();
         params.backward_params_in_place(&dy).unwrap();
         let want = grad_bits(&mut full);
@@ -325,8 +297,8 @@ mod tests {
         let mut g = chain_graph();
         let x = Matrix::from_rows(&[vec![0.4, -0.9]]).unwrap();
         let coeff = Matrix::from_rows(&[vec![1.0, -0.5]]).unwrap();
-        g.forward(&x).unwrap();
-        let gin = g.backward(&coeff).unwrap();
+        g.forward_in_place(&x).unwrap();
+        let gin = g.backward_in_place(&coeff).unwrap().clone();
 
         let eps = 1e-6;
         for c in 0..2 {
@@ -335,7 +307,7 @@ mod tests {
             let mut xm = x.clone();
             xm.set(0, c, x.get(0, c) - eps);
             let lp: f64 = g
-                .forward(&xp)
+                .forward_in_place(&xp)
                 .unwrap()
                 .hadamard(&coeff)
                 .unwrap()
@@ -343,7 +315,7 @@ mod tests {
                 .iter()
                 .sum();
             let lm: f64 = g
-                .forward(&xm)
+                .forward_in_place(&xm)
                 .unwrap()
                 .hadamard(&coeff)
                 .unwrap()
@@ -362,12 +334,12 @@ mod tests {
     #[test]
     fn param_grads_cover_all_linear_slots() {
         let mut g = chain_graph();
-        g.forward(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
+        g.forward_in_place(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
             .unwrap();
-        g.backward(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
+        g.backward_in_place(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
             .unwrap();
         // Two linear layers × (weights, bias) = 4 slots.
-        assert_eq!(g.param_grads().len(), 4);
+        assert_eq!(grad_bits(&mut g).len(), 4);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Each layer implements forward propagation (inference) and backward
 //! propagation (training); the paper's extensibility recipe — "(i) building
 //! and initializing the layer, (ii) forward propagation, (iii) backward
-//! propagation" — maps onto the three required members of [`Layer`].
+//! propagation" — maps onto a constructor, [`Layer::forward_into`] and
+//! [`Layer::backward_into`].
 //! Layers cache whatever forward state their backward pass needs, exactly
 //! like the original C implementation.
 
@@ -80,69 +81,46 @@ pub struct ParamGrad<'a, S: Scalar> {
 
 /// A differentiable component of a KML computation graph.
 ///
-/// Implementations cache forward state internally, so `backward` must always
-/// be preceded by a `forward` on the same instance (the chain discipline the
-/// paper's serial training thread enforces).
+/// Both passes write into caller-provided buffers (reshaped as needed), so
+/// a graph that reuses its buffers runs every pass allocation-free after
+/// the first — the in-place contract [`crate::graph::Graph`] drives.
+/// Implementations cache forward state internally, so a backward pass must
+/// always be preceded by a forward pass on the same instance (the chain
+/// discipline the paper's serial training thread enforces).
 pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// Which kind of layer this is (drives serialization).
     fn kind(&self) -> LayerKind;
 
-    /// Forward propagation: consumes a `batch × in_dim` activation matrix,
-    /// produces `batch × out_dim`.
+    /// Forward propagation: consumes a `batch × in_dim` activation matrix
+    /// and writes the `batch × out_dim` output into `out`.
     ///
     /// # Errors
     ///
     /// Returns [`KmlError::ShapeMismatch`] if `input` does not match the
     /// layer's expected input width.
-    fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>>;
+    fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()>;
 
     /// Backward propagation: consumes `∂L/∂output`, updates any internal
-    /// parameter gradients, and returns `∂L/∂input`.
+    /// parameter gradients, and writes `∂L/∂input` into `grad_in`.
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if called before `forward`, or
-    /// [`KmlError::ShapeMismatch`] if `grad_out` has the wrong shape.
-    fn backward(&mut self, grad_out: &Matrix<S>) -> Result<Matrix<S>>;
-
-    /// Forward propagation into a caller-provided scratch buffer (`out` is
-    /// reshaped as needed). The default falls back to the allocating
-    /// [`Layer::forward`]; the built-in layers override this with a
-    /// zero-allocation implementation, which is the path
-    /// [`crate::graph::Graph::forward_in_place`] drives.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::forward`].
-    fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
-        let y = self.forward(input)?;
-        out.copy_from(&y);
-        Ok(())
-    }
-
-    /// Backward propagation into a caller-provided scratch buffer for
-    /// `∂L/∂input`. Default falls back to the allocating [`Layer::backward`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::backward`].
-    fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()> {
-        let g = self.backward(grad_out)?;
-        grad_in.copy_from(&g);
-        Ok(())
-    }
+    /// Returns [`KmlError::InvalidConfig`] if called before
+    /// [`Layer::forward_into`], or [`KmlError::ShapeMismatch`] if
+    /// `grad_out` has the wrong shape.
+    fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()>;
 
     /// Backward propagation for a caller that has no use for `∂L/∂input`
     /// (the first layer of a training step): leaves the same parameter
     /// gradients [`Layer::backward_into`] would. The default runs the full
-    /// [`Layer::backward`] and drops its result; `Linear` overrides it to
-    /// skip the `dy · Wᵀ` product.
+    /// pass into a throwaway buffer; `Linear` overrides it to skip the
+    /// `dy · Wᵀ` product.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Layer::backward`].
+    /// Same conditions as [`Layer::backward_into`].
     fn backward_params(&mut self, grad_out: &Matrix<S>) -> Result<()> {
-        self.backward(grad_out).map(drop)
+        self.backward_into(grad_out, &mut Matrix::zeros(0, 0))
     }
 
     /// Bytes of forward-state scratch this layer keeps resident between
@@ -152,35 +130,23 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
         0
     }
 
-    /// Parameter/gradient slots for the optimizer (empty for activations).
-    fn param_grads(&mut self) -> Vec<ParamGrad<'_, S>> {
-        Vec::new()
-    }
-
-    /// Visits each parameter/gradient slot in [`Layer::param_grads`] order
-    /// without building a `Vec` — the allocation-free path the training
-    /// loop drives. The default delegates to `param_grads()` (allocating
-    /// but correct) so external layer implementations keep updating.
+    /// Visits each parameter/gradient slot, in the stable order the
+    /// optimizer keys its velocities by. The default visits nothing: a
+    /// layer without parameters has no slots.
     ///
     /// # Errors
     ///
     /// Propagates the first error returned by `f`.
     fn visit_param_grads(
         &mut self,
-        f: &mut dyn FnMut(ParamGrad<'_, S>) -> Result<()>,
+        _f: &mut dyn FnMut(ParamGrad<'_, S>) -> Result<()>,
     ) -> Result<()> {
-        for pg in self.param_grads() {
-            f(pg)?;
-        }
         Ok(())
     }
 
     /// Deep-copies this layer for a serving replica
-    /// ([`crate::graph::Graph::clone_for_workers`]), or `None` if the layer
-    /// cannot be copied.
-    fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {
-        None
-    }
+    /// ([`crate::graph::Graph::clone_for_workers`]).
+    fn clone_box(&self) -> Box<dyn Layer<S>>;
 
     /// Read-only views of the parameters, in slot order (for serialization).
     fn params(&self) -> Vec<&Matrix<S>> {
@@ -292,18 +258,6 @@ impl<S: Scalar> Layer<S> for Linear<S> {
         LayerKind::Linear
     }
 
-    fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in)?;
-        Ok(grad_in)
-    }
-
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
         input.matmul_into(&self.weights, out)?;
         out.add_row_broadcast_in_place(&self.bias)?;
@@ -335,19 +289,6 @@ impl<S: Scalar> Layer<S> for Linear<S> {
         self.cached_input.storage_bytes()
     }
 
-    fn param_grads(&mut self) -> Vec<ParamGrad<'_, S>> {
-        vec![
-            ParamGrad {
-                param: &mut self.weights,
-                grad: &self.grad_w,
-            },
-            ParamGrad {
-                param: &mut self.bias,
-                grad: &self.grad_b,
-            },
-        ]
-    }
-
     fn visit_param_grads(
         &mut self,
         f: &mut dyn FnMut(ParamGrad<'_, S>) -> Result<()>,
@@ -362,8 +303,8 @@ impl<S: Scalar> Layer<S> for Linear<S> {
         })
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Layer<S>> {
+        Box::new(self.clone())
     }
 
     fn params(&self) -> Vec<&Matrix<S>> {
@@ -440,18 +381,6 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
         }
     }
 
-    fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in)?;
-        Ok(grad_in)
-    }
-
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
         match self.activation {
             Activation::Sigmoid => input.sigmoid_into(out),
@@ -503,8 +432,8 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
         self.cache.storage_bytes()
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Layer<S>> {
+        Box::new(self.clone())
     }
 
     fn output_dim(&self, input_dim: usize) -> Option<usize> {
@@ -544,18 +473,6 @@ impl<S: Scalar> SoftmaxLayer<S> {
 impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
     fn kind(&self) -> LayerKind {
         LayerKind::Softmax
-    }
-
-    fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Matrix<S>) -> Result<Matrix<S>> {
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut grad_in)?;
-        Ok(grad_in)
     }
 
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
@@ -609,8 +526,8 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
         self.cached_output.storage_bytes() + self.row_buf.capacity() * std::mem::size_of::<f64>()
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Layer<S>>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Layer<S>> {
+        Box::new(self.clone())
     }
 
     fn output_dim(&self, input_dim: usize) -> Option<usize> {
@@ -627,10 +544,22 @@ mod tests {
         KmlRng::seed_from_u64(42)
     }
 
+    fn forward(layer: &mut dyn Layer<f64>, x: &Matrix<f64>) -> Result<Matrix<f64>> {
+        let mut out = Matrix::zeros(0, 0);
+        layer.forward_into(x, &mut out).map(|()| out)
+    }
+
+    fn backward(layer: &mut dyn Layer<f64>, grad_out: &Matrix<f64>) -> Result<Matrix<f64>> {
+        let mut grad_in = Matrix::zeros(0, 0);
+        layer
+            .backward_into(grad_out, &mut grad_in)
+            .map(|()| grad_in)
+    }
+
     /// Numerically checks `backward` of `layer` against finite differences of
     /// a scalar objective `L = sum(forward(x) ⊙ coeff)`.
     fn check_input_gradient(layer: &mut dyn Layer<f64>, x: &Matrix<f64>) {
-        let y = layer.forward(x).unwrap();
+        let y = forward(layer, x).unwrap();
         // Arbitrary fixed coefficients make L sensitive to every output.
         let coeff = Matrix::from_f64_vec(
             y.rows(),
@@ -640,7 +569,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let grad_in = layer.backward(&coeff).unwrap();
+        let grad_in = backward(layer, &coeff).unwrap();
 
         let eps = 1e-6;
         for r in 0..x.rows() {
@@ -649,16 +578,14 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let lp: f64 = layer
-                    .forward(&xp)
+                let lp: f64 = forward(layer, &xp)
                     .unwrap()
                     .hadamard(&coeff)
                     .unwrap()
                     .as_slice()
                     .iter()
                     .sum();
-                let lm: f64 = layer
-                    .forward(&xm)
+                let lm: f64 = forward(layer, &xm)
                     .unwrap()
                     .hadamard(&coeff)
                     .unwrap()
@@ -681,7 +608,7 @@ mod tests {
         let b = Matrix::row_vector(&[10.0, 20.0]);
         let mut layer = Linear::from_params(w, b).unwrap();
         let x = Matrix::row_vector(&[1.0, 1.0]);
-        let y = layer.forward(&x).unwrap();
+        let y = forward(&mut layer, &x).unwrap();
         assert_eq!(y.as_slice(), &[14.0, 26.0]);
     }
 
@@ -696,9 +623,9 @@ mod tests {
     fn linear_weight_gradient_is_correct() {
         let mut layer = Linear::<f64>::new(2, 2, &mut rng());
         let x = Matrix::from_rows(&[vec![0.7, -0.3], vec![0.2, 0.9]]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let y = forward(&mut layer, &x).unwrap();
         let coeff = Matrix::from_f64_vec(y.rows(), y.cols(), &[1.0, 0.5, -0.25, 2.0]).unwrap();
-        layer.backward(&coeff).unwrap();
+        backward(&mut layer, &coeff).unwrap();
         let analytic = layer.grad_w.clone();
 
         let eps = 1e-6;
@@ -706,8 +633,7 @@ mod tests {
             for c in 0..2 {
                 let orig = layer.weights.get(r, c);
                 layer.weights.set(r, c, orig + eps);
-                let lp: f64 = layer
-                    .forward(&x)
+                let lp: f64 = forward(&mut layer, &x)
                     .unwrap()
                     .hadamard(&coeff)
                     .unwrap()
@@ -715,8 +641,7 @@ mod tests {
                     .iter()
                     .sum();
                 layer.weights.set(r, c, orig - eps);
-                let lm: f64 = layer
-                    .forward(&x)
+                let lm: f64 = forward(&mut layer, &x)
                     .unwrap()
                     .hadamard(&coeff)
                     .unwrap()
@@ -766,7 +691,7 @@ mod tests {
     fn softmax_rows_are_distributions() {
         let mut layer = SoftmaxLayer::<f64>::new();
         let x = Matrix::from_rows(&[vec![5.0, 1.0, 1.0], vec![-3.0, 0.0, 3.0]]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let y = forward(&mut layer, &x).unwrap();
         for r in 0..2 {
             let sum: f64 = y.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-10);
@@ -780,7 +705,7 @@ mod tests {
         let mut layer = Linear::<f64>::new(2, 2, &mut rng());
         let g = Matrix::zeros(1, 2);
         assert!(matches!(
-            layer.backward(&g),
+            backward(&mut layer, &g),
             Err(KmlError::InvalidConfig(_))
         ));
     }

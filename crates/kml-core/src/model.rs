@@ -149,20 +149,7 @@ impl ModelBuilder {
                 LayerSpec::Softmax => Box::new(SoftmaxLayer::new()),
             });
         }
-        Ok(Model {
-            graph,
-            input_dim: self.input_dim,
-            output_dim: dim,
-            normalizer: None,
-            row_buf: Vec::new(),
-            row_buf2: Vec::new(),
-            input_scratch: Matrix::zeros(0, 0),
-            batch_scratch: Matrix::zeros(0, 0),
-            loss_grad: Matrix::zeros(0, 0),
-            loss_scratch: LossScratch::default(),
-            q8: None,
-            q8_dirty: false,
-        })
+        Model::from_graph(graph, self.input_dim, dim, None)
     }
 }
 
@@ -179,13 +166,11 @@ pub struct Model<S: Scalar> {
     normalizer: Option<Normalizer>,
     /// Reused staging row for normalization; sized once on first inference.
     row_buf: Vec<f64>,
-    /// Second staging row for the Q8 pair path (batched serving).
+    /// Second staging row for the Q8 engine's row pairs.
     row_buf2: Vec<f64>,
-    /// Reused input matrix fed to the graph (1×input_dim for inference).
-    input_scratch: Matrix<S>,
-    /// Reused row-stacked input matrix for batched inference. Kept
-    /// separate from `input_scratch` so the single-row path's zero-alloc
-    /// guarantee is untouched by interleaved batch calls.
+    /// Reused row-stacked input matrix every exact inference is staged
+    /// into, one row or a batch: it keeps the capacity of the widest batch
+    /// seen, so alternating the two never reaches the allocator.
     batch_scratch: Matrix<S>,
     /// Reused ∂L/∂pred buffer for training.
     loss_grad: Matrix<S>,
@@ -215,54 +200,53 @@ impl<S: Scalar> Model<S> {
         if graph.is_empty() {
             return Err(KmlError::InvalidConfig("empty graph".into()));
         }
-        Ok(Model {
+        Ok(Model::with_graph(graph, input_dim, output_dim, normalizer))
+    }
+
+    /// A model around `graph` with empty scratch buffers and no Q8 engine.
+    fn with_graph(
+        graph: Graph<S>,
+        input_dim: usize,
+        output_dim: usize,
+        normalizer: Option<Normalizer>,
+    ) -> Self {
+        Model {
             graph,
             input_dim,
             output_dim,
             normalizer,
             row_buf: Vec::new(),
             row_buf2: Vec::new(),
-            input_scratch: Matrix::zeros(0, 0),
             batch_scratch: Matrix::zeros(0, 0),
             loss_grad: Matrix::zeros(0, 0),
             loss_scratch: LossScratch::default(),
             q8: None,
             q8_dirty: false,
-        })
+        }
     }
 
     /// Builds an inference **replica**: same weights (via
-    /// [`Graph::clone_for_workers`]), same normalizer, same Q8
-    /// configuration — fresh scratch buffers and no optimizer state.
-    /// Returns `None` if any layer is not worker-cloneable.
+    /// [`Graph::clone_for_workers`]), same normalizer, the same Q8 engine
+    /// with its dirty flag — fresh scratch buffers and no optimizer state.
     ///
-    /// Replica predictions are bit-identical to the original's: weights
-    /// and normalizer are value-equal, the forward pass is deterministic
-    /// in both, and a Q8 replica re-derives its engine from the same
-    /// parameters through the same deterministic quantization the
-    /// original's lazy refresh uses. The fleet server leans on this to
-    /// fan row-chunks of one batch across pool workers without
-    /// serializing on the model's scratch mutex.
-    pub fn try_clone_replica(&self) -> Option<Model<S>> {
-        let graph = self.graph.clone_for_workers()?;
-        let mut replica = Model {
-            graph,
-            input_dim: self.input_dim,
-            output_dim: self.output_dim,
-            normalizer: self.normalizer.clone(),
-            row_buf: Vec::new(),
-            row_buf2: Vec::new(),
-            input_scratch: Matrix::zeros(0, 0),
-            batch_scratch: Matrix::zeros(0, 0),
-            loss_grad: Matrix::zeros(0, 0),
-            loss_scratch: LossScratch::default(),
-            q8: None,
-            q8_dirty: false,
-        };
-        if self.q8.is_some() {
-            replica.enable_q8().ok()?;
+    /// Replica predictions are bit-identical to the original's: weights,
+    /// normalizer and engine are value-equal, the forward pass is
+    /// deterministic in both, and a replica taken while the engine is
+    /// stale re-quantizes exactly when the original would, from the same
+    /// parameters. The fleet server leans on this to fan row-chunks of one
+    /// batch across pool workers without serializing on the model's
+    /// scratch.
+    pub fn replica(&self) -> Model<S> {
+        Model {
+            q8: self.q8.clone(),
+            q8_dirty: self.q8_dirty,
+            ..Model::with_graph(
+                self.graph.clone_for_workers(),
+                self.input_dim,
+                self.output_dim,
+                self.normalizer.clone(),
+            )
         }
-        Some(replica)
     }
 
     /// Input feature count.
@@ -344,54 +328,6 @@ impl<S: Scalar> Model<S> {
         Ok(())
     }
 
-    /// Q8 single-row core: normalize into the staging row, run the int8
-    /// engine, return its borrowed `f32` logits. Caller has checked that
-    /// the engine is enabled.
-    fn q8_infer_row(&mut self, features: &[f64]) -> Result<&[f32]> {
-        if features.len() != self.input_dim {
-            return Err(KmlError::ShapeMismatch {
-                op: "infer",
-                lhs: (1, features.len()),
-                rhs: (1, self.input_dim),
-            });
-        }
-        self.q8_refresh()?;
-        self.row_buf.clear();
-        self.row_buf.extend_from_slice(features);
-        if let Some(n) = &self.normalizer {
-            n.apply_row(&mut self.row_buf)?;
-        }
-        let engine = self.q8.as_mut().expect("q8 engine enabled");
-        let _guard = fpu::FpuGuard::enter();
-        engine.infer_row(&self.row_buf)
-    }
-
-    /// Q8 two-row core for the batched serving paths: normalizes both rows
-    /// and runs them through the engine's software-pipelined pair kernel
-    /// ([`crate::quant::Q8Engine::infer_row_pair`]). Caller has checked
-    /// shapes and that the engine is enabled.
-    fn q8_infer_pair(&mut self, f0: &[f64], f1: &[f64]) -> Result<(&[f32], &[f32])> {
-        self.q8_refresh()?;
-        if self.normalizer.is_none() {
-            // No normalization → the feature slices feed the engine
-            // directly, skipping the staging copies.
-            let engine = self.q8.as_mut().expect("q8 engine enabled");
-            let _guard = fpu::FpuGuard::enter();
-            return engine.infer_row_pair(f0, f1);
-        }
-        self.row_buf.clear();
-        self.row_buf.extend_from_slice(f0);
-        self.row_buf2.clear();
-        self.row_buf2.extend_from_slice(f1);
-        if let Some(n) = &self.normalizer {
-            n.apply_row(&mut self.row_buf)?;
-            n.apply_row(&mut self.row_buf2)?;
-        }
-        let engine = self.q8.as_mut().expect("q8 engine enabled");
-        let _guard = fpu::FpuGuard::enter();
-        engine.infer_row_pair(&self.row_buf, &self.row_buf2)
-    }
-
     /// Attaches a fitted normalizer applied before every forward pass.
     pub fn set_normalizer(&mut self, n: Normalizer) {
         self.normalizer = Some(n);
@@ -446,60 +382,6 @@ impl<S: Scalar> Model<S> {
         self.graph.scratch_high_water_bytes() + self.graph.layer_scratch_bytes()
     }
 
-    /// Raw forward pass on (already normalized) rows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers.
-    pub fn forward(&mut self, input: &Matrix<S>) -> Result<Matrix<S>> {
-        if S::USES_FPU {
-            let _guard = fpu::FpuGuard::enter();
-            self.graph.forward(input)
-        } else {
-            self.graph.forward(input)
-        }
-    }
-
-    /// Shared inference core: normalize into the reused staging row, convert
-    /// into the reused input matrix, forward through the graph's scratch
-    /// arena. Returns a reference into the arena's output slot. After the
-    /// first call, this path performs **zero heap allocations**.
-    fn infer_in_place(&mut self, features: &[f64]) -> Result<&Matrix<S>> {
-        if features.len() != self.input_dim {
-            return Err(KmlError::ShapeMismatch {
-                op: "infer",
-                lhs: (1, features.len()),
-                rhs: (1, self.input_dim),
-            });
-        }
-        self.input_scratch.ensure_shape(1, self.input_dim);
-        if let Some(n) = &self.normalizer {
-            self.row_buf.clear();
-            self.row_buf.extend_from_slice(features);
-            n.apply_row(&mut self.row_buf)?;
-            for (dst, src) in self
-                .input_scratch
-                .as_mut_slice()
-                .iter_mut()
-                .zip(&self.row_buf)
-            {
-                *dst = S::from_f64(*src);
-            }
-        } else {
-            // No normalizer: convert straight from the caller's slice —
-            // the same `from_f64` per element, minus the staging copy.
-            for (dst, &src) in self.input_scratch.as_mut_slice().iter_mut().zip(features) {
-                *dst = S::from_f64(src);
-            }
-        }
-        if S::USES_FPU {
-            let _guard = fpu::FpuGuard::enter();
-            self.graph.forward_in_place(&self.input_scratch)
-        } else {
-            self.graph.forward_in_place(&self.input_scratch)
-        }
-    }
-
     /// Full inference pipeline for one feature vector: normalize (if a
     /// normalizer is attached), forward, return the raw output row.
     ///
@@ -507,14 +389,9 @@ impl<S: Scalar> Model<S> {
     ///
     /// Returns [`KmlError::ShapeMismatch`] if `features.len() != input_dim`.
     pub fn infer(&mut self, features: &[f64]) -> Result<Vec<f64>> {
-        if self.q8.is_some() {
-            return Ok(self
-                .q8_infer_row(features)?
-                .iter()
-                .map(|&v| v as f64)
-                .collect());
-        }
-        Ok(self.infer_in_place(features)?.to_f64_vec())
+        let mut out = Vec::new();
+        self.infer_into(features, &mut out)?;
+        Ok(out)
     }
 
     /// [`Model::infer`] into a caller-provided buffer. Zero heap allocations
@@ -526,116 +403,26 @@ impl<S: Scalar> Model<S> {
     ///
     /// Same conditions as [`Model::infer`].
     pub fn infer_into(&mut self, features: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        if self.q8.is_some() {
-            let logits = self.q8_infer_row(features)?;
-            // Borrow of `self` ends before `out` is written (out is not ours).
-            let n = logits.len();
-            out.clear();
-            out.extend(logits.iter().map(|&v| v as f64));
-            debug_assert_eq!(out.len(), n);
-            return Ok(());
-        }
-        let pred = self.infer_in_place(features)?;
-        out.clear();
-        out.extend(pred.as_slice().iter().map(|v| v.to_f64()));
-        Ok(())
+        self.run("infer", features, 1, Sink::Values(out))
     }
 
     /// Predicted class for one feature vector (argmax of [`Model::infer`]).
-    ///
-    /// Allocation-free in steady state: the output row is read straight out
-    /// of the graph's scratch arena.
+    /// Allocation-free in steady state.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Model::infer`].
     pub fn predict(&mut self, features: &[f64]) -> Result<usize> {
-        if self.q8.is_some() {
-            let out = self.q8_infer_row(features)?;
-            let mut best = 0;
-            for (i, v) in out.iter().enumerate() {
-                if *v > out[best] {
-                    best = i;
-                }
-            }
-            return Ok(best);
-        }
-        let out = self.infer_in_place(features)?.as_slice();
-        let mut best = 0;
-        for (i, v) in out.iter().enumerate() {
-            if v.to_f64() > out[best].to_f64() {
-                best = i;
-            }
-        }
-        Ok(best)
-    }
-
-    /// The batch contract of [`Model::infer_batch_into`] and
-    /// [`Model::predict_batch_into`], checked before anything else — a
-    /// zero-row batch included: `features` holds `rows × input_dim` values.
-    fn batch_shape(&self, op: &'static str, features: &[f64], rows: usize) -> Result<()> {
-        if features.len() == rows * self.input_dim {
-            return Ok(());
-        }
-        Err(KmlError::ShapeMismatch {
-            op,
-            lhs: (rows, features.len().checked_div(rows).unwrap_or(0)),
-            rhs: (rows, self.input_dim),
-        })
-    }
-
-    /// Batched inference core: normalize each of the `rows` row-stacked
-    /// feature vectors into the reused batch matrix and run **one**
-    /// forward pass over all of them (a `rows × input_dim` matmul per
-    /// linear layer — the blocked-GEMM path the per-row loop can't reach).
-    ///
-    /// Bit-identical to `rows` single [`Model::infer_in_place`] calls:
-    /// normalization is per-row `f64` arithmetic, every layer is row-wise
-    /// (linear layers accumulate over `k` in ascending order for each
-    /// output element regardless of the row count — the blocked kernel is
-    /// separately proven bit-identical to that reference — and
-    /// activations are pure per-element maps), so row `i` of the batch
-    /// output depends only on row `i` of the input, computed in the same
-    /// operation order as a 1-row pass. `tests/batch_parity.rs` holds the
-    /// property proof across scalar types and batch shapes. The caller has
-    /// checked the shape ([`Model::batch_shape`]).
-    fn infer_batch_in_place(&mut self, features: &[f64], rows: usize) -> Result<&Matrix<S>> {
-        let dim = self.input_dim;
-        self.batch_scratch.ensure_shape(rows, dim);
-        if let Some(n) = &self.normalizer {
-            for r in 0..rows {
-                self.row_buf.clear();
-                self.row_buf
-                    .extend_from_slice(&features[r * dim..(r + 1) * dim]);
-                n.apply_row(&mut self.row_buf)?;
-                for (dst, src) in self.batch_scratch.as_mut_slice()[r * dim..(r + 1) * dim]
-                    .iter_mut()
-                    .zip(&self.row_buf)
-                {
-                    *dst = S::from_f64(*src);
-                }
-            }
-        } else {
-            // No normalizer: one straight conversion sweep over the whole
-            // row-stacked batch (same `from_f64` per element as the staged
-            // route).
-            for (dst, &src) in self.batch_scratch.as_mut_slice().iter_mut().zip(features) {
-                *dst = S::from_f64(src);
-            }
-        }
-        if S::USES_FPU {
-            let _guard = fpu::FpuGuard::enter();
-            self.graph.forward_in_place(&self.batch_scratch)
-        } else {
-            self.graph.forward_in_place(&self.batch_scratch)
-        }
+        let mut class = 0;
+        self.run("infer", features, 1, Sink::Class(&mut class))?;
+        Ok(class)
     }
 
     /// Batched [`Model::infer_into`]: `features` holds `rows` feature
     /// vectors row-stacked (`rows × input_dim` values); `out` receives the
     /// `rows × output_dim` raw outputs, row-stacked. One forward pass for
-    /// the whole batch, bit-identical to `rows` serial `infer_into` calls
-    /// (see [`Model::infer_batch_in_place`] for the argument).
+    /// the whole batch, bit-identical to `rows` one-row calls (see
+    /// [`Model::forward_rows`] for the argument).
     ///
     /// # Errors
     ///
@@ -647,37 +434,7 @@ impl<S: Scalar> Model<S> {
         rows: usize,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        self.batch_shape("infer_batch", features, rows)?;
-        if rows == 0 {
-            out.clear();
-            return Ok(());
-        }
-        if self.q8.is_some() {
-            let dim = self.input_dim;
-            out.clear();
-            out.reserve(rows * self.output_dim);
-            // Rows go through the engine two at a time so their latency
-            // chains overlap (see `Q8Engine::infer_row_pair`).
-            let mut r = 0;
-            while r + 2 <= rows {
-                let (l0, l1) = self.q8_infer_pair(
-                    &features[r * dim..(r + 1) * dim],
-                    &features[(r + 1) * dim..(r + 2) * dim],
-                )?;
-                out.extend(l0.iter().map(|&v| v as f64));
-                out.extend(l1.iter().map(|&v| v as f64));
-                r += 2;
-            }
-            if r < rows {
-                let logits = self.q8_infer_row(&features[r * dim..(r + 1) * dim])?;
-                out.extend(logits.iter().map(|&v| v as f64));
-            }
-            return Ok(());
-        }
-        let pred = self.infer_batch_in_place(features, rows)?;
-        out.clear();
-        out.extend(pred.as_slice().iter().map(|v| v.to_f64()));
-        Ok(())
+        self.run("infer_batch", features, rows, Sink::Values(out))
     }
 
     /// Batched [`Model::predict`]: argmax per row of a batched forward
@@ -692,54 +449,100 @@ impl<S: Scalar> Model<S> {
         rows: usize,
         classes: &mut Vec<usize>,
     ) -> Result<()> {
-        self.batch_shape("predict_batch", features, rows)?;
+        self.run("predict_batch", features, rows, Sink::Classes(classes))
+    }
+
+    /// The one inference core behind every entry point above — a single
+    /// row is a one-row batch. Checks the shape before anything else (a
+    /// zero-row batch included: `features` holds `rows × input_dim`
+    /// values), then runs the exact forward pass or the Q8 engine and
+    /// hands each output row to `sink` where it lies, without a copy.
+    fn run(
+        &mut self,
+        op: &'static str,
+        features: &[f64],
+        rows: usize,
+        mut sink: Sink<'_>,
+    ) -> Result<()> {
+        if features.len() != rows * self.input_dim {
+            return Err(KmlError::ShapeMismatch {
+                op,
+                lhs: (rows, features.len().checked_div(rows).unwrap_or(0)),
+                rhs: (rows, self.input_dim),
+            });
+        }
+        sink.clear();
         if rows == 0 {
-            classes.clear();
             return Ok(());
         }
+        let _fpu = (S::USES_FPU || self.q8.is_some()).then(fpu::FpuGuard::enter);
         if self.q8.is_some() {
-            let dim = self.input_dim;
-            classes.clear();
-            classes.reserve(rows);
-            fn argmax(logits: &[f32]) -> usize {
-                let mut best = 0;
-                for (i, &v) in logits.iter().enumerate() {
-                    if v > logits[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-            // Paired rows, same as `infer_batch_into`.
-            let mut r = 0;
-            while r + 2 <= rows {
-                let (l0, l1) = self.q8_infer_pair(
-                    &features[r * dim..(r + 1) * dim],
-                    &features[(r + 1) * dim..(r + 2) * dim],
-                )?;
-                let (c0, c1) = (argmax(l0), argmax(l1));
-                classes.push(c0);
-                classes.push(c1);
-                r += 2;
-            }
-            if r < rows {
-                let logits = self.q8_infer_row(&features[r * dim..(r + 1) * dim])?;
-                classes.push(argmax(logits));
-            }
-            return Ok(());
+            return self.run_q8(features, rows, &mut sink);
         }
-        let out_dim = self.output_dim;
-        let out = self.infer_batch_in_place(features, rows)?.as_slice();
-        classes.clear();
+        let out = self.forward_rows(features, rows)?;
         for r in 0..rows {
-            let row = &out[r * out_dim..(r + 1) * out_dim];
-            let mut best = 0;
-            for (i, v) in row.iter().enumerate() {
-                if v.to_f64() > row[best].to_f64() {
-                    best = i;
+            sink.put(out.row(r));
+        }
+        Ok(())
+    }
+
+    /// The exact pass: normalize each of the `rows` row-stacked feature
+    /// vectors into the reused staging matrix and run **one** forward pass
+    /// over all of them (a `rows × input_dim` matmul per linear layer —
+    /// the blocked-GEMM path a per-row loop can't reach).
+    ///
+    /// Row `i` of the output does not depend on how many rows share the
+    /// pass: normalization is per-row `f64` arithmetic, every layer is
+    /// row-wise (linear layers accumulate over `k` in ascending order for
+    /// each output element regardless of the row count — the blocked
+    /// kernel is separately proven bit-identical to that reference — and
+    /// activations are pure per-element maps), so row `i` is computed in
+    /// the same operation order as a one-row pass. `tests/batch_parity.rs`
+    /// holds the property proof across scalar types and batch shapes.
+    fn forward_rows(&mut self, features: &[f64], rows: usize) -> Result<&Matrix<S>> {
+        let dim = self.input_dim;
+        self.batch_scratch.ensure_shape(rows, dim);
+        if let Some(n) = &self.normalizer {
+            for r in 0..rows {
+                self.row_buf.clear();
+                self.row_buf
+                    .extend_from_slice(&features[r * dim..(r + 1) * dim]);
+                n.apply_row(&mut self.row_buf)?;
+                for (dst, src) in self.batch_scratch.row_mut(r).iter_mut().zip(&self.row_buf) {
+                    *dst = S::from_f64(*src);
                 }
             }
-            classes.push(best);
+        } else {
+            // No normalizer: one straight conversion sweep over the whole
+            // row-stacked batch (same `from_f64` per element as the staged
+            // route).
+            for (dst, &src) in self.batch_scratch.as_mut_slice().iter_mut().zip(features) {
+                *dst = S::from_f64(src);
+            }
+        }
+        self.graph.forward_in_place(&self.batch_scratch)
+    }
+
+    /// The Q8 pass: rows go through the engine two at a time so their
+    /// latency chains overlap ([`crate::quant::Q8Engine::infer_row_pair`]);
+    /// an odd last row runs alone. A stale engine re-quantizes first.
+    fn run_q8(&mut self, features: &[f64], rows: usize, sink: &mut Sink<'_>) -> Result<()> {
+        self.q8_refresh()?;
+        let dim = self.input_dim;
+        let row = |r: usize| &features[r * dim..(r + 1) * dim];
+        let norm = self.normalizer.as_ref();
+        let engine = self.q8.as_mut().expect("q8 engine enabled");
+        let mut r = 0;
+        while r + 2 <= rows {
+            let f0 = normalized(norm, row(r), &mut self.row_buf)?;
+            let f1 = normalized(norm, row(r + 1), &mut self.row_buf2)?;
+            let (l0, l1) = engine.infer_row_pair(f0, f1)?;
+            sink.put(l0);
+            sink.put(l1);
+            r += 2;
+        }
+        if r < rows {
+            sink.put(engine.infer_row(normalized(norm, row(r), &mut self.row_buf)?)?);
         }
         Ok(())
     }
@@ -766,27 +569,18 @@ impl<S: Scalar> Model<S> {
     ) -> Result<f64> {
         // Weight updates invalidate any pre-quantized Q8 serving engine.
         self.q8_dirty = true;
-        let graph = &mut self.graph;
-        let loss_grad = &mut self.loss_grad;
-        let loss_scratch = &mut self.loss_scratch;
-        let mut run = || -> Result<f64> {
-            let pred = graph.forward_in_place(input)?;
-            let l = loss.loss_and_grad_into(pred, target, loss_grad, loss_scratch)?;
-            graph.backward_params_in_place(loss_grad)?;
-            let mut slot = 0usize;
-            graph.visit_param_grads(&mut |mut pg| {
-                let res = sgd.apply(slot, &mut pg);
-                slot += 1;
-                res
-            })?;
-            Ok(l)
-        };
-        if S::USES_FPU {
-            let _guard = fpu::FpuGuard::enter();
-            run()
-        } else {
-            run()
-        }
+        let _fpu = S::USES_FPU.then(fpu::FpuGuard::enter);
+        let pred = self.graph.forward_in_place(input)?;
+        let l =
+            loss.loss_and_grad_into(pred, target, &mut self.loss_grad, &mut self.loss_scratch)?;
+        self.graph.backward_params_in_place(&self.loss_grad)?;
+        let mut slot = 0usize;
+        self.graph.visit_param_grads(&mut |mut pg| {
+            let res = sgd.apply(slot, &mut pg);
+            slot += 1;
+            res
+        })?;
+        Ok(l)
     }
 
     /// One shuffled pass over `data` with mini-batches of 16.
@@ -839,6 +633,62 @@ impl<S: Scalar> Model<S> {
     }
 }
 
+/// Where the inference core hands each output row: its raw values
+/// appended (`infer*`), its class appended (`predict_batch_into`), or the
+/// one row's class (`predict`).
+enum Sink<'a> {
+    Values(&'a mut Vec<f64>),
+    Classes(&'a mut Vec<usize>),
+    Class(&'a mut usize),
+}
+
+impl Sink<'_> {
+    fn clear(&mut self) {
+        match self {
+            Sink::Values(out) => out.clear(),
+            Sink::Classes(out) => out.clear(),
+            Sink::Class(_) => {}
+        }
+    }
+
+    /// Takes one output row: the exact pass's `S` values or the Q8
+    /// engine's `f32` logits.
+    fn put<T: Scalar>(&mut self, row: &[T]) {
+        match self {
+            Sink::Values(out) => out.extend(row.iter().map(|v| v.to_f64())),
+            Sink::Classes(out) => out.push(argmax(row)),
+            Sink::Class(class) => **class = argmax(row),
+        }
+    }
+}
+
+/// Index of the first largest value in `row`.
+fn argmax<T: Scalar>(row: &[T]) -> usize {
+    let mut best = 0;
+    for (i, v) in row.iter().enumerate() {
+        if v.to_f64() > row[best].to_f64() {
+            best = i;
+        }
+    }
+    best
+}
+
+/// `row` as the Q8 engine should see it: normalized into `buf` when a
+/// normalizer is attached, the caller's slice itself otherwise.
+fn normalized<'a>(
+    normalizer: Option<&Normalizer>,
+    row: &'a [f64],
+    buf: &'a mut Vec<f64>,
+) -> Result<&'a [f64]> {
+    let Some(n) = normalizer else {
+        return Ok(row);
+    };
+    buf.clear();
+    buf.extend_from_slice(row);
+    n.apply_row(buf)?;
+    Ok(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,7 +730,7 @@ mod tests {
                 .train_epoch(&data, &CrossEntropyLoss, &mut sgd, &mut rng)
                 .unwrap();
         }
-        let mut replica = model.try_clone_replica().expect("chain is cloneable");
+        let mut replica = model.replica();
         let mut probe = Vec::new();
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
@@ -916,12 +766,35 @@ mod tests {
             .build::<f32>()
             .unwrap();
         model.enable_q8().unwrap();
-        let mut replica = model.try_clone_replica().expect("chain is cloneable");
+        let mut replica = model.replica();
         assert!(replica.q8_enabled(), "replica must inherit q8 serving");
-        for i in 0..64u64 {
-            let row = [(i as f64).sin() * 3.0, (i as f64).cos() * 3.0];
-            assert_eq!(model.predict(&row).unwrap(), replica.predict(&row).unwrap());
+        let rows: Vec<[f64; 2]> = (0..64u64)
+            .map(|i| [(i as f64).sin() * 3.0, (i as f64).cos() * 3.0])
+            .collect();
+        for row in &rows {
+            assert_eq!(model.predict(row).unwrap(), replica.predict(row).unwrap());
         }
+
+        // A replica taken while the engine is stale (after a training
+        // step) re-quantizes when the original does, to the same tables.
+        let before = model.q8_calibration().unwrap();
+        let input = Matrix::from_f64_vec(2, 2, &[3.0, -1.0, -2.0, 0.5]).unwrap();
+        let mut sgd = Sgd::new(0.5, 0.0);
+        model
+            .train_batch(
+                &input,
+                TargetRef::Classes(&[1, 0]),
+                &CrossEntropyLoss,
+                &mut sgd,
+            )
+            .unwrap();
+        let mut stale = model.replica();
+        for row in &rows {
+            assert_eq!(model.predict(row).unwrap(), stale.predict(row).unwrap());
+        }
+        let after = model.q8_calibration().unwrap();
+        assert_ne!(before, after, "the training step moved the weights");
+        assert_eq!(stale.q8_calibration().unwrap(), after);
     }
 
     #[test]
@@ -1062,7 +935,7 @@ mod tests {
 
         let mut qm = ModelBuilder::new(2).linear(2).build::<Fix32>().unwrap();
         let before = fpu::sections_entered();
-        qm.forward(&Matrix::<Fix32>::zeros(1, 2)).unwrap();
+        qm.infer(&[0.0, 0.0]).unwrap();
         assert_eq!(
             fpu::sections_entered(),
             before,

@@ -69,22 +69,9 @@ impl Sgd {
         self.velocities.clear();
     }
 
-    /// Applies one update to every parameter slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors if a gradient's shape stopped matching its
-    /// parameter (which indicates a corrupted training loop).
-    pub fn step<S: Scalar>(&mut self, slots: &mut [ParamGrad<'_, S>]) -> Result<()> {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            self.apply(i, slot)?;
-        }
-        Ok(())
-    }
-
     /// Applies one update to a single parameter slot, identified by its
-    /// stable position in the model's slot order. Used by the visitor-based
-    /// training path, which never materializes a slot `Vec`.
+    /// stable position in the model's slot order (the order
+    /// [`crate::graph::Graph::visit_param_grads`] walks).
     ///
     /// # Errors
     ///
@@ -140,6 +127,11 @@ mod tests {
     use crate::KmlRng;
     use rand::SeedableRng;
 
+    /// One update of a single-slot model.
+    fn step(sgd: &mut Sgd, param: &mut Matrix<f64>, grad: &Matrix<f64>) -> Result<()> {
+        sgd.apply(0, &mut ParamGrad { param, grad })
+    }
+
     #[test]
     #[should_panic(expected = "learning rate")]
     fn zero_learning_rate_panics() {
@@ -157,11 +149,7 @@ mod tests {
         let mut w = Matrix::from_rows(&[vec![1.0_f64, -1.0]]).unwrap();
         let g = Matrix::from_rows(&[vec![0.5, -0.5]]).unwrap();
         let mut sgd = Sgd::new(0.1, 0.0);
-        sgd.step(&mut [ParamGrad {
-            param: &mut w,
-            grad: &g,
-        }])
-        .unwrap();
+        step(&mut sgd, &mut w, &g).unwrap();
         assert_eq!(w.as_slice(), &[0.95, -0.95]);
     }
 
@@ -172,16 +160,8 @@ mod tests {
         let mut sgd = Sgd::new(0.1, 0.5);
         // step 1: v = -0.1, w = -0.1
         // step 2: v = -0.15, w = -0.25
-        sgd.step(&mut [ParamGrad {
-            param: &mut w,
-            grad: &g,
-        }])
-        .unwrap();
-        sgd.step(&mut [ParamGrad {
-            param: &mut w,
-            grad: &g,
-        }])
-        .unwrap();
+        step(&mut sgd, &mut w, &g).unwrap();
+        step(&mut sgd, &mut w, &g).unwrap();
         assert!((w.get(0, 0) + 0.25).abs() < 1e-12);
     }
 
@@ -211,18 +191,9 @@ mod tests {
         let mut wide = Matrix::from_rows(&[vec![1.0_f64, 2.0, 3.0]]).unwrap();
         let g_wide = Matrix::from_rows(&[vec![0.5, 0.5, 0.5]]).unwrap();
         let mut sgd = Sgd::new(0.1, 0.5);
-        sgd.step(&mut [ParamGrad {
-            param: &mut small,
-            grad: &g_small,
-        }])
-        .unwrap();
+        step(&mut sgd, &mut small, &g_small).unwrap();
         // Both directions: a velocity shorter and longer than the gradient.
-        let err = sgd
-            .step(&mut [ParamGrad {
-                param: &mut wide,
-                grad: &g_wide,
-            }])
-            .unwrap_err();
+        let err = step(&mut sgd, &mut wide, &g_wide).unwrap_err();
         assert!(matches!(
             err,
             KmlError::ShapeMismatch {
@@ -233,17 +204,8 @@ mod tests {
         ));
         assert_eq!(wide.as_slice(), &[1.0, 2.0, 3.0], "no partial update");
         sgd.reset();
-        sgd.step(&mut [ParamGrad {
-            param: &mut wide,
-            grad: &g_wide,
-        }])
-        .unwrap();
-        assert!(sgd
-            .step(&mut [ParamGrad {
-                param: &mut small,
-                grad: &g_small,
-            }])
-            .is_err());
+        step(&mut sgd, &mut wide, &g_wide).unwrap();
+        assert!(step(&mut sgd, &mut small, &g_small).is_err());
         assert_eq!(small.as_slice(), &[0.95, 1.95]);
     }
 
@@ -252,18 +214,10 @@ mod tests {
         let mut w = Matrix::from_rows(&[vec![0.0_f64]]).unwrap();
         let g = Matrix::from_rows(&[vec![1.0]]).unwrap();
         let mut sgd = Sgd::new(0.1, 0.9);
-        sgd.step(&mut [ParamGrad {
-            param: &mut w,
-            grad: &g,
-        }])
-        .unwrap();
+        step(&mut sgd, &mut w, &g).unwrap();
         sgd.reset();
         let before = w.get(0, 0);
-        sgd.step(&mut [ParamGrad {
-            param: &mut w,
-            grad: &g,
-        }])
-        .unwrap();
+        step(&mut sgd, &mut w, &g).unwrap();
         // With cleared velocity the step is exactly -lr*g again.
         assert!((w.get(0, 0) - (before - 0.1)).abs() < 1e-12);
     }
@@ -275,14 +229,21 @@ mod tests {
         let mut layer = Linear::<f64>::new(1, 1, &mut rng);
         let mut sgd = Sgd::new(0.02, 0.8);
         let xs = [0.0, 0.5, 1.0, 1.5, 2.0];
+        let mut pred = Matrix::zeros(0, 0);
         for _ in 0..500 {
             for &x in &xs {
                 let input = Matrix::row_vector(&[x]);
-                let pred = layer.forward(&input).unwrap();
+                layer.forward_into(&input, &mut pred).unwrap();
                 let target = [2.0 * x];
                 let grad = MseLoss.grad(&pred, TargetRef::Values(&target)).unwrap();
-                layer.backward(&grad).unwrap();
-                sgd.step(&mut layer.param_grads()).unwrap();
+                layer.backward_params(&grad).unwrap();
+                let mut slot = 0;
+                layer
+                    .visit_param_grads(&mut |mut pg| {
+                        slot += 1;
+                        sgd.apply(slot - 1, &mut pg)
+                    })
+                    .unwrap();
             }
         }
         let w = layer.weights().get(0, 0);

@@ -8,7 +8,8 @@
 //! Covered across all three scalar types (f32, f64, Q16.16 fixed point),
 //! with and without a fitted normalizer, and including ragged final
 //! batches: chunking the rows into uneven batches must reproduce the
-//! full-batch output bit for bit.
+//! full-batch output bit for bit, and a single row run after those
+//! batches must answer as it does on a fresh model.
 
 use kml_core::dataset::Normalizer;
 use kml_core::fixed::Fix32;
@@ -104,6 +105,25 @@ fn check_batch_parity<S: Scalar>(
             c.to_bits(),
             "output {i}: serial {s} vs chunked {c}"
         );
+    }
+
+    // A single row is a one-row batch on the same staging matrix: after
+    // the batches above, the model answers each row exactly as a fresh
+    // model does.
+    let mut fresh = build_model::<S>(input_dim, hidden, output_dim, seed, normalize, &rows);
+    let mut fresh_out = Vec::new();
+    for row in &rows {
+        model
+            .infer_into(row, &mut row_out)
+            .expect("row after batch");
+        fresh.infer_into(row, &mut fresh_out).expect("fresh row");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&row_out),
+            bits(&fresh_out),
+            "row {row:?} after a batch"
+        );
+        assert_eq!(model.predict(row).unwrap(), fresh.predict(row).unwrap());
     }
 }
 

@@ -15,7 +15,7 @@ use kml_core::dataset::Normalizer;
 use kml_core::fixed::Fix32;
 use kml_core::loss::{CrossEntropyLoss, TargetRef};
 use kml_core::matrix::Matrix;
-use kml_core::model::ModelBuilder;
+use kml_core::model::{Model, ModelBuilder};
 use kml_core::optimizer::Sgd;
 use kml_core::scalar::Scalar;
 use kml_core::KmlError;
@@ -82,6 +82,53 @@ fn steady_state_inference_is_allocation_free_f64() {
 #[test]
 fn steady_state_inference_is_allocation_free_fix32() {
     assert_steady_state_zero_allocs::<Fix32>("Fix32 (Q16.16)");
+}
+
+/// A single row is a one-row batch on the same staging matrix: a model
+/// warmed with a 256-row batch and a single row, then alternated between
+/// the two, never reaches the allocator — on the exact path and the q8
+/// engine alike.
+#[test]
+fn alternating_a_batch_and_a_single_row_is_allocation_free() {
+    let build = || {
+        let mut model = ModelBuilder::readahead_paper_topology(5, 4)
+            .seed(0x2a)
+            .build::<f32>()
+            .unwrap();
+        model.set_normalizer(fitted_normalizer());
+        model
+    };
+    let mut q8 = build();
+    q8.enable_q8().unwrap();
+    let batch: Vec<f64> = (0..256)
+        .flat_map(|r| FEATURES.map(|v| v * (1.0 + r as f64 / 64.0)))
+        .collect();
+    for (label, mut model) in [("exact", build()), ("q8", q8)] {
+        let (mut out, mut classes, mut row) = (Vec::new(), Vec::new(), Vec::new());
+        let mut alternate = |model: &mut Model<f32>| {
+            model.predict_batch_into(&batch, 256, &mut classes).unwrap();
+            model.infer_batch_into(&batch, 256, &mut out).unwrap();
+            assert!(model.predict(&FEATURES).unwrap() < 4);
+            model.infer_into(&FEATURES, &mut row).unwrap();
+            assert_eq!((classes.len(), out.len(), row.len()), (256, 1024, 4));
+        };
+        alternate(&mut model);
+        let before = (
+            CountingSystemAlloc::thread_allocations(),
+            CountingSystemAlloc::thread_frees(),
+        );
+        for _ in 0..100 {
+            alternate(&mut model);
+        }
+        let after = (
+            CountingSystemAlloc::thread_allocations(),
+            CountingSystemAlloc::thread_frees(),
+        );
+        assert_eq!(
+            before, after,
+            "{label}: alternating batch and row allocated"
+        );
+    }
 }
 
 /// Steady-state serial `train_batch` — forward, fused loss+gradient,

@@ -22,7 +22,8 @@
 //! and boundaries are those of one `serve` call over the shard-major
 //! collect regardless of which worker serves what when; each chunk's
 //! classes depend only on (weights, rows) (kml-core's `batch_parity`
-//! proptests plus the server's `verify_parity` mode), and a round applies
+//! proptests, and `kml-dst`'s fleet scenario, which runs batched and
+//! serial servers in lockstep), and a round applies
 //! at most one decision per tenant, so apply order cannot matter. The
 //! whole report is therefore byte-identical at any `--threads` value,
 //! which CI enforces by diffing `repro fleet` artifacts against the
@@ -76,7 +77,7 @@ pub struct FleetConfig {
     /// Shard count — fixed and independent of the worker count, so
     /// results do not depend on available parallelism.
     pub shards: usize,
-    /// Serving-policy knobs (batch size, serial baseline, parity checks).
+    /// Serving-policy knobs (batch size, serial baseline, q8, workers).
     pub options: ServeOptions,
     /// Model hot-swaps scheduled at round boundaries ([`NO_SWAPS`] for
     /// none).
@@ -500,9 +501,7 @@ fn publish_swaps(cfg: &FleetConfig, round: usize, server: &mut InferenceServer) 
 /// Panics if any serving invariant breaks: a window answered zero or
 /// multiple times, a decision carrying the wrong model kind, a tenant's
 /// trace ring overwriting a record its tuner had not read
-/// ([`Tenant::records_dropped`] — no digest would show it), or (with
-/// [`ServeOptions::verify_parity`]) a batched class diverging from its
-/// serial counterpart.
+/// ([`Tenant::records_dropped`] — no digest would show it).
 pub fn run_fleet(cfg: &FleetConfig, models: FleetModels) -> Result<FleetReport> {
     let start = Instant::now();
     let workers = threading::default_workers();
@@ -744,22 +743,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_a_composed_reference_with_parity_armed() {
+    fn engine_matches_a_composed_reference() {
         // Small max_batch forces many chunks per round (partial final
-        // chunks included) and verify_parity re-derives every class
-        // against the pinned original; the serial-inference run checks
-        // that the engine honours the option itself, chunk accounting
-        // included.
-        let parity = ServeOptions {
+        // chunks included); the serial-inference run checks that the
+        // engine honours the option itself, chunk accounting included.
+        let batched = ServeOptions {
             max_batch: 4,
-            verify_parity: true,
             ..ServeOptions::default()
         };
         let serial = ServeOptions {
             serial_inference: true,
-            ..parity
+            ..batched
         };
-        for (options, swaps) in [(parity, NO_SWAPS), (parity, TWO_SWAPS), (serial, TWO_SWAPS)] {
+        for (options, swaps) in [
+            (batched, NO_SWAPS),
+            (batched, TWO_SWAPS),
+            (serial, TWO_SWAPS),
+        ] {
             let cfg = FleetConfig {
                 options,
                 swaps,

@@ -11,10 +11,10 @@
 //!
 //! Batching changes *when* arithmetic happens, never *what* it computes:
 //! `tests/batch_parity.rs` in `kml-core` proves the batched forward is
-//! bit-identical to serial single-row inference, and the server's
-//! [`ServeOptions::verify_parity`] mode re-derives every batched class
-//! with a serial `predict` call and panics on any divergence (the DST
-//! fleet scenario runs with it on).
+//! bit-identical to serial single-row inference, and the DST fleet
+//! scenario (`kml-dst/tests/fleet.rs`) runs a batched and a
+//! [`ServeOptions::serial_inference`] server in lockstep and compares
+//! every round's responses.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -158,12 +158,10 @@ pub struct ServeOptions {
     /// Largest batch per forward pass; pending requests beyond this are
     /// split into further batches within the same tick.
     pub max_batch: usize,
-    /// Serve every window with a single-row `predict` instead of batching
-    /// — the baseline configuration the fleet bench compares against.
+    /// Serve every window as a one-row chunk instead of batching — the
+    /// baseline configuration the fleet bench compares against. Same
+    /// executor, same replicas; only the chunk plan changes.
     pub serial_inference: bool,
-    /// Re-derive every batched class with a serial `predict` and panic on
-    /// divergence (the DST harness runs with this on).
-    pub verify_parity: bool,
     /// Serve through the per-model int8 engines
     /// ([`kml_core::model::Model::enable_q8`]) instead of the exact f32
     /// forward pass. Decisions carry the engine's bounded error — the
@@ -185,7 +183,6 @@ impl Default for ServeOptions {
         ServeOptions {
             max_batch: 256,
             serial_inference: false,
-            verify_parity: false,
             q8_serving: false,
             workers: 1,
         }
@@ -295,39 +292,13 @@ impl ServerStats {
 }
 
 /// Turns one served class into its tagged response — the only place a
-/// response is built. With `verify_parity`, the class is first re-derived
-/// by a single-row `predict` on the pinned original.
-fn emit(
-    verify_parity: bool,
-    pin: &Pinned<Model<f32>>,
-    req: &InferRequest,
-    class: usize,
-    responses: &mut Vec<InferResponse>,
-) -> Result<()> {
-    if verify_parity {
-        let serial = pin.with(|model| model.predict(req.features()))?;
-        assert_eq!(
-            serial, class,
-            "batched class diverged from serial for tenant {} ({})",
-            req.tenant_id, req.kind
-        );
-    }
+/// response is built.
+fn emit(req: &InferRequest, class: usize, responses: &mut Vec<InferResponse>) {
     responses.push(InferResponse {
         tenant_id: req.tenant_id,
         kind: req.kind,
         class,
     });
-    Ok(())
-}
-
-/// A per-slot inference replica of `model`. Batches run on replicas, so a
-/// model that is not worker-cloneable cannot be served; the swap and
-/// install entry points call this to refuse one while the generation it
-/// would have replaced still answers.
-fn replica_of(model: &Model<f32>) -> Result<Model<f32>> {
-    model
-        .try_clone_replica()
-        .ok_or_else(|| KmlError::InvalidConfig("fleet model is not worker-cloneable".into()))
 }
 
 /// The shared batched-inference server.
@@ -341,12 +312,8 @@ fn replica_of(model: &Model<f32>) -> Result<Model<f32>> {
 /// per-kind shadow lane evaluates a candidate on live batches without
 /// ever affecting responses.
 ///
-/// Batches run on per-slot replicas of the pinned models, so every fleet
-/// model must be worker-cloneable (a stateless layer chain; the deployed
-/// topologies all are). [`InferenceServer::swap_model`] and a lifecycle
-/// install refuse one that is not and leave the old generation serving;
-/// one handed to [`InferenceServer::new`] fails every batched tick with
-/// `InvalidConfig`.
+/// Every chunk runs on a per-slot replica of its pinned model
+/// ([`Model::replica`]), cloned on first use and after a swap.
 #[derive(Debug)]
 pub struct InferenceServer {
     /// Per-kind generational swap cells (indexed by `ModelKind::index`).
@@ -438,14 +405,13 @@ impl InferenceServer {
     ///
     /// # Errors
     ///
-    /// Fails if `model` is not worker-cloneable or, with
-    /// [`ServeOptions::q8_serving`] on, does not quantize. Either way the
-    /// cell is untouched — the old generation keeps serving.
+    /// With [`ServeOptions::q8_serving`] on, fails if `model` does not
+    /// quantize; the cell is then untouched — the old generation keeps
+    /// serving.
     pub fn swap_model(&mut self, kind: ModelKind, mut model: Model<f32>) -> Result<u64> {
         if self.options.q8_serving {
             model.enable_q8()?;
         }
-        replica_of(&model)?;
         Ok(self.cells[kind.index()].publish(model))
     }
 
@@ -485,13 +451,9 @@ impl InferenceServer {
     ///
     /// # Errors
     ///
-    /// Propagates model inference failures (dimension mismatch — a
-    /// deployment bug).
-    ///
-    /// # Panics
-    ///
-    /// With [`ServeOptions::verify_parity`] on, panics if any batched
-    /// class differs from its serially-derived counterpart.
+    /// Returns [`KmlError::ShapeMismatch`] for a request whose `dim` is not
+    /// its model's feature width, and propagates model inference failures.
+    /// A failed tick emits no responses and leaves the stats untouched.
     pub fn serve(&mut self, requests: &[InferRequest]) -> Result<Vec<InferResponse>> {
         let mut responses = Vec::with_capacity(requests.len());
         self.serve_into(requests, &mut responses)?;
@@ -504,20 +466,14 @@ impl InferenceServer {
     /// through the slot executor — across the persistent worker pool with
     /// [`ServeOptions::workers`] above 1, inline as slot 0 otherwise —
     /// scattering classes into disjoint ranges of the tick's class buffer,
-    /// then do the bookkeeping (stats, shadow lane, parity re-checks,
-    /// response assembly) serially in plan order. The plan and each
-    /// chunk's arithmetic are independent of scheduling, so responses and
-    /// stats are bit-identical at any worker count.
+    /// then do the bookkeeping (stats, shadow lane, response assembly)
+    /// serially in plan order. The plan and each chunk's arithmetic are
+    /// independent of scheduling, so responses and stats are bit-identical
+    /// at any worker count.
     ///
     /// # Errors
     ///
-    /// Propagates model inference failures (dimension mismatch — a
-    /// deployment bug).
-    ///
-    /// # Panics
-    ///
-    /// With [`ServeOptions::verify_parity`] on, panics if any batched
-    /// class differs from its serially-derived counterpart.
+    /// Same conditions as [`Self::serve`].
     pub fn serve_into(
         &mut self,
         requests: &[InferRequest],
@@ -554,13 +510,11 @@ impl InferenceServer {
         }
         self.class_buf.clear();
         self.class_buf.resize(requests.len(), 0);
-        // Pin every kind once per tick: every chunk — and the tick's
-        // parity re-checks — runs on one coherent model even if a swap is
-        // published mid-tick.
+        // Pin every kind once per tick: every chunk runs on one coherent
+        // model even if a swap is published mid-tick.
         let pins = self.pin_kinds();
         {
             let (chunks, groups, slots) = (&self.chunk_plan, &self.groups, &self.slots);
-            let serial = self.options.serial_inference;
             let out = SharedClasses(self.class_buf.as_mut_ptr());
             let failure: Mutex<Option<KmlError>> = Mutex::new(None);
             let run_planned = |slot: usize, ci: usize| {
@@ -568,7 +522,7 @@ impl InferenceServer {
                 let rows = groups[c.kind.index()][c.rows()]
                     .iter()
                     .map(|&gi| &requests[gi as usize]);
-                match Self::run_chunk(slots, serial, slot, &pins[c.kind.index()], c.kind, rows) {
+                match Self::run_chunk(slots, slot, &pins[c.kind.index()], c.kind, rows) {
                     // SAFETY: the plan partitions the class buffer; this
                     // chunk's range is disjoint from every other writer's.
                     Ok(ctx) => unsafe { out.write(c.ostart as usize, &ctx.classes) },
@@ -593,7 +547,7 @@ impl InferenceServer {
             for (j, &gi) in self.groups[k][c.rows()].iter().enumerate() {
                 let req = &requests[gi as usize];
                 let class = self.class_buf[c.ostart as usize + j];
-                emit(self.options.verify_parity, &pins[k], req, class, responses)?;
+                emit(req, class, responses);
                 if let Some(&shadow_class) = self.shadow_classes.get(j) {
                     self.shadow_stats[k].record(shadow_class == class);
                 }
@@ -616,15 +570,14 @@ impl InferenceServer {
     }
 
     /// The chunk executor: answers `rows` on `slot` and returns the locked
-    /// slot context whose `classes` holds one class per row. Batched mode
-    /// stages the rows into the slot's per-kind batch and runs the slot's
-    /// replica (cloned from `pin`'s generation on first use or after a
-    /// swap) over it; `serial` mode is one single-row `predict` per row on
-    /// the pinned model itself. Takes the slot table, not `&mut self`:
-    /// pool workers share the server while the orchestrator owns the tick.
+    /// slot context whose `classes` holds one class per row. It stages the
+    /// rows into the slot's per-kind batch — checking each request's width
+    /// first — and runs the slot's replica (cloned from `pin`'s generation
+    /// on first use or after a swap) over it. Takes the slot table, not
+    /// `&mut self`: pool workers share the server while the orchestrator
+    /// owns the tick.
     fn run_chunk<'s, 'r>(
         slots: &'s [Mutex<SlotCtx>],
-        serial: bool,
         slot: usize,
         pin: &Pinned<Model<f32>>,
         kind: ModelKind,
@@ -632,22 +585,21 @@ impl InferenceServer {
     ) -> Result<std::sync::MutexGuard<'s, SlotCtx>> {
         let mut guard = slots[slot].lock().expect("slot ctx poisoned");
         let ctx = &mut *guard;
-        if serial {
-            ctx.classes.clear();
-            for req in rows {
-                ctx.classes
-                    .push(pin.with(|model| model.predict(req.features()))?);
-            }
-            return Ok(guard);
-        }
         let cached = &mut ctx.replicas[kind.index()];
         if cached.as_ref().is_none_or(|(g, _)| *g != pin.generation()) {
-            *cached = Some((pin.generation(), pin.with(|m| replica_of(m))?));
+            *cached = Some((pin.generation(), pin.with(|m| m.replica())));
         }
         let (_, model) = cached.as_mut().expect("replica just ensured");
         let batch = &mut ctx.batches[kind.index()];
         batch.clear();
         for req in rows {
+            if req.dim != batch.dim() {
+                return Err(KmlError::ShapeMismatch {
+                    op: "serve",
+                    lhs: (1, req.dim),
+                    rhs: (1, batch.dim()),
+                });
+            }
             batch.push_row(req.features());
         }
         model.predict_batch_into(batch.as_slice(), batch.rows(), &mut ctx.classes)?;
@@ -664,11 +616,9 @@ impl InferenceServer {
     ///
     /// # Errors
     ///
-    /// Fails if any model is not worker-cloneable or a warming forward
-    /// pass fails.
+    /// Fails if a warming forward pass fails.
     pub fn warm_replicas(&mut self) -> Result<()> {
         let pins = self.pin_kinds();
-        let serial = self.options.serial_inference;
         for slot in 0..self.slots.len() {
             for kind in ModelKind::ALL {
                 let pin = &pins[kind.index()];
@@ -679,7 +629,7 @@ impl InferenceServer {
                     dim: pin.with(|m| m.input_dim()),
                 };
                 let rows = std::iter::repeat_n(&zero, self.options.chunk_rows());
-                drop(Self::run_chunk(&self.slots, serial, slot, pin, kind, rows)?);
+                drop(Self::run_chunk(&self.slots, slot, pin, kind, rows)?);
             }
         }
         Ok(())
@@ -699,11 +649,9 @@ impl InferenceServer {
         run: &[InferRequest],
         responses: &mut Vec<InferResponse>,
     ) -> Result<()> {
-        let pin = &pins[kind.index()];
-        let serial = self.options.serial_inference;
-        let ctx = Self::run_chunk(&self.slots, serial, slot, pin, kind, run.iter())?;
+        let ctx = Self::run_chunk(&self.slots, slot, &pins[kind.index()], kind, run.iter())?;
         for (req, &class) in run.iter().zip(&ctx.classes) {
-            emit(self.options.verify_parity, pin, req, class, responses)?;
+            emit(req, class, responses);
         }
         Ok(())
     }
@@ -770,7 +718,6 @@ impl kml_lifecycle::LifecycleTarget for LifecycleLane<'_> {
                 .enable_q8()
                 .map_err(|e| kml_lifecycle::ArtifactError::Model(e.to_string()))?;
         }
-        replica_of(&model).map_err(|e| kml_lifecycle::ArtifactError::Model(e.to_string()))?;
         self.server.cells[self.kind.index()].publish_tagged(model, generation);
         Ok(())
     }
@@ -886,19 +833,45 @@ mod tests {
         }
     }
 
+    /// A request whose width is not its model's is refused before it is
+    /// staged: the tick returns `ShapeMismatch`, emits nothing, leaves the
+    /// stats alone, and the next valid tick still serves.
     #[test]
-    fn verify_parity_mode_serves_cleanly() {
-        let requests = mixed_requests(64);
-        let mut server = InferenceServer::new(
-            FleetModels::untrained(5).unwrap(),
+    fn a_request_of_the_wrong_width_is_an_error_not_a_panic() {
+        let requests = mixed_requests(40);
+        for options in [
+            ServeOptions::default(),
             ServeOptions {
-                verify_parity: true,
+                serial_inference: true,
+                ..ServeOptions::default()
+            },
+            ServeOptions {
+                workers: 4,
                 max_batch: 8,
                 ..ServeOptions::default()
             },
-        );
-        let responses = server.serve(&requests).unwrap();
-        assert_eq!(responses.len(), 64);
+        ] {
+            let mut server = InferenceServer::new(FleetModels::untrained(3).unwrap(), options);
+            let want = server.serve(&requests).unwrap();
+            for dim in [4, 6] {
+                let stats = server.stats().clone();
+                let mut bad = requests.clone();
+                bad[17] = InferRequest {
+                    kind: ModelKind::Readahead,
+                    dim,
+                    ..bad[17]
+                };
+                let mut responses = vec![want[0]];
+                let err = server.serve_into(&bad, &mut responses).unwrap_err();
+                assert!(
+                    matches!(err, KmlError::ShapeMismatch { op: "serve", lhs: (1, d), rhs: (1, 5) } if d == dim),
+                    "{err}"
+                );
+                assert!(responses.is_empty(), "a failed tick emitted responses");
+                assert_eq!(server.stats(), &stats, "a failed tick moved the stats");
+                assert_eq!(server.serve(&requests).unwrap(), want);
+            }
+        }
     }
 
     #[test]
@@ -931,8 +904,8 @@ mod tests {
 
     #[test]
     fn q8_serving_is_self_consistent_across_batching_modes() {
-        // Batched q8, serial q8, and parity-armed q8 must all produce the
-        // same decisions: the engine serves row-by-row either way.
+        // Batched and serial q8 must produce the same decisions: the
+        // engine serves row-by-row either way.
         let requests = mixed_requests(257);
         let opts = [
             ServeOptions {
@@ -945,11 +918,6 @@ mod tests {
                 serial_inference: true,
                 ..ServeOptions::default()
             },
-            ServeOptions {
-                q8_serving: true,
-                verify_parity: true,
-                ..ServeOptions::default()
-            },
         ];
         let mut outs = Vec::new();
         for o in opts {
@@ -957,7 +925,6 @@ mod tests {
             outs.push(server.serve(&requests).unwrap());
         }
         assert_eq!(outs[0], outs[1]);
-        assert_eq!(outs[0], outs[2]);
     }
 
     #[test]
@@ -1002,43 +969,6 @@ mod tests {
                 assert_eq!(b, a);
             }
         }
-    }
-
-    #[test]
-    fn a_model_no_slot_could_replicate_is_refused_and_the_old_generation_serves() {
-        use kml_core::graph::Graph;
-        use kml_core::layers::{Layer, LayerKind};
-        use kml_core::matrix::Matrix;
-
-        /// An identity layer that keeps `Layer::clone_box`'s default `None`.
-        #[derive(Debug)]
-        struct Opaque;
-        impl Layer<f32> for Opaque {
-            fn kind(&self) -> LayerKind {
-                LayerKind::Relu
-            }
-            fn forward(&mut self, input: &Matrix<f32>) -> Result<Matrix<f32>> {
-                Ok(input.clone())
-            }
-            fn backward(&mut self, grad_out: &Matrix<f32>) -> Result<Matrix<f32>> {
-                Ok(grad_out.clone())
-            }
-            fn output_dim(&self, input_dim: usize) -> Option<usize> {
-                Some(input_dim)
-            }
-        }
-        let mut graph = Graph::new();
-        graph.push(Box::new(Opaque));
-        let opaque = Model::from_graph(graph, 5, 5, None).unwrap();
-
-        let requests = mixed_requests(30);
-        let mut server =
-            InferenceServer::new(FleetModels::untrained(11).unwrap(), ServeOptions::default());
-        let before = server.serve(&requests).unwrap();
-        let err = server.swap_model(ModelKind::Readahead, opaque).unwrap_err();
-        assert!(err.to_string().contains("worker-cloneable"), "{err}");
-        assert_eq!(server.generation(ModelKind::Readahead), 1);
-        assert_eq!(server.serve(&requests).unwrap(), before);
     }
 
     #[test]
@@ -1132,7 +1062,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_matches_q8_and_parity_modes() {
+    fn parallel_fanout_matches_on_thread_serving_exact_and_q8() {
         let requests = mixed_requests(600);
         for q8 in [false, true] {
             let mut reference = InferenceServer::new(
@@ -1147,7 +1077,6 @@ mod tests {
                 ServeOptions {
                     q8_serving: q8,
                     workers: 4,
-                    verify_parity: !q8,
                     max_batch: 64,
                     ..ServeOptions::default()
                 },
