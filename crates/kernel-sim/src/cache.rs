@@ -14,10 +14,11 @@
 //! dirty tail visits exactly the pages a walk up the LRU list from its tail
 //! would, without stepping over the clean ones in between.
 //!
-//! Resident pages are found through an open-addressing index of slab slots
-//! (linear probing, backward-shift deletion). It keeps no tombstones, so
-//! what a lookup costs depends on the pages resident now and not on the
-//! evictions that came before.
+//! Resident pages are found through a table of bucket heads whose chains
+//! run through the slab too: an insert pushes at its bucket's head, a
+//! delete relinks its chain predecessor. It keeps no tombstones and never
+//! rehashes, so what a lookup costs depends on the pages resident now and
+//! not on the evictions that came before.
 
 use crate::fxhash::FxHasher;
 use std::convert::Infallible;
@@ -54,6 +55,8 @@ struct Entry {
     /// Indexed by [`LRU`] and [`DIRTY`]; the latter is meaningful only
     /// while `dirty`.
     links: [Link; 2],
+    /// Next entry in the same index bucket, `NIL` at the chain's end.
+    hnext: u32,
     dirty: bool,
     /// Brought in by readahead and not yet referenced by a real access.
     speculative: bool,
@@ -73,23 +76,11 @@ const EMPTY: Ends = Ends {
     tail: NIL,
 };
 
-/// One slot of the resident-page index.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Low half of the key's hash; its low bits are the slot the key probes
-    /// from, so deletion can re-home a slot without reading its entry.
-    tag: u32,
-    /// Slab slot of the page, `NIL` while the index slot is vacant.
-    idx: u32,
-}
-
-const VACANT: Slot = Slot { tag: 0, idx: NIL };
-
 /// FxHash instead of SipHash: the key is hashed once per simulated I/O, keys
 /// are internal (no HashDoS surface), and Fx is seedless, keeping runs
 /// bit-reproducible. The low bits of an Fx hash are a bijection of the low
-/// bits of the page number, so a sequential run of pages never collides
-/// with itself.
+/// bits of the page number, so a sequential run of pages never shares a
+/// bucket with itself.
 fn tag_of(key: PageKey) -> u32 {
     BuildHasherDefault::<FxHasher>::default().hash_one(key) as u32
 }
@@ -152,8 +143,9 @@ impl Inserted {
 #[derive(Debug)]
 pub struct PageCache {
     capacity: usize,
-    /// Resident-page index: a power-of-two table at most half full.
-    index: Vec<Slot>,
+    /// Resident-page index: the head of each bucket's chain, `NIL` when
+    /// empty; a power-of-two table of at least twice the capacity.
+    index: Vec<u32>,
     /// Pages currently resident.
     len: usize,
     entries: Vec<Entry>,
@@ -176,7 +168,7 @@ impl PageCache {
         Self::check_capacity(capacity);
         PageCache {
             capacity,
-            index: vec![VACANT; Self::index_slots(capacity)],
+            index: vec![NIL; Self::index_buckets(capacity)],
             len: 0,
             entries: Vec::with_capacity(capacity),
             free: Vec::new(),
@@ -195,8 +187,8 @@ impl PageCache {
         );
     }
 
-    /// Index slots that keep `capacity` resident pages at most half the table.
-    fn index_slots(capacity: usize) -> usize {
+    /// Index buckets for `capacity` pages: at least two a page.
+    fn index_buckets(capacity: usize) -> usize {
         (2 * capacity).next_power_of_two()
     }
 
@@ -322,6 +314,7 @@ impl PageCache {
             let entry = Entry {
                 key,
                 links: [UNLINKED; 2],
+                hnext: NIL,
                 dirty: false,
                 speculative: Some(page) != demand,
                 live: true,
@@ -380,9 +373,9 @@ impl PageCache {
     pub fn set_capacity(&mut self, capacity: usize) -> Vec<Victim> {
         Self::check_capacity(capacity);
         self.capacity = capacity;
-        if Self::index_slots(capacity) > self.index.len() {
+        if Self::index_buckets(capacity) > self.index.len() {
             // Grown past half the table: re-index the resident pages.
-            self.index = vec![VACANT; Self::index_slots(capacity)];
+            self.index = vec![NIL; Self::index_buckets(capacity)];
             self.len = 0;
             let mut idx = self.ends[LRU].head;
             while idx != NIL {
@@ -419,7 +412,7 @@ impl PageCache {
     /// Dirty pages are silently discarded — callers flush first if the data
     /// matters (mirrors `echo 3 > drop_caches` after `sync`).
     pub fn clear(&mut self) {
-        self.index.fill(VACANT);
+        self.index.fill(NIL);
         self.len = 0;
         self.entries.clear();
         self.free.clear();
@@ -480,56 +473,48 @@ impl PageCache {
         idx
     }
 
-    /// Slab slot of a resident page.
-    fn lookup(&self, key: PageKey, tag: u32) -> Option<u32> {
-        let mask = self.index.len() - 1;
-        let mut at = tag as usize & mask;
-        loop {
-            let slot = self.index[at];
-            if slot.idx == NIL {
-                return None;
-            }
-            if slot.tag == tag && self.entries[slot.idx as usize].key == key {
-                return Some(slot.idx);
-            }
-            at = (at + 1) & mask;
-        }
+    /// Bucket of a key's tag: its low bits.
+    fn bucket(&self, tag: u32) -> usize {
+        tag as usize & (self.index.len() - 1)
     }
 
-    /// Indexes a page that [`PageCache::lookup`] did not find.
-    fn index_insert(&mut self, tag: u32, idx: u32) {
-        let mask = self.index.len() - 1;
-        let mut at = tag as usize & mask;
-        while self.index[at].idx != NIL {
-            at = (at + 1) & mask;
+    /// Slab slot of a resident page.
+    fn lookup(&self, key: PageKey, tag: u32) -> Option<u32> {
+        let mut idx = self.index[self.bucket(tag)];
+        while idx != NIL {
+            let entry = &self.entries[idx as usize];
+            if entry.key == key {
+                return Some(idx);
+            }
+            idx = entry.hnext;
         }
-        self.index[at] = Slot { tag, idx };
+        None
+    }
+
+    /// Indexes a page that [`PageCache::lookup`] did not find: pushes it at
+    /// its bucket's head.
+    fn index_insert(&mut self, tag: u32, idx: u32) {
+        let bucket = self.bucket(tag);
+        self.entries[idx as usize].hnext = std::mem::replace(&mut self.index[bucket], idx);
         self.len += 1;
     }
 
-    /// Takes a resident page out of the index, then closes the gap: every
-    /// slot behind it that probed past the gap moves up, so no probe
-    /// sequence is ever cut short by a vacancy.
+    /// Takes a resident page out of the index: its chain predecessor, or
+    /// the bucket head, takes over its successor.
     fn index_remove(&mut self, tag: u32, idx: u32) {
-        let mask = self.index.len() - 1;
-        let mut gap = tag as usize & mask;
-        while self.index[gap].idx != idx {
-            gap = (gap + 1) & mask;
-        }
-        let mut at = gap;
-        loop {
-            at = (at + 1) & mask;
-            let slot = self.index[at];
-            if slot.idx == NIL {
-                break;
+        let next = self.entries[idx as usize].hnext;
+        let bucket = self.bucket(tag);
+        let mut at = self.index[bucket];
+        if at == idx {
+            self.index[bucket] = next;
+        } else {
+            while self.entries[at as usize].hnext != idx {
+                at = self.entries[at as usize].hnext;
             }
-            let from_home = at.wrapping_sub(slot.tag as usize) & mask;
-            if from_home >= (at.wrapping_sub(gap) & mask) {
-                self.index[gap] = slot;
-                gap = at;
-            }
+            self.entries[at as usize].hnext = next;
         }
-        self.index[gap] = VACANT;
+        let key = self.entries[idx as usize].key;
+        debug_assert!(self.lookup(key, tag).is_none(), "{key:?} is still indexed");
         self.len -= 1;
     }
 
@@ -605,6 +590,25 @@ impl PageCache {
                 false
             }
         }
+    }
+
+    /// Length of the longest bucket chain, checking that the chains hold
+    /// exactly the resident pages, each in its own bucket.
+    fn longest_chain(&self) -> usize {
+        let (mut longest, mut indexed) = (0, 0);
+        for (bucket, &head) in self.index.iter().enumerate() {
+            let (mut idx, mut len) = (head, 0);
+            while idx != NIL {
+                let entry = &self.entries[idx as usize];
+                assert!(entry.live, "chain {bucket} holds a freed slot");
+                assert_eq!(self.bucket(tag_of(entry.key)), bucket, "{:?}", entry.key);
+                (idx, len) = (entry.hnext, len + 1);
+                assert!(len <= self.len, "chain {bucket} is longer than the cache");
+            }
+            (longest, indexed) = (longest.max(len), indexed + len);
+        }
+        assert_eq!(indexed, self.len, "chains hold every resident page once");
+        longest
     }
 
     /// Keys along list `L`, tail (least recently used) first, checking that
@@ -818,6 +822,23 @@ mod tests {
     }
 
     #[test]
+    fn forget_relinks_around_the_middle_of_a_chain() {
+        // 16 buckets: pages 16 apart on one inode share one.
+        let mut c = PageCache::new(8);
+        for page in [3, 19, 35] {
+            c.insert((1, page), false);
+        }
+        assert_eq!(c.longest_chain(), 3); // 35 → 19 → 3
+        assert!(!c.forget((1, 19)));
+        assert_eq!(c.longest_chain(), 2);
+        assert!(c.contains((1, 3)) && c.contains((1, 35)) && !c.contains((1, 19)));
+        // The freed slot comes back at the head of the same chain.
+        c.insert((1, 51), false);
+        assert_eq!(c.longest_chain(), 3);
+        assert!(c.touch((1, 3)) && c.touch((1, 35)) && c.touch((1, 51)));
+    }
+
+    #[test]
     fn entry_stays_within_40_bytes() {
         assert!(std::mem::size_of::<Entry>() <= 40);
     }
@@ -919,6 +940,107 @@ mod tests {
         }
     }
 
+    /// [`PageCache`] beside [`NaiveCache`], stepped by `(op, page, n)`
+    /// triples; `key` names the page a step draws and `run_step` is the
+    /// distance between the pages of a device run.
+    struct Model {
+        cache: PageCache,
+        naive: NaiveCache,
+        key: fn(u64) -> PageKey,
+        run_step: u64,
+    }
+
+    impl Model {
+        fn new(key: fn(u64) -> PageKey, run_step: u64) -> Self {
+            Model {
+                cache: PageCache::new(8),
+                naive: NaiveCache {
+                    capacity: 8,
+                    pages: Vec::new(),
+                    stats: CacheStats::default(),
+                },
+                key,
+                run_step,
+            }
+        }
+
+        /// One operation on both caches, then every comparison.
+        fn step(&mut self, (op, page, n): (u8, u64, usize)) -> Result<(), TestCaseError> {
+            let (c, naive) = (&mut self.cache, &mut self.naive);
+            let key = (self.key)(page);
+            match op {
+                0..=2 => prop_assert_eq!(c.insert(key, false), naive.insert(key, false)),
+                3 | 4 => prop_assert_eq!(c.insert(key, true), naive.insert(key, true)),
+                5 | 6 => prop_assert_eq!(c.touch(key), naive.touch(key)),
+                7 | 8 => prop_assert_eq!(c.mark_dirty(key), naive.mark_dirty(key)),
+                9 => {
+                    let written = naive.insert(key, false);
+                    naive.mark_dirty(key);
+                    prop_assert_eq!(c.insert_dirty(key), written);
+                }
+                10 | 11 => {
+                    let mut flushed = Vec::new();
+                    c.writeback(n, &mut flushed);
+                    prop_assert_eq!(&flushed, &naive.writeback(n));
+                    if op == 11 {
+                        for &k in flushed.iter().rev() {
+                            prop_assert_eq!(c.mark_dirty(k), naive.mark_dirty(k));
+                        }
+                    }
+                }
+                12 => prop_assert_eq!(c.forget(key), naive.forget(key)),
+                16 | 17 => {
+                    // A device run: the absent stretch from `key`, at most
+                    // `n` pages, against one insert per page.
+                    let run_step = self.run_step;
+                    let run = move |i: u64| key.1 + i * run_step;
+                    let len = (0..n as u64)
+                        .take_while(|&i| naive.position((key.0, run(i))).is_none())
+                        .count() as u64;
+                    let demand = (op == 16).then_some(run(n as u64 / 2));
+                    let mut expect = Vec::new();
+                    for p in (0..len).map(run) {
+                        let victim = naive.insert((key.0, p), Some(p) != demand).victim();
+                        expect.push((p, victim.unwrap_or(((key.0, p), false))));
+                    }
+                    let mut got = Vec::new();
+                    let pages = (0..len).map(run);
+                    let ran = c.admit_run(key.0, pages, demand, false, |p, old, flush| {
+                        got.push((p, (old, flush)));
+                        Ok::<(), ()>(())
+                    });
+                    prop_assert_eq!(ran, Ok(()));
+                    prop_assert_eq!(got, expect);
+                }
+                13 | 14 => {
+                    let capacity = if op == 13 { 1 + n } else { 8 };
+                    prop_assert_eq!(c.set_capacity(capacity), naive.set_capacity(capacity));
+                }
+                _ => {
+                    // Rare: most sequences should build up state.
+                    if n == 0 {
+                        c.clear();
+                        naive.pages.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(c.stats(), naive.stats);
+            prop_assert_eq!(c.len(), naive.pages.len());
+            prop_assert_eq!(c.dirty_count(), naive.dirty_order().len());
+            let lru: Vec<PageKey> = naive.pages.iter().map(|p| p.0).collect();
+            prop_assert_eq!(c.order::<LRU>(), lru);
+            prop_assert_eq!(c.order::<DIRTY>(), naive.dirty_order());
+            // The index finds exactly the resident pages (runs reach past
+            // the drawn ones), and its chains hold nothing else.
+            c.longest_chain();
+            for page in 0..48 {
+                let key = (self.key)(page);
+                prop_assert_eq!(c.contains(key), naive.position(key).is_some());
+            }
+            Ok(())
+        }
+    }
+
     proptest! {
         /// The cache never exceeds capacity and stays internally consistent
         /// under arbitrary operation sequences.
@@ -952,80 +1074,44 @@ mod tests {
         fn prop_matches_tail_scanning_reference(
             ops in proptest::collection::vec((0u8..18, 0u64..24, 0usize..12), 1..400),
         ) {
-            let mut c = PageCache::new(8);
-            let mut naive = NaiveCache {
-                capacity: 8,
-                pages: Vec::new(),
-                stats: CacheStats::default(),
-            };
-            for (op, page, n) in ops {
-                let key = (1 + page % 2, page);
-                match op {
-                    0..=2 => prop_assert_eq!(c.insert(key, false), naive.insert(key, false)),
-                    3 | 4 => prop_assert_eq!(c.insert(key, true), naive.insert(key, true)),
-                    5 | 6 => prop_assert_eq!(c.touch(key), naive.touch(key)),
-                    7 | 8 => prop_assert_eq!(c.mark_dirty(key), naive.mark_dirty(key)),
-                    9 => {
-                        let written = naive.insert(key, false);
-                        naive.mark_dirty(key);
-                        prop_assert_eq!(c.insert_dirty(key), written);
-                    }
-                    10 | 11 => {
-                        let mut flushed = Vec::new();
-                        c.writeback(n, &mut flushed);
-                        prop_assert_eq!(&flushed, &naive.writeback(n));
-                        if op == 11 {
-                            for &k in flushed.iter().rev() {
-                                prop_assert_eq!(c.mark_dirty(k), naive.mark_dirty(k));
-                            }
-                        }
-                    }
-                    12 => prop_assert_eq!(c.forget(key), naive.forget(key)),
-                    16 | 17 => {
-                        // A device run: the absent stretch from `page`, at
-                        // most `n` pages, against one insert per page.
-                        let len = (page..page + n as u64)
-                            .take_while(|&p| naive.position((key.0, p)).is_none())
-                            .count() as u64;
-                        let demand = (op == 16).then_some(page + n as u64 / 2);
-                        let mut expect = Vec::new();
-                        for p in page..page + len {
-                            let victim = naive.insert((key.0, p), Some(p) != demand).victim();
-                            expect.push((p, victim.unwrap_or(((key.0, p), false))));
-                        }
-                        let mut got = Vec::new();
-                        let run = c.admit_run(key.0, page..page + len, demand, false, |p, old, flush| {
-                            got.push((p, (old, flush)));
-                            Ok::<(), ()>(())
-                        });
-                        prop_assert_eq!(run, Ok(()));
-                        prop_assert_eq!(got, expect);
-                    }
-                    13 | 14 => {
-                        let capacity = if op == 13 { 1 + n } else { 8 };
-                        prop_assert_eq!(c.set_capacity(capacity), naive.set_capacity(capacity));
-                    }
-                    _ => {
-                        // Rare: most sequences should build up state.
-                        if n == 0 {
-                            c.clear();
-                            naive.pages.clear();
-                        }
-                    }
-                }
-                prop_assert_eq!(c.stats(), naive.stats);
-                prop_assert_eq!(c.len(), naive.pages.len());
-                prop_assert_eq!(c.dirty_count(), naive.dirty_order().len());
-                let lru: Vec<PageKey> = naive.pages.iter().map(|p| p.0).collect();
-                prop_assert_eq!(c.order::<LRU>(), lru);
-                prop_assert_eq!(c.order::<DIRTY>(), naive.dirty_order());
-                // The index finds exactly the resident pages, whatever
-                // gaps evictions closed on the way here.
-                for page in 0..24 {
-                    let key = (1 + page % 2, page);
-                    prop_assert_eq!(c.contains(key), naive.position(key).is_some());
-                }
+            let mut model = Model::new(|page| (1 + page % 2, page), 1);
+            for op in ops {
+                model.step(op)?;
             }
+        }
+
+        /// The same against chains the test above barely builds. Its pages
+        /// are two buckets' worth, 64 apart on one inode: the low bits of a
+        /// tag are a bijection of the page's, so they share a bucket in any
+        /// table of up to 64 (capacity 8 is 16 buckets, the drawn
+        /// operations grow it to at most 12 — 32 — and the tail to 17 —
+        /// 64), and a device run steps 64 pages at a time. After the drawn
+        /// operations, a fixed tail builds a chain of eight and drives it
+        /// through `forget`, eviction by a run, a grow that re-indexes, a
+        /// shrink and `clear`, each on a chain of four or more.
+        #[test]
+        fn prop_matches_the_reference_on_long_chains(
+            ops in proptest::collection::vec((0u8..18, 0u64..24, 0usize..12), 1..400),
+        ) {
+            let mut model = Model::new(|page| (1, page % 2 * 5 + page / 2 * 64), 64);
+            for op in ops {
+                model.step(op)?;
+            }
+            model.step((15, 0, 0))?; // clear
+            model.step((14, 0, 0))?; // capacity 8
+            model.step((17, 0, 8))?; // keys 0, 64, .., 448: one chain of eight
+            for op in [
+                (12, 6, 0),  // forget the middle of the chain
+                (17, 1, 6),  // a run in the other bucket evicts five of it
+                (13, 0, 16), // grow to 17 (64 buckets): re-index
+                (17, 16, 4), // a run onto the re-indexed chain
+                (13, 0, 4),  // shrink to 5, four of them in the chain
+                (15, 0, 0),  // clear
+            ] {
+                prop_assert!(model.cache.longest_chain() >= 4, "{:?} on a short chain", op);
+                model.step(op)?;
+            }
+            prop_assert_eq!(model.cache.longest_chain(), 0);
         }
     }
 }

@@ -27,12 +27,12 @@ const ROUNDS: usize = 8;
 
 /// Live bytes per tenant a kind may reach, `ModelKind::ALL` order: about
 /// 1.1× the heaviest workload of the kind in the table this prints
-/// (39,856 B `readrandomwriterandom`, 1,040 B, 37,856 B).
-const BUDGET: [u64; 3] = [43 * 1024, 1152, 41 * 1024];
+/// (37,848 B `readrandomwriterandom`, 1,056 B, 35,856 B).
+const BUDGET: [u64; 3] = [41 * 1024, 1152, 38 * 1024 + 512];
 /// The same for everything that is not the ring — page cache and its
 /// index, feature windows, tuner, and for netfs the server's
-/// duplicate-request cache (16,016 B, 1,040 B, 31,040 B today).
-const REST_BUDGET: [u64; 3] = [17 * 1024 + 512, 1152, 34 * 1024];
+/// duplicate-request cache (14,008 B, 1,056 B, 29,040 B today).
+const REST_BUDGET: [u64; 3] = [15 * 1024, 1152, 31 * 1024 + 512];
 /// Bytes a tenant may grow by over [`ROUNDS`] rounds: its decision log,
 /// one entry per window (288 B at most today).
 const GROWTH_BUDGET: u64 = 1024;
