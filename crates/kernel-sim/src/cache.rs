@@ -14,6 +14,11 @@
 //! dirty tail visits exactly the pages a walk up the LRU list from its tail
 //! would, without stepping over the clean ones in between.
 //!
+//! Reads touch pages in runs, and the pages one device run admitted sit in
+//! the LRU list as one segment, in the order a run of touches leaves them:
+//! [`PageCache::touch_run`] moves such a segment to the head in one splice
+//! instead of relinking it page by page.
+//!
 //! Resident pages are found through a table of bucket heads whose chains
 //! run through the slab too: an insert pushes at its bucket's head, a
 //! delete relinks its chain predecessor. It keeps no tombstones and never
@@ -61,7 +66,7 @@ struct Entry {
     /// Brought in by readahead and not yet referenced by a real access.
     speculative: bool,
     /// False once the slot is on the free list, where it keeps its last key:
-    /// [`PageCache::touch`]'s finger compares keys without the index.
+    /// [`PageCache::touch_run`]'s finger compares keys without the index.
     live: bool,
 }
 
@@ -150,7 +155,7 @@ pub struct PageCache {
     len: usize,
     entries: Vec<Entry>,
     free: Vec<u32>,
-    /// Slab slot of the last [`PageCache::touch`] hit.
+    /// Slab slot of the last [`PageCache::touch_run`] hit.
     finger: u32,
     /// Head and tail of the [`LRU`] and [`DIRTY`] lists.
     ends: [Ends; 2],
@@ -221,27 +226,54 @@ impl PageCache {
     /// its speculative flag, counts a hit, and returns true; on miss, counts
     /// a miss and returns false.
     pub fn touch(&mut self, key: PageKey) -> bool {
-        // A stream's pages were filled into consecutively evicted slots, so
-        // the slot after the last hit is tried before hashing. Keys are
-        // unique among live slots: one that holds `key` is the resident page.
-        let next = self.finger.wrapping_add(1);
-        let found = match self.entries.get(next as usize) {
-            Some(entry) if entry.live && entry.key == key => Some(next),
-            _ => self.lookup(key, tag_of(key)),
-        };
-        match found {
-            Some(idx) => {
-                self.promote(idx);
-                self.entries[idx as usize].speculative = false;
-                self.stats.hits += 1;
-                self.finger = idx;
-                true
-            }
-            None => {
+        self.touch_run(key.0, key.1..=key.1) == 1
+    }
+
+    /// [`PageCache::touch`]es `pages` of `inode` in order up to the first
+    /// absent one, which counts as a miss once and ends the run; returns the
+    /// hits. Pages a device run admitted sit in the LRU list as one segment,
+    /// each page on the head side of the one before it — the order the
+    /// touches leave them in — so a clean hit that is its predecessor's
+    /// head-side neighbour joins the pending segment, and the segment
+    /// reaches the head in one splice however long it is. A dirty hit moves
+    /// in the dirty list too: it ends the segment and is promoted alone.
+    pub fn touch_run(&mut self, inode: u64, pages: impl IntoIterator<Item = u64>) -> u64 {
+        // The pending segment's head-side and tail-side ends, `NIL` if none.
+        let (mut near, mut far) = (NIL, NIL);
+        let (mut hits, mut finger) = (0, self.finger);
+        for page in pages {
+            let key = (inode, page);
+            // A stream's pages were filled into consecutively evicted slots,
+            // so the slot after the last hit is tried before hashing. Keys
+            // are unique among live slots: one that holds `key` is the page.
+            let next = finger.wrapping_add(1);
+            let found = match self.entries.get(next as usize) {
+                Some(entry) if entry.live && entry.key == key => Some(next),
+                _ => self.lookup(key, tag_of(key)),
+            };
+            let Some(idx) = found else {
                 self.stats.misses += 1;
-                false
+                break;
+            };
+            let entry = &mut self.entries[idx as usize];
+            entry.speculative = false;
+            if entry.dirty {
+                self.splice_to_head::<LRU>(near, far);
+                self.promote(idx);
+                near = NIL;
+            } else if near != NIL && self.entries[near as usize].links[LRU].prev == idx {
+                near = idx;
+            } else {
+                self.splice_to_head::<LRU>(near, far);
+                (near, far) = (idx, idx);
             }
+            finger = idx;
+            hits += 1;
         }
+        self.splice_to_head::<LRU>(near, far);
+        self.finger = finger;
+        self.stats.hits += hits;
+        hits
     }
 
     /// Inserts a page (idempotent: re-inserting promotes and merges flags).
@@ -521,11 +553,9 @@ impl PageCache {
     /// Moves a resident page to MRU — in the dirty list too, which keeps the
     /// two lists in the same order.
     fn promote(&mut self, idx: u32) {
-        self.unlink::<LRU>(idx);
-        self.link_after::<LRU>(NIL, idx);
+        self.splice_to_head::<LRU>(idx, idx);
         if self.entries[idx as usize].dirty {
-            self.unlink::<DIRTY>(idx);
-            self.link_after::<DIRTY>(NIL, idx);
+            self.splice_to_head::<DIRTY>(idx, idx);
         }
     }
 
@@ -556,6 +586,27 @@ impl PageCache {
             NIL => self.ends[L].tail = prev,
             _ => self.entries[next as usize].links[L].prev = prev,
         }
+    }
+
+    /// Moves the linked segment of list `L` from `near` back to `far` (its
+    /// head-side and tail-side ends) to the head, keeping its order: six
+    /// link writes at most, whatever its length. No-op when `near` is `NIL`
+    /// or already the head.
+    fn splice_to_head<const L: usize>(&mut self, near: u32, far: u32) {
+        if near == NIL || self.entries[near as usize].links[L].prev == NIL {
+            return;
+        }
+        let before = self.entries[near as usize].links[L].prev;
+        let after = self.entries[far as usize].links[L].next;
+        self.entries[before as usize].links[L].next = after;
+        match after {
+            NIL => self.ends[L].tail = before,
+            _ => self.entries[after as usize].links[L].prev = before,
+        }
+        let head = std::mem::replace(&mut self.ends[L].head, near);
+        self.entries[head as usize].links[L].prev = far;
+        self.entries[far as usize].links[L].next = head;
+        self.entries[near as usize].links[L].prev = NIL;
     }
 
     /// Links an unlinked entry into list `L` right behind `anchor`, or at the
@@ -839,6 +890,64 @@ mod tests {
     }
 
     #[test]
+    fn touch_run_matches_per_page_touches() {
+        // Inode 1 on even pages: a step's run continues on its key's inode.
+        let mut model = Model::new(|page| (1 + page % 2, page), 1);
+        for op in [
+            (17, 0, 6), // admit (1, 0..6): linked in touch order
+            (0, 1, 0),  // (2, 1) goes on top of it
+            (18, 0, 6), // the whole run as one segment, spliced below (2, 1)
+            (18, 0, 6), // again: already at the head
+            (7, 2, 0),  // (1, 2) dirty, then (2, 1) dirty and MRU
+            (7, 1, 0),
+            (5, 1, 0),
+            (18, 0, 6), // a dirty page in the middle: it passes (2, 1) in both lists
+            (12, 4, 0), // forget (1, 4)
+            (18, 0, 6), // a miss in the middle: stops there
+            (17, 8, 3), // admit (1, 8..11) …
+            (5, 10, 0), // … then touch (1, 10) and (1, 8): 8, 10, 9 from the head
+            (5, 8, 0),
+            (18, 8, 3), // a run not linked in touch order
+            (18, 8, 4), // ends at the absent (1, 11)
+        ] {
+            model.step(op).unwrap();
+        }
+        assert_eq!(model.cache.stats().hits, 6 + 6 + 1 + 6 + 4 + 2 + 3 + 3);
+    }
+
+    #[test]
+    fn a_segment_already_at_the_head_stays_put() {
+        let mut c = PageCache::new(8);
+        for page in 0..4 {
+            c.insert((1, page), false);
+        }
+        let before = c.order::<LRU>();
+        assert_eq!(c.touch_run(1, 0..4), 4);
+        assert_eq!(c.order::<LRU>(), before);
+    }
+
+    #[test]
+    fn a_segment_at_the_tail_leaves_the_tail_behind_it() {
+        let mut c = PageCache::new(6);
+        for key in [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1)] {
+            c.insert(key, false);
+        }
+        assert_eq!(c.touch_run(1, 0..4), 4);
+        let lru = [(2, 0), (2, 1), (1, 0), (1, 1), (1, 2), (1, 3)];
+        assert_eq!(c.order::<LRU>(), lru);
+        assert_eq!(c.insert((3, 0), false), Added(Some(((2, 0), false))));
+    }
+
+    #[test]
+    fn the_last_page_of_a_file_is_touchable() {
+        let mut c = PageCache::new(2);
+        c.insert((7, u64::MAX), false);
+        assert!(c.touch((7, u64::MAX)));
+        assert!(!c.touch((7, u64::MAX - 1)));
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+    }
+
+    #[test]
     fn entry_stays_within_40_bytes() {
         assert!(std::mem::size_of::<Entry>() <= 40);
     }
@@ -1012,6 +1121,15 @@ mod tests {
                     prop_assert_eq!(ran, Ok(()));
                     prop_assert_eq!(got, expect);
                 }
+                18 => {
+                    // Touches along a run stop at its first miss, counted once.
+                    let pages = (0..n as u64).map(|i| key.1 + i * self.run_step);
+                    let hits = pages
+                        .clone()
+                        .take_while(|&p| naive.touch((key.0, p)))
+                        .count();
+                    prop_assert_eq!(c.touch_run(key.0, pages), hits as u64);
+                }
                 13 | 14 => {
                     let capacity = if op == 13 { 1 + n } else { 8 };
                     prop_assert_eq!(c.set_capacity(capacity), naive.set_capacity(capacity));
@@ -1072,7 +1190,7 @@ mod tests {
         /// flushed batch is re-dirtied as `Sim` does after a failed flush.
         #[test]
         fn prop_matches_tail_scanning_reference(
-            ops in proptest::collection::vec((0u8..18, 0u64..24, 0usize..12), 1..400),
+            ops in proptest::collection::vec((0u8..19, 0u64..24, 0usize..12), 1..400),
         ) {
             let mut model = Model::new(|page| (1 + page % 2, page), 1);
             for op in ops {
@@ -1091,7 +1209,7 @@ mod tests {
         /// shrink and `clear`, each on a chain of four or more.
         #[test]
         fn prop_matches_the_reference_on_long_chains(
-            ops in proptest::collection::vec((0u8..18, 0u64..24, 0usize..12), 1..400),
+            ops in proptest::collection::vec((0u8..19, 0u64..24, 0usize..12), 1..400),
         ) {
             let mut model = Model::new(|page| (1, page % 2 * 5 + page / 2 * 64), 64);
             for op in ops {

@@ -94,6 +94,23 @@ impl RaState {
         self.window = self.window.min(self.ra_pages);
     }
 
+    /// End of the quiet stretch of `from..end`: the marker if it lies in
+    /// it, else `end`. A resident page before it is a hit that
+    /// [`RaState::on_access`] answers with [`RaAction::None`], recording
+    /// only the page — the marker is the one resident page whose hit acts.
+    pub fn quiet_until(&self, from: u64, end: u64) -> u64 {
+        self.marker
+            .filter(|m| (from..end).contains(m))
+            .unwrap_or(end)
+    }
+
+    /// Records a run of resident pages ending at `last` that lie before
+    /// [`RaState::quiet_until`]: the state `on_access(.., cached = true)`
+    /// on each of them in turn would leave.
+    pub fn quiet_hits(&mut self, last: u64) {
+        self.prev_page = Some(last);
+    }
+
     /// Feeds one page access through the state machine.
     ///
     /// - `page`: the page being accessed.
@@ -160,6 +177,7 @@ impl RaState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const FILE: u64 = 1 << 30; // effectively unbounded
 
@@ -289,6 +307,55 @@ mod tests {
             }
         }
         assert!(max_len <= 8, "window {max_len} exceeded retuned cap");
+    }
+
+    proptest! {
+        /// A run of hits through `quiet_until` / `quiet_hits` plus
+        /// `on_access` at the marker leaves the state, and fetches, that
+        /// `on_access(.., cached = true)` on every page does.
+        #[test]
+        fn quiet_hits_match_per_page_hits(
+            ops in proptest::collection::vec((0u8..4, 0u64..72, 1u64..24, 1u64..64), 1..200),
+        ) {
+            const EOF: u64 = 64;
+            let (mut per_page, mut quiet) = (RaState::new(32), RaState::new(32));
+            for (op, page, n, cap) in ops {
+                match op {
+                    0 | 1 => {
+                        let cached = op == 1;
+                        let want = per_page.on_access(page, n, cached, EOF);
+                        prop_assert_eq!(quiet.on_access(page, n, cached, EOF), want);
+                    }
+                    2 => {
+                        per_page.set_ra_pages(cap);
+                        quiet.set_ra_pages(cap);
+                    }
+                    _ => {
+                        let end = page + n;
+                        let want: Vec<_> = (page..end)
+                            .map(|p| (p, per_page.on_access(p, n, true, EOF)))
+                            .filter(|&(_, action)| action != RaAction::None)
+                            .collect();
+                        let (mut got, mut p) = (Vec::new(), page);
+                        while p < end {
+                            let until = quiet.quiet_until(p, end);
+                            if until > p {
+                                quiet.quiet_hits(until - 1);
+                                p = until;
+                                continue;
+                            }
+                            let action = quiet.on_access(p, n, true, EOF);
+                            if action != RaAction::None {
+                                got.push((p, action));
+                            }
+                            p += 1;
+                        }
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(quiet, per_page);
+            }
+        }
     }
 
     #[test]

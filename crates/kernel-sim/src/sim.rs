@@ -447,12 +447,25 @@ impl Sim {
     fn read_inner(&mut self, f: FileId, page: u64, npages: u64, cost: &mut u64) -> IoResult<()> {
         self.logical_reads += 1;
         self.apply_pressure(cost)?;
-        let file_pages = self.files[f.0].pages;
+        let (inode, file_pages) = (self.files[f.0].inode, self.files[f.0].pages);
         let end = (page + npages).min(file_pages);
-        for p in page..end {
-            let inode = self.files[f.0].inode;
-            // touch() counts the hit/miss and promotes on hit.
-            let cached = self.cache.touch((inode, p));
+        let mut p = page;
+        while p < end {
+            // The resident pages before the marker are hits the heuristic
+            // answers with nothing: one run touches them all.
+            let quiet = self.files[f.0].ra.quiet_until(p, end);
+            let hits = self.cache.touch_run(inode, p..quiet);
+            if hits > 0 {
+                self.telemetry.cache_hits.add(hits);
+                *cost += hits * self.cfg.cache_hit_ns;
+                self.files[f.0].ra.quiet_hits(p + hits - 1);
+                p += hits;
+                if p == end {
+                    break;
+                }
+            }
+            // `p` is the marker, or the page the run missed on and counted.
+            let cached = p == quiet && self.cache.touch((inode, p));
             if cached {
                 self.telemetry.cache_hits.inc();
             } else {
@@ -471,6 +484,7 @@ impl Sim {
                 self.fetch(f, p, 1, p, cost)?;
             }
             *cost += self.cfg.cache_hit_ns;
+            p += 1;
         }
         Ok(())
     }

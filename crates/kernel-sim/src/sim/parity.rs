@@ -1,9 +1,12 @@
 //! The per-page read path, kept as a reference.
 //!
 //! Until device runs became the unit [`Sim`] and the page cache exchange,
-//! `read_inner` hashed every page it touched and `fetch` inserted a run one
-//! page at a time, carrying each victim back across the call. That code
-//! lives on here, unchanged but for its names, and a differential proptest
+//! `read_inner` hashed, promoted and fed to the readahead state machine
+//! every page it touched, and `fetch` inserted a run one page at a time,
+//! carrying each victim back across the call. The run path now touches the
+//! resident pages before the readahead marker as one run, and moves a
+//! segment of them to the LRU head in one splice. The per-page code lives
+//! on here, unchanged but for its names, and a differential proptest
 //! drives it beside the run path through every operation that reaches a
 //! fetch or moves the pages under one: the two must agree on every result,
 //! on the clock, on every counter and on the trace ring record for record.
