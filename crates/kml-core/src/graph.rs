@@ -107,7 +107,9 @@ impl<S: Scalar> Graph<S> {
         Ok(self.acts.slot(n - 1))
     }
 
-    /// Backward propagation from `grad_output` (∂L/∂output of the graph)
+    /// Backward propagation from `dy` (∂L/∂output of the graph)
+    /// through the last forward pass, whose `input` the caller passes again
+    /// (every other layer's operands are the activation arena's slots), and
     /// through arena-backed gradient buffers — allocation-free in steady
     /// state, like [`Graph::forward_in_place`]. Parameter gradients are
     /// left inside the layers for the optimizer; the returned reference
@@ -115,10 +117,11 @@ impl<S: Scalar> Graph<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if the graph is empty or a layer
-    /// has not run forward yet.
-    pub fn backward_in_place(&mut self, grad_output: &Matrix<S>) -> Result<&Matrix<S>> {
-        self.backward_scan(grad_output, true)?;
+    /// Returns [`KmlError::InvalidConfig`] if the graph is empty or has not
+    /// run forward yet, and [`KmlError::ShapeMismatch`] if `input` or `dy`
+    /// does not match that forward pass.
+    pub fn backward_in_place(&mut self, input: &Matrix<S>, dy: &Matrix<S>) -> Result<&Matrix<S>> {
+        self.backward_scan(input, dy, true)?;
         Ok(self.grads.slot(self.layers.len()))
     }
 
@@ -131,25 +134,33 @@ impl<S: Scalar> Graph<S> {
     /// # Errors
     ///
     /// Same conditions as [`Graph::backward_in_place`].
-    pub fn backward_params_in_place(&mut self, grad_output: &Matrix<S>) -> Result<()> {
-        self.backward_scan(grad_output, false)
+    pub fn backward_params_in_place(&mut self, input: &Matrix<S>, dy: &Matrix<S>) -> Result<()> {
+        self.backward_scan(input, dy, false)
     }
 
     /// The reverse scan both backward entry points share; `input_grad`
     /// says whether the first layer also writes ∂L/∂input into slot `n`.
-    fn backward_scan(&mut self, grad_output: &Matrix<S>, input_grad: bool) -> Result<()> {
+    /// Layer `i` is handed its forward operands: activation slot `i - 1`
+    /// (the graph's input `x` for the first) and slot `i`.
+    fn backward_scan(&mut self, x: &Matrix<S>, dy: &Matrix<S>, input_grad: bool) -> Result<()> {
         let n = self.nonempty_len()?;
+        if self.acts.len() < n {
+            return Err(KmlError::InvalidConfig(
+                "backward pass before any forward pass".into(),
+            ));
+        }
+        let acts = &self.acts;
         self.grads.ensure_slots(n + 1);
-        self.grads.slot_mut(n - 1).copy_from(grad_output);
+        self.grads.slot_mut(n - 1).copy_from(dy);
         for i in (1..n).rev() {
             let (gin, gout) = self.grads.write_read_pair(i - 1, i);
-            self.layers[i].backward_into(gout, gin)?;
+            self.layers[i].backward_into(acts.slot(i - 1), acts.slot(i), gout, gin)?;
         }
         if input_grad {
             let (gout, gin) = self.grads.read_write_pair(0, n);
-            self.layers[0].backward_into(gout, gin)?;
+            self.layers[0].backward_into(x, acts.slot(0), gout, gin)?;
         } else {
-            self.layers[0].backward_params(self.grads.slot(0))?;
+            self.layers[0].backward_params(x, acts.slot(0), self.grads.slot(0))?;
         }
         self.grads.refresh_high_water();
         Ok(())
@@ -163,8 +174,8 @@ impl<S: Scalar> Graph<S> {
         self.acts.high_water_bytes() + self.grads.high_water_bytes()
     }
 
-    /// Bytes of forward-state scratch held inside the layers themselves
-    /// (cached activations and derivative staging buffers).
+    /// Bytes of staging scratch held inside the layers themselves (softmax's
+    /// row buffer; no layer keeps forward state).
     pub fn layer_scratch_bytes(&self) -> usize {
         self.layers.iter().map(|l| l.scratch_bytes()).sum()
     }
@@ -250,16 +261,19 @@ mod tests {
     #[test]
     fn backward_needs_forward_first() {
         let mut g = chain_graph();
-        // Without a forward pass the layers have no cached activations.
-        assert!(g.backward_in_place(&Matrix::zeros(1, 2)).is_err());
+        // Without a forward pass the arena holds no activations.
+        assert!(g
+            .backward_in_place(&Matrix::zeros(1, 2), &Matrix::zeros(1, 2))
+            .is_err());
     }
 
     #[test]
     fn passes_over_an_empty_graph_are_errors() {
         let mut g: Graph<f64> = Graph::new();
         assert!(g.forward_in_place(&Matrix::zeros(1, 2)).is_err());
-        assert!(g.backward_in_place(&Matrix::zeros(1, 2)).is_err());
-        assert!(g.backward_params_in_place(&Matrix::zeros(1, 2)).is_err());
+        let z = Matrix::zeros(1, 2);
+        assert!(g.backward_in_place(&z, &z).is_err());
+        assert!(g.backward_params_in_place(&z, &z).is_err());
     }
 
     /// Every parameter gradient of `g`, as bits, in slot order.
@@ -282,14 +296,14 @@ mod tests {
         let (mut full, mut params) = (chain_graph(), chain_graph());
         full.forward_in_place(&x).unwrap();
         params.forward_in_place(&x).unwrap();
-        full.backward_in_place(&dy).unwrap();
-        params.backward_params_in_place(&dy).unwrap();
+        full.backward_in_place(&x, &dy).unwrap();
+        params.backward_params_in_place(&x, &dy).unwrap();
         let want = grad_bits(&mut full);
         assert_eq!(want.len(), 4);
         assert!(want.iter().flatten().any(|&b| b != 0), "gradients are live");
         assert_eq!(grad_bits(&mut params), want);
         // Before any forward pass it is the same error, not a stale result.
-        assert!(chain_graph().backward_params_in_place(&dy).is_err());
+        assert!(chain_graph().backward_params_in_place(&x, &dy).is_err());
     }
 
     #[test]
@@ -298,7 +312,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.4, -0.9]]).unwrap();
         let coeff = Matrix::from_rows(&[vec![1.0, -0.5]]).unwrap();
         g.forward_in_place(&x).unwrap();
-        let gin = g.backward_in_place(&coeff).unwrap().clone();
+        let gin = g.backward_in_place(&x, &coeff).unwrap().clone();
 
         let eps = 1e-6;
         for c in 0..2 {
@@ -334,10 +348,9 @@ mod tests {
     #[test]
     fn param_grads_cover_all_linear_slots() {
         let mut g = chain_graph();
-        g.forward_in_place(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
-            .unwrap();
-        g.backward_in_place(&Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap())
-            .unwrap();
+        let ones = Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap();
+        g.forward_in_place(&ones).unwrap();
+        g.backward_in_place(&ones, &ones).unwrap();
         // Two linear layers × (weights, bias) = 4 slots.
         assert_eq!(grad_bits(&mut g).len(), 4);
     }

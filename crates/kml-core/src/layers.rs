@@ -5,8 +5,9 @@
 //! and initializing the layer, (ii) forward propagation, (iii) backward
 //! propagation" — maps onto a constructor, [`Layer::forward_into`] and
 //! [`Layer::backward_into`].
-//! Layers cache whatever forward state their backward pass needs, exactly
-//! like the original C implementation.
+//! Layers hold no forward state: the backward pass is handed the forward
+//! input and output it differentiates, which [`crate::graph::Graph`]'s
+//! activation arena already holds.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -84,9 +85,9 @@ pub struct ParamGrad<'a, S: Scalar> {
 /// Both passes write into caller-provided buffers (reshaped as needed), so
 /// a graph that reuses its buffers runs every pass allocation-free after
 /// the first — the in-place contract [`crate::graph::Graph`] drives.
-/// Implementations cache forward state internally, so a backward pass must
-/// always be preceded by a forward pass on the same instance (the chain
-/// discipline the paper's serial training thread enforces).
+/// Implementations keep no forward state: a backward pass takes the
+/// `input` and `output` of the forward pass it differentiates, so a
+/// forward pass copies nothing that only training would read.
 pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// Which kind of layer this is (drives serialization).
     fn kind(&self) -> LayerKind;
@@ -100,15 +101,21 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// layer's expected input width.
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()>;
 
-    /// Backward propagation: consumes `∂L/∂output`, updates any internal
-    /// parameter gradients, and writes `∂L/∂input` into `grad_in`.
+    /// Backward propagation through the forward pass that mapped `input` to
+    /// `output`: consumes `∂L/∂output`, updates any internal parameter
+    /// gradients, and writes `∂L/∂input` into `grad_in`.
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::InvalidConfig`] if called before
-    /// [`Layer::forward_into`], or [`KmlError::ShapeMismatch`] if
-    /// `grad_out` has the wrong shape.
-    fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()>;
+    /// Returns [`KmlError::ShapeMismatch`] if `grad_out` does not match
+    /// the forward pass's shapes.
+    fn backward_into(
+        &mut self,
+        input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+        grad_in: &mut Matrix<S>,
+    ) -> Result<()>;
 
     /// Backward propagation for a caller that has no use for `∂L/∂input`
     /// (the first layer of a training step): leaves the same parameter
@@ -119,13 +126,18 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// # Errors
     ///
     /// Same conditions as [`Layer::backward_into`].
-    fn backward_params(&mut self, grad_out: &Matrix<S>) -> Result<()> {
-        self.backward_into(grad_out, &mut Matrix::zeros(0, 0))
+    fn backward_params(
+        &mut self,
+        input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+    ) -> Result<()> {
+        self.backward_into(input, output, grad_out, &mut Matrix::zeros(0, 0))
     }
 
-    /// Bytes of forward-state scratch this layer keeps resident between
-    /// passes (cached activations) — counted into the
-    /// measured scratch footprint alongside the graph's arena.
+    /// Bytes of staging scratch this layer keeps resident between passes
+    /// (softmax's row buffer) — counted into the measured scratch
+    /// footprint alongside the graph's arena.
     fn scratch_bytes(&self) -> usize {
         0
     }
@@ -180,17 +192,12 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
 }
 
 /// Fully connected layer: `y = x·W + b` with `W: in×out`, `b: 1×out`.
-///
-/// The forward input is cached in a persistent buffer (not a fresh clone per
-/// call), so steady-state forward/backward passes allocate nothing.
 #[derive(Debug, Clone)]
 pub struct Linear<S: Scalar> {
     weights: Matrix<S>,
     bias: Matrix<S>,
     grad_w: Matrix<S>,
     grad_b: Matrix<S>,
-    cached_input: Matrix<S>,
-    has_input: bool,
 }
 
 impl<S: Scalar> Linear<S> {
@@ -201,8 +208,6 @@ impl<S: Scalar> Linear<S> {
             bias: Matrix::zeros(1, out_dim),
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: Matrix::zeros(1, out_dim),
-            cached_input: Matrix::zeros(0, 0),
-            has_input: false,
         }
     }
 
@@ -227,8 +232,6 @@ impl<S: Scalar> Linear<S> {
             bias,
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: Matrix::zeros(1, out_dim),
-            cached_input: Matrix::zeros(0, 0),
-            has_input: false,
         })
     }
 
@@ -260,33 +263,31 @@ impl<S: Scalar> Layer<S> for Linear<S> {
 
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
         input.matmul_into(&self.weights, out)?;
-        out.add_row_broadcast_in_place(&self.bias)?;
-        self.cached_input.copy_from(input);
-        self.has_input = true;
-        Ok(())
+        out.add_row_broadcast_in_place(&self.bias)
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()> {
+    fn backward_into(
+        &mut self,
+        input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+        grad_in: &mut Matrix<S>,
+    ) -> Result<()> {
         // dW, db as below ; dx = dy · Wᵀ
-        self.backward_params(grad_out)?;
+        self.backward_params(input, output, grad_out)?;
         grad_out.matmul_transpose_into(&self.weights, grad_in)
     }
 
-    fn backward_params(&mut self, grad_out: &Matrix<S>) -> Result<()> {
-        if !self.has_input {
-            return Err(KmlError::InvalidConfig(
-                "backward called before forward on linear layer".into(),
-            ));
-        }
+    fn backward_params(
+        &mut self,
+        input: &Matrix<S>,
+        _output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+    ) -> Result<()> {
         // dW = xᵀ · dy ; db = column sums of dy
-        self.cached_input
-            .transpose_matmul_into(grad_out, &mut self.grad_w)?;
+        input.transpose_matmul_into(grad_out, &mut self.grad_w)?;
         grad_out.sum_rows_into(&mut self.grad_b);
         Ok(())
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.cached_input.storage_bytes()
     }
 
     fn visit_param_grads(
@@ -346,14 +347,12 @@ pub enum Activation {
 
 /// Element-wise activation layer (sigmoid / ReLU / tanh).
 ///
-/// The backward-pass operand (output for sigmoid/tanh, input for ReLU) is
-/// kept in a persistent buffer reused across passes — no allocation in
-/// steady state — and the backward pass is one sweep over it.
+/// The backward pass is one sweep over its operand: the forward output for
+/// sigmoid/tanh, the forward input for ReLU.
 #[derive(Debug, Clone)]
 pub struct ActivationLayer<S: Scalar> {
     activation: Activation,
-    cache: Matrix<S>,
-    has_cache: bool,
+    _scalar: std::marker::PhantomData<S>,
 }
 
 impl<S: Scalar> ActivationLayer<S> {
@@ -361,8 +360,7 @@ impl<S: Scalar> ActivationLayer<S> {
     pub fn new(activation: Activation) -> Self {
         ActivationLayer {
             activation,
-            cache: Matrix::zeros(0, 0),
-            has_cache: false,
+            _scalar: std::marker::PhantomData,
         }
     }
 
@@ -387,49 +385,33 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
             Activation::Relu => input.map_into(out, Scalar::relu),
             Activation::Tanh => input.map_into(out, Scalar::tanh),
         }
-        // ReLU differentiates from its input, sigmoid/tanh from their output.
-        if self.activation == Activation::Relu {
-            self.cache.copy_from(input);
-        } else {
-            self.cache.copy_from(out);
-        }
-        self.has_cache = true;
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()> {
-        if !self.has_cache {
-            let name = match self.activation {
-                Activation::Sigmoid => "sigmoid",
-                Activation::Relu => "relu",
-                Activation::Tanh => "tanh",
-            };
-            return Err(KmlError::InvalidConfig(format!(
-                "backward before forward on {name}"
-            )));
-        }
-        // dx = dy ⊙ f'(cache), the derivative and the product in one pass:
+    fn backward_into(
+        &mut self,
+        input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+        grad_in: &mut Matrix<S>,
+    ) -> Result<()> {
+        // dx = dy ⊙ f'(·), the derivative and the product in one pass:
         // per element the same operations, in the same order, as staging
         // f' in a matrix of its own and taking the Hadamard product after.
-        let cache = &self.cache;
         match self.activation {
-            // σ' = σ(1-σ), from the cached output.
-            Activation::Sigmoid => grad_out.zip_with_into(cache, grad_in, "hadamard", |g, v| {
+            // σ' = σ(1-σ), from the output.
+            Activation::Sigmoid => grad_out.zip_with_into(output, grad_in, "hadamard", |g, v| {
                 g.mul(v.mul(S::ONE.sub(v)))
             }),
-            // tanh' = 1 - tanh², from the cached output.
-            Activation::Tanh => grad_out.zip_with_into(cache, grad_in, "hadamard", |g, v| {
+            // tanh' = 1 - tanh², from the output.
+            Activation::Tanh => grad_out.zip_with_into(output, grad_in, "hadamard", |g, v| {
                 g.mul(S::ONE.sub(v.mul(v)))
             }),
-            // relu' = 1 for x > 0 else 0, from the cached input.
-            Activation::Relu => grad_out.zip_with_into(cache, grad_in, "hadamard", |g, v| {
+            // relu' = 1 for x > 0 else 0, from the input.
+            Activation::Relu => grad_out.zip_with_into(input, grad_in, "hadamard", |g, v| {
                 g.mul(if v > S::ZERO { S::ONE } else { S::ZERO })
             }),
         }
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.cache.storage_bytes()
     }
 
     fn clone_box(&self) -> Box<dyn Layer<S>> {
@@ -448,9 +430,8 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
 /// pipelines that want calibrated probabilities out of the graph.
 #[derive(Debug, Clone)]
 pub struct SoftmaxLayer<S: Scalar> {
-    cached_output: Matrix<S>,
-    has_output: bool,
     row_buf: Vec<f64>,
+    _scalar: std::marker::PhantomData<S>,
 }
 
 impl<S: Scalar> Default for SoftmaxLayer<S> {
@@ -463,9 +444,8 @@ impl<S: Scalar> SoftmaxLayer<S> {
     /// Creates a softmax layer.
     pub fn new() -> Self {
         SoftmaxLayer {
-            cached_output: Matrix::zeros(0, 0),
-            has_output: false,
             row_buf: Vec::new(),
+            _scalar: std::marker::PhantomData,
         }
     }
 }
@@ -486,18 +466,17 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
                 *o = S::from_f64(*v);
             }
         }
-        self.cached_output.copy_from(out);
-        self.has_output = true;
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_out: &Matrix<S>, grad_in: &mut Matrix<S>) -> Result<()> {
-        if !self.has_output {
-            return Err(KmlError::InvalidConfig(
-                "backward before forward on softmax".into(),
-            ));
-        }
-        let s = &self.cached_output;
+    fn backward_into(
+        &mut self,
+        _input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+        grad_in: &mut Matrix<S>,
+    ) -> Result<()> {
+        let s = output;
         if s.shape() != grad_out.shape() {
             return Err(KmlError::ShapeMismatch {
                 op: "softmax backward",
@@ -523,7 +502,7 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
     }
 
     fn scratch_bytes(&self) -> usize {
-        self.cached_output.storage_bytes() + self.row_buf.capacity() * std::mem::size_of::<f64>()
+        self.row_buf.capacity() * std::mem::size_of::<f64>()
     }
 
     fn clone_box(&self) -> Box<dyn Layer<S>> {
@@ -549,10 +528,15 @@ mod tests {
         layer.forward_into(x, &mut out).map(|()| out)
     }
 
-    fn backward(layer: &mut dyn Layer<f64>, grad_out: &Matrix<f64>) -> Result<Matrix<f64>> {
+    fn backward(
+        layer: &mut dyn Layer<f64>,
+        x: &Matrix<f64>,
+        y: &Matrix<f64>,
+        grad_out: &Matrix<f64>,
+    ) -> Result<Matrix<f64>> {
         let mut grad_in = Matrix::zeros(0, 0);
         layer
-            .backward_into(grad_out, &mut grad_in)
+            .backward_into(x, y, grad_out, &mut grad_in)
             .map(|()| grad_in)
     }
 
@@ -569,7 +553,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let grad_in = backward(layer, &coeff).unwrap();
+        let grad_in = backward(layer, x, &y, &coeff).unwrap();
 
         let eps = 1e-6;
         for r in 0..x.rows() {
@@ -625,7 +609,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.7, -0.3], vec![0.2, 0.9]]).unwrap();
         let y = forward(&mut layer, &x).unwrap();
         let coeff = Matrix::from_f64_vec(y.rows(), y.cols(), &[1.0, 0.5, -0.25, 2.0]).unwrap();
-        backward(&mut layer, &coeff).unwrap();
+        backward(&mut layer, &x, &y, &coeff).unwrap();
         let analytic = layer.grad_w.clone();
 
         let eps = 1e-6;
@@ -698,16 +682,6 @@ mod tests {
         }
         // The largest logit of each row takes most of the mass.
         assert!(y.get(0, 0) > 0.5 && y.get(1, 2) > 0.5, "{y:?}");
-    }
-
-    #[test]
-    fn backward_before_forward_is_an_error() {
-        let mut layer = Linear::<f64>::new(2, 2, &mut rng());
-        let g = Matrix::zeros(1, 2);
-        assert!(matches!(
-            backward(&mut layer, &g),
-            Err(KmlError::InvalidConfig(_))
-        ));
     }
 
     #[test]

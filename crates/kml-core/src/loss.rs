@@ -281,6 +281,38 @@ impl Loss for CrossEntropyLoss {
     }
 }
 
+/// [`CrossEntropyLoss`] for a training step whose loss nobody reads: the
+/// fused entry point runs the gradient-only softmax pass (no `ln`) and
+/// reports a loss of 0.0. The gradient is the same bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CrossEntropyGrad;
+
+impl Loss for CrossEntropyGrad {
+    fn tag(&self) -> u8 {
+        CrossEntropyLoss.tag()
+    }
+
+    fn loss<S: Scalar>(&self, pred: &Matrix<S>, target: TargetRef<'_>) -> Result<f64> {
+        classes_for(pred.rows(), pred.cols(), target, "cross-entropy").map(|_| 0.0)
+    }
+
+    fn grad<S: Scalar>(&self, pred: &Matrix<S>, target: TargetRef<'_>) -> Result<Matrix<S>> {
+        CrossEntropyLoss.grad(pred, target)
+    }
+
+    fn loss_and_grad_into<S: Scalar>(
+        &self,
+        pred: &Matrix<S>,
+        target: TargetRef<'_>,
+        out: &mut Matrix<S>,
+        scratch: &mut LossScratch,
+    ) -> Result<f64> {
+        let classes = classes_for(pred.rows(), pred.cols(), target, "cross-entropy")?;
+        out.ensure_shape(pred.rows(), pred.cols());
+        Ok(softmax_pass(pred, classes, scratch, false, Some(out)))
+    }
+}
+
 /// Mean squared error: `mean((pred − target)²)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MseLoss;

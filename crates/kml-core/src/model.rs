@@ -374,7 +374,7 @@ impl<S: Scalar> Model<S> {
     }
 
     /// *Measured* scratch footprint: high-water mark of the graph's
-    /// activation/gradient arenas plus the forward-state buffers inside the
+    /// activation/gradient arenas plus the staging buffers inside the
     /// layers, observed over every pass since construction. Zero until the
     /// first forward; after single-row inference only, this is the empirical
     /// counterpart of [`Model::inference_scratch_bytes`].
@@ -573,7 +573,8 @@ impl<S: Scalar> Model<S> {
         let pred = self.graph.forward_in_place(input)?;
         let l =
             loss.loss_and_grad_into(pred, target, &mut self.loss_grad, &mut self.loss_scratch)?;
-        self.graph.backward_params_in_place(&self.loss_grad)?;
+        self.graph
+            .backward_params_in_place(input, &self.loss_grad)?;
         let mut slot = 0usize;
         self.graph.visit_param_grads(&mut |mut pg| {
             let res = sgd.apply(slot, &mut pg);

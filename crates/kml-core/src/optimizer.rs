@@ -236,7 +236,7 @@ mod tests {
                 layer.forward_into(&input, &mut pred).unwrap();
                 let target = [2.0 * x];
                 let grad = MseLoss.grad(&pred, TargetRef::Values(&target)).unwrap();
-                layer.backward_params(&grad).unwrap();
+                layer.backward_params(&input, &pred, &grad).unwrap();
                 let mut slot = 0;
                 layer
                     .visit_param_grads(&mut |mut pg| {

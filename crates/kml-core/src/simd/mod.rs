@@ -4,7 +4,8 @@
 //! contract: every GEMM output element is a single ascending-`k` chain of
 //! `add(mul(..))` steps (never an FMA contraction), `Matrix::dot` is exactly
 //! four stride-4 accumulator chains reduced in a fixed order, and the
-//! activation lanes reproduce [`crate::math::sigmoid`] bit-for-bit per lane.
+//! activation lanes reproduce [`crate::math::sigmoid`] bit-for-bit per lane
+//! (an f32 lane is that f64 value narrowed).
 //! Any vectorization that keeps those chains intact — vectorizing across
 //! *output columns* while walking `k` in ascending order with separate
 //! multiply and add instructions — produces bit-identical results at any
@@ -15,15 +16,20 @@
 //! computed any way that returns its IEEE bits: the f32 `matmul` arms take
 //! the products of activations below 2^-100 as exact f64 products rounded
 //! once to f32 — the f32 product itself, without the microcode assist a
-//! subnormal `vmulps` costs (see [`x86`] module docs).
+//! subnormal `vmulps` costs (see [`x86`] module docs). And an f32 sigmoid
+//! lane may come from a faster f64 value wherever a rounding test proves
+//! the exact chain narrows to the same f32; every other block runs the
+//! exact chain.
 //!
 //! Backends:
 //! - **scalar** — the existing blocked kernels; always available, and the
 //!   arithmetic ground truth. Forced with `KML_FORCE_SCALAR=1`.
-//! - **avx2** (x86_64, AVX2+FMA) — 8×f32 / 4×f64 lanes. FMA is used *only*
-//!   inside the Markstein constant-divisor division emulation of the
-//!   sigmoid kernel, which returns bits identical to a hardware `vdivpd`
-//!   (see [`x86`] module docs), never to contract a mul+add pair.
+//! - **avx2** (x86_64, AVX2+FMA) — 8×f32 / 4×f64 lanes. FMA never contracts
+//!   a mul+add pair of a contract chain: it appears inside the Markstein
+//!   constant-divisor division emulation of the exact sigmoid chain, which
+//!   returns bits identical to a hardware `vdivpd`, and in the f32
+//!   sigmoid's fast route, whose value reaches an output only where the
+//!   rounding test settled it (see [`x86`] module docs).
 //! - **avx512** (x86_64, AVX-512F) — 16×f32 / 8×f64 lanes, same contract.
 //!
 //! Every other target (aarch64 included) runs the scalar kernels: an arm
@@ -347,10 +353,29 @@ pub mod testing {
             (input: &[f32], out: &mut [f32]));
         arm_fn!(avx512_sigmoid_f64, has_avx512(), x86::sigmoid_slice_f64_avx512,
             (input: &[f64], out: &mut [f64]));
+        arm_fn!(avx2_sigmoid_f32_exact, has_avx2(), x86::sigmoid_slice_f32_exact_avx2,
+            (input: &[f32], out: &mut [f32]));
+        arm_fn!(avx512_sigmoid_f32_exact, has_avx512(), x86::sigmoid_slice_f32_exact_avx512,
+            (input: &[f32], out: &mut [f32]));
         arm_fn!(avx2_exp_f64, has_avx2(), x86::exp_slice_avx2,
             (input: &[f64], out: &mut [f64]));
         arm_fn!(avx512_exp_f64, has_avx512(), x86::exp_slice_avx512,
             (input: &[f64], out: &mut [f64]));
+
+        /// The fast f32 sigmoid arm of ISA `arm` (a name from
+        /// [`available_arms`](super::available_arms)) over `input`, and how
+        /// many of its blocks the rounding test sent down the exact chain;
+        /// `None` if the host lacks the arm.
+        pub fn sigmoid_f32_fallbacks(arm: &str, input: &[f32], out: &mut [f32]) -> Option<usize> {
+            // SAFETY: each call is guarded by its runtime feature check.
+            match arm {
+                "avx2" if has_avx2() => Some(unsafe { x86::sigmoid_slice_f32_avx2(input, out) }),
+                "avx512" if has_avx512() => {
+                    Some(unsafe { x86::sigmoid_slice_f32_avx512(input, out) })
+                }
+                _ => None,
+            }
+        }
 
         /// Whether the f32 `matmul` arms take the products of activation
         /// `a` by the exact widened route rather than one `vmulps`.

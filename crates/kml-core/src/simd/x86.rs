@@ -57,6 +57,22 @@
 //! left after the last whole group, take the one-block path above; a slice
 //! shorter than a group (a single-row layer) reaches it after one compare.
 //!
+//! The f32 sigmoid arms need only the f32 that chain narrows to, so they
+//! first take a fast route: `t = −|x|` reduced by `k = round(t·log2 e)` in
+//! two FMAs, `e^r` as a degree-11 polynomial in Estrin form, the scale by
+//! `vscalefpd` (an exponent add on AVX2), and `num/(1+e)` through
+//! `vrcp14pd` and two Newton steps (`vdivpd` on AVX2); `x ≥ 18` is 1.0 and
+//! `x ≤ −104` is +0.0. That value `y` is within `2^-46` of σ, and the
+//! exact chain within `2^-43`, so when `y·(1 − 2^-40)` and `y·(1 + 2^-40)`
+//! narrow to the same f32 — the *rounding test* — so does the exact
+//! chain, and that f32 is the answer. A block with a lane the test does
+//! not settle (1 in ~46,000 eight-lane blocks without a NaN), or with a NaN, is recomputed
+//! whole by the exact arm. The fast route's FMAs and reciprocal therefore
+//! never reach an output the test did not settle; the proof that the
+//! window suffices is `tests/sigmoid_f32_exhaustive.rs`, every f32 through
+//! every arm. The f64 sigmoid arms and the `exp` arms are the exact chain
+//! alone.
+//!
 //! AVX-512 arms deliberately require only `avx512f`: bitwise ops on floats
 //! go through `_mm512_or_si512`/`_mm512_and_si512` with casts because the
 //! `_pd` forms are AVX-512DQ.
@@ -841,6 +857,201 @@ fn exp_lane(x: f64) -> f64 {
     crate::math::exp(x)
 }
 
+// ---------------------------------------------------------------------------
+// The f32 sigmoid's fast route: σ in f64 to well under the f32 rounding
+// step, kept only where the rounding test proves the exact chain narrows to
+// the same f32 (module docs).
+// ---------------------------------------------------------------------------
+
+/// Relative half-width of the rounding test's window, `2^-40`: it covers the
+/// exact chain's error (< 1e-13, about `2^-43`) and the fast route's (below
+/// `2^-46`). The exhaustive sweep (`tests/sigmoid_f32_exhaustive.rs`) is
+/// the proof that it suffices.
+const WINDOW: f64 = 1.0 / (1u64 << 40) as f64;
+/// From here up σ(x) narrows to 1.0: `1 − σ < 2^-25`, below half an f32 ulp.
+const SAT_HI: f64 = 18.0;
+/// From here down σ(x) narrows to +0.0: `σ < 2^-150`, half the least f32
+/// subnormal. Also the clamp on `−|x|`, so every lane's reduction and scale
+/// stay in normal f64 range.
+const SAT_LO: f64 = -104.0;
+/// `ln 2 − LN2`, the low half of the two-step reduction.
+const LN2_LO: f64 = 2.319_046_813_846_299_6e-17;
+/// Round to nearest, exceptions suppressed.
+const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+/// `1/n!`, `n = 0..=11`: the degree-11 Taylor polynomial of `e^r`.
+const EXP_POLY: [f64; 12] = {
+    let (mut c, mut n) = ([1.0; 12], 2);
+    while n < 12 {
+        c[n] = c[n - 1] / n as f64;
+        n += 1;
+    }
+    c
+};
+
+/// [`EXP_POLY`] at `r` in Estrin form, through one ISA's `fma` / `mul` /
+/// `set1`: `e^r` for `|r| ≤ ln2/2`.
+macro_rules! exp_poly {
+    ($r:expr, $fma:ident, $mul:ident, $set1:ident) => {{
+        let r = $r;
+        let p = |i: usize| $fma(r, $set1(EXP_POLY[i + 1]), $set1(EXP_POLY[i]));
+        let r2 = $mul(r, r);
+        let lo = |i: usize| $fma(r2, p(i + 2), p(i));
+        let r4 = $mul(r2, r2);
+        $fma($mul(r4, r4), lo(8), $fma(r4, lo(4), lo(0)))
+    }};
+}
+
+/// The fast route over `N` 4-lane blocks: per block σ of every lane
+/// narrowed to f32, and a bit in the mask for each block the rounding test
+/// did not settle (a lane whose window straddles an f32 rounding boundary,
+/// or a NaN: `_CMP_NEQ_UQ` is true for it). A flagged block's f32 lanes are
+/// unspecified. Each step is taken across all `N` blocks before the next,
+/// as in [`exp_avx2`].
+///
+/// # Safety
+///
+/// The CPU supports AVX2 and FMA.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn sigmoid_fast_avx2<const N: usize>(x: [__m256d; N]) -> ([__m128; N], u32) {
+    let (c, one) = (|v: f64| _mm256_set1_pd(v), _mm256_set1_pd(1.0));
+    let (mut t, mut k, mut e) = (x, x, x);
+    for b in 0..N {
+        // max(lo, −|x|) keeps a NaN (`vmaxpd` returns its second operand).
+        t[b] = _mm256_max_pd(c(SAT_LO), _mm256_or_pd(x[b], c(-0.0)));
+        k[b] = _mm256_round_pd::<NEAREST>(_mm256_mul_pd(t[b], c(std::f64::consts::LOG2_E)));
+    }
+    for b in 0..N {
+        let r = _mm256_fnmadd_pd(k[b], c(LN2_LO), _mm256_fnmadd_pd(k[b], c(LN2), t[b]));
+        let p = exp_poly!(r, _mm256_fmadd_pd, _mm256_mul_pd, _mm256_set1_pd);
+        // · 2^k by exponent add: k ∈ [−150, 0] keeps `p·2^k` normal.
+        let k = _mm256_slli_epi64::<52>(_mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(k[b])));
+        e[b] = _mm256_castsi256_pd(_mm256_add_epi64(_mm256_castpd_si256(p), k));
+    }
+    let (mut y, mut bad) = ([_mm_setzero_ps(); N], 0);
+    for b in 0..N {
+        let ge = |v: f64| _mm256_cmp_pd::<_CMP_GE_OQ>(x[b], c(v));
+        let s = _mm256_div_pd(
+            _mm256_blendv_pd(e[b], one, ge(0.0)),
+            _mm256_add_pd(one, e[b]),
+        );
+        let s = _mm256_blendv_pd(s, one, ge(SAT_HI));
+        let s = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(x[b], c(SAT_LO)), s);
+        y[b] = _mm256_cvtpd_ps(_mm256_mul_pd(s, c(1.0 - WINDOW)));
+        let hi = _mm256_cvtpd_ps(_mm256_mul_pd(s, c(1.0 + WINDOW)));
+        bad |= u32::from(_mm_movemask_ps(_mm_cmp_ps::<_CMP_NEQ_UQ>(y[b], hi)) != 0) << b;
+    }
+    (y, bad)
+}
+
+/// 8-lane [`sigmoid_fast_avx2`]: `vscalefpd` for the scale, and
+/// `vrcp14pd` with two Newton steps for the quotient.
+///
+/// # Safety
+///
+/// The CPU supports AVX-512F.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn sigmoid_fast_avx512<const N: usize>(x: [__m512d; N]) -> ([__m256; N], u32) {
+    let (c, one) = (|v: f64| _mm512_set1_pd(v), _mm512_set1_pd(1.0));
+    let (mut t, mut k, mut e) = (x, x, x);
+    for b in 0..N {
+        let sign = _mm512_or_si512(_mm512_castpd_si512(x[b]), _mm512_set1_epi64(i64::MIN));
+        t[b] = _mm512_max_pd(c(SAT_LO), _mm512_castsi512_pd(sign));
+        k[b] = _mm512_roundscale_pd::<NEAREST>(_mm512_mul_pd(t[b], c(std::f64::consts::LOG2_E)));
+    }
+    for b in 0..N {
+        let r = _mm512_fnmadd_pd(k[b], c(LN2_LO), _mm512_fnmadd_pd(k[b], c(LN2), t[b]));
+        let p = exp_poly!(r, _mm512_fmadd_pd, _mm512_mul_pd, _mm512_set1_pd);
+        e[b] = _mm512_scalef_pd(p, k[b]);
+    }
+    let (mut y, mut bad) = ([_mm256_setzero_ps(); N], 0);
+    for b in 0..N {
+        let d = _mm512_add_pd(one, e[b]);
+        let mut q = _mm512_rcp14_pd(d);
+        for _ in 0..2 {
+            q = _mm512_fmadd_pd(q, _mm512_fnmadd_pd(d, q, one), q);
+        }
+        let ge = |v: f64| _mm512_cmp_pd_mask::<_CMP_GE_OQ>(x[b], c(v));
+        let s = _mm512_mul_pd(_mm512_mask_blend_pd(ge(0.0), e[b], one), q);
+        let s = _mm512_mask_mov_pd(s, ge(SAT_HI), one);
+        let s = _mm512_maskz_mov_pd(!_mm512_cmp_pd_mask::<_CMP_LE_OQ>(x[b], c(SAT_LO)), s);
+        y[b] = _mm512_cvtpd_ps(_mm512_mul_pd(s, c(1.0 - WINDOW)));
+        let hi = _mm512_castps256_ps512(_mm512_cvtpd_ps(_mm512_mul_pd(s, c(1.0 + WINDOW))));
+        let ne = _mm512_mask_cmp_ps_mask::<_CMP_NEQ_UQ>(0xff, _mm512_castps256_ps512(y[b]), hi);
+        bad |= u32::from(ne != 0) << b;
+    }
+    (y, bad)
+}
+
+/// One fast f32 sigmoid arm over a slice: groups of four blocks of
+/// `$lanes` elements through the block-generic `$fast` core, then what is
+/// left one masked block at a time (padding is 0.0, which the test always
+/// settles). Each block the rounding test flags is computed again by
+/// `$exact`, the exact-chain arm, over that block's elements alone.
+/// Returns how many blocks that was.
+macro_rules! sigmoid_f32_arm {
+    ($feature:literal, $slice:ident, $exact:ident, $lanes:literal, $fast:ident,
+     $load:expr, $store:expr, $mload:expr, $mstore:expr) => {
+        #[target_feature(enable = $feature)]
+        pub(super) unsafe fn $slice(input: &[f32], out: &mut [f32]) -> usize {
+            debug_assert_eq!(input.len(), out.len());
+            let (n, ip, op) = (input.len(), input.as_ptr(), out.as_mut_ptr());
+            let mut redone = 0usize;
+            // Reruns every block of the `bad` mask from element `i`.
+            let mut redo = |i: usize, mut bad: u32, live: usize| {
+                while bad != 0 {
+                    let at = i + bad.trailing_zeros() as usize * $lanes;
+                    let x = std::slice::from_raw_parts(ip.add(at), live);
+                    $exact(x, std::slice::from_raw_parts_mut(op.add(at), live));
+                    redone += 1;
+                    bad &= bad - 1;
+                }
+            };
+            let mut i = 0usize;
+            while i + 4 * $lanes <= n {
+                let (y, bad) = $fast::<4>(from_fn(|b| $load(ip.add(i + b * $lanes))));
+                for (b, y) in y.into_iter().enumerate() {
+                    $store(op.add(i + b * $lanes), y);
+                }
+                redo(i, bad, $lanes);
+                i += 4 * $lanes;
+            }
+            while i < n {
+                let live = (n - i).min($lanes);
+                let ([y], bad) = $fast([$mload(ip.add(i), live)]);
+                $mstore(op.add(i), live, y);
+                redo(i, bad, live);
+                i += live;
+            }
+            redone
+        }
+    };
+}
+
+sigmoid_f32_arm!(
+    "avx2,fma",
+    sigmoid_slice_f32_avx2,
+    sigmoid_slice_f32_exact_avx2,
+    4,
+    sigmoid_fast_avx2,
+    |p| _mm256_cvtps_pd(_mm_loadu_ps(p)),
+    |p, y| _mm_storeu_ps(p, y),
+    |p, live| _mm256_cvtps_pd(_mm256_castps256_ps128(mload_f32_avx2(p, live))),
+    |p, live, y| mstore_f32_avx2(p, live, _mm256_castps128_ps256(y))
+);
+sigmoid_f32_arm!(
+    "avx512f",
+    sigmoid_slice_f32_avx512,
+    sigmoid_slice_f32_exact_avx512,
+    8,
+    sigmoid_fast_avx512,
+    |p| _mm512_cvtps_pd(_mm256_loadu_ps(p)),
+    |p, y| _mm256_storeu_ps(p, y),
+    |p, live| _mm512_cvtps_pd(_mm512_castps512_ps256(mload_f32_avx512(p, live))),
+    |p, live, y| mstore_f32_avx512(p, live, _mm512_castps256_ps512(y))
+);
+
 /// One element-wise arm over a slice: groups of four full blocks of
 /// `$lanes` elements, then single full blocks, through `$load` / `$store`,
 /// then the ragged tail as one masked block of `rem` lanes through
@@ -853,11 +1064,14 @@ fn exp_lane(x: f64) -> f64 {
 /// can in vector registers, and each lane it hands back then takes the
 /// scalar `$lane` alone — so what a NaN or a subnormal-band value costs is
 /// its own scalar call, not its neighbours' too. A slice shorter than a
-/// group (a single-row layer) pays one compare for the group loop.
+/// group (a single-row layer) pays one compare for the group loop. Out of
+/// line: the fast f32 arms call theirs for the rare block the rounding
+/// test flags, and must not carry its body in their own loop.
 macro_rules! lane_map_arm {
     ($feature:literal, $slice:ident, $t:ty, $lanes:literal,
      $load:expr, $store:expr, $mload:expr, $mstore:expr,
      $hard:ident, $easy:ident, $mixed:ident, $lane:ident) => {
+        #[inline(never)]
         #[target_feature(enable = $feature)]
         pub(super) unsafe fn $slice(input: &[$t], out: &mut [$t]) {
             debug_assert_eq!(input.len(), out.len());
@@ -946,10 +1160,11 @@ lane_map_arm!(
 // The f32 activation contract is widen → f64 sigmoid → narrow-by-`as`;
 // `vcvtps2pd` is exact and `vcvtpd2ps` rounds to nearest like `as f32`.
 // A tail block is the low half of a masked f32 vector (`rem` never
-// exceeds it).
+// exceeds it). These exact-chain arms are what the fast f32 arms above
+// rerun a block through when the rounding test does not settle it.
 lane_map_arm!(
     "avx2,fma",
-    sigmoid_slice_f32_avx2,
+    sigmoid_slice_f32_exact_avx2,
     f32,
     4,
     |p| _mm256_cvtps_pd(_mm_loadu_ps(p)),
@@ -963,7 +1178,7 @@ lane_map_arm!(
 );
 lane_map_arm!(
     "avx512f",
-    sigmoid_slice_f32_avx512,
+    sigmoid_slice_f32_exact_avx512,
     f32,
     8,
     |p| _mm512_cvtps_pd(_mm256_loadu_ps(p)),

@@ -8,7 +8,7 @@
 use rand::SeedableRng;
 
 use crate::dataset::{Dataset, Normalizer};
-use crate::loss::{CrossEntropyLoss, TargetRef};
+use crate::loss::{CrossEntropyGrad, CrossEntropyLoss, TargetRef};
 use crate::model::{Model, ModelBuilder};
 use crate::optimizer::Sgd;
 use crate::{modelfile, KmlRng, Result};
@@ -33,7 +33,8 @@ pub struct TrainSpec {
 
 impl TrainSpec {
     /// Trains a fresh model on `data`; returns it with the last epoch's
-    /// loss (NaN after zero epochs).
+    /// loss (NaN after zero epochs). Only the last epoch computes a loss:
+    /// the others take the same gradient steps without one.
     ///
     /// # Errors
     ///
@@ -47,16 +48,24 @@ impl TrainSpec {
             Some(seed) => {
                 model.set_normalizer(normalizer);
                 let mut rng = KmlRng::seed_from_u64(seed);
-                for _ in 0..self.epochs {
-                    loss = model.train_epoch(data, &CrossEntropyLoss, &mut sgd, &mut rng)?;
+                for e in 1..=self.epochs {
+                    loss = if e < self.epochs {
+                        model.train_epoch(data, &CrossEntropyGrad, &mut sgd, &mut rng)?
+                    } else {
+                        model.train_epoch(data, &CrossEntropyLoss, &mut sgd, &mut rng)?
+                    };
                 }
             }
             None => {
                 let normed = normalizer.apply(data.features())?;
                 model.set_normalizer(normalizer);
                 let target = TargetRef::Classes(data.labels());
-                for _ in 0..self.epochs {
-                    loss = model.train_batch(&normed, target, &CrossEntropyLoss, &mut sgd)?;
+                for e in 1..=self.epochs {
+                    loss = if e < self.epochs {
+                        model.train_batch(&normed, target, &CrossEntropyGrad, &mut sgd)?
+                    } else {
+                        model.train_batch(&normed, target, &CrossEntropyLoss, &mut sgd)?
+                    };
                 }
             }
         }

@@ -427,6 +427,16 @@ mod arm_parity {
                 1 => Just(-703.0),    // past the vector band, result normal
                 1 => Just(95.0),      // f32 sigmoid saturation band
                 1 => Just(-95.0),
+                // The fast f32 sigmoid's edges, each with an f32
+                // neighbour: its saturation bounds, where σ leaves the f32
+                // normals, and a lane its rounding test sends back.
+                1 => Just(-104.0),
+                1 => Just(-103.999_992_370_605_47),
+                1 => Just(18.0),
+                1 => Just(17.999_998_092_651_367),
+                1 => Just(-87.339_996_337_890_62),
+                1 => Just(-87.340_003_967_285_16),
+                1 => Just(1.192_074_8e-7),
             ],
             64..65,
         )
