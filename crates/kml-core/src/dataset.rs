@@ -329,15 +329,22 @@ impl Normalizer {
     ///
     /// Returns [`KmlError::ShapeMismatch`] on dimension mismatch.
     pub fn apply_row(&self, row: &mut [f64]) -> Result<()> {
-        if row.len() != self.means.len() {
-            return Err(KmlError::ShapeMismatch {
-                op: "normalize",
-                lhs: (1, row.len()),
-                rhs: (1, self.means.len()),
-            });
-        }
+        self.check_width(row.len())?;
         for (i, v) in row.iter_mut().enumerate() {
             *v = (*v - self.means[i]) / self.stds[i];
+        }
+        Ok(())
+    }
+
+    /// The error [`Normalizer::apply_row`] returns for a row of `width`
+    /// features, if that is not the fitted dimension.
+    pub(crate) fn check_width(&self, width: usize) -> Result<()> {
+        if width != self.means.len() {
+            return Err(KmlError::ShapeMismatch {
+                op: "normalize",
+                lhs: (1, width),
+                rhs: (1, self.means.len()),
+            });
         }
         Ok(())
     }

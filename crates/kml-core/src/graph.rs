@@ -96,12 +96,30 @@ impl<S: Scalar> Graph<S> {
     /// Returns [`KmlError::InvalidConfig`] if the graph is empty, plus any
     /// shape error from the layers.
     pub fn forward_in_place(&mut self, input: &Matrix<S>) -> Result<&Matrix<S>> {
+        self.forward(input, false)
+    }
+
+    /// The forward scan. With `feature_major`, over a batch staged
+    /// feature-major (`input` is `input_dim × batch`; see
+    /// [`Layer::forward_feature_major_into`]): the output is `output_dim ×
+    /// batch`, column `j` bit-identical to row `j` of the row-major pass.
+    /// That form is inference only — it leaves no pass a backward pass
+    /// could differentiate — so it stays inside the crate, whose one caller
+    /// is the batched inference core.
+    pub(crate) fn forward(&mut self, input: &Matrix<S>, feature_major: bool) -> Result<&Matrix<S>> {
         let n = self.nonempty_len()?;
         self.acts.ensure_slots(n);
-        self.layers[0].forward_into(input, self.acts.slot_mut(0))?;
-        for i in 1..n {
-            let (fed, out) = self.acts.read_write_pair(i - 1, i);
-            self.layers[i].forward_into(fed, out)?;
+        for i in 0..n {
+            let (fed, out) = match i {
+                0 => (input, self.acts.slot_mut(0)),
+                _ => self.acts.read_write_pair(i - 1, i),
+            };
+            let layer = &mut self.layers[i];
+            if feature_major {
+                layer.forward_feature_major_into(fed, out)?;
+            } else {
+                layer.forward_into(fed, out)?;
+            }
         }
         self.acts.refresh_high_water();
         Ok(self.acts.slot(n - 1))
@@ -141,7 +159,8 @@ impl<S: Scalar> Graph<S> {
     /// The reverse scan both backward entry points share; `input_grad`
     /// says whether the first layer also writes ∂L/∂input into slot `n`.
     /// Layer `i` is handed its forward operands: activation slot `i - 1`
-    /// (the graph's input `x` for the first) and slot `i`.
+    /// (the graph's input `x` for the first) and slot `i`. The last layer
+    /// reads `dy` where the caller holds it; slot `n − 1` stays unused.
     fn backward_scan(&mut self, x: &Matrix<S>, dy: &Matrix<S>, input_grad: bool) -> Result<()> {
         let n = self.nonempty_len()?;
         if self.acts.len() < n {
@@ -151,16 +170,23 @@ impl<S: Scalar> Graph<S> {
         }
         let acts = &self.acts;
         self.grads.ensure_slots(n + 1);
-        self.grads.slot_mut(n - 1).copy_from(dy);
         for i in (1..n).rev() {
-            let (gin, gout) = self.grads.write_read_pair(i - 1, i);
+            let (gin, gout) = if i == n - 1 {
+                (self.grads.slot_mut(i - 1), dy)
+            } else {
+                self.grads.write_read_pair(i - 1, i)
+            };
             self.layers[i].backward_into(acts.slot(i - 1), acts.slot(i), gout, gin)?;
         }
+        let (gout, gin) = if n == 1 {
+            (dy, self.grads.slot_mut(n))
+        } else {
+            self.grads.read_write_pair(0, n)
+        };
         if input_grad {
-            let (gout, gin) = self.grads.read_write_pair(0, n);
             self.layers[0].backward_into(x, acts.slot(0), gout, gin)?;
         } else {
-            self.layers[0].backward_params(x, acts.slot(0), self.grads.slot(0))?;
+            self.layers[0].backward_params(x, acts.slot(0), gout)?;
         }
         self.grads.refresh_high_water();
         Ok(())

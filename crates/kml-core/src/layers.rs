@@ -101,6 +101,18 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// layer's expected input width.
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()>;
 
+    /// [`Layer::forward_into`] over a batch staged *feature-major*: `input`
+    /// is `in_dim × batch` (column `j` is row `j` of the batch) and `out`
+    /// receives `out_dim × batch`. Column `j` of `out` holds, bit for bit,
+    /// what `forward_into` gives for row `j`; only the layout differs, so
+    /// a kernel can put the batch across its lanes. Inference only: a
+    /// backward pass differentiates a row-major forward pass.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Layer::forward_into`].
+    fn forward_feature_major_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()>;
+
     /// Backward propagation through the forward pass that mapped `input` to
     /// `output`: consumes `∂L/∂output`, updates any internal parameter
     /// gradients, and writes `∂L/∂input` into `grad_in`.
@@ -262,8 +274,13 @@ impl<S: Scalar> Layer<S> for Linear<S> {
     }
 
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
-        input.matmul_into(&self.weights, out)?;
-        out.add_row_broadcast_in_place(&self.bias)
+        input.matmul_bias_into(&self.weights, Some(&self.bias), out)
+    }
+
+    fn forward_feature_major_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
+        // (x·W + b)ᵀ = Wᵀ·xᵀ + bᵀ, each element the same chain.
+        self.weights
+            .transpose_matmul_bias_into(input, Some(&self.bias), out)
     }
 
     fn backward_into(
@@ -388,6 +405,11 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
         Ok(())
     }
 
+    fn forward_feature_major_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
+        // Element-wise: the layout does not matter.
+        self.forward_into(input, out)
+    }
+
     fn backward_into(
         &mut self,
         input: &Matrix<S>,
@@ -448,6 +470,30 @@ impl<S: Scalar> SoftmaxLayer<S> {
             _scalar: std::marker::PhantomData,
         }
     }
+
+    /// The softmax of each of the batch's `rows` into `out` (shaped as
+    /// `input`), staged in f64 through `row_buf`; element `c` of row `r`
+    /// lies at `at(r, c)` in either matrix.
+    fn softmax_lines(
+        &mut self,
+        input: &Matrix<S>,
+        out: &mut Matrix<S>,
+        rows: usize,
+        at: impl Fn(usize, usize) -> usize,
+    ) {
+        out.ensure_shape(input.rows(), input.cols());
+        let width = input.len().checked_div(rows).unwrap_or(0);
+        let (x, y) = (input.as_slice(), out.as_mut_slice());
+        for r in 0..rows {
+            self.row_buf.clear();
+            self.row_buf
+                .extend((0..width).map(|c| x[at(r, c)].to_f64()));
+            crate::math::softmax_in_place(&mut self.row_buf);
+            for (c, v) in self.row_buf.iter().enumerate() {
+                y[at(r, c)] = S::from_f64(*v);
+            }
+        }
+    }
 }
 
 impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
@@ -457,15 +503,13 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
 
     fn forward_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
         let (rows, cols) = input.shape();
-        out.ensure_shape(rows, cols);
-        for r in 0..rows {
-            self.row_buf.clear();
-            self.row_buf.extend(input.row(r).iter().map(|v| v.to_f64()));
-            crate::math::softmax_in_place(&mut self.row_buf);
-            for (o, v) in out.row_mut(r).iter_mut().zip(&self.row_buf) {
-                *o = S::from_f64(*v);
-            }
-        }
+        self.softmax_lines(input, out, rows, |r, c| r * cols + c);
+        Ok(())
+    }
+
+    fn forward_feature_major_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
+        let rows = input.cols();
+        self.softmax_lines(input, out, rows, |r, c| c * rows + r);
         Ok(())
     }
 

@@ -272,6 +272,24 @@ impl<S: Scalar> Matrix<S> {
     ///
     /// Returns [`KmlError::ShapeMismatch`] unless `self.cols == rhs.rows`.
     pub fn matmul_into(&self, rhs: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
+        self.matmul_bias_into(rhs, None, out)
+    }
+
+    /// [`Matrix::matmul_into`] plus a `1 × rhs.cols` `bias` on every row:
+    /// a linear layer's row-major forward pass, `x·W + b`. The kernel adds
+    /// `bias[j]` to each finished chain of column `j` as it stores it —
+    /// the bits of a separate pass over the product, without the pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KmlError::ShapeMismatch`] unless `self.cols == rhs.rows`
+    /// and `bias` is `1 × rhs.cols`.
+    pub fn matmul_bias_into(
+        &self,
+        rhs: &Matrix<S>,
+        bias: Option<&Matrix<S>>,
+        out: &mut Matrix<S>,
+    ) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(KmlError::ShapeMismatch {
                 op: "matmul",
@@ -279,31 +297,16 @@ impl<S: Scalar> Matrix<S> {
                 rhs: rhs.shape(),
             });
         }
+        let bias = bias_slice(bias, self.shape(), rhs.cols)?;
         out.ensure_shape(self.rows, rhs.cols);
-        if S::simd_matmul(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        ) {
+        let (m, kd, n) = (self.rows, self.cols, rhs.cols);
+        if S::simd_matmul(&self.data, &rhs.data, bias, &mut out.data, m, kd, n) {
             return Ok(());
         }
-        // SAFETY: the shape guard establishes `self.data.len() == rows·cols`
-        // and `rhs.data.len() == cols·rhs.cols`; `ensure_shape` sized
-        // `out.data` to `rows·rhs.cols` — exactly the bounds the kernel
-        // requires.
-        unsafe {
-            kernel_matmul(
-                &self.data,
-                &rhs.data,
-                &mut out.data,
-                self.rows,
-                self.cols,
-                rhs.cols,
-            );
-        }
+        // SAFETY: the shape guards establish `self.data.len() == m·kd`,
+        // `rhs.data.len() == kd·n` and a bias of `n`; `ensure_shape` sized
+        // `out.data` to `m·n` — exactly the bounds the kernel requires.
+        unsafe { kernel_matmul(&self.data, &rhs.data, bias, &mut out.data, m, kd, n) };
         Ok(())
     }
 
@@ -396,6 +399,28 @@ impl<S: Scalar> Matrix<S> {
     ///
     /// Returns [`KmlError::ShapeMismatch`] unless `self.rows == rhs.rows`.
     pub fn transpose_matmul_into(&self, rhs: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
+        self.transpose_matmul_bias_into(rhs, None, out)
+    }
+
+    /// [`Matrix::transpose_matmul_into`] plus a `1 × self.cols` `bias`
+    /// down the columns (`bias[i]` on row `i`): a linear layer's
+    /// feature-major forward pass, `Wᵀ·Xᵀ + bᵀ` for weights `self`
+    /// (`in × out`) and a batch staged `in × m`. Element `(i, j)` is the
+    /// chain of the row-major `x·W + b`'s element `(j, i)`, operation for
+    /// operation (IEEE products commute), with the batch across the SIMD
+    /// lanes. Unlike the bias-free product (training's), the f32 arms route
+    /// tiny activations here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KmlError::ShapeMismatch`] unless `self.rows == rhs.rows`
+    /// and `bias` is `1 × self.cols`.
+    pub fn transpose_matmul_bias_into(
+        &self,
+        rhs: &Matrix<S>,
+        bias: Option<&Matrix<S>>,
+        out: &mut Matrix<S>,
+    ) -> Result<()> {
         if self.rows != rhs.rows {
             return Err(KmlError::ShapeMismatch {
                 op: "transpose_matmul",
@@ -403,29 +428,15 @@ impl<S: Scalar> Matrix<S> {
                 rhs: rhs.shape(),
             });
         }
+        let bias = bias_slice(bias, self.shape(), self.cols)?;
         out.ensure_shape(self.cols, rhs.cols);
-        if S::simd_transpose_matmul(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.cols,
-            self.rows,
-            rhs.cols,
-        ) {
+        let (mm, kd, n) = (self.cols, self.rows, rhs.cols);
+        if S::simd_transpose_matmul(&self.data, &rhs.data, bias, &mut out.data, mm, kd, n) {
             return Ok(());
         }
-        // SAFETY: shape guard + ensure_shape establish the kernel bounds
-        // (`self` is kd×mm, `rhs` is kd×n, `out` is mm×n).
-        unsafe {
-            kernel_transpose_matmul(
-                &self.data,
-                &rhs.data,
-                &mut out.data,
-                self.cols,
-                self.rows,
-                rhs.cols,
-            );
-        }
+        // SAFETY: shape guards + ensure_shape establish the kernel bounds
+        // (`self` is kd×mm, `rhs` is kd×n, a bias of `mm`, `out` is mm×n).
+        unsafe { kernel_transpose_matmul(&self.data, &rhs.data, bias, &mut out.data, mm, kd, n) };
         Ok(())
     }
 
@@ -445,37 +456,6 @@ impl<S: Scalar> Matrix<S> {
     /// Returns [`KmlError::ShapeMismatch`] unless shapes match.
     pub fn hadamard(&self, rhs: &Matrix<S>) -> Result<Matrix<S>> {
         self.zip_with(rhs, "hadamard", S::mul)
-    }
-
-    /// Adds a 1×cols row vector to every row of `self`, in place (the fused
-    /// `x·W + b` tail of the linear-layer hot path). A block of columns at
-    /// a time with its slice of `bias` held in registers, rows ascending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `bias` is `1 × self.cols`.
-    pub fn add_row_broadcast_in_place(&mut self, bias: &Matrix<S>) -> Result<()> {
-        if bias.rows != 1 || bias.cols != self.cols {
-            return Err(KmlError::ShapeMismatch {
-                op: "add_row_broadcast",
-                lhs: self.shape(),
-                rhs: bias.shape(),
-            });
-        }
-        let cols = self.cols;
-        // 64 rows at a time, so the passes over a tall batch's column
-        // blocks all hit L1.
-        for rows in self.data.chunks_mut(64 * cols.max(1)) {
-            for_col_blocks!(cols, |c0, W| {
-                let b: [S; W] = bias.data[c0..c0 + W].try_into().expect("W columns");
-                for row in rows.chunks_exact_mut(cols) {
-                    for (o, &bv) in row[c0..c0 + W].iter_mut().zip(&b) {
-                        *o = o.add(bv);
-                    }
-                }
-            });
-        }
-        Ok(())
     }
 
     /// Column-sum reduction written into `out` (reshaped as needed): a
@@ -595,6 +575,35 @@ impl<S: Scalar> Matrix<S> {
     }
 }
 
+/// `bias`'s elements, checked to be `1 × len` for a product whose left
+/// operand has shape `lhs` (the shape the error names beside the bias's).
+fn bias_slice<S: Scalar>(
+    bias: Option<&Matrix<S>>,
+    lhs: (usize, usize),
+    len: usize,
+) -> Result<Option<&[S]>> {
+    match bias {
+        Some(b) if b.shape() != (1, len) => Err(KmlError::ShapeMismatch {
+            op: "bias",
+            lhs,
+            rhs: b.shape(),
+        }),
+        b => Ok(b.map(Matrix::as_slice)),
+    }
+}
+
+/// `s` plus `bias[k]` if there is a bias: a linear layer's bias add, made
+/// on a finished chain as the kernel stores it.
+///
+/// SAFETY: a bias holds index `k`.
+#[inline(always)]
+unsafe fn biased<S: Scalar>(bias: Option<&[S]>, k: usize, s: S) -> S {
+    match bias {
+        Some(b) => s.add(*b.get_unchecked(k)),
+        None => s,
+    }
+}
+
 /// Register-tile height of the blocked kernels: MR×NR = 4×4 gives 16
 /// independent accumulator chains, matching the 16 xmm registers of the
 /// x86-64 SSE2 baseline so LLVM keeps the whole tile in registers.
@@ -610,9 +619,19 @@ const NR: usize = 4;
 /// scalar, including `Fix32`'s widening multiplies. The MR×NR tile body and
 /// both edge paths all follow that one chain shape.
 ///
-/// SAFETY: caller must guarantee `a.len() >= m·kd`, `b.len() >= kd·n` and
-/// `c.len() >= m·n`.
-unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: usize, n: usize) {
+/// A bias adds `bias[j]` to each chain of column `j` as it is stored.
+///
+/// SAFETY: caller must guarantee `a.len() >= m·kd`, `b.len() >= kd·n`,
+/// `c.len() >= m·n` and a bias of at least `n` elements.
+unsafe fn kernel_matmul<S: Scalar>(
+    a: &[S],
+    b: &[S],
+    bias: Option<&[S]>,
+    c: &mut [S],
+    m: usize,
+    kd: usize,
+    n: usize,
+) {
     debug_assert!(a.len() >= m * kd && b.len() >= kd * n && c.len() >= m * n);
     let mut i = 0;
     while i + MR <= m {
@@ -637,7 +656,7 @@ unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: 
             for (mi, lane) in acc.iter().enumerate() {
                 let cp = (i + mi) * n + j;
                 for (jj, &s) in lane.iter().enumerate() {
-                    *c.get_unchecked_mut(cp + jj) = s;
+                    *c.get_unchecked_mut(cp + jj) = biased(bias, j + jj, s);
                 }
             }
             j += NR;
@@ -651,7 +670,7 @@ unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: 
                 }
             }
             for (mi, &s) in acc.iter().enumerate() {
-                *c.get_unchecked_mut((i + mi) * n + j) = s;
+                *c.get_unchecked_mut((i + mi) * n + j) = biased(bias, j, s);
             }
             j += 1;
         }
@@ -670,7 +689,7 @@ unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: 
             }
             let cp = i * n + j;
             for (jj, &s) in acc.iter().enumerate() {
-                *c.get_unchecked_mut(cp + jj) = s;
+                *c.get_unchecked_mut(cp + jj) = biased(bias, j + jj, s);
             }
             j += NR;
         }
@@ -679,7 +698,7 @@ unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: 
             for (p, &av) in arow.iter().enumerate() {
                 s = s.mul_acc(av, *b.get_unchecked(p * n + j));
             }
-            *c.get_unchecked_mut(i * n + j) = s;
+            *c.get_unchecked_mut(i * n + j) = biased(bias, j, s);
             j += 1;
         }
         i += 1;
@@ -689,13 +708,15 @@ unsafe fn kernel_matmul<S: Scalar>(a: &[S], b: &[S], c: &mut [S], m: usize, kd: 
 /// `c = aᵀ · b` for row-major `a` (`kd×mm`), `b` (`kd×n`), `c` (`mm×n`).
 ///
 /// A is read with a column stride (`a[p·mm + i]`) instead of materializing
-/// the transpose. Chain shape and order match [`kernel_matmul`].
+/// the transpose. Chain shape and order match [`kernel_matmul`]; a bias
+/// adds `bias[i]` to each chain of row `i` as it is stored.
 ///
-/// SAFETY: caller must guarantee `a.len() >= kd·mm`, `b.len() >= kd·n` and
-/// `c.len() >= mm·n`.
+/// SAFETY: caller must guarantee `a.len() >= kd·mm`, `b.len() >= kd·n`,
+/// `c.len() >= mm·n` and a bias of at least `mm` elements.
 unsafe fn kernel_transpose_matmul<S: Scalar>(
     a: &[S],
     b: &[S],
+    bias: Option<&[S]>,
     c: &mut [S],
     mm: usize,
     kd: usize,
@@ -726,7 +747,7 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
             for (mi, lane) in acc.iter().enumerate() {
                 let cp = (i + mi) * n + j;
                 for (jj, &s) in lane.iter().enumerate() {
-                    *c.get_unchecked_mut(cp + jj) = s;
+                    *c.get_unchecked_mut(cp + jj) = biased(bias, i + mi, s);
                 }
             }
             j += NR;
@@ -741,7 +762,7 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
                 }
             }
             for (mi, &s) in acc.iter().enumerate() {
-                *c.get_unchecked_mut((i + mi) * n + j) = s;
+                *c.get_unchecked_mut((i + mi) * n + j) = biased(bias, i + mi, s);
             }
             j += 1;
         }
@@ -760,7 +781,7 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
             }
             let cp = i * n + j;
             for (jj, &s) in acc.iter().enumerate() {
-                *c.get_unchecked_mut(cp + jj) = s;
+                *c.get_unchecked_mut(cp + jj) = biased(bias, i, s);
             }
             j += NR;
         }
@@ -769,7 +790,7 @@ unsafe fn kernel_transpose_matmul<S: Scalar>(
             for p in 0..kd {
                 s = s.mul_acc(*a.get_unchecked(p * mm + i), *b.get_unchecked(p * n + j));
             }
-            *c.get_unchecked_mut(i * n + j) = s;
+            *c.get_unchecked_mut(i * n + j) = biased(bias, i, s);
             j += 1;
         }
         i += 1;
@@ -876,15 +897,19 @@ mod tests {
 
     #[test]
     fn broadcast_and_reduce() {
-        let mut x = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let x = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let sums = fresh(|o| {
             x.sum_rows_into(o);
             Ok(())
         });
         assert_eq!(sums, m(&[vec![4.0, 6.0]]));
-        x.add_row_broadcast_in_place(&m(&[vec![10.0, 20.0]]))
-            .unwrap();
-        assert_eq!(x, m(&[vec![11.0, 22.0], vec![13.0, 24.0]]));
+        // The bias rides in the product's store, in either orientation.
+        let eye = m(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let bias = m(&[vec![10.0, 20.0]]);
+        let row_major = fresh(|o| x.matmul_bias_into(&eye, Some(&bias), o));
+        assert_eq!(row_major, m(&[vec![11.0, 22.0], vec![13.0, 24.0]]));
+        let feature_major = fresh(|o| eye.transpose_matmul_bias_into(&x, Some(&bias), o));
+        assert_eq!(feature_major, m(&[vec![11.0, 12.0], vec![23.0, 24.0]]));
     }
 
     #[test]
@@ -954,19 +979,23 @@ mod tests {
 
     #[test]
     fn into_kernels_report_the_same_shape_errors() {
-        let mut a = Matrix::<f64>::zeros(2, 3);
+        let a = Matrix::<f64>::zeros(2, 3);
         let b = Matrix::<f64>::zeros(2, 3);
         let mut out = Matrix::<f64>::zeros(1, 1);
         assert!(matches!(
             a.matmul_into(&b, &mut out),
             Err(KmlError::ShapeMismatch { op: "matmul", .. })
         ));
+        let w = Matrix::<f64>::zeros(3, 4);
+        for bias in [Matrix::zeros(1, 3), Matrix::zeros(2, 4)] {
+            assert!(matches!(
+                a.matmul_bias_into(&w, Some(&bias), &mut out),
+                Err(KmlError::ShapeMismatch { op: "bias", .. })
+            ));
+        }
         assert!(matches!(
-            a.add_row_broadcast_in_place(&b),
-            Err(KmlError::ShapeMismatch {
-                op: "add_row_broadcast",
-                ..
-            })
+            w.transpose_matmul_bias_into(&Matrix::zeros(3, 5), Some(&b), &mut out),
+            Err(KmlError::ShapeMismatch { op: "bias", .. })
         ));
     }
 

@@ -168,9 +168,10 @@ pub struct Model<S: Scalar> {
     row_buf: Vec<f64>,
     /// Second staging row for the Q8 engine's row pairs.
     row_buf2: Vec<f64>,
-    /// Reused row-stacked input matrix every exact inference is staged
-    /// into, one row or a batch: it keeps the capacity of the widest batch
-    /// seen, so alternating the two never reaches the allocator.
+    /// Reused input matrix every exact inference is staged into, one row
+    /// or a batch — row-stacked, or feature-major from
+    /// [`FEATURE_MAJOR_ROWS`] rows on: it keeps the capacity of the widest
+    /// batch seen, so alternating the two never reaches the allocator.
     batch_scratch: Matrix<S>,
     /// Reused ∂L/∂pred buffer for training.
     loss_grad: Matrix<S>,
@@ -479,28 +480,68 @@ impl<S: Scalar> Model<S> {
         if self.q8.is_some() {
             return self.run_q8(features, rows, &mut sink);
         }
-        let out = self.forward_rows(features, rows)?;
-        for r in 0..rows {
-            sink.put(out.row(r));
+        let (width, feature_major) = (self.output_dim, rows >= FEATURE_MAJOR_ROWS);
+        let v = self.forward_rows(features, rows, feature_major)?.as_slice();
+        if feature_major {
+            sink.put_columns(v, rows);
+        } else {
+            for r in 0..rows {
+                sink.put(&v[r * width..(r + 1) * width]);
+            }
         }
         Ok(())
     }
 
     /// The exact pass: normalize each of the `rows` row-stacked feature
     /// vectors into the reused staging matrix and run **one** forward pass
-    /// over all of them (a `rows × input_dim` matmul per linear layer —
-    /// the blocked-GEMM path a per-row loop can't reach).
+    /// over all of them — a batch of [`FEATURE_MAJOR_ROWS`] or more staged
+    /// feature-major (`input_dim × rows`, `feature_major` set), so every
+    /// layer puts the batch across the SIMD lanes; a smaller one, a single
+    /// row included, row-major. The output is `output_dim × rows` or
+    /// `rows × output_dim` to match.
     ///
     /// Row `i` of the output does not depend on how many rows share the
-    /// pass: normalization is per-row `f64` arithmetic, every layer is
-    /// row-wise (linear layers accumulate over `k` in ascending order for
-    /// each output element regardless of the row count — the blocked
-    /// kernel is separately proven bit-identical to that reference — and
-    /// activations are pure per-element maps), so row `i` is computed in
-    /// the same operation order as a one-row pass. `tests/batch_parity.rs`
-    /// holds the property proof across scalar types and batch shapes.
-    fn forward_rows(&mut self, features: &[f64], rows: usize) -> Result<&Matrix<S>> {
+    /// pass nor on the layout: normalization is per-row `f64` arithmetic,
+    /// every linear output element is one chain from zero over `k`
+    /// ascending with its bias added last — in either orientation, where
+    /// the feature-major product only swaps the operands of each IEEE
+    /// product — and activations are per-element maps or, for softmax,
+    /// per-row ones, so row `i` is computed in the same operation order as
+    /// a one-row pass. `tests/batch_parity.rs` holds the property proof
+    /// across scalar types, batch sizes and both layouts.
+    fn forward_rows(
+        &mut self,
+        features: &[f64],
+        rows: usize,
+        feature_major: bool,
+    ) -> Result<&Matrix<S>> {
         let dim = self.input_dim;
+        if feature_major {
+            // Feature `p` of every row into row `p`, each value normalized
+            // by the same `(v − mean) / std` as `apply_row`'s.
+            if let Some(n) = &self.normalizer {
+                n.check_width(dim)?;
+            }
+            self.batch_scratch.ensure_shape(dim, rows);
+            let staged = self.batch_scratch.as_mut_slice();
+            for (p, line) in staged.chunks_exact_mut(rows).enumerate() {
+                let column = features[p..].iter().step_by(dim);
+                match &self.normalizer {
+                    Some(n) => {
+                        let (mean, std) = (n.means()[p], n.stds()[p]);
+                        for (dst, &v) in line.iter_mut().zip(column) {
+                            *dst = S::from_f64((v - mean) / std);
+                        }
+                    }
+                    None => {
+                        for (dst, &v) in line.iter_mut().zip(column) {
+                            *dst = S::from_f64(v);
+                        }
+                    }
+                }
+            }
+            return self.graph.forward(&self.batch_scratch, true);
+        }
         self.batch_scratch.ensure_shape(rows, dim);
         if let Some(n) = &self.normalizer {
             for r in 0..rows {
@@ -634,6 +675,12 @@ impl<S: Scalar> Model<S> {
     }
 }
 
+/// The least batch the exact pass stages feature-major, with the batch
+/// across the SIMD lanes; a smaller one stays row-major, its layers'
+/// outputs across the lanes. Measured (EXPERIMENTS.md E36): from ten rows
+/// on the feature-major pass is the faster on all three fleet models.
+const FEATURE_MAJOR_ROWS: usize = 10;
+
 /// Where the inference core hands each output row: its raw values
 /// appended (`infer*`), its class appended (`predict_batch_into`), or the
 /// one row's class (`predict`).
@@ -655,19 +702,61 @@ impl Sink<'_> {
     /// Takes one output row: the exact pass's `S` values or the Q8
     /// engine's `f32` logits.
     fn put<T: Scalar>(&mut self, row: &[T]) {
+        self.put_by(row.len(), |i| row[i].to_f64());
+    }
+
+    /// Takes one output row of `width` values `at(i)`.
+    fn put_by(&mut self, width: usize, at: impl Fn(usize) -> f64) {
         match self {
-            Sink::Values(out) => out.extend(row.iter().map(|v| v.to_f64())),
-            Sink::Classes(out) => out.push(argmax(row)),
-            Sink::Class(class) => **class = argmax(row),
+            Sink::Values(out) => out.extend((0..width).map(at)),
+            Sink::Classes(out) => out.push(argmax_by(width, at)),
+            Sink::Class(class) => **class = argmax_by(width, at),
+        }
+    }
+
+    /// Takes every output row of a feature-major pass: `v` holds
+    /// `width × rows` values, row `r`'s down column `r`. Classes are taken
+    /// for 64 rows at a time, across the output rows with each row's
+    /// running maximum in `top`: [`argmax_by`]'s first largest, never a
+    /// NaN, without a strided walk per row.
+    fn put_columns<T: Scalar>(&mut self, v: &[T], rows: usize) {
+        let width = v.len() / rows;
+        let Sink::Classes(out) = self else {
+            for r in 0..rows {
+                self.put_by(width, |i| v[i * rows + r].to_f64());
+            }
+            return;
+        };
+        if width == 0 {
+            // No output to compare: every row's class is 0, as `argmax_by`'s.
+            out.resize(out.len() + rows, 0);
+            return;
+        }
+        let start = out.len();
+        out.resize(start + rows, 0);
+        for (c, best) in out[start..].chunks_mut(64).enumerate() {
+            let len = best.len();
+            let at = |i: usize| &v[i * rows + c * 64..][..len];
+            let mut top = [0.0f64; 64];
+            for (t, x) in top.iter_mut().zip(at(0)) {
+                *t = x.to_f64();
+            }
+            for i in 1..width {
+                for ((b, t), x) in best.iter_mut().zip(&mut top).zip(at(i)) {
+                    if x.to_f64() > *t {
+                        (*b, *t) = (i, x.to_f64());
+                    }
+                }
+            }
         }
     }
 }
 
-/// Index of the first largest value in `row`.
-fn argmax<T: Scalar>(row: &[T]) -> usize {
+/// Index of the first largest of `len` values `at(i)`; a NaN never wins.
+fn argmax_by(len: usize, at: impl Fn(usize) -> f64) -> usize {
     let mut best = 0;
-    for (i, v) in row.iter().enumerate() {
-        if v.to_f64() > row[best].to_f64() {
+    for i in 1..len {
+        if at(i) > at(best) {
             best = i;
         }
     }

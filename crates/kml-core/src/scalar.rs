@@ -109,11 +109,13 @@ pub trait Scalar:
     // the scalar path; f32/f64 override. Hidden: these are kernel plumbing,
     // not part of the scalar algebra.
 
-    /// `c[m×n] = a[m×kd]·b[kd×n]` via the dispatched SIMD backend.
+    /// `c[m×n] = a[m×kd]·b[kd×n]` (+ `bias[j]` on column `j`) via the
+    /// dispatched SIMD backend.
     #[doc(hidden)]
     fn simd_matmul(
         _a: &[Self],
         _b: &[Self],
+        _bias: Option<&[Self]>,
         _c: &mut [Self],
         _m: usize,
         _kd: usize,
@@ -135,11 +137,13 @@ pub trait Scalar:
         false
     }
 
-    /// `c[mm×n] = a[kd×mm]ᵀ·b[kd×n]` via the dispatched SIMD backend.
+    /// `c[mm×n] = a[kd×mm]ᵀ·b[kd×n]` (+ `bias[i]` on row `i`) via the
+    /// dispatched SIMD backend.
     #[doc(hidden)]
     fn simd_transpose_matmul(
         _a: &[Self],
         _b: &[Self],
+        _bias: Option<&[Self]>,
         _c: &mut [Self],
         _mm: usize,
         _kd: usize,
@@ -215,8 +219,16 @@ impl Scalar for f32 {
     }
 
     #[doc(hidden)]
-    fn simd_matmul(a: &[Self], b: &[Self], c: &mut [Self], m: usize, kd: usize, n: usize) -> bool {
-        crate::simd::matmul_f32(a, b, c, m, kd, n)
+    fn simd_matmul(
+        a: &[Self],
+        b: &[Self],
+        bias: Option<&[Self]>,
+        c: &mut [Self],
+        m: usize,
+        kd: usize,
+        n: usize,
+    ) -> bool {
+        crate::simd::matmul_f32(a, b, bias, c, m, kd, n)
     }
 
     #[doc(hidden)]
@@ -235,12 +247,13 @@ impl Scalar for f32 {
     fn simd_transpose_matmul(
         a: &[Self],
         b: &[Self],
+        bias: Option<&[Self]>,
         c: &mut [Self],
         mm: usize,
         kd: usize,
         n: usize,
     ) -> bool {
-        crate::simd::transpose_matmul_f32(a, b, c, mm, kd, n)
+        crate::simd::transpose_matmul_f32(a, b, bias, c, mm, kd, n)
     }
 }
 
@@ -284,8 +297,16 @@ impl Scalar for f64 {
     }
 
     #[doc(hidden)]
-    fn simd_matmul(a: &[Self], b: &[Self], c: &mut [Self], m: usize, kd: usize, n: usize) -> bool {
-        crate::simd::matmul_f64(a, b, c, m, kd, n)
+    fn simd_matmul(
+        a: &[Self],
+        b: &[Self],
+        bias: Option<&[Self]>,
+        c: &mut [Self],
+        m: usize,
+        kd: usize,
+        n: usize,
+    ) -> bool {
+        crate::simd::matmul_f64(a, b, bias, c, m, kd, n)
     }
 
     #[doc(hidden)]
@@ -304,12 +325,13 @@ impl Scalar for f64 {
     fn simd_transpose_matmul(
         a: &[Self],
         b: &[Self],
+        bias: Option<&[Self]>,
         c: &mut [Self],
         mm: usize,
         kd: usize,
         n: usize,
     ) -> bool {
-        crate::simd::transpose_matmul_f64(a, b, c, mm, kd, n)
+        crate::simd::transpose_matmul_f64(a, b, bias, c, mm, kd, n)
     }
 }
 

@@ -10,10 +10,13 @@
 //! *output columns* while walking `k` in ascending order with separate
 //! multiply and add instructions — produces bit-identical results at any
 //! lane width, because each output element still sees the exact same
-//! sequence of IEEE operations. That is the invariant every kernel in this
+//! sequence of IEEE operations. Which axis those columns are is the
+//! caller's choice: a linear layer's outputs, or, for a batch staged
+//! feature-major, its rows (`Cᵀ = Wᵀ·Xᵀ`, each chain the same with the
+//! operands of every product swapped, which IEEE multiplication allows). That is the invariant every kernel in this
 //! module maintains, and `tests/kernel_parity.rs` enforces it against the
 //! scalar reference for every arm the host CPU can run. An operation may be
-//! computed any way that returns its IEEE bits: the f32 `matmul` arms take
+//! computed any way that returns its IEEE bits: the f32 forward products take
 //! the products of activations below 2^-100 as exact f64 products rounded
 //! once to f32 — the f32 product itself, without the microcode assist a
 //! subnormal `vmulps` costs (see [`x86`] module docs). And an f32 sigmoid
@@ -151,6 +154,7 @@ macro_rules! dispatch {
 pub(crate) fn matmul_f32(
     a: &[f32],
     b: &[f32],
+    bias: Option<&[f32]>,
     c: &mut [f32],
     m: usize,
     kd: usize,
@@ -159,13 +163,14 @@ pub(crate) fn matmul_f32(
     dispatch!(
         x86::matmul_f32_avx512,
         x86::matmul_f32_avx2,
-        (a, b, c, m, kd, n)
+        (a, b, bias, c, m, kd, n)
     )
 }
 
 pub(crate) fn matmul_f64(
     a: &[f64],
     b: &[f64],
+    bias: Option<&[f64]>,
     c: &mut [f64],
     m: usize,
     kd: usize,
@@ -174,13 +179,14 @@ pub(crate) fn matmul_f64(
     dispatch!(
         x86::matmul_f64_avx512,
         x86::matmul_f64_avx2,
-        (a, b, c, m, kd, n)
+        (a, b, bias, c, m, kd, n)
     )
 }
 
 pub(crate) fn transpose_matmul_f32(
     a: &[f32],
     b: &[f32],
+    bias: Option<&[f32]>,
     c: &mut [f32],
     mm: usize,
     kd: usize,
@@ -189,13 +195,14 @@ pub(crate) fn transpose_matmul_f32(
     dispatch!(
         x86::transpose_matmul_f32_avx512,
         x86::transpose_matmul_f32_avx2,
-        (a, b, c, mm, kd, n)
+        (a, b, bias, c, mm, kd, n)
     )
 }
 
 pub(crate) fn transpose_matmul_f64(
     a: &[f64],
     b: &[f64],
+    bias: Option<&[f64]>,
     c: &mut [f64],
     mm: usize,
     kd: usize,
@@ -204,7 +211,7 @@ pub(crate) fn transpose_matmul_f64(
     dispatch!(
         x86::transpose_matmul_f64_avx512,
         x86::transpose_matmul_f64_avx2,
-        (a, b, c, mm, kd, n)
+        (a, b, bias, c, mm, kd, n)
     )
 }
 
@@ -322,21 +329,21 @@ pub mod testing {
         }
 
         arm_fn!(avx2_matmul_f32, has_avx2(), x86::matmul_f32_avx2,
-            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize));
+            (a: &[f32], b: &[f32], bias: Option<&[f32]>, c: &mut [f32], m: usize, kd: usize, n: usize));
         arm_fn!(avx2_matmul_f64, has_avx2(), x86::matmul_f64_avx2,
-            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, kd: usize, n: usize));
+            (a: &[f64], b: &[f64], bias: Option<&[f64]>, c: &mut [f64], m: usize, kd: usize, n: usize));
         arm_fn!(avx512_matmul_f32, has_avx512(), x86::matmul_f32_avx512,
-            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize));
+            (a: &[f32], b: &[f32], bias: Option<&[f32]>, c: &mut [f32], m: usize, kd: usize, n: usize));
         arm_fn!(avx512_matmul_f64, has_avx512(), x86::matmul_f64_avx512,
-            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, kd: usize, n: usize));
+            (a: &[f64], b: &[f64], bias: Option<&[f64]>, c: &mut [f64], m: usize, kd: usize, n: usize));
         arm_fn!(avx2_transpose_matmul_f32, has_avx2(), x86::transpose_matmul_f32_avx2,
-            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize));
+            (a: &[f32], b: &[f32], bias: Option<&[f32]>, c: &mut [f32], mm: usize, kd: usize, n: usize));
         arm_fn!(avx2_transpose_matmul_f64, has_avx2(), x86::transpose_matmul_f64_avx2,
-            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize));
+            (a: &[f64], b: &[f64], bias: Option<&[f64]>, c: &mut [f64], mm: usize, kd: usize, n: usize));
         arm_fn!(avx512_transpose_matmul_f32, has_avx512(), x86::transpose_matmul_f32_avx512,
-            (a: &[f32], b: &[f32], c: &mut [f32], mm: usize, kd: usize, n: usize));
+            (a: &[f32], b: &[f32], bias: Option<&[f32]>, c: &mut [f32], mm: usize, kd: usize, n: usize));
         arm_fn!(avx512_transpose_matmul_f64, has_avx512(), x86::transpose_matmul_f64_avx512,
-            (a: &[f64], b: &[f64], c: &mut [f64], mm: usize, kd: usize, n: usize));
+            (a: &[f64], b: &[f64], bias: Option<&[f64]>, c: &mut [f64], mm: usize, kd: usize, n: usize));
         arm_fn!(avx2_matmul_transpose_f32, has_avx2(), x86::matmul_transpose_f32_avx2,
             (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
         arm_fn!(avx2_matmul_transpose_f64, has_avx2(), x86::matmul_transpose_f64_avx2,
@@ -381,6 +388,23 @@ pub mod testing {
         /// `a` by the exact widened route rather than one `vmulps`.
         pub fn exact_product_route(a: f32) -> bool {
             x86::tiny_f32(a)
+        }
+
+        /// Whether the feature-major product of ISA `arm` routes a loaded
+        /// vector holding `lanes` (8 for AVX2, 16 for AVX-512) exactly;
+        /// `None` if the host lacks the arm or the length is not its width.
+        pub fn exact_vector_route(arm: &str, lanes: &[f32]) -> Option<bool> {
+            use std::arch::x86_64::{_mm256_loadu_ps, _mm512_loadu_ps};
+            // SAFETY: each load is guarded by its feature check and length.
+            match (arm, lanes.len()) {
+                ("avx2", 8) if has_avx2() => unsafe {
+                    Some(x86::tiny_lanes_f32_avx2(_mm256_loadu_ps(lanes.as_ptr())))
+                },
+                ("avx512", 16) if has_avx512() => unsafe {
+                    Some(x86::tiny_lanes_f32_avx512(_mm512_loadu_ps(lanes.as_ptr())))
+                },
+                _ => None,
+            }
         }
     }
     #[cfg(target_arch = "x86_64")]

@@ -1,27 +1,36 @@
 //! x86_64 kernel arms: AVX2(+FMA) and AVX-512F.
 //!
-//! Every GEMM arm vectorizes across *output columns* (the `j`/`n` axis) and
-//! walks the shared dimension `k` in ascending order with separate
-//! `vmulp*`/`vaddp*` instructions, so each output element sees exactly the
-//! scalar kernel's `add(mul(..))` chain — bit-identical at any lane width.
+//! Every GEMM arm vectorizes across the columns of its output (the `j`/`n`
+//! axis) and walks the shared dimension `k` in ascending order with
+//! separate `vmulp*`/`vaddp*` instructions, so each output element sees
+//! exactly the scalar kernel's `add(mul(..))` chain — bit-identical at any
+//! lane width — and a bias, when given, is added to the finished chain in
+//! the store. For a linear layer's forward pass those columns are either
+//! the layer's outputs (row-major `matmul`) or, for a batch staged
+//! feature-major, the batch's rows (`transpose_matmul` with a bias:
+//! `Cᵀ = Wᵀ·Xᵀ`), so a 2-, 4- or 10-wide layer still fills every lane.
 //! `matmul_transpose` does too: a lane is an output column and carries all
 //! of `Matrix::dot`'s state for it — the four stride-4 accumulator chains
 //! and the sequential tail — reduced in the scalar order (see the arm).
 //!
-//! The f32 `matmul` arms take one kind of product differently. A hidden
+//! The f32 forward products take one kind of product differently. A hidden
 //! activation σ(x) for x in (−103, −87) is an f32 subnormal, and a quarter
 //! to a half of the rows the fleet server batches hold one (EXPERIMENTS.md
 //! E28); a `vmulps` with a subnormal operand or result costs a ~57 ns
-//! microcode assist. So a row block holding a nonzero activation below 2^-100 takes
-//! each such activation's products in f64: both operands widen exactly
-//! (`vcvtps2pd`), the product of two 24-bit significands fits in f64's 53
-//! and is exact and normal there, and one `vcvtpd2ps` rounds it to nearest
-//! even into f32, gradual underflow included. One rounding of the exact
-//! product is the definition of the IEEE f32 product, so the bits are
-//! `vmulps`'s; the chain's `vaddps` is unchanged, and neither conversion
-//! nor `vaddps` takes an assist on subnormals. A product the predicate
-//! misses (a weight below 2^-26 against a normal activation) still runs
-//! `vmulps`: correct, only slow.
+//! microcode assist. So each product of a nonzero activation below 2^-100
+//! may be taken in f64: both operands widen exactly (`vcvtps2pd`), the
+//! product of two 24-bit significands fits in f64's 53 and is exact and
+//! normal there, and one `vcvtpd2ps` rounds it to nearest even into f32,
+//! gradual underflow included. One rounding of the exact product is the
+//! definition of the IEEE f32 product, so the bits are `vmulps`'s for any
+//! operand, tiny or not; the chain's `vaddps` is unchanged, and neither
+//! conversion nor `vaddps` takes an assist on subnormals. The route goes
+//! with the operand the activations are in: row-major, a row block holding
+//! a tiny activation takes each such activation's products exactly;
+//! feature-major, where a loaded vector holds sixteen rows' activations,
+//! a vector with a tiny lane (one integer compare per vector) takes all of
+//! its products exactly. A product the route misses (a weight below 2^-26
+//! against a normal activation) still runs `vmulps`: correct, only slow.
 //!
 //! The sigmoid arms evaluate `crate::math::sigmoid`'s exact operation
 //! sequence lane-parallel, around an `exp` core the block `exp` arms (the
@@ -150,19 +159,25 @@ unsafe fn mstore_f64_avx512(p: *mut f64, rem: usize, v: __m512d) {
 // ---------------------------------------------------------------------------
 // GEMM arms, stamped per ISA × element type.
 //
-// `matmul`:           C[m×n] = A[m×kd]·B[kd×n]    (chains start at zero)
-// `transpose_matmul`: C[mm×n] = Aᵀ·B with A kd×mm
+// `matmul`:           C[m×n] = A[m×kd]·B[kd×n] (+ bias per column)
+// `transpose_matmul`: C[mm×n] = Aᵀ·B with A kd×mm (+ bias per row)
 //
-// Row blocks of 4 amortize each B-row vector load across four broadcast
+// Chains start at zero; a bias is added to each finished chain as it is
+// stored — a linear layer's `+ b`, one `add` with no pass of its own. Row
+// blocks of 4 amortize each B-row vector load across four broadcast
 // multiplies; the j loop runs 2-wide tiles, then 1-wide, then one masked
 // edge tile. All of it lives inside a single `#[target_feature]` function
 // so nothing crosses a non-inlinable feature boundary. Both products run
 // the one row kernel; they differ only in how A is laid out.
 //
-// The f32 `matmul` arms (`exact:`) send a row block that holds a tiny
-// activation (`tiny_f32`) through the same tiles with `X` set: there each
-// tiny activation's products are the exact widened ones (`mul_exact_f32_*`)
-// and every other product is still one `vmulps`.
+// A linear layer's forward pass runs either product. Row-major (`matmul`,
+// A the activations) puts the layer's outputs across the lanes; a batch
+// staged feature-major (`transpose_matmul` with a bias, A the weights)
+// puts the batch across them, so a 2- or 4-wide layer fills every lane.
+// The f32 arms (`exact:`) route tiny activations (`tiny_f32`) with `X`
+// set: row-major, a row block holding one; feature-major, a B vector with
+// one in any lane. There each such product is the exact widened one
+// (`mul_exact_f32_*`); every other product is still one `vmulps`.
 // ---------------------------------------------------------------------------
 
 /// `2^-100` as f32 bits: at or above it, an activation times any weight of
@@ -176,6 +191,36 @@ const TINY_F32_BITS: u32 = 0x0d80_0000;
 #[inline]
 pub(super) fn tiny_f32(v: f32) -> bool {
     (v.to_bits() & 0x7fff_ffff).wrapping_sub(1) < TINY_F32_BITS - 1
+}
+
+/// Whether any lane of `v` is [`tiny_f32`]: the one route test of a B
+/// vector in the feature-major product. `0 < |v| < 2^-100` on the bits;
+/// both compares are signed, which the cleared sign bit makes exact.
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn tiny_lanes_f32_avx2(v: __m256) -> bool {
+    let bits = _mm256_and_si256(_mm256_castps_si256(v), _mm256_set1_epi32(i32::MAX));
+    let below = _mm256_cmpgt_epi32(_mm256_set1_epi32(TINY_F32_BITS as i32), bits);
+    let nonzero = _mm256_cmpgt_epi32(bits, _mm256_setzero_si256());
+    _mm256_testz_si256(below, nonzero) == 0
+}
+
+/// 16-lane [`tiny_lanes_f32_avx2`], as [`tiny_f32`] computes it: one
+/// unsigned compare of `|v| − 1`.
+///
+/// # Safety
+///
+/// The CPU supports AVX-512F.
+#[inline]
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn tiny_lanes_f32_avx512(v: __m512) -> bool {
+    let bits = _mm512_and_si512(_mm512_castps_si512(v), _mm512_set1_epi32(i32::MAX));
+    let less = _mm512_sub_epi32(bits, _mm512_set1_epi32(1));
+    _mm512_cmplt_epu32_mask(less, _mm512_set1_epi32(TINY_F32_BITS as i32 - 1)) != 0
 }
 
 /// `set1(a) · b`, bit for bit as `vmulps` makes it and without its assist:
@@ -227,24 +272,30 @@ macro_rules! gemm_arm {
         setzero: $setzero:ident, add: $add:ident, mul: $mul:ident,
         mload: $mload:ident, mstore: $mstore:ident,
         matmul: $matmul:ident, tmm: $tmm:ident, rows: $rows:ident,
-        $(exact: $xmul:ident if $tiny:ident,)?
+        $(exact: $xmul:ident if $tiny:ident or $tinyv:ident,)?
     ) => {
         /// Rows `i..i + R` of C, every column tile, with element (r, p) of
         /// the left operand at `a[(i + r) * lda + p]`, or at
         /// `a[p * lda + i + r]` when `T` (A stored transposed). `X` routes
-        /// the block exactly: it holds a tiny activation.
+        /// tiny activations exactly: A's elements of this block, or with
+        /// `T` each B vector (the batch across the lanes) that holds one.
+        /// A non-null `bias` is added in the store: `bias[j]` to column
+        /// `j`, or with `T` `bias[i + r]` to row `i + r`.
         ///
         /// # Safety
         ///
         /// The CPU has the arm's features; `a` holds every element named
-        /// above for `r < R` and `p < kd`, `b` is `kd × n` and `c` has rows
-        /// `i..i + R` of width `n`.
+        /// above for `r < R` and `p < kd`, `b` is `kd × n`, `c` has rows
+        /// `i..i + R` of width `n`, and a non-null `bias` holds `n` (or
+        /// with `T`, `i + R`) elements.
         #[inline]
+        #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = $feat)]
         unsafe fn $rows<const R: usize, const X: bool, const T: bool>(
             a: *const $ty,
             lda: usize,
             b: *const $ty,
+            bias: *const $ty,
             c: *mut $ty,
             i: usize,
             kd: usize,
@@ -255,30 +306,37 @@ macro_rules! gemm_arm {
                 *a.add(if T { p * lda + i + r } else { (i + r) * lda + p })
             };
             // One product of a chain: exact for a tiny activation of a
-            // routed block, `vmulp*` otherwise.
-            let prod = |av: $ty, bv| {
-                $(if X && $tiny(av) {
+            // routed block (`ex`: with `T`, its B vector holds one),
+            // `vmulp*` otherwise.
+            #[allow(unused_variables)]
+            let prod = |av: $ty, bv, ex: bool| {
+                $(if X && (if T { ex } else { $tiny(av) }) {
                     return $xmul(av, bv);
                 })?
                 $mul($set1(av), bv)
             };
             // `$t` vectors of C's rows from column `j`: `$ld(p, t)` loads
-            // them from B's row `p`, `$st(r, t, v)` stores row `r`'s.
+            // them from B's row `p`, `$bl(t)` the bias of their columns,
+            // `$st(r, t, v)` stores row `r`'s.
             macro_rules! tile {
-                ($t:literal, $ld:expr, $st:expr) => {{
+                ($t:literal, $ld:expr, $bl:expr, $st:expr) => {{
                     let mut acc = [[$setzero(); $t]; R];
                     for p in 0..kd {
                         let bv: [_; $t] = from_fn(|t| $ld(p, t));
-                        for r in 0..R {
-                            let av = at(r, p);
-                            for t in 0..$t {
-                                acc[r][t] = $add(acc[r][t], prod(av, bv[t]));
+                        for t in 0..$t {
+                            let ex = false $(|| X && T && $tinyv(bv[t]))?;
+                            for r in 0..R {
+                                acc[r][t] = $add(acc[r][t], prod(at(r, p), bv[t], ex));
                             }
                         }
                     }
                     for r in 0..R {
                         for t in 0..$t {
-                            $st(r, t, acc[r][t]);
+                            let mut v = acc[r][t];
+                            if !bias.is_null() {
+                                v = $add(v, if T { $set1(*bias.add(i + r)) } else { $bl(t) });
+                            }
+                            $st(r, t, v);
                         }
                     }
                 }};
@@ -288,6 +346,7 @@ macro_rules! gemm_arm {
                 tile!(
                     2,
                     |p, t| $loadu(b.add(p * n + j + t * L)),
+                    |t| $loadu(bias.add(j + t * L)),
                     |r, t, v| $storeu(c.add((i + r) * n + j + t * L), v)
                 );
                 j += 2 * L;
@@ -296,6 +355,7 @@ macro_rules! gemm_arm {
                 tile!(
                     1,
                     |p, _| $loadu(b.add(p * n + j)),
+                    |_| $loadu(bias.add(j)),
                     |r, _, v| $storeu(c.add((i + r) * n + j), v)
                 );
                 j += L;
@@ -305,22 +365,29 @@ macro_rules! gemm_arm {
                 tile!(
                     1,
                     |p, _| $mload(b.add(p * n + j), rem),
+                    |_| $mload(bias.add(j), rem),
                     |r, _, v| $mstore(c.add((i + r) * n + j), rem, v)
                 );
             }
         }
 
+        /// `C[m×n] = A[m×kd]·B[kd×n]`, plus `bias[j]` on column `j` if
+        /// given: the row-major forward product of a linear layer (A the
+        /// batch's activations, B its weights).
         #[target_feature(enable = $feat)]
         pub(super) unsafe fn $matmul(
             a: &[$ty],
             b: &[$ty],
+            bias: Option<&[$ty]>,
             c: &mut [$ty],
             m: usize,
             kd: usize,
             n: usize,
         ) {
             debug_assert!(a.len() >= m * kd && b.len() >= kd * n && c.len() >= m * n);
+            debug_assert!(bias.is_none_or(|v| v.len() >= n));
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+            let bias = bias.map_or(std::ptr::null(), <[$ty]>::as_ptr);
             let mut i = 0usize;
             // Rows `i..i + R` are routed exactly if one of them holds a tiny
             // activation; a layer with none anywhere skips the scan per
@@ -331,9 +398,9 @@ macro_rules! gemm_arm {
             macro_rules! rows {
                 ($r:literal) => {
                     if routed && tiny(&a[i * kd..(i + $r) * kd]) {
-                        $rows::<$r, true, false>(ap, kd, bp, cp, i, kd, n)
+                        $rows::<$r, true, false>(ap, kd, bp, bias, cp, i, kd, n)
                     } else {
-                        $rows::<$r, false, false>(ap, kd, bp, cp, i, kd, n)
+                        $rows::<$r, false, false>(ap, kd, bp, bias, cp, i, kd, n)
                     }
                 };
             }
@@ -347,25 +414,51 @@ macro_rules! gemm_arm {
             }
         }
 
+        /// `C[mm×n] = Aᵀ·B` with A `kd×mm`: training's weight gradient,
+        /// unrouted, without `bias`. Given `bias`, the feature-major
+        /// forward product of a linear layer instead — A its weights, B
+        /// the batch's activations `kd × n` with the batch across the
+        /// lanes — where each B vector holding a tiny activation takes
+        /// exact products and `bias[i]` is added to row `i` in the store.
         #[target_feature(enable = $feat)]
         pub(super) unsafe fn $tmm(
             a: &[$ty],
             b: &[$ty],
+            bias: Option<&[$ty]>,
             c: &mut [$ty],
             mm: usize,
             kd: usize,
             n: usize,
         ) {
             debug_assert!(a.len() >= kd * mm && b.len() >= kd * n && c.len() >= mm * n);
+            debug_assert!(bias.is_none_or(|v| v.len() >= mm));
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+            // Only the forward product is routed, and only on an arm with
+            // an exact route: an f64 arm's `routed` is the literal `false`,
+            // so it compiles no routed blocks.
+            let routed = false $(|| bias.is_some() && { let _ = $xmul; true })?;
+            let bias = bias.map_or(std::ptr::null(), <[$ty]>::as_ptr);
             let mut i = 0usize;
+            macro_rules! rows {
+                ($r:literal) => {
+                    if routed {
+                        $rows::<$r, true, true>(ap, mm, bp, bias, cp, i, kd, n)
+                    } else {
+                        $rows::<$r, false, true>(ap, mm, bp, bias, cp, i, kd, n)
+                    }
+                };
+            }
             while i + 4 <= mm {
-                $rows::<4, false, true>(ap, mm, bp, cp, i, kd, n);
+                rows!(4);
                 i += 4;
             }
-            while i < mm {
-                $rows::<1, false, true>(ap, mm, bp, cp, i, kd, n);
-                i += 1;
+            // The last rows in one block: a 10-, 15- or 2-wide layer's
+            // remainder keeps two or three chains per vector in flight.
+            match mm - i {
+                3 => rows!(3),
+                2 => rows!(2),
+                1 => rows!(1),
+                _ => {}
             }
         }
     };
@@ -377,7 +470,7 @@ gemm_arm! {
     setzero: _mm256_setzero_ps, add: _mm256_add_ps, mul: _mm256_mul_ps,
     mload: mload_f32_avx2, mstore: mstore_f32_avx2,
     matmul: matmul_f32_avx2, tmm: transpose_matmul_f32_avx2, rows: gemm_rows_f32_avx2,
-    exact: mul_exact_f32_avx2 if tiny_f32,
+    exact: mul_exact_f32_avx2 if tiny_f32 or tiny_lanes_f32_avx2,
 }
 
 gemm_arm! {
@@ -394,7 +487,7 @@ gemm_arm! {
     setzero: _mm512_setzero_ps, add: _mm512_add_ps, mul: _mm512_mul_ps,
     mload: mload_f32_avx512, mstore: mstore_f32_avx512,
     matmul: matmul_f32_avx512, tmm: transpose_matmul_f32_avx512, rows: gemm_rows_f32_avx512,
-    exact: mul_exact_f32_avx512 if tiny_f32,
+    exact: mul_exact_f32_avx512 if tiny_f32 or tiny_lanes_f32_avx512,
 }
 
 gemm_arm! {

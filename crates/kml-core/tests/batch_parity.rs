@@ -10,6 +10,16 @@
 //! batches: chunking the rows into uneven batches must reproduce the
 //! full-batch output bit for bit, and a single row run after those
 //! batches must answer as it does on a fresh model.
+//!
+//! A batch of ten rows or more is staged feature-major, the batch
+//! across the SIMD lanes (`Model`'s layout switch); a smaller one stays
+//! row-major. The deterministic tests below take every batch size from 1
+//! to 300 — both layouts, the switch, and the 8- and 16-lane edges of
+//! both x86 arms — through the fleet's three topologies and a
+//! softmax-ended one, with tiny activations in every lane position and
+//! NaN and ±inf features, and then put the two products themselves
+//! through every x86 arm the host has. CI runs this file on the
+//! dispatched backend and under `KML_FORCE_SCALAR=1`.
 
 use kml_core::dataset::Normalizer;
 use kml_core::fixed::Fix32;
@@ -210,6 +220,27 @@ fn wrong_batch_shape_is_rejected() {
     assert!(matches!(err, kml_core::KmlError::ShapeMismatch { .. }));
 }
 
+/// A layer of width zero leaves nothing to compare: every batch size, in
+/// either layout, answers as one-row passes do — no values, class 0.
+#[test]
+fn a_zero_width_output_answers_every_batch_size() {
+    let mut model = ModelBuilder::new(3).linear(0).build::<f32>().unwrap();
+    let (mut out, mut classes) = (vec![1.0], vec![9usize]);
+    for rows in [1usize, 9, 10, 70] {
+        let features = vec![0.5; 3 * rows];
+        model.infer_batch_into(&features, rows, &mut out).unwrap();
+        model
+            .predict_batch_into(&features, rows, &mut classes)
+            .unwrap();
+        assert_eq!(
+            (out.len(), &classes[..]),
+            (0, &vec![0; rows][..]),
+            "{rows} rows"
+        );
+    }
+    assert_eq!(model.predict(&[0.5; 3]).unwrap(), 0);
+}
+
 /// Seven values are not zero rows of five features: the shape is checked
 /// before the empty batch returns, on the exact path and the q8 engine, and
 /// neither output buffer is touched.
@@ -229,5 +260,236 @@ fn zero_rows_with_features_is_a_shape_mismatch() {
         assert!(shape(model.infer_batch_into(&[1.0; 7], 0, &mut out)));
         assert!(shape(model.predict_batch_into(&[1.0; 7], 0, &mut classes)));
         assert_eq!((out, classes), (vec![1.0], vec![9]));
+    }
+}
+
+/// Largest batch of the every-size tests.
+const MAX_BATCH: usize = 300;
+/// Rows of test data: a batch of size `b` starts at row `b % 17`, so a
+/// given row meets every lane position across the sizes.
+const DATA_ROWS: usize = MAX_BATCH + 17;
+
+/// The fleet's three topologies (readahead 5→15→10→4, iosched 4→10→2,
+/// netfs 5→10→2, sigmoid between linear layers) and the first again with
+/// a softmax head.
+fn fleet_models<S: Scalar>() -> Vec<Model<S>> {
+    let chain = |input: usize, widths: &[usize], softmax: bool, seed: u64| {
+        let mut b = ModelBuilder::new(input).seed(seed);
+        for (i, &w) in widths.iter().enumerate() {
+            b = b.linear(w);
+            if i + 1 < widths.len() {
+                b = b.sigmoid();
+            }
+        }
+        if softmax {
+            b = b.softmax();
+        }
+        b.build::<S>().expect("valid topology")
+    };
+    vec![
+        chain(5, &[15, 10, 4], false, 1),
+        chain(4, &[10, 2], false, 2),
+        chain(5, &[10, 2], false, 3),
+        chain(5, &[15, 10, 4], true, 4),
+    ]
+}
+
+/// [`DATA_ROWS`] feature rows for `model`, row-stacked: values in ±3;
+/// every third row moved along feature 0 until one first-layer unit —
+/// which one changes with the row — sits at −95 before its sigmoid, where
+/// σ is an f32 subnormal (a tiny activation the f32 arms route); and a
+/// NaN, a +inf or a −inf feature in some rows.
+fn feature_rows<S: Scalar>(model: &Model<S>, seed: u64) -> Vec<f64> {
+    let dim = model.input_dim();
+    let first = model.graph().layers().next().expect("a layer").params();
+    let (w, bias) = (first[0], first[1]);
+    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 6.0 - 3.0
+    };
+    let mut out = Vec::with_capacity(DATA_ROWS * dim);
+    for r in 0..DATA_ROWS {
+        let mut f: Vec<f64> = (0..dim).map(|_| next()).collect();
+        if r % 3 == 0 {
+            let u = (r / 3) % w.cols();
+            let z: f64 = (0..dim).map(|p| f[p] * w.get(p, u).to_f64()).sum();
+            f[0] += (-95.0 - z - bias.get(0, u).to_f64()) / w.get(0, u).to_f64();
+        }
+        match r % 23 {
+            5 => f[r % dim] = f64::NAN,
+            11 => f[r % dim] = f64::INFINITY,
+            17 => f[r % dim] = f64::NEG_INFINITY,
+            _ => {}
+        }
+        out.extend(f);
+    }
+    out
+}
+
+/// How many of `rows`' first hidden layers (after the sigmoid, in f32)
+/// hold an activation below 2^-100 that is not zero.
+fn rows_with_tiny_activations(model: &Model<f32>, rows: &[f64]) -> usize {
+    let first = model.graph().layers().next().expect("a layer").params();
+    let dim = model.input_dim();
+    let mut pre = Matrix::zeros(0, 0);
+    let mut act = Matrix::zeros(0, 0);
+    let x = Matrix::<f32>::from_f64_vec(rows.len() / dim, dim, rows).unwrap();
+    x.matmul_bias_into(first[0], Some(first[1]), &mut pre)
+        .unwrap();
+    pre.sigmoid_into(&mut act);
+    (0..act.rows())
+        .filter(|&r| {
+            act.row(r)
+                .iter()
+                .any(|v| *v != 0.0 && v.abs() < 2f32.powi(-100))
+        })
+        .count()
+}
+
+/// Row `i` of every batch size from 1 to [`MAX_BATCH`] answers bit for
+/// bit as a one-row pass of the same row does, raw values and class.
+fn check_every_batch_size<S: Scalar>() {
+    for (m, mut model) in fleet_models::<S>().into_iter().enumerate() {
+        let (dim, width) = (model.input_dim(), model.output_dim());
+        let data = feature_rows(&model, m as u64);
+        let (mut want, mut classes, mut row) = (Vec::new(), Vec::new(), Vec::new());
+        for f in data.chunks(dim) {
+            model.infer_into(f, &mut row).expect("one row");
+            want.extend(row.iter().map(|v| v.to_bits()));
+            classes.push(model.predict(f).expect("one row"));
+        }
+        let (mut got, mut got_classes) = (Vec::new(), Vec::new());
+        for b in 1..=MAX_BATCH {
+            let s = b % 17;
+            let batch = &data[s * dim..(s + b) * dim];
+            model.infer_batch_into(batch, b, &mut got).expect("batch");
+            let bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                bits,
+                want[s * width..(s + b) * width],
+                "model {m}, batch {b}"
+            );
+            model
+                .predict_batch_into(batch, b, &mut got_classes)
+                .expect("batch");
+            assert_eq!(got_classes, classes[s..s + b], "model {m}, batch {b}");
+        }
+    }
+}
+
+#[test]
+fn every_batch_size_matches_one_row_passes_f32() {
+    // The rows do put tiny activations in front of the second layer.
+    for (m, model) in fleet_models::<f32>().iter().enumerate() {
+        let tiny = rows_with_tiny_activations(model, &feature_rows(model, m as u64));
+        assert!(tiny >= DATA_ROWS / 3 - 20, "model {m}: {tiny} rows");
+    }
+    check_every_batch_size::<f32>();
+}
+
+#[test]
+fn every_batch_size_matches_one_row_passes_f64() {
+    check_every_batch_size::<f64>();
+}
+
+/// The two products behind the layouts, on every x86 arm the host has:
+/// the feature-major one (`transpose_matmul` with a bias: weights `kd ×
+/// mm`, activations `kd × n`) is the row-major one (`matmul` with a bias:
+/// activations `n × kd`) transposed, bit for bit, for every `n` from 1 to
+/// [`MAX_BATCH`] and each layer shape of the fleet models — with a tiny
+/// activation in every third row, so in every lane position, and NaN and
+/// ±inf among them. The dispatched `Matrix` products must agree too.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn every_arm_puts_the_batch_across_its_lanes_bit_for_bit() {
+    use kml_core::simd::testing as arms;
+    type Product = fn(&[f32], &[f32], Option<&[f32]>, &mut [f32], usize, usize, usize) -> bool;
+    let table: [(&str, Product, Product); 2] = [
+        (
+            "avx2",
+            arms::avx2_matmul_f32,
+            arms::avx2_transpose_matmul_f32,
+        ),
+        (
+            "avx512",
+            arms::avx512_matmul_f32,
+            arms::avx512_transpose_matmul_f32,
+        ),
+    ];
+    let tiny = [1.0e-41f32, -3.0e-39, 7.5e-33, f32::from_bits(1)];
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 40) as f32 / (1u32 << 24) as f32 - 0.5) * 4.0
+    };
+    for (kd, mm) in [
+        (5usize, 15usize),
+        (15, 10),
+        (10, 4),
+        (4, 10),
+        (10, 2),
+        (5, 10),
+    ] {
+        let w: Vec<f32> = (0..kd * mm).map(|_| next()).collect();
+        let bias: Vec<f32> = (0..mm).map(|_| next()).collect();
+        for n in 1..=MAX_BATCH {
+            let mut x: Vec<f32> = (0..n * kd).map(|_| next()).collect();
+            for j in (0..n).step_by(3) {
+                x[j * kd + j % kd] = tiny[j % tiny.len()];
+            }
+            for (j, v) in [(5, f32::NAN), (11, f32::INFINITY), (17, f32::NEG_INFINITY)] {
+                if j < n {
+                    x[j * kd + (j + 1) % kd] = v;
+                }
+            }
+            let xt: Vec<f32> = (0..kd * n).map(|e| x[(e % n) * kd + e / n]).collect();
+            let (wm, bm) = (
+                Matrix::from_vec(kd, mm, w.clone()).unwrap(),
+                Matrix::from_vec(1, mm, bias.clone()).unwrap(),
+            );
+            let mut want = Matrix::zeros(0, 0);
+            Matrix::from_vec(n, kd, x.clone())
+                .unwrap()
+                .matmul_bias_into(&wm, Some(&bm), &mut want)
+                .unwrap();
+            let want = want.as_slice();
+            let mut fm = Matrix::zeros(0, 0);
+            wm.transpose_matmul_bias_into(
+                &Matrix::from_vec(kd, n, xt.clone()).unwrap(),
+                Some(&bm),
+                &mut fm,
+            )
+            .unwrap();
+            let transposed = |c: &[f32]| -> Vec<u32> {
+                (0..n * mm)
+                    .map(|e| c[(e % mm) * n + e / mm].to_bits())
+                    .collect()
+            };
+            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                transposed(fm.as_slice()),
+                want_bits,
+                "dispatched, {kd}x{mm}, n {n}"
+            );
+            for (name, row_major, feature_major) in table {
+                let (mut rm, mut fm) = (vec![-7.0; n * mm], vec![-7.0; n * mm]);
+                if !row_major(&x, &w, Some(&bias), &mut rm, n, kd, mm) {
+                    continue;
+                }
+                assert!(feature_major(&w, &xt, Some(&bias), &mut fm, mm, kd, n));
+                let rm_bits: Vec<u32> = rm.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(rm_bits, want_bits, "{name} row-major, {kd}x{mm}, n {n}");
+                assert_eq!(
+                    transposed(&fm),
+                    want_bits,
+                    "{name} feature-major, {kd}x{mm}, n {n}"
+                );
+            }
+        }
     }
 }

@@ -58,7 +58,8 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     let bad_mt: Matrix<S> = to_matrix(n, k + 1, &data[25..]); // matmul_transpose: cols ≠ k
     let bad_tm: Matrix<S> = to_matrix(m + 1, k, &data[25..]); // transpose_matmul: rows ≠ m
     let bad_ew: Matrix<S> = to_matrix(m, k + 1, &data[25..]); // element-wise: shape ≠ (m, k)
-    let bad_bias: Matrix<S> = to_matrix(1, k + 1, &data[25..]); // broadcast: cols ≠ k
+    let w: Matrix<S> = to_matrix(k, n, &data[25..]);
+    let bad_bias: Matrix<S> = to_matrix(1, n + 1, &data[25..]); // bias: cols ≠ n
     let want = |op, rhs: &Matrix<S>| KmlError::ShapeMismatch {
         op,
         lhs: a.shape(),
@@ -79,8 +80,8 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
             &bad_tm,
         ),
         (
-            "add_row_broadcast",
-            a.clone().add_row_broadcast_in_place(&bad_bias),
+            "bias",
+            a.matmul_bias_into(&w, Some(&bad_bias), &mut out),
             &bad_bias,
         ),
     ];

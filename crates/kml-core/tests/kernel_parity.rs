@@ -61,6 +61,26 @@ fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     naive::transpose_matmul_into(&a, &c, &mut want).unwrap();
     a.transpose_matmul_into(&c, &mut got).unwrap();
     assert_bits_equal("transpose_matmul", &want, &got);
+
+    // With a bias each finished chain gains one add in the store: per
+    // column of the row-major product, per row of the transposed one.
+    let biased = |want: &Matrix<S>, bias: &Matrix<S>, per_row: bool| {
+        let n = want.cols();
+        let v = want.as_slice().iter().enumerate();
+        let data: Vec<S> = v
+            .map(|(e, &x)| x.add(bias.as_slice()[if per_row { e / n } else { e % n }]))
+            .collect();
+        Matrix::from_vec(want.rows(), n, data).unwrap()
+    };
+    let bias: Matrix<S> = to_matrix(1, n, &data[23..]);
+    naive::matmul_into(&a, &b, &mut want).unwrap();
+    a.matmul_bias_into(&b, Some(&bias), &mut got).unwrap();
+    assert_bits_equal("matmul + bias", &biased(&want, &bias, false), &got);
+    let bias: Matrix<S> = to_matrix(1, k, &data[29..]);
+    naive::transpose_matmul_into(&a, &c, &mut want).unwrap();
+    a.transpose_matmul_bias_into(&c, Some(&bias), &mut got)
+        .unwrap();
+    assert_bits_equal("transpose_matmul + bias", &biased(&want, &bias, true), &got);
 }
 
 /// Blocked and naive kernels must reject the same mismatched shapes with the
@@ -148,8 +168,8 @@ mod arm_parity {
     use kml_core::simd::testing as arms;
     use proptest::prop_oneof;
 
-    type GemmFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
-    type TmmFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
+    type GemmFn<T> = fn(&[T], &[T], Option<&[T]>, &mut [T], usize, usize, usize) -> bool;
+    type TmmFn<T> = GemmFn<T>;
     type MtFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
     type SigFn<T> = fn(&[T], &mut [T]) -> bool;
 
@@ -223,8 +243,16 @@ mod arm_parity {
     }
 
     /// `matmul` contract: `c[i·n+j]` is one ascending-k mul/add chain from
-    /// zero — `acc = acc + a·b`, never a fused contraction.
-    fn ref_matmul<S: Scalar>(a: &[S], b: &[S], m: usize, kd: usize, n: usize) -> Vec<S> {
+    /// zero — `acc = acc + a·b`, never a fused contraction — then plus
+    /// `bias[j]` if there is a bias.
+    fn ref_matmul<S: Scalar>(
+        a: &[S],
+        b: &[S],
+        bias: Option<&[S]>,
+        m: usize,
+        kd: usize,
+        n: usize,
+    ) -> Vec<S> {
         let mut c = vec![S::ZERO; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -232,14 +260,22 @@ mod arm_parity {
                 for p in 0..kd {
                     acc = acc.mul_acc(a[i * kd + p], b[p * n + j]);
                 }
-                c[i * n + j] = acc;
+                c[i * n + j] = bias.map_or(acc, |v| acc.add(v[j]));
             }
         }
         c
     }
 
-    /// `transpose_matmul` contract (`a` is kd×mm): same ascending-k chains.
-    fn ref_transpose_matmul<S: Scalar>(a: &[S], b: &[S], mm: usize, kd: usize, n: usize) -> Vec<S> {
+    /// `transpose_matmul` contract (`a` is kd×mm): same ascending-k chains,
+    /// then plus `bias[i]` if there is a bias.
+    fn ref_transpose_matmul<S: Scalar>(
+        a: &[S],
+        b: &[S],
+        bias: Option<&[S]>,
+        mm: usize,
+        kd: usize,
+        n: usize,
+    ) -> Vec<S> {
         let mut c = vec![S::ZERO; mm * n];
         for i in 0..mm {
             for j in 0..n {
@@ -247,7 +283,7 @@ mod arm_parity {
                 for p in 0..kd {
                     acc = acc.mul_acc(a[p * mm + i], b[p * n + j]);
                 }
-                c[i * n + j] = acc;
+                c[i * n + j] = bias.map_or(acc, |v| acc.add(v[i]));
             }
         }
         c
@@ -262,13 +298,16 @@ mod arm_parity {
     ) {
         let a: Vec<S> = vals(m * kd, data, 0);
         let b: Vec<S> = vals(kd * n, data, 7);
-        let want = ref_matmul(&a, &b, m, kd, n);
-        for &(name, f) in table {
-            let mut c = dirty::<S>(m * n); // arms overwrite, never read, C
-            if !f(&a, &b, &mut c, m, kd, n) {
-                continue;
+        let bias: Vec<S> = vals(n, data, 3);
+        for bias in [None, Some(&bias[..])] {
+            let want = ref_matmul(&a, &b, bias, m, kd, n);
+            for &(name, f) in table {
+                let mut c = dirty::<S>(m * n); // arms overwrite, never read, C
+                if !f(&a, &b, bias, &mut c, m, kd, n) {
+                    continue;
+                }
+                assert_arm_bits("matmul", name, &want, &c);
             }
-            assert_arm_bits("matmul", name, &want, &c);
         }
     }
 
@@ -281,13 +320,16 @@ mod arm_parity {
     ) {
         let a: Vec<S> = vals(kd * mm, data, 0);
         let b: Vec<S> = vals(kd * n, data, 7);
-        let want = ref_transpose_matmul(&a, &b, mm, kd, n);
-        for &(name, f) in table {
-            let mut c = dirty::<S>(mm * n);
-            if !f(&a, &b, &mut c, mm, kd, n) {
-                continue;
+        let bias: Vec<S> = vals(mm, data, 3);
+        for bias in [None, Some(&bias[..])] {
+            let want = ref_transpose_matmul(&a, &b, bias, mm, kd, n);
+            for &(name, f) in table {
+                let mut c = dirty::<S>(mm * n);
+                if !f(&a, &b, bias, &mut c, mm, kd, n) {
+                    continue;
+                }
+                assert_arm_bits("transpose_matmul", name, &want, &c);
             }
-            assert_arm_bits("transpose_matmul", name, &want, &c);
         }
     }
 
@@ -623,11 +665,63 @@ mod arm_parity {
                         *w *= scale;
                     }
                 }
-                let want = ref_matmul(&a, &b, m, kd, n);
+                let want = ref_matmul(&a, &b, None, m, kd, n);
                 for (name, f) in matmul_arms_f32() {
                     let mut c = dirty::<f32>(m * n);
-                    if f(&a, &b, &mut c, m, kd, n) {
+                    if f(&a, &b, None, &mut c, m, kd, n) {
                         assert_arm_bits(&format!("matmul {m}x{kd}x{n}"), name, &want, &c);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The feature-major forward product (`transpose_matmul` with a bias:
+    /// A the weights, B the activations with the batch across the lanes)
+    /// routes each B vector holding a tiny activation, in any lane, and
+    /// takes all of that vector's products exactly. For every lane
+    /// position of every tile shape — `n` through the 2-wide, 1-wide and
+    /// masked tiles, `mm` through 4-row blocks and ragged rows — a tiny
+    /// activation goes into an ordinary row of B, so its vector's other
+    /// lanes (full 24-bit significands) take the exact route and a
+    /// truncating narrowing or a fused add moves their sums; and another
+    /// alone in a zero row of B whose weights are scaled to bring its
+    /// products up among the chain's other terms.
+    #[test]
+    fn feature_major_arms_take_tiny_activations_exactly() {
+        let tiny = [3.0e-37f32, -1.17e-38, 9.0e-32, 1.0e-41, -2.5e-44, 4.4e-40];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut ordinary = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 40) as f32 / (1u32 << 24) as f32 - 0.5) * 4.0
+        };
+        for (mm, kd) in [(1usize, 5usize), (4, 19), (7, 5), (15, 19)] {
+            for n in [1usize, 8, 15, 17, 33, 40] {
+                let w: Vec<f32> = (0..kd * mm).map(|_| ordinary()).collect();
+                let x: Vec<f32> = (0..kd * n).map(|_| ordinary()).collect();
+                let bias: Vec<f32> = (0..mm).map(|_| ordinary()).collect();
+                for lane in 0..n {
+                    let (p0, p1) = (lane % kd, (lane + 1) % kd);
+                    let (v0, v1) = (tiny[lane % tiny.len()], tiny[(lane + 3) % tiny.len()]);
+                    let (mut w, mut x) = (w.clone(), x.clone());
+                    x[p0 * n + lane] = v0;
+                    if p1 != p0 {
+                        x[p1 * n..(p1 + 1) * n].fill(0.0);
+                        x[p1 * n + lane] = v1;
+                        let scale = 2f32.powi((-v1.abs().log2()).floor().min(125.0) as i32);
+                        for v in &mut w[p1 * mm..(p1 + 1) * mm] {
+                            *v *= scale;
+                        }
+                    }
+                    let want = ref_transpose_matmul(&w, &x, Some(&bias), mm, kd, n);
+                    for (name, f) in tmm_arms_f32() {
+                        let mut c = dirty::<f32>(mm * n);
+                        if f(&w, &x, Some(&bias), &mut c, mm, kd, n) {
+                            let op = format!("feature-major {mm}x{kd}x{n} lane {lane}");
+                            assert_arm_bits(&op, name, &want, &c);
+                        }
                     }
                 }
             }
@@ -663,6 +757,45 @@ mod arm_parity {
         ] {
             assert!(!arms::exact_product_route(v), "{v:e}");
             assert!(!arms::exact_product_route(-v), "{:e}", -v);
+        }
+    }
+
+    /// The feature-major route's vector predicate is the scalar one over
+    /// every lane: one tiny activation in any lane position routes the
+    /// vector, among zeros or ordinary values alike, and a vector of
+    /// zeros, normals, 2^-100, infinities and NaNs is not routed. (A lane
+    /// the predicate skipped would change no bits, only time.)
+    #[test]
+    fn feature_major_route_sees_a_tiny_lane_in_every_position() {
+        let clean = [
+            0.0f32,
+            -0.0,
+            2f32.powi(-100),
+            1.0e-30,
+            -1.5,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for (arm, width) in [("avx2", 8usize), ("avx512", 16)] {
+            for fill in clean {
+                let mut v = vec![fill; width];
+                if arms::exact_vector_route(arm, &v).is_none() {
+                    break;
+                }
+                assert_eq!(
+                    arms::exact_vector_route(arm, &v),
+                    Some(false),
+                    "{arm} {fill:e}"
+                );
+                for lane in 0..width {
+                    for tiny in [f32::from_bits(1), -1.0e-41, 3.0e-37, -7.5e-33] {
+                        v[lane] = tiny;
+                        let routed = arms::exact_vector_route(arm, &v);
+                        assert_eq!(routed, Some(true), "{arm} lane {lane} {tiny:e} in {fill:e}");
+                    }
+                    v[lane] = fill;
+                }
+            }
         }
     }
 

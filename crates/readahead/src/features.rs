@@ -247,45 +247,15 @@ mod tests {
         assert_eq!(f[2], 0.0);
     }
 
-    /// The inline featurization this module used before the shared
-    /// `kml_collect::featurize` engine existed, kept verbatim as the parity
-    /// reference: the refactored extractor must reproduce it bit-for-bit
-    /// (the kml-dst pinned trace hashes depend on it).
-    #[derive(Default)]
-    struct LegacyExtractor {
-        cumulative: kml_collect::stats::CumulativeStats,
-        window_count: u64,
-        window_absdiff: kml_collect::stats::AbsDiffMean,
-        total: u64,
-    }
-
-    impl LegacyExtractor {
-        fn push(&mut self, record: &TraceRecord) {
-            let offset = record.page_offset as f64;
-            self.cumulative.push(offset);
-            self.window_absdiff.push(offset);
-            self.window_count += 1;
-            self.total += 1;
-        }
-
-        fn roll_window(&mut self, current_ra_kb: f64) -> FeatureVector {
-            let features = [
-                self.window_count as f64,
-                self.cumulative.mean(),
-                self.cumulative.std(),
-                self.window_absdiff.mean(),
-                current_ra_kb,
-            ];
-            self.window_count = 0;
-            self.window_absdiff.reset();
-            features
-        }
-    }
-
+    /// The outputs of the inline featurization this module used before the
+    /// shared `kml_collect::featurize` engine existed, frozen as golden
+    /// vectors (the kml-dst pinned trace hashes depend on them): two whole
+    /// windows, and the FNV-1a of every feature's bits over all fifty, as
+    /// that code computed them before it was deleted.
     #[test]
-    fn shared_engine_is_bit_identical_to_the_legacy_inline_featurization() {
-        let mut new = FeatureExtractor::new();
-        let mut old = LegacyExtractor::default();
+    fn shared_engine_reproduces_the_frozen_legacy_featurization() {
+        let mut fx = FeatureExtractor::new();
+        let mut digest = kml_platform::bytes::Fnv1a::new();
         let mut x = 0xDEAD_BEEFu64;
         for window in 0..50u64 {
             // Vary window sizes and access patterns (empty windows included).
@@ -297,23 +267,24 @@ mod tests {
                 } else {
                     x % 1_000_000
                 };
-                new.push(&rec(offset));
-                old.push(&rec(offset));
+                fx.push(&rec(offset));
             }
             let ra = [16.0, 128.0, 1024.0][(window % 3) as usize];
-            let f_new = new.roll_window(ra);
-            let f_old = old.roll_window(ra);
-            for k in 0..NUM_FEATURES {
-                assert_eq!(
-                    f_new[k].to_bits(),
-                    f_old[k].to_bits(),
-                    "feature {k} diverged in window {window}: {} vs {}",
-                    f_new[k],
-                    f_old[k]
-                );
-            }
+            let f = fx.roll_window(ra);
+            let golden = match window {
+                4 => [2.0, 299784.05555555556, 315139.30336360284, 292017.0, 128.0],
+                49 => [5.0, 345997.18707482994, 333723.2780827171, 583610.0, 128.0],
+                _ => f,
+            };
+            assert_eq!(
+                f.map(f64::to_bits),
+                golden.map(f64::to_bits),
+                "window {window}"
+            );
+            f.iter().for_each(|v| digest.fold_u64(v.to_bits()));
         }
-        assert_eq!(new.total(), old.total);
+        assert_eq!(digest.finish(), 0x0746_66f7_8784_f57b);
+        assert_eq!(fx.total(), 294);
     }
 
     #[test]
