@@ -113,9 +113,11 @@ mod tests {
     }
 
     /// The artifact for a fixed seeded reservoir, pinned as an FNV-1a of
-    /// its bytes. Recorded on the commit before the training step was
-    /// rewritten (column `matmul_transpose`, blocked softmax, one-pass
-    /// activation backward); every kernel backend must reproduce it.
+    /// its bytes. Recorded before the training step was first rewritten
+    /// (blocked softmax, one-pass activation backward) and unchanged since,
+    /// through the feature-major step (the batch across the lanes of the
+    /// forward pass and of `W·dYᵀ`, `dW` and `db` from gathered columns of
+    /// `dYᵀ`); every kernel backend must reproduce it.
     #[test]
     fn train_candidate_artifact_matches_golden() {
         let r = filled_reservoir(200);

@@ -175,26 +175,6 @@ impl Dataset {
         let test_idx: Vec<usize> = (n_train..self.len()).collect();
         Ok((self.subset(&train_idx)?, self.subset(&test_idx)?))
     }
-
-    /// Mini-batches of up to `batch_size` consecutive rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn batches(&self, batch_size: usize) -> impl Iterator<Item = (Matrix<f64>, &[usize])> {
-        assert!(batch_size > 0, "batch size must be positive");
-        let n = self.len();
-        (0..n).step_by(batch_size).map(move |start| {
-            let end = (start + batch_size).min(n);
-            let rows: Vec<Vec<f64>> = (start..end)
-                .map(|r| self.features.row(r).to_vec())
-                .collect();
-            (
-                Matrix::from_rows(&rows).expect("batch rows are rectangular"),
-                &self.labels[start..end],
-            )
-        })
-    }
 }
 
 /// Per-feature Z-score transform fitted on training data.
@@ -348,19 +328,6 @@ impl Normalizer {
         }
         Ok(())
     }
-
-    /// Normalizes a whole dataset, keeping the labels.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Normalizer::apply`].
-    pub fn apply_dataset(&self, data: &Dataset) -> Result<Dataset> {
-        Ok(Dataset {
-            features: self.apply(&data.features)?,
-            labels: data.labels.clone(),
-            num_classes: data.num_classes,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -427,17 +394,6 @@ mod tests {
         let d = toy();
         assert!(d.subset(&[0, 5]).is_err());
         assert!(d.subset(&[]).is_err());
-    }
-
-    #[test]
-    fn batches_cover_everything_once() {
-        let d = toy();
-        let mut seen = 0;
-        for (m, ls) in d.batches(3) {
-            assert_eq!(m.rows(), ls.len());
-            seen += ls.len();
-        }
-        assert_eq!(seen, 4);
     }
 
     #[test]

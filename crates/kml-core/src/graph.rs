@@ -8,7 +8,7 @@
 //! [`Graph`] holds: layer `i` feeds layer `i + 1`, the last layer pushed is
 //! the output, and back-propagation is one reverse scan.
 
-use crate::layers::{Layer, ParamGrad};
+use crate::layers::{Layer, LayerKind, ParamGrad};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::scratch::ScratchArena;
@@ -103,9 +103,9 @@ impl<S: Scalar> Graph<S> {
     /// feature-major (`input` is `input_dim × batch`; see
     /// [`Layer::forward_feature_major_into`]): the output is `output_dim ×
     /// batch`, column `j` bit-identical to row `j` of the row-major pass.
-    /// That form is inference only — it leaves no pass a backward pass
-    /// could differentiate — so it stays inside the crate, whose one caller
-    /// is the batched inference core.
+    /// That form is the one the backward pass differentiates; it stays
+    /// inside the crate, whose callers are the batched inference core and
+    /// the training step.
     pub(crate) fn forward(&mut self, input: &Matrix<S>, feature_major: bool) -> Result<&Matrix<S>> {
         let n = self.nonempty_len()?;
         self.acts.ensure_slots(n);
@@ -125,42 +125,38 @@ impl<S: Scalar> Graph<S> {
         Ok(self.acts.slot(n - 1))
     }
 
-    /// Backward propagation from `dy` (∂L/∂output of the graph)
-    /// through the last forward pass, whose `input` the caller passes again
-    /// (every other layer's operands are the activation arena's slots), and
-    /// through arena-backed gradient buffers — allocation-free in steady
-    /// state, like [`Graph::forward_in_place`]. Parameter gradients are
-    /// left inside the layers for the optimizer; the returned reference
-    /// points into the arena slot holding ∂L/∂input.
+    /// Backward propagation for a training step, from `dy` (∂L/∂output of
+    /// the graph, `output_dim × batch`) through the last forward pass,
+    /// which was feature-major and whose `input` the caller passes again
+    /// (every other layer's operands are the activation arena's slots),
+    /// and through arena-backed gradient buffers — allocation-free in
+    /// steady state, like [`Graph::forward_in_place`]. Parameter gradients
+    /// are left inside the layers for the optimizer. The first layer is
+    /// asked for them alone ([`Layer::backward_params`]): ∂L/∂input of the
+    /// graph, the widest product of the pass, is never formed.
     ///
     /// # Errors
     ///
     /// Returns [`KmlError::InvalidConfig`] if the graph is empty or has not
     /// run forward yet, and [`KmlError::ShapeMismatch`] if `input` or `dy`
     /// does not match that forward pass.
-    pub fn backward_in_place(&mut self, input: &Matrix<S>, dy: &Matrix<S>) -> Result<&Matrix<S>> {
-        self.backward_scan(input, dy, true)?;
-        Ok(self.grads.slot(self.layers.len()))
-    }
-
-    /// [`Graph::backward_in_place`] for a caller that only wants the
-    /// parameter gradients (a training step): every layer's gradients come
-    /// out bit-identical, but the first layer is asked for them alone
-    /// ([`Layer::backward_params`]) — ∂L/∂input of the graph, the widest
-    /// product of the pass, is never formed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::backward_in_place`].
-    pub fn backward_params_in_place(&mut self, input: &Matrix<S>, dy: &Matrix<S>) -> Result<()> {
+    pub(crate) fn backward_params_in_place(
+        &mut self,
+        input: &Matrix<S>,
+        dy: &Matrix<S>,
+    ) -> Result<()> {
         self.backward_scan(input, dy, false)
     }
 
-    /// The reverse scan both backward entry points share; `input_grad`
-    /// says whether the first layer also writes ∂L/∂input into slot `n`.
-    /// Layer `i` is handed its forward operands: activation slot `i - 1`
-    /// (the graph's input `x` for the first) and slot `i`. The last layer
-    /// reads `dy` where the caller holds it; slot `n − 1` stays unused.
+    /// The reverse scan; `input_grad` says whether the first layer also
+    /// writes ∂L/∂input into slot `n` (only the tests ask). Layer `i` is
+    /// handed its forward operands: activation slot `i - 1` (the graph's
+    /// input `x` for the first) and slot `i`. The last layer reads `dy`
+    /// where the caller holds it; slot `n − 1` stays unused. A layer fed
+    /// by a sigmoid layer (other than the first) is asked to take the
+    /// sigmoid's backward pass into its own ([`Layer::backward_through_sigmoid`]):
+    /// if it does, it writes the sigmoid's input gradient and the sigmoid
+    /// is skipped.
     fn backward_scan(&mut self, x: &Matrix<S>, dy: &Matrix<S>, input_grad: bool) -> Result<()> {
         let n = self.nonempty_len()?;
         if self.acts.len() < n {
@@ -170,13 +166,27 @@ impl<S: Scalar> Graph<S> {
         }
         let acts = &self.acts;
         self.grads.ensure_slots(n + 1);
-        for i in (1..n).rev() {
+        let mut i = n - 1;
+        while i > 0 {
+            if i >= 2 && self.layers[i - 1].kind() == LayerKind::Sigmoid {
+                let (gin, gout) = if i == n - 1 {
+                    (self.grads.slot_mut(i - 2), dy)
+                } else {
+                    self.grads.write_read_pair(i - 2, i)
+                };
+                let (input, output) = (acts.slot(i - 1), acts.slot(i));
+                if self.layers[i].backward_through_sigmoid(input, output, gout, gin)? {
+                    i -= 2;
+                    continue;
+                }
+            }
             let (gin, gout) = if i == n - 1 {
                 (self.grads.slot_mut(i - 1), dy)
             } else {
                 self.grads.write_read_pair(i - 1, i)
             };
             self.layers[i].backward_into(acts.slot(i - 1), acts.slot(i), gout, gin)?;
+            i -= 1;
         }
         let (gout, gin) = if n == 1 {
             (dy, self.grads.slot_mut(n))
@@ -289,7 +299,7 @@ mod tests {
         let mut g = chain_graph();
         // Without a forward pass the arena holds no activations.
         assert!(g
-            .backward_in_place(&Matrix::zeros(1, 2), &Matrix::zeros(1, 2))
+            .backward_scan(&Matrix::zeros(2, 1), &Matrix::zeros(2, 1), true)
             .is_err());
     }
 
@@ -298,7 +308,7 @@ mod tests {
         let mut g: Graph<f64> = Graph::new();
         assert!(g.forward_in_place(&Matrix::zeros(1, 2)).is_err());
         let z = Matrix::zeros(1, 2);
-        assert!(g.backward_in_place(&z, &z).is_err());
+        assert!(g.backward_scan(&z, &z, true).is_err());
         assert!(g.backward_params_in_place(&z, &z).is_err());
     }
 
@@ -313,16 +323,24 @@ mod tests {
         bits
     }
 
+    /// A feature-major batch: one column per sample.
+    fn columns(samples: &[Vec<f64>]) -> Matrix<f64> {
+        let rows: Vec<Vec<f64>> = (0..samples[0].len())
+            .map(|c| samples.iter().map(|s| s[c]).collect())
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
+
     /// The training step's backward pass leaves exactly the `grad_w` /
-    /// `grad_b` the full pass does.
+    /// `grad_b` the full scan, which forms ∂L/∂input too, does.
     #[test]
     fn params_only_backward_matches_full_backward_bit_for_bit() {
-        let x = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.1, 0.2], vec![-0.4, 0.9]]).unwrap();
-        let dy = Matrix::from_rows(&[vec![1.0, -0.5], vec![0.25, 2.0], vec![-1.5, 0.1]]).unwrap();
+        let x = columns(&[vec![0.3, -0.7], vec![1.1, 0.2], vec![-0.4, 0.9]]);
+        let dy = columns(&[vec![1.0, -0.5], vec![0.25, 2.0], vec![-1.5, 0.1]]);
         let (mut full, mut params) = (chain_graph(), chain_graph());
-        full.forward_in_place(&x).unwrap();
-        params.forward_in_place(&x).unwrap();
-        full.backward_in_place(&x, &dy).unwrap();
+        full.forward(&x, true).unwrap();
+        params.forward(&x, true).unwrap();
+        full.backward_scan(&x, &dy, true).unwrap();
         params.backward_params_in_place(&x, &dy).unwrap();
         let want = grad_bits(&mut full);
         assert_eq!(want.len(), 4);
@@ -335,19 +353,20 @@ mod tests {
     #[test]
     fn graph_gradient_matches_finite_difference_end_to_end() {
         let mut g = chain_graph();
-        let x = Matrix::from_rows(&[vec![0.4, -0.9]]).unwrap();
-        let coeff = Matrix::from_rows(&[vec![1.0, -0.5]]).unwrap();
-        g.forward_in_place(&x).unwrap();
-        let gin = g.backward_in_place(&x, &coeff).unwrap().clone();
+        let x = columns(&[vec![0.4, -0.9], vec![-1.2, 0.3]]);
+        let coeff = columns(&[vec![1.0, -0.5], vec![0.7, 0.2]]);
+        g.forward(&x, true).unwrap();
+        g.backward_scan(&x, &coeff, true).unwrap();
+        let gin = g.grads.slot(g.len()).clone();
 
         let eps = 1e-6;
-        for c in 0..2 {
+        for (r, c) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
             let mut xp = x.clone();
-            xp.set(0, c, x.get(0, c) + eps);
+            xp.set(r, c, x.get(r, c) + eps);
             let mut xm = x.clone();
-            xm.set(0, c, x.get(0, c) - eps);
+            xm.set(r, c, x.get(r, c) - eps);
             let lp: f64 = g
-                .forward_in_place(&xp)
+                .forward(&xp, true)
                 .unwrap()
                 .hadamard(&coeff)
                 .unwrap()
@@ -355,7 +374,7 @@ mod tests {
                 .iter()
                 .sum();
             let lm: f64 = g
-                .forward_in_place(&xm)
+                .forward(&xm, true)
                 .unwrap()
                 .hadamard(&coeff)
                 .unwrap()
@@ -364,9 +383,9 @@ mod tests {
                 .sum();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
-                (numeric - gin.get(0, c)).abs() < 1e-5,
-                "input grad {c}: numeric {numeric}, analytic {}",
-                gin.get(0, c)
+                (numeric - gin.get(r, c)).abs() < 1e-5,
+                "input grad ({r}, {c}): numeric {numeric}, analytic {}",
+                gin.get(r, c)
             );
         }
     }
@@ -374,9 +393,9 @@ mod tests {
     #[test]
     fn param_grads_cover_all_linear_slots() {
         let mut g = chain_graph();
-        let ones = Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap();
-        g.forward_in_place(&ones).unwrap();
-        g.backward_in_place(&ones, &ones).unwrap();
+        let ones = columns(&[vec![1.0, 1.0]]);
+        g.forward(&ones, true).unwrap();
+        g.backward_scan(&ones, &ones, true).unwrap();
         // Two linear layers × (weights, bias) = 4 slots.
         assert_eq!(grad_bits(&mut g).len(), 4);
     }

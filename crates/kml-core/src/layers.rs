@@ -7,7 +7,9 @@
 //! [`Layer::backward_into`].
 //! Layers hold no forward state: the backward pass is handed the forward
 //! input and output it differentiates, which [`crate::graph::Graph`]'s
-//! activation arena already holds.
+//! activation arena already holds. Training runs feature-major — every
+//! matrix of a backward pass is `dim × batch`, the batch across the SIMD
+//! lanes — and inference either way round.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -105,17 +107,19 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// is `in_dim × batch` (column `j` is row `j` of the batch) and `out`
     /// receives `out_dim × batch`. Column `j` of `out` holds, bit for bit,
     /// what `forward_into` gives for row `j`; only the layout differs, so
-    /// a kernel can put the batch across its lanes. Inference only: a
-    /// backward pass differentiates a row-major forward pass.
+    /// a kernel can put the batch across its lanes. This is the pass a
+    /// backward pass differentiates.
     ///
     /// # Errors
     ///
     /// As for [`Layer::forward_into`].
     fn forward_feature_major_into(&mut self, input: &Matrix<S>, out: &mut Matrix<S>) -> Result<()>;
 
-    /// Backward propagation through the forward pass that mapped `input` to
-    /// `output`: consumes `∂L/∂output`, updates any internal parameter
-    /// gradients, and writes `∂L/∂input` into `grad_in`.
+    /// Backward propagation through the feature-major forward pass
+    /// ([`Layer::forward_feature_major_into`]) that mapped `input` to
+    /// `output`: consumes `∂L/∂output` (`out_dim × batch`), updates any
+    /// internal parameter gradients, and writes `∂L/∂input` (`in_dim ×
+    /// batch`) into `grad_in`. Column `j` of each is sample `j`'s.
     ///
     /// # Errors
     ///
@@ -133,7 +137,7 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
     /// (the first layer of a training step): leaves the same parameter
     /// gradients [`Layer::backward_into`] would. The default runs the full
     /// pass into a throwaway buffer; `Linear` overrides it to skip the
-    /// `dy · Wᵀ` product.
+    /// `W · dYᵀ` product.
     ///
     /// # Errors
     ///
@@ -145,6 +149,27 @@ pub trait Layer<S: Scalar>: std::fmt::Debug + Send + Sync {
         grad_out: &Matrix<S>,
     ) -> Result<()> {
         self.backward_into(input, output, grad_out, &mut Matrix::zeros(0, 0))
+    }
+
+    /// [`Layer::backward_into`] for a layer whose `input` is the output of
+    /// a sigmoid layer: `grad_in` receives ∂L/∂(the sigmoid's input), the
+    /// sigmoid's backward pass folded in — per element the operations that
+    /// pass runs on its own, `g · (v · (1 − v))`. Returns `Ok(false)`,
+    /// having done nothing, for a layer that cannot fold it (the default);
+    /// `Linear` folds it into its `W · dYᵀ` store.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward_into`].
+    fn backward_through_sigmoid(
+        &mut self,
+        input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+        grad_in: &mut Matrix<S>,
+    ) -> Result<bool> {
+        let _ = (input, output, grad_out, grad_in);
+        Ok(false)
     }
 
     /// Bytes of staging scratch this layer keeps resident between passes
@@ -290,9 +315,23 @@ impl<S: Scalar> Layer<S> for Linear<S> {
         grad_out: &Matrix<S>,
         grad_in: &mut Matrix<S>,
     ) -> Result<()> {
-        // dW, db as below ; dx = dy · Wᵀ
+        // dW, db as below ; dXᵀ = W · dYᵀ, each element the four-chain dot
+        // product over the outputs the row-major `dY · Wᵀ` took.
         self.backward_params(input, output, grad_out)?;
-        grad_out.matmul_transpose_into(&self.weights, grad_in)
+        self.weights.matmul_dot_into(grad_out, None, grad_in)
+    }
+
+    fn backward_through_sigmoid(
+        &mut self,
+        input: &Matrix<S>,
+        output: &Matrix<S>,
+        grad_out: &Matrix<S>,
+        grad_in: &mut Matrix<S>,
+    ) -> Result<bool> {
+        self.backward_params(input, output, grad_out)?;
+        self.weights
+            .matmul_dot_into(grad_out, Some(input), grad_in)?;
+        Ok(true)
     }
 
     fn backward_params(
@@ -301,10 +340,9 @@ impl<S: Scalar> Layer<S> for Linear<S> {
         _output: &Matrix<S>,
         grad_out: &Matrix<S>,
     ) -> Result<()> {
-        // dW = xᵀ · dy ; db = column sums of dy
-        input.transpose_matmul_into(grad_out, &mut self.grad_w)?;
-        grad_out.sum_rows_into(&mut self.grad_b);
-        Ok(())
+        // dW = Xᵀ·dY and db = Σ dY, each chain over the batch in order,
+        // read from dYᵀ where it lies.
+        input.linear_grads_into(grad_out, &mut self.grad_w, &mut self.grad_b)
     }
 
     fn visit_param_grads(
@@ -445,7 +483,7 @@ impl<S: Scalar> Layer<S> for ActivationLayer<S> {
     }
 }
 
-/// Row-wise softmax layer.
+/// Softmax over each sample's outputs (a row, or a column feature-major).
 ///
 /// Usually the final [`crate::loss::CrossEntropyLoss`] fuses softmax with the
 /// loss for numerical stability; this standalone layer exists for inference
@@ -528,18 +566,16 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
                 rhs: grad_out.shape(),
             });
         }
-        // Jacobian-vector product per row: dx = s ⊙ (dy − (dy·s)·1)
-        grad_in.ensure_shape(s.rows(), s.cols());
-        for r in 0..s.rows() {
-            let srow = s.row(r);
-            let gyrow = grad_out.row(r);
-            let dot: f64 = srow
-                .iter()
-                .zip(gyrow)
-                .map(|(&a, &b)| a.to_f64() * b.to_f64())
-                .sum();
-            for ((g, &sv), &gy) in grad_in.row_mut(r).iter_mut().zip(srow).zip(gyrow) {
-                *g = S::from_f64(sv.to_f64() * (gy.to_f64() - dot));
+        // Jacobian-vector product per sample (column): dx = s ⊙ (dy − (dy·s)·1)
+        let (width, m) = s.shape();
+        grad_in.ensure_shape(width, m);
+        let (sv, gy, gx) = (s.as_slice(), grad_out.as_slice(), grad_in.as_mut_slice());
+        for j in 0..m {
+            let at = |c: usize| (sv[c * m + j].to_f64(), gy[c * m + j].to_f64());
+            let dot: f64 = (0..width).map(|c| at(c).0 * at(c).1).sum();
+            for c in 0..width {
+                let (sc, gc) = at(c);
+                gx[c * m + j] = S::from_f64(sc * (gc - dot));
             }
         }
         Ok(())
@@ -567,9 +603,18 @@ mod tests {
         KmlRng::seed_from_u64(42)
     }
 
+    /// The pass a backward pass differentiates: `x` is feature-major.
     fn forward(layer: &mut dyn Layer<f64>, x: &Matrix<f64>) -> Result<Matrix<f64>> {
         let mut out = Matrix::zeros(0, 0);
-        layer.forward_into(x, &mut out).map(|()| out)
+        layer.forward_feature_major_into(x, &mut out).map(|()| out)
+    }
+
+    /// `samples` as a feature-major batch: one column each.
+    fn columns(samples: &[Vec<f64>]) -> Matrix<f64> {
+        let rows = Matrix::from_rows(samples).unwrap();
+        let mut out = Matrix::zeros(0, 0);
+        rows.transpose_into(&mut out);
+        out
     }
 
     fn backward(
@@ -635,7 +680,7 @@ mod tests {
         let w = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let b = Matrix::row_vector(&[10.0, 20.0]);
         let mut layer = Linear::from_params(w, b).unwrap();
-        let x = Matrix::row_vector(&[1.0, 1.0]);
+        let x = columns(&[vec![1.0, 1.0]]);
         let y = forward(&mut layer, &x).unwrap();
         assert_eq!(y.as_slice(), &[14.0, 26.0]);
     }
@@ -643,14 +688,14 @@ mod tests {
     #[test]
     fn linear_input_gradient_is_correct() {
         let mut layer = Linear::<f64>::new(3, 4, &mut rng());
-        let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.25, -0.75]]).unwrap();
+        let x = columns(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.25, -0.75]]);
         check_input_gradient(&mut layer, &x);
     }
 
     #[test]
     fn linear_weight_gradient_is_correct() {
         let mut layer = Linear::<f64>::new(2, 2, &mut rng());
-        let x = Matrix::from_rows(&[vec![0.7, -0.3], vec![0.2, 0.9]]).unwrap();
+        let x = columns(&[vec![0.7, -0.3], vec![0.2, 0.9]]);
         let y = forward(&mut layer, &x).unwrap();
         let coeff = Matrix::from_f64_vec(y.rows(), y.cols(), &[1.0, 0.5, -0.25, 2.0]).unwrap();
         backward(&mut layer, &x, &y, &coeff).unwrap();
@@ -690,28 +735,28 @@ mod tests {
     #[test]
     fn sigmoid_gradient_is_correct() {
         let mut layer = ActivationLayer::<f64>::new(Activation::Sigmoid);
-        let x = Matrix::from_rows(&[vec![-2.0, 0.0, 3.0]]).unwrap();
+        let x = columns(&[vec![-2.0, 0.0, 3.0], vec![0.5, -1.0, 1.5]]);
         check_input_gradient(&mut layer, &x);
     }
 
     #[test]
     fn tanh_gradient_is_correct() {
         let mut layer = ActivationLayer::<f64>::new(Activation::Tanh);
-        let x = Matrix::from_rows(&[vec![-1.0, 0.5, 2.0]]).unwrap();
+        let x = columns(&[vec![-1.0, 0.5, 2.0]]);
         check_input_gradient(&mut layer, &x);
     }
 
     #[test]
     fn relu_gradient_is_correct_away_from_kink() {
         let mut layer = ActivationLayer::<f64>::new(Activation::Relu);
-        let x = Matrix::from_rows(&[vec![-2.0, 0.5, 3.0, -0.25]]).unwrap();
+        let x = columns(&[vec![-2.0, 0.5, 3.0, -0.25]]);
         check_input_gradient(&mut layer, &x);
     }
 
     #[test]
     fn softmax_gradient_is_correct() {
         let mut layer = SoftmaxLayer::<f64>::new();
-        let x = Matrix::from_rows(&[vec![0.1, -0.7, 1.3]]).unwrap();
+        let x = columns(&[vec![0.1, -0.7, 1.3], vec![2.0, 0.4, -1.1]]);
         check_input_gradient(&mut layer, &x);
     }
 
@@ -719,7 +764,8 @@ mod tests {
     fn softmax_rows_are_distributions() {
         let mut layer = SoftmaxLayer::<f64>::new();
         let x = Matrix::from_rows(&[vec![5.0, 1.0, 1.0], vec![-3.0, 0.0, 3.0]]).unwrap();
-        let y = forward(&mut layer, &x).unwrap();
+        let mut y = Matrix::zeros(0, 0);
+        layer.forward_into(&x, &mut y).unwrap();
         for r in 0..2 {
             let sum: f64 = y.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-10);

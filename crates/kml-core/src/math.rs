@@ -32,15 +32,6 @@ pub fn exp(x: f64) -> f64 {
     if x < -745.0 {
         return 0.0;
     }
-    let (sum, k) = exp_reduce(x);
-    scale_by_pow2(sum, k)
-}
-
-/// [`exp`]'s range reduction and Taylor core: `e^x = sum · 2^k` for `x`
-/// inside the clamps. Split from the final scale only so the tests can
-/// apply the retained repeated-halving reference to the same `(sum, k)`.
-#[inline(always)]
-fn exp_reduce(x: f64) -> (f64, i32) {
     const LN2: f64 = std::f64::consts::LN_2;
     // x = k*ln2 + r. The k computation must stay a division: multiplying
     // by a precomputed 1/ln2 can flip k near half-integer quotients.
@@ -87,7 +78,7 @@ fn exp_reduce(x: f64) -> (f64, i32) {
     sum += term;
     term *= r13;
     sum += term;
-    (sum, k as i32)
+    scale_by_pow2(sum, k as i32)
 }
 
 /// Multiplies finite `x` by `2^k` using exponent-field manipulation: exact
@@ -581,35 +572,23 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// `scale_by_pow2` as it was before the integer tail: `-k` serial
-    /// `* 0.5`s once the result leaves the normal range. The reference
-    /// every band test below compares against.
-    fn scale_by_pow2_halving(x: f64, k: i32) -> f64 {
-        let exp_bits = ((x.to_bits() >> 52) & 0x7ff) as i64;
-        if x == 0.0 || exp_bits + k as i64 > 0 {
-            return scale_by_pow2(x, k);
-        }
-        let mut y = x;
-        for _ in 0..(-k) {
-            y *= 0.5;
-        }
-        y
-    }
+    /// FNV-1a of every output's bits over each band test's grid, and a
+    /// few outputs as literals, recorded from the repeated-halving
+    /// reference — `scale_by_pow2` as it was before the integer tail, `-k`
+    /// serial `* 0.5`s once the result leaves the normal range, and `exp`
+    /// / `sigmoid` over it — before that reference was retired.
+    const HALVING_SCALE_GRID: u64 = 0xaafd_6f0b_33aa_f221;
+    const HALVING_EXP_BAND: u64 = 0x16ce_4f76_0d6d_0f70;
+    const HALVING_SIGMOID_BAND: u64 = 0xaad9_1d34_0cc9_10b9;
+    const HALVING_TANH_BAND: u64 = 0xb918_8969_4a74_4f85;
 
-    /// [`exp`] over the halving reference.
-    fn exp_halving(x: f64) -> f64 {
-        if x.is_nan() || !(-745.0..=709.78).contains(&x) {
-            return exp(x);
+    /// FNV-1a of the bits of `values`.
+    fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h = kml_platform::bytes::Fnv1a::new();
+        for v in values {
+            h.fold_u64(v.to_bits());
         }
-        let (sum, k) = exp_reduce(x);
-        scale_by_pow2_halving(sum, k)
-    }
-
-    /// [`sigmoid`] over the halving reference.
-    fn sigmoid_halving(x: f64) -> f64 {
-        let e = exp_halving(-x.abs());
-        let num = if x >= 0.0 { 1.0 } else { e };
-        num / (1.0 + e)
+        h.finish()
     }
 
     fn same_bits(got: f64, want: f64) -> bool {
@@ -645,7 +624,7 @@ mod tests {
     #[test]
     fn integer_halving_equals_repeated_halving_at_every_landing_exponent() {
         let fracs = significands();
-        let mut checked = 0u64;
+        let mut got = Vec::new();
         // Exponent fields: subnormal input (0), the smallest normals, around
         // `exp`'s own `sum` (1022 / 1023), and the largest finite.
         for exp_bits in [0u64, 1, 2, 53, 54, 1022, 1023, 1024, 2046] {
@@ -659,20 +638,24 @@ mod tests {
                     }
                     for sign in [0u64, 1 << 63] {
                         let x = f64::from_bits(sign | (exp_bits << 52) | frac);
-                        let got = scale_by_pow2(x, k);
-                        let want = scale_by_pow2_halving(x, k);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "scale_by_pow2({x:e} = {:#018x}, {k}): got {got:e}, want {want:e}",
-                            x.to_bits()
-                        );
-                        checked += 1;
+                        got.push(scale_by_pow2(x, k));
                     }
                 }
             }
         }
-        assert!(checked > 300_000, "only {checked} cases ran");
+        assert_eq!(got.len(), 345_332);
+        assert_eq!(fnv(got), HALVING_SCALE_GRID);
+        // Ties and the last steps to zero, as the halving loop left them.
+        for (x, k, want) in [
+            (0x0010_0000_0000_0003, -2, 0x0004_0000_0000_0001u64),
+            (0x000f_ffff_ffff_ffff, -1, 0x0008_0000_0000_0000),
+            (0xbff8_0000_0000_0000, -1075, 0x8000_0000_0000_0001),
+            (0x3ff8_0000_0000_0000, -1023, 0x000c_0000_0000_0000),
+            (0x3fff_ffff_ffff_ffff, -1074, 0x0000_0000_0000_0002),
+        ] {
+            let got = scale_by_pow2(f64::from_bits(x), k);
+            assert_eq!(got.to_bits(), want, "scale_by_pow2({x:#018x}, {k})");
+        }
         // A subnormal scaled by 2^0 takes the tail with nothing to do.
         let tiny = f64::from_bits(0x000f_ffff_ffff_ffff);
         assert_eq!(scale_by_pow2(tiny, 0).to_bits(), tiny.to_bits());
@@ -687,21 +670,21 @@ mod tests {
     fn exp_bit_identical_to_halving_reference_across_the_subnormal_band() {
         // 39,001 points over [-746, -707]: both clamps' edges, the whole
         // band, and the first normal results above it.
-        let mut in_band = 0;
-        for i in 0..=39_000 {
-            let x = -746.0 + i as f64 * 0.001;
-            let (got, want) = (exp(x), exp_halving(x));
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "exp({x}): {got:e} vs {want:e}"
-            );
-            in_band += (got != 0.0 && got < f64::MIN_POSITIVE) as u32;
+        let got: Vec<f64> = (0..=39_000)
+            .map(|i| exp(-746.0 + i as f64 * 0.001))
+            .collect();
+        let in_band = got.iter().filter(|&&y| y != 0.0 && y < f64::MIN_POSITIVE);
+        assert!(in_band.count() > 36_000, "grid missed the band");
+        assert_eq!(fnv(got), HALVING_EXP_BAND);
+        for (x, want) in [
+            (-745.0, 0u64),
+            (-744.5, 1),
+            (-708.4, 0x000f_f15b_469e_df0e),
+            (-720.25, 0x0000_0007_7564_1450),
+            (-730.0, 0x0000_0000_001c_7ea2),
+        ] {
+            assert_eq!(exp(x).to_bits(), want, "exp({x})");
         }
-        assert!(
-            in_band > 36_000,
-            "grid missed the band: {in_band} subnormals"
-        );
     }
 
     /// Arguments of both signs from just below the band (|x| = 707.75,
@@ -717,16 +700,19 @@ mod tests {
 
     #[test]
     fn sigmoid_and_tanh_match_halving_reference_in_the_band() {
-        for x in band_lanes() {
-            assert!(same_bits(sigmoid(x), sigmoid_halving(x)), "sigmoid({x})");
-            // tanh(x) = 2σ(2x) − 1: its band is |x| in [354, 373].
-            let want = 2.0 * sigmoid_halving(x) - 1.0;
-            assert!(same_bits(tanh(x / 2.0), want), "tanh({})", x / 2.0);
-        }
+        let sigmoids = band_lanes().into_iter().map(sigmoid);
+        assert_eq!(fnv(sigmoids), HALVING_SIGMOID_BAND);
+        // tanh(x) = 2σ(2x) − 1: its band is |x| in [354, 373].
+        let tanhs = band_lanes().into_iter().map(|x| tanh(x / 2.0));
+        assert_eq!(fnv(tanhs), HALVING_TANH_BAND);
+        assert_eq!(sigmoid(-720.25).to_bits(), 0x0000_0007_7564_1450);
+        assert_eq!(sigmoid(-744.97).to_bits(), 0);
     }
 
     #[test]
-    fn wide_sigmoids_match_halving_reference_with_a_band_lane_in_every_position() {
+    fn wide_sigmoids_match_the_scalar_one_with_a_band_lane_in_every_position() {
+        // The scalar sigmoid is the reference: the band test above pins it
+        // to the halving loop's bits on these lanes.
         let easy: Vec<f64> = (0..16).map(|i| i as f64 * 1.7 - 12.0).collect();
         for (n, band) in band_lanes().into_iter().enumerate() {
             for lane in 0..16 {
@@ -737,7 +723,7 @@ mod tests {
                 if n % 3 == 0 {
                     x16[(lane + 5) % 16] = -band;
                 }
-                let want = x16.map(sigmoid_halving);
+                let want = x16.map(sigmoid);
                 let got16 = sigmoid16(&x16);
                 let quad = lane / 4 * 4;
                 let got4 = sigmoid4(x16[quad..quad + 4].try_into().unwrap());
@@ -759,7 +745,7 @@ mod tests {
                 }
                 for (i, &x) in xs.iter().enumerate() {
                     assert!(
-                        same_bits(got_slice[i], sigmoid_halving(x)),
+                        same_bits(got_slice[i], sigmoid(x)),
                         "sigmoid_slice[{i}] of {xs:?}"
                     );
                 }
@@ -1116,22 +1102,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_integer_halving_equals_repeated_halving(
-            frac in 0u64..(1 << 52),
-            exp_bits in 0u64..0x7ff,
-            negative in any::<bool>(),
-            past in 0i64..60,
-        ) {
-            let sign = (negative as u64) << 63;
-            let x = f64::from_bits(sign | (exp_bits << 52) | frac);
-            let k = (-past - exp_bits as i64) as i32;
-            prop_assert_eq!(
-                scale_by_pow2(x, k).to_bits(),
-                scale_by_pow2_halving(x, k).to_bits()
-            );
-        }
-
         #[test]
         fn prop_exp_ln_inverse(x in 1e-6f64..1e6) {
             let y = ln(exp(ln(x)).max(f64::MIN_POSITIVE));

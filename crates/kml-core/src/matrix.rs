@@ -249,6 +249,20 @@ impl<S: Scalar> Matrix<S> {
         self.cols = src.cols;
     }
 
+    /// `selfᵀ` into `out` (reshaped as needed): a row-major batch staged
+    /// feature-major, or back.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix<S>) {
+        out.ensure_shape(self.cols, self.rows);
+        for (c, line) in out.data.chunks_exact_mut(self.rows.max(1)).enumerate() {
+            for (o, &v) in line
+                .iter_mut()
+                .zip(self.data[c..].iter().step_by(self.cols))
+            {
+                *o = v;
+            }
+        }
+    }
+
     /// Matrix product `self · rhs`.
     ///
     /// # Errors
@@ -310,83 +324,144 @@ impl<S: Scalar> Matrix<S> {
         Ok(())
     }
 
-    /// `self · rhsᵀ` written into `out` (reshaped as needed).
+    /// `self · rhs` written into `out` (reshaped as needed), every element
+    /// in the schedule of a four-lane dot product over the shared index
+    /// `p`: four chains from zero, chain `l` taking the `p ≡ l (mod 4)`
+    /// below `kd & !3` in ascending order, a sequential tail chain over the
+    /// rest, reduced as `((l0 + l1) + (l2 + l3)) + tail`. Each term is
+    /// `rhs[p][j] · self[i][p]`.
     ///
-    /// Blocked 2×2 over the output so each loaded pair of rows serves four
-    /// dot products; every element still runs the exact four-lane [`dot`]
-    /// schedule, so results are bit-identical to the naive double loop.
-    ///
-    /// [`dot`]: Matrix::dot
+    /// A linear layer's input gradient over a feature-major batch: `self`
+    /// its weights (`in × out`), `rhs` `∂L/∂Yᵀ` (`out × m`), `out` `∂L/∂Xᵀ`
+    /// (`in × m`), element `(i, j)` the dot product of sample `j`'s output
+    /// gradient with weight row `i` — with the batch across the SIMD lanes.
+    /// With `sigmoid`, the output of a sigmoid shaped as the product (the
+    /// layer's input), each element `g` leaves as `g · (v · (1 − v))` for
+    /// `v` the sigmoid's element at its place: the sigmoid's backward pass
+    /// folded into the store, the operations it would run on its own.
     ///
     /// # Errors
     ///
-    /// Returns [`KmlError::ShapeMismatch`] unless `self.cols == rhs.cols`.
-    pub fn matmul_transpose_into(&self, rhs: &Matrix<S>, out: &mut Matrix<S>) -> Result<()> {
-        if self.cols != rhs.cols {
+    /// Returns [`KmlError::ShapeMismatch`] unless `self.cols == rhs.rows`
+    /// and `sigmoid` is `self.rows × rhs.cols`.
+    pub fn matmul_dot_into(
+        &self,
+        rhs: &Matrix<S>,
+        sigmoid: Option<&Matrix<S>>,
+        out: &mut Matrix<S>,
+    ) -> Result<()> {
+        if self.cols != rhs.rows {
             return Err(KmlError::ShapeMismatch {
-                op: "matmul_transpose",
+                op: "matmul_dot",
                 lhs: self.shape(),
                 rhs: rhs.shape(),
             });
         }
-        out.ensure_shape(self.rows, rhs.rows);
-        let (m, n, kd) = (self.rows, rhs.rows, self.cols);
-        if S::simd_matmul_transpose(&self.data, &rhs.data, &mut out.data, m, n, kd) {
+        let (m, kd, n) = (self.rows, self.cols, rhs.cols);
+        if let Some(v) = sigmoid.filter(|v| v.shape() != (m, n)) {
+            return Err(KmlError::ShapeMismatch {
+                op: "sigmoid",
+                lhs: (m, n),
+                rhs: v.shape(),
+            });
+        }
+        let sigmoid = sigmoid.map(Matrix::as_slice);
+        out.ensure_shape(m, n);
+        if S::simd_matmul_dot(&self.data, &rhs.data, sigmoid, &mut out.data, m, kd, n) {
             return Ok(());
         }
-        let ad = &self.data;
-        let bd = &rhs.data;
-        let mut i = 0;
-        while i + 2 <= m {
-            let a0 = &ad[i * kd..(i + 1) * kd];
-            let a1 = &ad[(i + 1) * kd..(i + 2) * kd];
-            let mut j = 0;
-            while j + 2 <= n {
-                let b0 = &bd[j * kd..(j + 1) * kd];
-                let b1 = &bd[(j + 1) * kd..(j + 2) * kd];
-                out.data[i * n + j] = Self::dot(a0, b0);
-                out.data[i * n + j + 1] = Self::dot(a0, b1);
-                out.data[(i + 1) * n + j] = Self::dot(a1, b0);
-                out.data[(i + 1) * n + j + 1] = Self::dot(a1, b1);
-                j += 2;
-            }
-            if j < n {
-                let b0 = &bd[j * kd..(j + 1) * kd];
-                out.data[i * n + j] = Self::dot(a0, b0);
-                out.data[(i + 1) * n + j] = Self::dot(a1, b0);
-            }
-            i += 2;
-        }
-        if i < m {
-            let a0 = &ad[i * kd..(i + 1) * kd];
-            for j in 0..n {
-                let b0 = &bd[j * kd..(j + 1) * kd];
-                out.data[i * n + j] = Self::dot(a0, b0);
-            }
+        let kd4 = kd & !3;
+        for i in 0..m {
+            let arow = &self.data[i * kd..(i + 1) * kd];
+            let orow = &mut out.data[i * n..(i + 1) * n];
+            for_col_blocks!(n, |j0, W| {
+                let col = |p: usize| &rhs.data[p * n + j0..p * n + j0 + W];
+                let mut acc = [[S::ZERO; W]; 4];
+                let mut tail = [S::ZERO; W];
+                for (p, &a) in arow.iter().enumerate() {
+                    let chain = if p < kd4 { &mut acc[p % 4] } else { &mut tail };
+                    for (s, &b) in chain.iter_mut().zip(col(p)) {
+                        *s = s.mul_acc(b, a);
+                    }
+                }
+                for (w, o) in orow[j0..j0 + W].iter_mut().enumerate() {
+                    let lo = acc[0][w].add(acc[1][w]);
+                    let g = lo.add(acc[2][w].add(acc[3][w])).add(tail[w]);
+                    *o = match sigmoid {
+                        Some(v) => {
+                            let v = v[i * n + j0 + w];
+                            g.mul(v.mul(S::ONE.sub(v)))
+                        }
+                        None => g,
+                    };
+                }
+            });
         }
         Ok(())
     }
 
-    /// Dot product with four independent accumulators (keeps the FPU/fixed
-    /// pipeline busy). The lane split and the final `(0+1)+(2+3)+tail` fold
-    /// are the contract: every SIMD `matmul_transpose` arm reproduces this
-    /// schedule bit for bit.
-    #[inline]
-    fn dot(arow: &[S], brow: &[S]) -> S {
-        let mut acc = [S::ZERO; 4];
-        let mut ac = arow.chunks_exact(4);
-        let mut bc = brow.chunks_exact(4);
-        for (a4, b4) in (&mut ac).zip(&mut bc) {
-            acc[0] = acc[0].mul_acc(a4[0], b4[0]);
-            acc[1] = acc[1].mul_acc(a4[1], b4[1]);
-            acc[2] = acc[2].mul_acc(a4[2], b4[2]);
-            acc[3] = acc[3].mul_acc(a4[3], b4[3]);
+    /// A linear layer's parameter gradients over a feature-major batch:
+    /// `self` is the layer's input `Xᵀ` (`in × m`), `dy` its output
+    /// gradient `∂L/∂Yᵀ` (`out × m`). `dw` (`in × out`) receives `Xᵀ·dY`,
+    /// element `(i, o)` one chain from zero of `x[i][s] · dy[o][s]` with
+    /// `s` ascending; `db` (`1 × out`) the same chain of the `dy[o][s]`
+    /// alone. Column `s` of `dy` is read where it lies, shared by every
+    /// row of `dw`, with the layer's outputs across the SIMD lanes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KmlError::ShapeMismatch`] unless `self.cols == dy.cols`.
+    pub fn linear_grads_into(
+        &self,
+        dy: &Matrix<S>,
+        dw: &mut Matrix<S>,
+        db: &mut Matrix<S>,
+    ) -> Result<()> {
+        if self.cols != dy.cols {
+            return Err(KmlError::ShapeMismatch {
+                op: "linear_grads",
+                lhs: self.shape(),
+                rhs: dy.shape(),
+            });
         }
-        let mut tail = S::ZERO;
-        for (&a, &b) in ac.remainder().iter().zip(bc.remainder()) {
-            tail = tail.mul_acc(a, b);
+        let (ind, m, outd) = (self.rows, self.cols, dy.rows);
+        dw.ensure_shape(ind, outd);
+        db.ensure_shape(1, outd);
+        if S::simd_linear_grads(
+            &self.data,
+            &dy.data,
+            &mut dw.data,
+            &mut db.data,
+            ind,
+            outd,
+            m,
+        ) {
+            return Ok(());
         }
-        acc[0].add(acc[1]).add(acc[2].add(acc[3])).add(tail)
+        // A block of outputs at a time: `x` is `None` for the sums.
+        let chains = |x: Option<&[S]>, out: &mut [S]| {
+            for_col_blocks!(outd, |o0, W| {
+                let mut acc = [S::ZERO; W];
+                for s in 0..m {
+                    for (w, a) in acc.iter_mut().enumerate() {
+                        let g = dy.data[(o0 + w) * m + s];
+                        *a = match x {
+                            Some(x) => a.mul_acc(x[s], g),
+                            None => a.add(g),
+                        };
+                    }
+                }
+                out[o0..o0 + W].copy_from_slice(&acc);
+            });
+        };
+        for i in 0..ind {
+            chains(
+                Some(&self.data[i * m..(i + 1) * m]),
+                &mut dw.data[i * outd..(i + 1) * outd],
+            );
+        }
+        chains(None, &mut db.data);
+        Ok(())
     }
 
     /// `selfᵀ · rhs` written into `out` (reshaped as needed).
@@ -408,8 +483,7 @@ impl<S: Scalar> Matrix<S> {
     /// (`in × out`) and a batch staged `in × m`. Element `(i, j)` is the
     /// chain of the row-major `x·W + b`'s element `(j, i)`, operation for
     /// operation (IEEE products commute), with the batch across the SIMD
-    /// lanes. Unlike the bias-free product (training's), the f32 arms route
-    /// tiny activations here.
+    /// lanes; the f32 arms route tiny activations.
     ///
     /// # Errors
     ///
@@ -456,23 +530,6 @@ impl<S: Scalar> Matrix<S> {
     /// Returns [`KmlError::ShapeMismatch`] unless shapes match.
     pub fn hadamard(&self, rhs: &Matrix<S>) -> Result<Matrix<S>> {
         self.zip_with(rhs, "hadamard", S::mul)
-    }
-
-    /// Column-sum reduction written into `out` (reshaped as needed): a
-    /// block of columns at a time, each column's add chain walking the rows
-    /// in ascending order from zero in a register.
-    pub fn sum_rows_into(&self, out: &mut Matrix<S>) {
-        out.ensure_shape(1, self.cols);
-        let cols = self.cols;
-        for_col_blocks!(cols, |c0, W| {
-            let mut acc = [S::ZERO; W];
-            for row in self.data.chunks_exact(cols) {
-                for (a, &v) in acc.iter_mut().zip(&row[c0..c0 + W]) {
-                    *a = a.add(v);
-                }
-            }
-            out.data[c0..c0 + W].copy_from_slice(&acc);
-        });
     }
 
     /// Multiplies every element by `k`.
@@ -872,10 +929,20 @@ mod tests {
         let mut rng = KmlRng::seed_from_u64(1);
         let a = Matrix::<f64>::xavier_uniform(4, 6, &mut rng);
         let b = Matrix::<f64>::xavier_uniform(5, 6, &mut rng);
-        let via_kernel = fresh(|o| a.matmul_transpose_into(&b, o));
+        // The two backward products: `a·b` in the dot schedule, and
+        // `a·bᵀ` with `b`'s row sums.
+        let via_kernel = fresh(|o| a.matmul_dot_into(&transposed(&b), None, o));
         let via_explicit = a.matmul(&transposed(&b)).unwrap();
         for (x, y) in via_kernel.as_slice().iter().zip(via_explicit.as_slice()) {
             assert!((x - y).abs() < 1e-12);
+        }
+        let mut sums = Matrix::zeros(0, 0);
+        let via_kernel = fresh(|o| a.linear_grads_into(&b, o, &mut sums));
+        for (x, y) in via_kernel.as_slice().iter().zip(via_explicit.as_slice()) {
+            assert!((x - y).abs() < 1e-12);
+        }
+        for (r, &sum) in sums.as_slice().iter().enumerate() {
+            assert!((sum - b.row(r).iter().sum::<f64>()).abs() < 1e-12);
         }
 
         let c = Matrix::<f64>::xavier_uniform(4, 3, &mut rng);
@@ -898,11 +965,13 @@ mod tests {
     #[test]
     fn broadcast_and_reduce() {
         let x = m(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let sums = fresh(|o| {
-            x.sum_rows_into(o);
-            Ok(())
-        });
-        assert_eq!(sums, m(&[vec![4.0, 6.0]]));
+        let mut sums = Matrix::zeros(0, 0);
+        let dw = fresh(|o| x.linear_grads_into(&x, o, &mut sums));
+        assert_eq!(dw, m(&[vec![5.0, 11.0], vec![11.0, 25.0]]));
+        assert_eq!(sums, m(&[vec![3.0, 7.0]]));
+        let mut t = Matrix::zeros(0, 0);
+        x.transpose_into(&mut t);
+        assert_eq!(t, m(&[vec![1.0, 3.0], vec![2.0, 4.0]]));
         // The bias rides in the product's store, in either orientation.
         let eye = m(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
         let bias = m(&[vec![10.0, 20.0]]);
@@ -963,8 +1032,13 @@ mod tests {
         // sequence, and each leaves what it leaves in a fresh one.
         a.matmul_into(&b, &mut out).unwrap();
         assert_eq!(out, a.matmul(&b).unwrap());
-        a.matmul_transpose_into(&d, &mut out).unwrap();
-        assert_eq!(out, fresh(|o| a.matmul_transpose_into(&d, o)));
+        a.matmul_dot_into(&b, None, &mut out).unwrap();
+        assert_eq!(out, fresh(|o| a.matmul_dot_into(&b, None, o)));
+        let mut sums = Matrix::zeros(1, 1);
+        a.linear_grads_into(&d, &mut out, &mut sums).unwrap();
+        let mut fresh_sums = Matrix::zeros(0, 0);
+        assert_eq!(out, fresh(|o| a.linear_grads_into(&d, o, &mut fresh_sums)));
+        assert_eq!(sums, fresh_sums);
         a.transpose_matmul_into(&c, &mut out).unwrap();
         assert_eq!(out, fresh(|o| a.transpose_matmul_into(&c, o)));
         a.sigmoid_into(&mut out);

@@ -588,15 +588,17 @@ impl<S: Scalar> Model<S> {
         Ok(())
     }
 
-    /// One SGD step on a mini-batch of (already normalized) rows.
-    /// Returns the batch loss.
+    /// One SGD step on a mini-batch of (already normalized) rows, `batch ×
+    /// input_dim`. Returns the batch loss.
     ///
-    /// The step does only what its result needs: the backward pass stops
-    /// at the first layer's parameter gradients
+    /// The batch is staged feature-major (one transpose into the reused
+    /// staging matrix) and the whole step runs that way, the batch across
+    /// the SIMD lanes: the forward pass, the loss, and a backward pass that
+    /// stops at the first layer's parameter gradients
     /// ([`Graph::backward_params_in_place`]) — ∂L/∂input of the whole graph
-    /// is nobody's operand here — and the loss stages its softmax in
-    /// `loss_scratch`. **Zero heap allocations** in steady state, at any
-    /// output width.
+    /// is nobody's operand here. Every weight comes out with the bits of a
+    /// row-major step (each element keeps its operation sequence). **Zero
+    /// heap allocations** in steady state, at any output width.
     ///
     /// # Errors
     ///
@@ -608,14 +610,40 @@ impl<S: Scalar> Model<S> {
         loss: &impl Loss,
         sgd: &mut Sgd,
     ) -> Result<f64> {
+        input.transpose_into(&mut self.batch_scratch);
+        self.step(None, target, loss, sgd)
+    }
+
+    /// [`Model::train_batch`] on a batch already staged feature-major
+    /// (`input_dim × batch`): a caller stepping over one batch many times
+    /// stages it once.
+    pub(crate) fn train_feature_major(
+        &mut self,
+        input: &Matrix<S>,
+        target: TargetRef<'_>,
+        loss: &impl Loss,
+        sgd: &mut Sgd,
+    ) -> Result<f64> {
+        self.step(Some(input), target, loss, sgd)
+    }
+
+    /// One SGD step over `input` staged feature-major, or with `None` over
+    /// the staging matrix. Returns the loss.
+    fn step(
+        &mut self,
+        input: Option<&Matrix<S>>,
+        target: TargetRef<'_>,
+        loss: &impl Loss,
+        sgd: &mut Sgd,
+    ) -> Result<f64> {
         // Weight updates invalidate any pre-quantized Q8 serving engine.
         self.q8_dirty = true;
         let _fpu = S::USES_FPU.then(fpu::FpuGuard::enter);
-        let pred = self.graph.forward_in_place(input)?;
-        let l =
-            loss.loss_and_grad_into(pred, target, &mut self.loss_grad, &mut self.loss_scratch)?;
-        self.graph
-            .backward_params_in_place(input, &self.loss_grad)?;
+        let input = input.unwrap_or(&self.batch_scratch);
+        let pred = self.graph.forward(input, true)?;
+        let grad = &mut self.loss_grad;
+        let l = loss.loss_and_grad_into(pred, target, grad, &mut self.loss_scratch)?;
+        self.graph.backward_params_in_place(input, grad)?;
         let mut slot = 0usize;
         self.graph.visit_param_grads(&mut |mut pg| {
             let res = sgd.apply(slot, &mut pg);
@@ -628,6 +656,9 @@ impl<S: Scalar> Model<S> {
     /// One shuffled pass over `data` with mini-batches of 16.
     /// Returns the mean batch loss. Applies the attached normalizer.
     ///
+    /// Each mini-batch is staged feature-major straight from `data`,
+    /// normalized as it is copied.
+    ///
     /// # Errors
     ///
     /// Propagates shape/target errors.
@@ -638,16 +669,33 @@ impl<S: Scalar> Model<S> {
         sgd: &mut Sgd,
         rng: &mut KmlRng,
     ) -> Result<f64> {
-        let prepared = match &self.normalizer {
-            Some(n) => n.apply_dataset(data)?,
-            None => data.clone(),
-        };
-        let shuffled = prepared.shuffled(rng);
+        use rand::seq::SliceRandom;
+        const BATCH: usize = 16;
+        let dim = data.feature_dim();
+        if let Some(n) = &self.normalizer {
+            n.check_width(dim)?;
+        }
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        order.shuffle(rng);
+        let mut labels = Vec::with_capacity(BATCH);
         let mut total = 0.0;
         let mut batches = 0;
-        for (feat, labels) in shuffled.batches(16) {
-            let input = Matrix::<S>::from_f64_vec(feat.rows(), feat.cols(), feat.as_slice())?;
-            total += self.train_batch(&input, TargetRef::Classes(labels), loss, sgd)?;
+        for rows in order.chunks(BATCH) {
+            self.batch_scratch.ensure_shape(dim, rows.len());
+            let staged = self.batch_scratch.as_mut_slice();
+            for (p, line) in staged.chunks_exact_mut(rows.len()).enumerate() {
+                let norm = self
+                    .normalizer
+                    .as_ref()
+                    .map(|n| (n.means()[p], n.stds()[p]));
+                for (dst, &r) in line.iter_mut().zip(rows) {
+                    let v = data.sample(r).0[p];
+                    *dst = S::from_f64(norm.map_or(v, |(mean, std)| (v - mean) / std));
+                }
+            }
+            labels.clear();
+            labels.extend(rows.iter().map(|&r| data.labels()[r]));
+            total += self.step(None, TargetRef::Classes(&labels), loss, sgd)?;
             batches += 1;
         }
         Ok(total / batches.max(1) as f64)

@@ -124,15 +124,35 @@ pub trait Scalar:
         false
     }
 
-    /// `c[m×n] = a[m×kd]·b[n×kd]ᵀ` via the dispatched SIMD backend.
+    /// `c[m×n] = a[m×kd]·b[kd×n]`, each element in the four-chain dot
+    /// schedule of `Matrix::matmul_dot_into` (times `v·(1 − v)` of the
+    /// sigmoid output at its place, if given), via the dispatched SIMD
+    /// backend.
     #[doc(hidden)]
-    fn simd_matmul_transpose(
+    fn simd_matmul_dot(
         _a: &[Self],
         _b: &[Self],
+        _sigmoid: Option<&[Self]>,
         _c: &mut [Self],
         _m: usize,
-        _n: usize,
         _kd: usize,
+        _n: usize,
+    ) -> bool {
+        false
+    }
+
+    /// `dw[ind×outd] = x[ind×m]·dy[outd×m]ᵀ` and `db` the row sums of
+    /// `dy`, chains ascending `m`, via the dispatched SIMD backend.
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    fn simd_linear_grads(
+        _x: &[Self],
+        _dy: &[Self],
+        _dw: &mut [Self],
+        _db: &mut [Self],
+        _ind: usize,
+        _outd: usize,
+        _m: usize,
     ) -> bool {
         false
     }
@@ -232,15 +252,29 @@ impl Scalar for f32 {
     }
 
     #[doc(hidden)]
-    fn simd_matmul_transpose(
+    fn simd_matmul_dot(
         a: &[Self],
         b: &[Self],
+        sigmoid: Option<&[Self]>,
         c: &mut [Self],
         m: usize,
-        n: usize,
         kd: usize,
+        n: usize,
     ) -> bool {
-        crate::simd::matmul_transpose_f32(a, b, c, m, n, kd)
+        crate::simd::matmul_dot_f32(a, b, sigmoid, c, m, kd, n)
+    }
+
+    #[doc(hidden)]
+    fn simd_linear_grads(
+        x: &[Self],
+        dy: &[Self],
+        dw: &mut [Self],
+        db: &mut [Self],
+        ind: usize,
+        outd: usize,
+        m: usize,
+    ) -> bool {
+        crate::simd::linear_grads_f32(x, dy, dw, db, ind, outd, m)
     }
 
     #[doc(hidden)]
@@ -310,15 +344,29 @@ impl Scalar for f64 {
     }
 
     #[doc(hidden)]
-    fn simd_matmul_transpose(
+    fn simd_matmul_dot(
         a: &[Self],
         b: &[Self],
+        sigmoid: Option<&[Self]>,
         c: &mut [Self],
         m: usize,
-        n: usize,
         kd: usize,
+        n: usize,
     ) -> bool {
-        crate::simd::matmul_transpose_f64(a, b, c, m, n, kd)
+        crate::simd::matmul_dot_f64(a, b, sigmoid, c, m, kd, n)
+    }
+
+    #[doc(hidden)]
+    fn simd_linear_grads(
+        x: &[Self],
+        dy: &[Self],
+        dw: &mut [Self],
+        db: &mut [Self],
+        ind: usize,
+        outd: usize,
+        m: usize,
+    ) -> bool {
+        crate::simd::linear_grads_f64(x, dy, dw, db, ind, outd, m)
     }
 
     #[doc(hidden)]

@@ -2,8 +2,9 @@
 //!
 //! The scalar blocked kernels in [`crate::matrix`] define the arithmetic
 //! contract: every GEMM output element is a single ascending-`k` chain of
-//! `add(mul(..))` steps (never an FMA contraction), `Matrix::dot` is exactly
-//! four stride-4 accumulator chains reduced in a fixed order, and the
+//! `add(mul(..))` steps (never an FMA contraction), an element of
+//! `Matrix::matmul_dot_into` is exactly four stride-4 accumulator chains
+//! and a tail reduced in a fixed order, and the
 //! activation lanes reproduce [`crate::math::sigmoid`] bit-for-bit per lane
 //! (an f32 lane is that f64 value narrowed).
 //! Any vectorization that keeps those chains intact — vectorizing across
@@ -215,34 +216,76 @@ pub(crate) fn transpose_matmul_f64(
     )
 }
 
-pub(crate) fn matmul_transpose_f32(
+pub(crate) fn matmul_dot_f32(
     a: &[f32],
     b: &[f32],
+    sigmoid: Option<&[f32]>,
     c: &mut [f32],
     m: usize,
-    n: usize,
     kd: usize,
+    n: usize,
 ) -> bool {
     dispatch!(
-        x86::matmul_transpose_f32_avx512,
-        x86::matmul_transpose_f32_avx2,
-        (a, b, c, m, n, kd)
+        x86::matmul_dot_f32_avx512,
+        x86::matmul_dot_f32_avx2,
+        (a, b, sigmoid, c, m, kd, n)
     )
 }
 
-pub(crate) fn matmul_transpose_f64(
+pub(crate) fn matmul_dot_f64(
     a: &[f64],
     b: &[f64],
+    sigmoid: Option<&[f64]>,
     c: &mut [f64],
     m: usize,
-    n: usize,
     kd: usize,
+    n: usize,
 ) -> bool {
     dispatch!(
-        x86::matmul_transpose_f64_avx512,
-        x86::matmul_transpose_f64_avx2,
-        (a, b, c, m, n, kd)
+        x86::matmul_dot_f64_avx512,
+        x86::matmul_dot_f64_avx2,
+        (a, b, sigmoid, c, m, kd, n)
     )
+}
+
+/// Whether the gathers of [`linear_grads_f32`] / [`linear_grads_f64`] can
+/// address a column of `dy`: their lane offsets are `i32` multiples of `m`.
+fn gatherable(m: usize) -> bool {
+    m <= i32::MAX as usize / 16
+}
+
+pub(crate) fn linear_grads_f32(
+    x: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+    db: &mut [f32],
+    ind: usize,
+    outd: usize,
+    m: usize,
+) -> bool {
+    gatherable(m)
+        && dispatch!(
+            x86::linear_grads_f32_avx512,
+            x86::linear_grads_f32_avx2,
+            (x, dy, dw, db, ind, outd, m)
+        )
+}
+
+pub(crate) fn linear_grads_f64(
+    x: &[f64],
+    dy: &[f64],
+    dw: &mut [f64],
+    db: &mut [f64],
+    ind: usize,
+    outd: usize,
+    m: usize,
+) -> bool {
+    gatherable(m)
+        && dispatch!(
+            x86::linear_grads_f64_avx512,
+            x86::linear_grads_f64_avx2,
+            (x, dy, dw, db, ind, outd, m)
+        )
 }
 
 pub(crate) fn sigmoid_map_f32(input: &[f32], out: &mut [f32]) -> bool {
@@ -344,14 +387,22 @@ pub mod testing {
             (a: &[f32], b: &[f32], bias: Option<&[f32]>, c: &mut [f32], mm: usize, kd: usize, n: usize));
         arm_fn!(avx512_transpose_matmul_f64, has_avx512(), x86::transpose_matmul_f64_avx512,
             (a: &[f64], b: &[f64], bias: Option<&[f64]>, c: &mut [f64], mm: usize, kd: usize, n: usize));
-        arm_fn!(avx2_matmul_transpose_f32, has_avx2(), x86::matmul_transpose_f32_avx2,
-            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
-        arm_fn!(avx2_matmul_transpose_f64, has_avx2(), x86::matmul_transpose_f64_avx2,
-            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, kd: usize));
-        arm_fn!(avx512_matmul_transpose_f32, has_avx512(), x86::matmul_transpose_f32_avx512,
-            (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, kd: usize));
-        arm_fn!(avx512_matmul_transpose_f64, has_avx512(), x86::matmul_transpose_f64_avx512,
-            (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, kd: usize));
+        arm_fn!(avx2_matmul_dot_f32, has_avx2(), x86::matmul_dot_f32_avx2,
+            (a: &[f32], b: &[f32], sigmoid: Option<&[f32]>, c: &mut [f32], m: usize, kd: usize, n: usize));
+        arm_fn!(avx2_matmul_dot_f64, has_avx2(), x86::matmul_dot_f64_avx2,
+            (a: &[f64], b: &[f64], sigmoid: Option<&[f64]>, c: &mut [f64], m: usize, kd: usize, n: usize));
+        arm_fn!(avx512_matmul_dot_f32, has_avx512(), x86::matmul_dot_f32_avx512,
+            (a: &[f32], b: &[f32], sigmoid: Option<&[f32]>, c: &mut [f32], m: usize, kd: usize, n: usize));
+        arm_fn!(avx512_matmul_dot_f64, has_avx512(), x86::matmul_dot_f64_avx512,
+            (a: &[f64], b: &[f64], sigmoid: Option<&[f64]>, c: &mut [f64], m: usize, kd: usize, n: usize));
+        arm_fn!(avx2_linear_grads_f32, has_avx2(), x86::linear_grads_f32_avx2,
+            (x: &[f32], dy: &[f32], dw: &mut [f32], db: &mut [f32], ind: usize, outd: usize, m: usize));
+        arm_fn!(avx2_linear_grads_f64, has_avx2(), x86::linear_grads_f64_avx2,
+            (x: &[f64], dy: &[f64], dw: &mut [f64], db: &mut [f64], ind: usize, outd: usize, m: usize));
+        arm_fn!(avx512_linear_grads_f32, has_avx512(), x86::linear_grads_f32_avx512,
+            (x: &[f32], dy: &[f32], dw: &mut [f32], db: &mut [f32], ind: usize, outd: usize, m: usize));
+        arm_fn!(avx512_linear_grads_f64, has_avx512(), x86::linear_grads_f64_avx512,
+            (x: &[f64], dy: &[f64], dw: &mut [f64], db: &mut [f64], ind: usize, outd: usize, m: usize));
         arm_fn!(avx2_sigmoid_f32, has_avx2(), x86::sigmoid_slice_f32_avx2,
             (input: &[f32], out: &mut [f32]));
         arm_fn!(avx2_sigmoid_f64, has_avx2(), x86::sigmoid_slice_f64_avx2,

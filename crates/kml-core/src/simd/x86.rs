@@ -9,9 +9,13 @@
 //! the layer's outputs (row-major `matmul`) or, for a batch staged
 //! feature-major, the batch's rows (`transpose_matmul` with a bias:
 //! `Cᵀ = Wᵀ·Xᵀ`), so a 2-, 4- or 10-wide layer still fills every lane.
-//! `matmul_transpose` does too: a lane is an output column and carries all
-//! of `Matrix::dot`'s state for it — the four stride-4 accumulator chains
-//! and the sequential tail — reduced in the scalar order (see the arm).
+//! Training runs feature-major too. Its input gradient (`matmul_dot`,
+//! `W·dYᵀ`) puts the batch across the lanes, and a lane carries all of a
+//! four-lane dot product's state for its sample — the four stride-4
+//! accumulator chains and the sequential tail — reduced in the scalar
+//! order. Its parameter gradients (`linear_grads`) put the layer's outputs
+//! across the lanes and gather each sample's column of `dYᵀ` where it lies
+//! (see the arms).
 //!
 //! The f32 forward products take one kind of product differently. A hidden
 //! activation σ(x) for x in (−103, −87) is an f32 subnormal, and a quarter
@@ -414,12 +418,11 @@ macro_rules! gemm_arm {
             }
         }
 
-        /// `C[mm×n] = Aᵀ·B` with A `kd×mm`: training's weight gradient,
-        /// unrouted, without `bias`. Given `bias`, the feature-major
-        /// forward product of a linear layer instead — A its weights, B
-        /// the batch's activations `kd × n` with the batch across the
-        /// lanes — where each B vector holding a tiny activation takes
-        /// exact products and `bias[i]` is added to row `i` in the store.
+        /// `C[mm×n] = Aᵀ·B` with A `kd×mm`, plus `bias[i]` on row `i` if
+        /// given: the feature-major forward product of a linear layer — A
+        /// its weights, B the batch's activations `kd × n` with the batch
+        /// across the lanes — where each B vector holding a tiny
+        /// activation takes exact products.
         #[target_feature(enable = $feat)]
         pub(super) unsafe fn $tmm(
             a: &[$ty],
@@ -433,10 +436,10 @@ macro_rules! gemm_arm {
             debug_assert!(a.len() >= kd * mm && b.len() >= kd * n && c.len() >= mm * n);
             debug_assert!(bias.is_none_or(|v| v.len() >= mm));
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-            // Only the forward product is routed, and only on an arm with
-            // an exact route: an f64 arm's `routed` is the literal `false`,
-            // so it compiles no routed blocks.
-            let routed = false $(|| bias.is_some() && { let _ = $xmul; true })?;
+            // Every product of an arm with an exact route is routed: an f64
+            // arm's `routed` is the literal `false`, so it compiles no
+            // routed blocks, and an f32 arm's the literal `true`.
+            let routed = false $(|| { let _ = $xmul; true })?;
             let bias = bias.map_or(std::ptr::null(), <[$ty]>::as_ptr);
             let mut i = 0usize;
             macro_rules! rows {
@@ -499,168 +502,297 @@ gemm_arm! {
 }
 
 // ---------------------------------------------------------------------------
-// matmul_transpose: C[m×n] = A[m×kd]·B[n×kd]ᵀ, rows of A dotted with rows
-// of B.
+// The training step's two backward products over a feature-major batch
+// (`m` samples along the rows of every operand).
 //
-// `Matrix::dot` is four stride-4 accumulator chains (chain l takes indices
-// ≡ l mod 4 below `kd & !3`) and a sequential tail over the rest, reduced
-// as ((l0+l1)+(l2+l3))+tail. Here a lane is an output *column*: L rows of
-// B are packed, transposed, into a stack tile (`tile[p][l] = B[j+l][p]`),
-// and for each row of A five vector accumulators — the four chains and the
-// tail — take `set1(A[i][p]) · tile[p]` in ascending `p` with a separate
-// multiply and add. Lane l of each accumulator is then exactly the scalar
-// chain of output (i, j+l), and the vector reduction in the scalar order
-// gives its bits. One kernel for every shape: a ragged last tile packs
-// zeros in its dead lanes and stores through a mask; `kd` beyond the
-// tile's MT_KB rows is walked in MT_KB blocks (a multiple of 4, so a seam
-// never splits a stride-4 group) with the accumulators carried across
-// them in registers, the tile repacked per block. Rows of A go two at a
-// time so a tile row is loaded once per two multiply-adds.
+// `matmul_dot`: C[mm×n] = A[mm×kd]·B[kd×n] in the four-chain dot schedule
+// of `Matrix::matmul_dot_into` — a linear layer's `dXᵀ = W·dYᵀ`, A its
+// weights, B `dYᵀ`, the batch across the lanes. Each element is four chains
+// from zero (chain l takes the p ≡ l mod 4 below `kd & !3`, ascending) and a
+// sequential tail over the rest, reduced as ((l0+l1)+(l2+l3))+tail, each term
+// `B[p][j] · A[i][p]`: a lane carries all of that state for one sample, and
+// the vector reduction in the scalar order gives its bits. A B vector is
+// loaded once per block of rows. Given the output of a sigmoid that feeds
+// the layer, each element leaves the store as `g · (v · (1 − v))`: the
+// sigmoid's backward pass, operation for operation, without its own pass.
+//
+// `linear_grads`: dW[ind×outd] = X·dYᵀ and db = dY's row sums — a linear
+// layer's parameter gradients, X `Xᵀ` (`ind × m`). Each element is one chain
+// from zero over the samples in ascending order, as the scalar kernel's. The
+// lanes are the layer's outputs: column s of dY (stride m) is gathered once
+// per sample and block of lanes, masked past the last output, and shared by
+// a block of rows of X, each product `set1(X[i][s]) · column`; db rides in
+// the first block as that column's own chain.
 // ---------------------------------------------------------------------------
 
-/// Shared-dimension rows of the packed B tile.
-const MT_KB: usize = 256;
+/// `$body` with the constant `$R` equal to `$rows`, one of `$r`.
+macro_rules! by_rows {
+    ($rows:expr, [$($r:literal)*], $R:ident => $body:expr) => {
+        match $rows {
+            $($r => {
+                const $R: usize = $r;
+                $body
+            })*
+            _ => unreachable!("a block of {} rows", $rows),
+        }
+    };
+}
 
-macro_rules! matmul_transpose_arm {
+macro_rules! backward_arm {
     (
         feat: $feat:literal, ty: $ty:ty, lanes: $L:expr,
         loadu: $loadu:ident, storeu: $storeu:ident, set1: $set1:ident,
-        setzero: $setzero:ident, add: $add:ident, mul: $mul:ident,
-        mstore: $mstore:ident, name: $name:ident, rows: $rows:ident,
+        setzero: $setzero:ident, add: $add:ident, sub: $sub:ident, mul: $mul:ident,
+        mload: $mload:ident, mstore: $mstore:ident,
+        column: $column:expr, gather: $gather:expr,
+        dot: $dot:ident, dot_rows: $dot_rows:ident, dot_block: [$($dr:literal)*],
+        grads: $grads:ident, grad_rows: $grad_rows:ident, grad_block: [$($gr:literal)*],
     ) => {
-        /// Rows `i..i + R` of A against the tile's columns `j..j + live`.
-        /// `packed` is the first `kd` index of the block the tile holds for
-        /// this `j` (`usize::MAX` for none): a single-block `kd` packs once
-        /// per tile, not once per call.
+        /// Rows `i..i + R` of [`$dot`]'s C, every column vector.
+        ///
+        /// # Safety
+        ///
+        /// The CPU has the arm's features; `a` is `mm × kd` with
+        /// `i + R ≤ mm`, `b` is `kd × n`, `c` is `mm × n`, and a non-null
+        /// `sigmoid` is `mm × n`.
         #[inline]
-        #[allow(clippy::too_many_arguments)]
         #[target_feature(enable = $feat)]
-        unsafe fn $rows<const R: usize>(
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $dot_rows<const R: usize>(
             a: *const $ty,
             b: *const $ty,
+            sigmoid: *const $ty,
             c: *mut $ty,
-            tile: *mut $ty,
-            packed: &mut usize,
             i: usize,
-            j: usize,
-            n: usize,
             kd: usize,
+            n: usize,
         ) {
             const L: usize = $L;
-            let live = (n - j).min(L);
             let kd4 = kd & !3;
-            let z = $setzero();
-            let mut acc = [[z; 4]; R];
-            let mut tail = [z; R];
-            let mut p0 = 0usize;
-            while p0 < kd {
-                let kb = (kd - p0).min(MT_KB);
-                if *packed != p0 {
-                    for l in 0..L {
-                        for p in 0..kb {
-                            *tile.add(p * L + l) = if l < live {
-                                *b.add((j + l) * kd + p0 + p)
-                            } else {
-                                0.0
-                            };
+            // C's vector at column `$j`: `$ld(q)` loads a vector of that
+            // width from `q` (whole or masked), `$st(q, v)` stores one.
+            macro_rules! tile {
+                ($j:expr, $ld:expr, $st:expr) => {{
+                    let z = $setzero();
+                    let (mut acc, mut tail) = ([[z; 4]; R], [z; R]);
+                    let w = |r: usize, p: usize| $set1(*a.add((i + r) * kd + p));
+                    let mut p = 0usize;
+                    while p < kd4 {
+                        for l in 0..4 {
+                            let bv = $ld(b.add((p + l) * n + $j));
+                            for r in 0..R {
+                                acc[r][l] = $add(acc[r][l], $mul(bv, w(r, p + l)));
+                            }
                         }
+                        p += 4;
                     }
-                    *packed = p0;
-                }
-                // This block's share of the four chains, then (last block
-                // only) of the tail.
-                let chained = kd4.saturating_sub(p0).min(kb);
-                let mut p = 0usize;
-                while p < chained {
-                    for l in 0..4 {
-                        let bv = $loadu(tile.add((p + l) * L));
+                    while p < kd {
+                        let bv = $ld(b.add(p * n + $j));
                         for r in 0..R {
-                            let av = $set1(*a.add((i + r) * kd + p0 + p + l));
-                            acc[r][l] = $add(acc[r][l], $mul(av, bv));
+                            tail[r] = $add(tail[r], $mul(bv, w(r, p)));
                         }
+                        p += 1;
                     }
-                    p += 4;
-                }
-                while p < kb {
-                    let bv = $loadu(tile.add(p * L));
                     for r in 0..R {
-                        let av = $set1(*a.add((i + r) * kd + p0 + p));
-                        tail[r] = $add(tail[r], $mul(av, bv));
+                        let lo = $add(acc[r][0], acc[r][1]);
+                        let hi = $add(acc[r][2], acc[r][3]);
+                        let mut g = $add($add(lo, hi), tail[r]);
+                        if !sigmoid.is_null() {
+                            let v = $ld(sigmoid.add((i + r) * n + $j));
+                            g = $mul(g, $mul(v, $sub($set1(1.0), v)));
+                        }
+                        $st(c.add((i + r) * n + $j), g);
                     }
-                    p += 1;
-                }
-                p0 += kb;
+                }};
             }
-            for r in 0..R {
-                let lo = $add(acc[r][0], acc[r][1]);
-                let hi = $add(acc[r][2], acc[r][3]);
-                let dot = $add($add(lo, hi), tail[r]);
-                if live == L {
-                    $storeu(c.add((i + r) * n + j), dot);
-                } else {
-                    $mstore(c.add((i + r) * n + j), live, dot);
-                }
+            let mut j = 0usize;
+            while j + L <= n {
+                tile!(j, |q| $loadu(q), |q, v| $storeu(q, v));
+                j += L;
+            }
+            if j < n {
+                let rem = n - j;
+                tile!(j, |q| $mload(q, rem), |q, v| $mstore(q, rem, v));
             }
         }
 
+        /// `C[mm×n] = A[mm×kd]·B[kd×n]` in the four-chain dot schedule, the
+        /// columns of C across the lanes; with `sigmoid` (`mm × n`), each
+        /// element times `v·(1 − v)` of the sigmoid output at its place.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn $name(
+        pub(super) unsafe fn $dot(
             a: &[$ty],
             b: &[$ty],
+            sigmoid: Option<&[$ty]>,
             c: &mut [$ty],
-            m: usize,
-            n: usize,
+            mm: usize,
             kd: usize,
+            n: usize,
         ) {
-            debug_assert!(a.len() >= m * kd && b.len() >= n * kd && c.len() >= m * n);
+            debug_assert!(a.len() >= mm * kd && b.len() >= kd * n && c.len() >= mm * n);
+            debug_assert!(sigmoid.is_none_or(|v| v.len() >= mm * n));
             let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-            // Only rows `0..min(kd, MT_KB)` are ever read, each after the
-            // pack that wrote all of its lanes.
-            let mut tile = std::mem::MaybeUninit::<[[$ty; $L]; MT_KB]>::uninit();
-            let tp = tile.as_mut_ptr() as *mut $ty;
-            let mut j = 0usize;
-            while j < n {
-                let mut packed = usize::MAX;
-                let mut i = 0usize;
-                while i + 2 <= m {
-                    $rows::<2>(ap, bp, cp, tp, &mut packed, i, j, n, kd);
-                    i += 2;
+            let sp = sigmoid.map_or(std::ptr::null(), <[$ty]>::as_ptr);
+            const BLOCK: usize = [$($dr),*].len();
+            let mut i = 0usize;
+            while i < mm {
+                let rows = (mm - i).min(BLOCK);
+                by_rows!(rows, [$($dr)*], R => $dot_rows::<R>(ap, bp, sp, cp, i, kd, n));
+                i += rows;
+            }
+        }
+
+        /// Rows `i..i + R` of [`$grads`]'s dW at the `live` outputs from
+        /// `o`, and with `D` those lanes of db.
+        ///
+        /// # Safety
+        ///
+        /// The CPU has the arm's features; `x` is `ind × m` with
+        /// `i + R ≤ ind`, `dy` is `outd × m` with `o + live ≤ outd` and
+        /// `live ≤ L`, `dw` is `ind × outd` and `db` holds `outd`.
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $feat)]
+        unsafe fn $grad_rows<const R: usize, const D: bool>(
+            x: *const $ty,
+            dy: *const $ty,
+            dw: *mut $ty,
+            db: *mut $ty,
+            i: usize,
+            o: usize,
+            live: usize,
+            outd: usize,
+            m: usize,
+        ) {
+            // Lane offsets `0, m, 2m, …` (`simd::gatherable` bounds them
+            // in `i32`) and the mask of the live lanes.
+            let (idx, mask) = $column(m as i32, live);
+            let column = dy.add(o * m);
+            let (mut acc, mut sum) = ([$setzero(); R], $setzero());
+            for s in 0..m {
+                let g = $gather(column.add(s), idx, mask);
+                for r in 0..R {
+                    acc[r] = $add(acc[r], $mul($set1(*x.add((i + r) * m + s)), g));
                 }
-                if i < m {
-                    $rows::<1>(ap, bp, cp, tp, &mut packed, i, j, n, kd);
+                if D {
+                    sum = $add(sum, g);
                 }
-                j += $L;
+            }
+            let store = |p: *mut $ty, v| {
+                if live == $L {
+                    $storeu(p, v)
+                } else {
+                    $mstore(p, live, v)
+                }
+            };
+            for r in 0..R {
+                store(dw.add((i + r) * outd + o), acc[r]);
+            }
+            if D {
+                store(db.add(o), sum);
+            }
+        }
+
+        /// `dw[ind×outd] = x[ind×m]·dy[outd×m]ᵀ` and `db` the row sums of
+        /// `dy`, every chain ascending the samples from zero, the outputs
+        /// across the lanes. The first block of rows is the short one and
+        /// carries db.
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $feat)]
+        pub(super) unsafe fn $grads(
+            x: &[$ty],
+            dy: &[$ty],
+            dw: &mut [$ty],
+            db: &mut [$ty],
+            ind: usize,
+            outd: usize,
+            m: usize,
+        ) {
+            debug_assert!(x.len() >= ind * m && dy.len() >= outd * m);
+            debug_assert!(dw.len() >= ind * outd && db.len() >= outd);
+            let (xp, yp, wp, bp) = (x.as_ptr(), dy.as_ptr(), dw.as_mut_ptr(), db.as_mut_ptr());
+            const BLOCK: usize = [$($gr),*].len();
+            let mut o = 0usize;
+            while o < outd {
+                let live = (outd - o).min($L);
+                if ind == 0 {
+                    $grad_rows::<0, true>(xp, yp, wp, bp, 0, o, live, outd, m);
+                } else {
+                    let first = (ind - 1) % BLOCK + 1;
+                    by_rows!(first, [$($gr)*], R => {
+                        $grad_rows::<R, true>(xp, yp, wp, bp, 0, o, live, outd, m)
+                    });
+                    let mut i = first;
+                    while i < ind {
+                        $grad_rows::<BLOCK, false>(xp, yp, wp, bp, i, o, live, outd, m);
+                        i += BLOCK;
+                    }
+                }
+                o += live;
             }
         }
     };
 }
 
-matmul_transpose_arm! {
+backward_arm! {
     feat: "avx2", ty: f32, lanes: 8,
     loadu: _mm256_loadu_ps, storeu: _mm256_storeu_ps, set1: _mm256_set1_ps,
-    setzero: _mm256_setzero_ps, add: _mm256_add_ps, mul: _mm256_mul_ps,
-    mstore: mstore_f32_avx2, name: matmul_transpose_f32_avx2, rows: mt_rows_f32_avx2,
+    setzero: _mm256_setzero_ps, add: _mm256_add_ps, sub: _mm256_sub_ps, mul: _mm256_mul_ps,
+    mload: mload_f32_avx2, mstore: mstore_f32_avx2,
+    column: |m, live: usize| (
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(m)),
+        _mm256_castsi256_ps(_mm256_loadu_si256(MASK_E32.as_ptr().add(8 - live) as *const _)),
+    ),
+    gather: |p, idx, mask| _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), p, idx, mask),
+    dot: matmul_dot_f32_avx2, dot_rows: dot_rows_f32_avx2, dot_block: [1 2],
+    grads: linear_grads_f32_avx2, grad_rows: grad_rows_f32_avx2, grad_block: [1 2 3 4 5 6 7 8],
 }
 
-matmul_transpose_arm! {
+backward_arm! {
     feat: "avx2", ty: f64, lanes: 4,
     loadu: _mm256_loadu_pd, storeu: _mm256_storeu_pd, set1: _mm256_set1_pd,
-    setzero: _mm256_setzero_pd, add: _mm256_add_pd, mul: _mm256_mul_pd,
-    mstore: mstore_f64_avx2, name: matmul_transpose_f64_avx2, rows: mt_rows_f64_avx2,
+    setzero: _mm256_setzero_pd, add: _mm256_add_pd, sub: _mm256_sub_pd, mul: _mm256_mul_pd,
+    mload: mload_f64_avx2, mstore: mstore_f64_avx2,
+    column: |m, live: usize| (
+        _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3), _mm_set1_epi32(m)),
+        _mm256_castsi256_pd(_mm256_loadu_si256(MASK_E64.as_ptr().add(4 - live) as *const _)),
+    ),
+    gather: |p, idx, mask| _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), p, idx, mask),
+    dot: matmul_dot_f64_avx2, dot_rows: dot_rows_f64_avx2, dot_block: [1 2],
+    grads: linear_grads_f64_avx2, grad_rows: grad_rows_f64_avx2, grad_block: [1 2 3 4 5 6 7 8],
 }
 
-matmul_transpose_arm! {
+backward_arm! {
     feat: "avx512f", ty: f32, lanes: 16,
     loadu: _mm512_loadu_ps, storeu: _mm512_storeu_ps, set1: _mm512_set1_ps,
-    setzero: _mm512_setzero_ps, add: _mm512_add_ps, mul: _mm512_mul_ps,
-    mstore: mstore_f32_avx512, name: matmul_transpose_f32_avx512, rows: mt_rows_f32_avx512,
+    setzero: _mm512_setzero_ps, add: _mm512_add_ps, sub: _mm512_sub_ps, mul: _mm512_mul_ps,
+    mload: mload_f32_avx512, mstore: mstore_f32_avx512,
+    column: |m, live: usize| (
+        _mm512_mullo_epi32(
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+            _mm512_set1_epi32(m),
+        ),
+        ((1u32 << live) - 1) as __mmask16,
+    ),
+    gather: |p, idx, mask| _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, idx, p),
+    dot: matmul_dot_f32_avx512, dot_rows: dot_rows_f32_avx512, dot_block: [1 2 3 4],
+    grads: linear_grads_f32_avx512, grad_rows: grad_rows_f32_avx512,
+    grad_block: [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
 }
 
-matmul_transpose_arm! {
+backward_arm! {
     feat: "avx512f", ty: f64, lanes: 8,
     loadu: _mm512_loadu_pd, storeu: _mm512_storeu_pd, set1: _mm512_set1_pd,
-    setzero: _mm512_setzero_pd, add: _mm512_add_pd, mul: _mm512_mul_pd,
-    mstore: mstore_f64_avx512, name: matmul_transpose_f64_avx512, rows: mt_rows_f64_avx512,
+    setzero: _mm512_setzero_pd, add: _mm512_add_pd, sub: _mm512_sub_pd, mul: _mm512_mul_pd,
+    mload: mload_f64_avx512, mstore: mstore_f64_avx512,
+    column: |m, live: usize| (
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(m)),
+        ((1u32 << live) - 1) as __mmask8,
+    ),
+    gather: |p, idx, mask| _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), mask, idx, p),
+    dot: matmul_dot_f64_avx512, dot_rows: dot_rows_f64_avx512, dot_block: [1 2 3 4],
+    grads: linear_grads_f64_avx512, grad_rows: grad_rows_f64_avx512,
+    grad_block: [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ use rand::SeedableRng;
 
 use crate::dataset::{Dataset, Normalizer};
 use crate::loss::{CrossEntropyGrad, CrossEntropyLoss, TargetRef};
+use crate::matrix::Matrix;
 use crate::model::{Model, ModelBuilder};
 use crate::optimizer::Sgd;
 use crate::{modelfile, KmlRng, Result};
@@ -57,14 +58,18 @@ impl TrainSpec {
                 }
             }
             None => {
-                let normed = normalizer.apply(data.features())?;
+                // The full batch, normalized and staged feature-major once.
+                let mut staged = Matrix::zeros(0, 0);
+                normalizer
+                    .apply(data.features())?
+                    .transpose_into(&mut staged);
                 model.set_normalizer(normalizer);
                 let target = TargetRef::Classes(data.labels());
                 for e in 1..=self.epochs {
                     loss = if e < self.epochs {
-                        model.train_batch(&normed, target, &CrossEntropyGrad, &mut sgd)?
+                        model.train_feature_major(&staged, target, &CrossEntropyGrad, &mut sgd)?
                     } else {
-                        model.train_batch(&normed, target, &CrossEntropyLoss, &mut sgd)?
+                        model.train_feature_major(&staged, target, &CrossEntropyLoss, &mut sgd)?
                     };
                 }
             }
@@ -86,7 +91,6 @@ pub fn deploy(model: &Model<f64>) -> Result<Model<f32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
 
     fn data() -> Dataset {
         let rows: Vec<Vec<f64>> = (0..40)

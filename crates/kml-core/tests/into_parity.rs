@@ -55,7 +55,8 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     // Each bad shape is off-by-one in the dimension its kernel checks, so a
     // mismatch is guaranteed for every (m, k, n).
     let bad_inner: Matrix<S> = to_matrix(k + 1, n, &data[25..]); // matmul: rows ≠ k
-    let bad_mt: Matrix<S> = to_matrix(n, k + 1, &data[25..]); // matmul_transpose: cols ≠ k
+    let bad_dot: Matrix<S> = to_matrix(k + 1, n, &data[25..]); // matmul_dot: rows ≠ k
+    let bad_grads: Matrix<S> = to_matrix(n, k + 1, &data[25..]); // linear_grads: cols ≠ k
     let bad_tm: Matrix<S> = to_matrix(m + 1, k, &data[25..]); // transpose_matmul: rows ≠ m
     let bad_ew: Matrix<S> = to_matrix(m, k + 1, &data[25..]); // element-wise: shape ≠ (m, k)
     let w: Matrix<S> = to_matrix(k, n, &data[25..]);
@@ -70,9 +71,14 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     let cases = [
         ("matmul", a.matmul_into(&bad_inner, &mut out), &bad_inner),
         (
-            "matmul_transpose",
-            a.matmul_transpose_into(&bad_mt, &mut out),
-            &bad_mt,
+            "matmul_dot",
+            a.matmul_dot_into(&bad_dot, None, &mut out),
+            &bad_dot,
+        ),
+        (
+            "linear_grads",
+            a.linear_grads_into(&bad_grads, &mut out, &mut dirty_out()),
+            &bad_grads,
         ),
         (
             "transpose_matmul",

@@ -37,6 +37,20 @@ fn assert_bits_equal<S: Scalar>(op: &str, reference: &Matrix<S>, blocked: &Matri
     );
 }
 
+/// `m` transposed.
+fn transposed<S: Scalar>(m: &Matrix<S>) -> Matrix<S> {
+    let (rows, cols) = m.shape();
+    let data = (0..rows * cols).map(|i| m.as_slice()[i % rows * cols + i / rows]);
+    Matrix::from_vec(cols, rows, data.collect()).unwrap()
+}
+
+/// `g ⊙ (v ⊙ (1 − v))`, each element as the sigmoid's backward pass makes it.
+fn through_sigmoid<S: Scalar>(g: &Matrix<S>, v: &Matrix<S>) -> Matrix<S> {
+    let data = g.as_slice().iter().zip(v.as_slice());
+    let data = data.map(|(&g, &v)| g.mul(v.mul(S::ONE.sub(v)))).collect();
+    Matrix::from_vec(g.rows(), g.cols(), data).unwrap()
+}
+
 /// Blocked vs naive on `a (m×k) · b (k×n)`, plus the transpose forms, all on
 /// the same operands.
 fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
@@ -50,11 +64,29 @@ fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     a.matmul_into(&b, &mut got).unwrap();
     assert_bits_equal("matmul", &want, &got);
 
-    // matmul_transpose computes self · rhsᵀ, so rhs is (n × k).
-    let bt: Matrix<S> = to_matrix(n, k, &data[13..]);
-    naive::matmul_transpose_into(&a, &bt, &mut want).unwrap();
-    a.matmul_transpose_into(&bt, &mut got).unwrap();
-    assert_bits_equal("matmul_transpose", &want, &got);
+    // matmul_dot is `a · b` in the dot schedule: the transpose of the
+    // per-element dot products of bᵀ's rows with a's.
+    let mut dots = dirty_out();
+    naive::matmul_transpose_into(&transposed(&b), &a, &mut dots).unwrap();
+    a.matmul_dot_into(&b, None, &mut got).unwrap();
+    assert_bits_equal("matmul_dot", &transposed(&dots), &got);
+    // With a sigmoid's output, each element times `v·(1 − v)` in the store.
+    let v: Matrix<S> = to_matrix(m, n, &data[17..]);
+    a.matmul_dot_into(&b, Some(&v), &mut got).unwrap();
+    assert_bits_equal(
+        "matmul_dot + sigmoid",
+        &through_sigmoid(&transposed(&dots), &v),
+        &got,
+    );
+
+    // linear_grads: `a` as a layer's input (m × k samples) against an
+    // output gradient of n rows.
+    let dy: Matrix<S> = to_matrix(n, k, &data[13..]);
+    let (mut want_db, mut got_db) = (dirty_out(), dirty_out());
+    naive::linear_grads_into(&a, &dy, &mut want, &mut want_db).unwrap();
+    a.linear_grads_into(&dy, &mut got, &mut got_db).unwrap();
+    assert_bits_equal("linear_grads dw", &want, &got);
+    assert_bits_equal("linear_grads db", &want_db, &got_db);
 
     // transpose_matmul computes selfᵀ · rhs, so rhs shares self's row count.
     let c: Matrix<S> = to_matrix(m, n, &data[19..]);
@@ -88,7 +120,7 @@ fn check_kernels<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
 fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     let a: Matrix<S> = to_matrix(m, k, data);
     let bad_inner: Matrix<S> = to_matrix(k + 1, n, &data[7..]); // matmul: rows ≠ k
-    let bad_mt: Matrix<S> = to_matrix(n, k + 1, &data[7..]); // matmul_transpose: cols ≠ k
+    let bad_grads: Matrix<S> = to_matrix(n, k + 1, &data[7..]); // linear_grads: cols ≠ k
     let bad_tm: Matrix<S> = to_matrix(m + 1, n, &data[7..]); // transpose_matmul: rows ≠ m
     let mut out = dirty_out();
 
@@ -96,9 +128,12 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     let e_blocked = a.matmul_into(&bad_inner, &mut out).expect_err("matmul");
     assert_eq!(e_naive, e_blocked, "matmul error diverged");
 
-    let e_naive = naive::matmul_transpose_into(&a, &bad_mt, &mut out).expect_err("mt");
-    let e_blocked = a.matmul_transpose_into(&bad_mt, &mut out).expect_err("mt");
-    assert_eq!(e_naive, e_blocked, "matmul_transpose error diverged");
+    let mut db = dirty_out();
+    let e_naive = naive::linear_grads_into(&a, &bad_grads, &mut out, &mut db).expect_err("lg");
+    let e_blocked = a
+        .linear_grads_into(&bad_grads, &mut out, &mut db)
+        .expect_err("lg");
+    assert_eq!(e_naive, e_blocked, "linear_grads error diverged");
 
     let e_naive = naive::transpose_matmul_into(&a, &bad_tm, &mut out).expect_err("tm");
     let e_blocked = a.transpose_matmul_into(&bad_tm, &mut out).expect_err("tm");
@@ -170,7 +205,8 @@ mod arm_parity {
 
     type GemmFn<T> = fn(&[T], &[T], Option<&[T]>, &mut [T], usize, usize, usize) -> bool;
     type TmmFn<T> = GemmFn<T>;
-    type MtFn<T> = fn(&[T], &[T], &mut [T], usize, usize, usize) -> bool;
+    type DotFn<T> = fn(&[T], &[T], Option<&[T]>, &mut [T], usize, usize, usize) -> bool;
+    type GradsFn<T> = fn(&[T], &[T], &mut [T], &mut [T], usize, usize, usize) -> bool;
     type SigFn<T> = fn(&[T], &mut [T]) -> bool;
 
     /// One labelled fn-pointer table per kernel family, listing every arm
@@ -193,12 +229,16 @@ mod arm_parity {
     arm_table!(tmm_arms_f64, TmmFn<f64>,
         x86: ["avx2" => arms::avx2_transpose_matmul_f64,
               "avx512" => arms::avx512_transpose_matmul_f64]);
-    arm_table!(mt_arms_f32, MtFn<f32>,
-        x86: ["avx2" => arms::avx2_matmul_transpose_f32,
-              "avx512" => arms::avx512_matmul_transpose_f32]);
-    arm_table!(mt_arms_f64, MtFn<f64>,
-        x86: ["avx2" => arms::avx2_matmul_transpose_f64,
-              "avx512" => arms::avx512_matmul_transpose_f64]);
+    arm_table!(dot_arms_f32, DotFn<f32>,
+        x86: ["avx2" => arms::avx2_matmul_dot_f32, "avx512" => arms::avx512_matmul_dot_f32]);
+    arm_table!(dot_arms_f64, DotFn<f64>,
+        x86: ["avx2" => arms::avx2_matmul_dot_f64, "avx512" => arms::avx512_matmul_dot_f64]);
+    arm_table!(grads_arms_f32, GradsFn<f32>,
+        x86: ["avx2" => arms::avx2_linear_grads_f32,
+              "avx512" => arms::avx512_linear_grads_f32]);
+    arm_table!(grads_arms_f64, GradsFn<f64>,
+        x86: ["avx2" => arms::avx2_linear_grads_f64,
+              "avx512" => arms::avx512_linear_grads_f64]);
     arm_table!(sig_arms_f32, SigFn<f32>,
         x86: ["avx2" => arms::avx2_sigmoid_f32, "avx512" => arms::avx512_sigmoid_f32]);
     arm_table!(sig_arms_f64, SigFn<f64>,
@@ -369,48 +409,91 @@ mod arm_parity {
         }
     }
 
-    /// The column `matmul_transpose` arms against the retained per-element
-    /// [`naive::matmul_transpose_into`] (`Matrix::dot`'s schedule).
-    fn check_mt_arms_against_naive<S: Bits>(
-        table: &[(&str, MtFn<S>)],
-        (m, n, kd): (usize, usize, usize),
+    /// The `matmul_dot` arms (a linear layer's `dXᵀ = W·dYᵀ`, the batch
+    /// across the lanes) against the retained per-element
+    /// [`naive::matmul_transpose_into`] (`Matrix::dot`'s schedule) of the
+    /// row-major `dY·Wᵀ`, transposed — and with a sigmoid's output folded
+    /// into the store, against that times `v·(1 − v)` element by element.
+    fn check_dot_arms_against_naive<S: Bits>(
+        table: &[(&str, DotFn<S>)],
+        (mm, kd, n): (usize, usize, usize),
         data: &[f64],
     ) {
-        let a: Vec<S> = vals(m * kd, data, 0);
-        let b: Vec<S> = vals(n * kd, data, 13);
-        let mut want = Matrix::zeros(0, 0);
+        let w: Vec<S> = vals(mm * kd, data, 0);
+        let dy: Vec<S> = vals(kd * n, data, 13);
+        let mut rows = Matrix::zeros(0, 0);
         naive::matmul_transpose_into(
-            &Matrix::from_vec(m, kd, a.clone()).unwrap(),
-            &Matrix::from_vec(n, kd, b.clone()).unwrap(),
-            &mut want,
+            &transposed(&Matrix::from_vec(kd, n, dy.clone()).unwrap()),
+            &Matrix::from_vec(mm, kd, w.clone()).unwrap(),
+            &mut rows,
         )
         .unwrap();
-        for &(name, f) in table {
-            let mut c = dirty::<S>(m * n);
-            if !f(&a, &b, &mut c, m, n, kd) {
-                continue;
+        let plain = transposed(&rows);
+        let v = Matrix::from_vec(mm, n, vals(mm * n, data, 29)).unwrap();
+        let folded = through_sigmoid(&plain, &v);
+        for (sigmoid, want) in [(None, &plain), (Some(v.as_slice()), &folded)] {
+            for &(name, f) in table {
+                let mut c = dirty::<S>(mm * n);
+                if !f(&w, &dy, sigmoid, &mut c, mm, kd, n) {
+                    continue;
+                }
+                assert_arm_bits_nan_class("matmul_dot", name, want.as_slice(), &c);
             }
-            assert_arm_bits_nan_class("matmul_transpose", name, want.as_slice(), &c);
         }
     }
 
-    /// `m` past several row pairs and an odd last row, `n` past two tiles
-    /// of the widest arm with every ragged lane count, `kd` through every
-    /// `kd % 4` — and now and then across the 256-row tile-block seam
-    /// (255..=260) and two of them (513).
-    fn mt_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
-        let kd = prop_oneof![
-            8 => 0usize..=40,
-            2 => prop_oneof![255usize..=260, Just(513usize)],
-        ];
-        (1usize..=70, 1usize..=40, kd)
+    /// The `linear_grads` arms (a linear layer's `dW` and `db` over a
+    /// feature-major batch, the outputs across the lanes) against
+    /// [`naive::linear_grads_into`].
+    fn check_grads_arms_against_naive<S: Bits>(
+        table: &[(&str, GradsFn<S>)],
+        (ind, outd, m): (usize, usize, usize),
+        data: &[f64],
+    ) {
+        let x: Vec<S> = vals(ind * m, data, 0);
+        let dy: Vec<S> = vals(outd * m, data, 13);
+        let (mut dw, mut db) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        naive::linear_grads_into(
+            &Matrix::from_vec(ind, m, x.clone()).unwrap(),
+            &Matrix::from_vec(outd, m, dy.clone()).unwrap(),
+            &mut dw,
+            &mut db,
+        )
+        .unwrap();
+        for &(name, f) in table {
+            let (mut gw, mut gb) = (dirty::<S>(ind * outd), dirty::<S>(outd));
+            if !f(&x, &dy, &mut gw, &mut gb, ind, outd, m) {
+                continue;
+            }
+            assert_arm_bits_nan_class("linear_grads dw", name, dw.as_slice(), &gw);
+            assert_arm_bits_nan_class("linear_grads db", name, db.as_slice(), &gb);
+        }
+    }
+
+    /// `matmul_dot`: `mm` through several row blocks of either arm and
+    /// every remainder, `kd` (the layer's outputs, the dot products' length)
+    /// through every `kd % 4` and now and then a long chain, `n` (the
+    /// batch) past two vectors of the widest arm with every ragged lane
+    /// count.
+    fn dot_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+        let kd = prop_oneof![8 => 0usize..=40, 1 => 250usize..=300];
+        (1usize..=40, kd, 1usize..=70)
+    }
+
+    /// `linear_grads`: `ind` through the 8- and 16-row blocks with every
+    /// first-block size, `outd` through one, two and three vectors of every
+    /// arm with ragged lane counts, `m` (the batch, the chains' length)
+    /// from none to a long chain.
+    fn grads_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+        let m = prop_oneof![8 => 0usize..=70, 1 => 250usize..=300];
+        (1usize..=40, 1usize..=40, m)
     }
 
     /// Operands swept by magnitude, not just by value: ordinary numbers,
     /// both zeros and subnormals of either width always; NaN, ±inf and
     /// values whose products overflow in one case of four (more often and
     /// a long dot product is NaN every time, which tests little).
-    fn mt_values() -> impl Strategy<Value = Vec<f64>> {
+    fn backward_values() -> impl Strategy<Value = Vec<f64>> {
         let finite = prop_oneof![
             24 => -8.0f64..8.0,
             1 => Just(0.0),
@@ -500,13 +583,23 @@ mod arm_parity {
         }
 
         #[test]
-        fn matmul_transpose_arms_match_naive_f32(shape in mt_shapes(), data in mt_values()) {
-            check_mt_arms_against_naive(&mt_arms_f32(), shape, &data);
+        fn matmul_dot_arms_match_naive_f32(shape in dot_shapes(), data in backward_values()) {
+            check_dot_arms_against_naive(&dot_arms_f32(), shape, &data);
         }
 
         #[test]
-        fn matmul_transpose_arms_match_naive_f64(shape in mt_shapes(), data in mt_values()) {
-            check_mt_arms_against_naive(&mt_arms_f64(), shape, &data);
+        fn matmul_dot_arms_match_naive_f64(shape in dot_shapes(), data in backward_values()) {
+            check_dot_arms_against_naive(&dot_arms_f64(), shape, &data);
+        }
+
+        #[test]
+        fn linear_grads_arms_match_naive_f32(shape in grads_shapes(), data in backward_values()) {
+            check_grads_arms_against_naive(&grads_arms_f32(), shape, &data);
+        }
+
+        #[test]
+        fn linear_grads_arms_match_naive_f64(shape in grads_shapes(), data in backward_values()) {
+            check_grads_arms_against_naive(&grads_arms_f64(), shape, &data);
         }
 
         #[test]

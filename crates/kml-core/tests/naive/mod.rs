@@ -50,7 +50,9 @@ pub fn matmul_into<S: Scalar>(lhs: &Matrix<S>, rhs: &Matrix<S>, out: &mut Matrix
     Ok(())
 }
 
-/// Pre-blocking `matmul_transpose_into`: per-element [`dot`].
+/// Pre-blocking `matmul_transpose_into`: per-element [`dot`] — the
+/// reference for `Matrix::matmul_dot_into`, which is its transpose,
+/// `(dY·Wᵀ)ᵀ = W·dYᵀ`, each element the same schedule.
 pub fn matmul_transpose_into<S: Scalar>(
     lhs: &Matrix<S>,
     rhs: &Matrix<S>,
@@ -99,6 +101,43 @@ pub fn transpose_matmul_into<S: Scalar>(
             let orow = &mut out.as_mut_slice()[i * rhs.cols()..(i + 1) * rhs.cols()];
             axpy_row(orow, brow, a);
         }
+    }
+    Ok(())
+}
+
+/// A linear layer's parameter gradients by their definition, over a
+/// feature-major batch (`x` is `in × m`, `dy` is `out × m`): `dw[i][o]` is
+/// the chain `0 + x[i][0]·dy[o][0] + x[i][1]·dy[o][1] + …` and `db[o]` the
+/// chain `0 + dy[o][0] + dy[o][1] + …` — the chains the row-major step's
+/// blocked `transpose_matmul` and column sums ran, without this file's
+/// zero-skip.
+pub fn linear_grads_into<S: Scalar>(
+    x: &Matrix<S>,
+    dy: &Matrix<S>,
+    dw: &mut Matrix<S>,
+    db: &mut Matrix<S>,
+) -> Result<()> {
+    if x.cols() != dy.cols() {
+        return Err(KmlError::ShapeMismatch {
+            op: "linear_grads",
+            lhs: x.shape(),
+            rhs: dy.shape(),
+        });
+    }
+    let (ind, m, outd) = (x.rows(), x.cols(), dy.rows());
+    dw.ensure_shape(ind, outd);
+    db.ensure_shape(1, outd);
+    for o in 0..outd {
+        let g = &dy.as_slice()[o * m..(o + 1) * m];
+        for i in 0..ind {
+            let xs = &x.as_slice()[i * m..(i + 1) * m];
+            let chain = xs
+                .iter()
+                .zip(g)
+                .fold(S::ZERO, |acc, (&a, &b)| acc.mul_acc(a, b));
+            dw.as_mut_slice()[i * outd + o] = chain;
+        }
+        db.as_mut_slice()[o] = g.iter().fold(S::ZERO, |acc, &b| acc.add(b));
     }
     Ok(())
 }
