@@ -14,7 +14,7 @@ use kml_continual::{
     train_candidate, ContinualConfig, ContinualController, DriftConfig, ReservoirSample,
     RetrainSpec,
 };
-use kml_lifecycle::{ArtifactKind, LifecycleEvent, WatchdogConfig};
+use kml_lifecycle::{ArtifactKind, LoopEvent, WatchdogConfig};
 use readahead::tuner::{KmlTuner, TunerModel};
 use readahead::WindowMoments;
 
@@ -90,8 +90,8 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
     let (drift_events, retrains, promotions, rollbacks) = (
         controller.drift_events(),
         controller.retrains(),
-        controller.promotions(),
-        controller.rollbacks(),
+        controller.lifecycle().promotions(),
+        controller.lifecycle().rollbacks(),
     );
     let generation = controller.generation();
     let reservoir_hash = controller.reservoir_hash();
@@ -122,7 +122,7 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
     let control_counts = (
         c.drift_events(),
         c.retrains(),
-        c.promotions(),
+        c.lifecycle().promotions(),
         c.generation(),
     );
     if control_counts != (0, 0, 0, 1) {
@@ -237,26 +237,14 @@ impl Arc14 {
             self.pages_since = 0;
             let label = KmlTuner::heuristic_class(&features);
             let phi = self.phi(&features);
-            let controller = &mut self.controller;
-            let out = controller.observe_window(&mut self.tuner, &phi, label, mbps)?;
-            let mut note = String::new();
-            if out.drifted {
-                note = format!("drift (score {:.1})", controller.last_drift_score());
+            let out = self
+                .controller
+                .observe_window(&mut self.tuner, &phi, label, mbps)?;
+            if let Some(LoopEvent::Promoted { .. }) = out.lifecycle {
+                self.promoted_at = Some(window);
+                self.decisions_at_promotion = self.tuner.decisions().len();
             }
-            if out.retrained {
-                note = format!(
-                    "{note}{}retrained on {} reservoir samples → staged",
-                    if note.is_empty() { "" } else { "; " },
-                    controller.reservoir_len()
-                );
-            }
-            if let Some(event) = &out.lifecycle {
-                if let LifecycleEvent::Promoted { .. } = event {
-                    self.promoted_at = Some(window);
-                    self.decisions_at_promotion = self.tuner.decisions().len();
-                }
-                note = rig::note(event);
-            }
+            let note = rig::window_note(self.controller.lifecycle());
             let class = self.tuner.predict_active(&phi).map_err(|e| {
                 Box::<dyn std::error::Error>::from(format!("predict failed: {e:?}"))
             })?;

@@ -16,9 +16,7 @@
 use crate::rig::{self, FILE_PAGES, PAGES_PER_OP, POLICY_KB};
 use crate::{training, Ctx, DynResult, Out};
 use kernel_sim::PAGE_SIZE;
-use kml_lifecycle::{
-    load_model_for, ArtifactKind, LifecycleController, LifecycleEvent, WatchdogConfig,
-};
+use kml_lifecycle::{load_model_for, ArtifactKind, LifecycleController, LoopEvent, WatchdogConfig};
 use kml_platform::threading;
 use readahead::tuner::{KmlTuner, TunerModel};
 
@@ -85,7 +83,7 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
                          phase: &str,
                          windows: u64,
                          until_event: bool|
-     -> DynResult<Option<(u64, LifecycleEvent)>> {
+     -> DynResult<Option<(u64, LoopEvent)>> {
         for _ in 0..windows {
             let start = sim.now_ns();
             for _ in 0..OPS_PER_WINDOW {
@@ -101,7 +99,7 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
             let mbps = (OPS_PER_WINDOW * PAGES_PER_OP * PAGE_SIZE) as f64 * 1e3 / dt as f64;
             let event = controller.observe_window(tuner, mbps)?;
             let window = rows.len() as u64 + 1;
-            let note = event.as_ref().map(rig::note).unwrap_or_default();
+            let note = rig::window_note(controller);
             rows.push(rig::row(window, phase, tuner, mbps, note));
             if let Some(event) = event.filter(|_| until_event) {
                 return Ok(Some((window, event)));
@@ -118,7 +116,7 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
     controller.stage_shadow(&mut tuner, candidate)?;
     let Some((
         promote_window,
-        LifecycleEvent::Promoted {
+        LoopEvent::Promoted {
             from: promote_from,
             to: gen2,
             agreement_pct,
@@ -134,7 +132,7 @@ pub fn run(ctx: &Ctx, out: &mut Out) -> DynResult {
     // Phase 4 — operator-push the regressed build; its 16 KiB actuation
     // collapses the stream and the watchdog rolls the loop back.
     let gen3 = controller.install(&mut tuner, regressed)?;
-    let Some((rollback_window, LifecycleEvent::RolledBack { from, to })) =
+    let Some((rollback_window, LoopEvent::RolledBack { from, to })) =
         run_phase(&mut controller, &mut tuner, "regressed", 10, true)?
     else {
         return Err("the watchdog never rolled back the regressed generation".into());

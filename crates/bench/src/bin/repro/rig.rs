@@ -7,7 +7,7 @@
 use crate::DynResult;
 use kernel_sim::{DeviceProfile, FileId, Sim, SimConfig};
 use kml_collect::RingBuffer;
-use kml_lifecycle::LifecycleEvent;
+use kml_lifecycle::{LifecycleController, LoopEvent};
 use readahead::tuner::{KmlTuner, RaPolicy, TunerModel};
 
 pub const POLICY_KB: [u32; 2] = [16, 1024];
@@ -37,16 +37,34 @@ pub fn new(model: TunerModel) -> (Sim, FileId, KmlTuner) {
     (sim, file, tuner)
 }
 
-/// The event column's text for a lifecycle event.
-pub fn note(event: &LifecycleEvent) -> String {
+/// The event column's text for one loop event.
+pub fn note(event: &LoopEvent) -> String {
     match *event {
-        LifecycleEvent::Promoted {
+        LoopEvent::Drift { score } => format!("drift (score {score:.1})"),
+        LoopEvent::Retrained { samples, .. } => {
+            format!("retrained on {samples} reservoir samples → staged")
+        }
+        LoopEvent::Promoted {
             from,
             to,
             agreement_pct,
         } => format!("promoted {from}→{to} (agreement {agreement_pct:.1}%)"),
-        LifecycleEvent::RolledBack { from, to } => format!("rolled back {from}→{to}"),
+        LoopEvent::RolledBack { from, to } => format!("rolled back {from}→{to}"),
+        LoopEvent::Discarded => "staged candidate discarded".into(),
     }
+}
+
+/// The event column of the window `lifecycle` observed last: its logged
+/// records, `"; "`-joined.
+pub fn window_note(lifecycle: &LifecycleController) -> String {
+    let window = lifecycle.windows();
+    let notes: Vec<String> = lifecycle
+        .events()
+        .iter()
+        .filter(|r| r.window == window)
+        .map(|r| note(&r.event))
+        .collect();
+    notes.join("; ")
 }
 
 /// One arc-table row: the window as the tuner leaves it.

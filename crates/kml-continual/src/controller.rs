@@ -18,12 +18,15 @@
 //!    discarded rather than left to promote later against a model that
 //!    just proved unstable.
 //!
+//! Drift triggers and retrains go into the lifecycle controller's one
+//! event log, beside its promotions, rollbacks and discards.
+//!
 //! Everything downstream of the window stream is deterministic: same
 //! windows in, same drifts, same candidate bytes, same promotion
 //! schedule — at any worker count.
 
 use kml_lifecycle::{
-    ArtifactError, LifecycleController, LifecycleEvent, LifecycleTarget, WatchdogConfig,
+    ArtifactError, LifecycleController, LifecycleTarget, LoopEvent, WatchdogConfig,
 };
 
 use crate::drift::{DriftConfig, DriftDetector};
@@ -88,35 +91,7 @@ pub struct WindowOutcome {
     /// A candidate was trained and staged this window.
     pub retrained: bool,
     /// A promote/rollback the watchdog executed this window.
-    pub lifecycle: Option<LifecycleEvent>,
-}
-
-/// One logged loop event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ContinualEvent {
-    /// Drift trigger (divergence score of the firing block).
-    Drift {
-        /// Score of the block that completed the trigger.
-        score: f64,
-    },
-    /// Candidate trained and staged.
-    Retrained {
-        /// 1-based retrain cycle.
-        token: u64,
-        /// Reservoir samples it trained on.
-        samples: usize,
-    },
-    /// Watchdog promote/rollback.
-    Lifecycle(LifecycleEvent),
-}
-
-/// One logged event plus the window it fired on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContinualRecord {
-    /// 1-based observation window.
-    pub window: u64,
-    /// What happened.
-    pub event: ContinualEvent,
+    pub lifecycle: Option<LoopEvent>,
 }
 
 /// The closed loop. See the module docs.
@@ -125,12 +100,7 @@ pub struct ContinualController {
     drift: DriftDetector,
     reservoir: Reservoir,
     lifecycle: LifecycleController,
-    window: u64,
     retrains: u64,
-    promotions: u64,
-    rollbacks: u64,
-    discards: u64,
-    events: Vec<ContinualRecord>,
 }
 
 impl ContinualController {
@@ -152,12 +122,7 @@ impl ContinualController {
             reservoir: Reservoir::new(cfg.reservoir_capacity, cfg.seed),
             lifecycle,
             cfg,
-            window: 0,
             retrains: 0,
-            promotions: 0,
-            rollbacks: 0,
-            discards: 0,
-            events: Vec::new(),
         })
     }
 
@@ -177,17 +142,15 @@ impl ContinualController {
         label: usize,
         throughput: f64,
     ) -> Result<WindowOutcome, ContinualError> {
-        self.window += 1;
-        self.reservoir.offer(self.window, *features, label);
+        // The window this call observes: the lifecycle controller counts
+        // it when its own `observe_window` closes it below.
+        let window = self.lifecycle.windows() + 1;
+        self.reservoir.offer(window, *features, label);
 
         let drifted = self.drift.observe(&features[..DRIFT_CHANNELS]);
         if drifted {
-            self.events.push(ContinualRecord {
-                window: self.window,
-                event: ContinualEvent::Drift {
-                    score: self.drift.last_score(),
-                },
-            });
+            let score = self.drift.last_score();
+            self.lifecycle.log(window, LoopEvent::Drift { score });
         }
 
         // Retrain only when drift fired, no candidate is already under
@@ -208,32 +171,16 @@ impl ContinualController {
             self.lifecycle.stage_shadow(target, bytes)?;
             self.retrains = token;
             retrained = true;
-            self.events.push(ContinualRecord {
-                window: self.window,
-                event: ContinualEvent::Retrained {
-                    token,
-                    samples: samples.len(),
-                },
-            });
+            let samples = samples.len();
+            self.lifecycle
+                .log(window, LoopEvent::Retrained { token, samples });
         }
 
         let lifecycle = self.lifecycle.observe_window(target, throughput)?;
-        if let Some(event) = lifecycle {
-            match event {
-                LifecycleEvent::Promoted { .. } => self.promotions += 1,
-                LifecycleEvent::RolledBack { .. } => {
-                    self.rollbacks += 1;
-                    // The loop just proved unstable; a candidate staged
-                    // against the pre-rollback world is stale evidence.
-                    if self.lifecycle.discard_shadow(target) {
-                        self.discards += 1;
-                    }
-                }
-            }
-            self.events.push(ContinualRecord {
-                window: self.window,
-                event: ContinualEvent::Lifecycle(event),
-            });
+        if let Some(LoopEvent::RolledBack { .. }) = lifecycle {
+            // The loop just proved unstable; a candidate staged against
+            // the pre-rollback world is stale evidence.
+            self.lifecycle.discard_shadow(target);
         }
 
         Ok(WindowOutcome {
@@ -255,7 +202,7 @@ impl ContinualController {
 
     /// Windows folded so far.
     pub fn windows(&self) -> u64 {
-        self.window
+        self.lifecycle.windows()
     }
 
     /// Drift triggers fired so far.
@@ -268,26 +215,6 @@ impl ContinualController {
         self.retrains
     }
 
-    /// Watchdog promotions so far.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Watchdog rollbacks so far.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
-    }
-
-    /// Candidates discarded on rollback so far.
-    pub fn discards(&self) -> u64 {
-        self.discards
-    }
-
-    /// Divergence score of the most recently completed drift block.
-    pub fn last_drift_score(&self) -> f64 {
-        self.drift.last_score()
-    }
-
     /// Retained reservoir samples.
     pub fn reservoir_len(&self) -> usize {
         self.reservoir.len()
@@ -298,12 +225,8 @@ impl ContinualController {
         self.reservoir.contents_hash()
     }
 
-    /// Every loop event logged, in order.
-    pub fn events(&self) -> &[ContinualRecord] {
-        &self.events
-    }
-
-    /// The inner lifecycle controller (generation history, watchdog).
+    /// The inner lifecycle controller (generation history, watchdog, the
+    /// loop's event log and its promotion / rollback counts).
     pub fn lifecycle(&self) -> &LifecycleController {
         &self.lifecycle
     }
@@ -442,7 +365,7 @@ mod tests {
                 .observe_window(&mut target, &window(500.0, 128.0), 1, 1000.0)
                 .expect("window");
             saw_drift |= out.drifted;
-            if let Some(LifecycleEvent::Promoted { from, to, .. }) = out.lifecycle {
+            if let Some(LoopEvent::Promoted { from, to, .. }) = out.lifecycle {
                 assert_eq!((from, to), (1, 2));
                 saw_promotion = true;
                 break;
@@ -452,13 +375,48 @@ mod tests {
         assert!(saw_promotion, "watchdog must promote the candidate");
         assert_eq!(ctl.generation(), 2);
         assert_eq!(ctl.retrains(), 1);
-        assert_eq!(ctl.promotions(), 1);
+        assert_eq!(ctl.lifecycle().promotions(), 1);
         assert_eq!(
             target.installs,
             vec![1, 2],
             "candidate must never install before promotion"
         );
         assert!(!ctl.shadow_staged());
+    }
+
+    #[test]
+    fn a_triggering_window_logs_drift_then_retrained() {
+        let mut target = MemTarget::new();
+        let mut ctl =
+            ContinualController::new(cfg(), &mut target, initial_artifact()).expect("new");
+        for i in 0..16u64 {
+            let features = window(10.0 + (i % 2) as f64, 128.0);
+            ctl.observe_window(&mut target, &features, 0, 1000.0)
+                .expect("window");
+        }
+        assert!(ctl.lifecycle().events().is_empty());
+        let drifted = (0..32).any(|_| {
+            ctl.observe_window(&mut target, &window(500.0, 128.0), 1, 1000.0)
+                .expect("window")
+                .drifted
+        });
+        assert!(drifted, "sustained shift must trigger drift");
+        let w = ctl.windows();
+        let log: Vec<_> = ctl.lifecycle().events().iter().collect();
+        match log[..] {
+            [drift, retrained] => {
+                assert!(matches!(drift.event, LoopEvent::Drift { score } if score > 3.0));
+                assert_eq!(
+                    retrained.event,
+                    LoopEvent::Retrained {
+                        token: 1,
+                        samples: ctl.reservoir_len()
+                    }
+                );
+                assert_eq!((drift.window, retrained.window), (w, w));
+            }
+            _ => panic!("expected drift then retrained, got {log:?}"),
+        }
     }
 
     #[test]
@@ -473,7 +431,7 @@ mod tests {
         }
         assert_eq!(ctl.drift_events(), 0);
         assert_eq!(ctl.retrains(), 0);
-        assert_eq!(ctl.promotions(), 0);
+        assert_eq!(ctl.lifecycle().promotions(), 0);
         assert_eq!(ctl.generation(), 1);
         assert_eq!(target.installs, vec![1]);
     }
@@ -518,7 +476,7 @@ mod tests {
             let out = ctl
                 .observe_window(&mut target, &window(500.0, 128.0), 1, 1000.0)
                 .expect("window");
-            if matches!(out.lifecycle, Some(LifecycleEvent::Promoted { .. })) {
+            if matches!(out.lifecycle, Some(LoopEvent::Promoted { .. })) {
                 promoted = true;
                 break;
             }
@@ -550,23 +508,31 @@ mod tests {
             let out = ctl
                 .observe_window(&mut target, &window(5000.0, 128.0), 0, 100.0)
                 .expect("window");
-            if matches!(out.lifecycle, Some(LifecycleEvent::RolledBack { .. })) {
+            if matches!(out.lifecycle, Some(LoopEvent::RolledBack { .. })) {
                 rolled_back = true;
                 break;
             }
         }
         assert!(rolled_back);
-        assert_eq!(ctl.rollbacks(), 1);
+        assert_eq!(ctl.lifecycle().rollbacks(), 1);
+        let (log, w) = (ctl.lifecycle().events(), ctl.windows());
+        let tail: Vec<_> = log
+            .range(log.len() - 2..)
+            .map(|r| (r.window, r.event))
+            .collect();
         assert_eq!(
-            ctl.discards(),
-            1,
+            tail,
+            [
+                (w, LoopEvent::RolledBack { from: 2, to: 1 }),
+                (w, LoopEvent::Discarded)
+            ],
             "staged candidate must die with the rollback"
         );
         assert!(!ctl.shadow_staged());
         assert_eq!(ctl.generation(), 1);
         assert_eq!(target.installs, vec![1, 2, 1]);
         assert_eq!(ctl.retrains(), 2);
-        assert_eq!(ctl.promotions(), 1);
+        assert_eq!(ctl.lifecycle().promotions(), 1);
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub mod reservoir;
 pub mod retrain;
 
 pub use controller::{
-    ContinualConfig, ContinualController, ContinualError, ContinualEvent, ContinualRecord,
-    WindowOutcome, DRIFT_CHANNELS,
+    ContinualConfig, ContinualController, ContinualError, WindowOutcome, DRIFT_CHANNELS,
 };
 pub use drift::{DriftConfig, DriftDetector};
 pub use reservoir::{Reservoir, ReservoirSample, RESERVOIR_DIM};

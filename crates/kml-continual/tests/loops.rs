@@ -152,10 +152,13 @@ fn readahead_loop_runs_the_full_arc_on_a_live_sim() {
         "sustained shift must trigger drift"
     );
     assert!(ctl.retrains() >= 1, "drift must retrain");
-    assert!(ctl.promotions() >= 1, "clean windows must earn promotion");
+    assert!(
+        ctl.lifecycle().promotions() >= 1,
+        "clean windows must earn promotion"
+    );
     assert_eq!(
         ctl.generation(),
-        1 + ctl.promotions(),
+        1 + ctl.lifecycle().promotions(),
         "every generation bump must be an earned promotion"
     );
     assert_eq!(tuner.model_generation(), ctl.generation());
@@ -224,7 +227,7 @@ fn netfs_loop_retrains_and_promotes_on_congestion_shift() {
             .expect("window");
         if out
             .lifecycle
-            .map(|e| matches!(e, kml_lifecycle::LifecycleEvent::Promoted { .. }))
+            .map(|e| matches!(e, kml_lifecycle::LoopEvent::Promoted { .. }))
             .unwrap_or(false)
         {
             promoted = true;
@@ -299,10 +302,13 @@ fn fleet_lane_promotes_without_touching_other_kinds() {
         )
         .expect("window");
     }
-    assert!(ctl.promotions() >= 1, "fleet lane must earn its promotion");
+    assert!(
+        ctl.lifecycle().promotions() >= 1,
+        "fleet lane must earn its promotion"
+    );
     assert_eq!(
         server.generation(ModelKind::Readahead),
-        1 + ctl.promotions()
+        1 + ctl.lifecycle().promotions()
     );
     assert_eq!(
         last_class, 1,

@@ -17,7 +17,7 @@ use kml_continual::{
 };
 use kml_core::model::ModelBuilder;
 use kml_lifecycle::{
-    save_model, ArtifactKind, LifecycleController, LifecycleEvent, LifecycleTarget, WatchdogConfig,
+    save_model, ArtifactKind, LifecycleController, LifecycleTarget, LoopEvent, WatchdogConfig,
 };
 use readahead::tuner::KmlTuner;
 use readahead::WindowMoments;
@@ -69,7 +69,7 @@ fn all_installed(
 /// drives the readahead loop (device faults) and the netfs rsize loop
 /// (network faults).
 pub(crate) struct LifecycleScript {
-    controller: LifecycleController,
+    pub(crate) controller: LifecycleController,
     p: LifecycleParams,
     shadow_artifact: Vec<u8>,
     regress_artifact: Vec<u8>,
@@ -81,8 +81,6 @@ pub(crate) struct LifecycleScript {
     windows_on_regressed: u64,
     /// Every generation ever installed into the target (I12).
     installed_gens: Vec<u64>,
-    pub(crate) promotions: u64,
-    pub(crate) rollbacks: u64,
 }
 
 impl LifecycleScript {
@@ -111,8 +109,6 @@ impl LifecycleScript {
             regressed_gen: None,
             windows_on_regressed: 0,
             installed_gens: vec![1],
-            promotions: 0,
-            rollbacks: 0,
         })
     }
 
@@ -194,14 +190,11 @@ impl LifecycleScript {
                 1000.0
             };
             match self.controller.observe_window(target, throughput) {
-                Ok(None) => {}
-                Ok(Some(LifecycleEvent::Promoted { to, .. })) => {
+                Ok(Some(LoopEvent::Promoted { to, .. })) => {
                     self.installed_gens.push(to);
-                    self.promotions += 1;
                     trace.record(now, Op::LcPromote, to, 0);
                 }
-                Ok(Some(LifecycleEvent::RolledBack { to, .. })) => {
-                    self.rollbacks += 1;
+                Ok(Some(LoopEvent::RolledBack { to, .. })) => {
                     if target.generation() != to {
                         return violated(
                             "I11.swap-atomic",
@@ -213,6 +206,7 @@ impl LifecycleScript {
                     }
                     trace.record(now, Op::LcRollback, to, 0);
                 }
+                Ok(_) => {}
                 Err(e) => {
                     let detail = format!("a watchdog-driven install failed: {e:?}");
                     return violated("I13.artifact-atomic", detail);
@@ -434,11 +428,12 @@ impl ContinualScript {
                 if out.retrained {
                     trace.record(now, Op::CtRetrain, self.controller.retrains(), 0);
                 }
-                if let Some(event) = out.lifecycle {
-                    let (op, to) = match event {
-                        LifecycleEvent::Promoted { to, .. } => (Op::LcPromote, to),
-                        LifecycleEvent::RolledBack { to, .. } => (Op::LcRollback, to),
-                    };
+                let lifecycle = match out.lifecycle {
+                    Some(LoopEvent::Promoted { to, .. }) => Some((Op::LcPromote, to)),
+                    Some(LoopEvent::RolledBack { to, .. }) => Some((Op::LcRollback, to)),
+                    _ => None,
+                };
+                if let Some((op, to)) = lifecycle {
                     self.installed_gens.push(to);
                     trace.record(now, op, to, 0);
                 }

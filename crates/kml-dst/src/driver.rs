@@ -357,7 +357,9 @@ fn steps<S: System>(scenario: &Scenario, trace: &mut Trace) -> Result<RunSummary
     }
     trace.step = scenario.ops;
     let stack = sys.finish(trace)?;
-    let (promotions, rollbacks) = lifecycle.map_or((0, 0), |s| (s.promotions, s.rollbacks));
+    let (promotions, rollbacks) = lifecycle.map_or((0, 0), |s| {
+        (s.controller.promotions(), s.controller.rollbacks())
+    });
     Ok(RunSummary {
         trace_hash: trace.hash.finish(),
         steps: scenario.ops,

@@ -375,7 +375,8 @@ impl System for LsmStack {
         };
         if let Some(ct) = &self.continual {
             let c = &ct.controller;
-            (summary.promotions, summary.rollbacks) = (c.promotions(), c.rollbacks());
+            let lc = c.lifecycle();
+            (summary.promotions, summary.rollbacks) = (lc.promotions(), lc.rollbacks());
             (summary.drift_events, summary.retrains) = (c.drift_events(), c.retrains());
             // The reservoir contents are part of the determinism contract:
             // fold their hash into the trace so a replay that samples even

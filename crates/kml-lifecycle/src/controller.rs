@@ -15,6 +15,14 @@
 //! [`LifecycleTarget`], whose implementations are required to be
 //! all-or-nothing: a failed artifact install leaves the target exactly as
 //! it was (generation, model, knob — the DST invariant I13).
+//!
+//! What the loop did, and why, goes into one bounded log of
+//! [`LoopRecord`]s: this controller's promotions, rollbacks and discards,
+//! and whatever a driver on top of it logs (the continual loop's drift
+//! triggers and retrains). The promotion and rollback counts are kept
+//! beside it, exact after the log has dropped its oldest records.
+
+use std::collections::VecDeque;
 
 use crate::artifact::ArtifactError;
 use crate::shadow::ShadowStats;
@@ -52,9 +60,25 @@ pub trait LifecycleTarget {
     fn shadow_stats(&self) -> ShadowStats;
 }
 
-/// A promote or rollback the controller executed.
+/// Records the loop's log keeps before it drops its oldest.
+pub const EVENT_LOG_CAPACITY: usize = 256;
+
+/// One thing the loop did, and why: the one event vocabulary of the
+/// lifecycle controller and the continual loop that drives it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LifecycleEvent {
+pub enum LoopEvent {
+    /// A sustained drift trigger fired.
+    Drift {
+        /// Divergence score of the block that completed the trigger.
+        score: f64,
+    },
+    /// A candidate was trained and staged as the shadow.
+    Retrained {
+        /// 1-based retrain cycle.
+        token: u64,
+        /// Reservoir samples it trained on.
+        samples: usize,
+    },
     /// A staged shadow was promoted to the active model.
     Promoted {
         /// Generation it replaced.
@@ -72,15 +96,17 @@ pub enum LifecycleEvent {
         /// Generation restored (its original tag).
         to: u64,
     },
+    /// The staged shadow was discarded without promotion.
+    Discarded,
 }
 
-/// One executed event plus the loop window it fired on.
+/// One logged event plus the loop window it happened in.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LifecycleRecord {
-    /// 1-based index of the observation window the event fired on.
+pub struct LoopRecord {
+    /// 1-based index of the observation window.
     pub window: u64,
     /// What happened.
-    pub event: LifecycleEvent,
+    pub event: LoopEvent,
 }
 
 /// The per-target lifecycle driver. See the module docs.
@@ -92,7 +118,9 @@ pub struct LifecycleController {
     previous: Option<(u64, Vec<u8>)>,
     shadow: Option<Vec<u8>>,
     window: u64,
-    events: Vec<LifecycleRecord>,
+    promotions: u64,
+    rollbacks: u64,
+    events: VecDeque<LoopRecord>,
 }
 
 impl LifecycleController {
@@ -115,7 +143,9 @@ impl LifecycleController {
             previous: None,
             shadow: None,
             window: 0,
-            events: Vec::new(),
+            promotions: 0,
+            rollbacks: 0,
+            events: VecDeque::with_capacity(EVENT_LOG_CAPACITY),
         })
     }
 
@@ -168,7 +198,7 @@ impl LifecycleController {
         &mut self,
         target: &mut T,
         throughput: f64,
-    ) -> Result<Option<LifecycleEvent>, ArtifactError> {
+    ) -> Result<Option<LoopEvent>, ArtifactError> {
         self.window += 1;
         match self.watchdog.observe(throughput, self.shadow.is_some()) {
             WatchdogAction::None => Ok(None),
@@ -182,15 +212,13 @@ impl LifecycleController {
                 let from = self.active.0;
                 self.previous = Some(std::mem::replace(&mut self.active, (generation, candidate)));
                 self.watchdog.on_generation_change();
-                let event = LifecycleEvent::Promoted {
+                self.promotions += 1;
+                let event = LoopEvent::Promoted {
                     from,
                     to: generation,
                     agreement_pct,
                 };
-                self.events.push(LifecycleRecord {
-                    window: self.window,
-                    event,
-                });
+                self.log(self.window, event);
                 Ok(Some(event))
             }
             WatchdogAction::Rollback => {
@@ -205,14 +233,12 @@ impl LifecycleController {
                 let from = self.active.0;
                 self.active = (generation, artifact);
                 self.watchdog.on_generation_change();
-                let event = LifecycleEvent::RolledBack {
+                self.rollbacks += 1;
+                let event = LoopEvent::RolledBack {
                     from,
                     to: generation,
                 };
-                self.events.push(LifecycleRecord {
-                    window: self.window,
-                    event,
-                });
+                self.log(self.window, event);
                 Ok(Some(event))
             }
         }
@@ -236,19 +262,40 @@ impl LifecycleController {
     /// Discards the staged shadow candidate (and the target's copy of
     /// it) without promoting — the caller has decided the candidate is
     /// not worth further evidence, e.g. a regression fired while it was
-    /// staged. Returns whether a candidate was actually discarded.
+    /// staged. Returns whether a candidate was actually discarded; a
+    /// discard is logged under the last observed window.
     pub fn discard_shadow<T: LifecycleTarget>(&mut self, target: &mut T) -> bool {
         if self.shadow.take().is_some() {
             target.clear_shadow();
+            self.log(self.window, LoopEvent::Discarded);
             true
         } else {
             false
         }
     }
 
-    /// Every promote/rollback executed, in order.
-    pub fn events(&self) -> &[LifecycleRecord] {
+    /// Appends `event` to the log under `window`, dropping the oldest
+    /// record once the log holds [`EVENT_LOG_CAPACITY`].
+    pub fn log(&mut self, window: u64, event: LoopEvent) {
+        if self.events.len() == EVENT_LOG_CAPACITY {
+            self.events.pop_front();
+        }
+        self.events.push_back(LoopRecord { window, event });
+    }
+
+    /// The newest [`EVENT_LOG_CAPACITY`] records, oldest first.
+    pub fn events(&self) -> &VecDeque<LoopRecord> {
         &self.events
+    }
+
+    /// Watchdog promotions executed so far (exact past the log's wrap).
+    pub fn promotions(&self) -> u64 {
+        self.promotions
+    }
+
+    /// Watchdog rollbacks executed so far (exact past the log's wrap).
+    pub fn rollbacks(&self) -> u64 {
+        self.rollbacks
     }
 
     /// Observation windows folded so far.
@@ -324,10 +371,7 @@ mod tests {
         assert!(c.shadow_staged());
         assert_eq!(c.observe_window(&mut t, 100.0).unwrap(), None);
         let event = c.observe_window(&mut t, 100.0).unwrap().unwrap();
-        assert!(matches!(
-            event,
-            LifecycleEvent::Promoted { from: 1, to: 2, .. }
-        ));
+        assert!(matches!(event, LoopEvent::Promoted { from: 1, to: 2, .. }));
         assert_eq!(t.generation(), 2);
         assert_eq!(t.installed.last().unwrap().1, b"v2");
         assert!(t.shadow.is_none(), "promotion must clear the shadow lane");
@@ -352,7 +396,7 @@ mod tests {
         c.observe_window(&mut t, 90.0).unwrap();
         assert_eq!(c.observe_window(&mut t, 10.0).unwrap(), None);
         let event = c.observe_window(&mut t, 10.0).unwrap().unwrap();
-        assert_eq!(event, LifecycleEvent::RolledBack { from: 2, to: 1 });
+        assert_eq!(event, LoopEvent::RolledBack { from: 2, to: 1 });
         assert_eq!(t.generation(), 1, "restored under its original tag");
         assert_eq!(t.installed.last().unwrap().1, b"good");
         assert!(!c.has_previous(), "rollback consumes the previous slot");
@@ -368,6 +412,36 @@ mod tests {
         assert_eq!(c.observe_window(&mut t, 10.0).unwrap(), None);
         assert_eq!(t.generation(), 1);
         assert!(c.events().is_empty());
+    }
+
+    #[test]
+    fn the_log_keeps_the_newest_records_and_the_counts_stay_exact() {
+        let mut t = FakeTarget::default();
+        let mut c = LifecycleController::new(cfg(), &mut t, b"v1".to_vec()).unwrap();
+        let capacity = c.events().capacity();
+        let cycles = EVENT_LOG_CAPACITY as u64 + 7;
+        let mut expected = Vec::new();
+        for _ in 0..cycles {
+            // Two clean windows promote the shadow; two baseline windows
+            // and two collapsed ones roll it back.
+            c.stage_shadow(&mut t, b"next".to_vec()).unwrap();
+            for throughput in [100.0, 100.0, 100.0, 100.0, 10.0, 10.0] {
+                if let Some(event) = c.observe_window(&mut t, throughput).unwrap() {
+                    expected.push(LoopRecord {
+                        window: c.windows(),
+                        event,
+                    });
+                }
+                assert_eq!(c.events().capacity(), capacity, "the log never grows");
+            }
+        }
+        assert_eq!(expected.len() as u64, 2 * cycles);
+        assert!(matches!(expected[0].event, LoopEvent::Promoted { .. }));
+        assert!(matches!(expected[1].event, LoopEvent::RolledBack { .. }));
+        let newest = &expected[expected.len() - EVENT_LOG_CAPACITY..];
+        assert!(c.events().iter().eq(newest.iter()));
+        assert_eq!(c.events().back().unwrap().window, 6 * cycles);
+        assert_eq!((c.promotions(), c.rollbacks()), (cycles, cycles));
     }
 
     #[test]

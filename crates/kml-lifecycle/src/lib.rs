@@ -22,7 +22,8 @@
 //!   swap target ([`LifecycleTarget`]: [`ClosedLoop`] and the fleet
 //!   server's model lanes implement it). Rollback reinstalls the previous
 //!   generation from its retained artifact bytes under its original
-//!   generation tag.
+//!   generation tag. It keeps the loop's one bounded event log
+//!   ([`LoopEvent`], [`LoopRecord`]).
 //! - **[`closed_loop`]** — [`ClosedLoop`], the paper's §3.3 execution
 //!   flow written once: window polling, the generation-tagged model slot
 //!   with its shadow lane, hysteresis memory, loop telemetry, the decision
@@ -46,7 +47,9 @@ pub use artifact::{
     load_model, load_model_for, peek_kind, save_model, ArtifactError, ArtifactKind, LoadedArtifact,
 };
 pub use closed_loop::{ClosedLoop, LoopModel, Subsystem, TimeWindow};
-pub use controller::{LifecycleController, LifecycleEvent, LifecycleRecord, LifecycleTarget};
+pub use controller::{
+    LifecycleController, LifecycleTarget, LoopEvent, LoopRecord, EVENT_LOG_CAPACITY,
+};
 pub use shadow::ShadowStats;
 pub use swap::{Generational, Pinned};
 pub use watchdog::{Watchdog, WatchdogAction, WatchdogConfig};

@@ -1,7 +1,7 @@
 //! The lock-free seqlock ring (paper §3.1, §3.3) — the workspace's one
 //! implementation. `kml_collect::ringbuf` re-exports it with consumer-side
-//! telemetry attached; anything lower in the crate graph (a decision
-//! recorder in `kml-lifecycle`, say) instantiates [`SeqRing`] directly.
+//! telemetry attached; anything lower in the crate graph instantiates
+//! [`SeqRing`] directly.
 //!
 //! Requirements from the paper:
 //!
