@@ -1,16 +1,15 @@
 //! Ablation benchmarks for the design choices DESIGN.md §5 calls out:
-//! matrix dtype (f32 / f64 / Q16.16 fixed point) and ring-buffer capacity.
+//! matrix dtype (f32 / f64) and ring-buffer capacity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kml_collect::RingBuffer;
-use kml_core::fixed::Fix32;
 use kml_core::matrix::Matrix;
 use kml_core::model::ModelBuilder;
 use kml_core::prelude::*;
 use kml_core::scalar::Scalar;
 use std::hint::black_box;
 
-/// §3.1: "KML supports integer, floating-point, and double precision
+/// §3.1: "KML supports ... floating-point, and double precision
 /// matrices" — the speed side of the accuracy-vs-cost trade-off.
 fn bench_dtype(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_dtype_inference");
@@ -30,10 +29,6 @@ fn bench_dtype(c: &mut Criterion) {
     group.bench_function("f64", |b| {
         b.iter(|| m64.predict(black_box(&features)).expect("predict"))
     });
-    let mut mq = model::<Fix32>();
-    group.bench_function("q16_fixed", |b| {
-        b.iter(|| mq.predict(black_box(&features)).expect("predict"))
-    });
     group.finish();
 
     let mut group = c.benchmark_group("ablate_dtype_matmul_32x32");
@@ -51,10 +46,6 @@ fn bench_dtype(c: &mut Criterion) {
     let (a, b64) = mm::<f64>();
     group.bench_function("f64", |b| {
         b.iter(|| a.matmul(black_box(&b64)).expect("matmul"))
-    });
-    let (a, bq) = mm::<Fix32>();
-    group.bench_function("q16_fixed", |b| {
-        b.iter(|| a.matmul(black_box(&bq)).expect("matmul"))
     });
     group.finish();
 }
@@ -102,14 +93,6 @@ fn bench_math(c: &mut Criterion) {
         b.iter(|| {
             xs.iter()
                 .map(|&x| kml_core::math::sigmoid(black_box(x)))
-                .sum::<f64>()
-        })
-    });
-    let qs: Vec<Fix32> = xs.iter().map(|&x| Fix32::from_f64(x)).collect();
-    group.bench_function("fixed_sigmoid_piecewise", |b| {
-        b.iter(|| {
-            qs.iter()
-                .map(|&x| Scalar::sigmoid(black_box(x)).to_f64())
                 .sum::<f64>()
         })
     });

@@ -13,7 +13,9 @@
 //! minutes); EXPERIMENTS.md records full-scale output. `--json`
 //! additionally writes machine-readable JSON-lines under `results/` for
 //! every experiment that has them ([`Out::json`]); every line carries a
-//! `schema` field naming its experiment family.
+//! `schema` field naming its experiment family. The host's kernel backend
+//! and q8 vector path are printed once, in the stdout header, so the
+//! results files hold the same bytes on every host.
 //!
 //! `--threads=N` (or the `KML_REPRO_THREADS` environment variable) sets the
 //! worker count for the embarrassingly-parallel sweeps (study cells, table2
@@ -86,8 +88,10 @@ fn main() {
     }
     let quick = flag("--quick");
     println!(
-        "# KML reproduction harness — {} scale\n",
-        if quick { "quick" } else { "full" }
+        "# KML reproduction harness — {} scale\n# kernel backend: {}, q8 vector path: {}\n",
+        if quick { "quick" } else { "full" },
+        kml_core::simd::backend_name(),
+        kml_core::simd::q8_vector_active()
     );
     let ctx = Ctx {
         cfg: if quick {
@@ -186,22 +190,14 @@ impl Out {
     }
 
     /// Under `--json`, writes the JSON objects in `lines` to
-    /// `results/<name>`, each stamped first with `"backend"` (the
-    /// dispatched SIMD backend, `scalar` under `KML_FORCE_SCALAR=1`),
-    /// `"q8"` (whether the int8 serving engine's vector fast path is live
-    /// on it) and `"schema"` — so consumers can route lines and segment
-    /// them by code path without guessing from the filename or re-deriving
-    /// host capabilities.
+    /// `results/<name>`, each stamped first with `"schema"` so consumers can
+    /// route lines without guessing from the filename. No host fact goes
+    /// into the stamp: the goldens are byte-compared on every backend.
     fn json(&mut self, name: &str, schema: &str, lines: &str) -> std::io::Result<()> {
         if !self.json {
             return Ok(());
         }
-        let stamp = format!(
-            "{{\"backend\":{},\"q8\":{},\"schema\":{},",
-            kml_telemetry::json_str(kml_core::simd::backend_name()),
-            kml_core::simd::q8_vector_active(),
-            kml_telemetry::json_str(schema)
-        );
+        let stamp = format!("{{\"schema\":{},", kml_telemetry::json_str(schema));
         let mut stamped = String::with_capacity(lines.len());
         for line in lines.lines().filter(|l| !l.is_empty()) {
             match line.strip_prefix('{') {

@@ -13,8 +13,8 @@
 //! - [`math`] — approximation algorithms for `exp`, `ln`, `sigmoid`,
 //!   `softmax`, `tanh`, `sqrt`.
 //! - [`matrix`] — dense row-major [`matrix::Matrix`] over any [`scalar::Scalar`]:
-//!   `f32`, `f64`, and [`fixed::Fix32`] (Q16.16 fixed point), mirroring KML's
-//!   *integer, floating-point, and double precision* matrix support (§3.1).
+//!   `f32` and `f64`, KML's *floating-point and double precision* matrices
+//!   (§3.1); the deployed loop runs f32 inside FPU sections.
 //! - [`layers`] — differentiable components (linear, sigmoid, ReLU, tanh,
 //!   softmax) each implementing forward and backward propagation.
 //! - [`loss`] — cross-entropy, mean-squared-error, and binary cross-entropy
@@ -72,7 +72,6 @@
 
 pub mod dataset;
 pub mod dtree;
-pub mod fixed;
 pub mod graph;
 pub mod layers;
 pub mod loss;

@@ -580,7 +580,6 @@ mod tests {
                 check::<f64>(rows, cols, scale);
                 check::<f32>(rows, cols, scale);
             }
-            check::<crate::fixed::Fix32>(rows, cols, 1.0);
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The paper implements "commonly used matrix manipulation and linear algebra
 //! functions" from scratch because none exist in the kernel. [`Matrix`] is
-//! generic over [`Scalar`] so the same layer code runs in `f32`, `f64`, or
-//! Q16.16 fixed point, and every fallible operation returns a typed error
+//! generic over [`Scalar`] so the same layer code runs in `f32` or `f64`,
+//! and every fallible operation returns a typed error
 //! rather than panicking — a kernel oops is not an acceptable failure mode.
 
 use crate::scalar::Scalar;
@@ -603,8 +603,8 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Element-wise sigmoid into `out` through the scalar type's slice hook
-    /// ([`Scalar::sigmoid_map`]): floats take the four-lane SLP `exp` path,
-    /// `Fix32` its piecewise-linear table. Bit-identical to
+    /// ([`Scalar::sigmoid_map`]): the dispatched SIMD arm or the four-lane
+    /// SLP `exp` path. Bit-identical to
     /// `self.map_into(out, Scalar::sigmoid)`.
     pub fn sigmoid_into(&self, out: &mut Matrix<S>) {
         out.ensure_shape(self.rows, self.cols);
@@ -672,8 +672,8 @@ const NR: usize = 4;
 ///
 /// Every `c[i·n+j]` is a single accumulator chain over ascending `p` using
 /// `mul_acc` (= `add(mul)`, never an FMA contraction), the same evaluation
-/// order as the naive i-k-j loop — so the result is bit-identical for every
-/// scalar, including `Fix32`'s widening multiplies. The MR×NR tile body and
+/// order as the naive i-k-j loop — so the result is bit-identical for both
+/// scalars. The MR×NR tile body and
 /// both edge paths all follow that one chain shape.
 ///
 /// A bias adds `bias[j]` to each chain of column `j` as it is stored.
@@ -874,7 +874,6 @@ impl<S: Scalar> std::fmt::Display for Matrix<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::Fix32;
     use rand::SeedableRng;
 
     fn m(rows: &[Vec<f64>]) -> Matrix<f64> {
@@ -990,24 +989,9 @@ mod tests {
     }
 
     #[test]
-    fn fixed_point_matmul_close_to_float() {
-        let mut rng = KmlRng::seed_from_u64(3);
-        let af = Matrix::<f64>::xavier_uniform(3, 3, &mut rng);
-        let bf = Matrix::<f64>::xavier_uniform(3, 3, &mut rng);
-        let aq = Matrix::<Fix32>::from_f64_vec(3, 3, &af.to_f64_vec()).unwrap();
-        let bq = Matrix::<Fix32>::from_f64_vec(3, 3, &bf.to_f64_vec()).unwrap();
-        let cf = af.matmul(&bf).unwrap();
-        let cq = aq.matmul(&bq).unwrap();
-        for (x, y) in cf.to_f64_vec().iter().zip(cq.to_f64_vec()) {
-            assert!((x - y).abs() < 1e-3, "fixed-point drifted: {x} vs {y}");
-        }
-    }
-
-    #[test]
     fn storage_bytes_counts_elements() {
         assert_eq!(Matrix::<f32>::zeros(3, 4).storage_bytes(), 48);
         assert_eq!(Matrix::<f64>::zeros(3, 4).storage_bytes(), 96);
-        assert_eq!(Matrix::<Fix32>::zeros(3, 4).storage_bytes(), 48);
     }
 
     #[test]

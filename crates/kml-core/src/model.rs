@@ -476,7 +476,7 @@ impl<S: Scalar> Model<S> {
         if rows == 0 {
             return Ok(());
         }
-        let _fpu = (S::USES_FPU || self.q8.is_some()).then(fpu::FpuGuard::enter);
+        let _fpu = fpu::FpuGuard::enter();
         if self.q8.is_some() {
             return self.run_q8(features, rows, &mut sink);
         }
@@ -638,7 +638,7 @@ impl<S: Scalar> Model<S> {
     ) -> Result<f64> {
         // Weight updates invalidate any pre-quantized Q8 serving engine.
         self.q8_dirty = true;
-        let _fpu = S::USES_FPU.then(fpu::FpuGuard::enter);
+        let _fpu = fpu::FpuGuard::enter();
         let input = input.unwrap_or(&self.batch_scratch);
         let pred = self.graph.forward(input, true)?;
         let grad = &mut self.loss_grad;
@@ -1040,44 +1040,18 @@ mod tests {
     }
 
     #[test]
-    fn fixed_point_model_trains_on_blobs() {
-        use crate::fixed::Fix32;
-        let data = blobs(200, 9);
-        let mut model = ModelBuilder::new(2)
-            .linear(8)
-            .sigmoid()
-            .linear(2)
-            .build::<Fix32>()
-            .unwrap();
-        let mut sgd = Sgd::new(0.3, 0.5);
-        let mut rng = KmlRng::seed_from_u64(10);
-        for _ in 0..60 {
-            model
-                .train_epoch(&data, &CrossEntropyLoss, &mut sgd, &mut rng)
-                .unwrap();
-        }
-        let acc = model.accuracy(&data).unwrap();
-        assert!(acc > 0.9, "fixed-point accuracy {acc}");
-    }
-
-    #[test]
     fn fpu_sections_bracket_float_inference_only() {
-        use crate::fixed::Fix32;
-        let mut fm = ModelBuilder::new(2).linear(2).build::<f64>().unwrap();
-        let before = fpu::sections_entered();
-        fm.infer(&[0.1, 0.2]).unwrap();
-        assert!(
-            fpu::sections_entered() > before,
-            "f64 inference must enter FPU section"
-        );
-
-        let mut qm = ModelBuilder::new(2).linear(2).build::<Fix32>().unwrap();
-        let before = fpu::sections_entered();
-        qm.infer(&[0.0, 0.0]).unwrap();
-        assert_eq!(
-            fpu::sections_entered(),
-            before,
-            "fixed-point forward must not enter an FPU section"
-        );
+        fn check<S: Scalar>() {
+            let mut m = ModelBuilder::new(2).linear(2).build::<S>().unwrap();
+            let before = fpu::sections_entered();
+            m.infer(&[0.1, 0.2]).unwrap();
+            assert!(
+                fpu::sections_entered() > before,
+                "{} inference must enter FPU section",
+                S::DTYPE
+            );
+        }
+        check::<f64>();
+        check::<f32>();
     }
 }

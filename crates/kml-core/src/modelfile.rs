@@ -5,8 +5,8 @@
 //! module." This module implements that format: a little-endian binary
 //! container holding the layer chain, all parameters (stored as `f64` so a
 //! model trained in one precision can deploy in another — e.g. train in
-//! `f64` user space, deploy as `f32` or fixed point in the kernel), the
-//! fitted Z-score normalizer, and the version-1 checksum
+//! `f64` user space, deploy as `f32` in the kernel), the fitted Z-score
+//! normalizer, and the version-1 checksum
 //! (`kml_platform::bytes::checksum_v1`: FNV-1a's shape with the multiplier
 //! `0x1000_0000_01B3`, *not* the FNV prime — a typo version 1 shipped with,
 //! kept so every existing file still verifies).
@@ -221,7 +221,6 @@ pub fn load<S: Scalar>(path: impl AsRef<std::path::Path>) -> Result<Model<S>> {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
-    use crate::fixed::Fix32;
     use crate::model::ModelBuilder;
     use kml_platform::bytes::Fnv1a;
 
@@ -273,19 +272,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-4, "{a:?} vs {b:?}");
         }
-    }
-
-    #[test]
-    fn cross_precision_deploy_f64_to_fixed() {
-        let mut model = sample_model();
-        let bytes = encode(&model).unwrap();
-        let mut deployed = decode::<Fix32>(&bytes).unwrap();
-        let features = [1.0, 0.5, -0.5, 2.0, 0.0];
-        // Classification decisions should survive quantization on a
-        // comfortable margin input.
-        let a = model.predict(&features).unwrap();
-        let b = deployed.predict(&features).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,25 +1,22 @@
 //! The [`Scalar`] abstraction over matrix element types.
 //!
 //! KML "supports *integer*, *floating-point*, and *double* precision
-//! matrices" (§3.1) so the same model code can run with the FPU disabled
-//! (fixed-point) or enabled (f32/f64). `Scalar` is the sealed trait that
-//! matrices and layers are generic over; the three implementations are `f32`,
-//! `f64`, and [`crate::fixed::Fix32`] (Q16.16 fixed point standing in for the
-//! paper's integer matrices).
-
-use crate::fixed::Fix32;
+//! matrices" (§3.1); the loop it deploys runs f32 inside
+//! `kernel_fpu_begin/end`, and so does this one. `Scalar` is the sealed
+//! trait that matrices and layers are generic over; the two implementations
+//! are `f32` and `f64`, and every model runs inside an
+//! [`kml_platform::fpu::FpuGuard`].
 
 mod private {
     pub trait Sealed {}
     impl Sealed for f32 {}
     impl Sealed for f64 {}
-    impl Sealed for crate::fixed::Fix32 {}
 }
 
 /// Element type usable inside a [`crate::matrix::Matrix`].
 ///
-/// This trait is sealed: the supported scalar types are exactly `f32`, `f64`
-/// and [`Fix32`], matching the three matrix precisions the paper lists.
+/// This trait is sealed: the supported scalar types are exactly `f32` and
+/// `f64`.
 pub trait Scalar:
     private::Sealed
     + Copy
@@ -37,17 +34,14 @@ pub trait Scalar:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Short name stored in model files (`"f32"`, `"f64"`, `"q16"`).
+    /// Short name stored in model files (`"f32"`, `"f64"`).
     const DTYPE: &'static str;
-    /// Whether arithmetic on this type uses the floating-point unit
-    /// (and therefore must run inside an [`kml_platform::fpu::FpuGuard`]).
-    const USES_FPU: bool;
     /// Bytes per element (for the memory-footprint accounting in §4).
     const BYTES: usize = std::mem::size_of::<Self>();
 
-    /// Converts from `f64`, saturating where the representation requires.
+    /// Converts from `f64`, rounding to nearest where the type is narrower.
     fn from_f64(v: f64) -> Self;
-    /// Converts to `f64` (exact for f32/f64, exact by construction for Q16.16).
+    /// Converts to `f64` (exact for both).
     fn to_f64(self) -> f64;
 
     /// Addition.
@@ -65,34 +59,27 @@ pub trait Scalar:
         self.add(a.mul(b))
     }
 
-    /// Logistic sigmoid. The default routes through the `f64` approximation
-    /// in [`crate::math`]; FPU-free scalars override it.
+    /// Logistic sigmoid, through the `f64` approximation in [`crate::math`].
     fn sigmoid(self) -> Self {
         Self::from_f64(crate::math::sigmoid(self.to_f64()))
     }
 
     /// Element-wise sigmoid over a slice, bit-identical to mapping
-    /// [`Scalar::sigmoid`] per element. The default is that loop; the float
-    /// impls override it with the four-lane SLP path
-    /// ([`crate::math::sigmoid4`]), whose packed divides are what make the
-    /// activation layers cheap.
+    /// [`Scalar::sigmoid`] per element: the dispatched SIMD arm, else the
+    /// four- and sixteen-lane SLP paths ([`crate::math::sigmoid4`]), whose
+    /// packed divides are what make the activation layers cheap.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    fn sigmoid_map(input: &[Self], out: &mut [Self]) {
-        assert_eq!(input.len(), out.len(), "sigmoid_map length mismatch");
-        for (o, &x) in out.iter_mut().zip(input) {
-            *o = x.sigmoid();
-        }
-    }
+    fn sigmoid_map(input: &[Self], out: &mut [Self]);
 
     /// Hyperbolic tangent, same routing policy as [`Scalar::sigmoid`].
     fn tanh(self) -> Self {
         Self::from_f64(crate::math::tanh(self.to_f64()))
     }
 
-    /// Rectified linear unit (`max(0, x)`), FPU-free for every scalar.
+    /// Rectified linear unit (`max(0, x)`).
     fn relu(self) -> Self {
         if self > Self::ZERO {
             self
@@ -104,25 +91,21 @@ pub trait Scalar:
     // Whole-operation SIMD hooks, dispatched per process by
     // [`crate::simd::kernel_backend`]. Each returns `true` when a
     // bit-identical vector kernel handled the operation, `false` when the
-    // caller must run the scalar blocked kernel. The defaults (always
-    // `false`) cover [`Fix32`], whose widening integer arithmetic stays on
-    // the scalar path; f32/f64 override. Hidden: these are kernel plumbing,
-    // not part of the scalar algebra.
+    // caller must run the scalar blocked kernel. Hidden: these are kernel
+    // plumbing, not part of the scalar algebra.
 
     /// `c[m×n] = a[m×kd]·b[kd×n]` (+ `bias[j]` on column `j`) via the
     /// dispatched SIMD backend.
     #[doc(hidden)]
     fn simd_matmul(
-        _a: &[Self],
-        _b: &[Self],
-        _bias: Option<&[Self]>,
-        _c: &mut [Self],
-        _m: usize,
-        _kd: usize,
-        _n: usize,
-    ) -> bool {
-        false
-    }
+        a: &[Self],
+        b: &[Self],
+        bias: Option<&[Self]>,
+        c: &mut [Self],
+        m: usize,
+        kd: usize,
+        n: usize,
+    ) -> bool;
 
     /// `c[m×n] = a[m×kd]·b[kd×n]`, each element in the four-chain dot
     /// schedule of `Matrix::matmul_dot_into` (times `v·(1 − v)` of the
@@ -130,54 +113,47 @@ pub trait Scalar:
     /// backend.
     #[doc(hidden)]
     fn simd_matmul_dot(
-        _a: &[Self],
-        _b: &[Self],
-        _sigmoid: Option<&[Self]>,
-        _c: &mut [Self],
-        _m: usize,
-        _kd: usize,
-        _n: usize,
-    ) -> bool {
-        false
-    }
+        a: &[Self],
+        b: &[Self],
+        sigmoid: Option<&[Self]>,
+        c: &mut [Self],
+        m: usize,
+        kd: usize,
+        n: usize,
+    ) -> bool;
 
     /// `dw[ind×outd] = x[ind×m]·dy[outd×m]ᵀ` and `db` the row sums of
     /// `dy`, chains ascending `m`, via the dispatched SIMD backend.
     #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     fn simd_linear_grads(
-        _x: &[Self],
-        _dy: &[Self],
-        _dw: &mut [Self],
-        _db: &mut [Self],
-        _ind: usize,
-        _outd: usize,
-        _m: usize,
-    ) -> bool {
-        false
-    }
+        x: &[Self],
+        dy: &[Self],
+        dw: &mut [Self],
+        db: &mut [Self],
+        ind: usize,
+        outd: usize,
+        m: usize,
+    ) -> bool;
 
     /// `c[mm×n] = a[kd×mm]ᵀ·b[kd×n]` (+ `bias[i]` on row `i`) via the
     /// dispatched SIMD backend.
     #[doc(hidden)]
     fn simd_transpose_matmul(
-        _a: &[Self],
-        _b: &[Self],
-        _bias: Option<&[Self]>,
-        _c: &mut [Self],
-        _mm: usize,
-        _kd: usize,
-        _n: usize,
-    ) -> bool {
-        false
-    }
+        a: &[Self],
+        b: &[Self],
+        bias: Option<&[Self]>,
+        c: &mut [Self],
+        mm: usize,
+        kd: usize,
+        n: usize,
+    ) -> bool;
 }
 
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const DTYPE: &'static str = "f32";
-    const USES_FPU: bool = true;
 
     #[inline]
     fn from_f64(v: f64) -> Self {
@@ -295,7 +271,6 @@ impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const DTYPE: &'static str = "f64";
-    const USES_FPU: bool = true;
 
     #[inline]
     fn from_f64(v: f64) -> Self {
@@ -383,69 +358,6 @@ impl Scalar for f64 {
     }
 }
 
-impl Scalar for Fix32 {
-    const ZERO: Self = Fix32::ZERO;
-    const ONE: Self = Fix32::ONE;
-    const DTYPE: &'static str = "q16";
-    const USES_FPU: bool = false;
-
-    #[inline]
-    fn from_f64(v: f64) -> Self {
-        Fix32::from_f64(v)
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        Fix32::to_f64(self)
-    }
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    #[inline]
-    fn sub(self, rhs: Self) -> Self {
-        self - rhs
-    }
-    #[inline]
-    fn mul(self, rhs: Self) -> Self {
-        self * rhs
-    }
-    #[inline]
-    fn div(self, rhs: Self) -> Self {
-        self / rhs
-    }
-
-    /// FPU-free piecewise-linear sigmoid (the fixed-point trick the paper's
-    /// §3.1 discussion motivates): exact at 0 and saturated beyond |x| ≥ 5,
-    /// linear interpolation on 10 integer-boundary segments in between.
-    /// Max absolute error ≈ 0.02 — enough for classification, measured in
-    /// the `ablate_dtype` benchmark.
-    fn sigmoid(self) -> Self {
-        // Knot table: sigmoid at x = 0..=5, Q16.16-encoded.
-        const KNOTS: [i64; 6] = [32768, 47911, 57723, 62428, 64357, 65097];
-        let x = self.to_bits() as i64;
-        let (neg, ax) = if x < 0 { (true, -x) } else { (false, x) };
-        let y = if ax >= (5 << 16) {
-            65536 // saturate at 1.0
-        } else {
-            let seg = (ax >> 16) as usize;
-            let frac = ax & 0xffff; // position within the segment, Q0.16
-            let lo = KNOTS[seg];
-            let hi = KNOTS[seg + 1];
-            lo + (((hi - lo) * frac) >> 16)
-        };
-        let y = if neg { 65536 - y } else { y };
-        Fix32::from_bits(y as i32)
-    }
-
-    /// FPU-free tanh via the identity `tanh(x) = 2σ(2x) − 1` on the
-    /// piecewise-linear sigmoid.
-    fn tanh(self) -> Self {
-        let two = Fix32::from_bits(2 << 16);
-        let two_x = self * two;
-        (Scalar::sigmoid(two_x) * two) - Fix32::ONE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,15 +365,6 @@ mod tests {
     #[test]
     fn dtype_names_are_distinct() {
         assert_ne!(f32::DTYPE, f64::DTYPE);
-        assert_ne!(f64::DTYPE, Fix32::DTYPE);
-    }
-
-    #[test]
-    fn fpu_flags_match_representation() {
-        // Compile-time constants; compare against runtime values so the
-        // intent (floats guard, fixed point does not) stays asserted.
-        let flags = [f32::USES_FPU, f64::USES_FPU, Fix32::USES_FPU];
-        assert_eq!(flags, [true, true, false]);
     }
 
     #[test]
@@ -481,57 +384,14 @@ mod tests {
     fn bytes_constant_matches_size_of() {
         assert_eq!(f32::BYTES, 4);
         assert_eq!(f64::BYTES, 8);
-        assert_eq!(Fix32::BYTES, 4);
-    }
-
-    #[test]
-    fn fixed_sigmoid_tracks_float_sigmoid() {
-        let mut x = -8.0;
-        while x <= 8.0 {
-            let want = crate::math::sigmoid(x);
-            let got = Scalar::sigmoid(Fix32::from_f64(x)).to_f64();
-            assert!(
-                (got - want).abs() < 0.025,
-                "piecewise sigmoid({x}): got {got}, want {want}"
-            );
-            x += 0.13;
-        }
-    }
-
-    #[test]
-    fn fixed_sigmoid_is_monotone_and_symmetric() {
-        let mut prev = -1.0;
-        let mut x = -10.0;
-        while x <= 10.0 {
-            let s = Scalar::sigmoid(Fix32::from_f64(x)).to_f64();
-            assert!(s >= prev, "monotonicity broken at {x}");
-            let mirrored = Scalar::sigmoid(Fix32::from_f64(-x)).to_f64();
-            assert!((s + mirrored - 1.0).abs() < 2e-4, "symmetry broken at {x}");
-            prev = s;
-            x += 0.25;
-        }
-    }
-
-    #[test]
-    fn fixed_tanh_tracks_float_tanh() {
-        let mut x = -3.0;
-        while x <= 3.0 {
-            let want = crate::math::tanh(x);
-            let got = Scalar::tanh(Fix32::from_f64(x)).to_f64();
-            assert!(
-                (got - want).abs() < 0.05,
-                "piecewise tanh({x}): {got} vs {want}"
-            );
-            x += 0.11;
-        }
     }
 
     #[test]
     fn relu_zeroes_negatives_for_all_scalars() {
         assert_eq!(Scalar::relu(-1.0f64), 0.0);
         assert_eq!(Scalar::relu(2.0f64), 2.0);
-        assert_eq!(Scalar::relu(Fix32::from_f64(-3.0)), Fix32::ZERO);
-        assert_eq!(Scalar::relu(Fix32::from_f64(3.0)).to_f64(), 3.0);
+        assert_eq!(Scalar::relu(-3.0f32), 0.0);
+        assert_eq!(Scalar::relu(3.0f32), 3.0);
     }
 
     #[test]
@@ -557,7 +417,6 @@ mod tests {
         }
         check::<f32>();
         check::<f64>();
-        check::<Fix32>();
     }
 
     #[test]

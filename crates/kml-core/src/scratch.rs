@@ -133,7 +133,6 @@ impl<S: Scalar> ScratchArena<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::Fix32;
 
     #[test]
     fn slots_grow_monotonically() {
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn pair_accessors_split_disjoint_slots() {
-        let mut a: ScratchArena<Fix32> = ScratchArena::new();
+        let mut a: ScratchArena<f32> = ScratchArena::new();
         a.ensure_slots(3);
         a.slot_mut(0).ensure_shape(1, 2);
         let (src, dst) = a.read_write_pair(0, 2);

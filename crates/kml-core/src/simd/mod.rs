@@ -41,8 +41,7 @@
 //! reference is bit-identical to every arm by construction.
 //!
 //! Selection happens once per process (relaxed `OnceLock`), so the hot path
-//! pays one predictable load+branch. `Fix32` never dispatches: its widening
-//! integer arithmetic stays on the scalar path.
+//! pays one predictable load+branch.
 //!
 //! The int8 (Q8) fleet-serving engine in [`crate::quant`] is *not* part of
 //! this bit-exact family: it is a bounded-error path gated by decision

@@ -5,7 +5,7 @@
 //! of B single-row passes, so this property is what lets the server batch
 //! per-tenant windows without changing a single decision.
 //!
-//! Covered across all three scalar types (f32, f64, Q16.16 fixed point),
+//! Covered across both scalar types (f32, f64),
 //! with and without a fitted normalizer, and including ragged final
 //! batches: chunking the rows into uneven batches must reproduce the
 //! full-batch output bit for bit, and a single row run after those
@@ -22,7 +22,6 @@
 //! dispatched backend and under `KML_FORCE_SCALAR=1`.
 
 use kml_core::dataset::Normalizer;
-use kml_core::fixed::Fix32;
 use kml_core::matrix::Matrix;
 use kml_core::model::{Model, ModelBuilder};
 use kml_core::scalar::Scalar;
@@ -139,7 +138,7 @@ fn check_batch_parity<S: Scalar>(
 
 /// Dimensions: hidden up to 20 so some draws cross the blocked kernel's
 /// tile edges; rows up to 37 and chunks up to 7 so final chunks are ragged
-/// for most draws. Values stay within ±8 so Q16.16 stays unsaturated.
+/// for most draws. Values stay within ±8.
 const MAX_ROWS: usize = 37;
 const MAX_DIM: usize = 6;
 
@@ -177,14 +176,6 @@ proptest! {
         data in values(),
     ) {
         check_batch_parity::<f64>(input_dim, hidden, output_dim, seed, normalize, &data, rows, chunk);
-    }
-
-    #[test]
-    fn batched_inference_matches_serial_fix32(
-        ((input_dim, hidden, output_dim), (seed, normalize), (rows, chunk)) in params(),
-        data in values(),
-    ) {
-        check_batch_parity::<Fix32>(input_dim, hidden, output_dim, seed, normalize, &data, rows, chunk);
     }
 }
 

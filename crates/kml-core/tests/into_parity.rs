@@ -1,7 +1,7 @@
 //! Property tests: every `*_into` kernel with an allocating counterpart is
 //! indistinguishable from it — same values, same shapes, same errors — and
 //! every shape-checked kernel reports the one error its op defines, across
-//! random shapes and all three scalar types (f32, f64, Q16.16 fixed point).
+//! random shapes and both scalar types (f32, f64).
 //!
 //! `matmul` delegates to `matmul_into`, so their parity is bit-exact by
 //! construction; these properties pin that contract down so a future
@@ -9,7 +9,6 @@
 //! silently change numerics or error behavior. `map` and `map_into` are
 //! separate loops.
 
-use kml_core::fixed::Fix32;
 use kml_core::matrix::Matrix;
 use kml_core::scalar::Scalar;
 use kml_core::KmlError;
@@ -108,9 +107,8 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
     );
 }
 
-// Dims stay in 1..6 and values in ±8 so Q16.16 products (≤ 5·8·8 = 320) are
-// exactly representable without saturation, keeping Fix32 parity meaningful.
-// Slices used: a at 0, b and the bad shapes (up to 6×6) at 25 — 75 values
+// Dims stay in 1..6 and values in ±8. Slices used: a at 0, b and the bad
+// shapes (up to 6×6) at 25 — 75 values
 // cover every view.
 const DIMS: (
     std::ops::Range<usize>,
@@ -136,11 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn into_kernels_match_allocating_kernels_fix32((m, k, n) in DIMS, data in values()) {
-        check_parity::<Fix32>(m, k, n, &data);
-    }
-
-    #[test]
     fn into_kernels_match_allocating_errors_f32((m, k, n) in DIMS, data in values()) {
         check_error_parity::<f32>(m, k, n, &data);
     }
@@ -148,10 +141,5 @@ proptest! {
     #[test]
     fn into_kernels_match_allocating_errors_f64((m, k, n) in DIMS, data in values()) {
         check_error_parity::<f64>(m, k, n, &data);
-    }
-
-    #[test]
-    fn into_kernels_match_allocating_errors_fix32((m, k, n) in DIMS, data in values()) {
-        check_error_parity::<Fix32>(m, k, n, &data);
     }
 }

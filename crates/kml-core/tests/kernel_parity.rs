@@ -1,15 +1,14 @@
 //! Property tests: the blocked/register-tiled GEMM kernels are bit-for-bit
 //! indistinguishable from the retained naive triple-loop references in
 //! `naive/mod.rs` beside this file — same values, same shapes, same errors —
-//! across random shapes (including non-multiple-of-tile edges) and all three
-//! scalar types (f32, f64, Q16.16 fixed point).
+//! across random shapes (including non-multiple-of-tile edges) and both
+//! scalar types (f32, f64).
 //!
 //! Bit-exactness is the contract the deterministic simulation tests and the
 //! pinned training artifacts stand on: every output element must be one
 //! multiply-accumulate chain walking the shared dimension in ascending
 //! order, no matter how the loops are tiled.
 
-use kml_core::fixed::Fix32;
 use kml_core::matrix::Matrix;
 use kml_core::scalar::Scalar;
 use proptest::prelude::*;
@@ -141,8 +140,7 @@ fn check_error_parity<S: Scalar>(m: usize, k: usize, n: usize, data: &[f64]) {
 }
 
 // Dims span 1..13 so every property crosses the MR=4/NR=4 register-tile
-// boundary both ways (full tiles plus 1–3-wide edges); values stay in ±8 so
-// Q16.16 products are exactly representable without saturation.
+// boundary both ways (full tiles plus 1–3-wide edges); values stay in ±8.
 const DIMS: (
     std::ops::Range<usize>,
     std::ops::Range<usize>,
@@ -167,11 +165,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_kernels_match_naive_fix32((m, k, n) in DIMS, data in values()) {
-        check_kernels::<Fix32>(m, k, n, &data);
-    }
-
-    #[test]
     fn blocked_kernels_match_naive_errors_f32((m, k, n) in DIMS, data in values()) {
         check_error_parity::<f32>(m, k, n, &data);
     }
@@ -179,11 +172,6 @@ proptest! {
     #[test]
     fn blocked_kernels_match_naive_errors_f64((m, k, n) in DIMS, data in values()) {
         check_error_parity::<f64>(m, k, n, &data);
-    }
-
-    #[test]
-    fn blocked_kernels_match_naive_errors_fix32((m, k, n) in DIMS, data in values()) {
-        check_error_parity::<Fix32>(m, k, n, &data);
     }
 }
 

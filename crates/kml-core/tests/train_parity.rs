@@ -6,8 +6,8 @@
 //! dispatched arm and under `KML_FORCE_SCALAR=1`.
 //!
 //! Covered: the readahead, retrain, netfs and iosched spec topologies and
-//! two softmax-ended ones (one through tanh, one through ReLU); f64, f32
-//! and Q16.16; `train_batch` at batch sizes that straddle the 4-, 8- and
+//! two softmax-ended ones (one through tanh, one through ReLU); f64 and
+//! f32; `train_batch` at batch sizes that straddle the 4-, 8- and
 //! 16-lane edges and the 64-row softmax block under each of the three
 //! losses; shuffled `train_epoch`s whose last mini-batch is ragged, with
 //! and without a normalizer; `TrainSpec::train` both ways; and batches
@@ -15,7 +15,6 @@
 //! (one canonical pattern): its payload is not part of the contract.
 
 use kml_core::dataset::{Dataset, Normalizer};
-use kml_core::fixed::Fix32;
 use kml_core::loss::{BceLoss, CrossEntropyLoss, MseLoss, TargetRef};
 use kml_core::matrix::Matrix;
 use kml_core::model::{Model, ModelBuilder};
@@ -246,10 +245,6 @@ fn cases() -> Vec<(String, u64)> {
             let f32s = batch_hash::<f32>(&t, which, Extra::None);
             case(format!("{name}/f32/{which:?}"), f32s);
         }
-        case(
-            format!("{name}/q16/Ce"),
-            batch_hash::<Fix32>(&t, Which::Ce, Extra::None),
-        );
         for (extra, tag) in [(Extra::NonFinite, "nonfinite"), (Extra::Tiny, "tiny")] {
             case(
                 format!("{name}/f64/{tag}"),
@@ -270,10 +265,6 @@ fn cases() -> Vec<(String, u64)> {
                 epoch_hash::<f32>(&t, norm),
             );
         }
-        case(
-            format!("{name}/q16/epoch-normalized"),
-            epoch_hash::<Fix32>(&t, true),
-        );
         case(format!("{name}/spec"), spec_hash(&t));
     }
     got
@@ -287,7 +278,6 @@ const PINNED: &[(&str, u64)] = &[
     ("readahead/f32/Mse", 0xde96accc68f797b9),
     ("readahead/f64/Bce", 0xa5e8a7e720cc5ba9),
     ("readahead/f32/Bce", 0x355aba28c2606c35),
-    ("readahead/q16/Ce", 0xe55a8e39a9519d80),
     ("readahead/f64/nonfinite", 0x58289d84693d1e45),
     ("readahead/f32/nonfinite", 0x58289d84693d1e45),
     ("readahead/f64/tiny", 0x2e29515ab420690d),
@@ -296,7 +286,6 @@ const PINNED: &[(&str, u64)] = &[
     ("readahead/f32/epoch-raw", 0x0f95be586f1f1d93),
     ("readahead/f64/epoch-normalized", 0x439de800d0f8c612),
     ("readahead/f32/epoch-normalized", 0x462c678f00ff3e7b),
-    ("readahead/q16/epoch-normalized", 0x14eeb457963ee59f),
     ("readahead/spec", 0x30a948726ac17e29),
     ("retrain/f64/Ce", 0xa1d087ce3f184db6),
     ("retrain/f32/Ce", 0xc84860eb5ebcaa3b),
@@ -304,7 +293,6 @@ const PINNED: &[(&str, u64)] = &[
     ("retrain/f32/Mse", 0xf6e12d69a71f388c),
     ("retrain/f64/Bce", 0x30b6d8236c23527e),
     ("retrain/f32/Bce", 0xd8fd57f5c1e148a3),
-    ("retrain/q16/Ce", 0x8f76735ac8891324),
     ("retrain/f64/nonfinite", 0x292e5d77719dde85),
     ("retrain/f32/nonfinite", 0x292e5d77719dde85),
     ("retrain/f64/tiny", 0xd7c0999017bc61b3),
@@ -313,7 +301,6 @@ const PINNED: &[(&str, u64)] = &[
     ("retrain/f32/epoch-raw", 0x4f56688db001d2c8),
     ("retrain/f64/epoch-normalized", 0x050bf0804f7fed55),
     ("retrain/f32/epoch-normalized", 0xc68d973c6347f542),
-    ("retrain/q16/epoch-normalized", 0x8af34864b1698f4d),
     ("retrain/spec", 0x0c9081368607920a),
     ("netfs/f64/Ce", 0x3040b3d04964c3cf),
     ("netfs/f32/Ce", 0x341041e0b990605f),
@@ -321,7 +308,6 @@ const PINNED: &[(&str, u64)] = &[
     ("netfs/f32/Mse", 0x1378176709704a1b),
     ("netfs/f64/Bce", 0x59da96a2cb0cd44e),
     ("netfs/f32/Bce", 0x4d724c641c9d7e5d),
-    ("netfs/q16/Ce", 0xa8378dfc6515dd3a),
     ("netfs/f64/nonfinite", 0x881997b0176e14c5),
     ("netfs/f32/nonfinite", 0x881997b0176e14c5),
     ("netfs/f64/tiny", 0xf044282756e6f36a),
@@ -330,7 +316,6 @@ const PINNED: &[(&str, u64)] = &[
     ("netfs/f32/epoch-raw", 0x35b6fe546e81365c),
     ("netfs/f64/epoch-normalized", 0x1a796aa597c06fac),
     ("netfs/f32/epoch-normalized", 0x7458c9d13ff9ef42),
-    ("netfs/q16/epoch-normalized", 0xa4a09095a60f76c7),
     ("netfs/spec", 0x21cd71fd6ec39a18),
     ("iosched/f64/Ce", 0x012cd595aebee3e6),
     ("iosched/f32/Ce", 0x0d13a0b8007d0756),
@@ -338,7 +323,6 @@ const PINNED: &[(&str, u64)] = &[
     ("iosched/f32/Mse", 0xafc88642ca55e9fc),
     ("iosched/f64/Bce", 0x2e7750de13e363d1),
     ("iosched/f32/Bce", 0x2d4c55f8cf75089c),
-    ("iosched/q16/Ce", 0xadfa1d95c6de94ec),
     ("iosched/f64/nonfinite", 0x8a0a56929f606185),
     ("iosched/f32/nonfinite", 0x8a0a56929f606185),
     ("iosched/f64/tiny", 0x55860294ca5af85e),
@@ -347,7 +331,6 @@ const PINNED: &[(&str, u64)] = &[
     ("iosched/f32/epoch-raw", 0xd653afed83333624),
     ("iosched/f64/epoch-normalized", 0x5a91343be34d14a5),
     ("iosched/f32/epoch-normalized", 0xfbf5eb7a1c2d705b),
-    ("iosched/q16/epoch-normalized", 0xc2b3865b9f255b8e),
     ("iosched/spec", 0xa21c18efa1551352),
     ("softmax-tanh/f64/Ce", 0xfe621a371daccc89),
     ("softmax-tanh/f32/Ce", 0x4993c3febc24b1fd),
@@ -355,7 +338,6 @@ const PINNED: &[(&str, u64)] = &[
     ("softmax-tanh/f32/Mse", 0x9c02f6027742125d),
     ("softmax-tanh/f64/Bce", 0x21c98af0a5a0fd84),
     ("softmax-tanh/f32/Bce", 0xb6845f111365741c),
-    ("softmax-tanh/q16/Ce", 0x651eb4247b1adb9d),
     ("softmax-tanh/f64/nonfinite", 0x849057ad98465205),
     ("softmax-tanh/f32/nonfinite", 0x849057ad98465205),
     ("softmax-tanh/f64/tiny", 0xdcfd05b78cf78eb0),
@@ -364,7 +346,6 @@ const PINNED: &[(&str, u64)] = &[
     ("softmax-tanh/f32/epoch-raw", 0x10700f5947803410),
     ("softmax-tanh/f64/epoch-normalized", 0xa1cfc18afc8a1c8a),
     ("softmax-tanh/f32/epoch-normalized", 0x430f60c8e5e2134b),
-    ("softmax-tanh/q16/epoch-normalized", 0x71aef021f0ac6189),
     ("softmax-tanh/spec", 0x1560e12b7078eff5),
     ("softmax-relu/f64/Ce", 0x1e6bb0fc9ff6ff12),
     ("softmax-relu/f32/Ce", 0x31034d060b0e0948),
@@ -372,7 +353,6 @@ const PINNED: &[(&str, u64)] = &[
     ("softmax-relu/f32/Mse", 0x0ecc252dad61e36f),
     ("softmax-relu/f64/Bce", 0x5045a41cadbc33ef),
     ("softmax-relu/f32/Bce", 0x8c238a63a1ebe71a),
-    ("softmax-relu/q16/Ce", 0x9022cba41a801b92),
     ("softmax-relu/f64/nonfinite", 0x183a1bb08feba3b0),
     ("softmax-relu/f32/nonfinite", 0x3711155bbe59f7a8),
     ("softmax-relu/f64/tiny", 0xf0de88dbff2b4ad8),
@@ -381,7 +361,6 @@ const PINNED: &[(&str, u64)] = &[
     ("softmax-relu/f32/epoch-raw", 0x342eecf61065e4c4),
     ("softmax-relu/f64/epoch-normalized", 0xbc4681088f006482),
     ("softmax-relu/f32/epoch-normalized", 0xafe32ff481e2d92c),
-    ("softmax-relu/q16/epoch-normalized", 0x2864e1516d9e9bd1),
     ("softmax-relu/spec", 0x36da99f87c874706),
 ];
 

@@ -12,7 +12,6 @@
 //! perturbing each other.
 
 use kml_core::dataset::Normalizer;
-use kml_core::fixed::Fix32;
 use kml_core::loss::{CrossEntropyLoss, TargetRef};
 use kml_core::matrix::Matrix;
 use kml_core::model::{Model, ModelBuilder};
@@ -77,11 +76,6 @@ fn steady_state_inference_is_allocation_free_f32() {
 #[test]
 fn steady_state_inference_is_allocation_free_f64() {
     assert_steady_state_zero_allocs::<f64>("f64");
-}
-
-#[test]
-fn steady_state_inference_is_allocation_free_fix32() {
-    assert_steady_state_zero_allocs::<Fix32>("Fix32 (Q16.16)");
 }
 
 /// A single row is a one-row batch on the same staging matrix: a model
@@ -192,15 +186,9 @@ fn steady_state_training_is_allocation_free_f64() {
 }
 
 #[test]
-fn steady_state_training_is_allocation_free_fix32() {
-    assert_steady_state_training_zero_allocs::<Fix32>("Fix32 (Q16.16)");
-}
-
-#[test]
 fn steady_state_training_is_allocation_free_with_a_40_class_head() {
     assert_training_zero_allocs::<f64>("f64, 40 classes", 40, 16);
     assert_training_zero_allocs::<f32>("f32, 40 classes, 100 rows", 40, 100);
-    assert_training_zero_allocs::<Fix32>("Fix32, 40 classes", 40, 16);
 }
 
 proptest! {

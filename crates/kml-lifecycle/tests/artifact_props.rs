@@ -12,7 +12,6 @@
 //!    and never a partially constructed model.
 
 use kml_core::dataset::Normalizer;
-use kml_core::fixed::Fix32;
 use kml_core::matrix::Matrix;
 use kml_core::model::{Model, ModelBuilder};
 use kml_core::scalar::Scalar;
@@ -158,12 +157,6 @@ proptest! {
     #[test]
     fn round_trip_f64(shape in shape_strategy()) {
         check_round_trip::<f64>(&shape)?;
-    }
-
-    /// Round-trip fidelity at Fix32 — the kernel-deploy fixed-point dtype.
-    #[test]
-    fn round_trip_fix32(shape in shape_strategy()) {
-        check_round_trip::<Fix32>(&shape)?;
     }
 
     /// Any single flipped byte is rejected with a typed error: the

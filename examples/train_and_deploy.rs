@@ -4,11 +4,9 @@
 //!
 //! Training happens in `f64` (the "user space" persona: easy debugging,
 //! full precision). The trained model is saved in the KML model-file
-//! format, then loaded back at *different* precisions — `f32` for the
-//! kernel module, and Q16.16 fixed point for an FPU-free deployment —
-//! demonstrating the FPU-guard discipline along the way.
+//! format, then loaded back at a *different* precision — `f32` for the
+//! kernel module, whose inference runs inside an FPU section.
 
-use kml_core::fixed::Fix32;
 use kml_platform::fpu;
 use readahead::datagen::{self, DatagenConfig};
 use readahead::model;
@@ -53,22 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sample.1,
         fpu::sections_entered() - sections_before
     );
-
-    // --- FPU-free deployment: Q16.16 fixed point --------------------------
-    let mut fixed_model = kml_core::modelfile::load::<Fix32>(&path)?;
-    let sections_before = fpu::sections_entered();
-    let mut agree = 0;
-    let n = data.len().min(100);
-    for i in 0..n {
-        let (f, _) = data.sample(i);
-        if fixed_model.predict(f)? == kernel_model.predict(f)? {
-            agree += 1;
-        }
-    }
-    // predict() on the f32 model enters FPU sections; the Fix32 model's
-    // matrix math does not (only the shared f64 feature normalization does).
-    println!("[kernel, FPU-free] Q16.16 deployment agrees with f32 on {agree}/{n} samples");
-    let _ = sections_before;
 
     std::fs::remove_file(path)?;
     Ok(())

@@ -15,7 +15,6 @@ fn assert_debug_nonempty<T: Debug>(v: &T) {
 fn core_types_are_send_sync() {
     assert_send_sync::<kml_core::matrix::Matrix<f32>>();
     assert_send_sync::<kml_core::matrix::Matrix<f64>>();
-    assert_send_sync::<kml_core::matrix::Matrix<kml_core::fixed::Fix32>>();
     assert_send_sync::<kml_core::model::Model<f32>>();
     assert_send_sync::<kml_core::dtree::DecisionTree>();
     assert_send_sync::<kml_core::dataset::Dataset>();
@@ -59,7 +58,6 @@ fn debug_representations_are_never_empty() {
     use kml_core::prelude::*;
     let m = Matrix::<f64>::zeros(2, 2);
     assert_debug_nonempty(&m);
-    assert_debug_nonempty(&kml_core::fixed::Fix32::ZERO);
     assert_debug_nonempty(&Sgd::paper_defaults());
     assert_debug_nonempty(&kvstore::Workload::MixGraph);
     assert_debug_nonempty(&kernel_sim::DeviceProfile::nvme());
@@ -72,7 +70,6 @@ fn debug_representations_are_never_empty() {
 fn display_implementations_are_informative() {
     assert_eq!(kvstore::Workload::ReadSeq.to_string(), "readseq");
     assert_eq!(kml_platform::Persona::Kernel.to_string(), "kernel");
-    assert_eq!(kml_core::fixed::Fix32::from_f64(1.5).to_string(), "1.5");
     let m = kml_core::matrix::Matrix::<f64>::zeros(2, 2);
     let shown = m.to_string();
     assert!(shown.contains("2x2"));
